@@ -1,0 +1,84 @@
+"""Golden artifact hashes: the pipeline's bytes at fixed seeds.
+
+Drives ``ivln.cli.main`` in-process through the ``scripts/run_demo.py``
+chain on a grid scene and through episodes, tours, a noisy rollout and a
+geodesic eval on its graph twin, then compares the sha256 of every
+artifact with ``tests/golden/sha256.json``.  A refactor that keeps
+behaviour keeps these bytes; a change that means to alter them
+regenerates the table with ``PYTHONPATH=src python tests/test_golden.py``
+and says which artifacts changed and why.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+from ivln.cli import main
+
+SEEDS = (3, 7)
+TABLE = Path(__file__).resolve().parent / "golden" / "sha256.json"
+
+
+def _cli(*argv) -> None:
+    code = main([str(a) for a in argv])
+    if code != 0:
+        raise AssertionError(f"ivln {' '.join(map(str, argv))} exited {code}")
+
+
+def run_chain(out: Path, seed: int) -> None:
+    """The run_demo.py grid chain plus the graph-twin pipeline."""
+    scene, graph = out / "scene.json", out / "graph.json"
+    episodes, tours, traces = out / "episodes.json", out / "tours.json", out / "traces.jsonl"
+    _cli("gen-env", "--rooms", 3, "--seed", seed, "--out", scene, "--graph-out", graph)
+    _cli("gen-episodes", "--scene", scene, "--count", 8, "--n", 2,
+         "--min-length", 4, "--max-length", 12, "--seed", seed, "--out", episodes)
+    _cli("gen-tours", "--scene", scene, "--episodes", episodes, "--seed", seed, "--out", tours)
+    _cli("run", "--scene", scene, "--tours", tours, "--episodes", episodes,
+         "--policy", "noisy:0.2", "--seed", seed, "--map", "iterative",
+         "--map-out", out / "map.json", "--out", traces)
+    _cli("eval", "--traces", traces, "--episodes", episodes, "--scene", scene,
+         "--tours", tours, "--out", out / "report.json", "--csv", out / "per_episode.csv")
+    _cli("coverage", "--tours", tours, "--episodes", episodes, "--scene", scene,
+         "--out", out / "coverage.csv", "--json", out / "coverage.json")
+    _cli("stats", "--tours", tours, "--out", out / "stats.json")
+    _cli("build-map", "--scene", scene, "--traces", traces, "--episodes", episodes,
+         "--mode", "iterative", "--out", out / "map_replayed.json")
+
+    g_episodes, g_tours = out / "graph_episodes.json", out / "graph_tours.json"
+    g_traces = out / "graph_traces.jsonl"
+    _cli("gen-episodes", "--scene", graph, "--count", 6, "--n", 2,
+         "--min-length", 2, "--max-length", 12, "--seed", seed, "--out", g_episodes)
+    _cli("gen-tours", "--scene", graph, "--episodes", g_episodes, "--seed", seed,
+         "--out", g_tours)
+    _cli("run", "--scene", graph, "--tours", g_tours, "--episodes", g_episodes,
+         "--policy", "noisy:0.2", "--seed", seed, "--out", g_traces)
+    _cli("eval", "--traces", g_traces, "--episodes", g_episodes, "--scene", graph,
+         "--tours", g_tours, "--geodesic", "--out", out / "graph_report.json")
+
+
+def artifact_hashes(root: Path) -> dict[str, str]:
+    hashes = {}
+    for seed in SEEDS:
+        out = root / f"seed{seed}"
+        out.mkdir()
+        run_chain(out, seed)
+        for path in sorted(out.iterdir()):
+            hashes[f"seed{seed}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashes
+
+
+def test_artifacts_match_golden_hashes(tmp_path):
+    want = json.loads(TABLE.read_text(encoding="utf-8"))
+    got = artifact_hashes(tmp_path)
+    assert sorted(got) == sorted(want)
+    changed = [name for name in want if got[name] != want[name]]
+    assert not changed, f"artifacts differ from the golden hashes: {changed}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        table = artifact_hashes(Path(tmp))
+    TABLE.parent.mkdir(exist_ok=True)
+    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(table)} hashes -> {TABLE}")
