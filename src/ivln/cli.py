@@ -158,7 +158,6 @@ def cmd_run(args) -> int:
         max_steps_per_episode=cfg.max_steps,
         oracle_correction_radius=cfg.oracle_correction_radius,
         map_mode=cfg.map_mode,
-        forward_step=cfg.forward_step,
         turn_deg=cfg.turn_deg,
         crop_size=cfg.crop_size,
         step_timeout=cfg.step_timeout,

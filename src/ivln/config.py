@@ -29,7 +29,6 @@ class Config:
     map_mode: str = "none"
     policy: str = "oracle"
     max_steps: int | None = None
-    forward_step: float = 0.25
     turn_deg: float = 15.0
     crop_size: int = 64
     step_timeout: float = 10.0
@@ -49,8 +48,8 @@ class Config:
             raise ValueError("instructions_per_path must be at least 1")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.forward_step <= 0 or self.turn_deg <= 0:
-            raise ValueError("motion increments must be positive")
+        if self.turn_deg <= 0:
+            raise ValueError("turn_deg must be positive")
         if self.crop_size < 1:
             raise ValueError("crop_size must be at least 1")
         if self.step_timeout <= 0:

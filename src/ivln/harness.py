@@ -104,7 +104,6 @@ class RunConfig:
     max_steps_per_episode: int | None = None
     oracle_correction_radius: float = 0.5
     map_mode: str = "none"  # none | episodic | iterative | known
-    forward_step: float = 0.25
     turn_deg: float = 15.0
     crop_size: int = 64
     camera_height: float = 1.25

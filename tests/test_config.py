@@ -71,7 +71,6 @@ def test_validation_rejects_bad_values():
         ("map_mode", "hologram"),
         ("instructions_per_path", 0),
         ("max_steps", 0),
-        ("forward_step", 0.0),
         ("turn_deg", -15.0),
         ("crop_size", 0),
         ("step_timeout", 0.0),
