@@ -36,7 +36,7 @@ from .errors import (
     ProtocolViolation,
     UnsupportedScene,
 )
-from .harness import RunConfig, make_policy, run_tour
+from .harness import RunConfig, make_policy, run_tours
 from .mapper import (
     EPISODE_START,
     TOUR_START,
@@ -164,19 +164,12 @@ def cmd_run(args) -> int:
         seed=cfg.seed,
     )
     policy = make_policy(cfg.policy, scene, episodes_by_id, run_cfg)
-    traces = []
-    occ_map = None
     try:
-        for tour in tours:
-            trace, occ_map = run_tour(scene, tour, episodes_by_id, policy, run_cfg)
-            traces.append(trace)
+        traces, occ_map = run_tours(scene, tours, episodes_by_id, policy, run_cfg)
     except (PolicyTimeout, ProtocolViolation) as exc:
-        partial = getattr(exc, "partial_trace", None)
-        if partial is not None:
-            traces.append(partial)
-        write_traces(traces, args.out)
+        write_traces(exc.partial_traces, args.out)
         print(f"error: policy failed: {exc}", file=sys.stderr)
-        print(f"flushed {len(traces)} tour trace(s) to {args.out}", file=sys.stderr)
+        print(f"flushed {len(exc.partial_traces)} tour trace(s) to {args.out}", file=sys.stderr)
         return 1
     finally:
         policy.close()

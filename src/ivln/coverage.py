@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .environment import FORMAT_VERSION, GridWorld, Scene, as_point, euclidean
+from .environment import FORMAT_VERSION, GridWorld, Scene, as_point, euclidean, shortest_path
 from .errors import MissingEpisode
 from .tourgen import Episode, Tour
 
@@ -179,8 +179,6 @@ def coverage_curves(
         for p in points:
             out |= vis.from_point(p)
         return frozenset(out)
-
-    from .environment import shortest_path  # local import avoids a cycle at module load
 
     per_tour = []
     for tour in tours:

@@ -7,6 +7,15 @@ above by a floor and ceiling height).  Both kinds answer the same three
 questions: geodesic distance between two points, the shortest path
 between them, and a pairwise connectivity matrix over path endpoints.
 
+Every query runs on the scene's ``NavIndex``, built on first use: integer
+ids for the navigable locations and a flat neighbor list per id.  One
+search kernel, ``NavIndex.search``, serves both scene kinds; it runs A*
+when given a goal (routes, oracle steps) and a full Dijkstra field when
+not.  Fields are cached per source id on the index for as long as the
+scene lives, and that cache is the package's only distance cache.  The
+index is built from the scene as it is at the first query, so a scene
+must not be mutated after it.
+
 Conventions used throughout the package:
 
 * grid arrays have shape ``(height, width)`` and are indexed ``[iy, ix]``;
@@ -240,6 +249,7 @@ class Scene:
     scene_id: str
     graph: NavGraph | None = None
     grid: GridWorld | None = None
+    _nav: NavIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.graph is None) == (self.grid is None):
@@ -248,6 +258,13 @@ class Scene:
     @property
     def is_discrete(self) -> bool:
         return self.graph is not None
+
+    @property
+    def nav(self) -> NavIndex:
+        """The scene's location index and distance cache, built on first use."""
+        if self._nav is None:
+            self._nav = NavIndex(self)
+        return self._nav
 
     def snap_point(self, point: Sequence[float]):
         """Snap to a node id (graph) or cell (grid); raises SnapFailure."""
@@ -279,102 +296,95 @@ def _octile(a: Cell, b: Cell, resolution: float) -> float:
     return resolution * ((hi - lo) + _SQRT2 * lo)
 
 
-def _grid_astar(grid: GridWorld, start: Cell, goal: Cell) -> tuple[float, list[Cell]] | None:
-    """A* over the grid; returns (cost, cells) or None when unreachable.
+class NavIndex:
+    """Location ids, neighbor lists and the distance-field cache of a scene.
 
-    The octile heuristic is consistent for 8-connected unit grids, and
-    ties on f fall back to cell order so expansions are deterministic.
+    Ids number the navigable locations in their own order (cells by
+    ``(ix, iy)``, graph nodes by id), so heap ties in ``search`` break
+    exactly as they would on the locations.  Each location's neighbors
+    are one flat ``[id, weight, id, weight, ...]`` list in expansion
+    order (``GridWorld.neighbors`` on grids, sorted adjacency on graphs)
+    that shares its int and float objects with the other lists.
     """
-    if start == goal:
-        return 0.0, [start]
-    open_heap = [(_octile(start, goal, grid.resolution), start)]
-    g_score = {start: 0.0}
-    parent: dict[Cell, Cell] = {}
-    closed: set[Cell] = set()
-    while open_heap:
-        _, cell = heapq.heappop(open_heap)
-        if cell in closed:
-            continue
-        if cell == goal:
-            path = [cell]
-            while path[-1] in parent:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return g_score[goal], path
-        closed.add(cell)
-        base = g_score[cell]
-        for nxt, step in grid.neighbors(cell):
-            tentative = base + step
-            if tentative < g_score.get(nxt, math.inf) - 1e-12:
-                g_score[nxt] = tentative
-                parent[nxt] = cell
-                heapq.heappush(open_heap, (tentative + _octile(nxt, goal, grid.resolution), nxt))
-    return None
 
+    def __init__(self, scene: Scene):
+        if scene.graph is not None:
+            graph = scene.graph
+            self.locations = sorted(graph.nodes)
+            self.id_of = {loc: i for i, loc in enumerate(self.locations)}
+            self.neighbors = [
+                [x for nxt in graph.adjacency[loc] for x in (self.id_of[nxt], graph.edge_weight(loc, nxt))]
+                for loc in self.locations
+            ]
+            points = [graph.nodes[loc] for loc in self.locations]
+            self._estimate = lambda a, b: euclidean(points[a], points[b])
+        else:
+            grid = scene.grid
+            self.locations = sorted((int(ix), int(iy)) for iy, ix in np.argwhere(grid.navigable))
+            self.id_of = {loc: i for i, loc in enumerate(self.locations)}
+            weights: dict[float, float] = {}
+            self.neighbors = [
+                [x for nxt, w in grid.neighbors(loc) for x in (self.id_of[nxt], weights.setdefault(w, w))]
+                for loc in self.locations
+            ]
+            cells, resolution = self.locations, grid.resolution
+            self._estimate = lambda a, b: _octile(cells[a], cells[b], resolution)
+        self._fields: dict[int, np.ndarray] = {}
 
-def _grid_dijkstra_field(grid: GridWorld, start: Cell) -> np.ndarray:
-    """Geodesic distance from start to every cell; inf where unreachable."""
-    dist = np.full((grid.height, grid.width), math.inf)
-    dist[start[1], start[0]] = 0.0
-    heap = [(0.0, start)]
-    while heap:
-        d, cell = heapq.heappop(heap)
-        if d > dist[cell[1], cell[0]] + 1e-12:
-            continue
-        for nxt, step in grid.neighbors(cell):
-            nd = d + step
-            if nd < dist[nxt[1], nxt[0]] - 1e-12:
-                dist[nxt[1], nxt[0]] = nd
-                heapq.heappush(heap, (nd, nxt))
-    return dist
+    def search(self, source: int, goal: int | None = None):
+        """Shortest paths out of ``source``, over location ids.
 
+        With a goal this is A* (octile estimate on grids, Euclidean on
+        graphs) and returns ``(cost, ids)``, or None when the goal is
+        unreachable.  Without one it is Dijkstra over the whole scene and
+        returns the distance to every id, inf where unreachable.
+        """
+        n = len(self.locations)
+        dist = [math.inf] * n
+        dist[source] = 0.0
+        parent = [-1] * n
+        closed = bytearray(n)
+        heap = [(0.0 if goal is None else self._estimate(source, goal), source)]
+        while heap:
+            _, u = heapq.heappop(heap)
+            if closed[u]:
+                continue
+            if u == goal:
+                path = [u]
+                while parent[path[-1]] >= 0:
+                    path.append(parent[path[-1]])
+                return dist[u], path[::-1]
+            closed[u] = 1
+            base = dist[u]
+            adj = self.neighbors[u]
+            for k in range(0, len(adj), 2):
+                v = adj[k]
+                nd = base + adj[k + 1]
+                if nd < dist[v] - 1e-12:
+                    dist[v] = nd
+                    parent[v] = u
+                    heapq.heappush(heap, (nd if goal is None else nd + self._estimate(v, goal), v))
+        return None if goal is not None else np.array(dist)
 
-def _graph_astar(graph: NavGraph, start: str, goal: str) -> tuple[float, list[str]] | None:
-    if start == goal:
-        return 0.0, [start]
-    goal_pos = graph.nodes[goal]
+    def route(self, a, b) -> tuple[float, list] | None:
+        """Shortest route between two locations as ``(cost, locations)``,
+        or None when no route exists."""
+        found = self.search(self.id_of[a], self.id_of[b])
+        if found is None:
+            return None
+        return found[0], [self.locations[i] for i in found[1]]
 
-    def h(node: str) -> float:
-        return euclidean(graph.nodes[node], goal_pos)
+    def field(self, location) -> np.ndarray:
+        """Geodesic distance from a location to every location id; cached."""
+        source = self.id_of[location]
+        out = self._fields.get(source)
+        if out is None:
+            out = self._fields[source] = self.search(source)
+        return out
 
-    open_heap = [(h(start), start)]
-    g_score = {start: 0.0}
-    parent: dict[str, str] = {}
-    closed: set[str] = set()
-    while open_heap:
-        _, node = heapq.heappop(open_heap)
-        if node in closed:
-            continue
-        if node == goal:
-            path = [node]
-            while path[-1] in parent:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return g_score[goal], path
-        closed.add(node)
-        base = g_score[node]
-        for nxt in graph.adjacency[node]:
-            tentative = base + graph.edge_weight(node, nxt)
-            if tentative < g_score.get(nxt, math.inf) - 1e-12:
-                g_score[nxt] = tentative
-                parent[nxt] = node
-                heapq.heappush(open_heap, (tentative + h(nxt), nxt))
-    return None
-
-
-def _graph_dijkstra_field(graph: NavGraph, start: str) -> dict[str, float]:
-    dist = {start: 0.0}
-    heap = [(0.0, start)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist.get(node, math.inf) + 1e-12:
-            continue
-        for nxt in graph.adjacency[node]:
-            nd = d + graph.edge_weight(node, nxt)
-            if nd < dist.get(nxt, math.inf) - 1e-12:
-                dist[nxt] = nd
-                heapq.heappush(heap, (nd, nxt))
-    return dist
+    def distance(self, a, b) -> float:
+        """Geodesic distance between two locations, read from a's field."""
+        return float(self.field(a)[self.id_of[b]])
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +401,7 @@ def geodesic_distance(scene: Scene, a: Sequence[float], b: Sequence[float]) -> f
     lb = scene.snap_point(b)
     if la == lb:
         return 0.0
-    if scene.graph is not None:
-        found = _graph_astar(scene.graph, la, lb)
-    else:
-        found = _grid_astar(scene.grid, la, lb)
+    found = scene.nav.route(la, lb)
     return math.inf if found is None else found[0]
 
 
@@ -403,12 +410,7 @@ def shortest_path(scene: Scene, a: Sequence[float], b: Sequence[float]) -> list[
 
     Raises Disconnected when no route exists.
     """
-    la = scene.snap_point(a)
-    lb = scene.snap_point(b)
-    if scene.graph is not None:
-        found = _graph_astar(scene.graph, la, lb)
-    else:
-        found = _grid_astar(scene.grid, la, lb)
+    found = scene.nav.route(scene.snap_point(a), scene.snap_point(b))
     if found is None:
         raise Disconnected(f"no route between {tuple(a)} and {tuple(b)} in {scene.scene_id}")
     return [scene.location_point(loc) for loc in found[1]]
@@ -431,46 +433,32 @@ def connectivity_matrix(scene: Scene, endpoints: Sequence[tuple[Sequence[float],
             ends.append(scene.snap_point(end))
         except SnapFailure as exc:
             raise SnapFailure(exc.point, exc.radius, index=i) from None
+    nav = scene.nav
+    start_ids = [nav.id_of[s] for s in starts]
     out = np.zeros((n, n))
     for i in range(n):
-        if scene.graph is not None:
-            dist = _graph_dijkstra_field(scene.graph, ends[i])
-            row = [dist.get(s, math.inf) for s in starts]
-        else:
-            dist = _grid_dijkstra_field(scene.grid, ends[i])
-            row = [dist[s[1], s[0]] for s in starts]
-        out[i, :] = row
+        out[i, :] = nav.field(ends[i])[start_ids]
         out[i, i] = 0.0
     return out
 
 
 class GeodesicMetric:
-    """Callable geodesic point metric with a per-source distance cache.
+    """Callable geodesic point metric over a scene's distance fields.
 
     Useful as the cell metric of alignment scores and for repeated
     distance-to-goal queries: each distinct snapped source triggers one
-    full single-source search, later queries are lookups.
+    full single-source search per scene, later queries are lookups.
     """
 
     def __init__(self, scene: Scene):
         self.scene = scene
-        self._fields: dict = {}
 
     def __call__(self, a: Sequence[float], b: Sequence[float]) -> float:
         la = self.scene.snap_point(a)
         lb = self.scene.snap_point(b)
         if la == lb:
             return 0.0
-        field_ = self._fields.get(la)
-        if field_ is None:
-            if self.scene.graph is not None:
-                field_ = _graph_dijkstra_field(self.scene.graph, la)
-            else:
-                field_ = _grid_dijkstra_field(self.scene.grid, la)
-            self._fields[la] = field_
-        if self.scene.graph is not None:
-            return field_.get(lb, math.inf)
-        return float(field_[lb[1], lb[0]])
+        return self.scene.nav.distance(la, lb)
 
 
 # ---------------------------------------------------------------------------

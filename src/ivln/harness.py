@@ -40,11 +40,9 @@ from .environment import (
     Point3,
     Pose,
     Scene,
-    _graph_astar,
-    _grid_astar,
     normalize_heading,
 )
-from .errors import MissingEpisode, PolicyTimeout, ProtocolViolation, UnsupportedScene
+from .errors import Disconnected, MissingEpisode, PolicyTimeout, ProtocolViolation, UnsupportedScene
 from .mapper import (
     EPISODE_START,
     TOUR_START,
@@ -198,18 +196,18 @@ def _dedup(seq):
 
 
 def _step_toward(scene: Scene, state: AgentState, target) -> AgentAction | None:
-    """One action moving the agent toward a snapped location; None if there."""
+    """One action moving the agent toward a snapped location; None if there.
+
+    Raises Disconnected when no route leads there.
+    """
     if state.location == target:
         return None
-    if scene.is_discrete:
-        found = _graph_astar(scene.graph, state.location, target)
-        if found is None:
-            return None
-        return AgentAction(GOTO, node=found[1][1])
-    found = _grid_astar(scene.grid, state.location, target)
+    found = scene.nav.route(state.location, target)
     if found is None:
-        return None
+        raise Disconnected(f"no route from {state.location} to {target} in {scene.scene_id}")
     nxt = found[1][1]
+    if scene.is_discrete:
+        return AgentAction(GOTO, node=nxt)
     dx = nxt[0] - state.location[0]
     dy = nxt[1] - state.location[1]
     if heading_to_dir8(state.heading) == (dx, dy):
@@ -497,12 +495,22 @@ def run_tour(
 
 
 def run_tours(scene, tours, episodes_by_id, policy, cfg=None):
-    """Run tours sequentially with one policy; returns (traces, last map)."""
+    """Run tours sequentially with one policy; returns (traces, last map).
+
+    On policy failure the exception's ``partial_traces`` attribute holds
+    every finished tour trace, then the failed tour's partial trace when
+    it has one.
+    """
     traces = []
     occ_map = None
-    for tour in tours:
-        trace, occ_map = run_tour(scene, tour, episodes_by_id, policy, cfg)
-        traces.append(trace)
+    try:
+        for tour in tours:
+            trace, occ_map = run_tour(scene, tour, episodes_by_id, policy, cfg)
+            traces.append(trace)
+    except (PolicyTimeout, ProtocolViolation) as exc:
+        partial = getattr(exc, "partial_trace", None)
+        exc.partial_traces = traces + ([partial] if partial is not None else [])
+        raise
     return traces, occ_map
 
 

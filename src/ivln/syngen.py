@@ -25,8 +25,6 @@ from .environment import (
     NavGraph,
     Point3,
     Scene,
-    _graph_dijkstra_field,
-    _grid_dijkstra_field,
     shortest_path,
 )
 from .errors import SamplingExhausted, SpecInfeasible
@@ -261,20 +259,6 @@ def generate_episodes(scene: Scene, spec: EpisodeSpec, id_prefix: str = "ep") ->
         locations = sorted(scene.graph.nodes)
         to_point = lambda nid: scene.graph.nodes[nid]
 
-    field_cache: dict = {}
-
-    def geodesic(a_loc, b_loc) -> float:
-        field = field_cache.get(a_loc)
-        if field is None:
-            if scene.grid is not None:
-                field = _grid_dijkstra_field(scene.grid, a_loc)
-            else:
-                field = _graph_dijkstra_field(scene.graph, a_loc)
-            field_cache[a_loc] = field
-        if scene.grid is not None:
-            return float(field[b_loc[1], b_loc[0]])
-        return field.get(b_loc, math.inf)
-
     attempts = 0
     budget = spec.count * 300
     while len(episodes) < spec.count * spec.instructions_per_path:
@@ -288,7 +272,7 @@ def generate_episodes(scene: Scene, spec: EpisodeSpec, id_prefix: str = "ep") ->
         goal = rng.choice(locations)
         if start == goal:
             continue
-        d = geodesic(start, goal)
+        d = scene.nav.distance(start, goal)
         if not (spec.length_range[0] <= d <= spec.length_range[1]):
             continue
         path = shortest_path(scene, to_point(start), to_point(goal))

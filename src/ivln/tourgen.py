@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import FORMAT_VERSION, Point3, Scene, as_point, connectivity_matrix, normalize_heading
-from .errors import EmptySequence, InstructionCountMismatch, MissingEpisode, SizeLimit
+from .errors import Disconnected, EmptySequence, InstructionCountMismatch, MissingEpisode, SizeLimit
 
 ATSP_EXACT_LIMIT = 15
 
@@ -345,7 +345,8 @@ def solve_atsp(cost: np.ndarray, improve: bool = True) -> list[int]:
     the costs are asymmetric.  Small instances restart from every city
     and escape local optima with seeded double-bridge perturbations,
     keeping the cheapest result.  Deterministic: fixed scan order, fixed
-    perturbation seeds, only strict improvements accepted.
+    perturbation seeds, only strict improvements accepted.  Raises
+    Disconnected when every ordering found has infinite cost.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[0]
@@ -377,7 +378,8 @@ def solve_atsp(cost: np.ndarray, improve: bool = True) -> list[int]:
         if total < best_cost - 1e-12:
             best_cost = total
             best_cycle = cycle
-    assert best_cycle is not None
+    if best_cycle is None:
+        raise Disconnected("every ordering found has infinite cost")
     at = best_cycle.index(dummy)
     return best_cycle[at + 1 :] + best_cycle[:at]
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivln.errors import SizeLimit
+from ivln.errors import Disconnected, SizeLimit
 from ivln.tourgen import held_karp_exact, open_path_cost, solve_atsp
 
 
@@ -102,6 +102,12 @@ def test_degenerate_sizes():
     assert held_karp_exact(np.zeros((1, 1))) == ([0], 0.0)
     two = np.array([[0.0, 3.0], [1.0, 0.0]])
     assert open_path_cost(two, held_karp_exact(two)[0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("improve", [False, True])
+def test_all_orderings_infinite_raise_disconnected(improve):
+    with pytest.raises(Disconnected):
+        solve_atsp(np.array([[0.0, math.inf], [math.inf, 0.0]]), improve=improve)
 
 
 def test_exact_solver_size_limit():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ivln.environment import Point3, geodesic_distance
-from ivln.errors import PolicyTimeout, ProtocolViolation
+from ivln.errors import Disconnected, PolicyTimeout, ProtocolViolation
 from ivln.harness import (
     AgentAction,
     AgentState,
@@ -30,7 +30,7 @@ from ivln.harness import (
 from ivln.metrics import ndtw, write_traces
 from ivln.tourgen import Episode, Tour
 
-from conftest import check_trace_invariants
+from conftest import check_trace_invariants, scene_from_ascii
 
 
 AGENT_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "example_agent.py"
@@ -183,6 +183,14 @@ def test_stop_policy_gets_corrected_and_transits(open_room):
     # the correction really ends at the goal
     goal_seg = trace.oracle_segments[0]
     assert goal_seg.points[-1] == by_id["e0"].path[-1]
+
+
+def test_transit_across_a_wall_raises_disconnected():
+    # the second episode starts behind an unbroken wall
+    split = scene_from_ascii(["#########", "#...#...#", "#...#...#", "#########"])
+    tour, by_id = tour_of(ep("e0", [(1, 1), (3, 1)]), ep("e1", [(5, 1), (7, 1)]))
+    with pytest.raises(Disconnected):
+        run_tour(split, tour, by_id, OraclePolicy(split, by_id))
 
 
 def test_correction_skipped_inside_radius(open_room):
@@ -373,6 +381,27 @@ def test_socket_agent_timeout_carries_partial_trace(open_room):
     assert partial.episodes[0].episode_id == "e0"
     assert not partial.episodes[0].stop_called
     policy.close()
+
+
+def test_run_tours_failure_carries_finished_and_partial_traces(open_room):
+    class FailsInSecondTour(StopPolicy):
+        tours = 0
+
+        def reset(self, tour_id):
+            self.tours += 1
+
+        def act(self, obs):
+            if self.tours == 2:
+                raise ProtocolViolation("agent gone")
+            return super().act(obs)
+
+    by_id = {e.episode_id: e for e in (ep("e0", [(2, 2), (4, 2)]), ep("e1", [(2, 5), (4, 5)]))}
+    tours = [Tour("t0", "open-room", ["e0"]), Tour("t1", "open-room", ["e1"])]
+    with pytest.raises(ProtocolViolation) as exc_info:
+        run_tours(open_room, tours, by_id, FailsInSecondTour())
+    finished, partial = exc_info.value.partial_traces
+    assert finished.tour_id == "t0" and finished.episodes[0].stop_called
+    assert partial.tour_id == "t1" and partial.episodes[0].actions == []
 
 
 def test_socket_agent_garbage_reply(open_room):
