@@ -16,6 +16,12 @@ scene lives, and that cache is the package's only distance cache.  The
 index is built from the scene as it is at the first query, so a scene
 must not be mutated after it.
 
+The index also caches ``Scene.snap_point`` by exact query point, misses
+included, so each distinct point is snapped once per scene.  With both
+caches, ``GeodesicMetric.pairwise`` builds a geodesic cost matrix by
+snapping every point once and gathering one field row per reference
+point at the snapped query ids.
+
 Conventions used throughout the package:
 
 * grid arrays have shape ``(height, width)`` and are indexed ``[iy, ix]``;
@@ -267,16 +273,21 @@ class Scene:
         return self._nav
 
     def snap_point(self, point: Sequence[float]):
-        """Snap to a node id (graph) or cell (grid); raises SnapFailure."""
-        if self.graph is not None:
-            node = self.graph.snap(point)
-            if node is None:
-                raise SnapFailure(as_point(point), GRAPH_SNAP_RADIUS)
-            return node
-        cell = self.grid.snap(point)
-        if cell is None:
-            raise SnapFailure(as_point(point), GRID_SNAP_RADIUS)
-        return cell
+        """Snap to a node id (graph) or cell (grid); raises SnapFailure.
+
+        Each distinct point is snapped once per scene: the result, a miss
+        included, is cached on the scene's ``NavIndex``.
+        """
+        point = as_point(point)
+        snaps = self.nav.snaps
+        try:
+            location = snaps[point]
+        except KeyError:
+            kind = self.graph if self.graph is not None else self.grid
+            location = snaps[point] = kind.snap(point)
+        if location is None:
+            raise SnapFailure(point, GRAPH_SNAP_RADIUS if self.graph is not None else GRID_SNAP_RADIUS)
+        return location
 
     def location_point(self, location) -> Point3:
         """World position of a snapped location (node id or cell)."""
@@ -330,6 +341,8 @@ class NavIndex:
             cells, resolution = self.locations, grid.resolution
             self._estimate = lambda a, b: _octile(cells[a], cells[b], resolution)
         self._fields: dict[int, np.ndarray] = {}
+        # Scene.snap_point's results by exact query point; None marks a miss
+        self.snaps: dict[Point3, object] = {}
 
     def search(self, source: int, goal: int | None = None):
         """Shortest paths out of ``source``, over location ids.
@@ -446,8 +459,10 @@ class GeodesicMetric:
     """Callable geodesic point metric over a scene's distance fields.
 
     Useful as the cell metric of alignment scores and for repeated
-    distance-to-goal queries: each distinct snapped source triggers one
-    full single-source search per scene, later queries are lookups.
+    distance-to-goal queries: each distinct point is snapped once per
+    scene and each distinct snapped source triggers one full
+    single-source search per scene; later queries are lookups.
+    ``pairwise`` builds a whole cost matrix as one gather per row.
     """
 
     def __init__(self, scene: Scene):
@@ -459,6 +474,25 @@ class GeodesicMetric:
         if la == lb:
             return 0.0
         return self.scene.nav.distance(la, lb)
+
+    def pairwise(self, ref: Sequence[Sequence[float]], query: Sequence[Sequence[float]]) -> np.ndarray:
+        """Matrix of ``self(ref[i], query[j])``; row i is ``ref[i]``'s field
+        gathered at the query ids.
+
+        Equal to the per-cell calls bit for bit: a field reads exactly 0.0
+        at its own source.  Points are snapped in the order the per-cell
+        loop meets them (``ref[0]``, the queries, the rest of ``ref``), so
+        a SnapFailure names the same point.
+        """
+        snap = self.scene.snap_point
+        nav = self.scene.nav
+        sources = [snap(p) for p in ref[:1]]
+        query_ids = np.array([nav.id_of[snap(q)] for q in query], dtype=np.intp)
+        sources += [snap(p) for p in ref[1:]]
+        out = np.empty((len(sources), len(query_ids)))
+        for i, source in enumerate(sources):
+            out[i] = nav.field(source)[query_ids]
+        return out
 
 
 # ---------------------------------------------------------------------------

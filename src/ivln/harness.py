@@ -30,6 +30,7 @@ import selectors
 import shlex
 import socket
 import subprocess
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -67,6 +68,9 @@ GOTO = "goto"
 
 DEFAULT_MAX_STEPS_CONTINUOUS = 500
 DEFAULT_MAX_STEPS_DISCRETE = 15
+
+# how much of an external agent's stderr a protocol error quotes
+_STDERR_TAIL_BYTES = 2048
 
 # compass directions for heading quantization; index k covers the 45
 # degree sector centered at k * 45 degrees
@@ -373,20 +377,25 @@ def _make_obs(scene, state, sensor, episode, index, steps_remaining, phase) -> O
 
 
 def _oracle_drive(scene, state, target, sensor, policy, episode, index, cfg):
-    """Drive to a snapped location, logging motion and passive observations."""
+    """Drive to a snapped location, logging motion and passive observations.
+
+    Raises RuntimeError when the step guard trips: oracle steps always
+    make progress, so that is a bug, and stopping short would start the
+    next episode from the wrong location.
+    """
     points: list[Point3] = []
     actions: list[str] = []
     guard = 64 * (DEFAULT_MAX_STEPS_CONTINUOUS + 64)
     while len(actions) < guard:
         action = _step_toward(scene, state, target)
         if action is None:
-            break
+            return state, points, actions
         state = apply_action(scene, state, action, cfg)
         points.append(agent_position(scene, state))
         actions.append(action.label())
         sensor.sense(state)
         policy.observe(_make_obs(scene, state, sensor, episode, index, 0, "oracle"))
-    return state, points, actions
+    raise RuntimeError(f"oracle drive to {target} did not arrive within {guard} steps")
 
 
 def run_tour(
@@ -537,26 +546,52 @@ def observation_message(obs: Observation) -> dict:
 
 
 class SubprocessTransport:
-    """Line-delimited JSON over a child process's stdin/stdout."""
+    """Line-delimited JSON over a child process's stdin/stdout.
+
+    The child's stderr goes to a temporary file, which needs no reader
+    and so cannot fill up and stall the child the way a pipe can; when
+    the child closes its end of the protocol, the error carries its exit
+    status and the tail of that file.
+    """
 
     def __init__(self, command: str):
-        self.proc = subprocess.Popen(
-            shlex.split(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            bufsize=0,
-        )
+        self._stderr = tempfile.TemporaryFile()
+        try:
+            self.proc = subprocess.Popen(
+                shlex.split(command),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=self._stderr,
+                bufsize=0,
+            )
+        except BaseException:
+            self._stderr.close()
+            raise
         self._buf = b""
         self._sel = selectors.DefaultSelector()
         self._sel.register(self.proc.stdout, selectors.EVENT_READ)
+
+    def _closed(self, what: str) -> ProtocolViolation:
+        """The error for a child that closed its input or output."""
+        try:
+            status = self.proc.wait(timeout=1.0)
+        except subprocess.TimeoutExpired:
+            status = None
+        # pread leaves the file offset the child writes at untouched
+        fd = self._stderr.fileno()
+        size = os.fstat(fd).st_size
+        start = max(0, size - _STDERR_TAIL_BYTES)
+        tail = os.pread(fd, size - start, start).decode(errors="replace").strip()
+        state = "still running" if status is None else f"exit status {status}"
+        return ProtocolViolation(f"agent process closed its {what} ({state}); stderr tail: {tail!r}")
 
     def send(self, message: dict) -> None:
         data = (json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n").encode()
         try:
             self.proc.stdin.write(data)
             self.proc.stdin.flush()
-        except (BrokenPipeError, ValueError) as exc:
-            raise ProtocolViolation(f"agent process closed its input: {exc}") from None
+        except (BrokenPipeError, ValueError):
+            raise self._closed("input") from None
 
     def recv(self, timeout: float) -> dict:
         deadline = time.monotonic() + timeout
@@ -568,7 +603,7 @@ class SubprocessTransport:
                 continue
             chunk = os.read(self.proc.stdout.fileno(), 65536)
             if not chunk:
-                raise ProtocolViolation("agent process closed its output")
+                raise self._closed("output")
             self._buf += chunk
         line, self._buf = self._buf.split(b"\n", 1)
         return _parse_message(line)
@@ -588,6 +623,8 @@ class SubprocessTransport:
             self.proc.kill()
             self.proc.wait()
         self._sel.close()
+        self.proc.stdout.close()
+        self._stderr.close()
 
 
 class SocketTransport:

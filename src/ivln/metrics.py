@@ -91,6 +91,8 @@ def _cost_matrix(ref, query, dist: PointMetric) -> np.ndarray:
         q = np.asarray(query)
         diff = r[:, None, :] - q[None, :, :]
         return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    if isinstance(dist, GeodesicMetric):
+        return dist.pairwise(ref, query)
     out = np.empty((len(ref), len(query)))
     for i, p in enumerate(ref):
         for j, s in enumerate(query):

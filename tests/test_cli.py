@@ -189,6 +189,18 @@ def test_failing_external_agent_flushes_partial(pipeline, tmp_path, capsys):
     assert first["phase"] == "agent"
 
 
+def test_external_agent_exit_status_and_stderr_in_error(pipeline, tmp_path, capsys):
+    agent = tmp_path / "exits_7.py"
+    agent.write_text("import sys\nsys.stderr.write('boom\\n')\nsys.exit(7)\n")
+    code = run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
+                   "--episodes", pipeline["episodes"],
+                   "--policy", f"ext:{sys.executable} {agent}", "--out", tmp_path / "t.jsonl")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "exit status 7" in err
+    assert "boom" in err
+
+
 def test_unknown_policy_is_a_usage_error(pipeline, tmp_path):
     code = run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
                    "--episodes", pipeline["episodes"], "--policy", "clairvoyant",

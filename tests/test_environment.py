@@ -271,6 +271,71 @@ def test_geodesic_metric_matches_direct(open_room):
     )
 
 
+def split_grid_scene():
+    # a wall splits the grid, so cells across it are infinitely far apart
+    return scene_from_ascii(["....#...", "....#...", "....#..."])
+
+
+def square_and_pair_scene():
+    nodes = {
+        "a": (0.0, 0.0, 1.0), "b": (2.0, 0.0, 1.0), "c": (2.0, 2.0, 1.0),
+        "d": (0.0, 2.0, 1.0), "e": (9.0, 0.0, 1.0), "f": (9.6, 0.0, 1.0),
+    }
+    edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("e", "f")]
+    return Scene(scene_id="square-and-pair", graph=NavGraph(nodes=nodes, edges=edges))
+
+
+def pairwise_cases():
+    grid = split_grid_scene().grid
+    centers = [grid.cell_center(c) for c in [(0, 0), (3, 1), (5, 0), (7, 2), (1, 2)]]
+    # points equidistant from two or four cell centers (the snap tie rule),
+    # one of them on the wall between the halves
+    ties = [Point3(0.125, 0.0, 0.0), Point3(0.375, 0.125, 0.0),
+            Point3(1.375, 0.375, 0.3), Point3(1.0, 0.25, 0.0)]
+    yield pytest.param(split_grid_scene, centers[:3] + ties[:2] + centers[3:], ties + centers[::-1], id="grid")
+    nodes = square_and_pair_scene().graph.nodes
+    # (9.3, 0, 1) is 0.3 from both e and f
+    points = [nodes[n] for n in "abcdef"] + [Point3(9.3, 0.0, 1.0), Point3(0.2, 0.1, 1.0)]
+    yield pytest.param(square_and_pair_scene, points[::2] + points[1::2], points, id="graph")
+
+
+@pytest.mark.parametrize("make_scene, ref, query", pairwise_cases())
+def test_geodesic_pairwise_equals_per_cell_loop(make_scene, ref, query):
+    loop = GeodesicMetric(make_scene())
+    expected = np.array([[loop(p, q) for q in query] for p in ref])
+    got = GeodesicMetric(make_scene()).pairwise(ref, query)
+    assert np.isinf(expected).any() and (expected == 0.0).any()
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad_ref, bad_query", [((0,), ()), ((), (1,)), ((1,), (0,)), ((0,), (1,)), ((2,), ())])
+def test_geodesic_pairwise_snap_failure_names_the_loops_point(bad_ref, bad_query):
+    grid = split_grid_scene().grid
+    ref = [grid.cell_center((i, 0)) for i in range(3)]
+    query = [grid.cell_center((i, 1)) for i in range(2)]
+    for i in bad_ref:
+        ref[i] = Point3(50.0 + i, 0.0, 0.0)
+    for j in bad_query:
+        query[j] = Point3(0.0, 60.0 + j, 0.0)
+    loop = GeodesicMetric(split_grid_scene())
+    with pytest.raises(SnapFailure) as per_cell:
+        [[loop(p, q) for q in query] for p in ref]
+    with pytest.raises(SnapFailure) as pairwise:
+        GeodesicMetric(split_grid_scene()).pairwise(ref, query)
+    assert pairwise.value.point == per_cell.value.point
+
+
+def test_snap_cache_keeps_misses_and_tie_rule():
+    scene = split_grid_scene()
+    tie = (0.125, 0.125, 0.0)
+    assert scene.snap_point(tie) == scene.snap_point(list(tie)) == (0, 0)
+    for _ in range(2):
+        with pytest.raises(SnapFailure):
+            scene.snap_point((50.0, 0.0, 0.0))
+    assert scene.nav.snaps == {Point3(*tie): (0, 0), Point3(50.0, 0.0, 0.0): None}
+
+
 @given(st.floats(-100.0, 100.0, allow_nan=False))
 def test_normalize_heading_range(h):
     out = normalize_heading(h)

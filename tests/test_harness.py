@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ivln.environment import Point3, geodesic_distance
+from ivln import harness
 from ivln.errors import Disconnected, PolicyTimeout, ProtocolViolation
 from ivln.harness import (
     AgentAction,
@@ -191,6 +192,15 @@ def test_transit_across_a_wall_raises_disconnected():
     tour, by_id = tour_of(ep("e0", [(1, 1), (3, 1)]), ep("e1", [(5, 1), (7, 1)]))
     with pytest.raises(Disconnected):
         run_tour(split, tour, by_id, OraclePolicy(split, by_id))
+
+
+def test_oracle_drive_step_guard_raises(open_room, monkeypatch):
+    # an oracle step that never moves the agent trips the step guard
+    monkeypatch.setattr(harness, "apply_action", lambda scene, state, action, cfg: state)
+    monkeypatch.setattr(harness, "DEFAULT_MAX_STEPS_CONTINUOUS", 1)
+    tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]))
+    with pytest.raises(RuntimeError, match="did not arrive"):
+        run_tour(open_room, tour, by_id, StopPolicy())
 
 
 def test_correction_skipped_inside_radius(open_room):

@@ -1,12 +1,14 @@
 import functools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivln.environment import GeodesicMetric, GridWorld, as_point
 from ivln.errors import EmptySequence
 from ivln.metrics import (
     EpisodeTrace,
@@ -267,6 +269,46 @@ def test_episodic_metrics_geodesic_goal_distance():
     assert plain.ne == pytest.approx(2.0)
     assert geo.ne == pytest.approx(geodesic_distance(scene, goal, start))
     assert geo.ne > plain.ne
+
+
+def geodesic_tour():
+    """Two episodes on a wall-split grid, with revisited and tied points."""
+    scene = scene_from_ascii(["....#...", "....#...", "....#..."])
+    c = scene.grid.cell_center
+    # (0.375, 0.25) ties between cells (1, 1) and (2, 1)
+    e0 = EpisodeTrace("e0", [c((0, 0)), c((0, 0)), (0.375, 0.25, 0.0), c((2, 1)), c((2, 1))],
+                      [c((0, 0)), c((1, 0)), c((2, 1)), c((3, 2))])
+    # this agent ends across the wall from its goal: infinite cells
+    e1 = EpisodeTrace("e1", [c((3, 2)), c((3, 1)), c((3, 1)), c((5, 1))],
+                      [c((3, 2)), c((2, 1)), c((1, 1)), c((0, 0))])
+    return scene, TourTrace("t", [e0, e1])
+
+
+def test_masked_tour_dtw_matches_block_sum_under_geodesic_metric():
+    scene, across = geodesic_tour()
+    dist = GeodesicMetric(scene)
+    assert masked_tour_dtw(across, dist) == tour_dtw(across, dist) == math.inf
+    _, trace = geodesic_tour()
+    trace.episodes[1].agent_path[-1] = scene.grid.cell_center((3, 0))
+    assert masked_tour_dtw(trace, dist) == pytest.approx(tour_dtw(trace, dist), rel=1e-12)
+    assert 0.0 < tour_dtw(trace, dist) < math.inf
+
+
+def test_geodesic_report_snaps_each_distinct_point_once(monkeypatch):
+    scene, trace = geodesic_tour()
+    points = [as_point(p) for ep in trace.episodes for p in ep.agent_path + ep.reference_path]
+    assert len(set(points)) < len(points)
+    calls = Counter()
+    snap = GridWorld.snap
+
+    def counted(self, point, *args, **kwargs):
+        calls[as_point(point)] += 1
+        return snap(self, point, *args, **kwargs)
+
+    monkeypatch.setattr(GridWorld, "snap", counted)
+    build_report([trace], scene, dist=GeodesicMetric(scene))
+    assert set(calls) == set(points)
+    assert max(calls.values()) == 1
 
 
 def test_path_length():
