@@ -14,21 +14,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from .config import Config, resolve_config
 from .coverage import CoverageCurve, ObservationModel, coverage_curves
-from .environment import (
-    FORMAT_VERSION,
-    GeodesicMetric,
-    Point3,
-    Pose,
-    euclidean,
-    load_scene,
-    normalize_heading,
-    save_scene,
-)
+from .environment import FORMAT_VERSION, GeodesicMetric, euclidean, load_scene, save_scene
 from .errors import (
     IvlnError,
     MissingEpisode,
@@ -36,19 +26,8 @@ from .errors import (
     ProtocolViolation,
     UnsupportedScene,
 )
-from .harness import RunConfig, make_policy, run_tours
-from .mapper import (
-    EPISODE_START,
-    TOUR_START,
-    CameraIntrinsics,
-    SemanticOccMap,
-    integrate,
-    known_map,
-    reset_policy,
-    save_map,
-    synthesize_views,
-    unproject,
-)
+from .harness import RunConfig, make_policy, replay_tour, run_tours
+from .mapper import save_map
 from .metrics import build_report, read_traces, write_traces
 from .syngen import EpisodeSpec, FloorplanSpec, generate_episodes, generate_scene
 from .tourgen import (
@@ -146,10 +125,7 @@ def cmd_gen_tours(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _config_from_args(args, ("seed", "policy", "max_steps", "step_timeout"))
-    if args.map is not None:
-        cfg.map_mode = args.map
-        cfg.validate()
+    cfg = _config_from_args(args, ("seed", "policy", "map_mode", "max_steps", "step_timeout"))
     scene = load_scene(args.scene)
     episodes = load_episodes(args.episodes, scene)
     episodes_by_id = {ep.episode_id: ep for ep in episodes}
@@ -257,77 +233,16 @@ def cmd_stats(args) -> int:
     return 0
 
 
-class _Replayer:
-    """Re-renders the sensing a live rollout performed, pose by pose."""
-
-    def __init__(self, scene, occ_map, cfg: RunConfig):
-        self.grid = scene.grid
-        self.occ_map = occ_map
-        self.cfg = cfg
-        self.intrinsics = CameraIntrinsics.from_hfov(
-            cfg.frame_width, cfg.frame_height, cfg.hfov_deg
-        )
-
-    def sense(self, point: Point3, heading: float) -> None:
-        if self.occ_map.mode == "known":
-            return
-        cam = Pose(
-            Point3(point.x, point.y, self.grid.floor_z + self.cfg.camera_height), heading
-        )
-        depth, sem = synthesize_views(self.grid, cam, self.intrinsics, self.cfg.max_range)
-        points, labels = unproject(depth, sem)
-        integrate(self.occ_map, points, labels, self.grid.floor_z, self.grid.ceiling_z)
-
-
-def _replay_phase(replayer, points, actions, heading, turn, start_sensed):
-    """Walk one phase's logged positions, evolving the heading from actions."""
-    pi = 1 if start_sensed else 0
-    for action in actions:
-        if action == "stop":
-            break
-        if action == "left":
-            heading = normalize_heading(heading + turn)
-        elif action == "right":
-            heading = normalize_heading(heading - turn)
-        if pi < len(points):
-            replayer.sense(points[pi], heading)
-            pi += 1
-    return heading
-
-
 def cmd_build_map(args) -> int:
+    cfg = _config_from_args(args, ())
     scene = load_scene(args.scene)
-    if scene.grid is None:
-        raise UnsupportedScene("build-map needs a grid scene")
     episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes, scene)}
     traces = read_traces(args.traces, episodes_by_id)
     if not traces:
         raise MissingEpisode(f"no tour traces in {args.traces}")
-    run_cfg = RunConfig(map_mode=args.mode)
-    turn = math.radians(run_cfg.turn_deg)
-    occ_map = None
+    run_cfg = RunConfig(map_mode=args.mode, turn_deg=cfg.turn_deg)
     for trace in traces:
-        if args.mode == "known":
-            occ_map = known_map(scene.grid)
-        else:
-            occ_map = SemanticOccMap.for_grid(scene.grid, args.mode)
-        reset_policy(occ_map, TOUR_START)
-        replayer = _Replayer(scene, occ_map, run_cfg)
-        segments: dict[str, list] = {}
-        for seg in trace.oracle_segments:
-            segments.setdefault(seg.episode_id, []).append(seg)
-        for ep_trace in trace.episodes:
-            episode = episodes_by_id.get(ep_trace.episode_id)
-            if episode is None:
-                raise MissingEpisode(f"trace episode {ep_trace.episode_id} not in episode set")
-            reset_policy(occ_map, EPISODE_START)
-            heading = episode.start_heading
-            replayer.sense(ep_trace.agent_path[0], heading)
-            heading = _replay_phase(
-                replayer, ep_trace.agent_path, ep_trace.actions, heading, turn, True
-            )
-            for seg in segments.get(ep_trace.episode_id, []):
-                heading = _replay_phase(replayer, seg.points, seg.actions, heading, turn, False)
+        occ_map = replay_tour(scene, trace, episodes_by_id, run_cfg)
     save_map(occ_map, args.out)
     print(f"map snapshot ({args.mode}) -> {args.out}")
     return 0
@@ -378,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tours", required=True)
     p.add_argument("--episodes", required=True)
     p.add_argument("--policy", help="oracle | noisy:<p> | random | stop | ext:<cmd> | tcp:<host>:<port>")
-    p.add_argument("--map", choices=["none", "episodic", "iterative", "known"])
+    p.add_argument("--map", choices=["none", "episodic", "iterative", "known"], dest="map_mode")
     p.add_argument("--map-out", help="write the final tour's map snapshot")
     p.add_argument("--max-steps", type=int, dest="max_steps")
     p.add_argument("--step-timeout", type=float, dest="step_timeout")
@@ -423,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", required=True)
     p.add_argument("--mode", choices=["episodic", "iterative", "known"], default="iterative")
     p.add_argument("--out", required=True)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_build_map)
 
     return parser

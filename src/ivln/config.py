@@ -25,7 +25,6 @@ class Config:
     oracle_correction_radius: float = 0.5
     geodesic: bool = False
     solver: str = "nn+3opt"
-    instructions_per_path: int = 1
     map_mode: str = "none"
     policy: str = "oracle"
     max_steps: int | None = None
@@ -44,8 +43,6 @@ class Config:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {_SOLVERS}")
         if self.map_mode not in _MAP_MODES:
             raise ValueError(f"unknown map mode {self.map_mode!r}, expected one of {_MAP_MODES}")
-        if self.instructions_per_path < 1:
-            raise ValueError("instructions_per_path must be at least 1")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.turn_deg <= 0:

@@ -125,6 +125,13 @@ class _Visibility:
             )
         return self._memo[key]
 
+    def from_path(self, points) -> set:
+        """Cells (or graph nodes) visible from any of the points."""
+        out: set = set()
+        for point in points:
+            out |= self.from_point(point)
+        return out
+
     def _grid_visible(self, source) -> frozenset:
         grid = self.scene.grid
         sx, sy = source
@@ -151,11 +158,7 @@ def observed_cells(path, scene: Scene | GridWorld, model: ObservationModel) -> s
     """Cells (or graph nodes) visible from any point of a path."""
     if isinstance(scene, GridWorld):
         scene = Scene(scene_id="", grid=scene)
-    vis = _Visibility(scene, model)
-    out: set = set()
-    for point in path:
-        out |= vis.from_point(point)
-    return out
+    return _Visibility(scene, model).from_path(path)
 
 
 def coverage_curves(
@@ -174,19 +177,13 @@ def coverage_curves(
         model = ObservationModel()
     vis = _Visibility(scene, model)
 
-    def path_cov(points) -> frozenset:
-        out: set = set()
-        for p in points:
-            out |= vis.from_point(p)
-        return frozenset(out)
-
     per_tour = []
     for tour in tours:
         try:
             eps = [episodes_by_id[eid] for eid in tour.episode_ids]
         except KeyError as exc:
             raise MissingEpisode(f"tour {tour.tour_id} references unknown episode {exc}") from None
-        cov = [path_cov(ep.path) for ep in eps]
+        cov = [vis.from_path(ep.path) for ep in eps]
         region = frozenset().union(*cov) if cov else frozenset()
         seen: set = set()
         records = []
@@ -203,7 +200,7 @@ def coverage_curves(
             seen |= cov[k]
             if k + 1 < len(eps):
                 transit = shortest_path(scene, ep.path[-1], eps[k + 1].path[0])
-                seen |= path_cov(transit)
+                seen |= vis.from_path(transit)
         final_pct = 100.0 * len(seen & region) / len(region) if region else 0.0
         records.append(
             {

@@ -69,6 +69,14 @@ GOTO = "goto"
 DEFAULT_MAX_STEPS_CONTINUOUS = 500
 DEFAULT_MAX_STEPS_DISCRETE = 15
 
+# the rollout camera: height above the floor (m), frame size (px),
+# horizontal field of view (degrees) and depth range (m)
+CAMERA_HEIGHT = 1.25
+FRAME_WIDTH = 64
+FRAME_HEIGHT = 48
+HFOV_DEG = 90.0
+MAX_RANGE = 10.0
+
 # how much of an external agent's stderr a protocol error quotes
 _STDERR_TAIL_BYTES = 2048
 
@@ -108,11 +116,6 @@ class RunConfig:
     map_mode: str = "none"  # none | episodic | iterative | known
     turn_deg: float = 15.0
     crop_size: int = 64
-    camera_height: float = 1.25
-    frame_width: int = 64
-    frame_height: int = 48
-    hfov_deg: float = 90.0
-    max_range: float = 10.0
     step_timeout: float = 10.0
     seed: int = 0
 
@@ -344,15 +347,15 @@ class _Sensor:
         self.scene = scene
         self.occ_map = occ_map
         self.cfg = cfg
-        self.intrinsics = CameraIntrinsics.from_hfov(cfg.frame_width, cfg.frame_height, cfg.hfov_deg)
+        self.intrinsics = CameraIntrinsics.from_hfov(FRAME_WIDTH, FRAME_HEIGHT, HFOV_DEG)
 
     def sense(self, state: AgentState) -> None:
         if self.occ_map is None or self.occ_map.mode == "known":
             return
         grid = self.scene.grid
         pos = agent_position(self.scene, state)
-        cam = Pose(Point3(pos.x, pos.y, grid.floor_z + self.cfg.camera_height), state.heading)
-        depth, sem = synthesize_views(grid, cam, self.intrinsics, self.cfg.max_range)
+        cam = Pose(Point3(pos.x, pos.y, grid.floor_z + CAMERA_HEIGHT), state.heading)
+        depth, sem = synthesize_views(grid, cam, self.intrinsics, MAX_RANGE)
         points, labels = unproject(depth, sem)
         integrate(self.occ_map, points, labels, grid.floor_z, grid.ceiling_z)
 
@@ -374,6 +377,17 @@ def _make_obs(scene, state, sensor, episode, index, steps_remaining, phase) -> O
         phase=phase,
         crop=sensor.crop(state),
     )
+
+
+def _tour_map(scene: Scene, mode: str) -> SemanticOccMap | None:
+    """A tour's fresh map, reset for the tour start; None for mode "none"."""
+    if mode == "none":
+        return None
+    if scene.is_discrete:
+        raise UnsupportedScene("maps need a grid scene")
+    occ_map = known_map(scene.grid) if mode == "known" else SemanticOccMap.for_grid(scene.grid, mode)
+    reset_policy(occ_map, TOUR_START)
+    return occ_map
 
 
 def _oracle_drive(scene, state, target, sensor, policy, episode, index, cfg):
@@ -421,16 +435,7 @@ def run_tour(
     except KeyError as exc:
         raise MissingEpisode(f"tour {tour.tour_id} references unknown episode {exc}") from None
 
-    occ_map = None
-    if cfg.map_mode != "none":
-        if scene.is_discrete:
-            raise UnsupportedScene("maps need a grid scene")
-        if cfg.map_mode == "known":
-            occ_map = known_map(scene.grid)
-        else:
-            occ_map = SemanticOccMap.for_grid(scene.grid, cfg.map_mode)
-        reset_policy(occ_map, TOUR_START)
-
+    occ_map = _tour_map(scene, cfg.map_mode)
     sensor = _Sensor(scene, occ_map, cfg)
     geo = GeodesicMetric(scene)
     budget = cfg.budget(scene)
@@ -521,6 +526,77 @@ def run_tours(scene, tours, episodes_by_id, policy, cfg=None):
         exc.partial_traces = traces + ([partial] if partial is not None else [])
         raise
     return traces, occ_map
+
+
+def _check_replayed(scene, state, point, where) -> None:
+    position = agent_position(scene, state)
+    if position != point:
+        raise ValueError(f"{where}: replay is at {tuple(position)}, trace logs {tuple(point)}")
+
+
+def _replay_phase(scene, state, sensor, points, actions, stopped, cfg, where) -> AgentState:
+    """Re-run one logged phase, sensing after every move; returns the end state.
+
+    A phase that ``stopped`` logs one more action than points: the stop.
+    """
+    moves = actions[:-1] if stopped else actions
+    if len(moves) != len(points) or (stopped and actions[-1:] != [STOP]):
+        raise ValueError(
+            f"{where}: {len(actions)} actions for {len(points)} logged points (stopped: {stopped})"
+        )
+    for step, (label, point) in enumerate(zip(moves, points), start=1):
+        if label not in (FORWARD, TURN_LEFT, TURN_RIGHT):
+            raise ValueError(f"{where} step {step}: cannot replay action {label!r}")
+        state = apply_action(scene, state, AgentAction(label), cfg)
+        _check_replayed(scene, state, point, f"{where} step {step}")
+        sensor.sense(state)
+    return state
+
+
+def replay_tour(
+    scene: Scene,
+    trace: TourTrace,
+    episodes_by_id: dict[str, Episode],
+    cfg: RunConfig,
+) -> SemanticOccMap:
+    """Rebuild the map of a logged tour under ``cfg.map_mode``.
+
+    The logged actions re-run through the rollout's motion model and
+    sensor, from the snapped start of the first episode and with the
+    heading reset at each episode, so the map equals the live one.
+    Raises ValueError when a logged position is not where the actions
+    lead, or when the actions and positions of a phase disagree in
+    number.
+    """
+    occ_map = _tour_map(scene, cfg.map_mode)
+    if occ_map is None:
+        raise ValueError("replay needs a map mode: episodic, iterative or known")
+    sensor = _Sensor(scene, occ_map, cfg)
+    segments: dict[str, list[OracleSegment]] = {}
+    for seg in trace.oracle_segments:
+        segments.setdefault(seg.episode_id, []).append(seg)
+    state: AgentState | None = None
+    for ep_trace in trace.episodes:
+        episode = episodes_by_id.get(ep_trace.episode_id)
+        if episode is None:
+            raise MissingEpisode(f"trace episode {ep_trace.episode_id} not in episode set")
+        where = f"tour {trace.tour_id} episode {episode.episode_id}"
+        start = scene.snap_point(episode.path[0]) if state is None else state.location
+        state = AgentState(start, episode.start_heading)
+        _check_replayed(scene, state, ep_trace.agent_path[0], f"{where} agent step 0")
+        reset_policy(occ_map, EPISODE_START)
+        sensor.sense(state)
+        state = _replay_phase(
+            scene, state, sensor, ep_trace.agent_path[1:], ep_trace.actions,
+            ep_trace.stop_called, cfg, f"{where} agent",
+        )
+        for seg in segments.pop(episode.episode_id, []):
+            state = _replay_phase(
+                scene, state, sensor, seg.points, seg.actions, False, cfg, f"{where} {seg.kind}"
+            )
+    if segments:
+        raise ValueError(f"tour {trace.tour_id}: oracle segments of untraced episodes {sorted(segments)}")
+    return occ_map
 
 
 # ---------------------------------------------------------------------------

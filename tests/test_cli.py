@@ -221,6 +221,30 @@ def test_build_map_replays_to_identical_snapshot(pipeline, tmp_path):
     assert replayed.read_bytes() == live.read_bytes()
 
 
+def test_build_map_replays_at_the_configured_turn(pipeline, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "turn30.cfg"
+    cfg.write_text("turn_deg = 30\n")
+    live = tmp_path / "live.json"
+    traces = tmp_path / "turn30.jsonl"
+    assert run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
+                   "--episodes", pipeline["episodes"], "--policy", "oracle", "--config", cfg,
+                   "--map", "iterative", "--map-out", live, "--out", traces) == 0
+    replay_args = ("build-map", "--scene", pipeline["scene"], "--traces", traces,
+                   "--episodes", pipeline["episodes"], "--mode", "iterative")
+    by_file = tmp_path / "by_file.json"
+    assert run_cli(*replay_args, "--config", cfg, "--out", by_file) == 0
+    assert by_file.read_bytes() == live.read_bytes()
+    monkeypatch.setenv("IVLN_CONFIG", str(cfg))
+    by_env = tmp_path / "by_env.json"
+    assert run_cli(*replay_args, "--out", by_env) == 0
+    assert by_env.read_bytes() == live.read_bytes()
+    # at the default 15 degrees the logged moves do not replay
+    monkeypatch.delenv("IVLN_CONFIG")
+    capsys.readouterr()
+    assert run_cli(*replay_args, "--out", tmp_path / "at15.json") == 2
+    assert re.search(r"episode \S+.* step \d+: replay is at", capsys.readouterr().err)
+
+
 def test_config_file_and_flag_precedence(pipeline, tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# tour build settings\nseed = 5\nsolver = nn\n")

@@ -69,7 +69,6 @@ def test_validation_rejects_bad_values():
         ("oracle_correction_radius", 0.0),
         ("solver", "quantum"),
         ("map_mode", "hologram"),
-        ("instructions_per_path", 0),
         ("max_steps", 0),
         ("turn_deg", -15.0),
         ("crop_size", 0),

@@ -25,10 +25,12 @@ from ivln.harness import (
     legal_actions,
     make_policy,
     oracle_follower,
+    replay_tour,
     run_tour,
     run_tours,
 )
-from ivln.metrics import ndtw, write_traces
+from ivln.mapper import save_map
+from ivln.metrics import OracleSegment, ndtw, write_traces
 from ivln.tourgen import Episode, Tour
 
 from conftest import check_trace_invariants, scene_from_ascii
@@ -293,6 +295,78 @@ def test_run_tour_builds_iterative_map(open_room):
     assert occ_map is not None
     assert occ_map.observed.any()
     assert occ_map.occupancy.any()
+
+
+def noisy_mapped_tour(synth, mode):
+    """Five episodes under a noisy oracle: turns, a blocked forward, an
+    exhausted budget, goal corrections and transits all occur."""
+    scene, by_id = synth["scene"], synth["by_id"]
+    tour = Tour("t-replay", scene.scene_id, synth["tours"][0].episode_ids[:5])
+    cfg = RunConfig(map_mode=mode, max_steps_per_episode=20)
+    policy = NoisyOraclePolicy(scene, by_id, p_error=0.4, seed=11)
+    trace, occ_map = run_tour(scene, tour, by_id, policy, cfg)
+    return trace, occ_map, cfg
+
+
+@pytest.mark.parametrize("mode", ["episodic", "iterative", "known"])
+def test_replay_tour_rebuilds_the_live_map(synth, tmp_path, mode):
+    trace, live, cfg = noisy_mapped_tour(synth, mode)
+    moves = [
+        (action, before == after)
+        for e in trace.episodes
+        for action, before, after in zip(e.actions, e.agent_path, e.agent_path[1:])
+    ]
+    assert ("forward", True) in moves and ("left", True) in moves and ("right", True) in moves
+    assert not all(e.stop_called for e in trace.episodes)
+    assert {seg.kind for seg in trace.oracle_segments} == {"oracle_goal", "oracle_transit"}
+    replayed = replay_tour(synth["scene"], trace, synth["by_id"], cfg)
+    save_map(live, tmp_path / "live.json")
+    save_map(replayed, tmp_path / "replayed.json")
+    assert (tmp_path / "replayed.json").read_bytes() == (tmp_path / "live.json").read_bytes()
+
+
+def _move_point(points, i):
+    p = points[i]
+    points[i] = Point3(p.x + 0.25, p.y, p.z)
+
+
+def _set_action(actions, i, label):
+    actions[i] = label
+
+
+def _drop_untraced_episode(trace):
+    last = trace.episodes.pop()
+    trace.oracle_segments.append(OracleSegment("oracle_goal", last.episode_id, [], []))
+
+
+# episode 3 stopped, episode 2 ran out of steps
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda t: _move_point(t.episodes[1].agent_path, 2),
+                 r"episode \S+ agent step 2: replay is at \(.*\), trace logs \(.*\)",
+                 id="moved-point"),
+    pytest.param(lambda t: _move_point(t.episodes[1].agent_path, 0),
+                 r"episode \S+ agent step 0: replay is at", id="moved-start"),
+    pytest.param(lambda t: _move_point(t.oracle_segments[0].points, 0),
+                 r"episode \S+ oracle_\w+ step 1: replay is at", id="moved-oracle-point"),
+    pytest.param(lambda t: t.episodes[3].actions.pop(0),
+                 r"episode \S+ agent: \d+ actions for \d+ logged points", id="dropped-action"),
+    pytest.param(lambda t: t.episodes[2].actions.pop(0),
+                 r"agent: \d+ actions .* \(stopped: False\)", id="dropped-unstopped-action"),
+    pytest.param(lambda t: t.oracle_segments[0].actions.pop(),
+                 r"episode \S+ oracle_\w+: \d+ actions for", id="dropped-oracle-action"),
+    pytest.param(lambda t: _set_action(t.episodes[3].actions, -1, "left"),
+                 r"agent: \d+ actions .* \(stopped: True\)", id="stop-replaced"),
+    pytest.param(lambda t: _set_action(t.episodes[3].actions, 0, "stop"),
+                 r"agent step 1: cannot replay action 'stop'", id="stop-mid-phase"),
+    pytest.param(_drop_untraced_episode,
+                 r"tour t-replay: oracle segments of untraced episodes", id="untraced-segment"),
+])
+def test_replay_tour_rejects_a_trace_that_does_not_replay(synth, edit, message):
+    trace, _, cfg = noisy_mapped_tour(synth, "known")
+    assert trace.episodes[3].stop_called and not trace.episodes[2].stop_called
+    edit(trace)
+    with pytest.raises(ValueError, match=message):
+        replay_tour(synth["scene"], trace, synth["by_id"], cfg)
 
 
 def test_random_policy_returns_legal_actions(open_room):
