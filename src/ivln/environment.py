@@ -300,13 +300,6 @@ class Scene:
 # shortest-path search
 
 
-def _octile(a: Cell, b: Cell, resolution: float) -> float:
-    dx = abs(a[0] - b[0])
-    dy = abs(a[1] - b[1])
-    lo, hi = (dx, dy) if dx < dy else (dy, dx)
-    return resolution * ((hi - lo) + _SQRT2 * lo)
-
-
 class NavIndex:
     """Location ids, neighbor lists and the distance-field cache of a scene.
 
@@ -316,6 +309,10 @@ class NavIndex:
     are one flat ``[id, weight, id, weight, ...]`` list in expansion
     order (``GridWorld.neighbors`` on grids, sorted adjacency on graphs)
     that shares its int and float objects with the other lists.
+
+    Routes are memoized by (source, goal) for as long as the index
+    lives: the index never changes, so a repeated question gets the
+    first answer.
     """
 
     def __init__(self, scene: Scene):
@@ -327,8 +324,8 @@ class NavIndex:
                 [x for nxt in graph.adjacency[loc] for x in (self.id_of[nxt], graph.edge_weight(loc, nxt))]
                 for loc in self.locations
             ]
-            points = [graph.nodes[loc] for loc in self.locations]
-            self._estimate = lambda a, b: euclidean(points[a], points[b])
+            self._points = [graph.nodes[loc] for loc in self.locations]
+            self._resolution = None
         else:
             grid = scene.grid
             self.locations = sorted((int(ix), int(iy)) for iy, ix in np.argwhere(grid.navigable))
@@ -338,9 +335,10 @@ class NavIndex:
                 [x for nxt, w in grid.neighbors(loc) for x in (self.id_of[nxt], weights.setdefault(w, w))]
                 for loc in self.locations
             ]
-            cells, resolution = self.locations, grid.resolution
-            self._estimate = lambda a, b: _octile(cells[a], cells[b], resolution)
+            self._points = None
+            self._resolution = grid.resolution
         self._fields: dict[int, np.ndarray] = {}
+        self._routes: dict[tuple, tuple[float, tuple] | None] = {}
         # Scene.snap_point's results by exact query point; None marks a miss
         self.snaps: dict[Point3, object] = {}
 
@@ -357,7 +355,10 @@ class NavIndex:
         dist[source] = 0.0
         parent = [-1] * n
         closed = bytearray(n)
-        heap = [(0.0 if goal is None else self._estimate(source, goal), source)]
+        cells, points, res = self.locations, self._points, self._resolution
+        goal_at = None if goal is None else (cells if points is None else points)[goal]
+        # the source's key is never compared, so it needs no estimate
+        heap = [(0.0, source)]
         while heap:
             _, u = heapq.heappop(heap)
             if closed[u]:
@@ -376,16 +377,29 @@ class NavIndex:
                 if nd < dist[v] - 1e-12:
                     dist[v] = nd
                     parent[v] = u
-                    heapq.heappush(heap, (nd if goal is None else nd + self._estimate(v, goal), v))
+                    if goal is None:
+                        heapq.heappush(heap, (nd, v))
+                    elif points is None:  # octile estimate
+                        dx = abs(cells[v][0] - goal_at[0])
+                        dy = abs(cells[v][1] - goal_at[1])
+                        lo, hi = (dx, dy) if dx < dy else (dy, dx)
+                        heapq.heappush(heap, (nd + res * ((hi - lo) + _SQRT2 * lo), v))
+                    else:
+                        heapq.heappush(heap, (nd + math.dist(points[v], goal_at), v))
         return None if goal is not None else np.array(dist)
 
-    def route(self, a, b) -> tuple[float, list] | None:
+    def route(self, a, b) -> tuple[float, tuple] | None:
         """Shortest route between two locations as ``(cost, locations)``,
-        or None when no route exists."""
+        or None when no route exists; memoized."""
+        try:
+            return self._routes[a, b]
+        except KeyError:
+            pass
         found = self.search(self.id_of[a], self.id_of[b])
-        if found is None:
-            return None
-        return found[0], [self.locations[i] for i in found[1]]
+        if found is not None:
+            found = found[0], tuple(self.locations[i] for i in found[1])
+        self._routes[a, b] = found
+        return found
 
     def field(self, location) -> np.ndarray:
         """Geodesic distance from a location to every location id; cached."""
@@ -504,9 +518,20 @@ def encode_bitmask(mask: np.ndarray) -> str:
     return base64.b64encode(np.packbits(mask.astype(np.uint8), axis=None).tobytes()).decode("ascii")
 
 
+def decode_items(data: str, dtype, count: int) -> np.ndarray:
+    """Base64 text as a flat read-only array of ``count`` ``dtype`` items;
+    raises ValueError when it holds any other number."""
+    raw = np.frombuffer(base64.b64decode(data), dtype=dtype)
+    if len(raw) != count:
+        raise ValueError(f"encoded array holds {len(raw)} {np.dtype(dtype).name} items, expected {count}")
+    return raw
+
+
 def decode_bitmask(data: str, shape: tuple[int, int]) -> np.ndarray:
-    raw = np.frombuffer(base64.b64decode(data), dtype=np.uint8)
-    flat = np.unpackbits(raw, count=shape[0] * shape[1])
+    """Inverse of ``encode_bitmask``; raises ValueError unless the payload
+    is exactly the bytes a ``shape`` mask packs into."""
+    cells = shape[0] * shape[1]
+    flat = np.unpackbits(decode_items(data, np.uint8, -(-cells // 8)), count=cells)
     return flat.reshape(shape).astype(bool)
 
 
@@ -515,8 +540,9 @@ def encode_bytes(values: np.ndarray) -> str:
 
 
 def decode_bytes(data: str, shape: tuple[int, int]) -> np.ndarray:
-    raw = np.frombuffer(base64.b64decode(data), dtype=np.uint8)
-    return raw[: shape[0] * shape[1]].reshape(shape).copy()
+    """Inverse of ``encode_bytes``; raises ValueError unless the payload
+    holds exactly one byte per cell."""
+    return decode_items(data, np.uint8, shape[0] * shape[1]).reshape(shape).copy()
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -32,7 +32,7 @@ import socket
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,16 +94,35 @@ class AgentAction:
         return f"{GOTO}:{self.node}" if self.kind == GOTO else self.kind
 
 
-@dataclass
 class Observation:
-    episode_id: str
-    episode_index_in_tour: int
-    instruction: str
-    pose: Pose
-    location: object  # cell tuple (grid) or node id (graph)
-    steps_remaining: int
-    phase: str  # "agent" | "oracle"
-    crop: np.ndarray | None = None
+    """What a policy sees at one step.
+
+    ``crop`` is the egocentric map crop, or None without a map.  A
+    rollout passes ``crop_source`` instead: the ``crop_egocentric``
+    arguments, with the map's occupancy and semantics copied at this
+    step, from which the crop is made on first read.  The crop is the
+    same, and a policy that never reads it costs none.
+    """
+
+    def __init__(self, episode_id: str, episode_index_in_tour: int, instruction: str, pose: Pose,
+                 location: object, steps_remaining: int, phase: str,
+                 crop: np.ndarray | None = None, crop_source: tuple | None = None):
+        self.episode_id = episode_id
+        self.episode_index_in_tour = episode_index_in_tour
+        self.instruction = instruction
+        self.pose = pose
+        self.location = location  # cell tuple (grid) or node id (graph)
+        self.steps_remaining = steps_remaining
+        self.phase = phase  # "agent" | "oracle"
+        self._crop = crop
+        self._crop_source = crop_source
+
+    @property
+    def crop(self) -> np.ndarray | None:
+        if self._crop_source is not None:
+            self._crop = crop_egocentric(*self._crop_source)
+            self._crop_source = None
+        return self._crop
 
 
 @dataclass
@@ -359,23 +378,26 @@ class _Sensor:
         points, labels = unproject(depth, sem)
         integrate(self.occ_map, points, labels, grid.floor_z, grid.ceiling_z)
 
-    def crop(self, state: AgentState) -> np.ndarray | None:
-        if self.occ_map is None:
+    def crop_source(self, pose: Pose) -> tuple | None:
+        """``crop_egocentric`` arguments for a crop of the map as it is now;
+        the crop reads only occupancy and semantics, so only they are copied."""
+        m = self.occ_map
+        if m is None:
             return None
-        pos = agent_position(self.scene, state)
-        return crop_egocentric(self.occ_map, Pose(pos, state.heading), self.cfg.crop_size)
+        return replace(m, occupancy=m.occupancy.copy(), semantic=m.semantic.copy()), pose, self.cfg.crop_size
 
 
 def _make_obs(scene, state, sensor, episode, index, steps_remaining, phase) -> Observation:
+    pose = Pose(agent_position(scene, state), state.heading)
     return Observation(
         episode_id=episode.episode_id,
         episode_index_in_tour=index,
         instruction=episode.instruction,
-        pose=Pose(agent_position(scene, state), state.heading),
+        pose=pose,
         location=state.location,
         steps_remaining=steps_remaining,
         phase=phase,
-        crop=sensor.crop(state),
+        crop_source=sensor.crop_source(pose),
     )
 
 

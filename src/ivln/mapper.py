@@ -32,6 +32,7 @@ from .environment import (
     as_point,
     decode_bitmask,
     decode_bytes,
+    decode_items,
     encode_bitmask,
     encode_bytes,
 )
@@ -281,7 +282,7 @@ def crop_egocentric(occ_map: SemanticOccMap, pose: Pose, size: int = 64,
 
 def crop_to_flat(crop: np.ndarray) -> list[float]:
     """Crop as a flat channel-major list, the wire and export form."""
-    return [float(v) for v in np.asarray(crop, dtype=np.float32).ravel(order="C")]
+    return np.asarray(crop, dtype=np.float32).ravel().tolist()
 
 
 def crop_from_flat(values, size: int = 64) -> np.ndarray:
@@ -313,8 +314,9 @@ def encode_bytes_f32(values: np.ndarray) -> str:
 
 
 def decode_bytes_f32(data: str, shape) -> np.ndarray:
-    raw = np.frombuffer(base64.b64decode(data), dtype=np.float32)
-    return raw[: shape[0] * shape[1]].reshape(shape).astype(np.float64)
+    """Inverse of ``encode_bytes_f32``; raises ValueError unless the
+    payload holds exactly one float32 per cell."""
+    return decode_items(data, np.float32, shape[0] * shape[1]).reshape(shape).astype(np.float64)
 
 
 def map_from_dict(payload: dict) -> SemanticOccMap:
@@ -410,60 +412,46 @@ def synthesize_views(grid: GridWorld, pose: Pose, intrinsics: CameraIntrinsics,
 
 def _march_columns(grid: GridWorld, position: Point3, dirs: np.ndarray,
                    max_range: float) -> tuple[np.ndarray, np.ndarray]:
-    """2D grid traversal for a bundle of rays from one origin.
+    """2D grid traversal (Amanatides & Woo 1987) for a bundle of rays from one origin.
 
     Returns per-ray forward distance to the first non-navigable cell
-    (inf for none within max_range) and that cell's label.
+    (inf for none within max_range) and that cell's label; the origin
+    cell is never tested.  The traversal is built in closed form: each
+    axis's boundary crossings are running sums of the first crossing
+    and the cell pitch (the additions a stepping loop makes, in its
+    order), a stable sort merges the two axes with x first on ties, and
+    running sums of the steps give the cells crossed into.
     """
-    n = dirs.shape[0]
     res = grid.resolution
-    ox = (position.x - grid.origin.x) / res
-    oy = (position.y - grid.origin.y) / res
-    cur_x = np.full(n, math.floor(ox + 0.5), dtype=int)
-    cur_y = np.full(n, math.floor(oy + 0.5), dtype=int)
-    vx, vy = dirs[:, 0], dirs[:, 1]
-    step_x = np.where(vx > 0, 1, -1)
-    step_y = np.where(vy > 0, 1, -1)
-    with np.errstate(divide="ignore"):
-        t_delta_x = np.where(vx != 0, res / np.abs(vx), np.inf)
-        t_delta_y = np.where(vy != 0, res / np.abs(vy), np.inf)
-        # distance to the first cell boundary on each axis; cell spans
-        # [c - 0.5, c + 0.5] in cell units around its center
-        bx = cur_x + np.where(vx > 0, 0.5, -0.5)
-        by = cur_y + np.where(vy > 0, 0.5, -0.5)
-        t_max_x = np.where(vx != 0, (bx - ox) * res / vx, np.inf)
-        t_max_y = np.where(vy != 0, (by - oy) * res / vy, np.inf)
-
-    s_wall = np.full(n, np.inf)
-    label = np.zeros(n, dtype=np.uint8)
-    active = np.ones(n, dtype=bool)
-    max_iter = 4 * (grid.width + grid.height)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        take_x = active & (t_max_x <= t_max_y)
-        take_y = active & ~take_x
-        t_cross = np.where(take_x, t_max_x, t_max_y)
-        over = active & (t_cross > max_range)
-        active &= ~over
-        take_x &= active
-        take_y &= active
-        cur_x[take_x] += step_x[take_x]
-        t_max_x[take_x] += t_delta_x[take_x]
-        cur_y[take_y] += step_y[take_y]
-        t_max_y[take_y] += t_delta_y[take_y]
-        moved = take_x | take_y
-        if not moved.any():
-            break
-        inside = (cur_x >= 0) & (cur_x < grid.width) & (cur_y >= 0) & (cur_y < grid.height)
-        escaped = moved & ~inside
-        active &= ~escaped
-        check = moved & inside
-        if check.any():
-            xs, ys = cur_x[check], cur_y[check]
-            blocked = ~grid.navigable[ys, xs]
-            idx = np.nonzero(check)[0][blocked]
-            s_wall[idx] = t_cross[idx]
-            label[idx] = grid.semantic[ys[blocked], xs[blocked]]
-            active[idx] = False
-    return s_wall, label
+    k = int(max_range * np.abs(dirs).max() / res) + 3  # crossings per axis; edge rays are long
+    crossings, steps, start = [], [], []
+    for offset, v in ((position.x - grid.origin.x, dirs[:, 0]), (position.y - grid.origin.y, dirs[:, 1])):
+        o = offset / res
+        c = math.floor(o + 0.5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a cell spans [c - 0.5, c + 0.5] in cell units around its center
+            first = np.where(v != 0, (c + np.where(v > 0, 0.5, -0.5) - o) * res / v, np.inf)
+            seq = np.repeat(np.where(v != 0, res / np.abs(v), np.inf)[:, None], k, axis=1)
+        seq[:, 0] = first
+        crossings.append(np.add.accumulate(seq, axis=1))
+        steps.append(np.where(v > 0, 1, -1)[:, None])
+        start.append(c)
+    t_both = np.concatenate(crossings, axis=1)  # x crossings, then y
+    order = np.argsort(t_both, axis=1, kind="stable")
+    nx = np.cumsum(order < k, axis=1)  # x crossings up to each merged one
+    cx = start[0] + steps[0] * nx
+    cy = start[1] + steps[1] * (np.arange(1, 2 * k + 1) - nx)
+    inside = (cx >= 0) & (cx < grid.width) & (cy >= 0) & (cy < grid.height)
+    cell = np.where(inside, cy * grid.width + cx, 0)
+    # the merged order is sorted, so the crossings within range come first
+    in_range = (t_both <= max_range).sum(axis=1)
+    stop = (np.arange(2 * k) >= in_range[:, None]) | ~inside | ~grid.navigable.ravel()[cell]
+    rows = np.arange(len(dirs))
+    end = stop.argmax(axis=1)
+    t_end = t_both[rows, order[rows, end]]
+    # every crossing up to the stop must be on hand, or cells were skipped
+    if not (stop[rows, end] & (t_end <= np.minimum(t_both[:, k - 1], t_both[:, -1]))).all():
+        raise RuntimeError("ray march ran out of boundary crossings")
+    hit = (end < in_range) & inside[rows, end]
+    label = np.where(hit, grid.semantic.ravel()[cell[rows, end]], 0).astype(np.uint8)
+    return np.where(hit, t_end, np.inf), label

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ivln
+from ivln import harness
 from ivln.cli import main
 from ivln.environment import load_scene
 
@@ -219,6 +220,27 @@ def test_build_map_replays_to_identical_snapshot(pipeline, tmp_path):
                    "--episodes", pipeline["episodes"], "--mode", "iterative",
                    "--out", replayed) == 0
     assert replayed.read_bytes() == live.read_bytes()
+
+
+def test_map_rollout_makes_no_crop_when_no_policy_reads_one(pipeline, tmp_path, monkeypatch):
+    calls = []
+    crop = harness.crop_egocentric
+    monkeypatch.setattr(harness, "crop_egocentric", lambda *args: calls.append(args) or crop(*args))
+    assert run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
+                   "--episodes", pipeline["episodes"], "--policy", "noisy:0.2", "--seed", 3,
+                   "--map", "iterative", "--map-out", tmp_path / "map.json",
+                   "--out", tmp_path / "traces.jsonl") == 0
+    assert (tmp_path / "map.json").exists()
+    assert calls == []
+
+
+def test_scene_payload_that_does_not_fit_is_bad_input(pipeline, tmp_path, capsys):
+    payload = json.loads(pipeline["scene"].read_text())
+    payload["height"] += 1  # the navigable and semantic payloads are one row short
+    bad = tmp_path / "scene.json"
+    bad.write_text(json.dumps(payload))
+    assert run_cli("gen-episodes", "--scene", bad, "--out", tmp_path / "e.json") == 2
+    assert "expected" in capsys.readouterr().err
 
 
 def test_build_map_replays_at_the_configured_turn(pipeline, tmp_path, monkeypatch, capsys):

@@ -11,13 +11,17 @@ from ivln.environment import (
     GeodesicMetric,
     GridWorld,
     NavGraph,
+    NavIndex,
     Point3,
     Pose,
     Scene,
     connectivity_matrix,
     decode_bitmask,
+    decode_bytes,
     encode_bitmask,
+    encode_bytes,
     geodesic_distance,
+    load_scene,
     normalize_heading,
     scene_from_dict,
     scene_to_dict,
@@ -336,6 +340,26 @@ def test_snap_cache_keeps_misses_and_tie_rule():
     assert scene.nav.snaps == {Point3(*tie): (0, 0), Point3(50.0, 0.0, 0.0): None}
 
 
+@pytest.mark.parametrize("make_scene", [split_grid_scene, square_and_pair_scene])
+def test_route_memo_equals_fresh_search(make_scene):
+    scene = make_scene()
+    nav = scene.nav
+    rng = np.random.default_rng(4)
+    locations = nav.locations
+    pairs = [(locations[i], locations[j]) for i, j in rng.integers(len(locations), size=(30, 2))]
+    unreachable = 0
+    for a, b in pairs + pairs:  # the second pass is answered by the memo
+        fresh = NavIndex(scene).search(nav.id_of[a], nav.id_of[b])
+        got = nav.route(a, b)
+        if fresh is None:
+            assert got is None
+            unreachable += 1
+        else:
+            assert got == (fresh[0], tuple(locations[i] for i in fresh[1]))
+        assert nav.route(a, b) is got
+    assert unreachable > 0
+
+
 @given(st.floats(-100.0, 100.0, allow_nan=False))
 def test_normalize_heading_range(h):
     out = normalize_heading(h)
@@ -403,3 +427,37 @@ def test_graph_scene_json_round_trip(square_graph):
     assert back.graph.nodes == square_graph.graph.nodes
     assert back.graph.edges == square_graph.graph.edges
     assert scene_to_dict(back) == payload
+
+
+def _grid_payload(scene, key, value):
+    payload = scene_to_dict(scene)
+    payload[key] = value
+    return payload
+
+
+@pytest.mark.parametrize("key", ["navigable", "semantic"])
+@pytest.mark.parametrize("rows", [2, 6])
+def test_scene_loader_rejects_payloads_that_do_not_fit(tmp_path, key, rows):
+    # a 4x4 scene whose payload encodes a 2x4 or 6x4 array
+    scene = scene_from_ascii(["...."] * 4)
+    other = scene_from_ascii(["...."] * rows).grid
+    value = encode_bitmask(other.navigable) if key == "navigable" else encode_bytes(other.semantic)
+    payload = _grid_payload(scene, key, value)
+    with pytest.raises(ValueError, match="expected"):
+        scene_from_dict(payload)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
+        load_scene(path)
+
+
+def test_decoders_take_exact_payloads_only():
+    mask = np.ones((3, 5), dtype=bool)  # 15 bits pack into 2 bytes
+    assert decode_bitmask(encode_bitmask(mask), (3, 5)).all()
+    with pytest.raises(ValueError):
+        decode_bitmask(encode_bitmask(mask), (4, 5))
+    values = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    assert np.array_equal(decode_bytes(encode_bytes(values), (3, 4)), values)
+    for shape in [(2, 4), (4, 4), (3, 5)]:
+        with pytest.raises(ValueError):
+            decode_bytes(encode_bytes(values), shape)

@@ -5,9 +5,10 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ivln.environment import Point3, geodesic_distance
+from ivln.environment import NavIndex, Point3, Pose, Scene, geodesic_distance
 from ivln import harness
 from ivln.errors import Disconnected, PolicyTimeout, ProtocolViolation
 from ivln.harness import (
@@ -15,6 +16,7 @@ from ivln.harness import (
     AgentState,
     ExternalPolicy,
     NoisyOraclePolicy,
+    Observation,
     OraclePolicy,
     RandomPolicy,
     RunConfig,
@@ -24,12 +26,13 @@ from ivln.harness import (
     apply_action,
     legal_actions,
     make_policy,
+    observation_message,
     oracle_follower,
     replay_tour,
     run_tour,
     run_tours,
 )
-from ivln.mapper import save_map
+from ivln.mapper import SemanticOccMap, crop_egocentric, crop_to_flat, save_map
 from ivln.metrics import OracleSegment, ndtw, write_traces
 from ivln.tourgen import Episode, Tour
 
@@ -367,6 +370,105 @@ def test_replay_tour_rejects_a_trace_that_does_not_replay(synth, edit, message):
     edit(trace)
     with pytest.raises(ValueError, match=message):
         replay_tour(synth["scene"], trace, synth["by_id"], cfg)
+
+
+class KeepingPolicy(NoisyOraclePolicy):
+    """A noisy oracle that keeps every observation it is shown."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kept = []
+
+    def act(self, obs):
+        self.kept.append(obs)
+        return super().act(obs)
+
+    def observe(self, obs):
+        self.kept.append(obs)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that logs each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["episodic", "iterative"])
+def test_crops_read_after_the_tour_are_the_crops_at_observation_time(synth, monkeypatch, mode):
+    scene, by_id = synth["scene"], synth["by_id"]
+    tour = Tour("t-crops", scene.scene_id, synth["tours"][0].episode_ids[:4])
+    at_the_time = []
+    crop_source = harness._Sensor.crop_source
+
+    def eager(self, pose):
+        at_the_time.append(crop_egocentric(self.occ_map, pose, self.cfg.crop_size))
+        return crop_source(self, pose)
+
+    monkeypatch.setattr(harness._Sensor, "crop_source", eager)
+    crops = count_calls(monkeypatch, harness, "crop_egocentric")
+    policy = KeepingPolicy(scene, by_id, p_error=0.4, seed=3)
+    cfg = RunConfig(map_mode=mode, max_steps_per_episode=20, crop_size=24)
+    trace, _ = run_tour(scene, tour, by_id, policy, cfg)
+    assert trace.oracle_segments and len(policy.kept) == len(at_the_time) > 20
+    assert {obs.phase for obs in policy.kept} == {"agent", "oracle"}
+    assert crops == []  # nothing was cropped while the tour ran
+    for obs, want in zip(policy.kept, at_the_time):
+        assert obs.crop.dtype == want.dtype and obs.crop.tobytes() == want.tobytes()
+    assert len(crops) == len(policy.kept)
+    for obs in policy.kept:
+        assert obs.crop is obs.crop  # a later read returns the first crop
+    assert len(crops) == len(policy.kept)
+    # the map changed along the tour, so equal crops are not a given
+    assert len({want.tobytes() for want in at_the_time}) > len(at_the_time) // 2
+
+
+def test_observation_message_with_a_given_or_a_deferred_crop(open_room):
+    occ_map = SemanticOccMap.for_grid(open_room.grid, "iterative")
+    rng = np.random.default_rng(8)
+    occ_map.semantic[:] = rng.integers(0, 14, size=occ_map.semantic.shape)
+    occ_map.occupancy[:] = occ_map.semantic > 6
+    pose = Pose(Point3(0.5, 0.75, 0.0), 0.3)
+    crop = crop_egocentric(occ_map, pose, 16)
+    want = {
+        "type": "observe",
+        "pose": [0.5, 0.75, 0.0, 0.3],
+        "steps_remaining": 7,
+        "crop": crop_to_flat(crop),
+        "passive": True,
+        "episode_id": "e0",
+        "episode_index": 2,
+        "cell": [2, 3],
+    }
+    args = ("e0", 2, "walk", pose, (2, 3), 7, "oracle")
+    given = Observation(*args, crop=crop)
+    assert given.crop is crop
+    assert json.dumps(observation_message(given)) == json.dumps(want)
+    sensor = harness._Sensor(open_room, occ_map, RunConfig(crop_size=16))
+    deferred = Observation(*args, crop_source=sensor.crop_source(pose))
+    occ_map.clear()  # later map changes do not reach the crop
+    assert json.dumps(observation_message(deferred)) == json.dumps(want)
+    assert observation_message(Observation(*args))["crop"] is None
+
+
+def test_rollout_searches_each_route_once(synth, monkeypatch):
+    # a fresh Scene, so no earlier test has filled its route memo
+    scene = Scene(scene_id=synth["scene"].scene_id, grid=synth["scene"].grid)
+    by_id = synth["by_id"]
+    searches = count_calls(monkeypatch, NavIndex, "search")
+    routes = count_calls(monkeypatch, NavIndex, "route")
+    policy = NoisyOraclePolicy(scene, by_id, p_error=0.2, seed=5)
+    run_tours(scene, synth["tours"], by_id, policy, RunConfig(map_mode="iterative", seed=5))
+    goal_searches = [args[1:] for args in searches if len(args) == 3]
+    pairs = {args[1:] for args in routes}
+    assert len(goal_searches) == len(set(goal_searches)) == len(pairs)
+    assert len(routes) > len(pairs)  # repeated questions were asked and answered by the memo
 
 
 def test_random_policy_returns_legal_actions(open_room):

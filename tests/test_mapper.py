@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -31,6 +32,9 @@ from ivln.mapper import (
     synthesize_views,
     unproject,
 )
+
+from ivln.mapper import _march_columns
+from ivln.syngen import FloorplanSpec, generate_scene
 
 from conftest import grid_from_ascii
 
@@ -285,6 +289,23 @@ def test_crop_flat_round_trip_through_json():
     assert np.array_equal(back, crop)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_crop_to_flat_matches_the_element_loop(seed):
+    rng = np.random.default_rng(seed)
+    crops = [
+        rng.integers(0, 2, size=(CROP_CHANNELS, 8, 8)).astype(np.float32),
+        rng.standard_normal((CROP_CHANNELS, 8, 8)).astype(np.float32),
+        np.full((CROP_CHANNELS, 4, 4), 0.1, dtype=np.float32),
+        rng.uniform(-1e3, 1e3, size=(CROP_CHANNELS, 8, 8)),  # float64 in, float32 out
+        np.array([0.1, 1 / 3, -0.0, 1e-40, 2.5e38, 7.0] * CROP_CHANNELS, dtype=np.float32),
+    ]
+    for crop in crops:
+        want = [float(v) for v in np.asarray(crop, dtype=np.float32).ravel(order="C")]
+        got = crop_to_flat(crop)
+        assert all(type(v) is float for v in got)
+        assert json.dumps(got) == json.dumps(want)
+
+
 # -- snapshots ----------------------------------------------------------------
 
 
@@ -314,6 +335,27 @@ def test_map_snapshot_is_base64_compact(tmp_path):
     for key in ("occupancy", "semantic", "observed", "top_z"):
         assert isinstance(payload[key], str)
     assert map_from_dict(payload).width == 9
+
+
+def _resized(text, decoded_size, delta):
+    """Base64 text of a payload ``delta`` items of ``decoded_size`` bytes
+    longer (or shorter) than ``text``."""
+    raw = base64.b64decode(text)
+    raw = raw + bytes(decoded_size * delta) if delta > 0 else raw[: len(raw) + decoded_size * delta]
+    return base64.b64encode(raw).decode("ascii")
+
+
+@pytest.mark.parametrize("key, item_size", [("occupancy", 1), ("semantic", 1), ("observed", 1), ("top_z", 4)])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_map_loader_rejects_payloads_that_do_not_fit(tmp_path, key, item_size, delta):
+    payload = map_to_dict(fresh_map(size=9))
+    payload[key] = _resized(payload[key], item_size, delta)
+    with pytest.raises(ValueError, match="expected"):
+        map_from_dict(payload)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
+        load_map(path)
 
 
 # -- synthetic views ----------------------------------------------------------
@@ -383,3 +425,148 @@ def test_single_view_occupancy_is_precise():
     for iy, ix in occupied:
         assert not grid.navigable[iy, ix], (ix, iy)
         assert m.semantic[iy, ix] == grid.semantic[iy, ix]
+
+
+# -- ray march ----------------------------------------------------------------
+
+
+def march_loop(grid, position, dirs, max_range):
+    """The stepping form of the 2D grid traversal (Amanatides & Woo 1987),
+    one pass over the active rays per boundary crossing; the loop that
+    ``_march_columns`` replaced, kept as the reference it must match bit
+    for bit."""
+    n = dirs.shape[0]
+    res = grid.resolution
+    ox = (position.x - grid.origin.x) / res
+    oy = (position.y - grid.origin.y) / res
+    cur_x = np.full(n, math.floor(ox + 0.5), dtype=int)
+    cur_y = np.full(n, math.floor(oy + 0.5), dtype=int)
+    vx, vy = dirs[:, 0], dirs[:, 1]
+    step_x = np.where(vx > 0, 1, -1)
+    step_y = np.where(vy > 0, 1, -1)
+    with np.errstate(divide="ignore"):
+        t_delta_x = np.where(vx != 0, res / np.abs(vx), np.inf)
+        t_delta_y = np.where(vy != 0, res / np.abs(vy), np.inf)
+        # distance to the first cell boundary on each axis; cell spans
+        # [c - 0.5, c + 0.5] in cell units around its center
+        bx = cur_x + np.where(vx > 0, 0.5, -0.5)
+        by = cur_y + np.where(vy > 0, 0.5, -0.5)
+        t_max_x = np.where(vx != 0, (bx - ox) * res / vx, np.inf)
+        t_max_y = np.where(vy != 0, (by - oy) * res / vy, np.inf)
+
+    s_wall = np.full(n, np.inf)
+    label = np.zeros(n, dtype=np.uint8)
+    active = np.ones(n, dtype=bool)
+    max_iter = 4 * (grid.width + grid.height)
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        take_x = active & (t_max_x <= t_max_y)
+        take_y = active & ~take_x
+        t_cross = np.where(take_x, t_max_x, t_max_y)
+        over = active & (t_cross > max_range)
+        active &= ~over
+        take_x &= active
+        take_y &= active
+        cur_x[take_x] += step_x[take_x]
+        t_max_x[take_x] += t_delta_x[take_x]
+        cur_y[take_y] += step_y[take_y]
+        t_max_y[take_y] += t_delta_y[take_y]
+        moved = take_x | take_y
+        if not moved.any():
+            break
+        inside = (cur_x >= 0) & (cur_x < grid.width) & (cur_y >= 0) & (cur_y < grid.height)
+        escaped = moved & ~inside
+        active &= ~escaped
+        check = moved & inside
+        if check.any():
+            xs, ys = cur_x[check], cur_y[check]
+            blocked = ~grid.navigable[ys, xs]
+            idx = np.nonzero(check)[0][blocked]
+            s_wall[idx] = t_cross[idx]
+            label[idx] = grid.semantic[ys[blocked], xs[blocked]]
+            active[idx] = False
+    return s_wall, label
+
+
+def camera_dirs(heading, intrinsics=INTR):
+    h = heading
+    fwd = np.array([math.cos(h), math.sin(h)])
+    right = np.array([math.sin(h), -math.cos(h)])
+    k = (np.arange(intrinsics.width) - intrinsics.cx) / intrinsics.fx
+    return fwd[None, :] + k[:, None] * right[None, :]
+
+
+# exact diagonals cross x and y boundaries at the same distance, the
+# traversal's tie; axis rays run along a row or column of cells
+GRAZING_DIRS = np.array([
+    [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0],
+    [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+    [1.0, 1.0 + 1e-15], [1.0 - 1e-16, 1.0], [1.0, 0.5], [0.5, -1.0],
+])
+
+
+def assert_march_matches_loop(grid, position, dirs, max_range):
+    with np.errstate(invalid="ignore"):  # 0/0 for an axis ray from a cell edge, as before
+        want = march_loop(grid, position, dirs, max_range)
+    got = _march_columns(grid, position, dirs, max_range)
+    assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+    assert np.array_equal(got[0], want[0]), (position, max_range)
+    assert np.array_equal(got[1], want[1]), (position, max_range)
+    return want
+
+
+@pytest.fixture(scope="module")
+def generated_grid():
+    scene, _ = generate_scene(FloorplanSpec(rooms=4, seed=3))
+    return scene.grid
+
+
+def test_march_matches_the_loop_on_seeded_poses(generated_grid):
+    grid = generated_grid
+    rng = np.random.default_rng(12)
+    cells = np.argwhere(grid.navigable)
+    hits = 0
+    for i in range(240):
+        iy, ix = cells[rng.integers(len(cells))]
+        # cell centers, and points anywhere in the cell, its edges included
+        offset = (0.0, 0.0) if i % 3 else rng.choice([-0.5, -0.25, 0.0, 0.3, 0.5], size=2)
+        pos = Point3(grid.origin.x + (ix + offset[0]) * grid.resolution,
+                     grid.origin.y + (iy + offset[1]) * grid.resolution, 1.25)
+        heading = [rng.uniform(0, 2 * math.pi), math.radians(15 * rng.integers(24)),
+                   math.pi / 2 * rng.integers(4)][i % 3]
+        dirs = np.concatenate([camera_dirs(heading), GRAZING_DIRS])
+        s_wall, _ = assert_march_matches_loop(grid, pos, dirs, 10.0)
+        hits += int(np.isfinite(s_wall).sum())
+    assert hits > 0
+
+
+def test_march_matches_the_loop_at_the_grid_edge():
+    # navigable border cells: rays leave the grid instead of hitting walls
+    grid = grid_from_ascii(["......", "..#...", "......", "...4..", "......"])
+    escaped = 0
+    for ix, iy in [(0, 0), (5, 0), (0, 4), (5, 4), (2, 0), (0, 2), (5, 2)]:
+        for dx, dy in [(0.0, 0.0), (-0.5, 0.0), (0.5, 0.5), (0.0, -0.5)]:
+            pos = Point3((ix + dx) * 0.25, (iy + dy) * 0.25, 1.25)
+            for heading in [0.0, math.pi / 4, math.pi / 2, 2.0, math.pi, 4.0, 3 * math.pi / 2]:
+                dirs = np.concatenate([camera_dirs(heading), GRAZING_DIRS])
+                s_wall, _ = assert_march_matches_loop(grid, pos, dirs, 10.0)
+                escaped += int(np.isinf(s_wall).sum())
+    assert escaped > 0
+
+
+def test_march_matches_the_loop_when_the_range_ends_on_a_crossing():
+    grid = grid_from_ascii(["#......#", "#......#", "#..5...#", "#......#"])
+    pos = Point3(1 * 0.25, 1 * 0.25, 1.25)
+    dirs = np.concatenate([camera_dirs(0.3), GRAZING_DIRS])
+    s_wall, _ = assert_march_matches_loop(grid, pos, dirs, 10.0)
+    # cut the range exactly at each wall distance: the wall is still seen
+    # at that range and lost just below it
+    for cut in np.unique(s_wall[np.isfinite(s_wall)]):
+        at, _ = assert_march_matches_loop(grid, pos, dirs, float(cut))
+        assert np.isfinite(at).any()
+        below, _ = assert_march_matches_loop(grid, pos, dirs, float(np.nextafter(cut, 0.0)))
+        assert np.isinf(below[s_wall == cut]).all()
+    # and exactly on boundary crossings that are not walls
+    for cut in (0.125, 0.375, 0.625, 0.25 * math.sqrt(2)):
+        assert_march_matches_loop(grid, pos, dirs, cut)
