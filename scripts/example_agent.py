@@ -6,16 +6,40 @@ episode, and passive observation messages; on active observations walks
 forward a fixed number of steps per episode and then stops.  On graph
 scenes it stops immediately since it has no view of the adjacency.
 
+It opts in to protocol version 2 in its reset ack, so map crops arrive
+as compact label and occupancy grids, which read_crop decodes with the
+standard library alone.
+
 Useful as a template for wiring in a real policy: replace decide()
 and keep the message loop.
 """
 
 import argparse
+import base64
 import json
 import sys
 
+PROTOCOL_VERSION = 2
 
-def decide(msg: dict, steps_left: int) -> dict:
+
+def read_crop(crop):
+    """(size, labels, occupied) of a compact crop, or None without a map.
+
+    Both grids are row-major, row 0 farthest ahead.  labels[r * size + c]
+    is the cell's label, 1..13, or 0 for none; the cell is occupied when
+    occupied[i // 8] >> (7 - i % 8) & 1 for i = r * size + c.
+    """
+    if crop is None:
+        return None
+    size = crop["size"]
+    labels = base64.b64decode(crop["labels"])
+    occupied = base64.b64decode(crop["occupied"])
+    if len(labels) != size * size or len(occupied) != -(-size * size // 8):
+        raise ValueError(f"crop payload does not fit size {size}")
+    return size, labels, occupied
+
+
+def decide(msg: dict, crop, steps_left: int) -> dict:
     if steps_left > 0 and "cell" in msg:
         return {"type": "act", "action": "forward"}
     return {"type": "act", "action": "stop"}
@@ -40,13 +64,19 @@ def main() -> None:
         kind = msg.get("type")
         if kind == "close":
             break
-        if kind == "episode":
+        if kind == "reset":
+            reply = {"type": "ack", "protocol_version": PROTOCOL_VERSION}
+        elif kind == "episode":
             steps_left = args.forward_steps
             reply = {"type": "ack"}
-        elif kind == "observe" and not msg.get("passive"):
-            reply = decide(msg, steps_left)
-            if reply.get("action") == "forward":
-                steps_left -= 1
+        elif kind == "observe":
+            crop = read_crop(msg.get("crop"))
+            if msg.get("passive"):
+                reply = {"type": "ack"}
+            else:
+                reply = decide(msg, crop, steps_left)
+                if reply.get("action") == "forward":
+                    steps_left -= 1
         else:
             reply = {"type": "ack"}
         sys.stdout.write(json.dumps(reply, sort_keys=True, separators=(",", ":")) + "\n")

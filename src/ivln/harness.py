@@ -50,9 +50,12 @@ from .mapper import (
     CameraIntrinsics,
     SemanticOccMap,
     crop_egocentric,
+    crop_layers,
+    crop_to_compact,
     crop_to_flat,
     integrate,
     known_map,
+    layers_from_crop,
     reset_policy,
     synthesize_views,
     unproject,
@@ -76,6 +79,10 @@ FRAME_WIDTH = 64
 FRAME_HEIGHT = 48
 HFOV_DEG = 90.0
 MAX_RANGE = 10.0
+
+# wire protocol versions the harness speaks: 1 sends crops as a flat
+# float list, 2 as compact label and occupancy grids
+PROTOCOL_VERSIONS = (1, 2)
 
 # how much of an external agent's stderr a protocol error quotes
 _STDERR_TAIL_BYTES = 2048
@@ -101,7 +108,9 @@ class Observation:
     rollout passes ``crop_source`` instead: the ``crop_egocentric``
     arguments, with the map's occupancy and semantics copied at this
     step, from which the crop is made on first read.  The crop is the
-    same, and a policy that never reads it costs none.
+    same, and a policy that never reads it costs none.  ``crop_layers()``
+    hands out the crop's label and occupancy grids, made from the same
+    arguments, without making the one-hot crop.
     """
 
     def __init__(self, episode_id: str, episode_index_in_tour: int, instruction: str, pose: Pose,
@@ -116,6 +125,16 @@ class Observation:
         self.phase = phase  # "agent" | "oracle"
         self._crop = crop
         self._crop_source = crop_source
+        self._layers = None
+
+    def crop_layers(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The crop as ``mapper.crop_layers`` grids, or None without a map."""
+        if self._layers is None:
+            if self._crop_source is not None:
+                self._layers = crop_layers(*self._crop_source)
+            elif self._crop is not None:
+                self._layers = layers_from_crop(self._crop)
+        return self._layers
 
     @property
     def crop(self) -> np.ndarray | None:
@@ -379,8 +398,9 @@ class _Sensor:
         integrate(self.occ_map, points, labels, grid.floor_z, grid.ceiling_z)
 
     def crop_source(self, pose: Pose) -> tuple | None:
-        """``crop_egocentric`` arguments for a crop of the map as it is now;
-        the crop reads only occupancy and semantics, so only they are copied."""
+        """``crop_egocentric`` and ``crop_layers`` arguments for a crop of the
+        map as it is now; a crop reads only occupancy and semantics, so only
+        they are copied."""
         m = self.occ_map
         if m is None:
             return None
@@ -447,8 +467,10 @@ def run_tour(
     sensing.  Every episode runs: agent phase under the policy, then a
     goal correction when the agent ended farther than the correction
     radius from the goal (geodesic), then a transit to the next start.
-    On policy failure the exception carries the partial trace in its
-    ``partial_trace`` attribute.
+    On policy failure after the reset, wherever it happens in the tour,
+    the exception carries the partial trace in its ``partial_trace``
+    attribute: the finished episodes, the agent phase in progress and
+    the oracle segments logged so far.
     """
     if cfg is None:
         cfg = RunConfig()
@@ -466,20 +488,21 @@ def run_tour(
     state: AgentState | None = None
     episode_traces: list[EpisodeTrace] = []
     segments: list[OracleSegment] = []
-    for index, episode in enumerate(episodes):
-        if occ_map is not None:
-            reset_policy(occ_map, EPISODE_START)
-        if state is None:
-            state = AgentState(scene.snap_point(episode.path[0]), episode.start_heading)
-        else:
-            state = AgentState(state.location, episode.start_heading)
-        sensor.sense(state)
-        policy.begin_episode(episode.episode_id, episode.instruction)
+    agent_path: list[Point3] | None = None  # the agent phase until it is logged
+    try:
+        for index, episode in enumerate(episodes):
+            if occ_map is not None:
+                reset_policy(occ_map, EPISODE_START)
+            if state is None:
+                state = AgentState(scene.snap_point(episode.path[0]), episode.start_heading)
+            else:
+                state = AgentState(state.location, episode.start_heading)
+            agent_path = [agent_position(scene, state)]
+            actions: list[str] = []
+            stop_called = False
+            sensor.sense(state)
+            policy.begin_episode(episode.episode_id, episode.instruction)
 
-        agent_path = [agent_position(scene, state)]
-        actions: list[str] = []
-        stop_called = False
-        try:
             for step in range(budget):
                 obs = _make_obs(scene, state, sensor, episode, index, budget - step, "agent")
                 action = policy.act(obs)
@@ -490,8 +513,34 @@ def run_tour(
                 state = apply_action(scene, state, action, cfg)
                 agent_path.append(agent_position(scene, state))
                 sensor.sense(state)
-        except (PolicyTimeout, ProtocolViolation) as exc:
-            partial = episode_traces + [
+            episode_traces.append(
+                EpisodeTrace(
+                    episode_id=episode.episode_id,
+                    agent_path=agent_path,
+                    reference_path=episode.path,
+                    stop_called=stop_called,
+                    actions=actions,
+                )
+            )
+            agent_path = None
+
+            goal = episode.path[-1]
+            if geo(goal, agent_position(scene, state)) > cfg.oracle_correction_radius:
+                state, pts, acts = _oracle_drive(
+                    scene, state, scene.snap_point(goal), sensor, policy, episode, index, cfg
+                )
+                segments.append(OracleSegment("oracle_goal", episode.episode_id, pts, acts))
+            if index + 1 < len(episodes):
+                nxt = scene.snap_point(episodes[index + 1].path[0])
+                if state.location != nxt:
+                    state, pts, acts = _oracle_drive(
+                        scene, state, nxt, sensor, policy, episode, index, cfg
+                    )
+                    segments.append(OracleSegment("oracle_transit", episode.episode_id, pts, acts))
+    except (PolicyTimeout, ProtocolViolation) as exc:
+        partial = list(episode_traces)
+        if agent_path is not None:
+            partial.append(
                 EpisodeTrace(
                     episode_id=episode.episode_id,
                     agent_path=agent_path,
@@ -499,34 +548,9 @@ def run_tour(
                     stop_called=False,
                     actions=actions,
                 )
-            ]
-            exc.partial_trace = TourTrace(
-                tour_id=tour.tour_id, episodes=partial, oracle_segments=segments
             )
-            raise
-        episode_traces.append(
-            EpisodeTrace(
-                episode_id=episode.episode_id,
-                agent_path=agent_path,
-                reference_path=episode.path,
-                stop_called=stop_called,
-                actions=actions,
-            )
-        )
-
-        goal = episode.path[-1]
-        if geo(goal, agent_position(scene, state)) > cfg.oracle_correction_radius:
-            state, pts, acts = _oracle_drive(
-                scene, state, scene.snap_point(goal), sensor, policy, episode, index, cfg
-            )
-            segments.append(OracleSegment("oracle_goal", episode.episode_id, pts, acts))
-        if index + 1 < len(episodes):
-            nxt = scene.snap_point(episodes[index + 1].path[0])
-            if state.location != nxt:
-                state, pts, acts = _oracle_drive(
-                    scene, state, nxt, sensor, policy, episode, index, cfg
-                )
-                segments.append(OracleSegment("oracle_transit", episode.episode_id, pts, acts))
+        exc.partial_trace = TourTrace(tour_id=tour.tour_id, episodes=partial, oracle_segments=segments)
+        raise
     return TourTrace(tour_id=tour.tour_id, episodes=episode_traces, oracle_segments=segments), occ_map
 
 
@@ -625,13 +649,19 @@ def replay_tour(
 # external policies (line-delimited JSON)
 
 
-def observation_message(obs: Observation) -> dict:
-    """Wire form of an observation; pose is [x, y, z, heading]."""
+def observation_message(obs: Observation, compact: bool = False) -> dict:
+    """Wire form of an observation; pose is [x, y, z, heading].  The crop
+    is a flat float list, or with ``compact`` the ``crop_to_compact`` dict."""
+    if compact:
+        layers = obs.crop_layers()
+        crop = None if layers is None else crop_to_compact(*layers)
+    else:
+        crop = None if obs.crop is None else crop_to_flat(obs.crop)
     msg = {
         "type": "observe",
         "pose": [obs.pose.position.x, obs.pose.position.y, obs.pose.position.z, obs.pose.heading],
         "steps_remaining": obs.steps_remaining,
-        "crop": None if obs.crop is None else crop_to_flat(obs.crop),
+        "crop": crop,
         "passive": obs.phase != "agent",
         "episode_id": obs.episode_id,
         "episode_index": obs.episode_index_in_tour,
@@ -780,20 +810,33 @@ _ACTION_NAMES = {FORWARD, TURN_LEFT, TURN_RIGHT, STOP, GOTO}
 
 
 class ExternalPolicy(Policy):
-    """Bridges the harness to an agent behind a transport."""
+    """Bridges the harness to an agent behind a transport.
+
+    Each tour's reset offers the newest protocol version; the agent's ack
+    picks the crop form for the tour: ``"protocol_version": 2`` the
+    compact grids, none or 1 the flat list.
+    """
 
     def __init__(self, transport, timeout: float = 10.0):
         self.transport = transport
         self.timeout = timeout
+        self.compact = False
 
-    def _expect_ack(self):
+    def _expect_ack(self) -> dict:
         reply = self.transport.recv(self.timeout)
         if reply.get("type") != "ack":
             raise ProtocolViolation(f"expected ack, got {reply.get('type')!r}")
+        return reply
 
     def reset(self, tour_id):
-        self.transport.send({"type": "reset", "tour_id": tour_id})
-        self._expect_ack()
+        self.transport.send({"type": "reset", "tour_id": tour_id, "protocol_version": PROTOCOL_VERSIONS[-1]})
+        version = self._expect_ack().get("protocol_version", 1)
+        if type(version) is not int or version not in PROTOCOL_VERSIONS:
+            raise ProtocolViolation(
+                f"agent acked protocol_version {version!r}; the harness speaks "
+                + " and ".join(map(str, PROTOCOL_VERSIONS))
+            )
+        self.compact = version == 2
 
     def begin_episode(self, episode_id, instruction):
         self.transport.send(
@@ -802,7 +845,7 @@ class ExternalPolicy(Policy):
         self._expect_ack()
 
     def act(self, obs):
-        self.transport.send(observation_message(obs))
+        self.transport.send(observation_message(obs, self.compact))
         reply = self.transport.recv(self.timeout)
         if reply.get("type") != "act":
             raise ProtocolViolation(f"expected act, got {reply.get('type')!r}")
@@ -817,7 +860,7 @@ class ExternalPolicy(Policy):
         return AgentAction(kind)
 
     def observe(self, obs):
-        self.transport.send(observation_message(obs))
+        self.transport.send(observation_message(obs, self.compact))
         self._expect_ack()
 
     def close(self):

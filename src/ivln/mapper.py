@@ -247,14 +247,14 @@ def known_map(grid: GridWorld) -> SemanticOccMap:
     return m
 
 
-def crop_egocentric(occ_map: SemanticOccMap, pose: Pose, size: int = 64,
-                    resolution: float | None = None) -> np.ndarray:
-    """Egocentric map crop, heading up, agent at the center.
+def crop_layers(occ_map: SemanticOccMap, pose: Pose, size: int = 64,
+                resolution: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Egocentric label and occupancy grids, heading up, agent at the center.
 
-    Returns float32 of shape (14, size, size): channels 0..12 are the
-    one-hot of labels 1..13, channel 13 is occupancy.  Row 0 is farthest
-    ahead of the agent; sampling is nearest-cell; cells outside the map
-    are all zero.
+    Returns (labels, occupied) of shape (size, size): uint8 labels
+    1..13, 0 for none (a label outside 1..13 reads as none), and a bool
+    occupancy.  Row 0 is farthest ahead of the agent; sampling is
+    nearest-cell; cells outside the map are 0 and unoccupied.
     """
     if resolution is None:
         resolution = occ_map.resolution
@@ -271,13 +271,43 @@ def crop_egocentric(occ_map: SemanticOccMap, pose: Pose, size: int = 64,
     valid = (ix >= 0) & (ix < occ_map.width) & (iy >= 0) & (iy < occ_map.height)
     ix_c = np.clip(ix, 0, occ_map.width - 1)
     iy_c = np.clip(iy, 0, occ_map.height - 1)
-    labels = np.where(valid, occ_map.semantic[iy_c, ix_c], 0)
-    occ = np.where(valid, occ_map.occupancy[iy_c, ix_c], 0)
-    out = np.zeros((CROP_CHANNELS, size, size), dtype=np.float32)
-    for lbl in range(1, LABEL_COUNT + 1):
-        out[lbl - 1] = labels == lbl
-    out[LABEL_COUNT] = occ
+    labels = np.where(valid, occ_map.semantic[iy_c, ix_c], 0).astype(np.uint8)
+    labels[labels > LABEL_COUNT] = 0
+    occupied = valid & (occ_map.occupancy[iy_c, ix_c] != 0)
+    return labels, occupied
+
+
+_LABEL_VALUES = np.arange(1, LABEL_COUNT + 1, dtype=np.uint8)[:, None, None]
+
+
+def _one_hot(labels: np.ndarray, occupied: np.ndarray) -> np.ndarray:
+    out = np.empty((CROP_CHANNELS, *labels.shape), dtype=np.float32)
+    out[:LABEL_COUNT] = labels == _LABEL_VALUES
+    out[LABEL_COUNT] = occupied
     return out
+
+
+def crop_egocentric(occ_map: SemanticOccMap, pose: Pose, size: int = 64,
+                    resolution: float | None = None) -> np.ndarray:
+    """Egocentric map crop: the one-hot of ``crop_layers``.
+
+    Returns float32 of shape (14, size, size): channels 0..12 are the
+    one-hot of labels 1..13, channel 13 is occupancy.
+    """
+    return _one_hot(*crop_layers(occ_map, pose, size, resolution))
+
+
+def layers_from_crop(crop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``crop_egocentric``'s one-hot; raises ValueError for a
+    crop that is not the one-hot of a label grid plus a 0/1 occupancy."""
+    crop = np.asarray(crop, dtype=np.float32)
+    if crop.ndim == 3 and len(crop) == CROP_CHANNELS:
+        hot = crop[:LABEL_COUNT] == 1
+        labels = np.where(hot.any(axis=0), hot.argmax(axis=0) + 1, 0).astype(np.uint8)
+        occupied = crop[LABEL_COUNT] == 1
+        if _one_hot(labels, occupied).tobytes() == crop.tobytes():
+            return labels, occupied
+    raise ValueError("crop is not a one-hot label crop with a 0/1 occupancy channel")
 
 
 def crop_to_flat(crop: np.ndarray) -> list[float]:
@@ -288,6 +318,23 @@ def crop_to_flat(crop: np.ndarray) -> list[float]:
 def crop_from_flat(values, size: int = 64) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float32)
     return arr.reshape(CROP_CHANNELS, size, size)
+
+
+def crop_to_compact(labels: np.ndarray, occupied: np.ndarray) -> dict:
+    """The compact wire form of ``crop_layers``' grids: row-major label
+    bytes and an MSB-first occupancy bitmask, each base64 text."""
+    return {"size": labels.shape[0], "labels": encode_bytes(labels), "occupied": encode_bitmask(occupied)}
+
+
+def crop_from_compact(payload: dict) -> np.ndarray:
+    """Inverse of ``crop_to_compact``: the exact float32 crop of
+    ``crop_egocentric``; raises ValueError when a payload does not fit
+    its size."""
+    size = payload["size"]
+    if type(size) is not int or size < 1:
+        raise ValueError(f"crop size must be a positive integer, got {size!r}")
+    shape = (size, size)
+    return _one_hot(decode_bytes(payload["labels"], shape), decode_bitmask(payload["occupied"], shape))
 
 
 # ---------------------------------------------------------------------------

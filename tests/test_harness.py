@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import socket
@@ -32,7 +33,16 @@ from ivln.harness import (
     run_tour,
     run_tours,
 )
-from ivln.mapper import SemanticOccMap, crop_egocentric, crop_to_flat, save_map
+from ivln.mapper import (
+    SemanticOccMap,
+    crop_egocentric,
+    crop_from_compact,
+    crop_layers,
+    crop_to_compact,
+    crop_to_flat,
+    known_map,
+    save_map,
+)
 from ivln.metrics import OracleSegment, ndtw, write_traces
 from ivln.tourgen import Episode, Tour
 
@@ -482,10 +492,12 @@ def test_random_policy_returns_legal_actions(open_room):
 
 
 class WireServer:
-    """Single-connection scripted agent on a local TCP port."""
+    """Single-connection scripted agent on a local TCP port; it answers
+    reset with ``reset_ack``, a plain ack unless given."""
 
-    def __init__(self, act):
+    def __init__(self, act, reset_ack=None):
         self.act = act
+        self.reset_ack = reset_ack or {"type": "ack"}
         self.messages = []
         self.sock = socket.socket()
         self.sock.bind(("127.0.0.1", 0))
@@ -511,6 +523,8 @@ class WireServer:
                         return
                     if msg["type"] == "observe" and not msg["passive"]:
                         reply = self.act(msg)
+                    elif msg["type"] == "reset":
+                        reply = self.reset_ack
                     else:
                         reply = {"type": "ack"}
                     if isinstance(reply, dict):
@@ -518,11 +532,11 @@ class WireServer:
                     conn.sendall(reply)
 
 
-def run_with_server(scene, tour, by_id, act, timeout=2.0):
-    server = WireServer(act)
+def run_with_server(scene, tour, by_id, act, timeout=2.0, reset_ack=None, cfg=None):
+    server = WireServer(act, reset_ack)
     policy = ExternalPolicy(SocketTransport("127.0.0.1", server.port), timeout=timeout)
     try:
-        return server, run_tour(scene, tour, by_id, policy)
+        return server, run_tour(scene, tour, by_id, policy, cfg)
     finally:
         policy.close()
         server.thread.join(timeout=2.0)
@@ -549,6 +563,133 @@ def test_socket_agent_message_flow(open_room):
     assert isinstance(first["steps_remaining"], int)
     # the goal correction re-observes passively
     assert any(m["passive"] for m in observes)
+
+
+def record_crops(monkeypatch):
+    """Crops of the map at each observation, in order, made eagerly."""
+    at_the_time = []
+    crop_source = harness._Sensor.crop_source
+
+    def eager(self, pose):
+        at_the_time.append(crop_egocentric(self.occ_map, pose, self.cfg.crop_size))
+        return crop_source(self, pose)
+
+    monkeypatch.setattr(harness._Sensor, "crop_source", eager)
+    return at_the_time
+
+
+def map_tour(synth):
+    return synth["scene"], Tour("t-wire", synth["scene"].scene_id, synth["tours"][0].episode_ids[:2]), synth["by_id"]
+
+
+def three_steps_then_stop(msg):
+    return {"type": "act", "action": "forward" if msg["steps_remaining"] > 12 else "stop"}
+
+
+def test_plain_ack_agent_gets_the_flat_crop(synth, monkeypatch):
+    at_the_time = record_crops(monkeypatch)
+    scene, tour, by_id = map_tour(synth)
+    cfg = RunConfig(map_mode="episodic", crop_size=24, max_steps_per_episode=15)
+    server, (trace, _) = run_with_server(scene, tour, by_id, three_steps_then_stop, cfg=cfg)
+    assert server.messages[0] == {"type": "reset", "tour_id": "t-wire", "protocol_version": 2}
+    observes = [m for m in server.messages if m["type"] == "observe"]
+    assert len(observes) == len(at_the_time) > 10
+    assert any(m["passive"] for m in observes) and not all(m["passive"] for m in observes)
+    for msg, want in zip(observes, at_the_time):
+        assert isinstance(msg["crop"], list) and msg["crop"] == crop_to_flat(want)
+
+
+@pytest.mark.parametrize("mode", ["episodic", "iterative"])
+def test_version_2_agent_gets_the_compact_crop_and_no_one_hot_is_made(synth, monkeypatch, mode):
+    at_the_time = record_crops(monkeypatch)
+    one_hots = count_calls(monkeypatch, harness, "crop_egocentric")
+    scene, tour, by_id = map_tour(synth)
+    cfg = RunConfig(map_mode=mode, max_steps_per_episode=15)
+    server, (trace, _) = run_with_server(
+        scene, tour, by_id, three_steps_then_stop, reset_ack={"type": "ack", "protocol_version": 2}, cfg=cfg
+    )
+    assert server.messages[0]["protocol_version"] == 2
+    assert one_hots == []
+    observes = [m for m in server.messages if m["type"] == "observe"]
+    assert len(observes) == len(at_the_time) > 10
+    for msg, want in zip(observes, at_the_time):
+        assert sorted(msg["crop"]) == ["labels", "occupied", "size"] and msg["crop"]["size"] == 64
+        back = crop_from_compact(msg["crop"])
+        assert back.dtype == np.float32 and back.tobytes() == want.tobytes()
+    assert len({want.tobytes() for want in at_the_time}) > 1
+    assert [et.actions for et in trace.episodes] == [["forward"] * 3 + ["stop"]] * 2
+
+
+def test_version_1_ack_keeps_the_flat_crop(synth):
+    scene, tour, by_id = map_tour(synth)
+    cfg = RunConfig(map_mode="episodic", crop_size=8, max_steps_per_episode=15)
+    server, _ = run_with_server(
+        scene, tour, by_id, three_steps_then_stop, reset_ack={"type": "ack", "protocol_version": 1}, cfg=cfg
+    )
+    crops = [m["crop"] for m in server.messages if m["type"] == "observe"]
+    assert crops and all(isinstance(c, list) and len(c) == 14 * 8 * 8 for c in crops)
+
+
+@pytest.mark.parametrize("version", [3, "2", 0, None, True, 2.0])
+def test_unknown_protocol_version_is_refused(open_room, version):
+    tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]))
+    server = WireServer(lambda msg: {"type": "act", "action": "stop"},
+                        reset_ack={"type": "ack", "protocol_version": version})
+    policy = ExternalPolicy(SocketTransport("127.0.0.1", server.port), timeout=2.0)
+    try:
+        with pytest.raises(ProtocolViolation) as exc_info:
+            run_tour(open_room, tour, by_id, policy)
+    finally:
+        policy.close()
+        server.thread.join(timeout=2.0)
+    message = str(exc_info.value)
+    assert f"protocol_version {version!r}" in message and "1 and 2" in message
+    assert [m["type"] for m in server.messages] == ["reset", "close"]
+
+
+class FailingStopPolicy(StopPolicy):
+    """Stops at once; fails with PolicyTimeout at the named hook call."""
+
+    def __init__(self, hook, at_call):
+        self.hook, self.at_call, self.calls = hook, at_call, 0
+
+    def _maybe_fail(self, hook):
+        if hook == self.hook:
+            self.calls += 1
+            if self.calls == self.at_call:
+                raise PolicyTimeout(f"{hook} timed out")
+
+    def begin_episode(self, episode_id, instruction):
+        self._maybe_fail("begin_episode")
+
+    def observe(self, obs):
+        self._maybe_fail("observe")
+
+
+def test_failure_in_a_goal_correction_keeps_the_finished_episode(open_room):
+    by_id = {e.episode_id: e for e in (ep("e0", [(2, 2), (6, 2)]), ep("e1", [(6, 2), (6, 5)]))}
+    tours = [Tour("t0", "open-room", ["e0", "e1"])]
+    with pytest.raises(PolicyTimeout) as exc_info:
+        run_tours(open_room, tours, by_id, FailingStopPolicy("observe", 1))
+    (partial,) = exc_info.value.partial_traces
+    assert partial.tour_id == "t0"
+    assert [e.episode_id for e in partial.episodes] == ["e0"]
+    assert partial.episodes[0].stop_called and partial.episodes[0].actions == ["stop"]
+    assert partial.oracle_segments == []
+
+
+def test_failure_at_an_episode_start_keeps_the_tour_so_far(open_room):
+    by_id = {e.episode_id: e for e in (ep("e0", [(2, 2), (6, 2)]), ep("e1", [(2, 5), (4, 5)]))}
+    tours = [Tour("t0", "open-room", ["e0", "e1"])]
+    with pytest.raises(PolicyTimeout) as exc_info:
+        run_tours(open_room, tours, by_id, FailingStopPolicy("begin_episode", 2))
+    (partial,) = exc_info.value.partial_traces
+    first, current = partial.episodes
+    assert first.episode_id == "e0" and first.stop_called
+    assert current.episode_id == "e1" and not current.stop_called and current.actions == []
+    assert current.agent_path == [P(2, 5)]  # where the transit left the agent
+    assert [s.kind for s in partial.oracle_segments] == ["oracle_goal", "oracle_transit"]
+    assert partial.oracle_segments[-1].points[-1] == P(2, 5)
 
 
 def test_socket_agent_timeout_carries_partial_trace(open_room):
@@ -639,6 +780,61 @@ def test_subprocess_agent_round_trip(open_room):
     check_trace_invariants(trace, 2)
     for et in trace.episodes:
         assert et.actions == ["forward", "forward", "stop"]
+
+
+class CountingPipe:
+    """A pipe that records each write it passes on."""
+
+    def __init__(self, pipe):
+        self.pipe = pipe
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self.pipe.write(data)
+
+    def flush(self):
+        self.pipe.flush()
+
+    def close(self):
+        self.pipe.close()
+
+
+def test_subprocess_agent_round_trip_under_a_map(open_room):
+    tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]), ep("e1", [(6, 2), (6, 5)]))
+    transport = SubprocessTransport(f"python3 {AGENT_SCRIPT} --forward-steps 2")
+    transport.proc.stdin = pipe = CountingPipe(transport.proc.stdin)
+    policy = ExternalPolicy(transport, timeout=10.0)
+    try:
+        trace, _ = run_tour(open_room, tour, by_id, policy, RunConfig(map_mode="episodic"))
+    finally:
+        policy.close()
+    check_trace_invariants(trace, 2)
+    for et in trace.episodes:
+        assert et.actions == ["forward", "forward", "stop"]
+    assert policy.compact
+    observes = [data for data in pipe.writes if json.loads(data)["type"] == "observe"]
+    assert len(observes) > 6
+    for data in observes:
+        assert len(data) < 16 * 1024
+        assert json.loads(data)["crop"]["size"] == 64
+
+
+def test_template_reads_the_compact_crop_with_the_stdlib(synth):
+    spec = importlib.util.spec_from_file_location("example_agent", AGENT_SCRIPT)
+    agent = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(agent)
+    grid = synth["scene"].grid
+    pose = Pose(Point3(grid.origin.x + 1.3, grid.origin.y + 2.1, 0.0), 0.4)
+    labels, occupied = crop_layers(known_map(grid), pose, 24)
+    size, got_labels, got_occupied = agent.read_crop(json.loads(json.dumps(crop_to_compact(labels, occupied))))
+    assert size == 24 and labels.any() and occupied.any()
+    for i, (label, occ) in enumerate(zip(labels.ravel(), occupied.ravel())):
+        assert got_labels[i] == label
+        assert got_occupied[i // 8] >> (7 - i % 8) & 1 == occ
+    assert agent.read_crop(None) is None
+    with pytest.raises(ValueError):
+        agent.read_crop({"size": 25, "labels": "", "occupied": ""})
 
 
 def test_make_policy_specs(open_room):

@@ -20,10 +20,14 @@ from ivln.mapper import (
     SemanticFrame,
     SemanticOccMap,
     crop_egocentric,
+    crop_from_compact,
     crop_from_flat,
+    crop_layers,
+    crop_to_compact,
     crop_to_flat,
     integrate,
     known_map,
+    layers_from_crop,
     load_map,
     map_from_dict,
     map_to_dict,
@@ -304,6 +308,120 @@ def test_crop_to_flat_matches_the_element_loop(seed):
         got = crop_to_flat(crop)
         assert all(type(v) is float for v in got)
         assert json.dumps(got) == json.dumps(want)
+
+
+def crop_loop(occ_map, pose, size):
+    """The one-hot crop built with one pass per label, the reference for
+    ``crop_egocentric``'s broadcast compare."""
+    center = size // 2
+    rows, cols = np.mgrid[0:size, 0:size]
+    ahead = (center - rows) * occ_map.resolution
+    lateral = (cols - center) * occ_map.resolution
+    h = pose.heading
+    wx = pose.position.x + ahead * math.cos(h) + lateral * math.sin(h)
+    wy = pose.position.y + ahead * math.sin(h) + lateral * -math.cos(h)
+    ix, iy = occ_map.cell_index(wx, wy)
+    valid = (ix >= 0) & (ix < occ_map.width) & (iy >= 0) & (iy < occ_map.height)
+    ix_c = np.clip(ix, 0, occ_map.width - 1)
+    iy_c = np.clip(iy, 0, occ_map.height - 1)
+    labels = np.where(valid, occ_map.semantic[iy_c, ix_c], 0)
+    occ = np.where(valid, occ_map.occupancy[iy_c, ix_c], 0)
+    out = np.zeros((CROP_CHANNELS, size, size), dtype=np.float32)
+    for lbl in range(1, LABEL_COUNT + 1):
+        out[lbl - 1] = labels == lbl
+    out[LABEL_COUNT] = occ
+    return out
+
+
+def seeded_maps(grid, tmp_path):
+    """A sensed map, the known map, and a loaded map with labels up to 255."""
+    sensed = SemanticOccMap.for_grid(grid, "iterative")
+    rng = np.random.default_rng(4)
+    cells = np.argwhere(grid.navigable)
+    for iy, ix in cells[rng.choice(len(cells), size=12, replace=False)]:
+        pose = Pose(Point3(grid.origin.x + ix * grid.resolution, grid.origin.y + iy * grid.resolution,
+                           grid.floor_z + 1.25), rng.uniform(0, 2 * math.pi))
+        depth, sem = synthesize_views(grid, pose, INTR)
+        integrate(sensed, *unproject(depth, sem), grid.floor_z, grid.ceiling_z)
+    wild = SemanticOccMap.for_grid(grid, "iterative")
+    wild.semantic[:] = rng.integers(0, 256, size=wild.semantic.shape)
+    wild.occupancy[:] = rng.integers(0, 2, size=wild.occupancy.shape)
+    save_map(wild, tmp_path / "wild.json")
+    loaded = load_map(tmp_path / "wild.json")
+    assert loaded.semantic.max() > LABEL_COUNT
+    return [sensed, known_map(grid), loaded]
+
+
+def test_compact_crop_round_trip_is_the_crop_bitwise(generated_grid, tmp_path):
+    grid = generated_grid
+    rng = np.random.default_rng(21)
+    span_x, span_y = grid.width * grid.resolution, grid.height * grid.resolution
+    for m in seeded_maps(grid, tmp_path):
+        assert m.semantic.any() and m.occupancy.any()
+        for i in range(60):
+            # anywhere on the map or up to 2 m past its edge, so some crops
+            # hang off the map and a few lie wholly outside it
+            x = grid.origin.x + rng.uniform(-2.0, span_x + 2.0) if i % 4 else grid.origin.x
+            y = grid.origin.y + rng.uniform(-2.0, span_y + 2.0)
+            heading = [rng.uniform(-2 * math.pi, 2 * math.pi), math.radians(15 * rng.integers(24)),
+                       math.pi / 2 * rng.integers(4)][i % 3]
+            pose = Pose(Point3(x, y, 0.0), heading)
+            size = [64, 24, 17][i % 3]
+            want = crop_loop(m, pose, size)
+            crop = crop_egocentric(m, pose, size)
+            assert crop.dtype == np.float32 and crop.tobytes() == want.tobytes()
+            wire = json.loads(json.dumps(crop_to_compact(*crop_layers(m, pose, size))))
+            back = crop_from_compact(wire)
+            assert back.dtype == np.float32 and back.tobytes() == want.tobytes()
+            labels, occupied = layers_from_crop(crop)
+            assert np.array_equal(labels, crop_layers(m, pose, size)[0])
+            assert np.array_equal(occupied, crop_layers(m, pose, size)[1])
+
+
+def test_compact_crop_is_small_and_labels_above_13_read_as_none():
+    m = fresh_map(size=10)
+    m.semantic[:] = 200
+    m.semantic[4, 4] = 13
+    m.occupancy[:] = 1
+    labels, occupied = crop_layers(m, Pose(Point3(1.0, 1.0, 0), 0.0))
+    assert labels.dtype == np.uint8 and set(np.unique(labels)) == {0, 13}
+    assert occupied.dtype == bool and occupied.sum() == 100
+    payload = crop_to_compact(labels, occupied)
+    assert payload["size"] == 64
+    assert len(base64.b64decode(payload["labels"])) == 64 * 64
+    assert len(base64.b64decode(payload["occupied"])) == 64 * 64 // 8
+    assert len(json.dumps(payload)) < 7000
+
+
+@pytest.mark.parametrize("key, delta", [("labels", -1), ("labels", 1), ("occupied", -1), ("occupied", 1)])
+def test_compact_crop_payload_that_does_not_fit_is_refused(key, delta):
+    m = fresh_map(size=6)
+    payload = crop_to_compact(*crop_layers(m, Pose(Point3(0.5, 0.5, 0), 0.0), size=16))
+    payload[key] = _resized(payload[key], 1, delta)
+    with pytest.raises(ValueError, match="expected"):
+        crop_from_compact(payload)
+
+
+@pytest.mark.parametrize("size", [0, -4, 16.0, "16", None])
+def test_compact_crop_size_must_be_a_positive_integer(size):
+    payload = crop_to_compact(*crop_layers(fresh_map(size=6), Pose(Point3(0.5, 0.5, 0), 0.0), size=16))
+    payload["size"] = size
+    with pytest.raises(ValueError, match="size"):
+        crop_from_compact(payload)
+
+
+def test_layers_from_crop_refuses_what_is_not_a_one_hot_crop():
+    m = fresh_map(size=6)
+    m.semantic[:] = np.arange(36).reshape(6, 6) % 14
+    m.occupancy[:] = m.semantic > 6
+    crop = crop_egocentric(m, Pose(Point3(0.5, 0.5, 0), 0.0), size=8)
+    assert crop[:LABEL_COUNT].any() and crop[LABEL_COUNT].any()
+    for bad in (crop * 0.5, crop[:LABEL_COUNT], np.ones_like(crop)):
+        with pytest.raises(ValueError, match="one-hot"):
+            layers_from_crop(bad)
+    crop[LABEL_COUNT, 0, 0] = 2.0
+    with pytest.raises(ValueError, match="one-hot"):
+        layers_from_crop(crop)
 
 
 # -- snapshots ----------------------------------------------------------------
