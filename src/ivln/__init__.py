@@ -93,7 +93,6 @@ from .harness import (
     OraclePolicy,
     Policy,
     RandomPolicy,
-    RunConfig,
     StopPolicy,
     make_policy,
     oracle_follower,

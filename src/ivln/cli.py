@@ -16,18 +16,19 @@ import dataclasses
 import json
 import sys
 
-from .config import Config, resolve_config
+from .config import SOLVERS, Config, resolve_config
 from .coverage import CoverageCurve, ObservationModel, coverage_curves
 from .environment import FORMAT_VERSION, GeodesicMetric, euclidean, load_scene, save_scene
 from .errors import (
+    InstructionCountMismatch,
     IvlnError,
     MissingEpisode,
     PolicyTimeout,
     ProtocolViolation,
     UnsupportedScene,
 )
-from .harness import RunConfig, make_policy, replay_tour, run_tours
-from .mapper import save_map
+from .harness import make_policy, replay_tour, run_tours
+from .mapper import MAP_MODES, save_map
 from .metrics import build_report, read_traces, write_traces
 from .syngen import EpisodeSpec, FloorplanSpec, generate_episodes, generate_scene
 from .tourgen import (
@@ -104,8 +105,6 @@ def _infer_duplicates(episodes) -> int:
         counts[ep.path_id] = counts.get(ep.path_id, 0) + 1
     distinct = set(counts.values())
     if len(distinct) != 1:
-        from .errors import InstructionCountMismatch
-
         raise InstructionCountMismatch(
             f"paths carry differing episode counts {sorted(distinct)}; "
             "tour expansion needs a uniform count"
@@ -130,18 +129,9 @@ def cmd_run(args) -> int:
     episodes = load_episodes(args.episodes, scene)
     episodes_by_id = {ep.episode_id: ep for ep in episodes}
     tours = load_tours(args.tours)
-    run_cfg = RunConfig(
-        max_steps_per_episode=cfg.max_steps,
-        oracle_correction_radius=cfg.oracle_correction_radius,
-        map_mode=cfg.map_mode,
-        turn_deg=cfg.turn_deg,
-        crop_size=cfg.crop_size,
-        step_timeout=cfg.step_timeout,
-        seed=cfg.seed,
-    )
-    policy = make_policy(cfg.policy, scene, episodes_by_id, run_cfg)
+    policy = make_policy(cfg.policy, scene, episodes_by_id, cfg)
     try:
-        traces, occ_map = run_tours(scene, tours, episodes_by_id, policy, run_cfg)
+        traces, occ_map = run_tours(scene, tours, episodes_by_id, policy, cfg)
     except (PolicyTimeout, ProtocolViolation) as exc:
         write_traces(exc.partial_traces, args.out)
         print(f"error: policy failed: {exc}", file=sys.stderr)
@@ -234,15 +224,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_build_map(args) -> int:
-    cfg = _config_from_args(args, ())
+    cfg = dataclasses.replace(_config_from_args(args, ()), map_mode=args.mode)
     scene = load_scene(args.scene)
     episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes, scene)}
     traces = read_traces(args.traces, episodes_by_id)
     if not traces:
         raise MissingEpisode(f"no tour traces in {args.traces}")
-    run_cfg = RunConfig(map_mode=args.mode, turn_deg=cfg.turn_deg)
     for trace in traces:
-        occ_map = replay_tour(scene, trace, episodes_by_id, run_cfg)
+        occ_map = replay_tour(scene, trace, episodes_by_id, cfg)
     save_map(occ_map, args.out)
     print(f"map snapshot ({args.mode}) -> {args.out}")
     return 0
@@ -283,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--solver", choices=["nn", "nn+3opt", "exact"])
+    p.add_argument("--solver", choices=SOLVERS)
     p.add_argument("--seed", type=int)
     _add_config_flag(p)
     p.set_defaults(func=cmd_gen_tours)
@@ -293,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tours", required=True)
     p.add_argument("--episodes", required=True)
     p.add_argument("--policy", help="oracle | noisy:<p> | random | stop | ext:<cmd> | tcp:<host>:<port>")
-    p.add_argument("--map", choices=["none", "episodic", "iterative", "known"], dest="map_mode")
+    p.add_argument("--map", choices=("none", *MAP_MODES), dest="map_mode")
     p.add_argument("--map-out", help="write the final tour's map snapshot")
     p.add_argument("--max-steps", type=int, dest="max_steps")
     p.add_argument("--step-timeout", type=float, dest="step_timeout")
@@ -336,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--traces", required=True)
     p.add_argument("--episodes", required=True)
-    p.add_argument("--mode", choices=["episodic", "iterative", "known"], default="iterative")
+    p.add_argument("--mode", choices=MAP_MODES, default="iterative")
     p.add_argument("--out", required=True)
     _add_config_flag(p)
     p.set_defaults(func=cmd_build_map)

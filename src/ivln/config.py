@@ -1,4 +1,5 @@
-"""Layered runtime configuration shared by the command-line tools.
+"""Layered runtime configuration: the one settings object of the
+command-line tools and the rollout.
 
 Precedence, lowest to highest: dataclass defaults, a key=value config
 file (explicit path or the IVLN_CONFIG environment variable), then
@@ -13,8 +14,12 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-_SOLVERS = ("nn", "nn+3opt", "exact")
-_MAP_MODES = ("none", "episodic", "iterative", "known")
+from .mapper import MAP_MODES
+
+SOLVERS = ("nn", "nn+3opt", "exact")
+# agent steps per episode when max_steps is None
+DEFAULT_MAX_STEPS_CONTINUOUS = 500
+DEFAULT_MAX_STEPS_DISCRETE = 15
 
 
 @dataclass
@@ -39,10 +44,10 @@ class Config:
             raise ValueError("distance thresholds must be positive")
         if self.oracle_correction_radius <= 0:
             raise ValueError("oracle_correction_radius must be positive")
-        if self.solver not in _SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}, expected one of {_SOLVERS}")
-        if self.map_mode not in _MAP_MODES:
-            raise ValueError(f"unknown map mode {self.map_mode!r}, expected one of {_MAP_MODES}")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
+        if self.map_mode != "none" and self.map_mode not in MAP_MODES:
+            raise ValueError(f"unknown map mode {self.map_mode!r}, expected none or one of {MAP_MODES}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.turn_deg <= 0:
@@ -52,28 +57,35 @@ class Config:
         if self.step_timeout <= 0:
             raise ValueError("step_timeout must be positive")
 
+    def budget(self, scene) -> int:
+        """Agent steps per episode in ``scene``: max_steps, or the per-kind default."""
+        if self.max_steps is not None:
+            return self.max_steps
+        return DEFAULT_MAX_STEPS_DISCRETE if scene.is_discrete else DEFAULT_MAX_STEPS_CONTINUOUS
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def _coerce(name: str, kind, raw: str):
+def _coerce(name: str, default, raw: str):
+    """Parse ``raw`` as the type of the key's default; only a None default
+    (max_steps, an int) accepts none/null."""
     raw = raw.strip()
-    if kind is bool or raw.lower() in ("true", "false") and kind is not str:
+    if default is None and raw.lower() in ("none", "null"):
+        return None
+    kind = int if default is None else type(default)
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"config key {name}: expected a boolean, got {raw!r}")
-    if raw.lower() in ("none", "null"):
-        return None
+    if kind is str:
+        return raw
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        return kind(raw)
     except ValueError:
         raise ValueError(f"config key {name}: cannot parse {raw!r}") from None
-    return raw
 
 
 def parse_config_file(path: str) -> dict:
@@ -91,9 +103,7 @@ def parse_config_file(path: str) -> dict:
             key = key.strip()
             if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            default = fields[key].default
-            kind = type(default) if default is not None else int
-            out[key] = _coerce(key, kind, raw)
+            out[key] = _coerce(key, fields[key].default, raw)
     return out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .environment import FORMAT_VERSION, GridWorld, Scene, as_point, euclidean, shortest_path
 from .errors import MissingEpisode

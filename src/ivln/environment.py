@@ -12,9 +12,10 @@ ids for the navigable locations and a flat neighbor list per id.  One
 search kernel, ``NavIndex.search``, serves both scene kinds; it runs A*
 when given a goal (routes, oracle steps) and a full Dijkstra field when
 not.  Fields are cached per source id on the index for as long as the
-scene lives, and that cache is the package's only distance cache.  The
-index is built from the scene as it is at the first query, so a scene
-must not be mutated after it.
+scene lives, and A* routes, cost included, are memoized by (source,
+goal); those are the package's only distance caches.  The index is
+built from the scene as it is at the first query, so a scene must not
+be mutated after it.
 
 The index also caches ``Scene.snap_point`` by exact query point, misses
 included, so each distinct point is snapped once per scene.  With both

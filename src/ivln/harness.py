@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import DEFAULT_MAX_STEPS_CONTINUOUS, Config
 from .environment import (
     GeodesicMetric,
     Point3,
@@ -46,7 +47,6 @@ from .environment import (
 from .errors import Disconnected, MissingEpisode, PolicyTimeout, ProtocolViolation, UnsupportedScene
 from .mapper import (
     EPISODE_START,
-    TOUR_START,
     CameraIntrinsics,
     SemanticOccMap,
     crop_egocentric,
@@ -68,9 +68,6 @@ TURN_LEFT = "left"
 TURN_RIGHT = "right"
 STOP = "stop"
 GOTO = "goto"
-
-DEFAULT_MAX_STEPS_CONTINUOUS = 500
-DEFAULT_MAX_STEPS_DISCRETE = 15
 
 # the rollout camera: height above the floor (m), frame size (px),
 # horizontal field of view (degrees) and depth range (m)
@@ -145,31 +142,6 @@ class Observation:
 
 
 @dataclass
-class RunConfig:
-    """Knobs of a rollout; None for the step budget means the per-kind
-    default (500 continuous, 15 discrete)."""
-
-    max_steps_per_episode: int | None = None
-    oracle_correction_radius: float = 0.5
-    map_mode: str = "none"  # none | episodic | iterative | known
-    turn_deg: float = 15.0
-    crop_size: int = 64
-    step_timeout: float = 10.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_steps_per_episode is not None and self.max_steps_per_episode < 1:
-            raise ValueError("max_steps_per_episode must be at least 1")
-        if self.oracle_correction_radius <= 0:
-            raise ValueError("oracle_correction_radius must be positive")
-
-    def budget(self, scene: Scene) -> int:
-        if self.max_steps_per_episode is not None:
-            return self.max_steps_per_episode
-        return DEFAULT_MAX_STEPS_DISCRETE if scene.is_discrete else DEFAULT_MAX_STEPS_CONTINUOUS
-
-
-@dataclass
 class AgentState:
     location: object
     heading: float
@@ -194,7 +166,7 @@ def legal_actions(scene: Scene, state: AgentState) -> list[AgentAction]:
     return [AgentAction(FORWARD), AgentAction(TURN_LEFT), AgentAction(TURN_RIGHT), AgentAction(STOP)]
 
 
-def apply_action(scene: Scene, state: AgentState, action: AgentAction, cfg: RunConfig) -> AgentState:
+def apply_action(scene: Scene, state: AgentState, action: AgentAction, cfg: Config) -> AgentState:
     """Next state under the motion model; blocked moves leave it unchanged."""
     if action.kind == STOP:
         return state
@@ -353,10 +325,10 @@ class NoisyOraclePolicy(OraclePolicy):
         return intended
 
 
-def oracle_follower(scene: Scene, episode: Episode, cfg: RunConfig | None = None) -> list[AgentAction]:
+def oracle_follower(scene: Scene, episode: Episode, cfg: Config | None = None) -> list[AgentAction]:
     """Action sequence the oracle takes for one episode, ending in stop."""
     if cfg is None:
-        cfg = RunConfig()
+        cfg = Config()
     state = AgentState(scene.snap_point(episode.path[0]), episode.start_heading)
     cursor = _WaypointCursor(scene, episode.path)
     actions: list[AgentAction] = []
@@ -381,7 +353,7 @@ def oracle_follower(scene: Scene, episode: Episode, cfg: RunConfig | None = None
 class _Sensor:
     """Renders observations at the agent pose and feeds the map."""
 
-    def __init__(self, scene: Scene, occ_map: SemanticOccMap | None, cfg: RunConfig):
+    def __init__(self, scene: Scene, occ_map: SemanticOccMap | None, cfg: Config):
         self.scene = scene
         self.occ_map = occ_map
         self.cfg = cfg
@@ -422,14 +394,12 @@ def _make_obs(scene, state, sensor, episode, index, steps_remaining, phase) -> O
 
 
 def _tour_map(scene: Scene, mode: str) -> SemanticOccMap | None:
-    """A tour's fresh map, reset for the tour start; None for mode "none"."""
+    """A tour's fresh map; None for mode "none"."""
     if mode == "none":
         return None
     if scene.is_discrete:
         raise UnsupportedScene("maps need a grid scene")
-    occ_map = known_map(scene.grid) if mode == "known" else SemanticOccMap.for_grid(scene.grid, mode)
-    reset_policy(occ_map, TOUR_START)
-    return occ_map
+    return known_map(scene.grid) if mode == "known" else SemanticOccMap.for_grid(scene.grid, mode)
 
 
 def _oracle_drive(scene, state, target, sensor, policy, episode, index, cfg):
@@ -459,7 +429,7 @@ def run_tour(
     tour: Tour,
     episodes_by_id: dict[str, Episode],
     policy: Policy,
-    cfg: RunConfig | None = None,
+    cfg: Config | None = None,
 ) -> tuple[TourTrace, SemanticOccMap | None]:
     """Execute one tour; returns its trace and the final map (if any).
 
@@ -470,10 +440,12 @@ def run_tour(
     On policy failure after the reset, wherever it happens in the tour,
     the exception carries the partial trace in its ``partial_trace``
     attribute: the finished episodes, the agent phase in progress and
-    the oracle segments logged so far.
+    the oracle segments logged so far.  Raises ValueError on an invalid
+    ``cfg`` before any step.
     """
     if cfg is None:
-        cfg = RunConfig()
+        cfg = Config()
+    cfg.validate()
     try:
         episodes = [episodes_by_id[eid] for eid in tour.episode_ids]
     except KeyError as exc:
@@ -488,7 +460,6 @@ def run_tour(
     state: AgentState | None = None
     episode_traces: list[EpisodeTrace] = []
     segments: list[OracleSegment] = []
-    agent_path: list[Point3] | None = None  # the agent phase until it is logged
     try:
         for index, episode in enumerate(episodes):
             if occ_map is not None:
@@ -497,32 +468,27 @@ def run_tour(
                 state = AgentState(scene.snap_point(episode.path[0]), episode.start_heading)
             else:
                 state = AgentState(state.location, episode.start_heading)
-            agent_path = [agent_position(scene, state)]
-            actions: list[str] = []
-            stop_called = False
+            # logged as it runs, so a policy failure keeps the phase in progress
+            logged = EpisodeTrace(
+                episode_id=episode.episode_id,
+                agent_path=[agent_position(scene, state)],
+                reference_path=episode.path,
+                stop_called=False,
+            )
+            episode_traces.append(logged)
             sensor.sense(state)
             policy.begin_episode(episode.episode_id, episode.instruction)
 
             for step in range(budget):
                 obs = _make_obs(scene, state, sensor, episode, index, budget - step, "agent")
                 action = policy.act(obs)
-                actions.append(action.label())
+                logged.actions.append(action.label())
                 if action.kind == STOP:
-                    stop_called = True
+                    logged.stop_called = True
                     break
                 state = apply_action(scene, state, action, cfg)
-                agent_path.append(agent_position(scene, state))
+                logged.agent_path.append(agent_position(scene, state))
                 sensor.sense(state)
-            episode_traces.append(
-                EpisodeTrace(
-                    episode_id=episode.episode_id,
-                    agent_path=agent_path,
-                    reference_path=episode.path,
-                    stop_called=stop_called,
-                    actions=actions,
-                )
-            )
-            agent_path = None
 
             goal = episode.path[-1]
             if geo(goal, agent_position(scene, state)) > cfg.oracle_correction_radius:
@@ -538,18 +504,7 @@ def run_tour(
                     )
                     segments.append(OracleSegment("oracle_transit", episode.episode_id, pts, acts))
     except (PolicyTimeout, ProtocolViolation) as exc:
-        partial = list(episode_traces)
-        if agent_path is not None:
-            partial.append(
-                EpisodeTrace(
-                    episode_id=episode.episode_id,
-                    agent_path=agent_path,
-                    reference_path=episode.path,
-                    stop_called=False,
-                    actions=actions,
-                )
-            )
-        exc.partial_trace = TourTrace(tour_id=tour.tour_id, episodes=partial, oracle_segments=segments)
+        exc.partial_trace = TourTrace(tour_id=tour.tour_id, episodes=episode_traces, oracle_segments=segments)
         raise
     return TourTrace(tour_id=tour.tour_id, episodes=episode_traces, oracle_segments=segments), occ_map
 
@@ -603,7 +558,7 @@ def replay_tour(
     scene: Scene,
     trace: TourTrace,
     episodes_by_id: dict[str, Episode],
-    cfg: RunConfig,
+    cfg: Config,
 ) -> SemanticOccMap:
     """Rebuild the map of a logged tour under ``cfg.map_mode``.
 
@@ -612,8 +567,9 @@ def replay_tour(
     heading reset at each episode, so the map equals the live one.
     Raises ValueError when a logged position is not where the actions
     lead, or when the actions and positions of a phase disagree in
-    number.
+    number, and on an invalid ``cfg``.
     """
+    cfg.validate()
     occ_map = _tour_map(scene, cfg.map_mode)
     if occ_map is None:
         raise ValueError("replay needs a map mode: episodic, iterative or known")
@@ -867,7 +823,7 @@ class ExternalPolicy(Policy):
         self.transport.close()
 
 
-def make_policy(spec: str, scene: Scene, episodes_by_id: dict, cfg: RunConfig) -> Policy:
+def make_policy(spec: str, scene: Scene, episodes_by_id: dict, cfg: Config) -> Policy:
     """Build a policy from its command-line spec string.
 
     Specs: "oracle", "noisy:<p_error>", "random", "stop",

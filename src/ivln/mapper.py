@@ -177,11 +177,10 @@ def integrate(
     labels: np.ndarray,
     floor_z: float,
     ceiling_z: float,
-    margin: float = BAND_MARGIN,
 ) -> None:
     """Fold a labeled point cloud into the map.
 
-    Points outside the open band (floor_z + margin, ceiling_z - margin)
+    Points outside the open band (floor_z + BAND_MARGIN, ceiling_z - BAND_MARGIN)
     mark cells as observed but contribute no occupancy or label, which
     drops the floor and ceiling surfaces.  In-band points occupy their
     cell; the label of a cell follows the highest in-band point seen so
@@ -205,7 +204,7 @@ def integrate(
     lab = labels[inside]
     occ_map.observed[iy, ix] = True
 
-    band = (z > floor_z + margin) & (z < ceiling_z - margin)
+    band = (z > floor_z + BAND_MARGIN) & (z < ceiling_z - BAND_MARGIN)
     if not band.any():
         return
     ix, iy, z, lab = ix[band], iy[band], z[band], lab[band]
@@ -247,8 +246,7 @@ def known_map(grid: GridWorld) -> SemanticOccMap:
     return m
 
 
-def crop_layers(occ_map: SemanticOccMap, pose: Pose, size: int = 64,
-                resolution: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def crop_layers(occ_map: SemanticOccMap, pose: Pose, size: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Egocentric label and occupancy grids, heading up, agent at the center.
 
     Returns (labels, occupied) of shape (size, size): uint8 labels
@@ -256,12 +254,10 @@ def crop_layers(occ_map: SemanticOccMap, pose: Pose, size: int = 64,
     occupancy.  Row 0 is farthest ahead of the agent; sampling is
     nearest-cell; cells outside the map are 0 and unoccupied.
     """
-    if resolution is None:
-        resolution = occ_map.resolution
     center = size // 2
     rows, cols = np.mgrid[0:size, 0:size]
-    ahead = (center - rows) * resolution
-    lateral = (cols - center) * resolution
+    ahead = (center - rows) * occ_map.resolution
+    lateral = (cols - center) * occ_map.resolution
     h = pose.heading
     fwd = (math.cos(h), math.sin(h))
     right = (math.sin(h), -math.cos(h))
@@ -287,14 +283,13 @@ def _one_hot(labels: np.ndarray, occupied: np.ndarray) -> np.ndarray:
     return out
 
 
-def crop_egocentric(occ_map: SemanticOccMap, pose: Pose, size: int = 64,
-                    resolution: float | None = None) -> np.ndarray:
+def crop_egocentric(occ_map: SemanticOccMap, pose: Pose, size: int = 64) -> np.ndarray:
     """Egocentric map crop: the one-hot of ``crop_layers``.
 
     Returns float32 of shape (14, size, size): channels 0..12 are the
     one-hot of labels 1..13, channel 13 is occupancy.
     """
-    return _one_hot(*crop_layers(occ_map, pose, size, resolution))
+    return _one_hot(*crop_layers(occ_map, pose, size))
 
 
 def layers_from_crop(crop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

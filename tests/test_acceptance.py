@@ -22,7 +22,7 @@ import pytest
 from ivln.config import Config
 from ivln.coverage import ObservationModel, coverage_curves
 from ivln.environment import GeodesicMetric, Pose, Point3, geodesic_distance, load_scene
-from ivln.harness import NoisyOraclePolicy, OraclePolicy, RunConfig, run_tour, run_tours
+from ivln.harness import NoisyOraclePolicy, OraclePolicy, run_tour, run_tours
 from ivln.mapper import (
     BAND_MARGIN,
     CameraIntrinsics,
@@ -235,7 +235,7 @@ def test_criterion_07_correction_and_budget_invariants(synth, tmp_path):
     scene, by_id = synth["scene"], synth["by_id"]
     tour = synth["tours"][0]
     geo = GeodesicMetric(scene)
-    budget = RunConfig().budget(scene)
+    budget = Config().budget(scene)
     for seed in range(50):
         policy = NoisyOraclePolicy(scene, by_id, p_error=0.3, seed=seed)
         trace, _ = run_tour(scene, tour, by_id, policy)

@@ -297,6 +297,34 @@ def test_bad_config_key_rejected(pipeline, tmp_path):
     assert code == 2
 
 
+def run_with_config(pipeline, tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "traces.jsonl"
+    code = run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
+                   "--episodes", pipeline["episodes"], "--config", cfg, "--out", out)
+    return code, out
+
+
+def test_config_file_map_mode_none_is_the_default(pipeline, tmp_path):
+    code, out = run_with_config(pipeline, tmp_path, "map_mode = none\n")
+    assert code == 0
+    assert out.read_bytes() == pipeline["traces"].read_bytes()
+
+
+def test_config_file_policy_none_is_a_usage_error(pipeline, tmp_path, capsys):
+    code, _ = run_with_config(pipeline, tmp_path, "policy = none\n")
+    assert code == 2
+    assert "unknown policy spec 'none'" in capsys.readouterr().err
+
+
+def test_config_file_int_key_rejects_a_boolean(pipeline, tmp_path, capsys):
+    code, out = run_with_config(pipeline, tmp_path, "seed = true\n")
+    assert code == 2
+    assert "config key seed: cannot parse 'true'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_script_entry_point(pipeline):
     # the declared `ivln` target, called the way pip's generated wrapper
     # calls it, so no installed executable is needed

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ivln.config import Config, parse_config_file, resolve_config
@@ -84,3 +86,9 @@ def test_resolve_validates(tmp_path):
     path.write_text("d_th = -1\n")
     with pytest.raises(ValueError):
         resolve_config(str(path))
+
+
+def test_every_default_written_to_a_file_resolves_to_the_defaults(tmp_path):
+    path = tmp_path / "defaults.cfg"
+    path.write_text("".join(f"{f.name} = {f.default}\n" for f in dataclasses.fields(Config)))
+    assert resolve_config(str(path)) == Config()

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ivln.config import Config
 from ivln.environment import NavIndex, Point3, Pose, Scene, geodesic_distance
 from ivln import harness
 from ivln.errors import Disconnected, PolicyTimeout, ProtocolViolation
@@ -20,7 +21,6 @@ from ivln.harness import (
     Observation,
     OraclePolicy,
     RandomPolicy,
-    RunConfig,
     SocketTransport,
     StopPolicy,
     SubprocessTransport,
@@ -122,7 +122,7 @@ def test_oracle_follower_on_graph(square_graph):
 
 
 def test_apply_action_turns(open_room):
-    cfg = RunConfig()
+    cfg = Config()
     state = AgentState((2, 2), 0.0)
     left = apply_action(open_room, state, AgentAction("left"), cfg)
     assert left.heading == pytest.approx(math.radians(15))
@@ -132,7 +132,7 @@ def test_apply_action_turns(open_room):
 
 
 def test_apply_action_forward_and_blocked(open_room):
-    cfg = RunConfig()
+    cfg = Config()
     fwd = apply_action(open_room, AgentState((2, 2), 0.0), AgentAction("forward"), cfg)
     assert fwd.location == (3, 2)
     blocked = apply_action(open_room, AgentState((1, 2), math.pi), AgentAction("forward"), cfg)
@@ -140,7 +140,7 @@ def test_apply_action_forward_and_blocked(open_room):
 
 
 def test_apply_action_graph_goto(square_graph):
-    cfg = RunConfig()
+    cfg = Config()
     state = AgentState("a", 0.0)
     hop = apply_action(square_graph, state, AgentAction("goto", node="b"), cfg)
     assert hop.location == "b"
@@ -159,10 +159,25 @@ def test_legal_actions(open_room, square_graph):
 
 
 def test_budget_defaults(open_room, square_graph):
-    cfg = RunConfig()
+    cfg = Config()
     assert cfg.budget(open_room) == 500
     assert cfg.budget(square_graph) == 15
-    assert RunConfig(max_steps_per_episode=7).budget(open_room) == 7
+    assert Config(max_steps=7).budget(open_room) == 7
+
+
+def test_invalid_config_raises_before_the_tour_starts(open_room):
+    class Recorder(StopPolicy):
+        def __init__(self):
+            self.resets = []
+
+        def reset(self, tour_id):
+            self.resets.append(tour_id)
+
+    tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]))
+    policy = Recorder()
+    with pytest.raises(ValueError, match="max_steps"):
+        run_tour(open_room, tour, by_id, policy, Config(max_steps=0))
+    assert policy.resets == []
 
 
 # -- rollouts -----------------------------------------------------------------
@@ -244,7 +259,7 @@ def test_budget_exhaustion_never_stops(open_room):
             pass
 
     tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]))
-    cfg = RunConfig(max_steps_per_episode=9)
+    cfg = Config(max_steps=9)
     trace, _ = run_tour(open_room, tour, by_id, Spinner(), cfg)
     et = trace.episodes[0]
     assert et.actions == ["left"] * 9
@@ -303,7 +318,7 @@ def test_noisy_p_zero_matches_oracle(synth, tmp_path):
 
 def test_run_tour_builds_iterative_map(open_room):
     tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]))
-    cfg = RunConfig(map_mode="iterative")
+    cfg = Config(map_mode="iterative")
     trace, occ_map = run_tour(open_room, tour, by_id, OraclePolicy(open_room, by_id), cfg)
     assert occ_map is not None
     assert occ_map.observed.any()
@@ -315,7 +330,7 @@ def noisy_mapped_tour(synth, mode):
     exhausted budget, goal corrections and transits all occur."""
     scene, by_id = synth["scene"], synth["by_id"]
     tour = Tour("t-replay", scene.scene_id, synth["tours"][0].episode_ids[:5])
-    cfg = RunConfig(map_mode=mode, max_steps_per_episode=20)
+    cfg = Config(map_mode=mode, max_steps=20)
     policy = NoisyOraclePolicy(scene, by_id, p_error=0.4, seed=11)
     trace, occ_map = run_tour(scene, tour, by_id, policy, cfg)
     return trace, occ_map, cfg
@@ -424,7 +439,7 @@ def test_crops_read_after_the_tour_are_the_crops_at_observation_time(synth, monk
     monkeypatch.setattr(harness._Sensor, "crop_source", eager)
     crops = count_calls(monkeypatch, harness, "crop_egocentric")
     policy = KeepingPolicy(scene, by_id, p_error=0.4, seed=3)
-    cfg = RunConfig(map_mode=mode, max_steps_per_episode=20, crop_size=24)
+    cfg = Config(map_mode=mode, max_steps=20, crop_size=24)
     trace, _ = run_tour(scene, tour, by_id, policy, cfg)
     assert trace.oracle_segments and len(policy.kept) == len(at_the_time) > 20
     assert {obs.phase for obs in policy.kept} == {"agent", "oracle"}
@@ -460,7 +475,7 @@ def test_observation_message_with_a_given_or_a_deferred_crop(open_room):
     given = Observation(*args, crop=crop)
     assert given.crop is crop
     assert json.dumps(observation_message(given)) == json.dumps(want)
-    sensor = harness._Sensor(open_room, occ_map, RunConfig(crop_size=16))
+    sensor = harness._Sensor(open_room, occ_map, Config(crop_size=16))
     deferred = Observation(*args, crop_source=sensor.crop_source(pose))
     occ_map.clear()  # later map changes do not reach the crop
     assert json.dumps(observation_message(deferred)) == json.dumps(want)
@@ -474,7 +489,7 @@ def test_rollout_searches_each_route_once(synth, monkeypatch):
     searches = count_calls(monkeypatch, NavIndex, "search")
     routes = count_calls(monkeypatch, NavIndex, "route")
     policy = NoisyOraclePolicy(scene, by_id, p_error=0.2, seed=5)
-    run_tours(scene, synth["tours"], by_id, policy, RunConfig(map_mode="iterative", seed=5))
+    run_tours(scene, synth["tours"], by_id, policy, Config(map_mode="iterative", seed=5))
     goal_searches = [args[1:] for args in searches if len(args) == 3]
     pairs = {args[1:] for args in routes}
     assert len(goal_searches) == len(set(goal_searches)) == len(pairs)
@@ -483,7 +498,7 @@ def test_rollout_searches_each_route_once(synth, monkeypatch):
 
 def test_random_policy_returns_legal_actions(open_room):
     tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]))
-    cfg = RunConfig(max_steps_per_episode=20)
+    cfg = Config(max_steps=20)
     trace, _ = run_tour(open_room, tour, by_id, RandomPolicy(open_room, seed=3), cfg)
     assert set(trace.episodes[0].actions) <= {"forward", "left", "right", "stop"}
 
@@ -589,7 +604,7 @@ def three_steps_then_stop(msg):
 def test_plain_ack_agent_gets_the_flat_crop(synth, monkeypatch):
     at_the_time = record_crops(monkeypatch)
     scene, tour, by_id = map_tour(synth)
-    cfg = RunConfig(map_mode="episodic", crop_size=24, max_steps_per_episode=15)
+    cfg = Config(map_mode="episodic", crop_size=24, max_steps=15)
     server, (trace, _) = run_with_server(scene, tour, by_id, three_steps_then_stop, cfg=cfg)
     assert server.messages[0] == {"type": "reset", "tour_id": "t-wire", "protocol_version": 2}
     observes = [m for m in server.messages if m["type"] == "observe"]
@@ -604,7 +619,7 @@ def test_version_2_agent_gets_the_compact_crop_and_no_one_hot_is_made(synth, mon
     at_the_time = record_crops(monkeypatch)
     one_hots = count_calls(monkeypatch, harness, "crop_egocentric")
     scene, tour, by_id = map_tour(synth)
-    cfg = RunConfig(map_mode=mode, max_steps_per_episode=15)
+    cfg = Config(map_mode=mode, max_steps=15)
     server, (trace, _) = run_with_server(
         scene, tour, by_id, three_steps_then_stop, reset_ack={"type": "ack", "protocol_version": 2}, cfg=cfg
     )
@@ -622,7 +637,7 @@ def test_version_2_agent_gets_the_compact_crop_and_no_one_hot_is_made(synth, mon
 
 def test_version_1_ack_keeps_the_flat_crop(synth):
     scene, tour, by_id = map_tour(synth)
-    cfg = RunConfig(map_mode="episodic", crop_size=8, max_steps_per_episode=15)
+    cfg = Config(map_mode="episodic", crop_size=8, max_steps=15)
     server, _ = run_with_server(
         scene, tour, by_id, three_steps_then_stop, reset_ack={"type": "ack", "protocol_version": 1}, cfg=cfg
     )
@@ -806,7 +821,7 @@ def test_subprocess_agent_round_trip_under_a_map(open_room):
     transport.proc.stdin = pipe = CountingPipe(transport.proc.stdin)
     policy = ExternalPolicy(transport, timeout=10.0)
     try:
-        trace, _ = run_tour(open_room, tour, by_id, policy, RunConfig(map_mode="episodic"))
+        trace, _ = run_tour(open_room, tour, by_id, policy, Config(map_mode="episodic"))
     finally:
         policy.close()
     check_trace_invariants(trace, 2)
@@ -839,7 +854,7 @@ def test_template_reads_the_compact_crop_with_the_stdlib(synth):
 
 def test_make_policy_specs(open_room):
     by_id = {}
-    cfg = RunConfig(seed=4)
+    cfg = Config(seed=4)
     assert isinstance(make_policy("oracle", open_room, by_id, cfg), OraclePolicy)
     noisy = make_policy("noisy:0.25", open_room, by_id, cfg)
     assert isinstance(noisy, NoisyOraclePolicy)
