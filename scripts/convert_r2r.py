@@ -14,7 +14,6 @@ summary.json with corpus counts.
 """
 
 import argparse
-import json
 import math
 import sys
 from collections import defaultdict
@@ -22,13 +21,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ivln.environment import NavGraph, Point3, Scene, save_scene
+from ivln.environment import NavGraph, Point3, Scene, read_json, save_scene, write_json
 from ivln.tourgen import Episode, save_episodes
 
 
 def load_connectivity(path: Path) -> Scene:
     scan = path.name.removesuffix("_connectivity.json")
-    data = json.loads(path.read_text())
+    data = read_json(path)
     nodes = {}
     for entry in data:
         if not entry["included"]:
@@ -89,7 +88,7 @@ def main() -> int:
     (out / "scenes").mkdir(parents=True, exist_ok=True)
     (out / "episodes").mkdir(parents=True, exist_ok=True)
 
-    annotations = json.loads(train_json.read_text())
+    annotations = read_json(train_json)
     by_scan = defaultdict(list)
     for item in annotations:
         by_scan[item["scan"]].append(item)
@@ -109,9 +108,7 @@ def main() -> int:
         "paths": total_paths,
         "episodes": total_episodes,
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
     print(
         f"{summary['scenes']} scenes, {summary['paths']} paths, "
         f"{summary['episodes']} episodes -> {out}"

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from .config import SOLVERS, Config, resolve_config
 from .coverage import CoverageCurve, ObservationModel, coverage_curves
-from .environment import FORMAT_VERSION, GeodesicMetric, euclidean, load_scene, save_scene
+from .environment import FORMAT_VERSION, GeodesicMetric, euclidean, load_scene, save_scene, write_json
 from .errors import (
     InstructionCountMismatch,
     IvlnError,
@@ -41,7 +40,8 @@ from .tourgen import (
     unique_paths,
 )
 
-_PARSE_ERRORS = (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError)
+# json.JSONDecodeError is a ValueError
+_PARSE_ERRORS = (OSError, KeyError, ValueError, TypeError)
 
 
 def _stats_block(stats) -> str:
@@ -126,8 +126,7 @@ def cmd_gen_tours(args) -> int:
 def cmd_run(args) -> int:
     cfg = _config_from_args(args, ("seed", "policy", "map_mode", "max_steps", "step_timeout"))
     scene = load_scene(args.scene)
-    episodes = load_episodes(args.episodes, scene)
-    episodes_by_id = {ep.episode_id: ep for ep in episodes}
+    episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes, scene)}
     tours = load_tours(args.tours)
     policy = make_policy(cfg.policy, scene, episodes_by_id, cfg)
     try:
@@ -216,10 +215,7 @@ def cmd_stats(args) -> int:
     stats = compute_tour_stats(tours)
     print(_stats_block(stats))
     if args.out:
-        payload = {"format_version": FORMAT_VERSION, **dataclasses.asdict(stats)}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_json(args.out, {"format_version": FORMAT_VERSION, **dataclasses.asdict(stats)})
     return 0
 
 

@@ -16,11 +16,10 @@ no geometry to occlude with).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
-from .environment import FORMAT_VERSION, GridWorld, Scene, as_point, euclidean, shortest_path
+from .environment import FORMAT_VERSION, GridWorld, Scene, as_point, euclidean, shortest_path, write_json
 from .errors import MissingEpisode
 from .tourgen import Episode, Tour
 
@@ -55,9 +54,7 @@ class CoverageCurve:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def save_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

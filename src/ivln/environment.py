@@ -511,7 +511,33 @@ class GeodesicMetric:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: every artifact, trace record and agent message is one
+# canonical JSON line (UTF-8, sorted keys, compact separators, one
+# trailing newline), made by ``json_line``; files are written and read
+# only through the helpers below it
+
+
+def json_line(record) -> str:
+    """``record`` in canonical form, newline included."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json_line(payload))
+
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_json_lines(path) -> Iterator[tuple[int, object]]:
+    """``(line number, record)`` for each non-blank line of a JSON-lines file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                yield number, json.loads(line)
 
 
 def encode_bitmask(mask: np.ndarray) -> str:
@@ -596,11 +622,8 @@ def scene_from_dict(payload: dict) -> Scene:
 
 
 def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, scene_to_dict(scene))
 
 
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_dict(json.load(fh))
+    return scene_from_dict(read_json(path))

@@ -42,6 +42,7 @@ from .environment import (
     Point3,
     Pose,
     Scene,
+    json_line,
     normalize_heading,
 )
 from .errors import Disconnected, MissingEpisode, PolicyTimeout, ProtocolViolation, UnsupportedScene
@@ -60,7 +61,7 @@ from .mapper import (
     synthesize_views,
     unproject,
 )
-from .metrics import EpisodeTrace, OracleSegment, TourTrace
+from .metrics import ORACLE_GOAL, ORACLE_TRANSIT, EpisodeTrace, OracleSegment, TourTrace
 from .tourgen import Episode, Tour
 
 FORWARD = "forward"
@@ -189,15 +190,10 @@ def apply_action(scene: Scene, state: AgentState, action: AgentAction, cfg: Conf
     if action.kind != FORWARD:
         raise ProtocolViolation(f"grid scenes accept move/turn/stop, got {action.kind}")
     dx, dy = heading_to_dir8(state.heading)
-    ix, iy = state.location
-    target = (ix + dx, iy + dy)
-    grid = scene.grid
-    if not grid.is_navigable(target):
-        return state
-    if dx != 0 and dy != 0:
-        if not (grid.is_navigable((ix + dx, iy)) and grid.is_navigable((ix, iy + dy))):
-            return state
-    return AgentState(target, state.heading)
+    target = (state.location[0] + dx, state.location[1] + dy)
+    if any(cell == target for cell, _ in scene.grid.neighbors(state.location)):
+        return AgentState(target, state.heading)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +491,14 @@ def run_tour(
                 state, pts, acts = _oracle_drive(
                     scene, state, scene.snap_point(goal), sensor, policy, episode, index, cfg
                 )
-                segments.append(OracleSegment("oracle_goal", episode.episode_id, pts, acts))
+                segments.append(OracleSegment(ORACLE_GOAL, episode.episode_id, pts, acts))
             if index + 1 < len(episodes):
                 nxt = scene.snap_point(episodes[index + 1].path[0])
                 if state.location != nxt:
                     state, pts, acts = _oracle_drive(
                         scene, state, nxt, sensor, policy, episode, index, cfg
                     )
-                    segments.append(OracleSegment("oracle_transit", episode.episode_id, pts, acts))
+                    segments.append(OracleSegment(ORACLE_TRANSIT, episode.episode_id, pts, acts))
     except (PolicyTimeout, ProtocolViolation) as exc:
         exc.partial_trace = TourTrace(tour_id=tour.tour_id, episodes=episode_traces, oracle_segments=segments)
         raise
@@ -629,7 +625,33 @@ def observation_message(obs: Observation, compact: bool = False) -> dict:
     return msg
 
 
-class SubprocessTransport:
+class _LineTransport:
+    """The framing both transports share: one ``json_line`` per message
+    each way.  A transport supplies ``send``, ``_read`` (the bytes that
+    arrive within a timeout, b"" for none, raising on a closed peer) and
+    ``_release``."""
+
+    _buf = b""
+
+    def recv(self, timeout: float) -> dict:
+        deadline = time.monotonic() + timeout
+        while b"\n" not in self._buf:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise PolicyTimeout(f"no reply within {timeout} s")
+            self._buf += self._read(remaining)
+        line, self._buf = self._buf.split(b"\n", 1)
+        return _parse_message(line)
+
+    def close(self) -> None:
+        try:
+            self.send({"type": "close"})
+        except ProtocolViolation:
+            pass
+        self._release()
+
+
+class SubprocessTransport(_LineTransport):
     """Line-delimited JSON over a child process's stdin/stdout.
 
     The child's stderr goes to a temporary file, which needs no reader
@@ -651,7 +673,6 @@ class SubprocessTransport:
         except BaseException:
             self._stderr.close()
             raise
-        self._buf = b""
         self._sel = selectors.DefaultSelector()
         self._sel.register(self.proc.stdout, selectors.EVENT_READ)
 
@@ -670,33 +691,24 @@ class SubprocessTransport:
         return ProtocolViolation(f"agent process closed its {what} ({state}); stderr tail: {tail!r}")
 
     def send(self, message: dict) -> None:
-        data = (json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n").encode()
         try:
-            self.proc.stdin.write(data)
+            self.proc.stdin.write(json_line(message).encode())
             self.proc.stdin.flush()
         except (BrokenPipeError, ValueError):
             raise self._closed("input") from None
 
-    def recv(self, timeout: float) -> dict:
-        deadline = time.monotonic() + timeout
-        while b"\n" not in self._buf:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise PolicyTimeout(f"no reply within {timeout} s")
-            if not self._sel.select(remaining):
-                continue
-            chunk = os.read(self.proc.stdout.fileno(), 65536)
-            if not chunk:
-                raise self._closed("output")
-            self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
-        return _parse_message(line)
+    # bound here too: perfbench's tracer wraps only a class's own methods
+    recv = _LineTransport.recv
 
-    def close(self) -> None:
-        try:
-            self.send({"type": "close"})
-        except ProtocolViolation:
-            pass
+    def _read(self, timeout: float) -> bytes:
+        if not self._sel.select(timeout):
+            return b""
+        chunk = os.read(self.proc.stdout.fileno(), 65536)
+        if not chunk:
+            raise self._closed("output")
+        return chunk
+
+    def _release(self) -> None:
         try:
             self.proc.stdin.close()
         except OSError:
@@ -711,44 +723,31 @@ class SubprocessTransport:
         self._stderr.close()
 
 
-class SocketTransport:
+class SocketTransport(_LineTransport):
     """Line-delimited JSON over a TCP connection."""
 
     def __init__(self, host: str, port: int, connect_timeout: float = 10.0):
         self.sock = socket.create_connection((host, port), timeout=connect_timeout)
-        self._buf = b""
 
     def send(self, message: dict) -> None:
-        data = (json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n").encode()
         try:
-            self.sock.sendall(data)
+            self.sock.sendall(json_line(message).encode())
         except OSError as exc:
             raise ProtocolViolation(f"agent connection failed: {exc}") from None
 
-    def recv(self, timeout: float) -> dict:
-        deadline = time.monotonic() + timeout
-        while b"\n" not in self._buf:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise PolicyTimeout(f"no reply within {timeout} s")
-            self.sock.settimeout(remaining)
-            try:
-                chunk = self.sock.recv(65536)
-            except TimeoutError:
-                raise PolicyTimeout(f"no reply within {timeout} s") from None
-            except OSError as exc:
-                raise ProtocolViolation(f"agent connection failed: {exc}") from None
-            if not chunk:
-                raise ProtocolViolation("agent closed the connection")
-            self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
-        return _parse_message(line)
-
-    def close(self) -> None:
+    def _read(self, timeout: float) -> bytes:
+        self.sock.settimeout(timeout)
         try:
-            self.send({"type": "close"})
-        except ProtocolViolation:
-            pass
+            chunk = self.sock.recv(65536)
+        except TimeoutError:
+            return b""
+        except OSError as exc:
+            raise ProtocolViolation(f"agent connection failed: {exc}") from None
+        if not chunk:
+            raise ProtocolViolation("agent closed the connection")
+        return chunk
+
+    def _release(self) -> None:
         self.sock.close()
 
 

@@ -18,7 +18,6 @@ built from the ground-truth grid and never change.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,6 +34,8 @@ from .environment import (
     decode_items,
     encode_bitmask,
     encode_bytes,
+    read_json,
+    write_json,
 )
 from .errors import DimensionMismatch
 
@@ -377,14 +378,11 @@ def map_from_dict(payload: dict) -> SemanticOccMap:
 
 
 def save_map(occ_map: SemanticOccMap, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(map_to_dict(occ_map), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, map_to_dict(occ_map))
 
 
 def load_map(path) -> SemanticOccMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return map_from_dict(json.load(fh))
+    return map_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,15 @@ Scores are reported on a 0..100 scale, one decimal, via ``scale_score``.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .environment import FORMAT_VERSION, GeodesicMetric, Point3, Scene, as_point, euclidean
+from .environment import (
+    FORMAT_VERSION, GeodesicMetric, Point3, Scene, as_point, euclidean, json_line, read_json_lines, write_json,
+)
 from .errors import DimensionMismatch, EmptySequence
 
 DEFAULT_DTH = 3.0
@@ -39,12 +40,15 @@ DEFAULT_SUCCESS_RADIUS = 3.0
 
 PointMetric = Callable[[Sequence[float], Sequence[float]], float]
 
+# the kinds of oracle segment, which are also their trace phases
+ORACLE_GOAL, ORACLE_TRANSIT = ORACLE_PHASES = ("oracle_goal", "oracle_transit")
+
 
 @dataclass
 class OracleSegment:
     """Positions logged while the oracle drives (never scored)."""
 
-    kind: str  # "oracle_goal" | "oracle_transit"
+    kind: str  # one of ORACLE_PHASES
     episode_id: str
     points: list[Point3]
     actions: list[str] = field(default_factory=list)
@@ -248,8 +252,15 @@ def episodic_metrics(
 # trace serialization (line-delimited JSON, one record per phase)
 
 
-def _points_json(points):
-    return [[p.x, p.y, p.z] for p in points]
+def _trace_record(tour_id, episode_id, phase, points, actions) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "tour_id": tour_id,
+        "episode_id": episode_id,
+        "phase": phase,
+        "points": [[p.x, p.y, p.z] for p in points],
+        "actions": actions,
+    }
 
 
 def write_traces(traces: Sequence[TourTrace], path) -> None:
@@ -260,26 +271,12 @@ def write_traces(traces: Sequence[TourTrace], path) -> None:
             for seg in trace.oracle_segments:
                 segments.setdefault(seg.episode_id, []).append(seg)
             for ep in trace.episodes:
-                record = {
-                    "format_version": FORMAT_VERSION,
-                    "tour_id": trace.tour_id,
-                    "episode_id": ep.episode_id,
-                    "phase": "agent",
-                    "points": _points_json(ep.agent_path),
-                    "actions": ep.actions,
-                    "stop_called": ep.stop_called,
-                }
-                fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+                record = _trace_record(trace.tour_id, ep.episode_id, "agent", ep.agent_path, ep.actions)
+                record["stop_called"] = ep.stop_called
+                fh.write(json_line(record))
                 for seg in segments.get(ep.episode_id, []):
-                    record = {
-                        "format_version": FORMAT_VERSION,
-                        "tour_id": trace.tour_id,
-                        "episode_id": seg.episode_id,
-                        "phase": seg.kind,
-                        "points": _points_json(seg.points),
-                        "actions": seg.actions,
-                    }
-                    fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+                    record = _trace_record(trace.tour_id, seg.episode_id, seg.kind, seg.points, seg.actions)
+                    fh.write(json_line(record))
 
 
 def read_traces(path, episodes_by_id: dict | None = None) -> list[TourTrace]:
@@ -288,50 +285,41 @@ def read_traces(path, episodes_by_id: dict | None = None) -> list[TourTrace]:
     Agent records carry no reference path; it is joined from
     ``episodes_by_id`` when given, else the record must embed
     ``reference_path`` (round-trip files written by ``write_traces`` plus
-    an episode set always resolve).
+    an episode set always resolve).  Raises ValueError naming the line
+    of a record whose phase is neither ``agent`` nor an oracle phase.
     """
-    tours: dict[str, TourTrace] = {}
-    order: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            tid = rec["tour_id"]
-            if tid not in tours:
-                tours[tid] = TourTrace(tour_id=tid, episodes=[])
-                order.append(tid)
-            trace = tours[tid]
-            if rec["phase"] == "agent":
-                if "reference_path" in rec:
-                    ref = rec["reference_path"]
-                elif episodes_by_id is not None and rec["episode_id"] in episodes_by_id:
-                    ref = episodes_by_id[rec["episode_id"]].path
-                else:
-                    raise EmptySequence(
-                        f"trace for episode {rec['episode_id']} has no reference path "
-                        "and no episode set was provided"
-                    )
-                trace.episodes.append(
-                    EpisodeTrace(
-                        episode_id=rec["episode_id"],
-                        agent_path=rec["points"],
-                        reference_path=ref,
-                        stop_called=rec.get("stop_called", True),
-                        actions=rec.get("actions", []),
-                    )
-                )
+    tours: dict[str, TourTrace] = {}  # in order of first appearance
+    for number, rec in read_json_lines(path):
+        tid = rec["tour_id"]
+        if tid not in tours:
+            tours[tid] = TourTrace(tour_id=tid, episodes=[])
+        trace = tours[tid]
+        phase = rec["phase"]
+        if phase == "agent":
+            if "reference_path" in rec:
+                ref = rec["reference_path"]
+            elif episodes_by_id is not None and rec["episode_id"] in episodes_by_id:
+                ref = episodes_by_id[rec["episode_id"]].path
             else:
-                trace.oracle_segments.append(
-                    OracleSegment(
-                        kind=rec["phase"],
-                        episode_id=rec["episode_id"],
-                        points=rec["points"],
-                        actions=rec.get("actions", []),
-                    )
+                raise EmptySequence(
+                    f"trace for episode {rec['episode_id']} has no reference path "
+                    "and no episode set was provided"
                 )
-    return [tours[tid] for tid in order]
+            trace.episodes.append(
+                EpisodeTrace(
+                    episode_id=rec["episode_id"],
+                    agent_path=rec["points"],
+                    reference_path=ref,
+                    stop_called=rec.get("stop_called", True),
+                    actions=rec.get("actions", []),
+                )
+            )
+        elif phase in ORACLE_PHASES:
+            segment = OracleSegment(phase, rec["episode_id"], rec["points"], rec.get("actions", []))
+            trace.oracle_segments.append(segment)
+        else:
+            raise ValueError(f"{path} line {number}: unknown trace phase {phase!r}")
+    return list(tours.values())
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +343,7 @@ class MetricReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def save_csv(self, path) -> None:
         fields = ["tour_id", "episode_id", "tl", "ne", "os", "sr", "spl", "ndtw"]

@@ -15,7 +15,6 @@ long ordered sequences an agent can follow in one continuous session:
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import statistics
@@ -23,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import FORMAT_VERSION, Point3, Scene, as_point, connectivity_matrix, normalize_heading
+from .environment import (
+    FORMAT_VERSION, Point3, Scene, as_point, connectivity_matrix, normalize_heading, read_json, write_json,
+)
 from .errors import Disconnected, EmptySequence, InstructionCountMismatch, MissingEpisode, SizeLimit
 
 ATSP_EXACT_LIMIT = 15
@@ -127,18 +128,23 @@ def load_episodes(path, scene: Scene | None = None) -> list[Episode]:
     Episode with ids ``<episode_id>_<k>`` / instruction ids
     ``<path_id>_<k>`` unless the record already carries explicit ones.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     records = payload["episodes"] if isinstance(payload, dict) else payload
     episodes = []
     for record in records:
         if "instructions" in record:
             instructions = record["instructions"]
+            ids = record.get("instruction_ids", [f"{record['path_id']}_{k}" for k in range(len(instructions))])
+            if len(ids) != len(instructions):
+                raise ValueError(
+                    f"episode {record['episode_id']}: {len(ids)} instruction_ids "
+                    f"for {len(instructions)} instructions"
+                )
             for k, text in enumerate(instructions):
                 entry = dict(record)
                 entry.pop("instructions")
                 entry["instruction"] = text
-                entry["instruction_id"] = record.get("instruction_ids", [f"{record['path_id']}_{k}" for k in range(len(instructions))])[k]
+                entry["instruction_id"] = ids[k]
                 entry["episode_id"] = f"{record['episode_id']}_{k}" if len(instructions) > 1 else str(record["episode_id"])
                 episodes.append(episode_from_dict(entry, scene))
         else:
@@ -174,10 +180,7 @@ def episodes_to_records(episodes: list[Episode]) -> list[dict]:
 
 
 def save_episodes(episodes: list[Episode], path) -> None:
-    payload = {"format_version": FORMAT_VERSION, "episodes": episodes_to_records(episodes)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, {"format_version": FORMAT_VERSION, "episodes": episodes_to_records(episodes)})
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +571,11 @@ def save_tours(tours: list[Tour], episodes: list[Episode], path) -> None:
             for t in tours
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_tours(path) -> list[Tour]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     records = payload["tours"] if isinstance(payload, dict) else payload
     return [
         Tour(

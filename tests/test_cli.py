@@ -125,13 +125,53 @@ def test_infeasible_exit_code(tmp_path, capsys):
 
 def test_mixed_instruction_counts_rejected(pipeline, tmp_path, capsys):
     data = json.loads(pipeline["episodes"].read_text())
-    data["episodes"][0]["instructions"] = data["episodes"][0]["instructions"][:1]
+    record = data["episodes"][0]
+    record["instructions"] = record["instructions"][:1]
+    record["instruction_ids"] = record["instruction_ids"][:1]
     lopsided = tmp_path / "lopsided.json"
     lopsided.write_text(json.dumps(data))
     code = run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", lopsided,
                    "--out", tmp_path / "t.json")
     assert code == 3
     assert "uniform" in capsys.readouterr().err
+
+
+def test_instruction_ids_that_do_not_match_the_instructions_are_bad_input(pipeline, tmp_path, capsys):
+    data = json.loads(pipeline["episodes"].read_text())
+    record = data["episodes"][0]
+    record["instruction_ids"] = record["instruction_ids"][:1]
+    short = tmp_path / "short_ids.json"
+    short.write_text(json.dumps(data))
+    code = run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", short,
+                   "--out", tmp_path / "t.json")
+    assert code == 2
+    assert f"episode {record['episode_id']}: 1 instruction_ids for 2 instructions" in capsys.readouterr().err
+
+
+def misspell_an_oracle_phase(traces, out) -> int:
+    """Copy a trace file with its first oracle record's phase misspelled;
+    returns that record's line number."""
+    records = [json.loads(line) for line in traces.read_text().splitlines()]
+    index = next(i for i, rec in enumerate(records) if rec["phase"] != "agent")
+    records[index]["phase"] = "oracle_gaol"
+    out.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    return index + 1
+
+
+def test_eval_rejects_a_misspelled_trace_phase(pipeline, tmp_path, capsys):
+    bad = tmp_path / "gaol.jsonl"
+    line = misspell_an_oracle_phase(pipeline["traces"], bad)
+    assert run_cli("eval", "--traces", bad, "--episodes", pipeline["episodes"],
+                   "--out", tmp_path / "r.json") == 2
+    assert f"line {line}: unknown trace phase 'oracle_gaol'" in capsys.readouterr().err
+
+
+def test_build_map_rejects_a_misspelled_trace_phase(pipeline, tmp_path, capsys):
+    bad = tmp_path / "gaol.jsonl"
+    line = misspell_an_oracle_phase(pipeline["traces"], bad)
+    assert run_cli("build-map", "--scene", pipeline["scene"], "--traces", bad,
+                   "--episodes", pipeline["episodes"], "--out", tmp_path / "m.json") == 2
+    assert f"line {line}: unknown trace phase 'oracle_gaol'" in capsys.readouterr().err
 
 
 def test_eval_reports_missing_episodes(pipeline, tmp_path, capsys):

@@ -6,7 +6,8 @@ geodesic eval on its graph twin, then compares the sha256 of every
 artifact with ``tests/golden/sha256.json``.  A refactor that keeps
 behaviour keeps these bytes; a change that means to alter them
 regenerates the table with ``PYTHONPATH=src python tests/test_golden.py``
-and says which artifacts changed and why.
+and says which artifacts changed and why.  The JSON artifacts must also
+be in the canonical form ``ivln.environment.json_line`` writes.
 """
 
 import hashlib
@@ -14,7 +15,10 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from ivln.cli import main
+from ivln.environment import json_line
 
 SEEDS = (3, 7)
 TABLE = Path(__file__).resolve().parent / "golden" / "sha256.json"
@@ -68,12 +72,31 @@ def artifact_hashes(root: Path) -> dict[str, str]:
     return hashes
 
 
-def test_artifacts_match_golden_hashes(tmp_path):
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """The chains' output root and its artifact hashes, made once."""
+    root = tmp_path_factory.mktemp("golden")
+    return root, artifact_hashes(root)
+
+
+def test_artifacts_match_golden_hashes(chain):
     want = json.loads(TABLE.read_text(encoding="utf-8"))
-    got = artifact_hashes(tmp_path)
+    _, got = chain
     assert sorted(got) == sorted(want)
     changed = [name for name in want if got[name] != want[name]]
     assert not changed, f"artifacts differ from the golden hashes: {changed}"
+
+
+def test_json_artifacts_are_canonical_lines(chain):
+    root, _ = chain
+    artifacts = sorted((root / "seed3").glob("*.json*"))
+    assert len(artifacts) == 14
+    for path in artifacts:
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True) if path.suffix == ".jsonl" else [text]
+        assert lines, path.name
+        for line in lines:
+            assert line == json_line(json.loads(line)), path.name
 
 
 if __name__ == "__main__":

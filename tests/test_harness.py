@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
@@ -137,6 +138,23 @@ def test_apply_action_forward_and_blocked(open_room):
     assert fwd.location == (3, 2)
     blocked = apply_action(open_room, AgentState((1, 2), math.pi), AgentAction("forward"), cfg)
     assert blocked.location == (1, 2)
+
+
+def test_forward_lands_on_a_grid_neighbor_or_stays_put(synth):
+    scene, cfg = synth["scene"], Config()
+    grid = scene.grid
+    cut_corners = 0
+    for iy, ix in np.argwhere(grid.navigable):
+        cell = (int(ix), int(iy))
+        neighbors = {nxt for nxt, _ in grid.neighbors(cell)}
+        for k in range(8):
+            heading = k * math.pi / 4.0
+            dx, dy = harness.heading_to_dir8(heading)
+            target = (cell[0] + dx, cell[1] + dy)
+            moved = apply_action(scene, AgentState(cell, heading), AgentAction("forward"), cfg)
+            assert moved.location == (target if target in neighbors else cell)
+            cut_corners += grid.is_navigable(target) and target not in neighbors
+    assert cut_corners > 0  # the corner rule is exercised, not only walls
 
 
 def test_apply_action_graph_goto(square_graph):
@@ -795,6 +813,71 @@ def test_subprocess_agent_round_trip(open_room):
     check_trace_invariants(trace, 2)
     for et in trace.episodes:
         assert et.actions == ["forward", "forward", "stop"]
+
+
+# A scripted agent for the transport contract.  Each message it reads
+# lists the chunks to write back, one write per chunk with a pause
+# between; "hang_up" makes it close its end instead.
+SCRIPTED_PEER = """
+import json, time
+
+def serve(rfile, wfile):
+    for line in rfile:
+        message = json.loads(line)
+        if message["type"] == "close" or message.get("hang_up"):
+            return
+        for chunk in message["chunks"]:
+            wfile.write(chunk.encode())
+            wfile.flush()
+            time.sleep(0.05)
+"""
+
+
+def scripted_transport(kind, tmp_path):
+    """A transport of ``kind`` to a SCRIPTED_PEER, the message its
+    closed-peer error carries, and the serving thread of a socket peer."""
+    if kind == "subprocess":
+        script = tmp_path / "peer.py"
+        script.write_text(SCRIPTED_PEER + "import sys\nserve(sys.stdin.buffer, sys.stdout.buffer)\n")
+        return SubprocessTransport(f"{sys.executable} {script}"), r"closed its output \(exit status 0\)", None
+    peer = {}
+    exec(SCRIPTED_PEER, peer)
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def accept():
+        conn, _ = listener.accept()
+        with listener, conn, conn.makefile("rb") as rfile, conn.makefile("wb") as wfile:
+            peer["serve"](rfile, wfile)
+
+    thread = threading.Thread(target=accept, daemon=True)
+    thread.start()
+    return SocketTransport("127.0.0.1", listener.getsockname()[1]), "agent closed the connection", thread
+
+
+@pytest.mark.parametrize("kind", ["subprocess", "socket"])
+def test_transport_contract(kind, tmp_path):
+    transport, closed, thread = scripted_transport(kind, tmp_path)
+    try:
+        transport.send({"type": "script", "chunks": ['{"type": "ack", ', '"n": 1}\n']})
+        assert transport.recv(5.0) == {"type": "ack", "n": 1}
+
+        transport.send({"type": "script", "chunks": ['{"type":"ack","n":2}\n{"type":"ack","n":3}\n']})
+        assert [transport.recv(5.0)["n"] for _ in range(2)] == [2, 3]
+
+        transport.send({"type": "script", "chunks": []})
+        start = time.monotonic()
+        with pytest.raises(PolicyTimeout, match="no reply within 0.3 s"):
+            transport.recv(0.3)
+        assert time.monotonic() - start >= 0.3
+
+        transport.send({"type": "script", "hang_up": True})
+        with pytest.raises(ProtocolViolation, match=closed):
+            transport.recv(5.0)
+    finally:
+        transport.close()
+    if thread is not None:
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
 
 
 class CountingPipe:
