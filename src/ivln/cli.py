@@ -58,8 +58,19 @@ def _stats_block(stats) -> str:
 
 
 def _config_from_args(args, keys) -> Config:
-    overrides = {key: getattr(args, key, None) for key in keys}
+    # a flag left out is either absent from args or None
+    overrides = {key: getattr(args, key) for key in keys if hasattr(args, key)}
     return resolve_config(getattr(args, "config", None), overrides)
+
+
+def _max_steps(raw: str) -> int | None:
+    """``--max-steps`` value: a step count, or none for the per-kind default."""
+    if raw.strip().lower() in ("none", "null"):
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a step count or none, got {raw!r}") from None
 
 
 def cmd_gen_env(args) -> int:
@@ -280,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", help="oracle | noisy:<p> | random | stop | ext:<cmd> | tcp:<host>:<port>")
     p.add_argument("--map", choices=("none", *MAP_MODES), dest="map_mode")
     p.add_argument("--map-out", help="write the final tour's map snapshot")
-    p.add_argument("--max-steps", type=int, dest="max_steps")
+    p.add_argument("--max-steps", type=_max_steps, dest="max_steps", default=argparse.SUPPRESS,
+                   help="agent steps per episode; none for the per-kind default")
     p.add_argument("--step-timeout", type=float, dest="step_timeout")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)

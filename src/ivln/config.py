@@ -108,13 +108,18 @@ def parse_config_file(path: str) -> dict:
 
 
 def resolve_config(config_file: str | None = None, overrides: dict | None = None) -> Config:
-    """Defaults <- config file (or IVLN_CONFIG) <- explicit overrides."""
+    """Defaults <- config file (or IVLN_CONFIG) <- explicit overrides.
+
+    A None override is dropped, except for a key whose default is None
+    (max_steps), where it restores that default over the file's value.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(Config)}
     values = {}
     path = config_file or os.environ.get("IVLN_CONFIG")
     if path:
         values.update(parse_config_file(path))
     for key, val in (overrides or {}).items():
-        if val is not None:
+        if val is not None or (key in defaults and defaults[key] is None):
             values[key] = val
     cfg = Config(**values)
     cfg.validate()

@@ -8,20 +8,22 @@ questions: geodesic distance between two points, the shortest path
 between them, and a pairwise connectivity matrix over path endpoints.
 
 Every query runs on the scene's ``NavIndex``, built on first use: integer
-ids for the navigable locations and a flat neighbor list per id.  One
-search kernel, ``NavIndex.search``, serves both scene kinds; it runs A*
-when given a goal (routes, oracle steps) and a full Dijkstra field when
-not.  Fields are cached per source id on the index for as long as the
-scene lives, and A* routes, cost included, are memoized by (source,
-goal); those are the package's only distance caches.  The index is
-built from the scene as it is at the first query, so a scene must not
-be mutated after it.
+ids for the navigable locations and a flat neighbor list per id, the
+same on both scene kinds.  Routes (oracle steps, reference paths) run
+A* in ``NavIndex.search`` and are memoized, cost included, by (source,
+goal).  Distance queries run one resumable Dijkstra per source id: it
+settles ids only until every id asked about is settled and keeps its
+heap for the next question, so a query costs the ball out to its
+farthest target, not the whole scene.  Both caches live as long as the
+scene and are the package's only distance caches.  The index is built
+from the scene as it is at the first query, so a scene must not be
+mutated after it.
 
 The index also caches ``Scene.snap_point`` by exact query point, misses
 included, so each distinct point is snapped once per scene.  With both
 caches, ``GeodesicMetric.pairwise`` builds a geodesic cost matrix by
-snapping every point once and gathering one field row per reference
-point at the snapped query ids.
+snapping every point once and asking each reference point's Dijkstra
+for just the snapped query ids.
 
 Conventions used throughout the package:
 
@@ -38,6 +40,7 @@ import base64
 import heapq
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -301,19 +304,47 @@ class Scene:
 # shortest-path search
 
 
+def _grid_neighbor_lists(grid: GridWorld, ids: list[int]) -> list[list]:
+    """``GridWorld.neighbors`` of every navigable cell as flat ``[id,
+    weight, id, weight, ...]`` lists, with one shifted gather per offset.
+
+    ``ids`` numbers the navigable cells by ``(ix, iy)``; the lists share
+    its int objects and one float per step length.
+    """
+    open_ = np.zeros((grid.width + 2, grid.height + 2), dtype=bool)  # [ix + 1, iy + 1]
+    open_[1:-1, 1:-1] = grid.navigable.T
+    number = np.zeros(open_.shape, dtype=np.intp)
+    number[open_] = np.arange(len(ids))
+    xs, ys = np.nonzero(open_)  # in id order
+    straight, diagonal = grid.resolution, grid.resolution * _SQRT2
+    out: list[list] = [[] for _ in ids]
+    for dx, dy in _NEIGHBORS_8:  # each list fills in offset order
+        ok = open_[xs + dx, ys + dy]
+        if dx and dy:  # no corner cutting
+            ok &= open_[xs + dx, ys] & open_[xs, ys + dy]
+        step = diagonal if dx and dy else straight
+        for i, j in zip(np.flatnonzero(ok).tolist(), number[xs[ok] + dx, ys[ok] + dy].tolist()):
+            out[i] += (ids[j], step)
+    return out
+
+
 class NavIndex:
-    """Location ids, neighbor lists and the distance-field cache of a scene.
+    """Location ids, neighbor lists and the distance caches of a scene.
 
     Ids number the navigable locations in their own order (cells by
-    ``(ix, iy)``, graph nodes by id), so heap ties in ``search`` break
-    exactly as they would on the locations.  Each location's neighbors
-    are one flat ``[id, weight, id, weight, ...]`` list in expansion
-    order (``GridWorld.neighbors`` on grids, sorted adjacency on graphs)
-    that shares its int and float objects with the other lists.
+    ``(ix, iy)``, graph nodes by id), so heap ties break exactly as they
+    would on the locations.  Each location's neighbors are one flat
+    ``[id, weight, id, weight, ...]`` list in expansion order (the order
+    of ``GridWorld.neighbors`` on grids, sorted adjacency on graphs) that
+    shares its int and float objects with the other lists.
 
     Routes are memoized by (source, goal) for as long as the index
     lives: the index never changes, so a repeated question gets the
-    first answer.
+    first answer.  Distances come from one Dijkstra per source that
+    pauses between pops once the ids asked about are settled and
+    resumes on a later question.  It settles ids in the same order
+    whether it pauses or not, so every distance read is bitwise the one
+    a search to exhaustion gives.
     """
 
     def __init__(self, scene: Scene):
@@ -329,35 +360,28 @@ class NavIndex:
             self._resolution = None
         else:
             grid = scene.grid
-            self.locations = sorted((int(ix), int(iy)) for iy, ix in np.argwhere(grid.navigable))
+            self.locations = [tuple(cell) for cell in np.argwhere(grid.navigable.T).tolist()]
             self.id_of = {loc: i for i, loc in enumerate(self.locations)}
-            weights: dict[float, float] = {}
-            self.neighbors = [
-                [x for nxt, w in grid.neighbors(loc) for x in (self.id_of[nxt], weights.setdefault(w, w))]
-                for loc in self.locations
-            ]
+            self.neighbors = _grid_neighbor_lists(grid, list(self.id_of.values()))
             self._points = None
             self._resolution = grid.resolution
-        self._fields: dict[int, np.ndarray] = {}
+        # per source id: (dist, frontier, closed) of a Dijkstra paused between pops
+        self._fields: dict[int, tuple[array, array, bytearray]] = {}
         self._routes: dict[tuple, tuple[float, tuple] | None] = {}
         # Scene.snap_point's results by exact query point; None marks a miss
         self.snaps: dict[Point3, object] = {}
 
-    def search(self, source: int, goal: int | None = None):
-        """Shortest paths out of ``source``, over location ids.
-
-        With a goal this is A* (octile estimate on grids, Euclidean on
-        graphs) and returns ``(cost, ids)``, or None when the goal is
-        unreachable.  Without one it is Dijkstra over the whole scene and
-        returns the distance to every id, inf where unreachable.
-        """
+    def search(self, source: int, goal: int):
+        """A* from ``source`` to ``goal`` over location ids (octile estimate
+        on grids, Euclidean on graphs); ``(cost, ids)``, or None when the
+        goal is unreachable."""
         n = len(self.locations)
         dist = [math.inf] * n
         dist[source] = 0.0
         parent = [-1] * n
         closed = bytearray(n)
         cells, points, res = self.locations, self._points, self._resolution
-        goal_at = None if goal is None else (cells if points is None else points)[goal]
+        goal_at = (cells if points is None else points)[goal]
         # the source's key is never compared, so it needs no estimate
         heap = [(0.0, source)]
         while heap:
@@ -378,16 +402,14 @@ class NavIndex:
                 if nd < dist[v] - 1e-12:
                     dist[v] = nd
                     parent[v] = u
-                    if goal is None:
-                        heapq.heappush(heap, (nd, v))
-                    elif points is None:  # octile estimate
+                    if points is None:  # octile estimate
                         dx = abs(cells[v][0] - goal_at[0])
                         dy = abs(cells[v][1] - goal_at[1])
                         lo, hi = (dx, dy) if dx < dy else (dy, dx)
                         heapq.heappush(heap, (nd + res * ((hi - lo) + _SQRT2 * lo), v))
                     else:
                         heapq.heappush(heap, (nd + math.dist(points[v], goal_at), v))
-        return None if goal is not None else np.array(dist)
+        return None
 
     def route(self, a, b) -> tuple[float, tuple] | None:
         """Shortest route between two locations as ``(cost, locations)``,
@@ -402,17 +424,54 @@ class NavIndex:
         self._routes[a, b] = found
         return found
 
-    def field(self, location) -> np.ndarray:
-        """Geodesic distance from a location to every location id; cached."""
+    def _settle(self, location, ids) -> array:
+        """Distances out of ``location``, exact at least at every id in
+        ``ids``: its Dijkstra runs on until each of them is closed or
+        nothing is left to pop, then pauses until a later call.
+
+        Between calls the heap is kept as flat ``key, id, key, id, ...``
+        doubles (ids are exact in a double): 16 bytes an entry, where its
+        tuples take about 100.
+        """
         source = self.id_of[location]
-        out = self._fields.get(source)
-        if out is None:
-            out = self._fields[source] = self.search(source)
-        return out
+        state = self._fields.get(source)
+        if state is None:
+            n = len(self.locations)
+            dist = array("d", [math.inf]) * n
+            dist[source] = 0.0
+            state = self._fields[source] = (dist, array("d", (0.0, source)), bytearray(n))
+        dist, frontier, closed = state
+        if not frontier or all(closed[target] for target in ids):
+            return dist
+        heap = list(zip(frontier[0::2], map(int, frontier[1::2])))
+        neighbors = self.neighbors
+        pop, push = heapq.heappop, heapq.heappush
+        for target in ids:
+            while heap and not closed[target]:
+                _, u = pop(heap)
+                if closed[u]:
+                    continue
+                closed[u] = 1
+                base = dist[u]
+                adj = neighbors[u]
+                for k in range(0, len(adj), 2):
+                    v = adj[k]
+                    nd = base + adj[k + 1]
+                    if nd < dist[v] - 1e-12:
+                        dist[v] = nd
+                        push(heap, (nd, v))
+        self._fields[source] = (dist, array("d", [x for entry in heap for x in entry]), closed)
+        return dist
+
+    def distances(self, location, ids: Sequence[int]) -> np.ndarray:
+        """Geodesic distance from a location to each location id in
+        ``ids``, inf where unreachable."""
+        return np.frombuffer(self._settle(location, ids))[ids]
 
     def distance(self, a, b) -> float:
-        """Geodesic distance between two locations, read from a's field."""
-        return float(self.field(a)[self.id_of[b]])
+        """Geodesic distance between two locations, inf when unreachable."""
+        target = self.id_of[b]
+        return self._settle(a, (target,))[target]
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +524,20 @@ def connectivity_matrix(scene: Scene, endpoints: Sequence[tuple[Sequence[float],
     start_ids = [nav.id_of[s] for s in starts]
     out = np.zeros((n, n))
     for i in range(n):
-        out[i, :] = nav.field(ends[i])[start_ids]
+        out[i, :] = nav.distances(ends[i], start_ids)
         out[i, i] = 0.0
     return out
 
 
 class GeodesicMetric:
-    """Callable geodesic point metric over a scene's distance fields.
+    """Callable geodesic point metric over a scene's ``NavIndex``.
 
     Useful as the cell metric of alignment scores and for repeated
     distance-to-goal queries: each distinct point is snapped once per
-    scene and each distinct snapped source triggers one full
-    single-source search per scene; later queries are lookups.
-    ``pairwise`` builds a whole cost matrix as one gather per row.
+    scene, and each distinct snapped source owns one resumable Dijkstra
+    that settles only out to the farthest point asked about so far;
+    nearer queries are lookups.  ``pairwise`` builds a whole cost matrix
+    with one query per row.
     """
 
     def __init__(self, scene: Scene):
@@ -491,22 +551,22 @@ class GeodesicMetric:
         return self.scene.nav.distance(la, lb)
 
     def pairwise(self, ref: Sequence[Sequence[float]], query: Sequence[Sequence[float]]) -> np.ndarray:
-        """Matrix of ``self(ref[i], query[j])``; row i is ``ref[i]``'s field
-        gathered at the query ids.
+        """Matrix of ``self(ref[i], query[j])``; row i is ``ref[i]``'s
+        distances to the query ids.
 
-        Equal to the per-cell calls bit for bit: a field reads exactly 0.0
-        at its own source.  Points are snapped in the order the per-cell
+        Equal to the per-cell calls bit for bit: a source is exactly 0.0
+        from itself.  Points are snapped in the order the per-cell
         loop meets them (``ref[0]``, the queries, the rest of ``ref``), so
         a SnapFailure names the same point.
         """
         snap = self.scene.snap_point
         nav = self.scene.nav
         sources = [snap(p) for p in ref[:1]]
-        query_ids = np.array([nav.id_of[snap(q)] for q in query], dtype=np.intp)
+        query_ids = [nav.id_of[snap(q)] for q in query]
         sources += [snap(p) for p in ref[1:]]
         out = np.empty((len(sources), len(query_ids)))
         for i, source in enumerate(sources):
-            out[i] = nav.field(source)[query_ids]
+            out[i] = nav.distances(source, query_ids)
         return out
 
 
@@ -533,11 +593,16 @@ def read_json(path):
 
 
 def read_json_lines(path) -> Iterator[tuple[int, object]]:
-    """``(line number, record)`` for each non-blank line of a JSON-lines file."""
+    """``(line number, record)`` for each non-blank line of a JSON-lines
+    file; raises ValueError naming the line that is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             if line.strip():
-                yield number, json.loads(line)
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path} line {number}: {exc.msg} (column {exc.colno})") from None
+                yield number, record
 
 
 def encode_bitmask(mask: np.ndarray) -> str:

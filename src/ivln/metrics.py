@@ -286,7 +286,8 @@ def read_traces(path, episodes_by_id: dict | None = None) -> list[TourTrace]:
     ``episodes_by_id`` when given, else the record must embed
     ``reference_path`` (round-trip files written by ``write_traces`` plus
     an episode set always resolve).  Raises ValueError naming the line
-    of a record whose phase is neither ``agent`` nor an oracle phase.
+    of a record whose phase is neither ``agent`` nor an oracle phase, or
+    of an agent record whose episode the given set lacks.
     """
     tours: dict[str, TourTrace] = {}  # in order of first appearance
     for number, rec in read_json_lines(path):
@@ -298,13 +299,15 @@ def read_traces(path, episodes_by_id: dict | None = None) -> list[TourTrace]:
         if phase == "agent":
             if "reference_path" in rec:
                 ref = rec["reference_path"]
-            elif episodes_by_id is not None and rec["episode_id"] in episodes_by_id:
-                ref = episodes_by_id[rec["episode_id"]].path
-            else:
+            elif episodes_by_id is None:
                 raise EmptySequence(
                     f"trace for episode {rec['episode_id']} has no reference path "
                     "and no episode set was provided"
                 )
+            elif rec["episode_id"] in episodes_by_id:
+                ref = episodes_by_id[rec["episode_id"]].path
+            else:
+                raise ValueError(f"{path} line {number}: episode {rec['episode_id']} is not in the episode set")
             trace.episodes.append(
                 EpisodeTrace(
                     episode_id=rec["episode_id"],

@@ -118,6 +118,37 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert run_cli("gen-episodes", "--scene", missing, "--out", tmp_path / "e.json") == 2
 
 
+def test_eval_names_the_line_of_a_trace_record_that_is_not_json(pipeline, tmp_path, capsys):
+    lines = pipeline["traces"].read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines[:2]) + "{not json\n" + "".join(lines[2:]))
+    assert run_cli("eval", "--traces", bad, "--episodes", pipeline["episodes"], "--out", tmp_path / "r.json") == 2
+    assert f"{bad} line 3: " in capsys.readouterr().err
+
+
+def test_eval_rejects_a_trace_episode_missing_from_the_episode_set(pipeline, tmp_path, capsys):
+    data = json.loads(pipeline["episodes"].read_text())
+    dropped = data["episodes"].pop(0)["episode_id"]
+    fewer = tmp_path / "fewer.json"
+    fewer.write_text(json.dumps(data))
+    code = run_cli("eval", "--traces", pipeline["traces"], "--episodes", fewer, "--out", tmp_path / "r.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"traces\.jsonl line \d+: episode {dropped}_\d is not in the episode set", err)
+
+
+def test_max_steps_none_flag_restores_the_default_budget(pipeline, tmp_path):
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text("max_steps = 1\n")
+    run = ("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
+           "--episodes", pipeline["episodes"], "--policy", "oracle", "--config", cfg)
+    by_file, by_flag = tmp_path / "by_file.jsonl", tmp_path / "by_flag.jsonl"
+    assert run_cli(*run, "--out", by_file) == 0
+    assert run_cli(*run, "--max-steps", "none", "--out", by_flag) == 0
+    assert by_file.read_bytes() != pipeline["traces"].read_bytes()
+    assert by_flag.read_bytes() == pipeline["traces"].read_bytes()
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     assert run_cli("gen-env", "--rooms", 0, "--out", tmp_path / "s.json") == 3
     assert "error:" in capsys.readouterr().err

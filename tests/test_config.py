@@ -64,6 +64,14 @@ def test_resolution_order(tmp_path, monkeypatch):
     assert resolve_config(None, {}).d_th == 9.0
 
 
+def test_a_none_max_steps_override_restores_the_default_budget(tmp_path):
+    path = tmp_path / "steps.cfg"
+    path.write_text("max_steps = 3\n")
+    assert resolve_config(str(path)).max_steps == 3
+    assert resolve_config(str(path), {"max_steps": None}).max_steps is None
+    assert resolve_config(str(path), {"max_steps": 5}).max_steps == 5
+
+
 def test_validation_rejects_bad_values():
     for field, value in [
         ("d_th", 0.0),

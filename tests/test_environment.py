@@ -360,6 +360,58 @@ def test_route_memo_equals_fresh_search(make_scene):
     assert unreachable > 0
 
 
+def test_grid_neighbor_lists_equal_the_per_cell_loop(synth):
+    rng = np.random.default_rng(5)
+    grids = [synth["scene"].grid, split_grid_scene().grid]
+    for h, w in [(1, 1), (1, 7), (9, 4), (12, 13)]:
+        grids.append(GridWorld(resolution=0.3, origin=(0.0, 0.0, 0.0), width=w, height=h,
+                               navigable=rng.random((h, w)) < 0.7, semantic=np.zeros((h, w), np.uint8),
+                               floor_z=0.0, ceiling_z=2.0))
+    for grid in grids:
+        nav = NavIndex(Scene(scene_id="g", grid=grid))
+        assert nav.locations == sorted((int(ix), int(iy)) for iy, ix in np.argwhere(grid.navigable))
+        want = [[x for nxt, w in grid.neighbors(cell) for x in (nav.id_of[nxt], w)] for cell in nav.locations]
+        assert nav.neighbors == want
+        assert all(type(x) is type(y) for got, row in zip(nav.neighbors, want) for x, y in zip(got, row))
+
+
+@pytest.mark.parametrize("kind", ["synth_grid", "split_grid", "synth_graph", "square_and_pair"])
+def test_resumed_distances_equal_one_full_run(kind, synth):
+    scene = {
+        "synth_grid": synth["scene"],
+        "split_grid": split_grid_scene(),
+        "synth_graph": synth["graph_scene"],
+        "square_and_pair": square_and_pair_scene(),
+    }[kind]
+    whole, paused = NavIndex(scene), NavIndex(scene)
+    every = list(range(len(whole.locations)))
+    rng = np.random.default_rng(12)
+    sources = [whole.locations[i] for i in rng.choice(every, size=min(4, len(every)), replace=False)]
+    full = {source: whole.distances(source, every) for source in sources}
+    orders = {source: [int(i) for i in rng.permutation(every)] for source in sources}
+    got = {source: np.full(len(every), np.nan) for source in sources}
+    for source in sources:  # a partial question to every source first
+        part = orders[source][: len(every) // 5]
+        got[source][part] = paused.distances(source, part)
+    for source in sources:  # then the rest, one id at a time
+        for i in orders[source][len(every) // 5:]:
+            got[source][i] = paused.distance(source, paused.locations[i])
+    for source in sources:
+        assert (got[source] == full[source]).all()
+        assert got[source].tobytes() == full[source].tobytes()
+    if kind in ("split_grid", "square_and_pair"):
+        assert any(np.isinf(row).any() for row in full.values())
+
+
+def test_a_near_query_settles_part_of_the_scene(synth):
+    nav = NavIndex(synth["scene"])
+    source = nav.locations[len(nav.locations) // 2]
+    near, step = nav.neighbors[nav.id_of[source]][:2]
+    assert nav.distances(source, [near]).tolist() == [step]
+    closed = nav._fields[nav.id_of[source]][2]
+    assert 0 < sum(closed) < len(nav.locations) // 10
+
+
 @given(st.floats(-100.0, 100.0, allow_nan=False))
 def test_normalize_heading_range(h):
     out = normalize_heading(h)

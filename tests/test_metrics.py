@@ -362,6 +362,17 @@ def test_read_traces_without_references_raises(tmp_path):
         read_traces(path, None)
 
 
+def test_read_traces_names_the_line_of_an_episode_missing_from_the_set(tmp_path):
+    from types import SimpleNamespace
+
+    path = tmp_path / "trace.jsonl"
+    trace = sample_trace()
+    write_traces([trace], path)
+    refs = {"ep-a": SimpleNamespace(path=trace.episodes[0].reference_path)}
+    with pytest.raises(ValueError, match=r"trace\.jsonl line 3: episode ep-b is not in the episode set"):
+        read_traces(path, refs)
+
+
 def test_report_shape(tmp_path):
     trace = sample_trace()
     report = build_report([trace])
