@@ -7,10 +7,11 @@ episode the curves record what fraction of that episode's own coverage
 cells are already seen, and what fraction of the whole tour region is.
 A terminal record after the last episode closes each tour's curve.
 
-On grid scenes coverage cells are grid cells and occlusion ray-casts
-against occupancy; on graph scenes the "cells" are graph nodes within
-the radius of a path point and occlusion does not apply (graphs carry
-no geometry to occlude with).
+Coverage is a boolean mask over grid cells (``iy * width + ix``) or
+graph nodes (``NavIndex`` ids).  Occlusion applies on grids only: a cell
+is hidden when a cell strictly between it and the source on their
+Bresenham line is off the grid or not navigable; the two end cells are
+never tested.  Graphs carry no geometry to occlude with.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .environment import FORMAT_VERSION, GridWorld, Scene, as_point, euclidean, shortest_path, write_json
 from .errors import MissingEpisode
@@ -98,64 +101,73 @@ def _bresenham(a, b):
 
 
 class _Visibility:
-    """Memoized per-source visible sets under one observation model."""
+    """Memoized per-source visible indices under one observation model.
+
+    A Bresenham line depends only on ``target - source``, so on grids one
+    stencil, built once, holds the disc's offsets and each one's interior
+    cells; a source's visible cells are one gather plus ``.all(axis=1)``.
+    """
 
     def __init__(self, scene: Scene, model: ObservationModel):
         self.scene = scene
         self.model = model
         self._memo: dict = {}
-        if scene.grid is not None:
-            self._reach = math.ceil(model.radius / scene.grid.resolution)
+        grid = scene.grid
+        self.size = len(scene.nav.locations) if grid is None else grid.width * grid.height
+        if grid is None:
+            return
+        reach = math.ceil(model.radius / grid.resolution)
+        r_cells = model.radius / grid.resolution
+        span = range(-reach, reach + 1)
+        offsets = [(dx, dy) for dy in span for dx in span if dx * dx + dy * dy <= r_cells * r_cells + 1e-9]
+        self._dx, self._dy = np.array(offsets).T
+        lines = [_bresenham((0, 0), offset) for offset in offsets]
+        length = max(map(len, lines))
+        # lines are filled out to one length with source entries that read clear
+        self._filler = np.arange(length) >= np.array([len(line) for line in lines])[:, None]
+        cells = np.array([line + [(0, 0)] * (length - len(line)) for line in lines], dtype=int)
+        self._lx, self._ly = cells.reshape(len(lines), length, 2).transpose(2, 0, 1) + reach
+        # a kept line ends on the grid, so its interior is within reach of it
+        self._padded = np.pad(grid.navigable, reach)
 
-    def from_point(self, point) -> frozenset:
-        point = as_point(point)
-        if self.scene.grid is not None:
-            key = self.scene.grid.cell_index(point)
+    def from_path(self, points) -> np.ndarray:
+        """Mask of the cells (or graph nodes) visible from any of the points."""
+        out = np.zeros(self.size, dtype=bool)
+        grid = self.scene.grid
+        for point in map(as_point, points):
+            key = point if grid is None else grid.cell_index(point)
             if key not in self._memo:
-                self._memo[key] = self._grid_visible(key)
-            return self._memo[key]
-        key = (point.x, point.y, point.z)
-        if key not in self._memo:
-            graph = self.scene.graph
-            self._memo[key] = frozenset(
-                nid for nid in graph.nodes if euclidean(graph.nodes[nid], point) <= self.model.radius
-            )
-        return self._memo[key]
-
-    def from_path(self, points) -> set:
-        """Cells (or graph nodes) visible from any of the points."""
-        out: set = set()
-        for point in points:
-            out |= self.from_point(point)
+                self._memo[key] = self._graph_visible(point) if grid is None else self._grid_visible(*key)
+            out[self._memo[key]] = True
         return out
 
-    def _grid_visible(self, source) -> frozenset:
-        grid = self.scene.grid
-        sx, sy = source
-        r_cells = self.model.radius / grid.resolution
-        out = set()
-        for iy in range(max(0, sy - self._reach), min(grid.height, sy + self._reach + 1)):
-            for ix in range(max(0, sx - self._reach), min(grid.width, sx + self._reach + 1)):
-                if (ix - sx) ** 2 + (iy - sy) ** 2 > r_cells * r_cells + 1e-9:
-                    continue
-                if self.model.occlusion and not self._clear_line(source, (ix, iy)):
-                    continue
-                out.add((ix, iy))
-        return frozenset(out)
+    def _graph_visible(self, point) -> np.ndarray:
+        nodes, radius = self.scene.graph.nodes, self.model.radius
+        return np.flatnonzero([euclidean(nodes[nid], point) <= radius for nid in self.scene.nav.locations])
 
-    def _clear_line(self, source, target) -> bool:
+    def _grid_visible(self, sx: int, sy: int) -> np.ndarray:
         grid = self.scene.grid
-        for cell in _bresenham(source, target):
-            if not grid.in_bounds(cell) or not grid.navigable[cell[1], cell[0]]:
-                return False
-        return True
+        tx, ty = sx + self._dx, sy + self._dy
+        kept = np.flatnonzero((tx >= 0) & (tx < grid.width) & (ty >= 0) & (ty < grid.height))
+        if self.model.occlusion:
+            clear = self._padded[sy + self._ly[kept], sx + self._lx[kept]] | self._filler[kept]
+            kept = kept[clear.all(axis=1)]
+        return ty[kept] * grid.width + tx[kept]
 
 
 def observed_cells(path, scene: Scene | GridWorld, model: ObservationModel) -> set:
     """Cells (or graph nodes) visible from any point of a path."""
     if isinstance(scene, GridWorld):
         scene = Scene(scene_id="", grid=scene)
-    return _Visibility(scene, model).from_path(path)
+    ids = np.flatnonzero(_Visibility(scene, model).from_path(path)).tolist()
+    if scene.grid is None:
+        return {scene.nav.locations[i] for i in ids}
+    return {(i % scene.grid.width, i // scene.grid.width) for i in ids}
+
+
+def _pct(part: np.ndarray, whole: np.ndarray) -> float:
+    total = np.count_nonzero(whole)
+    return 100.0 * np.count_nonzero(part & whole) / total if total else 0.0
 
 
 def coverage_curves(
@@ -175,52 +187,35 @@ def coverage_curves(
     vis = _Visibility(scene, model)
 
     per_tour = []
+    # every tour reaches indices 1..L+1, so indices arrive in ascending order
+    rows_by_index: dict[int, list[dict]] = {}
     for tour in tours:
         try:
             eps = [episodes_by_id[eid] for eid in tour.episode_ids]
         except KeyError as exc:
             raise MissingEpisode(f"tour {tour.tour_id} references unknown episode {exc}") from None
         cov = [vis.from_path(ep.path) for ep in eps]
-        region = frozenset().union(*cov) if cov else frozenset()
-        seen: set = set()
-        records = []
+        region = vis.from_path(point for ep in eps for point in ep.path)
+        seen = [vis.from_path([])]  # seen[k]: the cells seen before episode k + 1
         for k, ep in enumerate(eps):
-            upcoming = 100.0 * len(seen & cov[k]) / len(cov[k]) if cov[k] else 0.0
-            region_pct = 100.0 * len(seen & region) / len(region) if region else 0.0
-            records.append(
-                {
-                    "episode_index": k + 1,
-                    "upcoming_episode_pct": upcoming,
-                    "tour_region_pct": region_pct,
-                }
-            )
-            seen |= cov[k]
-            if k + 1 < len(eps):
-                transit = shortest_path(scene, ep.path[-1], eps[k + 1].path[0])
-                seen |= vis.from_path(transit)
-        final_pct = 100.0 * len(seen & region) / len(region) if region else 0.0
-        records.append(
+            transit = shortest_path(scene, ep.path[-1], eps[k + 1].path[0]) if k + 1 < len(eps) else []
+            seen.append(seen[-1] | cov[k] | vis.from_path(transit))
+        records = [
             {
-                "episode_index": len(eps) + 1,
-                "upcoming_episode_pct": None,
-                "tour_region_pct": final_pct,
+                "episode_index": k + 1,
+                "upcoming_episode_pct": _pct(before, cov[k]) if k < len(eps) else None,
+                "tour_region_pct": _pct(before, region),
             }
-        )
+            for k, before in enumerate(seen)
+        ]
         per_tour.append({"tour_id": tour.tour_id, "records": records})
+        for row in records:
+            rows_by_index.setdefault(row["episode_index"], []).append(row)
 
-    max_index = max((rec["records"][-1]["episode_index"] for rec in per_tour), default=0)
     aggregated = []
-    for index in range(1, max_index + 1):
-        ups = []
-        regs = []
-        for rec in per_tour:
-            for row in rec["records"]:
-                if row["episode_index"] == index:
-                    regs.append(row["tour_region_pct"])
-                    if row["upcoming_episode_pct"] is not None:
-                        ups.append(row["upcoming_episode_pct"])
-        if not regs:
-            continue
+    for index, rows in rows_by_index.items():
+        ups = [row["upcoming_episode_pct"] for row in rows if row["upcoming_episode_pct"] is not None]
+        regs = [row["tour_region_pct"] for row in rows]
         aggregated.append(
             {
                 "episode_index": index,

@@ -484,12 +484,7 @@ def geodesic_distance(scene: Scene, a: Sequence[float], b: Sequence[float]) -> f
     Both points are snapped first; unreachable pairs give ``math.inf``.
     Raises SnapFailure when a point has no navigable location in range.
     """
-    la = scene.snap_point(a)
-    lb = scene.snap_point(b)
-    if la == lb:
-        return 0.0
-    found = scene.nav.route(la, lb)
-    return math.inf if found is None else found[0]
+    return GeodesicMetric(scene)(a, b)
 
 
 def shortest_path(scene: Scene, a: Sequence[float], b: Sequence[float]) -> list[Point3]:

@@ -18,6 +18,7 @@ built from the ground-truth grid and never change.
 from __future__ import annotations
 
 import base64
+import functools
 import math
 from dataclasses import dataclass
 
@@ -247,6 +248,16 @@ def known_map(grid: GridWorld) -> SemanticOccMap:
     return m
 
 
+@functools.cache
+def _crop_offsets(size: int, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only metres ahead of and to the right of the agent at each crop cell."""
+    rows, cols = np.mgrid[0:size, 0:size]
+    offsets = (size // 2 - rows) * resolution, (cols - size // 2) * resolution
+    for array in offsets:
+        array.flags.writeable = False
+    return offsets
+
+
 def crop_layers(occ_map: SemanticOccMap, pose: Pose, size: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Egocentric label and occupancy grids, heading up, agent at the center.
 
@@ -255,10 +266,7 @@ def crop_layers(occ_map: SemanticOccMap, pose: Pose, size: int = 64) -> tuple[np
     occupancy.  Row 0 is farthest ahead of the agent; sampling is
     nearest-cell; cells outside the map are 0 and unoccupied.
     """
-    center = size // 2
-    rows, cols = np.mgrid[0:size, 0:size]
-    ahead = (center - rows) * occ_map.resolution
-    lateral = (cols - center) * occ_map.resolution
+    ahead, lateral = _crop_offsets(size, occ_map.resolution)
     h = pose.heading
     fwd = (math.cos(h), math.sin(h))
     right = (math.sin(h), -math.cos(h))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivln.coverage import CoverageCurve, ObservationModel, coverage_curves, observed_cells
+from ivln.coverage import CoverageCurve, ObservationModel, _bresenham, coverage_curves, observed_cells
 from ivln.environment import Point3, Scene
 from ivln.errors import MissingEpisode
 from ivln.tourgen import Episode, Tour
@@ -57,6 +57,59 @@ def test_disc_matches_brute_force_without_occlusion(seed):
     assert got == brute_force_disc(grid, pts[0], radius)
 
 
+def per_cell_scan(grid, source, model):
+    """Reference visible set: a Bresenham walk per cell of the disc.
+
+    A cell within ``reach`` whose offset passes the disc test is kept
+    when it is on the grid and, with occlusion on, every cell strictly
+    between it and the source is on the grid and navigable.
+    """
+    sx, sy = source
+    reach = math.ceil(model.radius / grid.resolution)
+    r_cells = model.radius / grid.resolution
+    out = set()
+    for iy in range(max(0, sy - reach), min(grid.height, sy + reach + 1)):
+        for ix in range(max(0, sx - reach), min(grid.width, sx + reach + 1)):
+            if (ix - sx) ** 2 + (iy - sy) ** 2 > r_cells * r_cells + 1e-9:
+                continue
+            if model.occlusion and not all(grid.is_navigable(c) for c in _bresenham(source, (ix, iy))):
+                continue
+            out.add((ix, iy))
+    return out
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60)
+def test_stencil_matches_per_cell_scan(seed, occlusion):
+    rng = np.random.default_rng(seed)
+    h, w = (int(n) for n in rng.integers(2, 10, size=2))
+    rows = ["".join("." if rng.random() > 0.35 else "#" for _ in range(w)) for _ in range(h)]
+    resolution = float(rng.choice([0.25, 0.2]))
+    grid = grid_from_ascii(rows, resolution=resolution)
+    # mostly radii off the resolution's multiples; others put cell centers
+    # on the disc's edge, where rounding can leave r_cells**2 an ulp short
+    if rng.random() < 0.6:
+        radius = float(rng.uniform(0.1, 1.7))
+    else:
+        radius = resolution * math.sqrt(int(rng.integers(1, 50)))
+    model = ObservationModel(radius=radius, occlusion=occlusion)
+    reach = math.ceil(radius / resolution)
+    floor = [(ix, iy) for iy in range(h) for ix in range(w) if grid.navigable[iy, ix]]
+    walls = [(ix, iy) for iy in range(h) for ix in range(w) if not grid.navigable[iy, ix]]
+    sources = floor[:2] + walls[:2] + [
+        (-1, 0), (w, h - 1), (w // 2, -1), (0, h),  # just off the grid
+        (-reach, h // 2), (w - 1 + reach, 0),  # as far off as a visible cell can be
+        (-reach - 1, 0), (w // 2, h + reach + 3),  # farther off than reach
+    ]
+    sources += [(int(x), int(y)) for x, y in rng.integers(-reach - 2, max(w, h) + reach + 2, size=(6, 2))]
+    for source in sources:
+        got = observed_cells([grid.cell_center(source)], grid, model)
+        assert got == per_cell_scan(grid, source, model), source
+    # one path through every source: the memoized masks' union
+    path = [grid.cell_center(source) for source in sources]
+    assert observed_cells(path, grid, model) == set().union(*(per_cell_scan(grid, s, model) for s in sources))
+
+
 def test_wall_occludes_cells_behind_it():
     grid = grid_from_ascii(["....#...."])
     model = ObservationModel(radius=3.0, occlusion=True)
@@ -90,6 +143,14 @@ def test_graph_coverage_is_radius_ball(square_graph):
     model = ObservationModel(radius=2.5, occlusion=True)  # occlusion ignored on graphs
     seen = observed_cells([Point3(0, 0, 1)], square_graph, model)
     assert seen == {"a", "b", "d"}  # c sits 2*sqrt(2) away
+
+
+def test_graph_node_at_exactly_the_radius_is_seen(square_graph):
+    # (0, -1.5) is no node; b sits exactly 2.5 from it, a 1.5, c and d farther
+    point = Point3(0.0, -1.5, 1.0)
+    assert observed_cells([point], square_graph, ObservationModel(radius=2.5)) == {"a", "b"}
+    just_short = ObservationModel(radius=math.nextafter(2.5, 0.0))
+    assert observed_cells([point], square_graph, just_short) == {"a"}
 
 
 # -- curves -------------------------------------------------------------------

@@ -28,6 +28,7 @@ from ivln.environment import (
     shortest_path,
 )
 from ivln.errors import Disconnected, SnapFailure
+from ivln.syngen import FloorplanSpec, generate_scene
 
 from conftest import grid_from_ascii, scene_from_ascii
 
@@ -273,6 +274,23 @@ def test_geodesic_metric_matches_direct(open_room):
     assert metric(grid.cell_center(cells[0]), grid.cell_center(cells[2])) == pytest.approx(
         geodesic_distance(open_room, grid.cell_center(cells[0]), grid.cell_center(cells[2]))
     )
+
+
+@pytest.mark.parametrize("kind", ["grid", "graph"])
+def test_geodesic_distance_is_the_metrics_value(kind):
+    # A* route costs and Dijkstra distances sum their steps in different
+    # orders; on this floorplan they differ in the last bits on about a
+    # quarter of the grid pairs and on one pair of graph nodes
+    grid_scene, graph_scene = generate_scene(FloorplanSpec(rooms=9, seed=3))
+    scene = grid_scene if kind == "grid" else graph_scene
+    points = [scene.location_point(loc) for loc in scene.nav.locations]
+    if kind == "grid":
+        pairs = np.random.default_rng(3).integers(len(points), size=(300, 2)).tolist()
+    else:
+        pairs = [(i, j) for i in range(len(points)) for j in range(len(points))]
+    metric = GeodesicMetric(scene)
+    for i, j in pairs:
+        assert geodesic_distance(scene, points[i], points[j]) == metric(points[i], points[j])
 
 
 def split_grid_scene():

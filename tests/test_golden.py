@@ -59,6 +59,8 @@ def run_chain(out: Path, seed: int) -> None:
          "--policy", "noisy:0.2", "--seed", seed, "--out", g_traces)
     _cli("eval", "--traces", g_traces, "--episodes", g_episodes, "--scene", graph,
          "--tours", g_tours, "--geodesic", "--out", out / "graph_report.json")
+    _cli("coverage", "--tours", g_tours, "--episodes", g_episodes, "--scene", graph,
+         "--out", out / "graph_coverage.csv", "--json", out / "graph_coverage.json")
 
 
 def artifact_hashes(root: Path) -> dict[str, str]:
@@ -90,7 +92,7 @@ def test_artifacts_match_golden_hashes(chain):
 def test_json_artifacts_are_canonical_lines(chain):
     root, _ = chain
     artifacts = sorted((root / "seed3").glob("*.json*"))
-    assert len(artifacts) == 14
+    assert len(artifacts) == 15
     for path in artifacts:
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines(keepends=True) if path.suffix == ".jsonl" else [text]
