@@ -80,7 +80,6 @@ from .mapper import (
     integrate,
     known_map,
     load_map,
-    reset_policy,
     save_map,
     synthesize_views,
     unproject,
@@ -95,7 +94,6 @@ from .harness import (
     RandomPolicy,
     StopPolicy,
     make_policy,
-    oracle_follower,
     run_tour,
     run_tours,
 )

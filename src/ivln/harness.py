@@ -47,7 +47,6 @@ from .environment import (
 )
 from .errors import Disconnected, MissingEpisode, PolicyTimeout, ProtocolViolation, UnsupportedScene
 from .mapper import (
-    EPISODE_START,
     CameraIntrinsics,
     SemanticOccMap,
     crop_egocentric,
@@ -56,8 +55,6 @@ from .mapper import (
     crop_to_flat,
     integrate,
     known_map,
-    layers_from_crop,
-    reset_policy,
     synthesize_views,
     unproject,
 )
@@ -102,18 +99,16 @@ class AgentAction:
 class Observation:
     """What a policy sees at one step.
 
-    ``crop`` is the egocentric map crop, or None without a map.  A
-    rollout passes ``crop_source`` instead: the ``crop_egocentric``
-    arguments, with the map's occupancy and semantics copied at this
-    step, from which the crop is made on first read.  The crop is the
-    same, and a policy that never reads it costs none.  ``crop_layers()``
-    hands out the crop's label and occupancy grids, made from the same
+    ``crop_source`` holds the ``crop_egocentric`` arguments, with the
+    map's occupancy and semantics copied at this step, or is None without
+    a map.  The egocentric map ``crop`` is made from them on first read,
+    so a policy that never reads it costs none.  ``crop_layers()`` hands
+    out the crop's label and occupancy grids, made from the same
     arguments, without making the one-hot crop.
     """
 
     def __init__(self, episode_id: str, episode_index_in_tour: int, instruction: str, pose: Pose,
-                 location: object, steps_remaining: int, phase: str,
-                 crop: np.ndarray | None = None, crop_source: tuple | None = None):
+                 location: object, steps_remaining: int, phase: str, crop_source: tuple | None = None):
         self.episode_id = episode_id
         self.episode_index_in_tour = episode_index_in_tour
         self.instruction = instruction
@@ -121,24 +116,20 @@ class Observation:
         self.location = location  # cell tuple (grid) or node id (graph)
         self.steps_remaining = steps_remaining
         self.phase = phase  # "agent" | "oracle"
-        self._crop = crop
         self._crop_source = crop_source
+        self._crop = None
         self._layers = None
 
     def crop_layers(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The crop as ``mapper.crop_layers`` grids, or None without a map."""
-        if self._layers is None:
-            if self._crop_source is not None:
-                self._layers = crop_layers(*self._crop_source)
-            elif self._crop is not None:
-                self._layers = layers_from_crop(self._crop)
+        if self._layers is None and self._crop_source is not None:
+            self._layers = crop_layers(*self._crop_source)
         return self._layers
 
     @property
     def crop(self) -> np.ndarray | None:
-        if self._crop_source is not None:
+        if self._crop is None and self._crop_source is not None:
             self._crop = crop_egocentric(*self._crop_source)
-            self._crop_source = None
         return self._crop
 
 
@@ -154,10 +145,6 @@ class AgentState:
 def heading_to_dir8(heading: float) -> tuple[int, int]:
     k = round(heading / (math.pi / 4.0)) % 8
     return _DIR8[k]
-
-
-def agent_position(scene: Scene, state: AgentState) -> Point3:
-    return scene.location_point(state.location)
 
 
 def legal_actions(scene: Scene, state: AgentState) -> list[AgentAction]:
@@ -321,46 +308,58 @@ class NoisyOraclePolicy(OraclePolicy):
         return intended
 
 
-def oracle_follower(scene: Scene, episode: Episode, cfg: Config | None = None) -> list[AgentAction]:
-    """Action sequence the oracle takes for one episode, ending in stop."""
-    if cfg is None:
-        cfg = Config()
-    state = AgentState(scene.snap_point(episode.path[0]), episode.start_heading)
-    cursor = _WaypointCursor(scene, episode.path)
-    actions: list[AgentAction] = []
-    guard = 16 * cfg.budget(scene) + 64
-    while len(actions) < guard:
-        target = cursor.next_target(state.location)
-        if target is None:
-            break
-        action = _step_toward(scene, state, target)
-        if action is None:
-            break
-        actions.append(action)
-        state = apply_action(scene, state, action, cfg)
-    actions.append(AgentAction(STOP))
-    return actions
-
-
 # ---------------------------------------------------------------------------
 # rollout
 
 
-class _Sensor:
-    """Renders observations at the agent pose and feeds the map."""
+class _Walk:
+    """One tour's walk: the agent, its camera and the tour's fresh map.
 
-    def __init__(self, scene: Scene, occ_map: SemanticOccMap | None, cfg: Config):
+    It owns the map lifetime rule: every tour starts with a fresh map (no
+    map for mode "none"), an "episodic" map clears at every episode
+    start, an "iterative" map keeps what the tour has sensed, and a
+    "known" map is the ground truth and never changes.  The live rollout
+    and the replay both drive a walk, so their maps agree.
+    """
+
+    def __init__(self, scene: Scene, cfg: Config):
         self.scene = scene
-        self.occ_map = occ_map
         self.cfg = cfg
+        self.occ_map: SemanticOccMap | None = None
+        if cfg.map_mode != "none" and scene.is_discrete:
+            raise UnsupportedScene("maps need a grid scene")
+        if cfg.map_mode == "known":
+            self.occ_map = known_map(scene.grid)
+        elif cfg.map_mode != "none":
+            self.occ_map = SemanticOccMap.for_grid(scene.grid, cfg.map_mode)
         self.intrinsics = CameraIntrinsics.from_hfov(FRAME_WIDTH, FRAME_HEIGHT, HFOV_DEG)
+        self.state: AgentState | None = None
 
-    def sense(self, state: AgentState) -> None:
-        if self.occ_map is None or self.occ_map.mode == "known":
+    @property
+    def position(self) -> Point3:
+        return self.scene.location_point(self.state.location)
+
+    def begin(self, episode: Episode) -> Point3:
+        """Start an episode: the first at its snapped start, later ones where
+        the agent stands, facing the episode's start heading."""
+        if self.cfg.map_mode == "episodic":
+            self.occ_map.clear()
+        start = self.scene.snap_point(episode.path[0]) if self.state is None else self.state.location
+        self.state = AgentState(start, episode.start_heading)
+        self._sense()
+        return self.position
+
+    def move(self, action: AgentAction) -> Point3:
+        self.state = apply_action(self.scene, self.state, action, self.cfg)
+        self._sense()
+        return self.position
+
+    def _sense(self) -> None:
+        if self.cfg.map_mode not in ("episodic", "iterative"):
             return
         grid = self.scene.grid
-        pos = agent_position(self.scene, state)
-        cam = Pose(Point3(pos.x, pos.y, grid.floor_z + CAMERA_HEIGHT), state.heading)
+        pos = self.position
+        cam = Pose(Point3(pos.x, pos.y, grid.floor_z + CAMERA_HEIGHT), self.state.heading)
         depth, sem = synthesize_views(grid, cam, self.intrinsics, MAX_RANGE)
         points, labels = unproject(depth, sem)
         integrate(self.occ_map, points, labels, grid.floor_z, grid.ceiling_z)
@@ -374,49 +373,29 @@ class _Sensor:
             return None
         return replace(m, occupancy=m.occupancy.copy(), semantic=m.semantic.copy()), pose, self.cfg.crop_size
 
-
-def _make_obs(scene, state, sensor, episode, index, steps_remaining, phase) -> Observation:
-    pose = Pose(agent_position(scene, state), state.heading)
-    return Observation(
-        episode_id=episode.episode_id,
-        episode_index_in_tour=index,
-        instruction=episode.instruction,
-        pose=pose,
-        location=state.location,
-        steps_remaining=steps_remaining,
-        phase=phase,
-        crop_source=sensor.crop_source(pose),
-    )
+    def observation(self, episode: Episode, index: int, steps_remaining: int, phase: str) -> Observation:
+        pose = Pose(self.position, self.state.heading)
+        return Observation(episode.episode_id, index, episode.instruction, pose, self.state.location,
+                           steps_remaining, phase, self.crop_source(pose))
 
 
-def _tour_map(scene: Scene, mode: str) -> SemanticOccMap | None:
-    """A tour's fresh map; None for mode "none"."""
-    if mode == "none":
-        return None
-    if scene.is_discrete:
-        raise UnsupportedScene("maps need a grid scene")
-    return known_map(scene.grid) if mode == "known" else SemanticOccMap.for_grid(scene.grid, mode)
-
-
-def _oracle_drive(scene, state, target, sensor, policy, episode, index, cfg):
-    """Drive to a snapped location, logging motion and passive observations.
+def _oracle_drive(walk: _Walk, target, kind: str, policy: Policy, episode: Episode, index: int):
+    """Drive to a snapped location; returns the segment of logged motion.
+    The policy observes passively after every step.
 
     Raises RuntimeError when the step guard trips: oracle steps always
     make progress, so that is a bug, and stopping short would start the
     next episode from the wrong location.
     """
-    points: list[Point3] = []
-    actions: list[str] = []
+    segment = OracleSegment(kind, episode.episode_id, [], [])
     guard = 64 * (DEFAULT_MAX_STEPS_CONTINUOUS + 64)
-    while len(actions) < guard:
-        action = _step_toward(scene, state, target)
+    while len(segment.actions) < guard:
+        action = _step_toward(walk.scene, walk.state, target)
         if action is None:
-            return state, points, actions
-        state = apply_action(scene, state, action, cfg)
-        points.append(agent_position(scene, state))
-        actions.append(action.label())
-        sensor.sense(state)
-        policy.observe(_make_obs(scene, state, sensor, episode, index, 0, "oracle"))
+            return segment
+        segment.points.append(walk.move(action))
+        segment.actions.append(action.label())
+        policy.observe(walk.observation(episode, index, 0, "oracle"))
     raise RuntimeError(f"oracle drive to {target} did not arrive within {guard} steps")
 
 
@@ -447,62 +426,45 @@ def run_tour(
     except KeyError as exc:
         raise MissingEpisode(f"tour {tour.tour_id} references unknown episode {exc}") from None
 
-    occ_map = _tour_map(scene, cfg.map_mode)
-    sensor = _Sensor(scene, occ_map, cfg)
+    walk = _Walk(scene, cfg)
     geo = GeodesicMetric(scene)
     budget = cfg.budget(scene)
     policy.reset(tour.tour_id)
 
-    state: AgentState | None = None
     episode_traces: list[EpisodeTrace] = []
     segments: list[OracleSegment] = []
     try:
         for index, episode in enumerate(episodes):
-            if occ_map is not None:
-                reset_policy(occ_map, EPISODE_START)
-            if state is None:
-                state = AgentState(scene.snap_point(episode.path[0]), episode.start_heading)
-            else:
-                state = AgentState(state.location, episode.start_heading)
             # logged as it runs, so a policy failure keeps the phase in progress
             logged = EpisodeTrace(
                 episode_id=episode.episode_id,
-                agent_path=[agent_position(scene, state)],
+                agent_path=[walk.begin(episode)],
                 reference_path=episode.path,
                 stop_called=False,
             )
             episode_traces.append(logged)
-            sensor.sense(state)
             policy.begin_episode(episode.episode_id, episode.instruction)
 
             for step in range(budget):
-                obs = _make_obs(scene, state, sensor, episode, index, budget - step, "agent")
-                action = policy.act(obs)
+                action = policy.act(walk.observation(episode, index, budget - step, "agent"))
                 logged.actions.append(action.label())
                 if action.kind == STOP:
                     logged.stop_called = True
                     break
-                state = apply_action(scene, state, action, cfg)
-                logged.agent_path.append(agent_position(scene, state))
-                sensor.sense(state)
+                logged.agent_path.append(walk.move(action))
 
             goal = episode.path[-1]
-            if geo(goal, agent_position(scene, state)) > cfg.oracle_correction_radius:
-                state, pts, acts = _oracle_drive(
-                    scene, state, scene.snap_point(goal), sensor, policy, episode, index, cfg
-                )
-                segments.append(OracleSegment(ORACLE_GOAL, episode.episode_id, pts, acts))
+            if geo(goal, walk.position) > cfg.oracle_correction_radius:
+                target = scene.snap_point(goal)
+                segments.append(_oracle_drive(walk, target, ORACLE_GOAL, policy, episode, index))
             if index + 1 < len(episodes):
                 nxt = scene.snap_point(episodes[index + 1].path[0])
-                if state.location != nxt:
-                    state, pts, acts = _oracle_drive(
-                        scene, state, nxt, sensor, policy, episode, index, cfg
-                    )
-                    segments.append(OracleSegment(ORACLE_TRANSIT, episode.episode_id, pts, acts))
+                if walk.state.location != nxt:
+                    segments.append(_oracle_drive(walk, nxt, ORACLE_TRANSIT, policy, episode, index))
     except (PolicyTimeout, ProtocolViolation) as exc:
         exc.partial_trace = TourTrace(tour_id=tour.tour_id, episodes=episode_traces, oracle_segments=segments)
         raise
-    return TourTrace(tour_id=tour.tour_id, episodes=episode_traces, oracle_segments=segments), occ_map
+    return TourTrace(tour_id=tour.tour_id, episodes=episode_traces, oracle_segments=segments), walk.occ_map
 
 
 def run_tours(scene, tours, episodes_by_id, policy, cfg=None):
@@ -525,14 +487,13 @@ def run_tours(scene, tours, episodes_by_id, policy, cfg=None):
     return traces, occ_map
 
 
-def _check_replayed(scene, state, point, where) -> None:
-    position = agent_position(scene, state)
+def _check_replayed(position: Point3, point, where) -> None:
     if position != point:
         raise ValueError(f"{where}: replay is at {tuple(position)}, trace logs {tuple(point)}")
 
 
-def _replay_phase(scene, state, sensor, points, actions, stopped, cfg, where) -> AgentState:
-    """Re-run one logged phase, sensing after every move; returns the end state.
+def _replay_phase(walk: _Walk, points, actions, stopped, where) -> None:
+    """Re-run one logged phase on the walk.
 
     A phase that ``stopped`` logs one more action than points: the stop.
     """
@@ -544,10 +505,7 @@ def _replay_phase(scene, state, sensor, points, actions, stopped, cfg, where) ->
     for step, (label, point) in enumerate(zip(moves, points), start=1):
         if label not in (FORWARD, TURN_LEFT, TURN_RIGHT):
             raise ValueError(f"{where} step {step}: cannot replay action {label!r}")
-        state = apply_action(scene, state, AgentAction(label), cfg)
-        _check_replayed(scene, state, point, f"{where} step {step}")
-        sensor.sense(state)
-    return state
+        _check_replayed(walk.move(AgentAction(label)), point, f"{where} step {step}")
 
 
 def replay_tour(
@@ -558,43 +516,30 @@ def replay_tour(
 ) -> SemanticOccMap:
     """Rebuild the map of a logged tour under ``cfg.map_mode``.
 
-    The logged actions re-run through the rollout's motion model and
-    sensor, from the snapped start of the first episode and with the
-    heading reset at each episode, so the map equals the live one.
-    Raises ValueError when a logged position is not where the actions
-    lead, or when the actions and positions of a phase disagree in
-    number, and on an invalid ``cfg``.
+    The logged actions re-run on the rollout's own walk, so the map
+    equals the live one.  Raises ValueError when a logged position is
+    not where the actions lead, or when the actions and positions of a
+    phase disagree in number, and on an invalid ``cfg``.
     """
     cfg.validate()
-    occ_map = _tour_map(scene, cfg.map_mode)
-    if occ_map is None:
+    if cfg.map_mode == "none":
         raise ValueError("replay needs a map mode: episodic, iterative or known")
-    sensor = _Sensor(scene, occ_map, cfg)
+    walk = _Walk(scene, cfg)
     segments: dict[str, list[OracleSegment]] = {}
     for seg in trace.oracle_segments:
         segments.setdefault(seg.episode_id, []).append(seg)
-    state: AgentState | None = None
     for ep_trace in trace.episodes:
         episode = episodes_by_id.get(ep_trace.episode_id)
         if episode is None:
             raise MissingEpisode(f"trace episode {ep_trace.episode_id} not in episode set")
         where = f"tour {trace.tour_id} episode {episode.episode_id}"
-        start = scene.snap_point(episode.path[0]) if state is None else state.location
-        state = AgentState(start, episode.start_heading)
-        _check_replayed(scene, state, ep_trace.agent_path[0], f"{where} agent step 0")
-        reset_policy(occ_map, EPISODE_START)
-        sensor.sense(state)
-        state = _replay_phase(
-            scene, state, sensor, ep_trace.agent_path[1:], ep_trace.actions,
-            ep_trace.stop_called, cfg, f"{where} agent",
-        )
+        _check_replayed(walk.begin(episode), ep_trace.agent_path[0], f"{where} agent step 0")
+        _replay_phase(walk, ep_trace.agent_path[1:], ep_trace.actions, ep_trace.stop_called, f"{where} agent")
         for seg in segments.pop(episode.episode_id, []):
-            state = _replay_phase(
-                scene, state, sensor, seg.points, seg.actions, False, cfg, f"{where} {seg.kind}"
-            )
+            _replay_phase(walk, seg.points, seg.actions, False, f"{where} {seg.kind}")
     if segments:
         raise ValueError(f"tour {trace.tour_id}: oracle segments of untraced episodes {sorted(segments)}")
-    return occ_map
+    return walk.occ_map
 
 
 # ---------------------------------------------------------------------------

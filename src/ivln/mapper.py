@@ -11,8 +11,11 @@ z up, heading measured counterclockwise from +x; see the environment
 module for grid indexing conventions.
 
 Map lifetimes differ by mode: "episodic" maps clear at every episode
-start, "iterative" maps clear only when a tour starts, "known" maps are
-built from the ground-truth grid and never change.
+start, "iterative" maps persist through a tour, "known" maps are built
+from the ground-truth grid and never change.  The rollout's walk
+(``harness._Walk``), which live rollouts and ``build-map`` replay share,
+is the one owner of that rule: it makes each tour a fresh map and clears
+it where the mode says.
 """
 
 from __future__ import annotations
@@ -43,9 +46,6 @@ from .errors import DimensionMismatch
 LABEL_COUNT = 13  # semantic labels 1..13; 0 means no label observed
 CROP_CHANNELS = LABEL_COUNT + 1  # one-hot labels plus an occupancy channel
 BAND_MARGIN = 0.1
-
-EPISODE_START = "episode_start"
-TOUR_START = "tour_start"
 
 MAP_MODES = ("episodic", "iterative", "known")
 
@@ -226,18 +226,6 @@ def integrate(
     occ_map.semantic[newer] = winner[newer]
 
 
-def reset_policy(occ_map: SemanticOccMap, event: str) -> None:
-    """Apply the map's lifetime rule at an episode or tour boundary."""
-    if event not in (EPISODE_START, TOUR_START):
-        raise ValueError(f"unknown reset event {event!r}")
-    if occ_map.mode == "known":
-        return
-    if occ_map.mode == "episodic":
-        occ_map.clear()
-    elif occ_map.mode == "iterative" and event == TOUR_START:
-        occ_map.clear()
-
-
 def known_map(grid: GridWorld) -> SemanticOccMap:
     """Ground-truth map of a grid scene; mode "known", never reset."""
     m = SemanticOccMap.for_grid(grid, "known")
@@ -299,19 +287,6 @@ def crop_egocentric(occ_map: SemanticOccMap, pose: Pose, size: int = 64) -> np.n
     one-hot of labels 1..13, channel 13 is occupancy.
     """
     return _one_hot(*crop_layers(occ_map, pose, size))
-
-
-def layers_from_crop(crop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of ``crop_egocentric``'s one-hot; raises ValueError for a
-    crop that is not the one-hot of a label grid plus a 0/1 occupancy."""
-    crop = np.asarray(crop, dtype=np.float32)
-    if crop.ndim == 3 and len(crop) == CROP_CHANNELS:
-        hot = crop[:LABEL_COUNT] == 1
-        labels = np.where(hot.any(axis=0), hot.argmax(axis=0) + 1, 0).astype(np.uint8)
-        occupied = crop[LABEL_COUNT] == 1
-        if _one_hot(labels, occupied).tobytes() == crop.tobytes():
-            return labels, occupied
-    raise ValueError("crop is not a one-hot label crop with a 0/1 occupancy channel")
 
 
 def crop_to_flat(crop: np.ndarray) -> list[float]:

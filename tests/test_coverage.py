@@ -228,7 +228,8 @@ def test_csv_and_json_round_trip(tmp_path):
     curve = coverage_curves(tours, by_id, scene, ObservationModel(radius=0.5))
     out = tmp_path / "curve.csv"
     curve.save_csv(out)
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["episode_index", "upcoming_pct_mean", "tour_pct_mean", "n_tours"]
     assert rows[1] == ["1", "0.00", "0.00", "1"]
     assert rows[2][1] == ""  # terminal record has no upcoming value

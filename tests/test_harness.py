@@ -29,13 +29,11 @@ from ivln.harness import (
     legal_actions,
     make_policy,
     observation_message,
-    oracle_follower,
     replay_tour,
     run_tour,
     run_tours,
 )
 from ivln.mapper import (
-    SemanticOccMap,
     crop_egocentric,
     crop_from_compact,
     crop_layers,
@@ -44,7 +42,7 @@ from ivln.mapper import (
     known_map,
     save_map,
 )
-from ivln.metrics import OracleSegment, ndtw, write_traces
+from ivln.metrics import OracleSegment, TourTrace, ndtw, write_traces
 from ivln.tourgen import Episode, Tour
 
 from conftest import check_trace_invariants, scene_from_ascii
@@ -76,33 +74,35 @@ def tour_of(*eps):
     )
 
 
-def labels(actions):
-    return [a.label() for a in actions]
-
-
 # -- oracle follower ----------------------------------------------------------
 
 
+def oracle_actions(scene, episode):
+    """The actions the rollout's oracle takes through a one-episode tour."""
+    tour, by_id = tour_of(episode)
+    trace, _ = run_tour(scene, tour, by_id, OraclePolicy(scene, by_id))
+    return trace.episodes[0].actions
+
+
 def test_oracle_follower_single_point(open_room):
-    acts = oracle_follower(open_room, ep("e", [(2, 2)]))
-    assert labels(acts) == ["stop"]
+    assert oracle_actions(open_room, ep("e", [(2, 2)])) == ["stop"]
 
 
 def test_oracle_follower_straight_metre(open_room):
-    acts = oracle_follower(open_room, ep("e", [(2, 2), (6, 2)], heading=0.0))
-    assert labels(acts) == ["forward"] * 4 + ["stop"]
+    acts = oracle_actions(open_room, ep("e", [(2, 2), (6, 2)], heading=0.0))
+    assert acts == ["forward"] * 4 + ["stop"]
 
 
 def test_oracle_follower_turns_until_aligned(open_room):
     # goal is due north; five 15 degree lefts reach the (0, 1) sector
-    acts = oracle_follower(open_room, ep("e", [(2, 2), (2, 5)], heading=0.0))
-    assert labels(acts) == ["left"] * 5 + ["forward"] * 3 + ["stop"]
+    acts = oracle_actions(open_room, ep("e", [(2, 2), (2, 5)], heading=0.0))
+    assert acts == ["left"] * 5 + ["forward"] * 3 + ["stop"]
 
 
 def test_oracle_follower_opposite_heading_turns_right(open_room):
     # a 180 degree about-face is a tie; the oracle breaks it clockwise
-    acts = oracle_follower(open_room, ep("e", [(4, 2), (2, 2)], heading=0.0))
-    assert labels(acts)[0] == "right"
+    acts = oracle_actions(open_room, ep("e", [(4, 2), (2, 2)], heading=0.0))
+    assert acts[0] == "right"
 
 
 def test_oracle_follower_on_graph(square_graph):
@@ -115,8 +115,7 @@ def test_oracle_follower_on_graph(square_graph):
         instruction_id="g_i0",
         instruction="ring",
     )
-    acts = oracle_follower(square_graph, episode)
-    assert labels(acts) == ["goto:b", "goto:c", "stop"]
+    assert oracle_actions(square_graph, episode) == ["goto:b", "goto:c", "stop"]
 
 
 # -- motion model -------------------------------------------------------------
@@ -371,6 +370,35 @@ def test_replay_tour_rebuilds_the_live_map(synth, tmp_path, mode):
     assert (tmp_path / "replayed.json").read_bytes() == (tmp_path / "live.json").read_bytes()
 
 
+def map_bytes(occ_map, path):
+    save_map(occ_map, path)
+    return path.read_bytes()
+
+
+def test_map_lifetimes_across_episodes_and_tours(synth, tmp_path):
+    scene, by_id = synth["scene"], synth["by_id"]
+    trace, episodic, cfg = noisy_mapped_tour(synth, "episodic")
+    _, iterative, _ = noisy_mapped_tour(synth, "iterative")
+    assert len(trace.episodes) >= 3
+    # an episodic map holds only what the last episode and its segments sensed
+    last = trace.episodes[-1]
+    segments = [s for s in trace.oracle_segments if s.episode_id == last.episode_id]
+    tail = TourTrace(trace.tour_id, [last], segments)
+    replayed = replay_tour(scene, tail, by_id, cfg)
+    assert map_bytes(episodic, tmp_path / "live.json") == map_bytes(replayed, tmp_path / "tail.json")
+    # an iterative map keeps what the earlier episodes sensed
+    assert iterative.observed.sum() > replayed.observed.sum()
+    # every tour starts with a fresh map: the oracle carries no state across
+    # tours, and the short second tour sees less than the first
+    short = Tour("t-short", scene.scene_id, synth["tours"][1].episode_ids[:2])
+    tours, cfg = [synth["tours"][0], short], Config(map_mode="iterative")
+    both, second, first = (
+        map_bytes(run_tours(scene, run, by_id, OraclePolicy(scene, by_id), cfg)[1], tmp_path / f"tours{i}.json")
+        for i, run in enumerate((tours, tours[1:], tours[:1]))
+    )
+    assert both == second != first
+
+
 def _move_point(points, i):
     p = points[i]
     points[i] = Point3(p.x + 0.25, p.y, p.z)
@@ -448,13 +476,13 @@ def test_crops_read_after_the_tour_are_the_crops_at_observation_time(synth, monk
     scene, by_id = synth["scene"], synth["by_id"]
     tour = Tour("t-crops", scene.scene_id, synth["tours"][0].episode_ids[:4])
     at_the_time = []
-    crop_source = harness._Sensor.crop_source
+    crop_source = harness._Walk.crop_source
 
     def eager(self, pose):
         at_the_time.append(crop_egocentric(self.occ_map, pose, self.cfg.crop_size))
         return crop_source(self, pose)
 
-    monkeypatch.setattr(harness._Sensor, "crop_source", eager)
+    monkeypatch.setattr(harness._Walk, "crop_source", eager)
     crops = count_calls(monkeypatch, harness, "crop_egocentric")
     policy = KeepingPolicy(scene, by_id, p_error=0.4, seed=3)
     cfg = Config(map_mode=mode, max_steps=20, crop_size=24)
@@ -473,12 +501,14 @@ def test_crops_read_after_the_tour_are_the_crops_at_observation_time(synth, monk
 
 
 def test_observation_message_with_a_given_or_a_deferred_crop(open_room):
-    occ_map = SemanticOccMap.for_grid(open_room.grid, "iterative")
+    walk = harness._Walk(open_room, Config(map_mode="iterative", crop_size=16))
+    occ_map = walk.occ_map
     rng = np.random.default_rng(8)
     occ_map.semantic[:] = rng.integers(0, 14, size=occ_map.semantic.shape)
     occ_map.occupancy[:] = occ_map.semantic > 6
     pose = Pose(Point3(0.5, 0.75, 0.0), 0.3)
     crop = crop_egocentric(occ_map, pose, 16)
+    compact = crop_to_compact(*crop_layers(occ_map, pose, 16))
     want = {
         "type": "observe",
         "pose": [0.5, 0.75, 0.0, 0.3],
@@ -490,13 +520,11 @@ def test_observation_message_with_a_given_or_a_deferred_crop(open_room):
         "cell": [2, 3],
     }
     args = ("e0", 2, "walk", pose, (2, 3), 7, "oracle")
-    given = Observation(*args, crop=crop)
-    assert given.crop is crop
-    assert json.dumps(observation_message(given)) == json.dumps(want)
-    sensor = harness._Sensor(open_room, occ_map, Config(crop_size=16))
-    deferred = Observation(*args, crop_source=sensor.crop_source(pose))
+    deferred = Observation(*args, crop_source=walk.crop_source(pose))
     occ_map.clear()  # later map changes do not reach the crop
     assert json.dumps(observation_message(deferred)) == json.dumps(want)
+    # the source outlives the read of the crop, so the layers still come from it
+    assert crop_to_compact(*deferred.crop_layers()) == compact
     assert observation_message(Observation(*args))["crop"] is None
 
 
@@ -601,13 +629,13 @@ def test_socket_agent_message_flow(open_room):
 def record_crops(monkeypatch):
     """Crops of the map at each observation, in order, made eagerly."""
     at_the_time = []
-    crop_source = harness._Sensor.crop_source
+    crop_source = harness._Walk.crop_source
 
     def eager(self, pose):
         at_the_time.append(crop_egocentric(self.occ_map, pose, self.cfg.crop_size))
         return crop_source(self, pose)
 
-    monkeypatch.setattr(harness._Sensor, "crop_source", eager)
+    monkeypatch.setattr(harness._Walk, "crop_source", eager)
     return at_the_time
 
 

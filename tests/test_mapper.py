@@ -12,9 +12,7 @@ from ivln.errors import DimensionMismatch
 from ivln.mapper import (
     BAND_MARGIN,
     CROP_CHANNELS,
-    EPISODE_START,
     LABEL_COUNT,
-    TOUR_START,
     CameraIntrinsics,
     DepthFrame,
     SemanticFrame,
@@ -27,11 +25,9 @@ from ivln.mapper import (
     crop_to_flat,
     integrate,
     known_map,
-    layers_from_crop,
     load_map,
     map_from_dict,
     map_to_dict,
-    reset_policy,
     save_map,
     synthesize_views,
     unproject,
@@ -183,24 +179,6 @@ def test_known_map_mirrors_grid():
     assert np.array_equal(m.occupancy.astype(bool), ~grid.navigable)
     assert np.array_equal(m.semantic, grid.semantic)
     assert m.observed.all()
-
-
-def test_reset_policy_table():
-    for mode, event, cleared in [
-        ("episodic", EPISODE_START, True),
-        ("episodic", TOUR_START, True),
-        ("iterative", EPISODE_START, False),
-        ("iterative", TOUR_START, True),
-    ]:
-        m = fresh_map(mode)
-        integrate(m, np.array([[0.0, 0.0, 1.0]]), np.array([5], dtype=np.uint8), 0.0, 2.6)
-        reset_policy(m, event)
-        assert bool(m.occupancy.any()) != cleared, (mode, event)
-    known = known_map(grid_from_ascii(["#."]))
-    reset_policy(known, TOUR_START)
-    assert known.occupancy.any()  # never cleared
-    with pytest.raises(ValueError):
-        reset_policy(fresh_map(), "lunch_break")
 
 
 # -- crops --------------------------------------------------------------------
@@ -373,9 +351,6 @@ def test_compact_crop_round_trip_is_the_crop_bitwise(generated_grid, tmp_path):
             wire = json.loads(json.dumps(crop_to_compact(*crop_layers(m, pose, size))))
             back = crop_from_compact(wire)
             assert back.dtype == np.float32 and back.tobytes() == want.tobytes()
-            labels, occupied = layers_from_crop(crop)
-            assert np.array_equal(labels, crop_layers(m, pose, size)[0])
-            assert np.array_equal(occupied, crop_layers(m, pose, size)[1])
 
 
 def test_compact_crop_is_small_and_labels_above_13_read_as_none():
@@ -408,20 +383,6 @@ def test_compact_crop_size_must_be_a_positive_integer(size):
     payload["size"] = size
     with pytest.raises(ValueError, match="size"):
         crop_from_compact(payload)
-
-
-def test_layers_from_crop_refuses_what_is_not_a_one_hot_crop():
-    m = fresh_map(size=6)
-    m.semantic[:] = np.arange(36).reshape(6, 6) % 14
-    m.occupancy[:] = m.semantic > 6
-    crop = crop_egocentric(m, Pose(Point3(0.5, 0.5, 0), 0.0), size=8)
-    assert crop[:LABEL_COUNT].any() and crop[LABEL_COUNT].any()
-    for bad in (crop * 0.5, crop[:LABEL_COUNT], np.ones_like(crop)):
-        with pytest.raises(ValueError, match="one-hot"):
-            layers_from_crop(bad)
-    crop[LABEL_COUNT, 0, 0] = 2.0
-    with pytest.raises(ValueError, match="one-hot"):
-        layers_from_crop(crop)
 
 
 # -- snapshots ----------------------------------------------------------------
