@@ -63,7 +63,6 @@ from .metrics import (
     build_report,
     dtw,
     episodic_metrics,
-    masked_tour_dtw,
     ndtw,
     read_traces,
     scale_score,

@@ -222,15 +222,18 @@ class GridWorld:
         point = as_point(point)
         cx, cy = self.cell_index(point)
         reach = math.ceil(radius / self.resolution) + 1
+        y0, x0 = max(0, cy - reach), max(0, cx - reach)
+        y1, x1 = max(y0, min(self.height, cy + reach + 1)), max(x0, min(self.width, cx + reach + 1))
+        iys, ixs = np.nonzero(self.navigable[y0:y1, x0:x1])  # row-major: (iy, ix) order
+        iys += y0
+        ixs += x0
+        # cell_center's arithmetic, then math.hypot itself for the distances
+        dx = point.x - (self.origin.x + ixs * self.resolution)
+        dy = point.y - (self.origin.y + iys * self.resolution)
         best = None
-        for iy in range(max(0, cy - reach), min(self.height, cy + reach + 1)):
-            for ix in range(max(0, cx - reach), min(self.width, cx + reach + 1)):
-                if not self.navigable[iy, ix]:
-                    continue
-                center = self.cell_center((ix, iy))
-                d = math.hypot(point.x - center.x, point.y - center.y)
-                if d <= radius and (best is None or d < best[0] - 1e-12):
-                    best = (d, (ix, iy))
+        for d, ix, iy in zip(map(math.hypot, dx.tolist(), dy.tolist()), ixs.tolist(), iys.tolist()):
+            if d <= radius and (best is None or d < best[0] - 1e-12):
+                best = (d, (ix, iy))
         return None if best is None else best[1]
 
     def neighbors(self, cell: Cell) -> Iterator[tuple[Cell, float]]:

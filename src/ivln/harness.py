@@ -53,10 +53,8 @@ from .mapper import (
     crop_layers,
     crop_to_compact,
     crop_to_flat,
-    integrate,
     known_map,
-    synthesize_views,
-    unproject,
+    sense,
 )
 from .metrics import ORACLE_GOAL, ORACLE_TRANSIT, EpisodeTrace, OracleSegment, TourTrace
 from .tourgen import Episode, Tour
@@ -360,9 +358,7 @@ class _Walk:
         grid = self.scene.grid
         pos = self.position
         cam = Pose(Point3(pos.x, pos.y, grid.floor_z + CAMERA_HEIGHT), self.state.heading)
-        depth, sem = synthesize_views(grid, cam, self.intrinsics, MAX_RANGE)
-        points, labels = unproject(depth, sem)
-        integrate(self.occ_map, points, labels, grid.floor_z, grid.ceiling_z)
+        sense(self.occ_map, grid, cam, self.intrinsics, MAX_RANGE)
 
     def crop_source(self, pose: Pose) -> tuple | None:
         """``crop_egocentric`` and ``crop_layers`` arguments for a crop of the

@@ -9,10 +9,7 @@ endpoints, and sums a point metric over matched pairs.  At tour level
 the two paths are concatenations of per-episode blocks and the warp is
 forbidden from matching points of different episodes; with both paths
 sharing the episode sequence this is exactly the per-episode dtw sum,
-which is how ``tour_dtw`` computes it.  ``masked_tour_dtw`` runs the
-same alignment over the full concatenated cost matrix with infinite
-cross-episode entries; it is quadratic in tour length and exists to
-cross-check the block sum.
+which is how ``tour_dtw`` computes it.
 
 Tour scores aggregate over trajectory splits weighted by episode count:
 
@@ -129,9 +126,13 @@ def dtw(reference, query, dist: PointMetric = euclidean) -> float:
 
 def ndtw(reference, query, d_th: float = DEFAULT_DTH, dist: PointMetric = euclidean) -> float:
     """Normalized alignment score in (0, 1]; 1 iff the warp cost is 0."""
+    return _normalized(dtw(reference, query, dist), len(reference), d_th)
+
+
+def _normalized(cost: float, reference_length: int, d_th: float) -> float:
     if d_th <= 0:
         raise ValueError("d_th must be positive")
-    return math.exp(-dtw(reference, query, dist) / (len(reference) * d_th))
+    return math.exp(-cost / (reference_length * d_th))
 
 
 def tour_dtw(trace: TourTrace, dist: PointMetric = euclidean) -> float:
@@ -141,36 +142,19 @@ def tour_dtw(trace: TourTrace, dist: PointMetric = euclidean) -> float:
     decomposes into independent per-episode alignments, so the tour cost
     is the sum of per-episode dtw costs.
     """
+    return _tour_sum(trace, [dtw(ep.reference_path, ep.agent_path, dist) for ep in trace.episodes])
+
+
+def _tour_sum(trace: TourTrace, costs: list[float]) -> float:
+    """The tour cost from its episodes' dtw costs, summed in episode order."""
     if not trace.episodes:
         raise EmptySequence(f"tour {trace.tour_id} has no episodes")
-    return float(sum(dtw(ep.reference_path, ep.agent_path, dist) for ep in trace.episodes))
-
-
-def masked_tour_dtw(trace: TourTrace, dist: PointMetric = euclidean) -> float:
-    """Same alignment as ``tour_dtw`` via one concatenated cost matrix.
-
-    Builds the full |R| x |Q| matrix with inf outside the block diagonal
-    and runs the warp over it.  Quadratic in tour length; kept as the
-    direct transcription of the masked formulation for cross-checks.
-    """
-    if not trace.episodes:
-        raise EmptySequence(f"tour {trace.tour_id} has no episodes")
-    ref = [p for ep in trace.episodes for p in ep.reference_path]
-    query = [p for ep in trace.episodes for p in ep.agent_path]
-    costs = np.full((len(ref), len(query)), math.inf)
-    i0 = j0 = 0
-    for ep in trace.episodes:
-        i1 = i0 + len(ep.reference_path)
-        j1 = j0 + len(ep.agent_path)
-        costs[i0:i1, j0:j1] = _cost_matrix(ep.reference_path, ep.agent_path, dist)
-        i0, j0 = i1, j1
-    return _accumulate(costs)
+    return float(sum(costs))
 
 
 def tour_ndtw(trace: TourTrace, d_th: float = DEFAULT_DTH, dist: PointMetric = euclidean) -> float:
     """Normalized tour alignment; |R| is the total reference length."""
-    total_ref = sum(len(ep.reference_path) for ep in trace.episodes)
-    return math.exp(-tour_dtw(trace, dist) / (total_ref * d_th))
+    return _normalized(tour_dtw(trace, dist), sum(len(ep.reference_path) for ep in trace.episodes), d_th)
 
 
 def aggregate_t_ndtw(scored_tours: Sequence[tuple[TourTrace, float]]) -> float:
@@ -226,6 +210,13 @@ def episodic_metrics(
     """
     if goal_metric is None:
         goal_metric = GeodesicMetric(scene) if scene is not None else euclidean
+    return _episode_metrics(trace, dtw(trace.reference_path, trace.agent_path, dist),
+                            success_radius, d_th, goal_metric)
+
+
+def _episode_metrics(trace: EpisodeTrace, cost: float, success_radius: float, d_th: float,
+                     goal_metric: PointMetric) -> EpisodeMetrics:
+    """``episodic_metrics`` given the episode's dtw cost."""
     goal = trace.reference_path[-1]
     tl = path_length(trace.agent_path)
     ne = goal_metric(goal, trace.final_position)
@@ -244,7 +235,7 @@ def episodic_metrics(
         os_=os_,
         sr=sr,
         spl=spl,
-        ndtw=ndtw(trace.reference_path, trace.agent_path, d_th=d_th, dist=dist),
+        ndtw=_normalized(cost, len(trace.reference_path), d_th),
     )
 
 
@@ -371,10 +362,10 @@ def build_report(
     per_tour = []
     scored = []
     for trace in traces:
-        for ep in trace.episodes:
-            m = episodic_metrics(
-                ep, success_radius=success_radius, d_th=d_th, dist=dist, goal_metric=goal_metric
-            )
+        # each episode's dtw feeds both its nDTW and the tour's sum
+        costs = [dtw(ep.reference_path, ep.agent_path, dist) for ep in trace.episodes]
+        for ep, cost in zip(trace.episodes, costs):
+            m = _episode_metrics(ep, cost, success_radius, d_th, goal_metric)
             per_episode.append(
                 {
                     "tour_id": trace.tour_id,
@@ -387,7 +378,7 @@ def build_report(
                     "ndtw": round(m.ndtw, 6),
                 }
             )
-        score = tour_ndtw(trace, d_th=d_th, dist=dist)
+        score = _normalized(_tour_sum(trace, costs), sum(len(ep.reference_path) for ep in trace.episodes), d_th)
         scored.append((trace, score))
         per_tour.append(
             {

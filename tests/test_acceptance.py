@@ -36,7 +36,6 @@ from ivln.metrics import (
     EpisodeTrace,
     TourTrace,
     aggregate_t_ndtw,
-    masked_tour_dtw,
     ndtw,
     scale_score,
     tour_dtw,
@@ -57,6 +56,7 @@ from ivln.tourgen import (
 )
 
 from conftest import check_trace_invariants
+from test_metrics import masked_tour_dtw
 
 
 def split_score(traces) -> float:

@@ -190,6 +190,45 @@ def test_grid_snap_ignores_z():
     assert scene.snap_point((0.0, 0.0, 40.0)) == (0, 0)
 
 
+def scan_snap(grid: GridWorld, point, radius):
+    """The per-cell window scan that ``GridWorld.snap`` replaced, kept as
+    the reference it must match."""
+    cx, cy = grid.cell_index(point)
+    reach = math.ceil(radius / grid.resolution) + 1
+    best = None
+    for iy in range(max(0, cy - reach), min(grid.height, cy + reach + 1)):
+        for ix in range(max(0, cx - reach), min(grid.width, cx + reach + 1)):
+            if not grid.navigable[iy, ix]:
+                continue
+            center = grid.cell_center((ix, iy))
+            d = math.hypot(point[0] - center.x, point[1] - center.y)
+            if d <= radius and (best is None or d < best[0] - 1e-12):
+                best = (d, (ix, iy))
+    return None if best is None else best[1]
+
+
+@given(random_grids(), st.sampled_from([GRID_SNAP_RADIUS, 0.25, 0.375, math.hypot(0.125, 0.125)]), st.data())
+@settings(max_examples=150)
+def test_grid_snap_equals_the_window_scan(grid, radius, data):
+    # quarter cells: centers, edges and corners, where two or four cells
+    # tie, out to well past the border; nudges of 1e-13 sit inside the
+    # 1e-12 tie margin; corners lie exactly at the smallest radius from
+    # four centers, and the last points exactly at radius from one
+    quarter = st.integers(-20, 4 * 8 + 20).map(lambda k: k * 0.0625)
+    nudge = st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -2e-12])
+    lattice = st.builds(lambda x, y, dx, dy: (x + dx, y + dy), quarter, quarter, nudge, nudge)
+    corner = st.builds(lambda ix, iy, dx, dy: (ix * 0.25 + 0.125 + dx, iy * 0.25 + 0.125 + dy),
+                       st.integers(-1, grid.width), st.integers(-1, grid.height), nudge, nudge)
+    anywhere = st.tuples(st.floats(-3.0, 5.0), st.floats(-3.0, 5.0))
+    on_radius = st.builds(
+        lambda ix, iy, side: (ix * 0.25 + side[0] * radius, iy * 0.25 + side[1] * radius),
+        st.integers(-1, grid.width), st.integers(-1, grid.height),
+        st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
+    )
+    for x, y in data.draw(st.lists(st.one_of(lattice, corner, anywhere, on_radius), min_size=1, max_size=25)):
+        assert grid.snap((x, y, 0.0), radius) == scan_snap(grid, (x, y, 0.0), radius), (x, y)
+
+
 def test_graph_snap_tie_prefers_smallest_id():
     graph = NavGraph(
         nodes={"m": (0.0, 0.0, 0.0), "k": (0.6, 0.0, 0.0)},

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ivln.config import Config
-from ivln.environment import NavIndex, Point3, Pose, Scene, geodesic_distance
+from ivln.environment import NavIndex, Point3, Pose, Scene
 from ivln import harness
 from ivln.errors import Disconnected, PolicyTimeout, ProtocolViolation
 from ivln.harness import (

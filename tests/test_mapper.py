@@ -29,11 +29,13 @@ from ivln.mapper import (
     map_from_dict,
     map_to_dict,
     save_map,
+    sense,
     synthesize_views,
     unproject,
 )
 
-from ivln.mapper import _march_columns
+from ivln import mapper
+from ivln.mapper import _SHORT_CROSSINGS, _march, _march_columns
 from ivln.syngen import FloorplanSpec, generate_scene
 
 from conftest import grid_from_ascii
@@ -506,6 +508,105 @@ def test_single_view_occupancy_is_precise():
         assert m.semantic[iy, ix] == grid.semantic[iy, ix]
 
 
+# -- footprints ---------------------------------------------------------------
+
+
+def pixel_path(occ_map, grid, pose, max_range):
+    depth, sem = synthesize_views(grid, pose, INTR, max_range)
+    integrate(occ_map, *unproject(depth, sem), grid.floor_z, grid.ceiling_z)
+
+
+MAP_ARRAYS = ("occupancy", "semantic", "observed", "top_z")
+
+
+def cell_units(n):
+    # anywhere on or just off the grid, and exactly on cell centers and edges
+    return st.one_of(st.floats(-1.5, n + 0.5), st.integers(-3, 2 * n + 1).map(lambda k: k / 2))
+
+
+@st.composite
+def walks(draw):
+    width, height = draw(st.integers(2, 12)), draw(st.integers(1, 8))
+    cells = draw(st.text(".....#4567", min_size=width * height, max_size=width * height))
+    grid = grid_from_ascii([cells[i * width:(i + 1) * width] for i in range(height)])
+    heading = st.one_of(st.floats(-7.0, 7.0), st.integers(-8, 8).map(lambda k: k * math.pi / 4))
+    poses = draw(st.lists(st.tuples(cell_units(width), cell_units(height), heading, st.booleans()),
+                          min_size=1, max_size=8))
+    return grid, poses, draw(st.sampled_from([10.0, 1.3]))
+
+
+@given(walks())
+@settings(max_examples=200, deadline=None)
+def test_footprint_fold_is_the_pixel_path(walk):
+    # in-wall, off-grid and off-center poses at any heading, with clears
+    # between them as an episodic map has
+    grid, poses, max_range = walk
+    want = SemanticOccMap.for_grid(grid, "episodic")
+    got = SemanticOccMap.for_grid(grid, "episodic")
+    for x, y, heading, clear in poses:
+        if clear:
+            want.clear()
+            got.clear()
+        pose = Pose(Point3(x * 0.25, y * 0.25, 1.25), heading)
+        pixel_path(want, grid, pose, max_range)
+        sense(got, grid, pose, INTR, max_range)
+        for name in MAP_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (name, x, y, heading)
+
+
+def test_footprint_fold_is_the_pixel_path_on_a_generated_scene(generated_grid):
+    grid = generated_grid
+    rng = np.random.default_rng(5)
+    cells = np.argwhere(grid.navigable)
+    want = SemanticOccMap.for_grid(grid, "iterative")
+    got = SemanticOccMap.for_grid(grid, "iterative")
+    for _ in range(60):
+        iy, ix = cells[rng.integers(len(cells))]
+        pose = Pose(Point3(ix * grid.resolution, iy * grid.resolution, 1.25), rng.uniform(0, 2 * math.pi))
+        pixel_path(want, grid, pose, 10.0)
+        sense(got, grid, pose, INTR, 10.0)
+    assert want.occupancy.sum() > 50
+    for name in MAP_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_footprint_breaks_a_tie_as_integrate_does():
+    # facing +x, columns 62 and 63 meet the wall face x = 0.375 at one
+    # distance, so their top points tie in z; column 62 meets cell (2, 2)
+    # (label 5) just before its ray crosses into row 1, so its points land
+    # in cell (2, 1) (label 6) with column 63's: the later pixel wins
+    grid = grid_from_ascii(["....", "..6.", "..5.", "....", "...."])
+    pose = Pose(Point3(0.0, 0.375 + 30.5 / 32 * (0.375 + 0.5e-4), 1.25), 0.0)
+    points, labels = unproject(*synthesize_views(grid, pose, INTR))
+    ix, iy = SemanticOccMap.for_grid(grid, "iterative").cell_index(points[:, 0], points[:, 1])
+    z = np.where((ix == 2) & (iy == 1) & (points[:, 2] > BAND_MARGIN), points[:, 2], -np.inf)
+    assert set(labels[z == z.max()]) == {5, 6}
+    want = SemanticOccMap.for_grid(grid, "iterative")
+    got = SemanticOccMap.for_grid(grid, "iterative")
+    pixel_path(want, grid, pose, 10.0)
+    sense(got, grid, pose, INTR, 10.0)
+    assert got.semantic[1, 2] == want.semantic[1, 2] == 6
+    for name in MAP_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_footprint_refuses_a_floor_point_inside_the_band(monkeypatch):
+    # a band that takes in the floor: the pixel path folds floor points as
+    # occupied, which the footprint cannot express, so it raises
+    monkeypatch.setattr(mapper, "BAND_MARGIN", -0.05)
+    grid = grid_from_ascii(["#......#"])
+    pose = Pose(Point3(0.25, 0.0, 1.25), 0.0)
+    pixel_path(SemanticOccMap.for_grid(grid, "iterative"), grid, pose, 10.0)
+    with pytest.raises(RuntimeError, match="inside the band"):
+        sense(SemanticOccMap.for_grid(grid, "iterative"), grid, pose, INTR, 10.0)
+
+
+def test_footprint_refuses_a_known_map():
+    grid = grid_from_ascii(["#..#"])
+    with pytest.raises(ValueError, match="immutable"):
+        sense(known_map(grid), grid, Pose(Point3(0.25, 0.0, 1.25), 0.0), INTR)
+
+
 # -- ray march ----------------------------------------------------------------
 
 
@@ -649,3 +750,36 @@ def test_march_matches_the_loop_when_the_range_ends_on_a_crossing():
     # and exactly on boundary crossings that are not walls
     for cut in (0.125, 0.375, 0.625, 0.25 * math.sqrt(2)):
         assert_march_matches_loop(grid, pos, dirs, cut)
+
+
+# a corridor 80 cells (20 m) long: down it a ray meets the near end wall
+# beyond the short pass's crossings, or runs out of range before the far
+# one; across it, rays meet the side walls at once
+CORRIDOR = grid_from_ascii(["#" * 80, "#" + "." * 78 + "#", "#" * 80])
+
+
+def test_short_then_full_march_is_the_full_pass_and_the_loop():
+    pos = Point3(30 * 0.25, 0.25, 1.25)
+    for heading in (0.0, math.pi, 0.01, math.pi - 0.02, math.pi / 2, 2.5):
+        dirs = np.concatenate([camera_dirs(heading), GRAZING_DIRS])
+        k = int(10.0 * np.abs(dirs).max() / 0.25) + 3
+        _, _, short_found = _march(CORRIDOR, pos, dirs, 10.0, _SHORT_CROSSINGS)
+        s_full, label_full, full_found = _march(CORRIDOR, pos, dirs, 10.0, k)
+        assert full_found.all()
+        s_wall, label = assert_march_matches_loop(CORRIDOR, pos, dirs, 10.0)
+        assert np.array_equal(s_wall, s_full) and np.array_equal(label, label_full)
+        if heading in (0.0, math.pi):
+            assert not short_found.all()  # some rays need the full pass
+    # down the corridor toward +x the far wall lies beyond max_range
+    s_wall, _ = assert_march_matches_loop(CORRIDOR, pos, np.array([[1.0, 0.0], [-1.0, 0.0]]), 10.0)
+    assert np.isinf(s_wall[0]) and s_wall[1] == pytest.approx(29.5 * 0.25)
+
+
+def test_march_raises_when_the_full_pass_runs_out_of_crossings(monkeypatch):
+    pos = Point3(30 * 0.25, 0.25, 1.25)
+    dirs = camera_dirs(math.pi)
+    _march_columns(CORRIDOR, pos, dirs, 10.0)
+    real = mapper._march
+    monkeypatch.setattr(mapper, "_march", lambda grid, p, d, r, k: real(grid, p, d, r, min(k, 8)))
+    with pytest.raises(RuntimeError, match="ran out of boundary crossings"):
+        _march_columns(CORRIDOR, pos, dirs, 10.0)

@@ -8,18 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivln.environment import GeodesicMetric, GridWorld, as_point
+from ivln.environment import GeodesicMetric, GridWorld, as_point, euclidean
+from ivln import metrics
 from ivln.errors import EmptySequence
 from ivln.metrics import (
     EpisodeTrace,
     OracleSegment,
     TourTrace,
     _accumulate,
+    _cost_matrix,
     aggregate_t_ndtw,
     build_report,
     dtw,
     episodic_metrics,
-    masked_tour_dtw,
     ndtw,
     path_length,
     read_traces,
@@ -30,6 +31,28 @@ from ivln.metrics import (
 )
 
 from conftest import scene_from_ascii
+
+
+def masked_tour_dtw(trace: TourTrace, dist=euclidean) -> float:
+    """The same alignment as ``tour_dtw`` over one concatenated cost matrix.
+
+    Builds the full |R| x |Q| matrix with inf outside the block diagonal
+    and runs the warp over it.  Quadratic in tour length; the direct
+    transcription of the masked formulation, kept to cross-check the
+    block sum.
+    """
+    if not trace.episodes:
+        raise EmptySequence(f"tour {trace.tour_id} has no episodes")
+    ref = [p for ep in trace.episodes for p in ep.reference_path]
+    query = [p for ep in trace.episodes for p in ep.agent_path]
+    costs = np.full((len(ref), len(query)), math.inf)
+    i0 = j0 = 0
+    for ep in trace.episodes:
+        i1 = i0 + len(ep.reference_path)
+        j1 = j0 + len(ep.agent_path)
+        costs[i0:i1, j0:j1] = _cost_matrix(ep.reference_path, ep.agent_path, dist)
+        i0, j0 = i1, j1
+    return _accumulate(costs)
 
 
 # -- independent reference: top-down memoized recursion ----------------------
@@ -309,6 +332,28 @@ def test_geodesic_report_snaps_each_distinct_point_once(monkeypatch):
     build_report([trace], scene, dist=GeodesicMetric(scene))
     assert set(calls) == set(points)
     assert max(calls.values()) == 1
+
+
+@given(st.lists(tours, min_size=1, max_size=3))
+@settings(max_examples=30)
+def test_report_aligns_each_episode_once_to_the_public_scores(traces):
+    calls = []
+    real = metrics.dtw
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "dtw", counted)
+        report = build_report(traces)
+    assert len(calls) == sum(len(trace.episodes) for trace in traces)
+    rows = iter(report.per_episode)
+    for trace, tour_row in zip(traces, report.per_tour):
+        assert tour_row["t_ndtw"] == scale_score(tour_ndtw(trace))
+        for ep in trace.episodes:
+            assert next(rows)["ndtw"] == round(episodic_metrics(ep).ndtw, 6) == round(
+                ndtw(ep.reference_path, ep.agent_path), 6)
 
 
 def test_path_length():
