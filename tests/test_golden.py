@@ -1,8 +1,8 @@
 """Golden artifact hashes: the pipeline's bytes at fixed seeds.
 
 Drives ``ivln.cli.main`` in-process through the ``scripts/run_demo.py``
-chain on a grid scene and through episodes, tours, a noisy rollout and a
-geodesic eval on its graph twin, then compares the sha256 of every
+chain plus a geodesic eval on a grid scene and through episodes, tours,
+a noisy rollout and a geodesic eval on its graph twin, then compares the sha256 of every
 artifact with ``tests/golden/sha256.json``.  A refactor that keeps
 behaviour keeps these bytes; a change that means to alter them
 regenerates the table with ``PYTHONPATH=src python tests/test_golden.py``
@@ -43,6 +43,8 @@ def run_chain(out: Path, seed: int) -> None:
          "--map-out", out / "map.json", "--out", traces)
     _cli("eval", "--traces", traces, "--episodes", episodes, "--scene", scene,
          "--tours", tours, "--out", out / "report.json", "--csv", out / "per_episode.csv")
+    _cli("eval", "--traces", traces, "--episodes", episodes, "--scene", scene,
+         "--tours", tours, "--geodesic", "--out", out / "report_geodesic.json")
     _cli("coverage", "--tours", tours, "--episodes", episodes, "--scene", scene,
          "--out", out / "coverage.csv", "--json", out / "coverage.json")
     _cli("stats", "--tours", tours, "--out", out / "stats.json")
@@ -92,7 +94,7 @@ def test_artifacts_match_golden_hashes(chain):
 def test_json_artifacts_are_canonical_lines(chain):
     root, _ = chain
     artifacts = sorted((root / "seed3").glob("*.json*"))
-    assert len(artifacts) == 15
+    assert len(artifacts) == 16
     for path in artifacts:
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines(keepends=True) if path.suffix == ".jsonl" else [text]
