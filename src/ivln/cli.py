@@ -172,6 +172,8 @@ def _check_complete(tours, traces):
 
 def cmd_eval(args) -> int:
     cfg = _config_from_args(args, ("d_th", "success_radius", "geodesic"))
+    if cfg.geodesic and not args.scene:
+        raise ValueError("--geodesic needs --scene")
     scene = load_scene(args.scene) if args.scene else None
     episodes_by_id = None
     if args.episodes:
@@ -181,8 +183,6 @@ def cmd_eval(args) -> int:
     traces = read_traces(args.traces, episodes_by_id)
     if args.tours:
         _check_complete(load_tours(args.tours), traces)
-    if cfg.geodesic and scene is None:
-        raise ValueError("--geodesic needs --scene")
     dist = GeodesicMetric(scene) if cfg.geodesic else euclidean
     report = build_report(
         traces,

@@ -21,9 +21,14 @@ mutated after it.
 
 The index also caches ``Scene.snap_point`` by exact query point, misses
 included, so each distinct point is snapped once per scene.  With both
-caches, ``GeodesicMetric.pairwise`` builds a geodesic cost matrix by
-snapping every point once and asking each reference point's Dijkstra
-for just the snapped query ids.
+caches, ``GeodesicMetric`` snaps every point of a cost matrix once
+(``locate``) and fills it one row per reference point (``costs``),
+asking that point's Dijkstra only for the query ids the row keeps.
+Alignment keeps just the cells its optimal warp can pass through: the
+Euclidean distance between two locations' points (``NavIndex.points``)
+never exceeds their geodesic distance, because grid steps have octile
+lengths and graph edges are weighted by their 3D Euclidean length, so
+it bounds every cell from below (see ``metrics._geodesic_costs``).
 
 Conventions used throughout the package:
 
@@ -37,11 +42,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import base64
+import functools
 import heapq
 import json
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress, groupby
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -368,11 +376,23 @@ class NavIndex:
             self.neighbors = _grid_neighbor_lists(grid, list(self.id_of.values()))
             self._points = None
             self._resolution = grid.resolution
+        self._grid = scene.grid
         # per source id: (dist, frontier, closed) of a Dijkstra paused between pops
         self._fields: dict[int, tuple[array, array, bytearray]] = {}
         self._routes: dict[tuple, tuple[float, tuple] | None] = {}
         # Scene.snap_point's results by exact query point; None marks a miss
         self.snaps: dict[Point3, object] = {}
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """Row i is the world position of location id i, as
+        ``Scene.location_point`` gives it; built on first use."""
+        if self._grid is None:
+            return np.array(self._points)
+        grid, cells = self._grid, np.array(self.locations)
+        return np.column_stack((grid.origin.x + cells[:, 0] * grid.resolution,  # cell_center's arithmetic
+                                grid.origin.y + cells[:, 1] * grid.resolution,
+                                np.full(len(cells), grid.floor_z)))
 
     def search(self, source: int, goal: int):
         """A* from ``source`` to ``goal`` over location ids (octile estimate
@@ -427,16 +447,15 @@ class NavIndex:
         self._routes[a, b] = found
         return found
 
-    def _settle(self, location, ids) -> array:
-        """Distances out of ``location``, exact at least at every id in
-        ``ids``: its Dijkstra runs on until each of them is closed or
-        nothing is left to pop, then pauses until a later call.
+    def _settle(self, source: int, ids) -> array:
+        """Distances out of location id ``source``, exact at least at
+        every id in ``ids``: its Dijkstra runs on until each of them is
+        closed or nothing is left to pop, then pauses until a later call.
 
         Between calls the heap is kept as flat ``key, id, key, id, ...``
         doubles (ids are exact in a double): 16 bytes an entry, where its
         tuples take about 100.
         """
-        source = self.id_of[location]
         state = self._fields.get(source)
         if state is None:
             n = len(self.locations)
@@ -469,12 +488,12 @@ class NavIndex:
     def distances(self, location, ids: Sequence[int]) -> np.ndarray:
         """Geodesic distance from a location to each location id in
         ``ids``, inf where unreachable."""
-        return np.frombuffer(self._settle(location, ids))[ids]
+        return np.frombuffer(self._settle(self.id_of[location], ids))[ids]
 
     def distance(self, a, b) -> float:
         """Geodesic distance between two locations, inf when unreachable."""
         target = self.id_of[b]
-        return self._settle(a, (target,))[target]
+        return self._settle(self.id_of[a], (target,))[target]
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +553,15 @@ class GeodesicMetric:
     distance-to-goal queries: each distinct point is snapped once per
     scene, and each distinct snapped source owns one resumable Dijkstra
     that settles only out to the farthest point asked about so far;
-    nearer queries are lookups.  ``pairwise`` builds a whole cost matrix
-    with one query per row.
+    nearer queries are lookups.
+
+    For a cost matrix, ``locate`` snaps its points, ``path_cost`` sums
+    the cells along one warp and ``costs`` fills the cells a mask keeps,
+    one query per row, with inf elsewhere.  ``dtw`` keeps only the cells
+    whose Euclidean lower bound leaves them on a possible optimal warp
+    (``metrics._geodesic_costs``), so each row's Dijkstra settles a small
+    ball around its reference point, and the warp cost is bitwise the one
+    over the full matrix.
     """
 
     def __init__(self, scene: Scene):
@@ -548,23 +574,45 @@ class GeodesicMetric:
             return 0.0
         return self.scene.nav.distance(la, lb)
 
-    def pairwise(self, ref: Sequence[Sequence[float]], query: Sequence[Sequence[float]]) -> np.ndarray:
-        """Matrix of ``self(ref[i], query[j])``; row i is ``ref[i]``'s
-        distances to the query ids.
+    def locate(self, ref: Sequence[Sequence[float]], query: Sequence[Sequence[float]]) -> tuple[list, list]:
+        """The location ids of ``ref`` and of ``query``.
 
-        Equal to the per-cell calls bit for bit: a source is exactly 0.0
-        from itself.  Points are snapped in the order the per-cell
-        loop meets them (``ref[0]``, the queries, the rest of ``ref``), so
-        a SnapFailure names the same point.
+        Points are snapped in the order a per-cell loop over
+        ``self(ref[i], query[j])`` meets them (``ref[0]``, the queries,
+        the rest of ``ref``), so a SnapFailure names the same point.
         """
-        snap = self.scene.snap_point
+        snap, id_of = self.scene.snap_point, self.scene.nav.id_of
+        sources = [id_of[snap(p)] for p in ref[:1]]
+        ids = [id_of[snap(q)] for q in query]
+        sources += [id_of[snap(p)] for p in ref[1:]]
+        return sources, ids
+
+    def path_cost(self, sources: Sequence[int], ids: Sequence[int], cells: Sequence[tuple[int, int]]) -> float:
+        """Sum of the geodesic distances from location id ``sources[i]`` to
+        ``ids[j]`` over the cells ``(i, j)``; one query per run of cells in
+        a row."""
         nav = self.scene.nav
-        sources = [snap(p) for p in ref[:1]]
-        query_ids = [nav.id_of[snap(q)] for q in query]
-        sources += [snap(p) for p in ref[1:]]
-        out = np.empty((len(sources), len(query_ids)))
-        for i, source in enumerate(sources):
-            out[i] = nav.distances(source, query_ids)
+        total = 0.0
+        for i, run in groupby(cells, key=itemgetter(0)):
+            want = [ids[j] for _, j in run]
+            dist = nav._settle(sources[i], want)
+            for target in want:
+                total += dist[target]
+        return total
+
+    def costs(self, sources: Sequence[int], ids: Sequence[int], keep: np.ndarray) -> np.ndarray:
+        """Geodesic distance from location id ``sources[i]`` to ``ids[j]``
+        wherever ``keep[i, j]``, inf elsewhere; one query per row.
+
+        Bitwise the per-cell calls on the kept cells: a source is exactly
+        0.0 from itself.
+        """
+        nav = self.scene.nav
+        columns = np.asarray(ids)
+        out = np.empty(keep.shape)
+        for i, (source, row) in enumerate(zip(sources, keep.tolist())):
+            out[i] = np.frombuffer(nav._settle(source, list(compress(ids, row)))).take(columns)
+        out[~keep] = math.inf  # the ids not kept may not be settled yet
         return out
 
 

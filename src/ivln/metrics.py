@@ -16,11 +16,27 @@ Tour scores aggregate over trajectory splits weighted by episode count:
     aggregate = sum_i |T_i| * score_i / sum_j |T_j|
 
 Scores are reported on a 0..100 scale, one decimal, via ``scale_score``.
+
+Under a ``GeodesicMetric`` the cost matrix is filled only where the
+optimal warp can pass.  The Euclidean distance between the snapped
+locations' points, shrunk by 1e-9, is a lower bound LB on every
+geodesic cell: grid steps have octile lengths and graph edges are
+weighted by their 3D Euclidean length.  With F and B the forward and backward accumulated LB,
+``F + B - LB`` bounds from below the cost of every warp through a cell,
+and U, the geodesic cost along LB's own optimal warp, bounds the optimal
+cost from above.  Cells with ``F + B - LB > U * (1 + 1e-9)`` are set to
+inf without a distance query; when U is inf every cell is kept.  The
+two 1e-9 factors absorb the rounding of the sums.  The result is exact,
+not approximate: every cell of the optimal warp is kept, and removing
+other cells can only raise the accumulated values the warp does not
+take, so every minimum along it, and the dtw value, is bitwise that of
+the full matrix.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -88,12 +104,9 @@ def _cost_matrix(ref, query, dist: PointMetric) -> np.ndarray:
     ref = [as_point(p) for p in ref]
     query = [as_point(p) for p in query]
     if dist is euclidean:
-        r = np.asarray(ref)
-        q = np.asarray(query)
-        diff = r[:, None, :] - q[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        return _euclidean_matrix(np.asarray(ref), np.asarray(query))
     if isinstance(dist, GeodesicMetric):
-        return dist.pairwise(ref, query)
+        return _geodesic_costs(ref, query, dist)
     out = np.empty((len(ref), len(query)))
     for i, p in enumerate(ref):
         for j, s in enumerate(query):
@@ -101,20 +114,71 @@ def _cost_matrix(ref, query, dist: PointMetric) -> np.ndarray:
     return out
 
 
+def _euclidean_matrix(r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    diff = r[:, None, :] - q[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _geodesic_costs(ref, query, metric: GeodesicMetric) -> np.ndarray:
+    """The geodesic cost matrix on every cell the optimal warp can pass
+    through, inf on the others; the warp cost over it is bitwise the one
+    over the full matrix (the module docstring says why)."""
+    sources, ids = metric.locate(ref, query)
+    points = metric.scene.nav.points
+    bound = _euclidean_matrix(points.take(sources, 0), points.take(ids, 0)) * (1 - 1e-9)
+    forward = _warp(bound)
+    through = np.array(forward) + np.array(_warp(bound[::-1, ::-1]))[::-1, ::-1] - bound
+    upper = metric.path_cost(sources, ids, _backtrack(forward))
+    return metric.costs(sources, ids, through <= upper * (1 + 1e-9))
+
+
+def _warp(costs: np.ndarray) -> list[list[float]]:
+    """Accumulated boundary-anchored warp costs over a cost matrix, as
+    rows of floats: entry ``[i][j]`` is the least cost of a warp from
+    ``(0, 0)`` to ``(i, j)``."""
+    rows = costs.tolist()
+    prev = list(itertools.accumulate(rows[0]))
+    out = [prev]
+    for costs_i in rows[1:]:
+        diag = prev[0]
+        left = diag + costs_i[0]
+        row = [left]
+        for cost, up in zip(costs_i[1:], prev[1:]):
+            # min(up, left, diag) by comparisons: the same float, no call
+            low = up if up < diag else diag
+            left = cost + (left if left < low else low)
+            row.append(left)
+            diag = up
+        out.append(row)
+        prev = row
+    return out
+
+
+def _backtrack(acc: list[list[float]]) -> list[tuple[int, int]]:
+    """The cells of an optimal warp through accumulated costs, from the
+    last one back to ``(0, 0)``."""
+    i, j = len(acc) - 1, len(acc[0]) - 1
+    cells = [(i, j)]
+    while i or j:
+        if not i:
+            j -= 1
+        elif not j:
+            i -= 1
+        else:
+            up, left, diag = acc[i - 1][j], acc[i][j - 1], acc[i - 1][j - 1]
+            if diag <= up and diag <= left:
+                i, j = i - 1, j - 1
+            elif up <= left:
+                i -= 1
+            else:
+                j -= 1
+        cells.append((i, j))
+    return cells
+
+
 def _accumulate(costs: np.ndarray) -> float:
     """Boundary-anchored warp cost over a precomputed cost matrix."""
-    n, m = costs.shape
-    acc = np.empty((n, m))
-    acc[0, 0] = costs[0, 0]
-    for j in range(1, m):
-        acc[0, j] = acc[0, j - 1] + costs[0, j]
-    for i in range(1, n):
-        acc[i, 0] = acc[i - 1, 0] + costs[i, 0]
-        row = acc[i]
-        prev = acc[i - 1]
-        for j in range(1, m):
-            row[j] = costs[i, j] + min(prev[j], row[j - 1], prev[j - 1])
-    return float(acc[n - 1, m - 1])
+    return _warp(costs)[-1][-1]
 
 
 def dtw(reference, query, dist: PointMetric = euclidean) -> float:

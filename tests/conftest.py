@@ -53,6 +53,13 @@ def scene_from_ascii(rows, scene_id="ascii", **kwargs):
     return Scene(scene_id=scene_id, grid=grid_from_ascii(rows, **kwargs))
 
 
+def geodesic_pairwise(metric, ref, query):
+    """The full geodesic cost matrix of ``metric`` over ``ref`` x ``query``:
+    the unpruned reference for the cost matrices ``dtw`` builds."""
+    sources, ids = metric.locate(ref, query)
+    return metric.costs(sources, ids, np.ones((len(sources), len(ids)), dtype=bool))
+
+
 def check_trace_invariants(trace, n_episodes):
     """Structural checks every rollout trace must satisfy.
 

@@ -118,6 +118,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert run_cli("gen-episodes", "--scene", missing, "--out", tmp_path / "e.json") == 2
 
 
+def test_eval_checks_the_geodesic_flag_before_reading_any_file(tmp_path, capsys):
+    code = run_cli("eval", "--traces", tmp_path / "nonexistent.jsonl", "--geodesic", "--out", tmp_path / "r.json")
+    assert code == 2
+    assert "--geodesic needs --scene" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_eval_names_the_line_of_a_trace_record_that_is_not_json(pipeline, tmp_path, capsys):
     lines = pipeline["traces"].read_text().splitlines(keepends=True)
     bad = tmp_path / "bad.jsonl"

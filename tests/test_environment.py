@@ -30,7 +30,7 @@ from ivln.environment import (
 from ivln.errors import Disconnected, SnapFailure
 from ivln.syngen import FloorplanSpec, generate_scene
 
-from conftest import grid_from_ascii, scene_from_ascii
+from conftest import geodesic_pairwise, grid_from_ascii, scene_from_ascii
 
 SQRT2 = math.sqrt(2.0)
 
@@ -364,7 +364,7 @@ def pairwise_cases():
 def test_geodesic_pairwise_equals_per_cell_loop(make_scene, ref, query):
     loop = GeodesicMetric(make_scene())
     expected = np.array([[loop(p, q) for q in query] for p in ref])
-    got = GeodesicMetric(make_scene()).pairwise(ref, query)
+    got = geodesic_pairwise(GeodesicMetric(make_scene()), ref, query)
     assert np.isinf(expected).any() and (expected == 0.0).any()
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
@@ -383,7 +383,7 @@ def test_geodesic_pairwise_snap_failure_names_the_loops_point(bad_ref, bad_query
     with pytest.raises(SnapFailure) as per_cell:
         [[loop(p, q) for q in query] for p in ref]
     with pytest.raises(SnapFailure) as pairwise:
-        GeodesicMetric(split_grid_scene()).pairwise(ref, query)
+        geodesic_pairwise(GeodesicMetric(split_grid_scene()), ref, query)
     assert pairwise.value.point == per_cell.value.point
 
 
@@ -458,6 +458,13 @@ def test_resumed_distances_equal_one_full_run(kind, synth):
         assert got[source].tobytes() == full[source].tobytes()
     if kind in ("split_grid", "square_and_pair"):
         assert any(np.isinf(row).any() for row in full.values())
+
+
+@pytest.mark.parametrize("kind", ["scene", "graph_scene"])
+def test_nav_points_are_the_location_points(kind, synth):
+    scene = synth[kind]
+    expected = np.array([scene.location_point(loc) for loc in scene.nav.locations])
+    assert scene.nav.points.tobytes() == expected.tobytes()
 
 
 def test_a_near_query_settles_part_of_the_scene(synth):

@@ -8,15 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivln.environment import GeodesicMetric, GridWorld, as_point, euclidean
+from ivln.environment import GeodesicMetric, GridWorld, NavGraph, Point3, Scene, as_point, euclidean
 from ivln import metrics
-from ivln.errors import EmptySequence
+from ivln.errors import EmptySequence, SnapFailure
+from ivln.harness import NoisyOraclePolicy, run_tours
+from ivln.syngen import EpisodeSpec, FloorplanSpec, generate_episodes, generate_scene
+from ivln.tourgen import build_tours
 from ivln.metrics import (
     EpisodeTrace,
     OracleSegment,
     TourTrace,
     _accumulate,
+    _backtrack,
     _cost_matrix,
+    _geodesic_costs,
+    _warp,
     aggregate_t_ndtw,
     build_report,
     dtw,
@@ -30,7 +36,7 @@ from ivln.metrics import (
     write_traces,
 )
 
-from conftest import scene_from_ascii
+from conftest import geodesic_pairwise, scene_from_ascii
 
 
 def masked_tour_dtw(trace: TourTrace, dist=euclidean) -> float:
@@ -154,6 +160,43 @@ def test_accumulate_monotone_in_cell_costs(n, m, data):
         )
     )
     assert _accumulate(base + bump) >= _accumulate(base) - 1e-9
+
+
+def min_call_accumulate(costs: np.ndarray) -> float:
+    """The warp recurrence with ``min`` over numpy cells: the reference
+    that ``_warp``'s inline comparisons must match bit for bit."""
+    n, m = costs.shape
+    acc = np.empty((n, m))
+    acc[0, 0] = costs[0, 0]
+    for j in range(1, m):
+        acc[0, j] = acc[0, j - 1] + costs[0, j]
+    for i in range(1, n):
+        acc[i, 0] = acc[i - 1, 0] + costs[i, 0]
+        for j in range(1, m):
+            acc[i, j] = costs[i, j] + min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
+    return float(acc[n - 1, m - 1])
+
+
+cost_matrices = st.integers(1, 7).flatmap(lambda m: st.lists(
+    st.lists(st.one_of(st.floats(0, 5, allow_nan=False), st.just(math.inf)), min_size=m, max_size=m),
+    min_size=1, max_size=7)).map(np.array)
+
+
+@given(cost_matrices)
+@settings(max_examples=80)
+def test_warp_equals_the_min_call_recurrence_bitwise(costs):
+    assert _accumulate(costs) == min_call_accumulate(costs)
+
+
+@given(cost_matrices.filter(lambda c: np.isfinite(c).all()))
+@settings(max_examples=60)
+def test_backtrack_walks_an_optimal_warp(costs):
+    acc = _warp(costs)
+    cells = _backtrack(acc)
+    assert cells[0] == (costs.shape[0] - 1, costs.shape[1] - 1) and cells[-1] == (0, 0)
+    for (i, j), (k, l) in zip(cells, cells[1:]):
+        assert (i - k, j - l) in ((1, 0), (0, 1), (1, 1))
+    assert sum(costs[c] for c in cells) == pytest.approx(acc[-1][-1], rel=1e-12, abs=1e-12)
 
 
 # -- tour-level ---------------------------------------------------------------
@@ -332,6 +375,122 @@ def test_geodesic_report_snaps_each_distinct_point_once(monkeypatch):
     build_report([trace], scene, dist=GeodesicMetric(scene))
     assert set(calls) == set(points)
     assert max(calls.values()) == 1
+
+
+# -- pruned geodesic cost matrices ------------------------------------------
+
+
+def full_geodesic_dtw(ref, query, metric) -> float:
+    """``dtw`` over the whole geodesic cost matrix: the unpruned reference."""
+    return _accumulate(geodesic_pairwise(metric, ref, query))
+
+
+def seeded_episodes(kind: str, p_error: float, seed: int):
+    """A fresh seeded scene of ``kind`` and its noisy rollout's episodes."""
+    grid, graph = generate_scene(FloorplanSpec(rooms=4, seed=seed))
+    scene = grid if kind == "grid" else graph
+    episodes = generate_episodes(scene, EpisodeSpec(count=4, length_range=(3.0, 12.0), seed=seed))
+    by_id = {ep.episode_id: ep for ep in episodes}
+    tours = build_tours(episodes, scene, 1, seed=seed)
+    traces, _ = run_tours(scene, tours, by_id, NoisyOraclePolicy(scene, by_id, p_error, seed=seed))
+    return scene, [ep for trace in traces for ep in trace.episodes]
+
+
+@pytest.mark.parametrize("kind", ["grid", "graph"])
+@pytest.mark.parametrize("p_error", [0.05, 0.5])
+@pytest.mark.parametrize("seed", [3, 7])
+def test_pruned_geodesic_dtw_equals_the_full_matrix(kind, p_error, seed):
+    scene, episodes = seeded_episodes(kind, p_error, seed)
+    metric = GeodesicMetric(scene)
+    pruned = 0
+    for ep in episodes:
+        ref, query = ep.reference_path, ep.agent_path
+        assert dtw(ref, query, metric) == full_geodesic_dtw(ref, query, GeodesicMetric(scene))
+        pruned += int(np.isinf(_geodesic_costs(ref, query, metric)).sum())
+    if kind == "grid":
+        assert pruned > 0  # the check above is not vacuous
+
+
+def test_pruned_geodesic_dtw_on_a_split_grid_keeps_every_cell_when_the_bound_warp_is_cut():
+    scene, across = geodesic_tour()
+    metric = GeodesicMetric(scene)
+    for ep in across.episodes:  # the second ends across the wall: an inf cost
+        ref, query = ep.reference_path, ep.agent_path
+        assert dtw(ref, query, metric) == full_geodesic_dtw(ref, query, metric)
+    c = scene.grid.cell_center
+    # the bound's own optimal warp is the diagonal, whose middle cell pairs
+    # (3, 1) with (5, 1) across the wall; the optimal geodesic warp goes round
+    ref, query = [c((0, 1)), c((3, 1)), c((7, 1))], [c((0, 1)), c((5, 1)), c((7, 1))]
+    costs = _geodesic_costs(ref, query, metric)
+    assert math.isinf(costs[1, 1]) and np.isfinite(costs[[0, 1, 2, 2], [0, 0, 1, 2]]).all()
+    assert costs.tobytes() == geodesic_pairwise(metric, ref, query).tobytes()
+    assert 0.0 < dtw(ref, query, metric) == full_geodesic_dtw(ref, query, metric) < math.inf
+
+
+# a walled grid with a sealed pocket (the right column) and a graph with a
+# component of its own, so random paths meet inf cells, ties and detours
+PROPERTY_GRID = ["........#.", ".####...#.", ".#..#.#.#.", ".#....#...", "....#.#.#.", "..#.....#."]
+PROPERTY_GRAPH = NavGraph(
+    nodes={"a": (0.0, 0.0, 1.0), "b": (2.0, 0.0, 1.0), "c": (2.0, 2.0, 1.0), "d": (0.0, 2.0, 1.0),
+           "e": (1.0, 1.0, 1.0), "f": (9.0, 0.0, 1.0), "g": (9.6, 0.0, 1.0)},
+    edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("c", "e"), ("f", "g")],
+)
+
+
+def property_scene(kind):
+    if kind == "grid":
+        return scene_from_ascii(PROPERTY_GRID)
+    return Scene(scene_id="property-graph", graph=PROPERTY_GRAPH)
+
+
+def located_points(kind):
+    scene = property_scene(kind)
+    if kind == "grid":
+        anchors = [scene.grid.cell_center(cell) for cell in scene.nav.locations]
+    else:
+        anchors = list(PROPERTY_GRAPH.nodes.values())
+    jitter = st.floats(-0.12, 0.12, allow_nan=False)
+    return st.builds(lambda p, dx, dy: Point3(p.x + dx, p.y + dy, p.z), st.sampled_from(anchors), jitter, jitter)
+
+
+@given(st.sampled_from(["grid", "graph"]).flatmap(
+    lambda kind: st.tuples(st.just(kind), *[st.lists(located_points(kind), min_size=1, max_size=9)] * 2)))
+@settings(max_examples=120)
+def test_pruned_geodesic_dtw_equals_the_full_matrix_on_random_paths(case):
+    kind, ref, query = case
+    got = dtw(ref, query, GeodesicMetric(property_scene(kind)))
+    assert got == full_geodesic_dtw(ref, query, GeodesicMetric(property_scene(kind)))
+
+
+@pytest.mark.parametrize("bad_ref, bad_query", [((0,), ()), ((), (1,)), ((1,), (0,)), ((0,), (1,)), ((2,), ())])
+def test_geodesic_dtw_snap_failure_names_the_per_cell_loops_point(bad_ref, bad_query):
+    scene, _ = geodesic_tour()
+    ref = [scene.grid.cell_center((i, 0)) for i in range(3)]
+    query = [scene.grid.cell_center((i, 1)) for i in range(2)]
+    for i in bad_ref:
+        ref[i] = Point3(50.0 + i, 0.0, 0.0)
+    for j in bad_query:
+        query[j] = Point3(0.0, 60.0 + j, 0.0)
+    loop = GeodesicMetric(geodesic_tour()[0])
+    with pytest.raises(SnapFailure) as per_cell:
+        [[loop(p, q) for q in query] for p in ref]
+    with pytest.raises(SnapFailure) as pruned:
+        dtw(ref, query, GeodesicMetric(scene))
+    assert pruned.value.point == per_cell.value.point
+
+
+def settled_ids(scene) -> int:
+    return sum(sum(closed) for _, _, closed in scene.nav._fields.values())
+
+
+def test_pruned_geodesic_dtw_settles_under_half_of_the_full_matrix():
+    scene, episodes = seeded_episodes("grid", 0.05, 7)
+    # two fresh scenes on the rollout's grid: no field is settled yet
+    pruned, full = (Scene(scene_id=scene.scene_id, grid=scene.grid) for _ in range(2))
+    for ep in episodes:
+        dtw(ep.reference_path, ep.agent_path, GeodesicMetric(pruned))
+        geodesic_pairwise(GeodesicMetric(full), ep.reference_path, ep.agent_path)
+    assert 0 < settled_ids(pruned) < settled_ids(full) / 2
 
 
 @given(st.lists(tours, min_size=1, max_size=3))
