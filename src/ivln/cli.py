@@ -16,15 +16,15 @@ import dataclasses
 import sys
 
 from .config import SOLVERS, Config, resolve_config
-from .coverage import CoverageCurve, ObservationModel, coverage_curves
+from .coverage import ObservationModel, coverage_curves
 from .environment import FORMAT_VERSION, GeodesicMetric, euclidean, load_scene, save_scene, write_json
 from .errors import (
+    EmptySequence,
     InstructionCountMismatch,
     IvlnError,
     MissingEpisode,
     PolicyTimeout,
     ProtocolViolation,
-    UnsupportedScene,
 )
 from .harness import make_policy, replay_tour, run_tours
 from .mapper import MAP_MODES, save_map
@@ -126,7 +126,7 @@ def _infer_duplicates(episodes) -> int:
 def cmd_gen_tours(args) -> int:
     cfg = _config_from_args(args, ("seed", "solver"))
     scene = load_scene(args.scene)
-    episodes = load_episodes(args.episodes, scene)
+    episodes = load_episodes(args.episodes)
     duplicates = _infer_duplicates(episodes)
     tours = build_tours(episodes, scene, duplicates, cfg.seed, solver=cfg.solver)
     save_tours(tours, episodes, args.out)
@@ -136,9 +136,13 @@ def cmd_gen_tours(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args, ("seed", "policy", "map_mode", "max_steps", "step_timeout"))
+    if args.map_out and cfg.map_mode == "none":
+        raise ValueError("--map-out needs --map episodic|iterative|known")
     scene = load_scene(args.scene)
-    episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes, scene)}
+    episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
     tours = load_tours(args.tours)
+    if not tours:
+        raise EmptySequence(f"no tours in {args.tours}")
     policy = make_policy(cfg.policy, scene, episodes_by_id, cfg)
     try:
         traces, occ_map = run_tours(scene, tours, episodes_by_id, policy, cfg)
@@ -151,8 +155,6 @@ def cmd_run(args) -> int:
         policy.close()
     write_traces(traces, args.out)
     if args.map_out:
-        if occ_map is None:
-            raise UnsupportedScene("no map was built; pass --map episodic|iterative|known")
         save_map(occ_map, args.map_out)
     print(f"{len(traces)} tours -> {args.out}")
     return 0
@@ -175,11 +177,7 @@ def cmd_eval(args) -> int:
     if cfg.geodesic and not args.scene:
         raise ValueError("--geodesic needs --scene")
     scene = load_scene(args.scene) if args.scene else None
-    episodes_by_id = None
-    if args.episodes:
-        episodes_by_id = {
-            ep.episode_id: ep for ep in load_episodes(args.episodes, scene)
-        }
+    episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
     traces = read_traces(args.traces, episodes_by_id)
     if args.tours:
         _check_complete(load_tours(args.tours), traces)
@@ -210,7 +208,7 @@ def cmd_coverage(args) -> int:
     if args.occlusion is not None:
         cfg.occlusion = args.occlusion == "on"
     scene = load_scene(args.scene)
-    episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes, scene)}
+    episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
     tours = load_tours(args.tours)
     model = ObservationModel(radius=cfg.radius, occlusion=cfg.occlusion)
     curve = coverage_curves(tours, episodes_by_id, scene, model)
@@ -233,7 +231,7 @@ def cmd_stats(args) -> int:
 def cmd_build_map(args) -> int:
     cfg = dataclasses.replace(_config_from_args(args, ()), map_mode=args.mode)
     scene = load_scene(args.scene)
-    episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes, scene)}
+    episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
     traces = read_traces(args.traces, episodes_by_id)
     if not traces:
         raise MissingEpisode(f"no tour traces in {args.traces}")
@@ -302,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="score a trace file")
     p.add_argument("--traces", required=True)
     p.add_argument("--tours")
-    p.add_argument("--episodes")
+    p.add_argument("--episodes", required=True, help="the episode file, which gives each trace its reference path")
     p.add_argument("--scene")
     p.add_argument("--d-th", type=float, dest="d_th")
     p.add_argument("--success-radius", type=float, dest="success_radius")

@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass
 
 from .mapper import MAP_MODES
+from .metrics import DEFAULT_DTH, DEFAULT_SUCCESS_RADIUS
 
 SOLVERS = ("nn", "nn+3opt", "exact")
 # agent steps per episode when max_steps is None
@@ -25,8 +26,8 @@ DEFAULT_MAX_STEPS_DISCRETE = 15
 @dataclass
 class Config:
     seed: int = 0
-    d_th: float = 3.0
-    success_radius: float = 3.0
+    d_th: float = DEFAULT_DTH
+    success_radius: float = DEFAULT_SUCCESS_RADIUS
     oracle_correction_radius: float = 0.5
     geodesic: bool = False
     solver: str = "nn+3opt"

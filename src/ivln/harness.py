@@ -383,7 +383,7 @@ def _oracle_drive(walk: _Walk, target, kind: str, policy: Policy, episode: Episo
     make progress, so that is a bug, and stopping short would start the
     next episode from the wrong location.
     """
-    segment = OracleSegment(kind, episode.episode_id, [], [])
+    segment = OracleSegment(kind, [], [])
     guard = 64 * (DEFAULT_MAX_STEPS_CONTINUOUS + 64)
     while len(segment.actions) < guard:
         action = _step_toward(walk.scene, walk.state, target)
@@ -428,7 +428,6 @@ def run_tour(
     policy.reset(tour.tour_id)
 
     episode_traces: list[EpisodeTrace] = []
-    segments: list[OracleSegment] = []
     try:
         for index, episode in enumerate(episodes):
             # logged as it runs, so a policy failure keeps the phase in progress
@@ -452,15 +451,15 @@ def run_tour(
             goal = episode.path[-1]
             if geo(goal, walk.position) > cfg.oracle_correction_radius:
                 target = scene.snap_point(goal)
-                segments.append(_oracle_drive(walk, target, ORACLE_GOAL, policy, episode, index))
+                logged.segments.append(_oracle_drive(walk, target, ORACLE_GOAL, policy, episode, index))
             if index + 1 < len(episodes):
                 nxt = scene.snap_point(episodes[index + 1].path[0])
                 if walk.state.location != nxt:
-                    segments.append(_oracle_drive(walk, nxt, ORACLE_TRANSIT, policy, episode, index))
+                    logged.segments.append(_oracle_drive(walk, nxt, ORACLE_TRANSIT, policy, episode, index))
     except (PolicyTimeout, ProtocolViolation) as exc:
-        exc.partial_trace = TourTrace(tour_id=tour.tour_id, episodes=episode_traces, oracle_segments=segments)
+        exc.partial_trace = TourTrace(tour_id=tour.tour_id, episodes=episode_traces)
         raise
-    return TourTrace(tour_id=tour.tour_id, episodes=episode_traces, oracle_segments=segments), walk.occ_map
+    return TourTrace(tour_id=tour.tour_id, episodes=episode_traces), walk.occ_map
 
 
 def run_tours(scene, tours, episodes_by_id, policy, cfg=None):
@@ -521,9 +520,6 @@ def replay_tour(
     if cfg.map_mode == "none":
         raise ValueError("replay needs a map mode: episodic, iterative or known")
     walk = _Walk(scene, cfg)
-    segments: dict[str, list[OracleSegment]] = {}
-    for seg in trace.oracle_segments:
-        segments.setdefault(seg.episode_id, []).append(seg)
     for ep_trace in trace.episodes:
         episode = episodes_by_id.get(ep_trace.episode_id)
         if episode is None:
@@ -531,10 +527,8 @@ def replay_tour(
         where = f"tour {trace.tour_id} episode {episode.episode_id}"
         _check_replayed(walk.begin(episode), ep_trace.agent_path[0], f"{where} agent step 0")
         _replay_phase(walk, ep_trace.agent_path[1:], ep_trace.actions, ep_trace.stop_called, f"{where} agent")
-        for seg in segments.pop(episode.episode_id, []):
+        for seg in ep_trace.segments:
             _replay_phase(walk, seg.points, seg.actions, False, f"{where} {seg.kind}")
-    if segments:
-        raise ValueError(f"tour {trace.tour_id}: oracle segments of untraced episodes {sorted(segments)}")
     return walk.occ_map
 
 

@@ -46,7 +46,7 @@ import numpy as np
 from .environment import (
     FORMAT_VERSION, GeodesicMetric, Point3, Scene, as_point, euclidean, json_line, read_json_lines, write_json,
 )
-from .errors import DimensionMismatch, EmptySequence
+from .errors import EmptySequence
 
 DEFAULT_DTH = 3.0
 DEFAULT_SUCCESS_RADIUS = 3.0
@@ -62,7 +62,6 @@ class OracleSegment:
     """Positions logged while the oracle drives (never scored)."""
 
     kind: str  # one of ORACLE_PHASES
-    episode_id: str
     points: list[Point3]
     actions: list[str] = field(default_factory=list)
 
@@ -72,13 +71,15 @@ class OracleSegment:
 
 @dataclass
 class EpisodeTrace:
-    """Agent motion for one episode, paired with its reference path."""
+    """Agent motion for one episode, paired with its reference path, and
+    the oracle segments that followed it, in the order they ran."""
 
     episode_id: str
     agent_path: list[Point3]
     reference_path: list[Point3]
     stop_called: bool = True
     actions: list[str] = field(default_factory=list)
+    segments: list[OracleSegment] = field(default_factory=list)
 
     def __post_init__(self):
         self.agent_path = [as_point(p) for p in self.agent_path]
@@ -97,7 +98,6 @@ class EpisodeTrace:
 class TourTrace:
     tour_id: str
     episodes: list[EpisodeTrace]
-    oracle_segments: list[OracleSegment] = field(default_factory=list)
 
 
 def _cost_matrix(ref, query, dist: PointMetric) -> np.ndarray:
@@ -319,62 +319,45 @@ def _trace_record(tour_id, episode_id, phase, points, actions) -> dict:
 
 
 def write_traces(traces: Sequence[TourTrace], path) -> None:
-    """Write tour traces as JSONL; agent and oracle phases interleaved."""
+    """Write tour traces as JSONL: each episode's agent record, then its
+    oracle segments."""
     with open(path, "w", encoding="utf-8") as fh:
         for trace in traces:
-            segments = {}
-            for seg in trace.oracle_segments:
-                segments.setdefault(seg.episode_id, []).append(seg)
             for ep in trace.episodes:
                 record = _trace_record(trace.tour_id, ep.episode_id, "agent", ep.agent_path, ep.actions)
                 record["stop_called"] = ep.stop_called
                 fh.write(json_line(record))
-                for seg in segments.get(ep.episode_id, []):
-                    record = _trace_record(trace.tour_id, seg.episode_id, seg.kind, seg.points, seg.actions)
-                    fh.write(json_line(record))
+                for seg in ep.segments:
+                    fh.write(json_line(_trace_record(trace.tour_id, ep.episode_id, seg.kind, seg.points, seg.actions)))
 
 
-def read_traces(path, episodes_by_id: dict | None = None) -> list[TourTrace]:
-    """Read tour traces from JSONL.
+def read_traces(path, episodes_by_id: dict) -> list[TourTrace]:
+    """Read tour traces as ``write_traces`` writes them.
 
-    Agent records carry no reference path; it is joined from
-    ``episodes_by_id`` when given, else the record must embed
-    ``reference_path`` (round-trip files written by ``write_traces`` plus
-    an episode set always resolve).  Raises ValueError naming the line
-    of a record whose phase is neither ``agent`` nor an oracle phase, or
-    of an agent record whose episode the given set lacks.
+    Each agent record takes its reference path from ``episodes_by_id``,
+    and each oracle record joins the segments of the agent record it
+    follows.  Raises ValueError naming the line of a record whose phase
+    is neither ``agent`` nor an oracle phase, of an agent record whose
+    episode the set lacks, and of an oracle record that does not follow
+    an agent record of its own tour and episode.
     """
     tours: dict[str, TourTrace] = {}  # in order of first appearance
+    owner = None  # the tour id and trace of the latest agent record
     for number, rec in read_json_lines(path):
-        tid = rec["tour_id"]
-        if tid not in tours:
-            tours[tid] = TourTrace(tour_id=tid, episodes=[])
-        trace = tours[tid]
-        phase = rec["phase"]
+        tid, eid, phase = rec["tour_id"], rec["episode_id"], rec["phase"]
         if phase == "agent":
-            if "reference_path" in rec:
-                ref = rec["reference_path"]
-            elif episodes_by_id is None:
-                raise EmptySequence(
-                    f"trace for episode {rec['episode_id']} has no reference path "
-                    "and no episode set was provided"
-                )
-            elif rec["episode_id"] in episodes_by_id:
-                ref = episodes_by_id[rec["episode_id"]].path
-            else:
-                raise ValueError(f"{path} line {number}: episode {rec['episode_id']} is not in the episode set")
-            trace.episodes.append(
-                EpisodeTrace(
-                    episode_id=rec["episode_id"],
-                    agent_path=rec["points"],
-                    reference_path=ref,
-                    stop_called=rec.get("stop_called", True),
-                    actions=rec.get("actions", []),
-                )
-            )
+            if eid not in episodes_by_id:
+                raise ValueError(f"{path} line {number}: episode {eid} is not in the episode set")
+            ep = EpisodeTrace(eid, rec["points"], episodes_by_id[eid].path, rec["stop_called"], rec["actions"])
+            tours.setdefault(tid, TourTrace(tid, [])).episodes.append(ep)
+            owner = tid, ep
         elif phase in ORACLE_PHASES:
-            segment = OracleSegment(phase, rec["episode_id"], rec["points"], rec.get("actions", []))
-            trace.oracle_segments.append(segment)
+            if owner is None or owner[0] != tid or owner[1].episode_id != eid:
+                raise ValueError(
+                    f"{path} line {number}: {phase} record of tour {tid} episode {eid} "
+                    "does not follow that episode's agent record"
+                )
+            owner[1].segments.append(OracleSegment(phase, rec["points"], rec["actions"]))
         else:
             raise ValueError(f"{path} line {number}: unknown trace phase {phase!r}")
     return list(tours.values())

@@ -251,9 +251,7 @@ def generate_episodes(scene: Scene, spec: EpisodeSpec, id_prefix: str = "ep") ->
     rng = random.Random(spec.seed)
     episodes: list[Episode] = []
     if scene.grid is not None:
-        cells = [(int(ix), int(iy)) for iy, ix in np.argwhere(scene.grid.navigable)]
-        cells.sort(key=lambda c: (c[1], c[0]))
-        locations = cells
+        locations = [(int(ix), int(iy)) for iy, ix in np.argwhere(scene.grid.navigable)]
         to_point = scene.grid.cell_center
     else:
         locations = sorted(scene.graph.nodes)

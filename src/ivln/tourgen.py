@@ -25,7 +25,7 @@ import numpy as np
 from .environment import (
     FORMAT_VERSION, Point3, Scene, as_point, connectivity_matrix, normalize_heading, read_json, write_json,
 )
-from .errors import Disconnected, EmptySequence, InstructionCountMismatch, MissingEpisode, SizeLimit
+from .errors import Disconnected, EmptySequence, InstructionCountMismatch, SizeLimit
 
 ATSP_EXACT_LIMIT = 15
 
@@ -90,65 +90,39 @@ class TourStats:
 # episode I/O
 
 
-def episode_from_dict(payload: dict, scene: Scene | None = None) -> Episode:
-    """Build an Episode from its JSON form.
+def load_episodes(path) -> list[Episode]:
+    """Read an episode file as ``save_episodes`` writes it, one Episode per
+    instruction.
 
-    Path entries may be 3D coordinates or node ids; node ids need the
-    scene so they can be resolved to positions.  Instruction annotations
-    are a list; one Episode is produced per entry by ``load_episodes``,
-    this helper takes the already-selected entry.
+    The payload is ``{"episodes": [...]}``, and every record carries
+    ``episode_id``, ``path_id``, ``scan``, ``path`` (coordinates),
+    ``heading``, ``instructions`` and ``instruction_ids``.  A record with
+    k > 1 instructions becomes episodes ``<episode_id>_0`` ..
+    ``<episode_id>_<k-1>``; a record with one keeps its ``episode_id``.
+    Raises KeyError for a missing field, TypeError or ValueError for a
+    field of the wrong form, and ValueError when a record's
+    ``instruction_ids`` and ``instructions`` differ in number.
     """
-    path = []
-    for entry in payload["path"]:
-        if isinstance(entry, str):
-            if scene is None or scene.graph is None:
-                raise MissingEpisode(
-                    f"episode {payload.get('episode_id')} uses node-id path entries "
-                    "but no graph scene was provided"
-                )
-            path.append(scene.graph.nodes[entry])
-        else:
-            path.append(as_point(entry))
-    return Episode(
-        episode_id=str(payload["episode_id"]),
-        path_id=str(payload["path_id"]),
-        scene_id=str(payload.get("scan", payload.get("scene_id", ""))),
-        path=path,
-        start_heading=float(payload.get("heading", 0.0)),
-        instruction_id=str(payload["instruction_id"]),
-        instruction=str(payload.get("instruction", "")),
-    )
-
-
-def load_episodes(path, scene: Scene | None = None) -> list[Episode]:
-    """Read an episode file, fanning instruction lists out to one episode each.
-
-    The on-disk form keeps one record per path traversal with an
-    ``instructions`` list; in memory each instruction becomes its own
-    Episode with ids ``<episode_id>_<k>`` / instruction ids
-    ``<path_id>_<k>`` unless the record already carries explicit ones.
-    """
-    payload = read_json(path)
-    records = payload["episodes"] if isinstance(payload, dict) else payload
     episodes = []
-    for record in records:
-        if "instructions" in record:
-            instructions = record["instructions"]
-            ids = record.get("instruction_ids", [f"{record['path_id']}_{k}" for k in range(len(instructions))])
-            if len(ids) != len(instructions):
-                raise ValueError(
-                    f"episode {record['episode_id']}: {len(ids)} instruction_ids "
-                    f"for {len(instructions)} instructions"
+    for record in read_json(path)["episodes"]:
+        instructions, ids = record["instructions"], record["instruction_ids"]
+        if len(ids) != len(instructions):
+            raise ValueError(
+                f"episode {record['episode_id']}: {len(ids)} instruction_ids "
+                f"for {len(instructions)} instructions"
+            )
+        for k, (text, instruction_id) in enumerate(zip(instructions, ids)):
+            episodes.append(
+                Episode(
+                    episode_id=f"{record['episode_id']}_{k}" if len(ids) > 1 else str(record["episode_id"]),
+                    path_id=str(record["path_id"]),
+                    scene_id=str(record["scan"]),
+                    path=record["path"],
+                    start_heading=float(record["heading"]),
+                    instruction_id=str(instruction_id),
+                    instruction=str(text),
                 )
-            for k, text in enumerate(instructions):
-                entry = dict(record)
-                entry.pop("instructions")
-                entry["instruction"] = text
-                entry["instruction_id"] = ids[k]
-                entry["episode_id"] = f"{record['episode_id']}_{k}" if len(instructions) > 1 else str(record["episode_id"])
-                episodes.append(episode_from_dict(entry, scene))
-        else:
-            episodes.append(episode_from_dict(record, scene))
+            )
     return episodes
 
 
@@ -575,13 +549,11 @@ def save_tours(tours: list[Tour], episodes: list[Episode], path) -> None:
 
 
 def load_tours(path) -> list[Tour]:
-    payload = read_json(path)
-    records = payload["tours"] if isinstance(payload, dict) else payload
     return [
         Tour(
             tour_id=rec["tour_id"],
             scene_id=rec["scene_id"],
             episode_ids=[entry["episode_id"] for entry in rec["episodes"]],
         )
-        for rec in records
+        for rec in read_json(path)["tours"]
     ]

@@ -60,6 +60,11 @@ def geodesic_pairwise(metric, ref, query):
     return metric.costs(sources, ids, np.ones((len(sources), len(ids)), dtype=bool))
 
 
+def oracle_segments(trace):
+    """A tour trace's oracle segments in the order they ran."""
+    return [seg for et in trace.episodes for seg in et.segments]
+
+
 def check_trace_invariants(trace, n_episodes):
     """Structural checks every rollout trace must satisfy.
 
@@ -76,10 +81,11 @@ def check_trace_invariants(trace, n_episodes):
         moves = len(et.actions) - (1 if et.stop_called else 0)
         assert len(et.agent_path) == 1 + moves
     by_episode = {}
-    for seg in trace.oracle_segments:
-        assert seg.kind in ("oracle_goal", "oracle_transit")
-        by_episode.setdefault(seg.episode_id, []).append(seg.kind)
-        assert seg.points, "oracle segments record at least one position"
+    for et in trace.episodes:
+        for seg in et.segments:
+            assert seg.kind in ("oracle_goal", "oracle_transit")
+            by_episode.setdefault(et.episode_id, []).append(seg.kind)
+            assert seg.points, "oracle segments record at least one position"
     order = [et.episode_id for et in trace.episodes]
     for eid, kinds in by_episode.items():
         assert len(kinds) == len(set(kinds)), f"duplicate phase for {eid}"

@@ -240,7 +240,7 @@ def test_criterion_07_correction_and_budget_invariants(synth, tmp_path):
         policy = NoisyOraclePolicy(scene, by_id, p_error=0.3, seed=seed)
         trace, _ = run_tour(scene, tour, by_id, policy)
         check_trace_invariants(trace, len(tour.episode_ids))
-        corrected = {s.episode_id for s in trace.oracle_segments if s.kind == "oracle_goal"}
+        corrected = {et.episode_id for et in trace.episodes for s in et.segments if s.kind == "oracle_goal"}
         for et in trace.episodes:
             assert len(et.actions) <= budget
             gap = geo(by_id[et.episode_id].path[-1], et.agent_path[-1])
@@ -379,7 +379,7 @@ def test_criterion_11_r2r_train_corpus(tmp_path):
     upcoming = []
     for scene_file in sorted((out / "scenes").glob("*.json")):
         scene = load_scene(scene_file)
-        episodes = load_episodes(out / "episodes" / scene_file.name, scene)
+        episodes = load_episodes(out / "episodes" / scene_file.name)
         by_id = {ep.episode_id: ep for ep in episodes}
         tours = build_tours(episodes, scene, 3, seed=0, solver="nn")
         all_tours.extend(tours)

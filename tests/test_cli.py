@@ -109,20 +109,94 @@ def test_graph_twin_is_loadable(pipeline):
     assert any(n.startswith("r") for n in scene.graph.nodes)
 
 
-def test_parse_error_exit_code(tmp_path, capsys):
+def test_parse_error_exit_code(pipeline, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{definitely not json")
-    assert run_cli("eval", "--traces", bad, "--out", tmp_path / "r.json") == 2
+    assert run_cli("eval", "--traces", bad, "--episodes", pipeline["episodes"], "--out", tmp_path / "r.json") == 2
     assert "error:" in capsys.readouterr().err
     missing = tmp_path / "never_written.json"
     assert run_cli("gen-episodes", "--scene", missing, "--out", tmp_path / "e.json") == 2
 
 
 def test_eval_checks_the_geodesic_flag_before_reading_any_file(tmp_path, capsys):
-    code = run_cli("eval", "--traces", tmp_path / "nonexistent.jsonl", "--geodesic", "--out", tmp_path / "r.json")
+    code = run_cli("eval", "--traces", tmp_path / "nonexistent.jsonl", "--episodes", tmp_path / "nonexistent.json",
+                   "--geodesic", "--out", tmp_path / "r.json")
     assert code == 2
     assert "--geodesic needs --scene" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_requires_the_episode_set(pipeline, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("eval", "--traces", pipeline["traces"], "--out", tmp_path / "r.json")
+    assert exc_info.value.code == 2
+    assert "--episodes" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_run_checks_the_map_out_flag_before_running(pipeline, tmp_path, capsys):
+    code = run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
+                   "--episodes", pipeline["episodes"], "--map-out", tmp_path / "map.json",
+                   "--out", tmp_path / "t.jsonl")
+    assert code == 2
+    assert "--map-out needs --map" in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "map.json").exists()
+
+
+def test_run_rejects_a_tour_file_without_tours(pipeline, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"format_version": "1", "tours": []}))
+    code = run_cli("run", "--scene", pipeline["scene"], "--tours", empty, "--episodes", pipeline["episodes"],
+                   "--map", "iterative", "--map-out", tmp_path / "map.json", "--out", tmp_path / "t.jsonl")
+    assert code == 3
+    assert f"no tours in {empty}" in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def edited_episodes(pipeline, tmp_path, edit):
+    """Copy the pipeline's episode file with ``edit`` applied to its payload."""
+    data = json.loads(pipeline["episodes"].read_text())
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(edit(data)))
+    return out
+
+
+@pytest.mark.parametrize("field", ["instruction_ids", "scan", "heading"])
+def test_an_episode_record_without_a_field_is_bad_input(pipeline, tmp_path, capsys, field):
+    def drop_field(data):
+        del data["episodes"][0][field]
+        return data
+
+    edited = edited_episodes(pipeline, tmp_path, drop_field)
+    code = run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", edited, "--out", tmp_path / "t.json")
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_a_bare_list_of_episode_records_is_bad_input(pipeline, tmp_path):
+    edited = edited_episodes(pipeline, tmp_path, lambda data: data["episodes"])
+    code = run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", edited, "--out", tmp_path / "t.json")
+    assert code == 2
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_a_node_id_path_entry_is_bad_input(pipeline, tmp_path):
+    def node_first(data):
+        data["episodes"][0]["path"][0] = next(iter(load_scene(pipeline["graph"]).graph.nodes))
+        return data
+
+    edited = edited_episodes(pipeline, tmp_path, node_first)
+    code = run_cli("eval", "--traces", pipeline["traces"], "--episodes", edited, "--out", tmp_path / "r.json")
+    assert code == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_bare_list_of_tours_is_bad_input(pipeline, tmp_path):
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(json.loads(pipeline["tours"].read_text())["tours"]))
+    assert run_cli("stats", "--tours", bare, "--out", tmp_path / "s.json") == 2
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_eval_names_the_line_of_a_trace_record_that_is_not_json(pipeline, tmp_path, capsys):

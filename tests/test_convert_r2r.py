@@ -100,8 +100,7 @@ def test_scene_graphs(mini_dataset):
 
 
 def test_episode_conversion(mini_dataset):
-    scene = load_scene(mini_dataset / "scenes" / "scanA.json")
-    episodes = load_episodes(mini_dataset / "episodes" / "scanA.json", scene)
+    episodes = load_episodes(mini_dataset / "episodes" / "scanA.json")
     assert len(episodes) == 6
     by_id = {ep.episode_id: ep for ep in episodes}
     first = by_id["1_0"]
@@ -118,7 +117,7 @@ def test_episode_conversion(mini_dataset):
 
 def test_converted_corpus_supports_tours_and_coverage(mini_dataset):
     scene = load_scene(mini_dataset / "scenes" / "scanA.json")
-    episodes = load_episodes(mini_dataset / "episodes" / "scanA.json", scene)
+    episodes = load_episodes(mini_dataset / "episodes" / "scanA.json")
     by_id = {ep.episode_id: ep for ep in episodes}
     tours = build_tours(episodes, scene, 3, seed=0, solver="nn")
     assert len(tours) == 3

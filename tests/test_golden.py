@@ -6,7 +6,8 @@ a noisy rollout and a geodesic eval on its graph twin, then compares the sha256 
 artifact with ``tests/golden/sha256.json``.  A refactor that keeps
 behaviour keeps these bytes; a change that means to alter them
 regenerates the table with ``PYTHONPATH=src python tests/test_golden.py``
-and says which artifacts changed and why.  The JSON artifacts must also
+(which prints the entries it adds, removes and changes) and says which
+artifacts changed and why.  The JSON artifacts must also
 be in the canonical form ``ivln.environment.json_line`` writes.
 """
 
@@ -103,9 +104,26 @@ def test_json_artifacts_are_canonical_lines(chain):
             assert line == json_line(json.loads(line)), path.name
 
 
+def table_changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per entry that ``new`` adds to, removes from or changes in ``old``."""
+    return ([f"added {name}" for name in sorted(new.keys() - old.keys())]
+            + [f"removed {name}" for name in sorted(old.keys() - new.keys())]
+            + [f"changed {name}" for name in sorted(old.keys() & new.keys()) if old[name] != new[name]])
+
+
+def test_table_changes_names_each_added_removed_and_changed_entry():
+    old = {"a.json": "1", "b.json": "2", "c.json": "3"}
+    new = {"a.json": "1", "c.json": "4", "d.json": "5"}
+    assert table_changes(old, new) == ["added d.json", "removed b.json", "changed c.json"]
+    assert table_changes(old, dict(old)) == []
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = artifact_hashes(Path(tmp))
+    old = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.exists() else {}
+    for line in table_changes(old, table) or ["no entry changed"]:
+        print(line)
     TABLE.parent.mkdir(exist_ok=True)
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(table)} hashes -> {TABLE}")

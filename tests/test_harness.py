@@ -42,10 +42,10 @@ from ivln.mapper import (
     known_map,
     save_map,
 )
-from ivln.metrics import OracleSegment, TourTrace, ndtw, write_traces
+from ivln.metrics import TourTrace, ndtw, write_traces
 from ivln.tourgen import Episode, Tour
 
-from conftest import check_trace_invariants, scene_from_ascii
+from conftest import check_trace_invariants, oracle_segments, scene_from_ascii
 
 
 AGENT_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "example_agent.py"
@@ -209,7 +209,7 @@ def test_oracle_rollout_has_no_corrections(open_room):
     trace, occ_map = run_tour(open_room, tour, by_id, OraclePolicy(open_room, by_id))
     assert occ_map is None
     check_trace_invariants(trace, 2)
-    assert trace.oracle_segments == []
+    assert oracle_segments(trace) == []
     for et in trace.episodes:
         assert et.stop_called
         assert ndtw(et.agent_path, et.reference_path, d_th=3.0) == pytest.approx(1.0)
@@ -223,13 +223,13 @@ def test_stop_policy_gets_corrected_and_transits(open_room):
     trace, _ = run_tour(open_room, tour, by_id, StopPolicy())
     check_trace_invariants(trace, 2)
     assert trace.episodes[0].actions == ["stop"]
-    kinds = [(s.kind, s.episode_id) for s in trace.oracle_segments]
+    kinds = [(s.kind, et.episode_id) for et in trace.episodes for s in et.segments]
     assert ("oracle_goal", "e0") in kinds  # stopped 1 m short: corrected
     assert ("oracle_transit", "e0") in kinds  # next start elsewhere
     assert ("oracle_goal", "e1") in kinds
     assert ("oracle_transit", "e1") not in kinds  # last episode never transits
     # the correction really ends at the goal
-    goal_seg = trace.oracle_segments[0]
+    goal_seg = oracle_segments(trace)[0]
     assert goal_seg.points[-1] == by_id["e0"].path[-1]
 
 
@@ -255,7 +255,7 @@ def test_correction_skipped_inside_radius(open_room):
     # and a stop policy ends within the default 0.5 m radius
     tour, by_id = tour_of(ep("e0", [(2, 2), (4, 2)]))
     trace, _ = run_tour(open_room, tour, by_id, StopPolicy())
-    assert trace.oracle_segments == []
+    assert oracle_segments(trace) == []
 
 
 def test_budget_exhaustion_never_stops(open_room):
@@ -283,7 +283,7 @@ def test_budget_exhaustion_never_stops(open_room):
     assert not et.stop_called
     assert len(et.agent_path) == 10
     # ran out 1 m short of the goal: the oracle walks it home
-    assert trace.oracle_segments[0].kind == "oracle_goal"
+    assert oracle_segments(trace)[0].kind == "oracle_goal"
 
 
 def test_forced_start_heading(open_room):
@@ -363,7 +363,7 @@ def test_replay_tour_rebuilds_the_live_map(synth, tmp_path, mode):
     ]
     assert ("forward", True) in moves and ("left", True) in moves and ("right", True) in moves
     assert not all(e.stop_called for e in trace.episodes)
-    assert {seg.kind for seg in trace.oracle_segments} == {"oracle_goal", "oracle_transit"}
+    assert {seg.kind for seg in oracle_segments(trace)} == {"oracle_goal", "oracle_transit"}
     replayed = replay_tour(synth["scene"], trace, synth["by_id"], cfg)
     save_map(live, tmp_path / "live.json")
     save_map(replayed, tmp_path / "replayed.json")
@@ -381,9 +381,7 @@ def test_map_lifetimes_across_episodes_and_tours(synth, tmp_path):
     _, iterative, _ = noisy_mapped_tour(synth, "iterative")
     assert len(trace.episodes) >= 3
     # an episodic map holds only what the last episode and its segments sensed
-    last = trace.episodes[-1]
-    segments = [s for s in trace.oracle_segments if s.episode_id == last.episode_id]
-    tail = TourTrace(trace.tour_id, [last], segments)
+    tail = TourTrace(trace.tour_id, trace.episodes[-1:])
     replayed = replay_tour(scene, tail, by_id, cfg)
     assert map_bytes(episodic, tmp_path / "live.json") == map_bytes(replayed, tmp_path / "tail.json")
     # an iterative map keeps what the earlier episodes sensed
@@ -408,11 +406,6 @@ def _set_action(actions, i, label):
     actions[i] = label
 
 
-def _drop_untraced_episode(trace):
-    last = trace.episodes.pop()
-    trace.oracle_segments.append(OracleSegment("oracle_goal", last.episode_id, [], []))
-
-
 # episode 3 stopped, episode 2 ran out of steps
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda t: _move_point(t.episodes[1].agent_path, 2),
@@ -420,20 +413,18 @@ def _drop_untraced_episode(trace):
                  id="moved-point"),
     pytest.param(lambda t: _move_point(t.episodes[1].agent_path, 0),
                  r"episode \S+ agent step 0: replay is at", id="moved-start"),
-    pytest.param(lambda t: _move_point(t.oracle_segments[0].points, 0),
+    pytest.param(lambda t: _move_point(oracle_segments(t)[0].points, 0),
                  r"episode \S+ oracle_\w+ step 1: replay is at", id="moved-oracle-point"),
     pytest.param(lambda t: t.episodes[3].actions.pop(0),
                  r"episode \S+ agent: \d+ actions for \d+ logged points", id="dropped-action"),
     pytest.param(lambda t: t.episodes[2].actions.pop(0),
                  r"agent: \d+ actions .* \(stopped: False\)", id="dropped-unstopped-action"),
-    pytest.param(lambda t: t.oracle_segments[0].actions.pop(),
+    pytest.param(lambda t: oracle_segments(t)[0].actions.pop(),
                  r"episode \S+ oracle_\w+: \d+ actions for", id="dropped-oracle-action"),
     pytest.param(lambda t: _set_action(t.episodes[3].actions, -1, "left"),
                  r"agent: \d+ actions .* \(stopped: True\)", id="stop-replaced"),
     pytest.param(lambda t: _set_action(t.episodes[3].actions, 0, "stop"),
                  r"agent step 1: cannot replay action 'stop'", id="stop-mid-phase"),
-    pytest.param(_drop_untraced_episode,
-                 r"tour t-replay: oracle segments of untraced episodes", id="untraced-segment"),
 ])
 def test_replay_tour_rejects_a_trace_that_does_not_replay(synth, edit, message):
     trace, _, cfg = noisy_mapped_tour(synth, "known")
@@ -487,7 +478,7 @@ def test_crops_read_after_the_tour_are_the_crops_at_observation_time(synth, monk
     policy = KeepingPolicy(scene, by_id, p_error=0.4, seed=3)
     cfg = Config(map_mode=mode, max_steps=20, crop_size=24)
     trace, _ = run_tour(scene, tour, by_id, policy, cfg)
-    assert trace.oracle_segments and len(policy.kept) == len(at_the_time) > 20
+    assert oracle_segments(trace) and len(policy.kept) == len(at_the_time) > 20
     assert {obs.phase for obs in policy.kept} == {"agent", "oracle"}
     assert crops == []  # nothing was cropped while the tour ran
     for obs, want in zip(policy.kept, at_the_time):
@@ -736,7 +727,7 @@ def test_failure_in_a_goal_correction_keeps_the_finished_episode(open_room):
     assert partial.tour_id == "t0"
     assert [e.episode_id for e in partial.episodes] == ["e0"]
     assert partial.episodes[0].stop_called and partial.episodes[0].actions == ["stop"]
-    assert partial.oracle_segments == []
+    assert oracle_segments(partial) == []
 
 
 def test_failure_at_an_episode_start_keeps_the_tour_so_far(open_room):
@@ -749,8 +740,8 @@ def test_failure_at_an_episode_start_keeps_the_tour_so_far(open_room):
     assert first.episode_id == "e0" and first.stop_called
     assert current.episode_id == "e1" and not current.stop_called and current.actions == []
     assert current.agent_path == [P(2, 5)]  # where the transit left the agent
-    assert [s.kind for s in partial.oracle_segments] == ["oracle_goal", "oracle_transit"]
-    assert partial.oracle_segments[-1].points[-1] == P(2, 5)
+    assert [s.kind for s in oracle_segments(partial)] == ["oracle_goal", "oracle_transit"]
+    assert oracle_segments(partial)[-1].points[-1] == P(2, 5)
 
 
 def test_socket_agent_timeout_carries_partial_trace(open_room):

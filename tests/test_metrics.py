@@ -177,9 +177,14 @@ def min_call_accumulate(costs: np.ndarray) -> float:
     return float(acc[n - 1, m - 1])
 
 
-cost_matrices = st.integers(1, 7).flatmap(lambda m: st.lists(
-    st.lists(st.one_of(st.floats(0, 5, allow_nan=False), st.just(math.inf)), min_size=m, max_size=m),
-    min_size=1, max_size=7)).map(np.array)
+def matrices(cells):
+    """1..7 by 1..7 arrays of ``cells`` draws."""
+    return st.integers(1, 7).flatmap(lambda m: st.lists(
+        st.lists(cells, min_size=m, max_size=m), min_size=1, max_size=7)).map(np.array)
+
+
+finite_costs = st.floats(0, 5, allow_nan=False)
+cost_matrices = matrices(st.one_of(finite_costs, st.just(math.inf)))
 
 
 @given(cost_matrices)
@@ -188,7 +193,7 @@ def test_warp_equals_the_min_call_recurrence_bitwise(costs):
     assert _accumulate(costs) == min_call_accumulate(costs)
 
 
-@given(cost_matrices.filter(lambda c: np.isfinite(c).all()))
+@given(matrices(finite_costs))
 @settings(max_examples=60)
 def test_backtrack_walks_an_optimal_warp(costs):
     acc = _warp(costs)
@@ -524,15 +529,16 @@ def test_path_length():
 
 
 def sample_trace():
+    seg = OracleSegment("oracle_transit", [(1, 0, 0)], ["forward"])
     ep1 = EpisodeTrace(
-        "ep-a", [(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (1, 0, 0)], actions=["forward", "stop"]
+        "ep-a", [(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (1, 0, 0)], actions=["forward", "stop"],
+        segments=[seg],
     )
     ep2 = EpisodeTrace(
         "ep-b", [(1, 0, 0), (1, 1, 0)], [(1, 0, 0), (1, 2, 0)], stop_called=False,
         actions=["forward"],
     )
-    seg = OracleSegment("oracle_transit", "ep-a", [(1, 0, 0)], ["forward"])
-    return TourTrace(tour_id="t0", episodes=[ep1, ep2], oracle_segments=[seg])
+    return TourTrace(tour_id="t0", episodes=[ep1, ep2])
 
 
 def test_trace_round_trip(tmp_path):
@@ -552,18 +558,12 @@ def test_trace_round_trip(tmp_path):
     assert got.episodes[0].agent_path == trace.episodes[0].agent_path
     assert got.episodes[1].stop_called is False
     assert got.episodes[0].actions == ["forward", "stop"]
-    assert [s.kind for s in got.oracle_segments] == ["oracle_transit"]
+    assert [s.kind for s in got.episodes[0].segments] == ["oracle_transit"]
+    assert got.episodes[1].segments == []
     # writing what was read reproduces the file byte for byte
     second = tmp_path / "again.jsonl"
     write_traces(back, second)
     assert second.read_bytes() == path.read_bytes()
-
-
-def test_read_traces_without_references_raises(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    write_traces([sample_trace()], path)
-    with pytest.raises(EmptySequence):
-        read_traces(path, None)
 
 
 def test_read_traces_names_the_line_of_an_episode_missing_from_the_set(tmp_path):
@@ -574,6 +574,28 @@ def test_read_traces_names_the_line_of_an_episode_missing_from_the_set(tmp_path)
     write_traces([trace], path)
     refs = {"ep-a": SimpleNamespace(path=trace.episodes[0].reference_path)}
     with pytest.raises(ValueError, match=r"trace\.jsonl line 3: episode ep-b is not in the episode set"):
+        read_traces(path, refs)
+
+
+# the sample file: agent ep-a, its oracle_transit, agent ep-b
+@pytest.mark.parametrize("edit, line", [
+    pytest.param(lambda records: records.insert(0, records.pop(1)), 1, id="before-any-agent-record"),
+    pytest.param(lambda records: records.append(records.pop(1)), 3, id="after-the-next-episode"),
+    pytest.param(lambda records: records[1].update(episode_id="ep-b"), 2, id="other-episode"),
+    pytest.param(lambda records: records[1].update(tour_id="t1"), 2, id="other-tour"),
+])
+def test_read_traces_rejects_an_oracle_record_that_does_not_follow_its_agent_record(tmp_path, edit, line):
+    from types import SimpleNamespace
+
+    path = tmp_path / "trace.jsonl"
+    trace = sample_trace()
+    write_traces([trace], path)
+    records = [json.loads(text) for text in path.read_text().splitlines()]
+    edit(records)
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    refs = {ep.episode_id: SimpleNamespace(path=ep.reference_path) for ep in trace.episodes}
+    with pytest.raises(ValueError, match=rf"trace\.jsonl line {line}: oracle_transit record of tour t\d "
+                                         r"episode ep-\w does not follow that episode's agent record"):
         read_traces(path, refs)
 
 

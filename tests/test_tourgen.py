@@ -204,7 +204,7 @@ def test_episode_io_round_trip(tmp_path, synth):
     episodes = synth["episodes"]
     out = tmp_path / "episodes.json"
     save_episodes(episodes, out)
-    back = load_episodes(out, synth["scene"])
+    back = load_episodes(out)
     assert len(back) == len(episodes)
     for a, b in zip(back, episodes):
         assert a.episode_id == b.episode_id
