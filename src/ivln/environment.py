@@ -9,15 +9,16 @@ between them, and a pairwise connectivity matrix over path endpoints.
 
 Every query runs on the scene's ``NavIndex``, built on first use: integer
 ids for the navigable locations and a flat neighbor list per id, the
-same on both scene kinds.  Routes (oracle steps, reference paths) run
-A* in ``NavIndex.search`` and are memoized, cost included, by (source,
-goal).  Distance queries run one resumable Dijkstra per source id: it
-settles ids only until every id asked about is settled and keeps its
-heap for the next question, so a query costs the ball out to its
-farthest target, not the whole scene.  Both caches live as long as the
-scene and are the package's only distance caches.  The index is built
-from the scene as it is at the first query, so a scene must not be
-mutated after it.
+same on both scene kinds.  One kernel answers both questions: a
+resumable Dijkstra per source id, which settles ids only until every id
+asked about is settled and keeps its heap for the next question, so a
+query costs the ball out to its farthest target, not the whole scene.
+A distance is read off the source's field; a route to ``b`` is walked
+down ``b``'s field (see ``NavIndex.route``), so the oracle's steps toward
+a target and its distance-to-goal checks share one field.  The fields
+live as long as the scene and are the package's only distance cache.
+The index is built from the scene as it is at the first query, so a
+scene must not be mutated after it.
 
 The index also caches ``Scene.snap_point`` by exact query point, misses
 included, so each distinct point is snapped once per scene.  With both
@@ -63,8 +64,9 @@ GRID_SNAP_RADIUS = 1.0
 
 _SQRT2 = math.sqrt(2.0)
 
-# (dx, dy) offsets in lexicographic order; ties in the search heaps fall
-# back to cell order, so a fixed neighbor order keeps expansions stable.
+# (dx, dy) offsets in lexicographic order: the order of every neighbor
+# list, so it fixes both the Dijkstra expansions (heap ties fall back to
+# cell order) and which of several equal-length routes a walk takes.
 _NEIGHBORS_8 = (
     (-1, -1), (-1, 0), (-1, 1),
     (0, -1), (0, 1),
@@ -72,6 +74,8 @@ _NEIGHBORS_8 = (
 )
 
 Cell = tuple[int, int]
+
+_TEXT = (str, bytes)
 
 
 class Point3(NamedTuple):
@@ -81,10 +85,15 @@ class Point3(NamedTuple):
 
 
 def as_point(value) -> Point3:
-    """Coerce a 3-sequence (or Point3) to Point3."""
+    """Coerce a 3-sequence of numbers (or Point3) to Point3; raises
+    TypeError for text, which ``float`` would otherwise parse."""
     if isinstance(value, Point3):
         return value
+    if isinstance(value, _TEXT):
+        raise TypeError(f"a point is three numbers, not {value!r}")
     x, y, z = value
+    if isinstance(x, _TEXT) or isinstance(y, _TEXT) or isinstance(z, _TEXT):
+        raise TypeError(f"a point is three numbers, not {value!r}")
     return Point3(float(x), float(y), float(z))
 
 
@@ -132,6 +141,8 @@ class NavGraph:
                 raise ValueError(f"edge ({a}, {b}) references an unknown node")
             if a == b:
                 raise ValueError(f"self edge at node {a}")
+            if self.nodes[a] == self.nodes[b]:
+                raise ValueError(f"edge ({a}, {b}) has zero length: both nodes are at {tuple(self.nodes[a])}")
             key = (a, b) if a < b else (b, a)
             if key not in seen:
                 seen.add(key)
@@ -349,13 +360,14 @@ class NavIndex:
     of ``GridWorld.neighbors`` on grids, sorted adjacency on graphs) that
     shares its int and float objects with the other lists.
 
-    Routes are memoized by (source, goal) for as long as the index
-    lives: the index never changes, so a repeated question gets the
-    first answer.  Distances come from one Dijkstra per source that
-    pauses between pops once the ids asked about are settled and
-    resumes on a later question.  It settles ids in the same order
-    whether it pauses or not, so every distance read is bitwise the one
-    a search to exhaustion gives.
+    ``_fields`` is the one distance cache: one Dijkstra per source that
+    pauses between pops once the ids asked about are settled and resumes
+    on a later question.  It settles ids in the same order whether it
+    pauses or not, so every distance read is bitwise the one a search to
+    exhaustion gives.  Routes are read off the target's field with no
+    parent array (``route``); its tie rule picks the first neighbor in
+    list order.  Graphs have no zero-length edges (``NavGraph`` rejects
+    them), so every step of that walk lowers the distance.
     """
 
     def __init__(self, scene: Scene):
@@ -368,18 +380,15 @@ class NavIndex:
                 for loc in self.locations
             ]
             self._points = [graph.nodes[loc] for loc in self.locations]
-            self._resolution = None
         else:
             grid = scene.grid
             self.locations = [tuple(cell) for cell in np.argwhere(grid.navigable.T).tolist()]
             self.id_of = {loc: i for i, loc in enumerate(self.locations)}
             self.neighbors = _grid_neighbor_lists(grid, list(self.id_of.values()))
             self._points = None
-            self._resolution = grid.resolution
         self._grid = scene.grid
         # per source id: (dist, frontier, closed) of a Dijkstra paused between pops
         self._fields: dict[int, tuple[array, array, bytearray]] = {}
-        self._routes: dict[tuple, tuple[float, tuple] | None] = {}
         # Scene.snap_point's results by exact query point; None marks a miss
         self.snaps: dict[Point3, object] = {}
 
@@ -394,58 +403,27 @@ class NavIndex:
                                 grid.origin.y + cells[:, 1] * grid.resolution,
                                 np.full(len(cells), grid.floor_z)))
 
-    def search(self, source: int, goal: int):
-        """A* from ``source`` to ``goal`` over location ids (octile estimate
-        on grids, Euclidean on graphs); ``(cost, ids)``, or None when the
-        goal is unreachable."""
-        n = len(self.locations)
-        dist = [math.inf] * n
-        dist[source] = 0.0
-        parent = [-1] * n
-        closed = bytearray(n)
-        cells, points, res = self.locations, self._points, self._resolution
-        goal_at = (cells if points is None else points)[goal]
-        # the source's key is never compared, so it needs no estimate
-        heap = [(0.0, source)]
-        while heap:
-            _, u = heapq.heappop(heap)
-            if closed[u]:
-                continue
-            if u == goal:
-                path = [u]
-                while parent[path[-1]] >= 0:
-                    path.append(parent[path[-1]])
-                return dist[u], path[::-1]
-            closed[u] = 1
-            base = dist[u]
-            adj = self.neighbors[u]
-            for k in range(0, len(adj), 2):
-                v = adj[k]
-                nd = base + adj[k + 1]
-                if nd < dist[v] - 1e-12:
-                    dist[v] = nd
-                    parent[v] = u
-                    if points is None:  # octile estimate
-                        dx = abs(cells[v][0] - goal_at[0])
-                        dy = abs(cells[v][1] - goal_at[1])
-                        lo, hi = (dx, dy) if dx < dy else (dy, dx)
-                        heapq.heappush(heap, (nd + res * ((hi - lo) + _SQRT2 * lo), v))
-                    else:
-                        heapq.heappush(heap, (nd + math.dist(points[v], goal_at), v))
-        return None
+    def route(self, a, b) -> tuple | None:
+        """Shortest route from location ``a`` to ``b`` as a tuple of
+        locations, or None when no route exists.
 
-    def route(self, a, b) -> tuple[float, tuple] | None:
-        """Shortest route between two locations as ``(cost, locations)``,
-        or None when no route exists; memoized."""
-        try:
-            return self._routes[a, b]
-        except KeyError:
-            pass
-        found = self.search(self.id_of[a], self.id_of[b])
-        if found is not None:
-            found = found[0], tuple(self.locations[i] for i in found[1])
-        self._routes[a, b] = found
-        return found
+        ``b``'s field is settled out to ``a``; then each step goes to the
+        first neighbor, in ``neighbors`` order, whose distance plus the
+        step is bitwise the current distance.  The neighbor that set a
+        settled id's distance passes that test, and steps are symmetric,
+        so the walk is a shortest route; among equal-length routes it
+        takes the one this tie rule gives.
+        """
+        u, goal = self.id_of[a], self.id_of[b]
+        dist = self._settle(goal, (u,))
+        if dist[u] == math.inf:
+            return None
+        path = [u]
+        while u != goal:
+            adj, here = self.neighbors[u], dist[u]
+            u = next(adj[k] for k in range(0, len(adj), 2) if dist[adj[k]] + adj[k + 1] == here)
+            path.append(u)
+        return tuple(self.locations[i] for i in path)
 
     def _settle(self, source: int, ids) -> array:
         """Distances out of location id ``source``, exact at least at
@@ -517,7 +495,7 @@ def shortest_path(scene: Scene, a: Sequence[float], b: Sequence[float]) -> list[
     found = scene.nav.route(scene.snap_point(a), scene.snap_point(b))
     if found is None:
         raise Disconnected(f"no route between {tuple(a)} and {tuple(b)} in {scene.scene_id}")
-    return [scene.location_point(loc) for loc in found[1]]
+    return [scene.location_point(loc) for loc in found]
 
 
 def connectivity_matrix(scene: Scene, endpoints: Sequence[tuple[Sequence[float], Sequence[float]]]) -> np.ndarray:

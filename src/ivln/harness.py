@@ -203,7 +203,7 @@ def _step_toward(scene: Scene, state: AgentState, target) -> AgentAction | None:
     found = scene.nav.route(state.location, target)
     if found is None:
         raise Disconnected(f"no route from {state.location} to {target} in {scene.scene_id}")
-    nxt = found[1][1]
+    nxt = found[1]
     if scene.is_discrete:
         return AgentAction(GOTO, node=nxt)
     dx = nxt[0] - state.location[0]

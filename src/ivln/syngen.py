@@ -270,7 +270,7 @@ def generate_episodes(scene: Scene, spec: EpisodeSpec, id_prefix: str = "ep") ->
         goal = rng.choice(locations)
         if start == goal:
             continue
-        d = scene.nav.distance(start, goal)
+        d = scene.nav.distance(goal, start)
         if not (spec.length_range[0] <= d <= spec.length_range[1]):
             continue
         path = shortest_path(scene, to_point(start), to_point(goal))

@@ -25,7 +25,7 @@ import numpy as np
 from .environment import (
     FORMAT_VERSION, Point3, Scene, as_point, connectivity_matrix, normalize_heading, read_json, write_json,
 )
-from .errors import Disconnected, EmptySequence, InstructionCountMismatch, SizeLimit
+from .errors import Disconnected, EmptySequence, InstructionCountMismatch, MissingEpisode, SizeLimit
 
 ATSP_EXACT_LIMIT = 15
 
@@ -90,6 +90,9 @@ class TourStats:
 # episode I/O
 
 
+_EPISODE_FIELDS = ("episode_id", "path_id", "scan", "path", "heading", "instructions", "instruction_ids")
+
+
 def load_episodes(path) -> list[Episode]:
     """Read an episode file as ``save_episodes`` writes it, one Episode per
     instruction.
@@ -99,12 +102,16 @@ def load_episodes(path) -> list[Episode]:
     ``heading``, ``instructions`` and ``instruction_ids``.  A record with
     k > 1 instructions becomes episodes ``<episode_id>_0`` ..
     ``<episode_id>_<k-1>``; a record with one keeps its ``episode_id``.
-    Raises KeyError for a missing field, TypeError or ValueError for a
-    field of the wrong form, and ValueError when a record's
-    ``instruction_ids`` and ``instructions`` differ in number.
+    Raises ValueError naming the file, the record's index and the field
+    for a missing field, TypeError or ValueError for a field of the wrong
+    form, and ValueError when a record's ``instruction_ids`` and
+    ``instructions`` differ in number.
     """
     episodes = []
-    for record in read_json(path)["episodes"]:
+    for index, record in enumerate(read_json(path)["episodes"]):
+        for name in _EPISODE_FIELDS:
+            if name not in record:
+                raise ValueError(f"{path} episode record {index}: missing field {name!r}")
         instructions, ids = record["instructions"], record["instruction_ids"]
         if len(ids) != len(instructions):
             raise ValueError(
@@ -527,25 +534,18 @@ def compute_tour_stats(tours: list[Tour]) -> TourStats:
 
 
 def save_tours(tours: list[Tour], episodes: list[Episode], path) -> None:
-    by_id = {ep.episode_id: ep for ep in episodes}
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "tours": [
-            {
-                "tour_id": t.tour_id,
-                "scene_id": t.scene_id,
-                "episodes": [
-                    {
-                        "episode_id": eid,
-                        "instruction_id": by_id[eid].instruction_id if eid in by_id else "",
-                    }
-                    for eid in t.episode_ids
-                ],
-            }
-            for t in tours
-        ],
-    }
-    write_json(path, payload)
+    """Write the tours with each episode's instruction id; raises
+    MissingEpisode, and writes nothing, for a tour episode that is not
+    in ``episodes``."""
+    instruction_ids = {ep.episode_id: ep.instruction_id for ep in episodes}
+    records = []
+    for t in tours:
+        try:
+            entries = [{"episode_id": eid, "instruction_id": instruction_ids[eid]} for eid in t.episode_ids]
+        except KeyError as exc:
+            raise MissingEpisode(f"tour {t.tour_id} references unknown episode {exc}") from None
+        records.append({"tour_id": t.tour_id, "scene_id": t.scene_id, "episodes": entries})
+    write_json(path, {"format_version": FORMAT_VERSION, "tours": records})
 
 
 def load_tours(path) -> list[Tour]:

@@ -1,3 +1,6 @@
+import heapq
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -58,6 +61,45 @@ def geodesic_pairwise(metric, ref, query):
     the unpruned reference for the cost matrices ``dtw`` builds."""
     sources, ids = metric.locate(ref, query)
     return metric.costs(sources, ids, np.ones((len(sources), len(ids)), dtype=bool))
+
+
+def astar_route(scene, a, b):
+    """A* from location ``a`` to ``b`` over the scene's ``NavIndex``
+    (octile estimate on grids, Euclidean on graphs): ``(cost, locations)``,
+    or None when ``b`` is unreachable.  The reference for ``NavIndex.route``."""
+    nav = scene.nav
+    source, goal = nav.id_of[a], nav.id_of[b]
+    n = len(nav.locations)
+    dist = [math.inf] * n
+    dist[source] = 0.0
+    parent = [-1] * n
+    closed = bytearray(n)
+
+    def estimate(v):
+        if scene.grid is None:
+            return math.dist(scene.graph.nodes[nav.locations[v]], scene.graph.nodes[b])
+        lo, hi = sorted((abs(nav.locations[v][0] - b[0]), abs(nav.locations[v][1] - b[1])))
+        return scene.grid.resolution * ((hi - lo) + math.sqrt(2.0) * lo)
+
+    heap = [(0.0, source)]
+    while heap:
+        _, u = heapq.heappop(heap)
+        if closed[u]:
+            continue
+        if u == goal:
+            path = [u]
+            while parent[path[-1]] >= 0:
+                path.append(parent[path[-1]])
+            return dist[u], [nav.locations[i] for i in reversed(path)]
+        closed[u] = 1
+        adj = nav.neighbors[u]
+        for k in range(0, len(adj), 2):
+            v, nd = adj[k], dist[u] + adj[k + 1]
+            if nd < dist[v] - 1e-12:
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd + estimate(v), v))
+    return None
 
 
 def oracle_segments(trace):

@@ -174,6 +174,17 @@ def test_an_episode_record_without_a_field_is_bad_input(pipeline, tmp_path, caps
     assert not (tmp_path / "t.json").exists()
 
 
+def test_a_missing_episode_field_is_named_with_its_file_and_record(pipeline, tmp_path, capsys):
+    def drop_scan(data):
+        del data["episodes"][1]["scan"]
+        return data
+
+    edited = edited_episodes(pipeline, tmp_path, drop_scan)
+    code = run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", edited, "--out", tmp_path / "t.json")
+    assert code == 2
+    assert f"error: {edited} episode record 1: missing field 'scan'" in capsys.readouterr().err
+
+
 def test_a_bare_list_of_episode_records_is_bad_input(pipeline, tmp_path):
     edited = edited_episodes(pipeline, tmp_path, lambda data: data["episodes"])
     code = run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", edited, "--out", tmp_path / "t.json")
@@ -190,6 +201,30 @@ def test_a_node_id_path_entry_is_bad_input(pipeline, tmp_path):
     code = run_cli("eval", "--traces", pipeline["traces"], "--episodes", edited, "--out", tmp_path / "r.json")
     assert code == 2
     assert not (tmp_path / "r.json").exists()
+
+
+def test_a_three_digit_node_id_path_entry_is_bad_input(pipeline, tmp_path, capsys):
+    # three characters unpack like three coordinates, but they are text
+    def digits_first(data):
+        data["episodes"][0]["path"][0] = "123"
+        return data
+
+    edited = edited_episodes(pipeline, tmp_path, digits_first)
+    code = run_cli("eval", "--traces", pipeline["traces"], "--episodes", edited, "--out", tmp_path / "r.json")
+    assert code == 2
+    assert "'123'" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_zero_length_graph_edge_is_bad_input(pipeline, tmp_path, capsys):
+    payload = json.loads(pipeline["graph"].read_text())
+    a, b = payload["edges"][0]
+    payload["nodes"][b] = payload["nodes"][a]
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(payload))
+    assert run_cli("gen-episodes", "--scene", bad, "--out", tmp_path / "e.json") == 2
+    assert f"edge ({a}, {b}) has zero length" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_a_bare_list_of_tours_is_bad_input(pipeline, tmp_path):

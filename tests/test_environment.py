@@ -15,6 +15,7 @@ from ivln.environment import (
     Point3,
     Pose,
     Scene,
+    as_point,
     connectivity_matrix,
     decode_bitmask,
     decode_bytes,
@@ -30,7 +31,7 @@ from ivln.environment import (
 from ivln.errors import Disconnected, SnapFailure
 from ivln.syngen import FloorplanSpec, generate_scene
 
-from conftest import geodesic_pairwise, grid_from_ascii, scene_from_ascii
+from conftest import astar_route, geodesic_pairwise, grid_from_ascii, scene_from_ascii
 
 SQRT2 = math.sqrt(2.0)
 
@@ -317,9 +318,8 @@ def test_geodesic_metric_matches_direct(open_room):
 
 @pytest.mark.parametrize("kind", ["grid", "graph"])
 def test_geodesic_distance_is_the_metrics_value(kind):
-    # A* route costs and Dijkstra distances sum their steps in different
-    # orders; on this floorplan they differ in the last bits on about a
-    # quarter of the grid pairs and on one pair of graph nodes
+    # GeodesicMetric snaps both points and reads the same resumable field;
+    # checked on every graph pair and 300 grid pairs of a 9-room floorplan
     grid_scene, graph_scene = generate_scene(FloorplanSpec(rooms=9, seed=3))
     scene = grid_scene if kind == "grid" else graph_scene
     points = [scene.location_point(loc) for loc in scene.nav.locations]
@@ -397,24 +397,66 @@ def test_snap_cache_keeps_misses_and_tie_rule():
     assert scene.nav.snaps == {Point3(*tie): (0, 0), Point3(50.0, 0.0, 0.0): None}
 
 
-@pytest.mark.parametrize("make_scene", [split_grid_scene, square_and_pair_scene])
-def test_route_memo_equals_fresh_search(make_scene):
-    scene = make_scene()
-    nav = scene.nav
-    rng = np.random.default_rng(4)
-    locations = nav.locations
-    pairs = [(locations[i], locations[j]) for i, j in rng.integers(len(locations), size=(30, 2))]
-    unreachable = 0
-    for a, b in pairs + pairs:  # the second pass is answered by the memo
-        fresh = NavIndex(scene).search(nav.id_of[a], nav.id_of[b])
-        got = nav.route(a, b)
-        if fresh is None:
-            assert got is None
-            unreachable += 1
-        else:
-            assert got == (fresh[0], tuple(locations[i] for i in fresh[1]))
-        assert nav.route(a, b) is got
-    assert unreachable > 0
+def step_lengths(scene, location) -> dict:
+    """Neighbors of a location with their step lengths, from the scene itself."""
+    if scene.grid is not None:
+        return dict(scene.grid.neighbors(location))
+    graph = scene.graph
+    return {nxt: graph.edge_weight(location, nxt) for nxt in graph.adjacency[location]}
+
+
+@st.composite
+def route_cases(draw):
+    """A random walled grid, or a random graph with two components (no
+    edge joins the first nodes to the rest), and location pairs on it."""
+    if draw(st.booleans()):
+        h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        navigable = np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))).reshape(h, w)
+        navigable[0, 0] = True
+        scene = Scene(scene_id="walled", grid=GridWorld(
+            resolution=0.25, origin=(0.0, 0.0, 0.0), width=w, height=h, navigable=navigable,
+            semantic=np.zeros((h, w), np.uint8), floor_z=0.0, ceiling_z=2.0))
+    else:
+        spots = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=2, max_size=9, unique=True))
+        cut = draw(st.integers(1, len(spots) - 1))
+        edge = st.tuples(st.integers(0, len(spots) - 1), st.integers(0, len(spots) - 1))
+        edges = [(f"n{i}", f"n{j}") for i, j in draw(st.lists(edge, max_size=16))
+                 if i != j and (i < cut) == (j < cut)]
+        nodes = {f"n{i}": (x * 0.7, y * 0.4, 1.0) for i, (x, y) in enumerate(spots)}
+        scene = Scene(scene_id="two-parts", graph=NavGraph(nodes=nodes, edges=edges))
+    location = st.sampled_from(scene.nav.locations)
+    return scene, draw(st.lists(st.tuples(location, location), min_size=1, max_size=8))
+
+
+@given(route_cases())
+@settings(max_examples=150)
+def test_route_is_a_shortest_route(case):
+    scene, pairs = case
+    for a, b in pairs:
+        want = astar_route(scene, a, b)
+        got = scene.nav.route(a, b)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        assert got[0] == a and got[-1] == b
+        lengths = [step_lengths(scene, u).get(v) for u, v in zip(got, got[1:])]
+        assert None not in lengths  # consecutive locations are neighbors
+        assert sum(lengths) == pytest.approx(want[0], abs=1e-9)
+
+
+def test_route_takes_the_first_neighbor_on_a_shortest_route(open_room):
+    # (1, 1) -> (8, 6) is 2 straight steps and 5 diagonals: 21 routes of
+    # equal length.  Neighbors are listed by (dx, dy) offset, (0, 1) before
+    # (1, 0) before (1, 1); (0, 1) leaves every shortest route, so the walk
+    # steps straight while a straight step stays on one, then diagonally.
+    # Back from (8, 6), (-1, -1) comes first and stays on one at once.
+    nav = open_room.nav
+    cells = [(1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 4), (7, 5), (8, 6)]
+    assert nav.route((1, 1), (8, 6)) == tuple(cells)
+    assert nav.route((8, 6), (1, 1)) == tuple(cells[::-1])
+    # (1, 1) -> (4, 2): straight, straight, diagonal, of 3 equal routes
+    assert nav.route((1, 1), (4, 2)) == ((1, 1), (2, 1), (3, 1), (4, 2))
+    assert nav.route((3, 3), (3, 3)) == ((3, 3),)
 
 
 def test_grid_neighbor_lists_equal_the_per_cell_loop(synth):
@@ -511,6 +553,22 @@ def test_graph_rejects_bad_edges():
         NavGraph(nodes={"a": (0, 0, 0)}, edges=[("a", "a")])
     with pytest.raises(ValueError):
         NavGraph(nodes={"a": (0, 0, 0)}, edges=[("a", "zz")])
+
+
+def test_graph_rejects_a_zero_length_edge():
+    # a route walk steps only to strictly nearer nodes, so a zero-length
+    # edge between a and b would leave it nowhere to go
+    nodes = {"a": (0.0, 0.0, 0.0), "b": (0.0, 0.0, 0.0), "c": (1.0, 0.0, 0.0)}
+    with pytest.raises(ValueError, match=r"edge \(a, b\) has zero length"):
+        NavGraph(nodes=nodes, edges=[("a", "b"), ("b", "c")])
+    assert NavGraph(nodes=nodes, edges=[("a", "c"), ("b", "c")]).edges == [("a", "c"), ("b", "c")]
+
+
+@pytest.mark.parametrize("value", ["123", b"123", ["1", "2", "3"], (0.0, "1", 2.0)],
+                         ids=["str", "bytes", "str items", "one str item"])
+def test_as_point_accepts_only_numbers(value):
+    with pytest.raises(TypeError):
+        as_point(value)
 
 
 def test_scene_requires_exactly_one_kind(open_room, square_graph):

@@ -519,18 +519,29 @@ def test_observation_message_with_a_given_or_a_deferred_crop(open_room):
     assert observation_message(Observation(*args))["crop"] is None
 
 
-def test_rollout_searches_each_route_once(synth, monkeypatch):
-    # a fresh Scene, so no earlier test has filled its route memo
+def test_rollout_opens_one_field_per_drive_target_or_goal(synth, monkeypatch):
+    # a fresh Scene, so no earlier test has opened a field on it
     scene = Scene(scene_id=synth["scene"].scene_id, grid=synth["scene"].grid)
     by_id = synth["by_id"]
-    searches = count_calls(monkeypatch, NavIndex, "search")
+    targets = set()
+    step_toward = harness._step_toward
+
+    def recording(scene_, state, target):
+        if state.location != target:
+            targets.add(target)
+        return step_toward(scene_, state, target)
+
+    monkeypatch.setattr(harness, "_step_toward", recording)
     routes = count_calls(monkeypatch, NavIndex, "route")
     policy = NoisyOraclePolicy(scene, by_id, p_error=0.2, seed=5)
-    run_tours(scene, synth["tours"], by_id, policy, Config(map_mode="iterative", seed=5))
-    goal_searches = [args[1:] for args in searches if len(args) == 3]
-    pairs = {args[1:] for args in routes}
-    assert len(goal_searches) == len(set(goal_searches)) == len(pairs)
-    assert len(routes) > len(pairs)  # repeated questions were asked and answered by the memo
+    traces, _ = run_tours(scene, synth["tours"], by_id, policy, Config(map_mode="iterative", seed=5))
+    ends = [(scene.snap_point(by_id[et.episode_id].path[-1]), scene.snap_point(et.agent_path[-1]))
+            for trace in traces for et in trace.episodes]
+    # a goal check off the goal reads the field of the correction's drive
+    goals = {goal for goal, end in ends if goal != end}
+    assert goals and goals <= targets
+    assert set(scene.nav._fields) == {scene.nav.id_of[loc] for loc in targets}
+    assert len(routes) > 5 * len(scene.nav._fields)
 
 
 def test_random_policy_returns_legal_actions(open_room):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ivln.environment import geodesic_distance, scene_to_dict
+from ivln.environment import NavIndex, geodesic_distance, scene_to_dict
 from ivln.errors import SamplingExhausted, SpecInfeasible
 from ivln.syngen import (
     FURNITURE_LABELS,
@@ -175,3 +175,17 @@ def test_graph_twin_supports_episodes():
     node_points = set(graph_scene.graph.nodes.values())
     for ep in episodes:
         assert set(ep.path) <= node_points
+
+
+def test_each_reference_path_reads_the_field_its_length_check_opened(monkeypatch):
+    scene, _ = generate_scene(FloorplanSpec(rooms=4, seed=9))
+    route = NavIndex.route
+    opened = []
+
+    def checked_route(nav, a, b):
+        opened.append(nav.id_of[b] in nav._fields)
+        return route(nav, a, b)
+
+    monkeypatch.setattr(NavIndex, "route", checked_route)
+    episodes = generate_episodes(scene, EpisodeSpec(count=6, instructions_per_path=1, seed=4))
+    assert len(opened) == len(episodes) and all(opened)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from ivln.environment import connectivity_matrix
-from ivln.errors import EmptySequence, InstructionCountMismatch
+from ivln.errors import EmptySequence, InstructionCountMismatch, MissingEpisode
 from ivln.syngen import EpisodeSpec, FloorplanSpec, generate_episodes, generate_scene
 from ivln.tourgen import (
     Episode,
@@ -228,6 +228,16 @@ def test_tour_io_round_trip(tmp_path, synth):
     assert payload["format_version"] == "1"
     entry = payload["tours"][0]["episodes"][0]
     assert set(entry) == {"episode_id", "instruction_id"}
+
+
+def test_save_tours_rejects_an_episode_missing_from_the_set(tmp_path, synth):
+    out = tmp_path / "tours.json"
+    with pytest.raises(MissingEpisode, match="tour t references unknown episode 'nope'"):
+        save_tours([Tour("t", "s", ["nope"])], [], out)
+    tours = synth["tours"][:1]
+    with pytest.raises(MissingEpisode):
+        save_tours(tours + [Tour("u", "s", tours[0].episode_ids + ["nope"])], synth["episodes"], out)
+    assert not out.exists()
 
 
 def test_graph_scene_tours(synth):
