@@ -444,6 +444,29 @@ def test_route_is_a_shortest_route(case):
         assert sum(lengths) == pytest.approx(want[0], abs=1e-9)
 
 
+@pytest.mark.parametrize("make_scene", [split_grid_scene, square_and_pair_scene])
+def test_route_memo_equals_fresh_search(make_scene):
+    # a route read off a field that earlier questions paused and resumed
+    # equals one read off a fresh index's field
+    scene = make_scene()
+    nav = scene.nav
+    rng = np.random.default_rng(4)
+    locations = nav.locations
+    pairs = [(locations[i], locations[j]) for i, j in rng.integers(len(locations), size=(30, 2))]
+    unreachable = 0
+    for a, b in pairs:
+        fresh = NavIndex(scene).route(a, b)
+        got = nav.route(a, b)
+        assert got == fresh
+        assert (fresh is None) == (astar_route(scene, a, b) is None)
+        unreachable += fresh is None
+    opened = dict(nav._fields)
+    for a, b in pairs:  # the second pass is answered by the fields already open
+        assert nav.route(a, b) == NavIndex(scene).route(a, b)
+    assert nav._fields.keys() == opened.keys()
+    assert unreachable > 0
+
+
 def test_route_takes_the_first_neighbor_on_a_shortest_route(open_room):
     # (1, 1) -> (8, 6) is 2 straight steps and 5 diagonals: 21 routes of
     # equal length.  Neighbors are listed by (dx, dy) offset, (0, 1) before
