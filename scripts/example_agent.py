@@ -6,9 +6,9 @@ episode, and passive observation messages; on active observations walks
 forward a fixed number of steps per episode and then stops.  On graph
 scenes it stops immediately since it has no view of the adjacency.
 
-It opts in to protocol version 2 in its reset ack, so map crops arrive
-as compact label and occupancy grids, which read_crop decodes with the
-standard library alone.
+It acks protocol version 2 in its reset ack, the one version the
+harness speaks; map crops arrive as compact label and occupancy grids,
+which read_crop decodes with the standard library alone.
 
 Useful as a template for wiring in a real policy: replace decide()
 and keep the message loop.

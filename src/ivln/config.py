@@ -11,6 +11,7 @@ self-describing.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -21,6 +22,8 @@ SOLVERS = ("nn", "nn+3opt", "exact")
 # agent steps per episode when max_steps is None
 DEFAULT_MAX_STEPS_CONTINUOUS = 500
 DEFAULT_MAX_STEPS_DISCRETE = 15
+# the float fields that must be positive and finite
+_POSITIVE_FLOATS = ("d_th", "success_radius", "oracle_correction_radius", "radius", "turn_deg", "step_timeout")
 
 
 @dataclass
@@ -41,22 +44,18 @@ class Config:
     occlusion: bool = True
 
     def validate(self) -> None:
-        if self.d_th <= 0 or self.success_radius <= 0 or self.radius <= 0:
-            raise ValueError("distance thresholds must be positive")
-        if self.oracle_correction_radius <= 0:
-            raise ValueError("oracle_correction_radius must be positive")
+        for name in _POSITIVE_FLOATS:
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
         if self.map_mode != "none" and self.map_mode not in MAP_MODES:
             raise ValueError(f"unknown map mode {self.map_mode!r}, expected none or one of {MAP_MODES}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.turn_deg <= 0:
-            raise ValueError("turn_deg must be positive")
         if self.crop_size < 1:
             raise ValueError("crop_size must be at least 1")
-        if self.step_timeout <= 0:
-            raise ValueError("step_timeout must be positive")
 
     def budget(self, scene) -> int:
         """Agent steps per episode in ``scene``: max_steps, or the per-kind default."""

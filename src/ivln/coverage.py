@@ -33,8 +33,8 @@ class ObservationModel:
     occlusion: bool = True
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("observation radius must be positive")
+        if not 0 < self.radius < math.inf:  # NaN fails too
+            raise ValueError(f"observation radius must be positive and finite, got {self.radius!r}")
 
     def to_dict(self) -> dict:
         return {"radius": self.radius, "occlusion": self.occlusion}

@@ -365,9 +365,10 @@ class NavIndex:
     on a later question.  It settles ids in the same order whether it
     pauses or not, so every distance read is bitwise the one a search to
     exhaustion gives.  Routes are read off the target's field with no
-    parent array (``route``); its tie rule picks the first neighbor in
-    list order.  Graphs have no zero-length edges (``NavGraph`` rejects
-    them), so every step of that walk lowers the distance.
+    parent array (``route``, or one step of it with ``next_location``);
+    its tie rule picks the first neighbor in list order.  Graphs have no
+    zero-length edges (``NavGraph`` rejects them), so every step of that
+    walk lowers the distance.
     """
 
     def __init__(self, scene: Scene):
@@ -420,10 +421,24 @@ class NavIndex:
             return None
         path = [u]
         while u != goal:
-            adj, here = self.neighbors[u], dist[u]
-            u = next(adj[k] for k in range(0, len(adj), 2) if dist[adj[k]] + adj[k + 1] == here)
+            u = self._next(u, dist)
             path.append(u)
         return tuple(self.locations[i] for i in path)
+
+    def next_location(self, a, b):
+        """The location after ``a`` on ``route(a, b)``, for ``a`` other
+        than ``b``, or None when no route exists; only that one step is
+        walked."""
+        u = self.id_of[a]
+        dist = self._settle(self.id_of[b], (u,))
+        return None if dist[u] == math.inf else self.locations[self._next(u, dist)]
+
+    def _next(self, u: int, dist: array) -> int:
+        """The walk's one step from id ``u`` down ``dist``: the first
+        neighbor, in list order, whose distance plus the step is bitwise
+        ``dist[u]``."""
+        adj, here = self.neighbors[u], dist[u]
+        return next(adj[k] for k in range(0, len(adj), 2) if dist[adj[k]] + adj[k + 1] == here)
 
     def _settle(self, source: int, ids) -> array:
         """Distances out of location id ``source``, exact at least at

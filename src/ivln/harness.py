@@ -52,7 +52,6 @@ from .mapper import (
     crop_egocentric,
     crop_layers,
     crop_to_compact,
-    crop_to_flat,
     known_map,
     sense,
 )
@@ -73,9 +72,9 @@ FRAME_HEIGHT = 48
 HFOV_DEG = 90.0
 MAX_RANGE = 10.0
 
-# wire protocol versions the harness speaks: 1 sends crops as a flat
-# float list, 2 as compact label and occupancy grids
-PROTOCOL_VERSIONS = (1, 2)
+# the wire protocol version the harness speaks: crops travel as compact
+# label and occupancy grids
+PROTOCOL_VERSION = 2
 
 # how much of an external agent's stderr a protocol error quotes
 _STDERR_TAIL_BYTES = 2048
@@ -200,10 +199,9 @@ def _step_toward(scene: Scene, state: AgentState, target) -> AgentAction | None:
     """
     if state.location == target:
         return None
-    found = scene.nav.route(state.location, target)
-    if found is None:
+    nxt = scene.nav.next_location(state.location, target)
+    if nxt is None:
         raise Disconnected(f"no route from {state.location} to {target} in {scene.scene_id}")
-    nxt = found[1]
     if scene.is_discrete:
         return AgentAction(GOTO, node=nxt)
     dx = nxt[0] - state.location[0]
@@ -536,14 +534,11 @@ def replay_tour(
 # external policies (line-delimited JSON)
 
 
-def observation_message(obs: Observation, compact: bool = False) -> dict:
-    """Wire form of an observation; pose is [x, y, z, heading].  The crop
-    is a flat float list, or with ``compact`` the ``crop_to_compact`` dict."""
-    if compact:
-        layers = obs.crop_layers()
-        crop = None if layers is None else crop_to_compact(*layers)
-    else:
-        crop = None if obs.crop is None else crop_to_flat(obs.crop)
+def observation_message(obs: Observation) -> dict:
+    """Wire form of an observation; pose is [x, y, z, heading] and the crop
+    the ``crop_to_compact`` dict."""
+    layers = obs.crop_layers()
+    crop = None if layers is None else crop_to_compact(*layers)
     msg = {
         "type": "observe",
         "pose": [obs.pose.position.x, obs.pose.position.y, obs.pose.position.z, obs.pose.heading],
@@ -702,15 +697,13 @@ _ACTION_NAMES = {FORWARD, TURN_LEFT, TURN_RIGHT, STOP, GOTO}
 class ExternalPolicy(Policy):
     """Bridges the harness to an agent behind a transport.
 
-    Each tour's reset offers the newest protocol version; the agent's ack
-    picks the crop form for the tour: ``"protocol_version": 2`` the
-    compact grids, none or 1 the flat list.
+    Each tour's reset names ``PROTOCOL_VERSION``, and the agent's ack
+    must carry the same ``"protocol_version"``.
     """
 
     def __init__(self, transport, timeout: float = 10.0):
         self.transport = transport
         self.timeout = timeout
-        self.compact = False
 
     def _expect_ack(self) -> dict:
         reply = self.transport.recv(self.timeout)
@@ -719,14 +712,12 @@ class ExternalPolicy(Policy):
         return reply
 
     def reset(self, tour_id):
-        self.transport.send({"type": "reset", "tour_id": tour_id, "protocol_version": PROTOCOL_VERSIONS[-1]})
-        version = self._expect_ack().get("protocol_version", 1)
-        if type(version) is not int or version not in PROTOCOL_VERSIONS:
+        self.transport.send({"type": "reset", "tour_id": tour_id, "protocol_version": PROTOCOL_VERSION})
+        version = self._expect_ack().get("protocol_version")
+        if type(version) is not int or version != PROTOCOL_VERSION:
             raise ProtocolViolation(
-                f"agent acked protocol_version {version!r}; the harness speaks "
-                + " and ".join(map(str, PROTOCOL_VERSIONS))
+                f"agent acked protocol_version {version!r}; the harness speaks version {PROTOCOL_VERSION}"
             )
-        self.compact = version == 2
 
     def begin_episode(self, episode_id, instruction):
         self.transport.send(
@@ -735,7 +726,7 @@ class ExternalPolicy(Policy):
         self._expect_ack()
 
     def act(self, obs):
-        self.transport.send(observation_message(obs, self.compact))
+        self.transport.send(observation_message(obs))
         reply = self.transport.recv(self.timeout)
         if reply.get("type") != "act":
             raise ProtocolViolation(f"expected act, got {reply.get('type')!r}")
@@ -750,7 +741,7 @@ class ExternalPolicy(Policy):
         return AgentAction(kind)
 
     def observe(self, obs):
-        self.transport.send(observation_message(obs, self.compact))
+        self.transport.send(observation_message(obs))
         self._expect_ack()
 
     def close(self):

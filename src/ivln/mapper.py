@@ -300,16 +300,6 @@ def crop_egocentric(occ_map: SemanticOccMap, pose: Pose, size: int = 64) -> np.n
     return _one_hot(*crop_layers(occ_map, pose, size))
 
 
-def crop_to_flat(crop: np.ndarray) -> list[float]:
-    """Crop as a flat channel-major list, the wire and export form."""
-    return np.asarray(crop, dtype=np.float32).ravel().tolist()
-
-
-def crop_from_flat(values, size: int = 64) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float32)
-    return arr.reshape(CROP_CHANNELS, size, size)
-
-
 def crop_to_compact(labels: np.ndarray, occupied: np.ndarray) -> dict:
     """The compact wire form of ``crop_layers``' grids: row-major label
     bytes and an MSB-first occupancy bitmask, each base64 text."""

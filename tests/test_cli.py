@@ -360,7 +360,7 @@ def test_failing_external_agent_flushes_partial(pipeline, tmp_path, capsys):
     agent.write_text(
         "import json, sys\n"
         "for count, line in enumerate(sys.stdin, start=1):\n"
-        "    sys.stdout.write(json.dumps({'type': 'ack'}) + '\\n')\n"
+        "    sys.stdout.write(json.dumps({'type': 'ack', 'protocol_version': 2}) + '\\n')\n"
         "    sys.stdout.flush()\n"
         "    if count >= 2:\n"
         "        sys.exit(1)\n"
@@ -387,6 +387,38 @@ def test_external_agent_exit_status_and_stderr_in_error(pipeline, tmp_path, caps
     assert code == 1
     assert "exit status 7" in err
     assert "boom" in err
+
+
+def test_an_agent_that_acks_reset_plainly_is_refused(pipeline, tmp_path, capsys):
+    agent = tmp_path / "plain_ack.py"
+    agent.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    sys.stdout.write(json.dumps({'type': 'ack'}) + '\\n')\n"
+        "    sys.stdout.flush()\n"
+    )
+    traces = tmp_path / "refused.jsonl"
+    code = run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
+                   "--episodes", pipeline["episodes"],
+                   "--policy", f"ext:{sys.executable} {agent}", "--out", traces)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "protocol_version None" in err and "version 2" in err
+    assert traces.read_text() == ""
+
+
+@pytest.mark.parametrize("command, flag", [("eval", "--d-th"), ("eval", "--success-radius"),
+                                           ("run", "--step-timeout"), ("coverage", "--radius")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_setting_that_is_not_finite_is_bad_input(pipeline, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    inputs = ("--traces", pipeline["traces"]) if command == "eval" else (
+        "--scene", pipeline["scene"], "--tours", pipeline["tours"])
+    code = run_cli(command, *inputs, "--episodes", pipeline["episodes"], flag, value, "--out", out)
+    field = flag[2:].replace("-", "_")
+    assert code == 2
+    assert f"{field} must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_policy_is_a_usage_error(pipeline, tmp_path):

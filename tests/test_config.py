@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import pytest
 
 from ivln.config import Config, parse_config_file, resolve_config
+from ivln.coverage import ObservationModel
 
 
 def test_defaults_are_valid():
@@ -87,6 +89,21 @@ def test_validation_rejects_bad_values():
         cfg = Config(**{field: value})
         with pytest.raises(ValueError):
             cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "field", ["d_th", "success_radius", "oracle_correction_radius", "radius", "turn_deg", "step_timeout"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validation_rejects_a_float_setting_that_is_not_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value!r}$"):
+        Config(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_observation_radius_must_be_positive_and_finite(value):
+    with pytest.raises(ValueError, match="observation radius must be positive and finite"):
+        ObservationModel(radius=value)
 
 
 def test_resolve_validates(tmp_path):

@@ -444,6 +444,17 @@ def test_route_is_a_shortest_route(case):
         assert sum(lengths) == pytest.approx(want[0], abs=1e-9)
 
 
+@given(route_cases())
+@settings(max_examples=150)
+def test_next_location_is_the_routes_first_step(case):
+    scene, pairs = case
+    for a, b in pairs:
+        if a == b:
+            continue
+        route = NavIndex(scene).route(a, b)  # off a fresh field
+        assert scene.nav.next_location(a, b) == (None if route is None else route[1])
+
+
 @pytest.mark.parametrize("make_scene", [split_grid_scene, square_and_pair_scene])
 def test_route_memo_equals_fresh_search(make_scene):
     # a route read off a field that earlier questions paused and resumed

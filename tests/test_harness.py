@@ -38,7 +38,6 @@ from ivln.mapper import (
     crop_from_compact,
     crop_layers,
     crop_to_compact,
-    crop_to_flat,
     known_map,
     save_map,
 )
@@ -498,13 +497,12 @@ def test_observation_message_with_a_given_or_a_deferred_crop(open_room):
     occ_map.semantic[:] = rng.integers(0, 14, size=occ_map.semantic.shape)
     occ_map.occupancy[:] = occ_map.semantic > 6
     pose = Pose(Point3(0.5, 0.75, 0.0), 0.3)
-    crop = crop_egocentric(occ_map, pose, 16)
     compact = crop_to_compact(*crop_layers(occ_map, pose, 16))
     want = {
         "type": "observe",
         "pose": [0.5, 0.75, 0.0, 0.3],
         "steps_remaining": 7,
-        "crop": crop_to_flat(crop),
+        "crop": compact,
         "passive": True,
         "episode_id": "e0",
         "episode_index": 2,
@@ -533,6 +531,7 @@ def test_rollout_opens_one_field_per_drive_target_or_goal(synth, monkeypatch):
 
     monkeypatch.setattr(harness, "_step_toward", recording)
     routes = count_calls(monkeypatch, NavIndex, "route")
+    steps = count_calls(monkeypatch, NavIndex, "next_location")
     policy = NoisyOraclePolicy(scene, by_id, p_error=0.2, seed=5)
     traces, _ = run_tours(scene, synth["tours"], by_id, policy, Config(map_mode="iterative", seed=5))
     ends = [(scene.snap_point(by_id[et.episode_id].path[-1]), scene.snap_point(et.agent_path[-1]))
@@ -541,7 +540,8 @@ def test_rollout_opens_one_field_per_drive_target_or_goal(synth, monkeypatch):
     goals = {goal for goal, end in ends if goal != end}
     assert goals and goals <= targets
     assert set(scene.nav._fields) == {scene.nav.id_of[loc] for loc in targets}
-    assert len(routes) > 5 * len(scene.nav._fields)
+    # each drive step walks one step of its route, never the whole route
+    assert routes == [] and len(steps) > 5 * len(scene.nav._fields)
 
 
 def test_random_policy_returns_legal_actions(open_room):
@@ -556,11 +556,11 @@ def test_random_policy_returns_legal_actions(open_room):
 
 class WireServer:
     """Single-connection scripted agent on a local TCP port; it answers
-    reset with ``reset_ack``, a plain ack unless given."""
+    reset with ``reset_ack``, the version-2 ack unless given."""
 
     def __init__(self, act, reset_ack=None):
         self.act = act
-        self.reset_ack = reset_ack or {"type": "ack"}
+        self.reset_ack = reset_ack or {"type": "ack", "protocol_version": 2}
         self.messages = []
         self.sock = socket.socket()
         self.sock.bind(("127.0.0.1", 0))
@@ -649,32 +649,18 @@ def three_steps_then_stop(msg):
     return {"type": "act", "action": "forward" if msg["steps_remaining"] > 12 else "stop"}
 
 
-def test_plain_ack_agent_gets_the_flat_crop(synth, monkeypatch):
-    at_the_time = record_crops(monkeypatch)
-    scene, tour, by_id = map_tour(synth)
-    cfg = Config(map_mode="episodic", crop_size=24, max_steps=15)
-    server, (trace, _) = run_with_server(scene, tour, by_id, three_steps_then_stop, cfg=cfg)
-    assert server.messages[0] == {"type": "reset", "tour_id": "t-wire", "protocol_version": 2}
-    observes = [m for m in server.messages if m["type"] == "observe"]
-    assert len(observes) == len(at_the_time) > 10
-    assert any(m["passive"] for m in observes) and not all(m["passive"] for m in observes)
-    for msg, want in zip(observes, at_the_time):
-        assert isinstance(msg["crop"], list) and msg["crop"] == crop_to_flat(want)
-
-
 @pytest.mark.parametrize("mode", ["episodic", "iterative"])
 def test_version_2_agent_gets_the_compact_crop_and_no_one_hot_is_made(synth, monkeypatch, mode):
     at_the_time = record_crops(monkeypatch)
     one_hots = count_calls(monkeypatch, harness, "crop_egocentric")
     scene, tour, by_id = map_tour(synth)
     cfg = Config(map_mode=mode, max_steps=15)
-    server, (trace, _) = run_with_server(
-        scene, tour, by_id, three_steps_then_stop, reset_ack={"type": "ack", "protocol_version": 2}, cfg=cfg
-    )
-    assert server.messages[0]["protocol_version"] == 2
+    server, (trace, _) = run_with_server(scene, tour, by_id, three_steps_then_stop, cfg=cfg)
+    assert server.messages[0] == {"type": "reset", "tour_id": "t-wire", "protocol_version": 2}
     assert one_hots == []
     observes = [m for m in server.messages if m["type"] == "observe"]
     assert len(observes) == len(at_the_time) > 10
+    assert any(m["passive"] for m in observes) and not all(m["passive"] for m in observes)
     for msg, want in zip(observes, at_the_time):
         assert sorted(msg["crop"]) == ["labels", "occupied", "size"] and msg["crop"]["size"] == 64
         back = crop_from_compact(msg["crop"])
@@ -683,21 +669,13 @@ def test_version_2_agent_gets_the_compact_crop_and_no_one_hot_is_made(synth, mon
     assert [et.actions for et in trace.episodes] == [["forward"] * 3 + ["stop"]] * 2
 
 
-def test_version_1_ack_keeps_the_flat_crop(synth):
-    scene, tour, by_id = map_tour(synth)
-    cfg = Config(map_mode="episodic", crop_size=8, max_steps=15)
-    server, _ = run_with_server(
-        scene, tour, by_id, three_steps_then_stop, reset_ack={"type": "ack", "protocol_version": 1}, cfg=cfg
-    )
-    crops = [m["crop"] for m in server.messages if m["type"] == "observe"]
-    assert crops and all(isinstance(c, list) and len(c) == 14 * 8 * 8 for c in crops)
-
-
-@pytest.mark.parametrize("version", [3, "2", 0, None, True, 2.0])
+@pytest.mark.parametrize("version", ["plain", 1, 3, "2", 0, None, True, 2.0])
 def test_unknown_protocol_version_is_refused(open_room, version):
     tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]))
-    server = WireServer(lambda msg: {"type": "act", "action": "stop"},
-                        reset_ack={"type": "ack", "protocol_version": version})
+    # "plain" is an ack without the field, which reads as None
+    ack = {"type": "ack"} if version == "plain" else {"type": "ack", "protocol_version": version}
+    shown = None if version == "plain" else version
+    server = WireServer(lambda msg: {"type": "act", "action": "stop"}, reset_ack=ack)
     policy = ExternalPolicy(SocketTransport("127.0.0.1", server.port), timeout=2.0)
     try:
         with pytest.raises(ProtocolViolation) as exc_info:
@@ -706,7 +684,7 @@ def test_unknown_protocol_version_is_refused(open_room, version):
         policy.close()
         server.thread.join(timeout=2.0)
     message = str(exc_info.value)
-    assert f"protocol_version {version!r}" in message and "1 and 2" in message
+    assert f"protocol_version {shown!r}" in message and message.endswith("speaks version 2")
     assert [m["type"] for m in server.messages] == ["reset", "close"]
 
 
@@ -940,7 +918,6 @@ def test_subprocess_agent_round_trip_under_a_map(open_room):
     check_trace_invariants(trace, 2)
     for et in trace.episodes:
         assert et.actions == ["forward", "forward", "stop"]
-    assert policy.compact
     observes = [data for data in pipe.writes if json.loads(data)["type"] == "observe"]
     assert len(observes) > 6
     for data in observes:
@@ -948,10 +925,19 @@ def test_subprocess_agent_round_trip_under_a_map(open_room):
         assert json.loads(data)["crop"]["size"] == 64
 
 
-def test_template_reads_the_compact_crop_with_the_stdlib(synth):
+def load_template_agent():
     spec = importlib.util.spec_from_file_location("example_agent", AGENT_SCRIPT)
     agent = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(agent)
+    return agent
+
+
+def test_template_acks_the_harness_protocol_version():
+    assert load_template_agent().PROTOCOL_VERSION == harness.PROTOCOL_VERSION
+
+
+def test_template_reads_the_compact_crop_with_the_stdlib(synth):
+    agent = load_template_agent()
     grid = synth["scene"].grid
     pose = Pose(Point3(grid.origin.x + 1.3, grid.origin.y + 2.1, 0.0), 0.4)
     labels, occupied = crop_layers(known_map(grid), pose, 24)

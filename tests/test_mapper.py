@@ -19,10 +19,8 @@ from ivln.mapper import (
     SemanticOccMap,
     crop_egocentric,
     crop_from_compact,
-    crop_from_flat,
     crop_layers,
     crop_to_compact,
-    crop_to_flat,
     integrate,
     known_map,
     load_map,
@@ -259,35 +257,6 @@ def test_crop_outside_map_is_zero():
     crop = crop_egocentric(m, Pose(Point3(0.0, 0.0, 0), 0.0), size=64)
     # the map covers a 4x4 corner of a 64x64 window: almost all zeros
     assert crop.sum() < 2 * 16 + 1
-
-
-def test_crop_flat_round_trip_through_json():
-    m = fresh_map(size=5)
-    rng = np.random.default_rng(2)
-    m.semantic = rng.integers(0, 14, size=(5, 5)).astype(np.uint8)
-    m.occupancy = rng.integers(0, 2, size=(5, 5)).astype(np.uint8)
-    crop = crop_egocentric(m, Pose(Point3(0.5, 0.5, 0), 1.1), size=16)
-    flat = crop_to_flat(crop)
-    wired = json.loads(json.dumps(flat))
-    back = crop_from_flat(wired, size=16)
-    assert np.array_equal(back, crop)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_crop_to_flat_matches_the_element_loop(seed):
-    rng = np.random.default_rng(seed)
-    crops = [
-        rng.integers(0, 2, size=(CROP_CHANNELS, 8, 8)).astype(np.float32),
-        rng.standard_normal((CROP_CHANNELS, 8, 8)).astype(np.float32),
-        np.full((CROP_CHANNELS, 4, 4), 0.1, dtype=np.float32),
-        rng.uniform(-1e3, 1e3, size=(CROP_CHANNELS, 8, 8)),  # float64 in, float32 out
-        np.array([0.1, 1 / 3, -0.0, 1e-40, 2.5e38, 7.0] * CROP_CHANNELS, dtype=np.float32),
-    ]
-    for crop in crops:
-        want = [float(v) for v in np.asarray(crop, dtype=np.float32).ravel(order="C")]
-        got = crop_to_flat(crop)
-        assert all(type(v) is float for v in got)
-        assert json.dumps(got) == json.dumps(want)
 
 
 def crop_loop(occ_map, pose, size):
