@@ -13,23 +13,16 @@ same on both scene kinds.  One kernel answers both questions: a
 resumable Dijkstra per source id, which settles ids only until every id
 asked about is settled and keeps its heap for the next question, so a
 query costs the ball out to its farthest target, not the whole scene.
-A distance is read off the source's field; a route to ``b`` is walked
-down ``b``'s field (see ``NavIndex.route``), so the oracle's steps toward
-a target and its distance-to-goal checks share one field.  The fields
+A distance is read off the source's field (``NavIndex.settle``); a route
+to ``b`` is walked down ``b``'s field (``NavIndex.route``), so the
+oracle's steps toward a target and its distance-to-goal checks share one
+field.  The fields
 live as long as the scene and are the package's only distance cache.
 The index is built from the scene as it is at the first query, so a
 scene must not be mutated after it.
 
 The index also caches ``Scene.snap_point`` by exact query point, misses
-included, so each distinct point is snapped once per scene.  With both
-caches, ``GeodesicMetric`` snaps every point of a cost matrix once
-(``locate``) and fills it one row per reference point (``costs``),
-asking that point's Dijkstra only for the query ids the row keeps.
-Alignment keeps just the cells its optimal warp can pass through: the
-Euclidean distance between two locations' points (``NavIndex.points``)
-never exceeds their geodesic distance, because grid steps have octile
-lengths and graph edges are weighted by their 3D Euclidean length, so
-it bounds every cell from below (see ``metrics._geodesic_costs``).
+included, so each distinct point is snapped once per scene.
 
 Conventions used throughout the package:
 
@@ -49,8 +42,6 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress, groupby
-from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -416,7 +407,7 @@ class NavIndex:
         takes the one this tie rule gives.
         """
         u, goal = self.id_of[a], self.id_of[b]
-        dist = self._settle(goal, (u,))
+        dist = self.settle(goal, (u,))
         if dist[u] == math.inf:
             return None
         path = [u]
@@ -430,7 +421,7 @@ class NavIndex:
         than ``b``, or None when no route exists; only that one step is
         walked."""
         u = self.id_of[a]
-        dist = self._settle(self.id_of[b], (u,))
+        dist = self.settle(self.id_of[b], (u,))
         return None if dist[u] == math.inf else self.locations[self._next(u, dist)]
 
     def _next(self, u: int, dist: array) -> int:
@@ -440,10 +431,11 @@ class NavIndex:
         adj, here = self.neighbors[u], dist[u]
         return next(adj[k] for k in range(0, len(adj), 2) if dist[adj[k]] + adj[k + 1] == here)
 
-    def _settle(self, source: int, ids) -> array:
-        """Distances out of location id ``source``, exact at least at
-        every id in ``ids``: its Dijkstra runs on until each of them is
-        closed or nothing is left to pop, then pauses until a later call.
+    def settle(self, source: int, ids) -> array:
+        """Distances out of location id ``source`` by location id, exact
+        at least at every id in ``ids``: its Dijkstra runs on until each
+        of them is closed or nothing is left to pop, then pauses until a
+        later call.  The array is the field itself: read it, never write.
 
         Between calls the heap is kept as flat ``key, id, key, id, ...``
         doubles (ids are exact in a double): 16 bytes an entry, where its
@@ -478,15 +470,10 @@ class NavIndex:
         self._fields[source] = (dist, array("d", [x for entry in heap for x in entry]), closed)
         return dist
 
-    def distances(self, location, ids: Sequence[int]) -> np.ndarray:
-        """Geodesic distance from a location to each location id in
-        ``ids``, inf where unreachable."""
-        return np.frombuffer(self._settle(self.id_of[location], ids))[ids]
-
     def distance(self, a, b) -> float:
         """Geodesic distance between two locations, inf when unreachable."""
         target = self.id_of[b]
-        return self._settle(self.id_of[a], (target,))[target]
+        return self.settle(self.id_of[a], (target,))[target]
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +521,7 @@ def connectivity_matrix(scene: Scene, endpoints: Sequence[tuple[Sequence[float],
     start_ids = [nav.id_of[s] for s in starts]
     out = np.zeros((n, n))
     for i in range(n):
-        out[i, :] = nav.distances(ends[i], start_ids)
+        out[i, :] = np.frombuffer(nav.settle(nav.id_of[ends[i]], start_ids))[start_ids]
         out[i, i] = 0.0
     return out
 
@@ -546,15 +533,8 @@ class GeodesicMetric:
     distance-to-goal queries: each distinct point is snapped once per
     scene, and each distinct snapped source owns one resumable Dijkstra
     that settles only out to the farthest point asked about so far;
-    nearer queries are lookups.
-
-    For a cost matrix, ``locate`` snaps its points, ``path_cost`` sums
-    the cells along one warp and ``costs`` fills the cells a mask keeps,
-    one query per row, with inf elsewhere.  ``dtw`` keeps only the cells
-    whose Euclidean lower bound leaves them on a possible optimal warp
-    (``metrics._geodesic_costs``), so each row's Dijkstra settles a small
-    ball around its reference point, and the warp cost is bitwise the one
-    over the full matrix.
+    nearer queries are lookups.  ``dtw`` builds its cost matrices over
+    a ``GeodesicMetric`` itself (``metrics._geodesic_costs``).
     """
 
     def __init__(self, scene: Scene):
@@ -566,47 +546,6 @@ class GeodesicMetric:
         if la == lb:
             return 0.0
         return self.scene.nav.distance(la, lb)
-
-    def locate(self, ref: Sequence[Sequence[float]], query: Sequence[Sequence[float]]) -> tuple[list, list]:
-        """The location ids of ``ref`` and of ``query``.
-
-        Points are snapped in the order a per-cell loop over
-        ``self(ref[i], query[j])`` meets them (``ref[0]``, the queries,
-        the rest of ``ref``), so a SnapFailure names the same point.
-        """
-        snap, id_of = self.scene.snap_point, self.scene.nav.id_of
-        sources = [id_of[snap(p)] for p in ref[:1]]
-        ids = [id_of[snap(q)] for q in query]
-        sources += [id_of[snap(p)] for p in ref[1:]]
-        return sources, ids
-
-    def path_cost(self, sources: Sequence[int], ids: Sequence[int], cells: Sequence[tuple[int, int]]) -> float:
-        """Sum of the geodesic distances from location id ``sources[i]`` to
-        ``ids[j]`` over the cells ``(i, j)``; one query per run of cells in
-        a row."""
-        nav = self.scene.nav
-        total = 0.0
-        for i, run in groupby(cells, key=itemgetter(0)):
-            want = [ids[j] for _, j in run]
-            dist = nav._settle(sources[i], want)
-            for target in want:
-                total += dist[target]
-        return total
-
-    def costs(self, sources: Sequence[int], ids: Sequence[int], keep: np.ndarray) -> np.ndarray:
-        """Geodesic distance from location id ``sources[i]`` to ``ids[j]``
-        wherever ``keep[i, j]``, inf elsewhere; one query per row.
-
-        Bitwise the per-cell calls on the kept cells: a source is exactly
-        0.0 from itself.
-        """
-        nav = self.scene.nav
-        columns = np.asarray(ids)
-        out = np.empty(keep.shape)
-        for i, (source, row) in enumerate(zip(sources, keep.tolist())):
-            out[i] = np.frombuffer(nav._settle(source, list(compress(ids, row)))).take(columns)
-        out[~keep] = math.inf  # the ids not kept may not be settled yet
-        return out
 
 
 # ---------------------------------------------------------------------------

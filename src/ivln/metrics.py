@@ -18,19 +18,19 @@ Tour scores aggregate over trajectory splits weighted by episode count:
 Scores are reported on a 0..100 scale, one decimal, via ``scale_score``.
 
 Under a ``GeodesicMetric`` the cost matrix is filled only where the
-optimal warp can pass.  The Euclidean distance between the snapped
-locations' points, shrunk by 1e-9, is a lower bound LB on every
-geodesic cell: grid steps have octile lengths and graph edges are
-weighted by their 3D Euclidean length.  With F and B the forward and backward accumulated LB,
-``F + B - LB`` bounds from below the cost of every warp through a cell,
-and U, the geodesic cost along LB's own optimal warp, bounds the optimal
-cost from above.  Cells with ``F + B - LB > U * (1 + 1e-9)`` are set to
-inf without a distance query; when U is inf every cell is kept.  The
-two 1e-9 factors absorb the rounding of the sums.  The result is exact,
-not approximate: every cell of the optimal warp is kept, and removing
-other cells can only raise the accumulated values the warp does not
-take, so every minimum along it, and the dtw value, is bitwise that of
-the full matrix.
+optimal warp can pass (``_geodesic_costs``).  The Euclidean distance
+between the snapped locations' points (``NavIndex.points``), shrunk by
+1e-9, is a lower bound LB on every geodesic cell: grid steps have octile
+lengths and graph edges are weighted by their 3D Euclidean length.  With
+F and B the forward and backward accumulated LB, ``F + B - LB`` bounds
+from below the cost of every warp through a cell, and U, the geodesic
+cost along LB's own optimal warp, bounds the optimal cost from above.
+Cells with ``F + B - LB > U * (1 + 1e-9)`` are set to inf without a
+distance query; when U is inf every cell is kept.  The two 1e-9 factors
+absorb the rounding of the sums.  The result is exact, not approximate:
+every cell of the optimal warp is kept, and removing other cells can
+only raise the accumulated values the warp does not take, so every
+minimum along it, and the dtw value, is bitwise that of the full matrix.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -122,14 +123,32 @@ def _euclidean_matrix(r: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _geodesic_costs(ref, query, metric: GeodesicMetric) -> np.ndarray:
     """The geodesic cost matrix on every cell the optimal warp can pass
     through, inf on the others; the warp cost over it is bitwise the one
-    over the full matrix (the module docstring says why)."""
-    sources, ids = metric.locate(ref, query)
-    points = metric.scene.nav.points
-    bound = _euclidean_matrix(points.take(sources, 0), points.take(ids, 0)) * (1 - 1e-9)
+    over the full matrix (the module docstring says why).
+
+    Points are snapped in the order a per-cell loop over
+    ``metric(ref[i], query[j])`` meets them (``ref[0]``, the queries, the
+    rest of ``ref``), so a SnapFailure names the same point; a kept cell
+    is bitwise that loop's value (a point is exactly 0.0 from itself).
+    """
+    scene, nav = metric.scene, metric.scene.nav
+    sources = [nav.id_of[scene.snap_point(p)] for p in ref[:1]]
+    ids = [nav.id_of[scene.snap_point(q)] for q in query]
+    sources += [nav.id_of[scene.snap_point(p)] for p in ref[1:]]
+    bound = _euclidean_matrix(nav.points.take(sources, 0), nav.points.take(ids, 0)) * (1 - 1e-9)
     forward = _warp(bound)
     through = np.array(forward) + np.array(_warp(bound[::-1, ::-1]))[::-1, ::-1] - bound
-    upper = metric.path_cost(sources, ids, _backtrack(forward))
-    return metric.costs(sources, ids, through <= upper * (1 + 1e-9))
+    upper = 0.0  # U: one query per run of the bound warp's cells in a row
+    for i, run in itertools.groupby(_backtrack(forward), key=operator.itemgetter(0)):
+        want = [ids[j] for _, j in run]
+        dist = nav.settle(sources[i], want)
+        for target in want:
+            upper += dist[target]
+    keep, columns = through <= upper * (1 + 1e-9), np.asarray(ids)
+    out = np.empty(keep.shape)
+    for i, (source, row) in enumerate(zip(sources, keep.tolist())):  # one query per row
+        out[i] = np.frombuffer(nav.settle(source, list(itertools.compress(ids, row)))).take(columns)
+    out[~keep] = math.inf  # the ids not kept may not be settled yet
+    return out
 
 
 def _warp(costs: np.ndarray) -> list[list[float]]:

@@ -57,10 +57,10 @@ def scene_from_ascii(rows, scene_id="ascii", **kwargs):
 
 
 def geodesic_pairwise(metric, ref, query):
-    """The full geodesic cost matrix of ``metric`` over ``ref`` x ``query``:
-    the unpruned reference for the cost matrices ``dtw`` builds."""
-    sources, ids = metric.locate(ref, query)
-    return metric.costs(sources, ids, np.ones((len(sources), len(ids)), dtype=bool))
+    """The full geodesic cost matrix of ``metric`` over ``ref`` x ``query``,
+    one ``metric(p, q)`` per cell: the per-cell loop that the pruned cost
+    matrices ``dtw`` builds are compared against."""
+    return np.array([[metric(p, q) for q in query] for p in ref])
 
 
 def astar_route(scene, a, b):

