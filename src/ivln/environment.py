@@ -583,6 +583,14 @@ def read_json_lines(path) -> Iterator[tuple[int, object]]:
                 yield number, record
 
 
+def require_fields(record: dict, names, where: str) -> None:
+    """Raise ValueError naming ``where`` and the first of ``names`` that
+    ``record`` lacks."""
+    for name in names:
+        if name not in record:
+            raise ValueError(f"{where}: missing field {name!r}")
+
+
 def encode_bitmask(mask: np.ndarray) -> str:
     """Pack a boolean array row-major into base64 text."""
     return base64.b64encode(np.packbits(mask.astype(np.uint8), axis=None).tobytes()).decode("ascii")

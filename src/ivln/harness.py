@@ -766,7 +766,10 @@ def make_policy(spec: str, scene: Scene, episodes_by_id: dict, cfg: Config) -> P
         transport = SubprocessTransport(spec.split(":", 1)[1])
         return ExternalPolicy(transport, timeout=cfg.step_timeout)
     if spec.startswith("tcp:"):
-        _, host, port = spec.split(":")
-        transport = SocketTransport(host, int(port))
-        return ExternalPolicy(transport, timeout=cfg.step_timeout)
+        try:
+            _, host, port = spec.split(":")
+            port = int(port)
+        except ValueError:
+            raise ValueError(f"policy spec {spec!r} is not tcp:<host>:<port>") from None
+        return ExternalPolicy(SocketTransport(host, port), timeout=cfg.step_timeout)
     raise ValueError(f"unknown policy spec {spec!r}")

@@ -45,7 +45,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .environment import (
-    FORMAT_VERSION, GeodesicMetric, Point3, Scene, as_point, euclidean, json_line, read_json_lines, write_json,
+    FORMAT_VERSION, GeodesicMetric, Point3, Scene, as_point, euclidean, json_line, read_json_lines, require_fields,
+    write_json,
 )
 from .errors import EmptySequence
 
@@ -355,16 +356,19 @@ def read_traces(path, episodes_by_id: dict) -> list[TourTrace]:
 
     Each agent record takes its reference path from ``episodes_by_id``,
     and each oracle record joins the segments of the agent record it
-    follows.  Raises ValueError naming the line of a record whose phase
-    is neither ``agent`` nor an oracle phase, of an agent record whose
-    episode the set lacks, and of an oracle record that does not follow
-    an agent record of its own tour and episode.
+    follows.  Raises ValueError naming the line of a record that lacks a
+    field, of a record whose phase is neither ``agent`` nor an oracle
+    phase, of an agent record whose episode the set lacks, and of an
+    oracle record that does not follow an agent record of its own tour
+    and episode.
     """
     tours: dict[str, TourTrace] = {}  # in order of first appearance
     owner = None  # the tour id and trace of the latest agent record
     for number, rec in read_json_lines(path):
+        require_fields(rec, ("tour_id", "episode_id", "phase", "points", "actions"), f"{path} line {number}")
         tid, eid, phase = rec["tour_id"], rec["episode_id"], rec["phase"]
         if phase == "agent":
+            require_fields(rec, ("stop_called",), f"{path} line {number}")
             if eid not in episodes_by_id:
                 raise ValueError(f"{path} line {number}: episode {eid} is not in the episode set")
             ep = EpisodeTrace(eid, rec["points"], episodes_by_id[eid].path, rec["stop_called"], rec["actions"])

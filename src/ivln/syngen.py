@@ -51,6 +51,12 @@ class FloorplanSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("room_size_range", self.room_size_range), ("door_width", self.door_width),
+                            ("resolution", self.resolution)):
+            if not all(0.0 < v < math.inf for v in np.ravel(value)):  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 <= self.sealed_door_probability <= 1.0:
+            raise ValueError(f"sealed_door_probability must lie in [0, 1], got {self.sealed_door_probability}")
         if self.rooms < 1:
             raise SpecInfeasible("need at least one room")
         if self.door_width < 2 * self.resolution:
@@ -72,6 +78,8 @@ class EpisodeSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.length_range)):
+            raise ValueError(f"length_range must be finite, got {self.length_range}")
         if self.count < 1 or self.instructions_per_path < 1:
             raise SpecInfeasible("episode and instruction counts must be at least 1")
 

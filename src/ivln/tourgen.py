@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import (
-    FORMAT_VERSION, Point3, Scene, as_point, connectivity_matrix, normalize_heading, read_json, write_json,
+    FORMAT_VERSION, Point3, Scene, as_point, connectivity_matrix, normalize_heading, read_json, require_fields,
+    write_json,
 )
 from .errors import Disconnected, EmptySequence, InstructionCountMismatch, MissingEpisode, SizeLimit
 
@@ -109,9 +110,7 @@ def load_episodes(path) -> list[Episode]:
     """
     episodes = []
     for index, record in enumerate(read_json(path)["episodes"]):
-        for name in _EPISODE_FIELDS:
-            if name not in record:
-                raise ValueError(f"{path} episode record {index}: missing field {name!r}")
+        require_fields(record, _EPISODE_FIELDS, f"{path} episode record {index}")
         instructions, ids = record["instructions"], record["instruction_ids"]
         if len(ids) != len(instructions):
             raise ValueError(
@@ -502,7 +501,8 @@ def build_tours(
     tours = []
     for gi, group in enumerate(groups):
         ordered = order_paths(group, episodes, scene, solver=solver)
-        group_eps = [ep for ep in episodes if ep.path_id in set(group.path_ids)]
+        path_ids = set(group.path_ids)
+        group_eps = [ep for ep in episodes if ep.path_id in path_ids]
         tours.extend(
             expand_instruction_tours(
                 ordered, group_eps, duplicates, seed + gi, tour_prefix=f"{scene.scene_id}-g{gi}-"
@@ -549,11 +549,14 @@ def save_tours(tours: list[Tour], episodes: list[Episode], path) -> None:
 
 
 def load_tours(path) -> list[Tour]:
-    return [
-        Tour(
-            tour_id=rec["tour_id"],
-            scene_id=rec["scene_id"],
-            episode_ids=[entry["episode_id"] for entry in rec["episodes"]],
-        )
-        for rec in read_json(path)["tours"]
-    ]
+    """Read a tour file as ``save_tours`` writes it; raises ValueError
+    naming the file, the record's index and the field for a missing
+    field."""
+    tours = []
+    for index, rec in enumerate(read_json(path)["tours"]):
+        where = f"{path} tour record {index}"
+        require_fields(rec, ("tour_id", "scene_id", "episodes"), where)
+        for entry in rec["episodes"]:
+            require_fields(entry, ("episode_id",), f"{where} episode entry")
+        tours.append(Tour(rec["tour_id"], rec["scene_id"], [entry["episode_id"] for entry in rec["episodes"]]))
+    return tours

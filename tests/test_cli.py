@@ -270,6 +270,28 @@ def test_infeasible_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+OUT_OF_RANGE_FLAGS = [
+    ("gen-env", "--sealed-prob", "nan", "sealed_door_probability must lie in [0, 1], got nan"),
+    ("gen-env", "--resolution", "nan", "resolution must be positive and finite, got nan"),
+    ("gen-env", "--room-min", "0", "room_size_range must be positive and finite, got (0.0, 5.0)"),
+    ("gen-env", "--room-max", "inf", "room_size_range must be positive and finite, got (3.0, inf)"),
+    ("gen-env", "--door-width", "nan", "door_width must be positive and finite, got nan"),
+    ("gen-episodes", "--min-length", "nan", "length_range must be finite, got (nan, 15.0)"),
+    ("gen-episodes", "--max-length", "inf", "length_range must be finite, got (5.0, inf)"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, message", OUT_OF_RANGE_FLAGS,
+                         ids=[flag[2:] for _, flag, _, _ in OUT_OF_RANGE_FLAGS])
+def test_generator_flag_out_of_range_is_bad_input_naming_the_setting(
+        pipeline, tmp_path, capsys, command, flag, value, message):
+    scene = ("--scene", pipeline["scene"]) if command == "gen-episodes" else ()
+    out = tmp_path / "out.json"
+    assert run_cli(command, *scene, flag, value, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mixed_instruction_counts_rejected(pipeline, tmp_path, capsys):
     data = json.loads(pipeline["episodes"].read_text())
     record = data["episodes"][0]
@@ -426,6 +448,42 @@ def test_unknown_policy_is_a_usage_error(pipeline, tmp_path):
                    "--episodes", pipeline["episodes"], "--policy", "clairvoyant",
                    "--out", tmp_path / "t.jsonl")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["tcp:localhost", "tcp:localhost:port", "tcp:a:1:2"])
+def test_a_malformed_tcp_policy_spec_is_named(pipeline, tmp_path, capsys, spec):
+    code = run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
+                   "--episodes", pipeline["episodes"], "--policy", spec, "--out", tmp_path / "t.jsonl")
+    assert code == 2
+    assert f"error: policy spec {spec!r} is not tcp:<host>:<port>" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys, field, where", [
+    ((1,), "scene_id", "tour record 1"),
+    ((0,), "episodes", "tour record 0"),
+    ((0, "episodes", 1), "episode_id", "tour record 0 episode entry"),
+], ids=["scene_id", "episodes", "episode_id"])
+def test_a_missing_tour_field_is_named_with_its_file_and_record(pipeline, tmp_path, capsys, keys, field, where):
+    data = json.loads(pipeline["tours"].read_text())
+    record = data["tours"]
+    for key in keys:
+        record = record[key]
+    del record[field]
+    edited = tmp_path / "tours.json"
+    edited.write_text(json.dumps(data))
+    assert run_cli("stats", "--tours", edited) == 2
+    assert f"error: {edited} {where}: missing field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("phase, field", [("agent", "stop_called"), ("agent", "tour_id"), ("oracle", "points")])
+def test_a_missing_trace_field_is_named_with_its_file_and_line(pipeline, tmp_path, capsys, phase, field):
+    records = [json.loads(line) for line in pipeline["traces"].read_text().splitlines()]
+    index = next(i for i, rec in enumerate(records) if (rec["phase"] == "agent") == (phase == "agent"))
+    del records[index][field]
+    edited = tmp_path / "traces.jsonl"
+    edited.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert run_cli("eval", "--traces", edited, "--episodes", pipeline["episodes"], "--out", tmp_path / "r.json") == 2
+    assert f"error: {edited} line {index + 1}: missing field {field!r}" in capsys.readouterr().err
 
 
 def test_build_map_replays_to_identical_snapshot(pipeline, tmp_path):
