@@ -16,10 +16,9 @@ query costs the ball out to its farthest target, not the whole scene.
 A distance is read off the source's field (``NavIndex.settle``); a route
 to ``b`` is walked down ``b``'s field (``NavIndex.route``), so the
 oracle's steps toward a target and its distance-to-goal checks share one
-field.  The fields
-live as long as the scene and are the package's only distance cache.
-The index is built from the scene as it is at the first query, so a
-scene must not be mutated after it.
+field.  The fields live as long as the scene and are the package's only
+distance cache.  The index is built from the scene as it is at the first
+query, so a scene must not be mutated after it.
 
 The index also caches ``Scene.snap_point`` by exact query point, misses
 included, so each distinct point is snapped once per scene.

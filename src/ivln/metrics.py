@@ -144,7 +144,8 @@ def _geodesic_costs(ref, query, metric: GeodesicMetric) -> np.ndarray:
         dist = nav.settle(sources[i], want)
         for target in want:
             upper += dist[target]
-    keep, columns = through <= upper * (1 + 1e-9), np.asarray(ids)
+    keep = through <= upper * (1 + 1e-9)
+    columns = np.asarray(ids)
     out = np.empty(keep.shape)
     for i, (source, row) in enumerate(zip(sources, keep.tolist())):  # one query per row
         out[i] = np.frombuffer(nav.settle(source, list(itertools.compress(ids, row)))).take(columns)
@@ -365,24 +366,25 @@ def read_traces(path, episodes_by_id: dict) -> list[TourTrace]:
     tours: dict[str, TourTrace] = {}  # in order of first appearance
     owner = None  # the tour id and trace of the latest agent record
     for number, rec in read_json_lines(path):
-        require_fields(rec, ("tour_id", "episode_id", "phase", "points", "actions"), f"{path} line {number}")
+        where = f"{path} line {number}"
+        require_fields(rec, ("tour_id", "episode_id", "phase", "points", "actions"), where)
         tid, eid, phase = rec["tour_id"], rec["episode_id"], rec["phase"]
         if phase == "agent":
-            require_fields(rec, ("stop_called",), f"{path} line {number}")
+            require_fields(rec, ("stop_called",), where)
             if eid not in episodes_by_id:
-                raise ValueError(f"{path} line {number}: episode {eid} is not in the episode set")
+                raise ValueError(f"{where}: episode {eid} is not in the episode set")
             ep = EpisodeTrace(eid, rec["points"], episodes_by_id[eid].path, rec["stop_called"], rec["actions"])
             tours.setdefault(tid, TourTrace(tid, [])).episodes.append(ep)
             owner = tid, ep
         elif phase in ORACLE_PHASES:
             if owner is None or owner[0] != tid or owner[1].episode_id != eid:
                 raise ValueError(
-                    f"{path} line {number}: {phase} record of tour {tid} episode {eid} "
+                    f"{where}: {phase} record of tour {tid} episode {eid} "
                     "does not follow that episode's agent record"
                 )
             owner[1].segments.append(OracleSegment(phase, rec["points"], rec["actions"]))
         else:
-            raise ValueError(f"{path} line {number}: unknown trace phase {phase!r}")
+            raise ValueError(f"{where}: unknown trace phase {phase!r}")
     return list(tours.values())
 
 
