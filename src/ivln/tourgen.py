@@ -108,8 +108,10 @@ def load_episodes(path) -> list[Episode]:
     form, and ValueError when a record's ``instruction_ids`` and
     ``instructions`` differ in number.
     """
+    payload = read_json(path)
+    require_fields(payload, ("episodes",), str(path))
     episodes = []
-    for index, record in enumerate(read_json(path)["episodes"]):
+    for index, record in enumerate(payload["episodes"]):
         require_fields(record, _EPISODE_FIELDS, f"{path} episode record {index}")
         instructions, ids = record["instructions"], record["instruction_ids"]
         if len(ids) != len(instructions):
@@ -552,8 +554,10 @@ def load_tours(path) -> list[Tour]:
     """Read a tour file as ``save_tours`` writes it; raises ValueError
     naming the file, the record's index and the field for a missing
     field."""
+    payload = read_json(path)
+    require_fields(payload, ("tours",), str(path))
     tours = []
-    for index, rec in enumerate(read_json(path)["tours"]):
+    for index, rec in enumerate(payload["tours"]):
         where = f"{path} tour record {index}"
         require_fields(rec, ("tour_id", "scene_id", "episodes"), where)
         for entry in rec["episodes"]:

@@ -458,6 +458,18 @@ def test_a_malformed_tcp_policy_spec_is_named(pipeline, tmp_path, capsys, spec):
     assert f"error: policy spec {spec!r} is not tcp:<host>:<port>" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["tours", "episodes"])
+def test_a_file_without_its_record_list_is_named(pipeline, tmp_path, capsys, key):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    if key == "tours":
+        code = run_cli("stats", "--tours", empty)
+    else:
+        code = run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", empty, "--out", tmp_path / "t.json")
+    assert code == 2
+    assert f"error: {empty}: missing field {key!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("keys, field, where", [
     ((1,), "scene_id", "tour record 1"),
     ((0,), "episodes", "tour record 0"),
