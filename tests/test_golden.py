@@ -1,9 +1,9 @@
 """Golden artifact hashes: the pipeline's bytes at fixed seeds.
 
 Drives ``ivln.cli.main`` in-process through the ``scripts/run_demo.py``
-chain plus a geodesic eval on a grid scene and through episodes, tours,
-a noisy rollout and a geodesic eval on its graph twin, then compares the sha256 of every
-artifact with ``tests/golden/sha256.json``.  A refactor that keeps
+chain plus a geodesic eval and an episodic-map run and replay on a grid
+scene, and through episodes, tours, a noisy rollout and a geodesic eval
+on its graph twin, then compares the sha256 of every artifact with ``tests/golden/sha256.json``.  A refactor that keeps
 behaviour keeps these bytes; a change that means to alter them
 regenerates the table with ``PYTHONPATH=src python tests/test_golden.py``
 (which prints the entries it adds, removes and changes) and says which
@@ -32,7 +32,8 @@ def _cli(*argv) -> None:
 
 
 def run_chain(out: Path, seed: int) -> None:
-    """The run_demo.py grid chain plus the graph-twin pipeline."""
+    """The run_demo.py grid chain, an episodic-map run and replay, and the
+    graph-twin pipeline."""
     scene, graph = out / "scene.json", out / "graph.json"
     episodes, tours, traces = out / "episodes.json", out / "tours.json", out / "traces.jsonl"
     _cli("gen-env", "--rooms", 3, "--seed", seed, "--out", scene, "--graph-out", graph)
@@ -51,6 +52,12 @@ def run_chain(out: Path, seed: int) -> None:
     _cli("stats", "--tours", tours, "--out", out / "stats.json")
     _cli("build-map", "--scene", scene, "--traces", traces, "--episodes", episodes,
          "--mode", "iterative", "--out", out / "map_replayed.json")
+    episodic_traces = out / "traces_episodic.jsonl"
+    _cli("run", "--scene", scene, "--tours", tours, "--episodes", episodes,
+         "--policy", "noisy:0.2", "--seed", seed, "--map", "episodic",
+         "--map-out", out / "map_episodic.json", "--out", episodic_traces)
+    _cli("build-map", "--scene", scene, "--traces", episodic_traces, "--episodes", episodes,
+         "--mode", "episodic", "--out", out / "map_episodic_replayed.json")
 
     g_episodes, g_tours = out / "graph_episodes.json", out / "graph_tours.json"
     g_traces = out / "graph_traces.jsonl"
@@ -95,7 +102,7 @@ def test_artifacts_match_golden_hashes(chain):
 def test_json_artifacts_are_canonical_lines(chain):
     root, _ = chain
     artifacts = sorted((root / "seed3").glob("*.json*"))
-    assert len(artifacts) == 16
+    assert len(artifacts) == 19
     for path in artifacts:
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines(keepends=True) if path.suffix == ".jsonl" else [text]
