@@ -145,7 +145,7 @@ def cmd_run(args) -> int:
         raise EmptySequence(f"no tours in {args.tours}")
     policy = make_policy(cfg.policy, scene, episodes_by_id, cfg)
     try:
-        traces, occ_map = run_tours(scene, tours, episodes_by_id, policy, cfg)
+        traces, occ_map = run_tours(scene, tours, episodes_by_id, policy, cfg, keep_map=bool(args.map_out))
     except (PolicyTimeout, ProtocolViolation) as exc:
         write_traces(exc.partial_traces, args.out)
         print(f"error: policy failed: {exc}", file=sys.stderr)
@@ -235,8 +235,8 @@ def cmd_build_map(args) -> int:
     traces = read_traces(args.traces, episodes_by_id)
     if not traces:
         raise MissingEpisode(f"no tour traces in {args.traces}")
-    for trace in traces:
-        occ_map = replay_tour(scene, trace, episodes_by_id, cfg)
+    for i, trace in enumerate(traces):
+        occ_map = replay_tour(scene, trace, episodes_by_id, cfg, keep_map=i == len(traces) - 1)
     save_map(occ_map, args.out)
     print(f"map snapshot ({args.mode}) -> {args.out}")
     return 0

@@ -72,6 +72,9 @@ FRAME_HEIGHT = 48
 HFOV_DEG = 90.0
 MAX_RANGE = 10.0
 
+# poses a walk folds in one ``sense``; small batches keep memory flat
+SENSE_CHUNK = 8
+
 # the wire protocol version the harness speaks: crops travel as compact
 # label and occupancy grids
 PROTOCOL_VERSION = 2
@@ -98,10 +101,10 @@ class Observation:
 
     ``crop_source`` holds the ``crop_egocentric`` arguments, with the
     map's occupancy and semantics copied at this step, or is None without
-    a map.  The egocentric map ``crop`` is made from them on first read,
-    so a policy that never reads it costs none.  ``crop_layers()`` hands
-    out the crop's label and occupancy grids, made from the same
-    arguments, without making the one-hot crop.
+    a map or ``Policy.reads_crops``.  The egocentric map ``crop`` is made
+    from them on first read, so a reader that never reads it costs none.
+    ``crop_layers()`` hands out the crop's label and occupancy grids,
+    made from the same arguments, without making the one-hot crop.
     """
 
     def __init__(self, episode_id: str, episode_index_in_tour: int, instruction: str, pose: Pose,
@@ -229,7 +232,10 @@ class _WaypointCursor:
 
 
 class Policy:
-    """Base policy; subclasses override act, the rest are optional hooks."""
+    """Base policy; subclasses override act, the rest are optional hooks.
+    Observations carry a map crop only if ``reads_crops`` (False on the built-in ones)."""
+
+    reads_crops = True
 
     def reset(self, tour_id: str) -> None:
         pass
@@ -248,12 +254,16 @@ class Policy:
 
 
 class StopPolicy(Policy):
+    reads_crops = False
+
     def act(self, obs):
         return AgentAction(STOP)
 
 
 class RandomPolicy(Policy):
     """Uniform over the legal actions at each step."""
+
+    reads_crops = False
 
     def __init__(self, scene: Scene, seed: int = 0):
         self.scene = scene
@@ -266,6 +276,8 @@ class RandomPolicy(Policy):
 
 class OraclePolicy(Policy):
     """Follows each episode's reference path, then stops."""
+
+    reads_crops = False
 
     def __init__(self, scene: Scene, episodes_by_id: dict[str, Episode]):
         self.scene = scene
@@ -316,18 +328,24 @@ class _Walk:
     start, an "iterative" map keeps what the tour has sensed, and a
     "known" map is the ground truth and never changes.  The live rollout
     and the replay both drive a walk, so their maps agree.
+
+    A map is sensed only for a crop reader or a caller that keeps it, in
+    batches of ``SENSE_CHUNK`` queued poses and before it is handed out.
     """
 
-    def __init__(self, scene: Scene, cfg: Config):
+    def __init__(self, scene: Scene, cfg: Config, reads_crops: bool = False, keep_map: bool = True):
         self.scene = scene
         self.cfg = cfg
-        self.occ_map: SemanticOccMap | None = None
+        self._map: SemanticOccMap | None = None
         if cfg.map_mode != "none" and scene.is_discrete:
             raise UnsupportedScene("maps need a grid scene")
         if cfg.map_mode == "known":
-            self.occ_map = known_map(scene.grid)
+            self._map = known_map(scene.grid)
         elif cfg.map_mode != "none":
-            self.occ_map = SemanticOccMap.for_grid(scene.grid, cfg.map_mode)
+            self._map = SemanticOccMap.for_grid(scene.grid, cfg.map_mode)
+        self.reads_crops = reads_crops
+        self._senses = cfg.map_mode in ("episodic", "iterative") and (reads_crops or keep_map)
+        self._pending: list[Pose] = []
         self.intrinsics = CameraIntrinsics.from_hfov(FRAME_WIDTH, FRAME_HEIGHT, HFOV_DEG)
         self.state: AgentState | None = None
 
@@ -335,11 +353,23 @@ class _Walk:
     def position(self) -> Point3:
         return self.scene.location_point(self.state.location)
 
+    @property
+    def occ_map(self) -> SemanticOccMap | None:
+        """The map, with every pending pose folded in."""
+        self._fold()
+        return self._map
+
+    def _fold(self) -> None:
+        if self._pending:
+            sense(self._map, self.scene.grid, self._pending, self.intrinsics, MAX_RANGE)
+            self._pending = []
+
     def begin(self, episode: Episode) -> Point3:
         """Start an episode: the first at its snapped start, later ones where
         the agent stands, facing the episode's start heading."""
         if self.cfg.map_mode == "episodic":
-            self.occ_map.clear()
+            self._pending = []
+            self._map.clear()
         start = self.scene.snap_point(episode.path[0]) if self.state is None else self.state.location
         self.state = AgentState(start, episode.start_heading)
         self._sense()
@@ -351,12 +381,12 @@ class _Walk:
         return self.position
 
     def _sense(self) -> None:
-        if self.cfg.map_mode not in ("episodic", "iterative"):
+        if not self._senses:
             return
-        grid = self.scene.grid
         pos = self.position
-        cam = Pose(Point3(pos.x, pos.y, grid.floor_z + CAMERA_HEIGHT), self.state.heading)
-        sense(self.occ_map, grid, cam, self.intrinsics, MAX_RANGE)
+        self._pending.append(Pose(Point3(pos.x, pos.y, self.scene.grid.floor_z + CAMERA_HEIGHT), self.state.heading))
+        if len(self._pending) == SENSE_CHUNK:
+            self._fold()
 
     def crop_source(self, pose: Pose) -> tuple | None:
         """``crop_egocentric`` and ``crop_layers`` arguments for a crop of the
@@ -370,7 +400,7 @@ class _Walk:
     def observation(self, episode: Episode, index: int, steps_remaining: int, phase: str) -> Observation:
         pose = Pose(self.position, self.state.heading)
         return Observation(episode.episode_id, index, episode.instruction, pose, self.state.location,
-                           steps_remaining, phase, self.crop_source(pose))
+                           steps_remaining, phase, self.crop_source(pose) if self.reads_crops else None)
 
 
 def _oracle_drive(walk: _Walk, target, kind: str, policy: Policy, episode: Episode, index: int):
@@ -399,8 +429,9 @@ def run_tour(
     episodes_by_id: dict[str, Episode],
     policy: Policy,
     cfg: Config | None = None,
+    keep_map: bool = True,
 ) -> tuple[TourTrace, SemanticOccMap | None]:
-    """Execute one tour; returns its trace and the final map (if any).
+    """Execute one tour; returns its trace and, if ``keep_map``, the final map (if any).
 
     The map mode must be "none" on graph scenes, which have no depth
     sensing.  Every episode runs: agent phase under the policy, then a
@@ -420,7 +451,7 @@ def run_tour(
     except KeyError as exc:
         raise MissingEpisode(f"tour {tour.tour_id} references unknown episode {exc}") from None
 
-    walk = _Walk(scene, cfg)
+    walk = _Walk(scene, cfg, getattr(policy, "reads_crops", True), keep_map)
     geo = GeodesicMetric(scene)
     budget = cfg.budget(scene)
     policy.reset(tour.tour_id)
@@ -457,21 +488,21 @@ def run_tour(
     except (PolicyTimeout, ProtocolViolation) as exc:
         exc.partial_trace = TourTrace(tour_id=tour.tour_id, episodes=episode_traces)
         raise
-    return TourTrace(tour_id=tour.tour_id, episodes=episode_traces), walk.occ_map
+    return TourTrace(tour_id=tour.tour_id, episodes=episode_traces), walk.occ_map if keep_map else None
 
 
-def run_tours(scene, tours, episodes_by_id, policy, cfg=None):
+def run_tours(scene, tours, episodes_by_id, policy, cfg=None, keep_map=True):
     """Run tours sequentially with one policy; returns (traces, last map).
 
-    On policy failure the exception's ``partial_traces`` attribute holds
-    every finished tour trace, then the failed tour's partial trace when
-    it has one.
+    Only the last tour keeps its map, if ``keep_map``.  On policy failure
+    the exception's ``partial_traces`` attribute holds every finished
+    tour trace, then the failed tour's partial trace when it has one.
     """
     traces = []
     occ_map = None
     try:
-        for tour in tours:
-            trace, occ_map = run_tour(scene, tour, episodes_by_id, policy, cfg)
+        for i, tour in enumerate(tours):
+            trace, occ_map = run_tour(scene, tour, episodes_by_id, policy, cfg, keep_map and i == len(tours) - 1)
             traces.append(trace)
     except (PolicyTimeout, ProtocolViolation) as exc:
         partial = getattr(exc, "partial_trace", None)
@@ -506,18 +537,20 @@ def replay_tour(
     trace: TourTrace,
     episodes_by_id: dict[str, Episode],
     cfg: Config,
-) -> SemanticOccMap:
+    keep_map: bool = True,
+) -> SemanticOccMap | None:
     """Rebuild the map of a logged tour under ``cfg.map_mode``.
 
     The logged actions re-run on the rollout's own walk, so the map
-    equals the live one.  Raises ValueError when a logged position is
-    not where the actions lead, or when the actions and positions of a
-    phase disagree in number, and on an invalid ``cfg``.
+    equals the live one; without ``keep_map`` it is None, and nothing is
+    sensed.  Raises ValueError when a logged position is not where the
+    actions lead, or when the actions and positions of a phase disagree
+    in number, and on an invalid ``cfg``.
     """
     cfg.validate()
     if cfg.map_mode == "none":
         raise ValueError("replay needs a map mode: episodic, iterative or known")
-    walk = _Walk(scene, cfg)
+    walk = _Walk(scene, cfg, keep_map=keep_map)
     for ep_trace in trace.episodes:
         episode = episodes_by_id.get(ep_trace.episode_id)
         if episode is None:
@@ -527,7 +560,7 @@ def replay_tour(
         _replay_phase(walk, ep_trace.agent_path[1:], ep_trace.actions, ep_trace.stop_called, f"{where} agent")
         for seg in ep_trace.segments:
             _replay_phase(walk, seg.points, seg.actions, False, f"{where} {seg.kind}")
-    return walk.occ_map
+    return walk.occ_map if keep_map else None
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def unproject(frame: DepthFrame, semantics: SemanticFrame | None = None) -> tupl
     valid = d > 0
     v_idx, u_idx = np.nonzero(valid)
     dv = d[valid]
-    points = np.stack(_lift(frame.pose, intr, u_idx, v_idx, dv), axis=1)
+    points = np.stack(_lift(_cameras([frame.pose])[0], intr, u_idx, v_idx, dv), axis=1)
     if semantics is None:
         labels = np.zeros(len(dv), dtype=np.uint8)
     else:
@@ -117,17 +117,22 @@ def unproject(frame: DepthFrame, semantics: SemanticFrame | None = None) -> tupl
     return points, labels
 
 
-def _lift(pose: Pose, intr: CameraIntrinsics, u, v, dv) -> tuple:
+def _cameras(poses) -> np.ndarray:
+    """One row per pose: its position x, y and z, and the cosine and the
+    sine of its heading."""
+    cam = [(*p.position, math.cos(p.heading), math.sin(p.heading)) for p in poses]
+    return np.array(cam, dtype=np.float64).reshape(-1, 5)
+
+
+def _lift(cam, intr: CameraIntrinsics, u, v, dv) -> tuple:
     """World (x, y, z) of pixel column u, row v at forward depth dv, by the
-    inverse pinhole model; the arrays broadcast, and every element takes
-    the same operations in the same order whatever the shapes."""
+    inverse pinhole model; ``cam`` unpacks to a ``_cameras`` row's five
+    values.  The arrays broadcast, and every element takes the same
+    operations in the same order whatever the shapes."""
+    px, py, pz, cos_h, sin_h = cam
     x_cam = (u - intr.cx) * dv / intr.fx
     y_cam = (v - intr.cy) * dv / intr.fy
-    h = pose.heading
-    px, py, pz = pose.position
-    fx_, fy_ = math.cos(h), math.sin(h)
-    rx, ry = math.sin(h), -math.cos(h)
-    return px + dv * fx_ + x_cam * rx, py + dv * fy_ + x_cam * ry, pz - y_cam
+    return px + dv * cos_h + x_cam * sin_h, py + dv * sin_h + x_cam * -cos_h, pz - y_cam
 
 
 @dataclass
@@ -208,30 +213,22 @@ def integrate(
         raise DimensionMismatch(f"points must be (N, 3), got {points.shape}")
     if labels.shape[0] != points.shape[0]:
         raise DimensionMismatch("labels length differs from points")
-    if len(points) == 0:
-        return
     ix, iy = occ_map.cell_index(points[:, 0], points[:, 1])
     inside = (ix >= 0) & (ix < occ_map.width) & (iy >= 0) & (iy < occ_map.height)
-    ix, iy = ix[inside], iy[inside]
-    z = points[inside, 2]
-    lab = labels[inside]
+    ix, iy, z, lab = ix[inside], iy[inside], points[inside, 2], labels[inside]
     occ_map.observed[iy, ix] = True
 
     band = (z > floor_z + BAND_MARGIN) & (z < ceiling_z - BAND_MARGIN)
-    if not band.any():
-        return
     ix, iy, z, lab = ix[band], iy[band], z[band], lab[band]
     occ_map.occupancy[iy, ix] = 1
 
-    flat = iy * occ_map.width + ix
-    top = np.full(occ_map.width * occ_map.height, -np.inf)
-    np.maximum.at(top, flat, z)
     # ascending z, stable: the last write per cell is its highest point
     order = np.argsort(z, kind="stable")
-    winner = np.zeros_like(top, dtype=np.uint8)
-    winner[flat[order]] = lab[order]
-    top = top.reshape(occ_map.height, occ_map.width)
-    winner = winner.reshape(occ_map.height, occ_map.width)
+    cells = (iy * occ_map.width + ix)[order]
+    top = np.full(occ_map.top_z.shape, -np.inf)
+    top.ravel()[cells] = z[order]
+    winner = np.zeros(occ_map.semantic.shape, dtype=np.uint8)
+    winner.ravel()[cells] = lab[order]
     newer = top > occ_map.top_z
     occ_map.top_z[newer] = top[newer]
     occ_map.semantic[newer] = winner[newer]
@@ -382,34 +379,32 @@ def load_map(path) -> SemanticOccMap:
 _WALL_PUSH = 1e-4
 
 
-def _columns(grid: GridWorld, pose: Pose, intrinsics: CameraIntrinsics, max_range: float) -> tuple:
-    """March one ray per image column and resolve each pixel's surface.
+def _columns(grid: GridWorld, cam: np.ndarray, intrinsics: CameraIntrinsics, max_range: float) -> tuple:
+    """March one ray per image column of each ``_cameras`` row, all in one
+    ``_march_columns`` call, and resolve each pixel's surface.
 
-    Returns (dirs, s_wall, wall_label, wall_hit, s_plane, plane_hit):
-    per column its ray direction (forward component 1), wall distance
-    and label; per pixel whether it sees a wall; per row the distance to
-    the floor or ceiling plane; per pixel whether it sees that plane.
+    Returns (dirs, s_wall, wall_label, wall_hit, s_plane, plane_hit),
+    each with a leading axis over the cameras: per column its ray
+    direction (forward component 1), wall distance and label; per pixel
+    whether it sees a wall; per row the distance to the floor or ceiling
+    plane; per pixel whether it sees that plane.
     """
     W, H = intrinsics.width, intrinsics.height
-    h = pose.heading
-    fwd = np.array([math.cos(h), math.sin(h)])
-    right = np.array([math.sin(h), -math.cos(h)])
     k = (np.arange(W) - intrinsics.cx) / intrinsics.fx
-    dirs = fwd[None, :] + k[:, None] * right[None, :]  # (W, 2); forward component 1
+    right = cam[:, None, 4:2:-1] * (1.0, -1.0)  # (sin, -cos)
+    dirs = cam[:, None, 3:] + k[:, None] * right  # (P, W, 2); forward component 1
+    s_wall, wall_label = (a.reshape(len(cam), W) for a in _march_columns(
+        grid, np.repeat(cam[:, :2], W, axis=0), dirs.reshape(-1, 2), max_range))
 
-    s_wall, wall_label = _march_columns(grid, pose.position, dirs, max_range)
-
-    v = np.arange(H)
-    slope = -(v - intrinsics.cy) / intrinsics.fy  # dz per unit forward distance
-    z0 = pose.position.z
-    sw = s_wall[None, :]
+    slope = -(np.arange(H) - intrinsics.cy) / intrinsics.fy  # dz per unit forward distance
+    z0 = cam[:, 2, None, None]
+    sw = s_wall[:, None, :]
     sl = slope[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        z_at_wall = z0 + sl * sw
-        s_floor = np.where(sl < 0, (grid.floor_z - z0) / sl, np.inf)
-        s_ceil = np.where(sl > 0, (grid.ceiling_z - z0) / sl, np.inf)
-    s_plane = np.minimum(s_floor, s_ceil)  # (H, 1)
-    wall_hit = np.isfinite(sw) & (z_at_wall >= grid.floor_z) & (z_at_wall <= grid.ceiling_z)
+        z_at_wall = z0 + sl * sw  # no finite z for a column without a wall
+        # the floor below the horizon, the ceiling above, neither on it
+        s_plane = np.where(sl < 0, grid.floor_z - z0, grid.ceiling_z - z0) / sl  # (P, H, 1)
+    wall_hit = (z_at_wall >= grid.floor_z) & (z_at_wall <= grid.ceiling_z)
     plane_hit = ~wall_hit & np.isfinite(s_plane) & (s_plane <= max_range)
     return dirs, s_wall, wall_label, wall_hit, s_plane, plane_hit
 
@@ -423,7 +418,8 @@ def synthesize_views(grid: GridWorld, pose: Pose, intrinsics: CameraIntrinsics,
     pose passed in, so unprojecting the frames reproduces world surfaces.
     """
     W, H = intrinsics.width, intrinsics.height
-    dirs, s_wall, wall_label, wall_hit, s_plane, plane_hit = _columns(grid, pose, intrinsics, max_range)
+    dirs, s_wall, wall_label, wall_hit, s_plane, plane_hit = (
+        a[0] for a in _columns(grid, _cameras([pose]), intrinsics, max_range))
 
     depth = np.zeros((H, W))
     depth[wall_hit] = np.broadcast_to(s_wall[None, :] + _WALL_PUSH, (H, W))[wall_hit]
@@ -449,42 +445,48 @@ def synthesize_views(grid: GridWorld, pose: Pose, intrinsics: CameraIntrinsics,
     )
 
 
-def sense(occ_map: SemanticOccMap, grid: GridWorld, pose: Pose, intrinsics: CameraIntrinsics,
+def sense(occ_map: SemanticOccMap, grid: GridWorld, poses, intrinsics: CameraIntrinsics,
           max_range: float = 10.0) -> None:
-    """Fold the view of a grid scene from a pose into the map.
+    """Fold the views of a grid scene from a sequence of poses into the map.
 
     Leaves the map exactly as ``integrate`` of ``unproject`` of
-    ``synthesize_views`` at the same arguments does (with the grid's
-    floor and ceiling), but integrates the view's footprint instead of
-    its pixels.  All wall pixels of a column share one depth, so they
-    land in one cell: the column gives one point, at its highest in-band
-    z (or -inf for none), with its label.  Floor and ceiling pixels lie
-    outside the band and only mark their cells observed.  Raises
-    RuntimeError if one lies inside the band, which the footprint does
-    not fold.
+    ``synthesize_views`` at each pose in turn does (with the grid's floor
+    and ceiling), but folds the views' footprints, all in one batch,
+    instead of their pixels.  All wall pixels of a column share one
+    depth, so they land in one cell: the column gives one point, at its
+    highest in-band z (or -inf for none), with its label.  Floor and
+    ceiling pixels lie outside the band and only mark their cells
+    observed.  Raises RuntimeError, before folding any pose, if one of
+    them lies inside the band, which the footprint does not fold.
+
+    Folded in turn, a cell takes the label of the earliest pose to reach
+    its top z, and that pose's last point there in pixel order (row,
+    column): so one ``integrate`` folds the points, latest pose first.
     """
+    cam = _cameras(poses)
     H = intrinsics.height
-    _, s_wall, wall_label, wall_hit, s_plane, plane_hit = _columns(grid, pose, intrinsics, max_range)
+    _, s_wall, wall_label, wall_hit, s_plane, plane_hit = _columns(grid, cam, intrinsics, max_range)
     lo, hi = grid.floor_z + BAND_MARGIN, grid.ceiling_z - BAND_MARGIN
     # the push outweighs any rounding below 0, so unproject keeps every wall pixel
-    cols = np.nonzero(wall_hit.any(axis=0))[0]
-    wx, wy, wz = _lift(pose, intrinsics, cols, np.arange(H)[:, None], s_wall[cols] + _WALL_PUSH)
-    z = np.where(wall_hit[:, cols] & (wz > lo) & (wz < hi), wz, -np.inf)
+    pose, cols = np.nonzero(wall_hit.any(axis=1))
+    wx, wy, wz = _lift(cam.T[:, pose], intrinsics, cols, np.arange(H)[:, None], s_wall[pose, cols] + _WALL_PUSH)
+    z = np.where(wall_hit[pose, :, cols].T & (wz > lo) & (wz < hi), wz, -np.inf)
     top = z.max(axis=0, initial=-np.inf)
     # integrate sorts in-band points by z, stably in pixel order (v, u), so
     # a tie goes to the last pixel: the column's last row at its top z
     row = H - 1 - (z[::-1] == top).argmax(axis=0)
-    order = np.lexsort((cols, row))
+    order = np.lexsort((cols, row, -pose))
     # floor and ceiling pixels, one point each as unproject makes them
-    v_idx, u_idx = np.nonzero(plane_hit & (s_plane > 0))
-    px, py, pz = _lift(pose, intrinsics, u_idx, v_idx, s_plane[v_idx, 0])
+    seen, v_idx, u_idx = np.nonzero(plane_hit & (s_plane > 0))
+    px, py, pz = _lift(cam.T[:, seen], intrinsics, u_idx, v_idx, s_plane[seen, v_idx, 0])
     if ((pz > lo) & (pz < hi)).any():
         raise RuntimeError("a floor or ceiling point lies inside the band")
-    walls = np.stack([wx[order], wy[order], top[order]], axis=1)
-    integrate(occ_map, walls, wall_label[cols[order]], grid.floor_z, grid.ceiling_z)
-    ix, iy = occ_map.cell_index(px, py)
-    inside = (ix >= 0) & (ix < occ_map.width) & (iy >= 0) & (iy < occ_map.height)
-    occ_map.observed[iy[inside], ix[inside]] = True
+    # outside the band, the floor and ceiling points only mark their cells observed
+    points = np.stack([np.concatenate([wx[order], px]), np.concatenate([wy[order], py]),
+                       np.concatenate([top[order], pz])], axis=1)
+    labels = np.zeros(len(points), dtype=np.uint8)
+    labels[:len(order)] = wall_label[pose[order], cols[order]]
+    integrate(occ_map, points, labels, grid.floor_z, grid.ceiling_z)
 
 
 # crossings per axis of the first march; at about 60% of the poses of a
@@ -492,9 +494,10 @@ def sense(occ_map: SemanticOccMap, grid: GridWorld, pose: Pose, intrinsics: Came
 _SHORT_CROSSINGS = 24
 
 
-def _march_columns(grid: GridWorld, position: Point3, dirs: np.ndarray,
+def _march_columns(grid: GridWorld, origins: np.ndarray, dirs: np.ndarray,
                    max_range: float) -> tuple[np.ndarray, np.ndarray]:
-    """2D grid traversal (Amanatides & Woo 1987) for a bundle of rays from one origin.
+    """2D grid traversal (Amanatides & Woo 1987) for a bundle of rays, ray i
+    from world (x, y) ``origins[i]``.
 
     Returns per-ray forward distance to the first non-navigable cell
     (inf for none within max_range) and that cell's label; the origin
@@ -502,17 +505,17 @@ def _march_columns(grid: GridWorld, position: Point3, dirs: np.ndarray,
     per axis; those whose stop lies beyond them are marched again over
     all the crossings max_range can need.
     """
-    k = int(max_range * np.abs(dirs).max() / grid.resolution) + 3  # edge rays are long
-    s_wall, label, found = _march(grid, position, dirs, max_range, min(k, _SHORT_CROSSINGS))
+    k = int(max_range * np.abs(dirs).max(initial=0.0) / grid.resolution) + 3  # edge rays are long
+    s_wall, label, found = _march(grid, origins, dirs, max_range, min(k, _SHORT_CROSSINGS))
     if k > _SHORT_CROSSINGS and not found.all():
         redo = ~found
-        s_wall[redo], label[redo], found[redo] = _march(grid, position, dirs[redo], max_range, k)
+        s_wall[redo], label[redo], found[redo] = _march(grid, origins[redo], dirs[redo], max_range, k)
     if not found.all():
         raise RuntimeError("ray march ran out of boundary crossings")
     return s_wall, label
 
 
-def _march(grid: GridWorld, position: Point3, dirs: np.ndarray, max_range: float,
+def _march(grid: GridWorld, origins: np.ndarray, dirs: np.ndarray, max_range: float,
            k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_march_columns`` over the first k boundary crossings per axis.
 
@@ -525,8 +528,8 @@ def _march(grid: GridWorld, position: Point3, dirs: np.ndarray, max_range: float
     cells crossed into.
     """
     res = grid.resolution
-    o = np.array([position.x - grid.origin.x, position.y - grid.origin.y]) / res
-    c = np.floor(o + 0.5)  # the origin cell; a cell spans [c - 0.5, c + 0.5] in cell units
+    o = (origins - (grid.origin.x, grid.origin.y)) / res
+    c = np.floor(o + 0.5)  # the origin cells; a cell spans [c - 0.5, c + 0.5] in cell units
     with np.errstate(divide="ignore", invalid="ignore"):
         first = np.where(dirs != 0, (c + np.where(dirs > 0, 0.5, -0.5) - o) * res / dirs, np.inf)
         seq = np.repeat(np.where(dirs != 0, res / np.abs(dirs), np.inf)[:, :, None], k, axis=2)
@@ -534,9 +537,10 @@ def _march(grid: GridWorld, position: Point3, dirs: np.ndarray, max_range: float
     t_both = np.add.accumulate(seq, axis=2).reshape(len(dirs), 2 * k)  # x crossings, then y
     step = np.where(dirs > 0, 1, -1)
     order = np.argsort(t_both, axis=1, kind="stable")
-    nx = np.cumsum(order < k, axis=1)  # x crossings up to each merged one
-    cx = int(c[0]) + step[:, :1] * nx
-    cy = int(c[1]) + step[:, 1:] * (np.arange(1, 2 * k + 1) - nx)
+    # x crossings up to each merged one; the merge keeps each axis in order
+    nx = np.where(order < k, order + 1, np.arange(k, 3 * k) - order)
+    cx = c[:, :1].astype(int) + step[:, :1] * nx
+    cy = c[:, 1:].astype(int) + step[:, 1:] * (np.arange(1, 2 * k + 1) - nx)
     inside = (cx >= 0) & (cx < grid.width) & (cy >= 0) & (cy < grid.height)
     cell = np.where(inside, cy * grid.width + cx, 0)
     # the merged order is sorted, so the crossings within range come first

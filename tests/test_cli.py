@@ -11,7 +11,9 @@ import pytest
 import ivln
 from ivln import harness
 from ivln.cli import main
-from ivln.environment import load_scene
+from ivln.environment import load_scene, save_scene
+from ivln.metrics import read_traces
+from ivln.tourgen import Tour, load_episodes, save_episodes, save_tours
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -151,6 +153,71 @@ def test_run_rejects_a_tour_file_without_tours(pipeline, tmp_path, capsys):
     assert code == 3
     assert f"no tours in {empty}" in capsys.readouterr().err
     assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.fixture
+def two_tours(synth, tmp_path):
+    """Files of two tours over different paths: three episodes each of the
+    synthetic world's first tour, which walks each path once."""
+    scene, ids = synth["scene"], synth["tours"][0].episode_ids
+    paths = {"scene": tmp_path / "scene.json", "episodes": tmp_path / "episodes.json",
+             "tours": tmp_path / "tours.json", "traces": tmp_path / "traces.jsonl"}
+    save_scene(scene, paths["scene"])
+    save_episodes(synth["episodes"], paths["episodes"])
+    save_tours([Tour("first", scene.scene_id, ids[:3]), Tour("last", scene.scene_id, ids[3:6])],
+               synth["episodes"], paths["tours"])
+    return paths
+
+
+def record_senses(monkeypatch):
+    """Each batch of poses the rollout's walks sense, in order."""
+    batches = []
+    sense = harness.sense
+
+    def recording(occ_map, grid, poses, *args):
+        batches.append(list(poses))
+        return sense(occ_map, grid, poses, *args)
+
+    monkeypatch.setattr(harness, "sense", recording)
+    return batches
+
+
+def walked_points(trace):
+    """The (x, y) of every pose a tour's walk takes, in order."""
+    return [(p.x, p.y) for e in trace.episodes
+            for p in e.agent_path + [q for seg in e.segments for q in seg.points]]
+
+
+def run_two_tours(two_tours, *flags):
+    assert run_cli("run", "--scene", two_tours["scene"], "--tours", two_tours["tours"],
+                   "--episodes", two_tours["episodes"], "--policy", "noisy:0.2", "--seed", 3,
+                   "--map", "iterative", *flags, "--out", two_tours["traces"]) == 0
+    return read_traces(two_tours["traces"], {ep.episode_id: ep for ep in load_episodes(two_tours["episodes"])})
+
+
+def test_run_without_map_out_senses_nothing_for_a_builtin_policy(two_tours, monkeypatch):
+    batches = record_senses(monkeypatch)
+    traces = run_two_tours(two_tours)
+    assert [t.tour_id for t in traces] == ["first", "last"] and all(walked_points(t) for t in traces)
+    assert batches == []
+
+
+def test_run_and_build_map_sense_only_the_last_tour_in_small_batches(two_tours, monkeypatch, tmp_path):
+    batches = record_senses(monkeypatch)
+    first, last = run_two_tours(two_tours, "--map-out", tmp_path / "map.json")
+    assert walked_points(first)[:8] != walked_points(last)[:8]
+    want = walked_points(last)
+    assert [(p.position.x, p.position.y) for batch in batches for p in batch] == want
+    # the queue folds each chunk as it fills, and what is left at the end
+    sizes = [len(batch) for batch in batches]
+    assert set(sizes[:-1]) == {harness.SENSE_CHUNK} and 0 < sizes[-1] <= harness.SENSE_CHUNK
+    batches.clear()
+    assert run_cli("build-map", "--scene", two_tours["scene"], "--traces", two_tours["traces"],
+                   "--episodes", two_tours["episodes"], "--mode", "iterative",
+                   "--out", tmp_path / "replayed.json") == 0
+    assert [(p.position.x, p.position.y) for batch in batches for p in batch] == want
+    assert [len(batch) for batch in batches] == sizes
+    assert (tmp_path / "replayed.json").read_bytes() == (tmp_path / "map.json").read_bytes()
 
 
 def edited_episodes(pipeline, tmp_path, edit):

@@ -257,23 +257,26 @@ def test_correction_skipped_inside_radius(open_room):
     assert oracle_segments(trace) == []
 
 
+class Spinner:
+    """A duck-typed policy, no ``Policy`` subclass, that turns left forever."""
+
+    def reset(self, tour_id):
+        pass
+
+    def begin_episode(self, episode_id, instruction):
+        pass
+
+    def act(self, obs):
+        return AgentAction("left")
+
+    def observe(self, obs):
+        pass
+
+    def close(self):
+        pass
+
+
 def test_budget_exhaustion_never_stops(open_room):
-    class Spinner:
-        def reset(self, tour_id):
-            pass
-
-        def begin_episode(self, episode_id, instruction):
-            pass
-
-        def act(self, obs):
-            return AgentAction("left")
-
-        def observe(self, obs):
-            pass
-
-        def close(self):
-            pass
-
     tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]))
     cfg = Config(max_steps=9)
     trace, _ = run_tour(open_room, tour, by_id, Spinner(), cfg)
@@ -434,7 +437,10 @@ def test_replay_tour_rejects_a_trace_that_does_not_replay(synth, edit, message):
 
 
 class KeepingPolicy(NoisyOraclePolicy):
-    """A noisy oracle that keeps every observation it is shown."""
+    """A noisy oracle that keeps every observation it is shown, and reads
+    their crops."""
+
+    reads_crops = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -488,6 +494,42 @@ def test_crops_read_after_the_tour_are_the_crops_at_observation_time(synth, monk
     assert len(crops) == len(policy.kept)
     # the map changed along the tour, so equal crops are not a given
     assert len({want.tobytes() for want in at_the_time}) > len(at_the_time) // 2
+
+
+def test_only_declared_crop_readers_are_handed_crops(synth):
+    scene, by_id = synth["scene"], synth["by_id"]
+    tour = Tour("t-readers", scene.scene_id, synth["tours"][0].episode_ids[:2])
+
+    class Quiet(OraclePolicy):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.crops = []
+
+        def act(self, obs):
+            self.crops.append(obs.crop)
+            return super().act(obs)
+
+    class Reader(Quiet):
+        reads_crops = True
+
+    class Duck(Spinner):
+        def __init__(self):
+            self.crops = []
+
+        def act(self, obs):
+            self.crops.append(obs.crop)
+            return super().act(obs)
+
+    assert not hasattr(Duck, "reads_crops")
+    for mode in ("iterative", "known"):
+        cfg = Config(map_mode=mode, crop_size=8, max_steps=5)
+        quiet, reader, duck = Quiet(scene, by_id), Reader(scene, by_id), Duck()
+        for policy in (quiet, reader, duck):
+            run_tour(scene, tour, by_id, policy, cfg)
+        # a built-in policy's subclass that declares nothing gets no crop
+        assert quiet.crops and all(crop is None for crop in quiet.crops)
+        for crops in (reader.crops, duck.crops):
+            assert crops and all(crop.shape == (14, 8, 8) for crop in crops)
 
 
 def test_observation_message_with_a_given_or_a_deferred_crop(open_room):

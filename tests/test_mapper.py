@@ -504,23 +504,94 @@ def walks(draw):
     return grid, poses, draw(st.sampled_from([10.0, 1.3]))
 
 
+def fold_in_chunks(grid, poses, clears, chunk, max_range):
+    """An episodic map folded as a walk does: poses queue, a full queue of
+    ``chunk`` poses is sensed in one batch, a clear drops the queue."""
+    occ_map = SemanticOccMap.for_grid(grid, "episodic")
+    pending = []
+    for pose, clear in zip(poses, clears):
+        if clear:
+            pending = []
+            occ_map.clear()
+        pending.append(pose)
+        if len(pending) == chunk:
+            sense(occ_map, grid, pending, INTR, max_range)
+            pending = []
+    sense(occ_map, grid, pending, INTR, max_range)
+    return occ_map
+
+
+def assert_same_map(got, want, *where):
+    for name in MAP_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), (name, *where)
+
+
 @given(walks())
 @settings(max_examples=200, deadline=None)
 def test_footprint_fold_is_the_pixel_path(walk):
     # in-wall, off-grid and off-center poses at any heading, with clears
-    # between them as an episodic map has
-    grid, poses, max_range = walk
+    # between them as an episodic map has; one pose at a time, then in
+    # batches of every size, with clears inside a batch
+    grid, walked, max_range = walk
     want = SemanticOccMap.for_grid(grid, "episodic")
     got = SemanticOccMap.for_grid(grid, "episodic")
-    for x, y, heading, clear in poses:
+    poses = [Pose(Point3(x * 0.25, y * 0.25, 1.25), heading) for x, y, heading, _ in walked]
+    clears = [clear for *_, clear in walked]
+    for pose, clear in zip(poses, clears):
         if clear:
             want.clear()
             got.clear()
-        pose = Pose(Point3(x * 0.25, y * 0.25, 1.25), heading)
         pixel_path(want, grid, pose, max_range)
-        sense(got, grid, pose, INTR, max_range)
-        for name in MAP_ARRAYS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (name, x, y, heading)
+        sense(got, grid, [pose], INTR, max_range)
+        assert_same_map(got, want, pose)
+    for chunk in range(2, len(poses) + 1):
+        assert_same_map(fold_in_chunks(grid, poses, clears, chunk, max_range), want, chunk)
+
+
+def test_batches_of_every_size_fold_as_one_pose_at_a_time(generated_grid):
+    grid = generated_grid
+    rng = np.random.default_rng(21)
+    cells = np.argwhere(grid.navigable)
+    poses = []
+    for i in range(24):
+        iy, ix = cells[rng.integers(len(cells))]
+        # cell centers and cell edges, at any heading and on the compass
+        offset = rng.choice([-0.5, 0.0, 0.5], size=2) if i % 4 == 0 else (0.0, 0.0)
+        heading = rng.uniform(0, 2 * math.pi) if i % 2 else math.pi / 4 * rng.integers(8)
+        poses.append(Pose(Point3((ix + offset[0]) * grid.resolution, (iy + offset[1]) * grid.resolution, 1.25),
+                          heading))
+    clears = [i in (7, 13) for i in range(len(poses))]
+    for max_range in (10.0, 1.3):
+        want = fold_in_chunks(grid, poses, clears, 1, max_range)
+        assert want.occupancy.sum() > 10
+        for chunk in range(2, len(poses) + 1):
+            assert_same_map(fold_in_chunks(grid, poses, clears, chunk, max_range), want, chunk, max_range)
+
+
+def test_a_tie_between_poses_goes_to_the_earlier_pose():
+    # facing +x from x = 0, every column meets the wall face x = 0.375 at
+    # one depth, so all their top points tie in z.  From a, column 62
+    # meets cell (2, 2) (label 5) just before its ray crosses into row 1,
+    # so its points land in cell (2, 1) (label 6), and column 63 lands
+    # there after it: a labels the cell 6.  From b, column 63 is the one
+    # that crosses, the last column to land there: b labels it 5
+    grid = grid_from_ascii(["....", "..6.", "..5.", "....", "...."])
+    a = Pose(Point3(0.0, 0.375 + 30.5 / 32 * (0.375 + 0.5e-4), 1.25), 0.0)
+    b = Pose(Point3(0.0, 0.375 + 31.5 / 32 * (0.375 + 0.5e-4), 1.25), 0.0)
+    alone = {}
+    for pose in (a, b):
+        alone[pose] = SemanticOccMap.for_grid(grid, "iterative")
+        sense(alone[pose], grid, [pose], INTR)
+    assert alone[a].top_z[1, 2] == alone[b].top_z[1, 2]
+    assert (alone[a].semantic[1, 2], alone[b].semantic[1, 2]) == (6, 5)
+    for first, second in ((a, b), (b, a)):
+        want = SemanticOccMap.for_grid(grid, "iterative")
+        sense(want, grid, [first], INTR)
+        sense(want, grid, [second], INTR)
+        got = SemanticOccMap.for_grid(grid, "iterative")
+        sense(got, grid, [first, second], INTR)
+        assert got.semantic[1, 2] == alone[first].semantic[1, 2]
+        assert_same_map(got, want, first)
 
 
 def test_footprint_fold_is_the_pixel_path_on_a_generated_scene(generated_grid):
@@ -533,7 +604,7 @@ def test_footprint_fold_is_the_pixel_path_on_a_generated_scene(generated_grid):
         iy, ix = cells[rng.integers(len(cells))]
         pose = Pose(Point3(ix * grid.resolution, iy * grid.resolution, 1.25), rng.uniform(0, 2 * math.pi))
         pixel_path(want, grid, pose, 10.0)
-        sense(got, grid, pose, INTR, 10.0)
+        sense(got, grid, [pose], INTR, 10.0)
     assert want.occupancy.sum() > 50
     for name in MAP_ARRAYS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -553,7 +624,7 @@ def test_footprint_breaks_a_tie_as_integrate_does():
     want = SemanticOccMap.for_grid(grid, "iterative")
     got = SemanticOccMap.for_grid(grid, "iterative")
     pixel_path(want, grid, pose, 10.0)
-    sense(got, grid, pose, INTR, 10.0)
+    sense(got, grid, [pose], INTR, 10.0)
     assert got.semantic[1, 2] == want.semantic[1, 2] == 6
     for name in MAP_ARRAYS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -567,13 +638,13 @@ def test_footprint_refuses_a_floor_point_inside_the_band(monkeypatch):
     pose = Pose(Point3(0.25, 0.0, 1.25), 0.0)
     pixel_path(SemanticOccMap.for_grid(grid, "iterative"), grid, pose, 10.0)
     with pytest.raises(RuntimeError, match="inside the band"):
-        sense(SemanticOccMap.for_grid(grid, "iterative"), grid, pose, INTR, 10.0)
+        sense(SemanticOccMap.for_grid(grid, "iterative"), grid, [pose], INTR, 10.0)
 
 
 def test_footprint_refuses_a_known_map():
     grid = grid_from_ascii(["#..#"])
     with pytest.raises(ValueError, match="immutable"):
-        sense(known_map(grid), grid, Pose(Point3(0.25, 0.0, 1.25), 0.0), INTR)
+        sense(known_map(grid), grid, [Pose(Point3(0.25, 0.0, 1.25), 0.0)], INTR)
 
 
 # -- ray march ----------------------------------------------------------------
@@ -655,10 +726,15 @@ GRAZING_DIRS = np.array([
 ])
 
 
+def origins_of(position, dirs):
+    """One origin row per ray, all at the position."""
+    return np.broadcast_to([position.x, position.y], dirs.shape)
+
+
 def assert_march_matches_loop(grid, position, dirs, max_range):
     with np.errstate(invalid="ignore"):  # 0/0 for an axis ray from a cell edge, as before
         want = march_loop(grid, position, dirs, max_range)
-    got = _march_columns(grid, position, dirs, max_range)
+    got = _march_columns(grid, origins_of(position, dirs), dirs, max_range)
     assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
     assert np.array_equal(got[0], want[0]), (position, max_range)
     assert np.array_equal(got[1], want[1]), (position, max_range)
@@ -732,8 +808,8 @@ def test_short_then_full_march_is_the_full_pass_and_the_loop():
     for heading in (0.0, math.pi, 0.01, math.pi - 0.02, math.pi / 2, 2.5):
         dirs = np.concatenate([camera_dirs(heading), GRAZING_DIRS])
         k = int(10.0 * np.abs(dirs).max() / 0.25) + 3
-        _, _, short_found = _march(CORRIDOR, pos, dirs, 10.0, _SHORT_CROSSINGS)
-        s_full, label_full, full_found = _march(CORRIDOR, pos, dirs, 10.0, k)
+        _, _, short_found = _march(CORRIDOR, origins_of(pos, dirs), dirs, 10.0, _SHORT_CROSSINGS)
+        s_full, label_full, full_found = _march(CORRIDOR, origins_of(pos, dirs), dirs, 10.0, k)
         assert full_found.all()
         s_wall, label = assert_march_matches_loop(CORRIDOR, pos, dirs, 10.0)
         assert np.array_equal(s_wall, s_full) and np.array_equal(label, label_full)
@@ -744,11 +820,41 @@ def test_short_then_full_march_is_the_full_pass_and_the_loop():
     assert np.isinf(s_wall[0]) and s_wall[1] == pytest.approx(29.5 * 0.25)
 
 
+def test_one_march_of_many_origins_is_each_origin_alone(generated_grid):
+    # cell centers and edges, a long corridor and an edge-of-grid room,
+    # each ray bundle from its own origin, all marched together
+    rng = np.random.default_rng(31)
+    for grid in (generated_grid, CORRIDOR, grid_from_ascii(["......", "..#...", "......", "...4.."])):
+        cells = np.argwhere(grid.navigable)
+        origins, dirs = [], []
+        for i in range(12):
+            iy, ix = cells[rng.integers(len(cells))]
+            offset = rng.choice([-0.5, 0.0, 0.3, 0.5], size=2) if i % 3 == 0 else (0.0, 0.0)
+            pos = Point3(grid.origin.x + (ix + offset[0]) * grid.resolution,
+                         grid.origin.y + (iy + offset[1]) * grid.resolution, 1.25)
+            bundle = np.concatenate([camera_dirs(rng.uniform(0, 2 * math.pi)), GRAZING_DIRS])
+            origins.append(origins_of(pos, bundle))
+            dirs.append(bundle)
+            assert_march_matches_loop(grid, pos, bundle, 10.0)
+        k = int(10.0 * max(np.abs(d).max() for d in dirs) / grid.resolution) + 3
+        together = _march_columns(grid, np.concatenate(origins), np.concatenate(dirs), 10.0)
+        alone = [_march_columns(grid, o, d, 10.0) for o, d in zip(origins, dirs)]
+        for got, want in zip(together, zip(*alone)):
+            assert np.array_equal(got, np.concatenate(want))
+        for crossings in (_SHORT_CROSSINGS, k):
+            s_wall, label, found = _march(grid, np.concatenate(origins), np.concatenate(dirs), 10.0, crossings)
+            alone = [_march(grid, o, d, 10.0, crossings) for o, d in zip(origins, dirs)]
+            assert np.array_equal(found, np.concatenate([f for *_, f in alone]))
+            assert np.array_equal(s_wall[found], np.concatenate([s[f] for s, _, f in alone]))
+            assert np.array_equal(label[found], np.concatenate([lab[f] for _, lab, f in alone]))
+        assert found.all()
+
+
 def test_march_raises_when_the_full_pass_runs_out_of_crossings(monkeypatch):
     pos = Point3(30 * 0.25, 0.25, 1.25)
     dirs = camera_dirs(math.pi)
-    _march_columns(CORRIDOR, pos, dirs, 10.0)
+    _march_columns(CORRIDOR, origins_of(pos, dirs), dirs, 10.0)
     real = mapper._march
     monkeypatch.setattr(mapper, "_march", lambda grid, p, d, r, k: real(grid, p, d, r, min(k, 8)))
     with pytest.raises(RuntimeError, match="ran out of boundary crossings"):
-        _march_columns(CORRIDOR, pos, dirs, 10.0)
+        _march_columns(CORRIDOR, origins_of(pos, dirs), dirs, 10.0)
