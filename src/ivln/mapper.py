@@ -541,16 +541,17 @@ def _march(grid: GridWorld, origins: np.ndarray, dirs: np.ndarray, max_range: fl
     nx = np.where(order < k, order + 1, np.arange(k, 3 * k) - order)
     cx = c[:, :1].astype(int) + step[:, :1] * nx
     cy = c[:, 1:].astype(int) + step[:, 1:] * (np.arange(1, 2 * k + 1) - nx)
-    inside = (cx >= 0) & (cx < grid.width) & (cy >= 0) & (cy < grid.height)
+    # as unsigned, a cell left of or below the grid lies beyond it
+    inside = (cx.view(np.uint64) < grid.width) & (cy.view(np.uint64) < grid.height)
     cell = np.where(inside, cy * grid.width + cx, 0)
     # the merged order is sorted, so the crossings within range come first
     in_range = (t_both <= max_range).sum(axis=1)
-    stop = (np.arange(2 * k) >= in_range[:, None]) | ~inside | ~grid.navigable.ravel()[cell]
+    free = inside & grid.navigable.ravel()[cell] & (np.arange(2 * k) < in_range[:, None])
     rows = np.arange(len(dirs))
-    end = stop.argmax(axis=1)
+    end = free.argmin(axis=1)
     t_end = t_both[rows, order[rows, end]]
     # every crossing up to the stop must be on hand, or cells were skipped
-    found = stop[rows, end] & (t_end <= np.minimum(t_both[:, k - 1], t_both[:, -1]))
+    found = ~free[rows, end] & (t_end <= np.minimum(t_both[:, k - 1], t_both[:, -1]))
     hit = (end < in_range) & inside[rows, end]
     label = np.where(hit, grid.semantic.ravel()[cell[rows, end]], 0).astype(np.uint8)
     return np.where(hit, t_end, np.inf), label, found
