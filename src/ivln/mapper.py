@@ -460,8 +460,8 @@ def sense(occ_map: SemanticOccMap, grid: GridWorld, poses, intrinsics: CameraInt
     them lies inside the band, which the footprint does not fold.
 
     Folded in turn, a cell takes the label of the earliest pose to reach
-    its top z, and that pose's last point there in pixel order (row,
-    column): so one ``integrate`` folds the points, latest pose first.
+    its top z, that pose's last point there in pixel order (row, column);
+    one ``integrate``, whose last point at a top wins, takes them latest pose first.
     """
     cam = _cameras(poses)
     H = intrinsics.height
@@ -477,15 +477,15 @@ def sense(occ_map: SemanticOccMap, grid: GridWorld, poses, intrinsics: CameraInt
     row = H - 1 - (z[::-1] == top).argmax(axis=0)
     order = np.lexsort((cols, row, -pose))
     # floor and ceiling pixels, one point each as unproject makes them
-    seen, v_idx, u_idx = np.nonzero(plane_hit & (s_plane > 0))
-    px, py, pz = _lift(cam.T[:, seen], intrinsics, u_idx, v_idx, s_plane[seen, v_idx, 0])
+    p_idx, v_idx, u_idx = np.nonzero(plane_hit & (s_plane > 0))
+    px, py, pz = _lift(cam.T[:, p_idx], intrinsics, u_idx, v_idx, s_plane[p_idx, v_idx, 0])
     if ((pz > lo) & (pz < hi)).any():
         raise RuntimeError("a floor or ceiling point lies inside the band")
     # outside the band, the floor and ceiling points only mark their cells observed
     points = np.stack([np.concatenate([wx[order], px]), np.concatenate([wy[order], py]),
                        np.concatenate([top[order], pz])], axis=1)
     labels = np.zeros(len(points), dtype=np.uint8)
-    labels[:len(order)] = wall_label[pose[order], cols[order]]
+    labels[:len(order)] = wall_label[pose, cols][order]
     integrate(occ_map, points, labels, grid.floor_z, grid.ceiling_z)
 
 
