@@ -843,10 +843,10 @@ def test_one_march_of_many_origins_is_each_origin_alone(generated_grid):
             assert np.array_equal(got, np.concatenate(want))
         for crossings in (_SHORT_CROSSINGS, k):
             s_wall, label, found = _march(grid, np.concatenate(origins), np.concatenate(dirs), 10.0, crossings)
-            alone = [_march(grid, o, d, 10.0, crossings) for o, d in zip(origins, dirs)]
-            assert np.array_equal(found, np.concatenate([f for *_, f in alone]))
-            assert np.array_equal(s_wall[found], np.concatenate([s[f] for s, _, f in alone]))
-            assert np.array_equal(label[found], np.concatenate([lab[f] for _, lab, f in alone]))
+            each = [_march(grid, o, d, 10.0, crossings) for o, d in zip(origins, dirs)]
+            assert np.array_equal(found, np.concatenate([f for *_, f in each]))
+            assert np.array_equal(s_wall[found], np.concatenate([s[f] for s, _, f in each]))
+            assert np.array_equal(label[found], np.concatenate([lab[f] for _, lab, f in each]))
         assert found.all()
 
 
