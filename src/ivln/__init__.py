@@ -72,16 +72,12 @@ from .metrics import (
 )
 from .mapper import (
     CameraIntrinsics,
-    DepthFrame,
-    SemanticFrame,
     SemanticOccMap,
     crop_egocentric,
     integrate,
     known_map,
     load_map,
     save_map,
-    synthesize_views,
-    unproject,
 )
 from .harness import (
     AgentAction,

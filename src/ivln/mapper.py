@@ -1,21 +1,22 @@
-"""Semantic occupancy mapping from depth and semantic frames.
+"""Semantic occupancy mapping from synthetic views of grid scenes.
 
-Frames are unprojected through the inverse pinhole model into world
-points, filtered to the vertical band between floor and ceiling (with a
-margin that drops the floor and ceiling surfaces themselves), and
-accumulated into a top-down grid.  A cell keeps the label of the highest
-point so far observed inside it, so tall structure wins over clutter.
+A view's surfaces are lifted through the inverse pinhole model into
+world points, filtered to the vertical band between floor and ceiling
+(with a margin that drops the floor and ceiling surfaces themselves),
+and accumulated into a top-down grid.  A cell keeps the label of the
+highest point so far observed inside it, so tall structure wins over
+clutter.
 
 Camera frame: x right, y down, z forward (optical axis).  World frame:
 z up, heading measured counterclockwise from +x; see the environment
 module for grid indexing conventions.
 
-The rollout senses a pose as a footprint (``sense``): one point per wall
-column, at its top in-band z, folded in by ``integrate``, and the cells
-the floor and ceiling pixels mark observed.  The pixel path,
-``synthesize_views`` then ``unproject`` then ``integrate``, renders and
-lifts every pixel; it stays public and is the reference the footprint
-matches bit for bit.
+Every map is sensed as footprints (``sense``): per pose, one point per
+wall column, at its top in-band z, folded in by ``integrate``, and the
+cells the floor and ceiling pixels mark observed.  The tests keep the
+pixel path, which renders a depth and a semantic frame per pose and
+lifts every pixel, in ``tests/conftest.py`` as the reference the
+footprint matches bit for bit.
 
 Map lifetimes differ by mode: "episodic" maps clear at every episode
 start, "iterative" maps persist through a tour, "known" maps are built
@@ -71,50 +72,6 @@ class CameraIntrinsics:
         fx = (width / 2.0) / math.tan(math.radians(hfov_deg) / 2.0)
         return cls(fx=fx, fy=fx, cx=(width - 1) / 2.0, cy=(height - 1) / 2.0,
                    width=width, height=height)
-
-
-@dataclass
-class DepthFrame:
-    """Per-pixel forward depth in meters; 0 marks invalid rays."""
-
-    depth: np.ndarray
-    intrinsics: CameraIntrinsics
-    pose: Pose
-
-    def __post_init__(self):
-        self.depth = np.asarray(self.depth, dtype=np.float64)
-        expected = (self.intrinsics.height, self.intrinsics.width)
-        if self.depth.shape != expected:
-            raise DimensionMismatch(f"depth shape {self.depth.shape} != {expected}")
-
-
-@dataclass
-class SemanticFrame:
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-
-
-def unproject(frame: DepthFrame, semantics: SemanticFrame | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Lift a depth frame to world points.
-
-    Returns (points, labels) with points of shape (N, 3); pixels with
-    depth 0 are dropped.  Labels are 0 when no semantic frame is given.
-    """
-    intr = frame.intrinsics
-    if semantics is not None and semantics.labels.shape != frame.depth.shape:
-        raise DimensionMismatch("semantic frame shape differs from depth")
-    d = frame.depth
-    valid = d > 0
-    v_idx, u_idx = np.nonzero(valid)
-    dv = d[valid]
-    points = np.stack(_lift(_cameras([frame.pose])[0], intr, u_idx, v_idx, dv), axis=1)
-    if semantics is None:
-        labels = np.zeros(len(dv), dtype=np.uint8)
-    else:
-        labels = semantics.labels[valid]
-    return points, labels
 
 
 def _cameras(poses) -> np.ndarray:
@@ -367,12 +324,12 @@ def load_map(path) -> SemanticOccMap:
 
 
 # ---------------------------------------------------------------------------
-# synthetic views
+# sensing
 
-# Depth and semantics are rendered from a grid scene by casting one ray
-# per image column through the 2D occupancy, then resolving each row
-# against the wall span, the floor plane, or the ceiling plane.  Walls
-# fill the full floor-to-ceiling height.
+# A view of a grid scene casts one ray per image column through the 2D
+# occupancy, then resolves each row against the wall span, the floor
+# plane, or the ceiling plane.  Walls fill the full floor-to-ceiling
+# height.
 
 # small forward push that lands wall points inside the wall cell instead
 # of exactly on the shared cell boundary
@@ -383,11 +340,10 @@ def _columns(grid: GridWorld, cam: np.ndarray, intrinsics: CameraIntrinsics, max
     """March one ray per image column of each ``_cameras`` row, all in one
     ``_march_columns`` call, and resolve each pixel's surface.
 
-    Returns (dirs, s_wall, wall_label, wall_hit, s_plane, plane_hit),
-    each with a leading axis over the cameras: per column its ray
-    direction (forward component 1), wall distance and label; per pixel
-    whether it sees a wall; per row the distance to the floor or ceiling
-    plane; per pixel whether it sees that plane.
+    Returns (s_wall, wall_label, wall_hit, s_plane, plane_hit), each with
+    a leading axis over the cameras: per column its wall distance and
+    label; per pixel whether it sees a wall; per row the distance to the
+    floor or ceiling plane; per pixel whether it sees that plane.
     """
     W, H = intrinsics.width, intrinsics.height
     k = (np.arange(W) - intrinsics.cx) / intrinsics.fx
@@ -406,58 +362,24 @@ def _columns(grid: GridWorld, cam: np.ndarray, intrinsics: CameraIntrinsics, max
         s_plane = np.where(sl < 0, grid.floor_z - z0, grid.ceiling_z - z0) / sl  # (P, H, 1)
     wall_hit = (z_at_wall >= grid.floor_z) & (z_at_wall <= grid.ceiling_z)
     plane_hit = ~wall_hit & np.isfinite(s_plane) & (s_plane <= max_range)
-    return dirs, s_wall, wall_label, wall_hit, s_plane, plane_hit
-
-
-def synthesize_views(grid: GridWorld, pose: Pose, intrinsics: CameraIntrinsics,
-                     max_range: float = 10.0) -> tuple[DepthFrame, SemanticFrame]:
-    """Render a depth and semantic frame of a grid scene at a pose.
-
-    Depth is forward distance (not ray length); rays that leave the grid
-    or exceed max_range come back 0.  The returned pose is the camera
-    pose passed in, so unprojecting the frames reproduces world surfaces.
-    """
-    W, H = intrinsics.width, intrinsics.height
-    dirs, s_wall, wall_label, wall_hit, s_plane, plane_hit = (
-        a[0] for a in _columns(grid, _cameras([pose]), intrinsics, max_range))
-
-    depth = np.zeros((H, W))
-    depth[wall_hit] = np.broadcast_to(s_wall[None, :] + _WALL_PUSH, (H, W))[wall_hit]
-    depth[plane_hit] = np.broadcast_to(s_plane, (H, W))[plane_hit]
-
-    labels = np.zeros((H, W), dtype=np.uint8)
-    labels[wall_hit] = np.broadcast_to(wall_label[None, :], (H, W))[wall_hit]
-    if plane_hit.any():
-        sp = np.broadcast_to(s_plane, (H, W))[plane_hit]
-        cols = np.broadcast_to(np.arange(W)[None, :], (H, W))[plane_hit]
-        px = pose.position.x + sp * dirs[cols, 0]
-        py = pose.position.y + sp * dirs[cols, 1]
-        ix = np.floor((px - grid.origin.x) / grid.resolution + 0.5).astype(int)
-        iy = np.floor((py - grid.origin.y) / grid.resolution + 0.5).astype(int)
-        ok = (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
-        plane_labels = np.zeros(len(sp), dtype=np.uint8)
-        plane_labels[ok] = grid.semantic[iy[ok], ix[ok]]
-        labels[plane_hit] = plane_labels
-
-    return (
-        DepthFrame(depth=depth, intrinsics=intrinsics, pose=pose),
-        SemanticFrame(labels=labels),
-    )
+    return s_wall, wall_label, wall_hit, s_plane, plane_hit
 
 
 def sense(occ_map: SemanticOccMap, grid: GridWorld, poses, intrinsics: CameraIntrinsics,
           max_range: float = 10.0) -> None:
     """Fold the views of a grid scene from a sequence of poses into the map.
 
-    Leaves the map exactly as ``integrate`` of ``unproject`` of
-    ``synthesize_views`` at each pose in turn does (with the grid's floor
-    and ceiling), but folds the views' footprints, all in one batch,
-    instead of their pixels.  All wall pixels of a column share one
-    depth, so they land in one cell: the column gives one point, at its
-    highest in-band z (or -inf for none), with its label.  Floor and
-    ceiling pixels lie outside the band and only mark their cells
-    observed.  Raises RuntimeError, before folding any pose, if one of
-    them lies inside the band, which the footprint does not fold.
+    Leaves the map exactly as the pixel path in ``tests/conftest.py``
+    does, which renders each pose's depth and semantic frames and folds
+    in every pixel's point with ``integrate``, pose by pose (with the
+    grid's floor and ceiling); but folds the views' footprints, all in one
+    batch, instead of their pixels.  All wall
+    pixels of a column share one depth, so they land in one cell: the
+    column gives one point, at its highest in-band z (or -inf for none),
+    with its label.  Floor and ceiling pixels lie outside the band and
+    only mark their cells observed.  Raises RuntimeError, before folding
+    any pose, if one of them lies inside the band, which the footprint
+    does not fold.
 
     Folded in turn, a cell takes the label of the earliest pose to reach
     its top z, that pose's last point there in pixel order (row, column);
@@ -465,9 +387,10 @@ def sense(occ_map: SemanticOccMap, grid: GridWorld, poses, intrinsics: CameraInt
     """
     cam = _cameras(poses)
     H = intrinsics.height
-    _, s_wall, wall_label, wall_hit, s_plane, plane_hit = _columns(grid, cam, intrinsics, max_range)
+    s_wall, wall_label, wall_hit, s_plane, plane_hit = _columns(grid, cam, intrinsics, max_range)
     lo, hi = grid.floor_z + BAND_MARGIN, grid.ceiling_z - BAND_MARGIN
-    # the push outweighs any rounding below 0, so unproject keeps every wall pixel
+    # the push outweighs any rounding below 0, so every wall pixel has a
+    # positive depth and the tests' pixel path lifts it
     pose, cols = np.nonzero(wall_hit.any(axis=1))
     wx, wy, wz = _lift(cam.T[:, pose], intrinsics, cols, np.arange(H)[:, None], s_wall[pose, cols] + _WALL_PUSH)
     z = np.where(wall_hit[pose, :, cols].T & (wz > lo) & (wz < hi), wz, -np.inf)
@@ -476,7 +399,8 @@ def sense(occ_map: SemanticOccMap, grid: GridWorld, poses, intrinsics: CameraInt
     # a tie goes to the last pixel: the column's last row at its top z
     row = H - 1 - (z[::-1] == top).argmax(axis=0)
     order = np.lexsort((cols, row, -pose))
-    # floor and ceiling pixels, one point each as unproject makes them
+    # floor and ceiling pixels, one point each as the tests' pixel path
+    # lifts them
     p_idx, v_idx, u_idx = np.nonzero(plane_hit & (s_plane > 0))
     px, py, pz = _lift(cam.T[:, p_idx], intrinsics, u_idx, v_idx, s_plane[p_idx, v_idx, 0])
     if ((pz > lo) & (pz < hi)).any():

@@ -1,11 +1,14 @@
 import heapq
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ivln.environment import GridWorld, NavGraph, Point3, Scene
+from ivln.environment import GridWorld, NavGraph, Point3, Pose, Scene
+from ivln.errors import DimensionMismatch
+from ivln.mapper import _WALL_PUSH, CameraIntrinsics, _cameras, _columns, _lift
 from ivln.syngen import EpisodeSpec, FloorplanSpec, generate_episodes, generate_scene
 from ivln.tourgen import build_tours
 
@@ -100,6 +103,97 @@ def astar_route(scene, a, b):
                 parent[v] = u
                 heapq.heappush(heap, (nd + estimate(v), v))
     return None
+
+
+# The pixel path: render a depth and a semantic frame of a grid scene and
+# lift every pixel to a world point.  ``mapper.sense`` folds only each
+# view's footprint and must leave a map bitwise as ``integrate`` of
+# ``unproject`` of ``synthesize_views`` at each pose in turn does.
+
+
+@dataclass
+class DepthFrame:
+    """Per-pixel forward depth in meters; 0 marks invalid rays."""
+
+    depth: np.ndarray
+    intrinsics: CameraIntrinsics
+    pose: Pose
+
+    def __post_init__(self):
+        self.depth = np.asarray(self.depth, dtype=np.float64)
+        expected = (self.intrinsics.height, self.intrinsics.width)
+        if self.depth.shape != expected:
+            raise DimensionMismatch(f"depth shape {self.depth.shape} != {expected}")
+
+
+@dataclass
+class SemanticFrame:
+    labels: np.ndarray
+
+    def __post_init__(self):
+        self.labels = np.asarray(self.labels, dtype=np.uint8)
+
+
+def unproject(frame: DepthFrame, semantics: SemanticFrame | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Lift a depth frame to world points.
+
+    Returns (points, labels) with points of shape (N, 3); pixels with
+    depth 0 are dropped.  Labels are 0 when no semantic frame is given.
+    """
+    intr = frame.intrinsics
+    if semantics is not None and semantics.labels.shape != frame.depth.shape:
+        raise DimensionMismatch("semantic frame shape differs from depth")
+    d = frame.depth
+    valid = d > 0
+    v_idx, u_idx = np.nonzero(valid)
+    dv = d[valid]
+    points = np.stack(_lift(_cameras([frame.pose])[0], intr, u_idx, v_idx, dv), axis=1)
+    if semantics is None:
+        labels = np.zeros(len(dv), dtype=np.uint8)
+    else:
+        labels = semantics.labels[valid]
+    return points, labels
+
+
+def synthesize_views(grid: GridWorld, pose: Pose, intrinsics: CameraIntrinsics,
+                     max_range: float = 10.0) -> tuple[DepthFrame, SemanticFrame]:
+    """Render a depth and semantic frame of a grid scene at a pose.
+
+    Depth is forward distance (not ray length); rays that leave the grid
+    or exceed max_range come back 0.  The returned pose is the camera
+    pose passed in, so unprojecting the frames reproduces world surfaces.
+    """
+    W, H = intrinsics.width, intrinsics.height
+    cam = _cameras([pose])
+    s_wall, wall_label, wall_hit, s_plane, plane_hit = (
+        a[0] for a in _columns(grid, cam, intrinsics, max_range))
+    # each column's ray direction (forward component 1), as _columns marches it
+    k = (np.arange(W) - intrinsics.cx) / intrinsics.fx
+    _, _, _, cos_h, sin_h = cam[0]
+    dirs = cam[0, 3:] + k[:, None] * (sin_h, -cos_h)
+
+    depth = np.zeros((H, W))
+    depth[wall_hit] = np.broadcast_to(s_wall[None, :] + _WALL_PUSH, (H, W))[wall_hit]
+    depth[plane_hit] = np.broadcast_to(s_plane, (H, W))[plane_hit]
+
+    labels = np.zeros((H, W), dtype=np.uint8)
+    labels[wall_hit] = np.broadcast_to(wall_label[None, :], (H, W))[wall_hit]
+    if plane_hit.any():
+        sp = np.broadcast_to(s_plane, (H, W))[plane_hit]
+        cols = np.broadcast_to(np.arange(W)[None, :], (H, W))[plane_hit]
+        px = pose.position.x + sp * dirs[cols, 0]
+        py = pose.position.y + sp * dirs[cols, 1]
+        ix = np.floor((px - grid.origin.x) / grid.resolution + 0.5).astype(int)
+        iy = np.floor((py - grid.origin.y) / grid.resolution + 0.5).astype(int)
+        ok = (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
+        plane_labels = np.zeros(len(sp), dtype=np.uint8)
+        plane_labels[ok] = grid.semantic[iy[ok], ix[ok]]
+        labels[plane_hit] = plane_labels
+
+    return (
+        DepthFrame(depth=depth, intrinsics=intrinsics, pose=pose),
+        SemanticFrame(labels=labels),
+    )
 
 
 def oracle_segments(trace):

@@ -29,8 +29,7 @@ from ivln.mapper import (
     SemanticOccMap,
     crop_egocentric,
     integrate,
-    synthesize_views,
-    unproject,
+    sense,
 )
 from ivln.metrics import (
     EpisodeTrace,
@@ -289,11 +288,8 @@ def test_criterion_09_mapping_fidelity():
             if not grid.navigable[iy, ix]:
                 continue
             center = grid.cell_center((ix, iy))
-            for k in range(8):
-                cam = Pose(Point3(center.x, center.y, z), k * math.pi / 4.0)
-                depth, sem = synthesize_views(grid, cam, intr)
-                points, labels = unproject(depth, sem)
-                integrate(occ_map, points, labels, grid.floor_z, grid.ceiling_z)
+            cams = [Pose(Point3(center.x, center.y, z), k * math.pi / 4.0) for k in range(8)]
+            sense(occ_map, grid, cams, intr)
     pred = occ_map.occupancy.astype(bool)
     truth = ~grid.navigable
     iou = (pred & truth).sum() / (pred | truth).sum()

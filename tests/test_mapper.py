@@ -14,8 +14,6 @@ from ivln.mapper import (
     CROP_CHANNELS,
     LABEL_COUNT,
     CameraIntrinsics,
-    DepthFrame,
-    SemanticFrame,
     SemanticOccMap,
     crop_egocentric,
     crop_from_compact,
@@ -28,15 +26,13 @@ from ivln.mapper import (
     map_to_dict,
     save_map,
     sense,
-    synthesize_views,
-    unproject,
 )
 
 from ivln import mapper
 from ivln.mapper import _SHORT_CROSSINGS, _march, _march_columns
 from ivln.syngen import FloorplanSpec, generate_scene
 
-from conftest import grid_from_ascii
+from conftest import DepthFrame, SemanticFrame, grid_from_ascii, synthesize_views, unproject
 
 
 INTR = CameraIntrinsics.from_hfov(64, 48, 90.0)
