@@ -123,6 +123,9 @@ class NavGraph:
 
     def __post_init__(self):
         self.nodes = {str(k): as_point(v) for k, v in self.nodes.items()}
+        for node, position in self.nodes.items():
+            if not all(map(math.isfinite, position)):
+                raise ValueError(f"node {node} position {tuple(position)} is not finite")
         seen = set()
         normalized = []
         for a, b in self.edges:
@@ -194,8 +197,13 @@ class GridWorld:
             )
         if self.semantic.shape != self.navigable.shape:
             raise ValueError("semantic and navigable shapes differ")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < self.resolution < math.inf:  # NaN fails too
+            raise ValueError(f"resolution must be positive and finite, got {self.resolution!r}")
+        o = self.origin
+        for name, value in (("origin.x", o.x), ("origin.y", o.y), ("origin.z", o.z),
+                            ("floor_z", self.floor_z), ("ceiling_z", self.ceiling_z)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.ceiling_z <= self.floor_z:
             raise ValueError("ceiling_z must exceed floor_z")
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -597,6 +598,19 @@ def test_scene_payload_that_does_not_fit_is_bad_input(pipeline, tmp_path, capsys
     bad.write_text(json.dumps(payload))
     assert run_cli("gen-episodes", "--scene", bad, "--out", tmp_path / "e.json") == 2
     assert "expected" in capsys.readouterr().err
+
+
+def test_a_scene_with_a_nan_token_is_bad_input(pipeline, tmp_path, capsys):
+    payload = json.loads(pipeline["scene"].read_text())
+    payload["floor_z"] = math.nan
+    bad = tmp_path / "scene.json"
+    bad.write_text(json.dumps(payload))  # writes the bare NaN token that json.load accepts
+    assert "NaN" in bad.read_text()
+    traces = tmp_path / "t.jsonl"
+    assert run_cli("run", "--scene", bad, "--tours", pipeline["tours"], "--episodes", pipeline["episodes"],
+                   "--out", traces) == 2
+    assert "floor_z must be finite, got nan" in capsys.readouterr().err
+    assert not traces.exists()
 
 
 def test_build_map_replays_at_the_configured_turn(pipeline, tmp_path, monkeypatch, capsys):

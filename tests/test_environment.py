@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -602,6 +603,31 @@ def test_graph_rejects_a_zero_length_edge():
     with pytest.raises(ValueError, match=r"edge \(a, b\) has zero length"):
         NavGraph(nodes=nodes, edges=[("a", "b"), ("b", "c")])
     assert NavGraph(nodes=nodes, edges=[("a", "c"), ("b", "c")]).edges == [("a", "c"), ("b", "c")]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("resolution", math.nan, "resolution must be positive and finite, got nan"),
+    ("resolution", math.inf, "resolution must be positive and finite, got inf"),
+    ("origin", (math.nan, 0.0, 0.0), "origin.x must be finite, got nan"),
+    ("origin", (0.0, -math.inf, 0.0), "origin.y must be finite, got -inf"),
+    ("origin", (0.0, 0.0, math.nan), "origin.z must be finite, got nan"),
+    ("floor_z", math.nan, "floor_z must be finite, got nan"),
+    ("floor_z", -math.inf, "floor_z must be finite, got -inf"),
+    ("ceiling_z", math.nan, "ceiling_z must be finite, got nan"),
+    ("ceiling_z", math.inf, "ceiling_z must be finite, got inf"),
+])
+def test_grid_rejects_geometry_that_is_not_finite(field, value, message):
+    fields = dict(resolution=0.25, origin=(0.0, 0.0, 0.0), width=2, height=2, navigable=np.ones((2, 2), bool),
+                  semantic=np.zeros((2, 2), np.uint8), floor_z=0.0, ceiling_z=2.6)
+    fields[field] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GridWorld(**fields)
+
+
+@pytest.mark.parametrize("position", [(math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, -math.inf)])
+def test_graph_rejects_a_node_that_is_not_finite(position):
+    with pytest.raises(ValueError, match=r"node b position .* is not finite"):
+        NavGraph(nodes={"a": (0.0, 0.0, 1.0), "b": position}, edges=[("a", "b")])
 
 
 @pytest.mark.parametrize("value", ["123", b"123", ["1", "2", "3"], (0.0, "1", 2.0)],
