@@ -790,14 +790,24 @@ def make_policy(spec: str, scene: Scene, episodes_by_id: dict, cfg: Config) -> P
     if spec == "oracle":
         return OraclePolicy(scene, episodes_by_id)
     if spec.startswith("noisy:"):
-        return NoisyOraclePolicy(scene, episodes_by_id, float(spec.split(":", 1)[1]), seed=cfg.seed)
+        try:
+            p_error = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"policy spec {spec!r} is not noisy:<probability>") from None
+        return NoisyOraclePolicy(scene, episodes_by_id, p_error, seed=cfg.seed)
     if spec == "random":
         return RandomPolicy(scene, seed=cfg.seed)
     if spec == "stop":
         return StopPolicy()
     if spec.startswith("ext:"):
-        transport = SubprocessTransport(spec.split(":", 1)[1])
-        return ExternalPolicy(transport, timeout=cfg.step_timeout)
+        command = spec.split(":", 1)[1]
+        try:
+            argv = shlex.split(command)
+        except ValueError as e:
+            raise ValueError(f"policy spec {spec!r} is not ext:<command>: {e}") from None
+        if not argv:
+            raise ValueError(f"policy spec {spec!r} names no command")
+        return ExternalPolicy(SubprocessTransport(command), timeout=cfg.step_timeout)
     if spec.startswith("tcp:"):
         try:
             _, host, port = spec.split(":")

@@ -518,12 +518,22 @@ def test_unknown_policy_is_a_usage_error(pipeline, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("spec", ["tcp:localhost", "tcp:localhost:port", "tcp:a:1:2"])
-def test_a_malformed_tcp_policy_spec_is_named(pipeline, tmp_path, capsys, spec):
+MALFORMED_POLICY_SPECS = [
+    ("tcp:localhost", "is not tcp:<host>:<port>"),
+    ("tcp:localhost:port", "is not tcp:<host>:<port>"),
+    ("tcp:a:1:2", "is not tcp:<host>:<port>"),
+    ("noisy:abc", "is not noisy:<probability>"),
+    ("ext:", "names no command"),
+    ('ext:"foo', "is not ext:<command>: No closing quotation"),
+]
+
+
+@pytest.mark.parametrize("spec, form", MALFORMED_POLICY_SPECS, ids=[spec for spec, _ in MALFORMED_POLICY_SPECS])
+def test_a_malformed_tcp_policy_spec_is_named(pipeline, tmp_path, capsys, spec, form):
     code = run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
                    "--episodes", pipeline["episodes"], "--policy", spec, "--out", tmp_path / "t.jsonl")
     assert code == 2
-    assert f"error: policy spec {spec!r} is not tcp:<host>:<port>" in capsys.readouterr().err
+    assert f"error: policy spec {spec!r} {form}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["tours", "episodes"])
