@@ -22,6 +22,7 @@ everything else with an ack, each within the per-step deadline.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -32,7 +33,7 @@ import socket
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +50,10 @@ from .errors import Disconnected, MissingEpisode, PolicyTimeout, ProtocolViolati
 from .mapper import (
     CameraIntrinsics,
     SemanticOccMap,
-    crop_egocentric,
     crop_layers,
     crop_to_compact,
     known_map,
+    one_hot,
     sense,
 )
 from .metrics import ORACLE_GOAL, ORACLE_TRANSIT, EpisodeTrace, OracleSegment, TourTrace
@@ -96,41 +97,28 @@ class AgentAction:
         return f"{GOTO}:{self.node}" if self.kind == GOTO else self.kind
 
 
+@dataclass(eq=False)
 class Observation:
     """What a policy sees at one step.
 
-    ``crop_source`` holds the ``crop_egocentric`` arguments, with the
-    map's occupancy and semantics copied at this step, or is None without
-    a map or ``Policy.reads_crops``.  The egocentric map ``crop`` is made
-    from them on first read, so a reader that never reads it costs none.
-    ``crop_layers()`` hands out the crop's label and occupancy grids,
-    made from the same arguments, without making the one-hot crop.
+    ``layers`` is the egocentric crop's label and occupancy grids
+    (``mapper.crop_layers``), cut from the map at this step, or None
+    without a map or ``Policy.reads_crops``.  The one-hot ``crop`` is made
+    from them on first read, so a reader that never reads it makes none.
     """
 
-    def __init__(self, episode_id: str, episode_index_in_tour: int, instruction: str, pose: Pose,
-                 location: object, steps_remaining: int, phase: str, crop_source: tuple | None = None):
-        self.episode_id = episode_id
-        self.episode_index_in_tour = episode_index_in_tour
-        self.instruction = instruction
-        self.pose = pose
-        self.location = location  # cell tuple (grid) or node id (graph)
-        self.steps_remaining = steps_remaining
-        self.phase = phase  # "agent" | "oracle"
-        self._crop_source = crop_source
-        self._crop = None
-        self._layers = None
+    episode_id: str
+    episode_index_in_tour: int
+    instruction: str
+    pose: Pose
+    location: object  # cell tuple (grid) or node id (graph)
+    steps_remaining: int
+    phase: str  # "agent" | "oracle"
+    layers: tuple[np.ndarray, np.ndarray] | None = None
 
-    def crop_layers(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The crop as ``mapper.crop_layers`` grids, or None without a map."""
-        if self._layers is None and self._crop_source is not None:
-            self._layers = crop_layers(*self._crop_source)
-        return self._layers
-
-    @property
+    @functools.cached_property
     def crop(self) -> np.ndarray | None:
-        if self._crop is None and self._crop_source is not None:
-            self._crop = crop_egocentric(*self._crop_source)
-        return self._crop
+        return None if self.layers is None else one_hot(*self.layers)
 
 
 @dataclass
@@ -388,19 +376,12 @@ class _Walk:
         if len(self._pending) == SENSE_CHUNK:
             self._fold()
 
-    def crop_source(self, pose: Pose) -> tuple | None:
-        """``crop_egocentric`` and ``crop_layers`` arguments for a crop of the
-        map as it is now; a crop reads only occupancy and semantics, so only
-        they are copied."""
-        m = self.occ_map
-        if m is None:
-            return None
-        return replace(m, occupancy=m.occupancy.copy(), semantic=m.semantic.copy()), pose, self.cfg.crop_size
-
     def observation(self, episode: Episode, index: int, steps_remaining: int, phase: str) -> Observation:
         pose = Pose(self.position, self.state.heading)
+        occ_map = self.occ_map if self.reads_crops else None
+        layers = None if occ_map is None else crop_layers(occ_map, pose, self.cfg.crop_size)
         return Observation(episode.episode_id, index, episode.instruction, pose, self.state.location,
-                           steps_remaining, phase, self.crop_source(pose) if self.reads_crops else None)
+                           steps_remaining, phase, layers)
 
 
 def _oracle_drive(walk: _Walk, target, kind: str, policy: Policy, episode: Episode, index: int):
@@ -570,8 +551,7 @@ def replay_tour(
 def observation_message(obs: Observation) -> dict:
     """Wire form of an observation; pose is [x, y, z, heading] and the crop
     the ``crop_to_compact`` dict."""
-    layers = obs.crop_layers()
-    crop = None if layers is None else crop_to_compact(*layers)
+    crop = None if obs.layers is None else crop_to_compact(*obs.layers)
     msg = {
         "type": "observe",
         "pose": [obs.pose.position.x, obs.pose.position.y, obs.pose.position.z, obs.pose.heading],

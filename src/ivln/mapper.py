@@ -238,7 +238,9 @@ def crop_layers(occ_map: SemanticOccMap, pose: Pose, size: int = 64) -> tuple[np
 _LABEL_VALUES = np.arange(1, LABEL_COUNT + 1, dtype=np.uint8)[:, None, None]
 
 
-def _one_hot(labels: np.ndarray, occupied: np.ndarray) -> np.ndarray:
+def one_hot(labels: np.ndarray, occupied: np.ndarray) -> np.ndarray:
+    """The float32 crop of ``crop_layers``' grids: channels 0..12 are the
+    one-hot of labels 1..13, channel 13 is occupancy."""
     out = np.empty((CROP_CHANNELS, *labels.shape), dtype=np.float32)
     out[:LABEL_COUNT] = labels == _LABEL_VALUES
     out[LABEL_COUNT] = occupied
@@ -246,12 +248,9 @@ def _one_hot(labels: np.ndarray, occupied: np.ndarray) -> np.ndarray:
 
 
 def crop_egocentric(occ_map: SemanticOccMap, pose: Pose, size: int = 64) -> np.ndarray:
-    """Egocentric map crop: the one-hot of ``crop_layers``.
-
-    Returns float32 of shape (14, size, size): channels 0..12 are the
-    one-hot of labels 1..13, channel 13 is occupancy.
-    """
-    return _one_hot(*crop_layers(occ_map, pose, size))
+    """Egocentric map crop: the ``one_hot`` of ``crop_layers``, float32 of
+    shape (14, size, size)."""
+    return one_hot(*crop_layers(occ_map, pose, size))
 
 
 def crop_to_compact(labels: np.ndarray, occupied: np.ndarray) -> dict:
@@ -268,7 +267,7 @@ def crop_from_compact(payload: dict) -> np.ndarray:
     if type(size) is not int or size < 1:
         raise ValueError(f"crop size must be a positive integer, got {size!r}")
     shape = (size, size)
-    return _one_hot(decode_bytes(payload["labels"], shape), decode_bitmask(payload["occupied"], shape))
+    return one_hot(decode_bytes(payload["labels"], shape), decode_bitmask(payload["occupied"], shape))
 
 
 # ---------------------------------------------------------------------------

@@ -591,8 +591,8 @@ def test_build_map_replays_to_identical_snapshot(pipeline, tmp_path):
 
 def test_map_rollout_makes_no_crop_when_no_policy_reads_one(pipeline, tmp_path, monkeypatch):
     calls = []
-    crop = harness.crop_egocentric
-    monkeypatch.setattr(harness, "crop_egocentric", lambda *args: calls.append(args) or crop(*args))
+    crop = harness.crop_layers
+    monkeypatch.setattr(harness, "crop_layers", lambda *args: calls.append(args) or crop(*args))
     assert run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
                    "--episodes", pipeline["episodes"], "--policy", "noisy:0.2", "--seed", 3,
                    "--map", "iterative", "--map-out", tmp_path / "map.json",

@@ -471,15 +471,8 @@ def count_calls(monkeypatch, owner, name):
 def test_crops_read_after_the_tour_are_the_crops_at_observation_time(synth, monkeypatch, mode):
     scene, by_id = synth["scene"], synth["by_id"]
     tour = Tour("t-crops", scene.scene_id, synth["tours"][0].episode_ids[:4])
-    at_the_time = []
-    crop_source = harness._Walk.crop_source
-
-    def eager(self, pose):
-        at_the_time.append(crop_egocentric(self.occ_map, pose, self.cfg.crop_size))
-        return crop_source(self, pose)
-
-    monkeypatch.setattr(harness._Walk, "crop_source", eager)
-    crops = count_calls(monkeypatch, harness, "crop_egocentric")
+    at_the_time = record_crops(monkeypatch)
+    crops = count_calls(monkeypatch, harness, "one_hot")
     policy = KeepingPolicy(scene, by_id, p_error=0.4, seed=3)
     cfg = Config(map_mode=mode, max_steps=20, crop_size=24)
     trace, _ = run_tour(scene, tour, by_id, policy, cfg)
@@ -551,11 +544,11 @@ def test_observation_message_with_a_given_or_a_deferred_crop(open_room):
         "cell": [2, 3],
     }
     args = ("e0", 2, "walk", pose, (2, 3), 7, "oracle")
-    deferred = Observation(*args, crop_source=walk.crop_source(pose))
+    deferred = Observation(*args, layers=crop_layers(occ_map, pose, 16))
     occ_map.clear()  # later map changes do not reach the crop
     assert json.dumps(observation_message(deferred)) == json.dumps(want)
-    # the source outlives the read of the crop, so the layers still come from it
-    assert crop_to_compact(*deferred.crop_layers()) == compact
+    # the message read the layers without using them up
+    assert crop_to_compact(*deferred.layers) == compact
     assert observation_message(Observation(*args))["crop"] is None
 
 
@@ -673,13 +666,16 @@ def test_socket_agent_message_flow(open_room):
 def record_crops(monkeypatch):
     """Crops of the map at each observation, in order, made eagerly."""
     at_the_time = []
-    crop_source = harness._Walk.crop_source
+    observation = harness._Walk.observation
 
-    def eager(self, pose):
-        at_the_time.append(crop_egocentric(self.occ_map, pose, self.cfg.crop_size))
-        return crop_source(self, pose)
+    def eager(self, *args):
+        obs = observation(self, *args)
+        # after the harness's own cut, so a crop of a map with poses still
+        # pending differs from this one
+        at_the_time.append(crop_egocentric(self.occ_map, obs.pose, self.cfg.crop_size))
+        return obs
 
-    monkeypatch.setattr(harness._Walk, "crop_source", eager)
+    monkeypatch.setattr(harness._Walk, "observation", eager)
     return at_the_time
 
 
@@ -694,7 +690,7 @@ def three_steps_then_stop(msg):
 @pytest.mark.parametrize("mode", ["episodic", "iterative"])
 def test_version_2_agent_gets_the_compact_crop_and_no_one_hot_is_made(synth, monkeypatch, mode):
     at_the_time = record_crops(monkeypatch)
-    one_hots = count_calls(monkeypatch, harness, "crop_egocentric")
+    one_hots = count_calls(monkeypatch, harness, "one_hot")
     scene, tour, by_id = map_tour(synth)
     cfg = Config(map_mode=mode, max_steps=15)
     server, (trace, _) = run_with_server(scene, tour, by_id, three_steps_then_stop, cfg=cfg)
