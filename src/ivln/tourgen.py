@@ -377,7 +377,8 @@ def held_karp_exact(cost: np.ndarray) -> tuple[list[int], float]:
     """Exact open-path order by dynamic programming over subsets.
 
     O(2^n n^2) time and memory; refuses instances beyond
-    ``ATSP_EXACT_LIMIT`` cities.
+    ``ATSP_EXACT_LIMIT`` cities.  Raises Disconnected when every ordering
+    has infinite cost.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[0]
@@ -405,9 +406,11 @@ def held_karp_exact(cost: np.ndarray) -> tuple[list[int], float]:
                 if cand < dp.get(key, math.inf) - 1e-12:
                     dp[key] = cand
                     parent[key] = last
+    # a state that no finite path reaches has no entry
     full = (1 << n) - 1
-    best_last = min(range(n), key=lambda last: (dp[(full, last)], last))
-    best_cost = dp[(full, best_last)]
+    best_cost, best_last = min((dp.get((full, last), math.inf), last) for last in range(n))
+    if best_cost == math.inf:
+        raise Disconnected("every ordering has infinite cost")
     order = [best_last]
     mask = full
     while len(order) < n:

@@ -104,10 +104,23 @@ def test_degenerate_sizes():
     assert open_path_cost(two, held_karp_exact(two)[0]) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("improve", [False, True])
-def test_all_orderings_infinite_raise_disconnected(improve):
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda cost: solve_atsp(cost, improve=False), id="False"),
+    pytest.param(lambda cost: solve_atsp(cost, improve=True), id="True"),
+    pytest.param(held_karp_exact, id="exact"),
+])
+def test_all_orderings_infinite_raise_disconnected(solve):
     with pytest.raises(Disconnected):
-        solve_atsp(np.array([[0.0, math.inf], [math.inf, 0.0]]), improve=improve)
+        solve(np.array([[0.0, math.inf], [math.inf, 0.0]]))
+
+
+def test_a_chain_of_finite_legs_is_the_order_of_both_solvers():
+    # only 0 -> 1 -> 2 is finite, so most end cities have no finite path
+    cost = np.array([[0.0, 1.0, math.inf], [math.inf, 0.0, 1.0], [math.inf, math.inf, 0.0]])
+    best_order, best = brute_force_open_path(cost)
+    assert (best_order, best) == ([0, 1, 2], 2.0)
+    assert held_karp_exact(cost) == (best_order, best)
+    assert solve_atsp(cost) == best_order
 
 
 def test_exact_solver_size_limit():
