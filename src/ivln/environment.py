@@ -45,7 +45,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import Disconnected, SnapFailure, UnsupportedScene
+from .errors import Disconnected, SnapFailure
 
 FORMAT_VERSION = "1"
 
@@ -573,8 +573,13 @@ def write_json(path, payload) -> None:
 
 
 def read_json(path):
+    """The JSON document in ``path``; raises ValueError naming the file,
+    line and column where it is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} line {exc.lineno}: {exc.msg} (column {exc.colno})") from None
 
 
 def read_json_lines(path) -> Iterator[tuple[int, object]]:
@@ -655,15 +660,21 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def scene_from_dict(payload: dict) -> Scene:
-    kind = payload.get("type")
+def scene_from_dict(payload: dict, where: str = "scene") -> Scene:
+    """Inverse of ``scene_to_dict``; raises ValueError naming ``where`` and
+    the field for a missing field or an unknown scene type."""
+    require_fields(payload, ("type",), where)
+    kind = payload["type"]
     if kind == "graph":
+        require_fields(payload, ("scene_id", "nodes", "edges"), where)
         graph = NavGraph(
             nodes={k: tuple(v) for k, v in payload["nodes"].items()},
             edges=[tuple(e) for e in payload["edges"]],
         )
         return Scene(scene_id=payload["scene_id"], graph=graph)
     if kind == "grid":
+        require_fields(payload, ("scene_id", "resolution", "origin", "width", "height", "navigable", "semantic",
+                                 "floor_z", "ceiling_z"), where)
         shape = (payload["height"], payload["width"])
         grid = GridWorld(
             resolution=payload["resolution"],
@@ -676,7 +687,7 @@ def scene_from_dict(payload: dict) -> Scene:
             ceiling_z=payload["ceiling_z"],
         )
         return Scene(scene_id=payload["scene_id"], grid=grid)
-    raise UnsupportedScene(f"unknown scene type {kind!r}")
+    raise ValueError(f"{where}: unknown scene type {kind!r}")
 
 
 def save_scene(scene: Scene, path) -> None:
@@ -684,4 +695,4 @@ def save_scene(scene: Scene, path) -> None:
 
 
 def load_scene(path) -> Scene:
-    return scene_from_dict(read_json(path))
+    return scene_from_dict(read_json(path), str(path))

@@ -610,6 +610,30 @@ def test_scene_payload_that_does_not_fit_is_bad_input(pipeline, tmp_path, capsys
     assert "expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, message", [
+    ("list", ": missing field 'type'"),
+    ("no type", ": missing field 'type'"),
+    ("mesh", ": unknown scene type 'mesh'"),
+    ("grid without resolution", ": missing field 'resolution'"),
+    ("graph without edges", ": missing field 'edges'"),
+    ("truncated", " line 1: Expecting value (column 10)"),
+], ids=["list", "no type", "mesh", "grid without resolution", "graph without edges", "truncated"])
+def test_a_malformed_scene_file_is_bad_input_and_named(pipeline, tmp_path, capsys, case, message):
+    grid, graph = (json.loads(pipeline[key].read_text()) for key in ("scene", "graph"))
+    text = {
+        "list": "[]",
+        "no type": json.dumps({k: v for k, v in grid.items() if k != "type"}),
+        "mesh": json.dumps({**grid, "type": "mesh"}),
+        "grid without resolution": json.dumps({k: v for k, v in grid.items() if k != "resolution"}),
+        "graph without edges": json.dumps({k: v for k, v in graph.items() if k != "edges"}),
+        "truncated": '{"type": ',
+    }[case]
+    bad = tmp_path / "scene.json"
+    bad.write_text(text)
+    assert run_cli("gen-episodes", "--scene", bad, "--out", tmp_path / "e.json") == 2
+    assert f"error: {bad}{message}" in capsys.readouterr().err
+
+
 def test_a_scene_with_a_nan_token_is_bad_input(pipeline, tmp_path, capsys):
     payload = json.loads(pipeline["scene"].read_text())
     payload["floor_z"] = math.nan
