@@ -5,7 +5,7 @@ chain plus a geodesic eval and an episodic-map run and replay on a grid
 scene, and through episodes, tours, a noisy rollout and a geodesic eval
 on its graph twin, then compares the sha256 of every artifact with ``tests/golden/sha256.json``.  A refactor that keeps
 behaviour keeps these bytes; a change that means to alter them
-regenerates the table with ``PYTHONPATH=src python tests/test_golden.py``
+regenerates the table with ``python tests/test_golden.py``
 (which prints the entries it adds, removes and changes) and says which
 artifacts changed and why.  The JSON artifacts must also
 be in the canonical form ``ivln.environment.json_line`` writes.
@@ -13,10 +13,13 @@ be in the canonical form ``ivln.environment.json_line`` writes.
 
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ivln.cli import main
 from ivln.environment import json_line
