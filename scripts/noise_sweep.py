@@ -37,7 +37,7 @@ def main() -> int:
         scene, EpisodeSpec(count=args.episodes, seed=args.world_seed)
     )
     by_id = {ep.episode_id: ep for ep in episodes}
-    tours = build_tours(episodes, scene, 1, seed=args.world_seed)
+    tours = build_tours(episodes, scene, seed=args.world_seed)
     print(f"world {scene.scene_id}: {len(episodes)} episodes, {len(tours)} tour(s)")
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

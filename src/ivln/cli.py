@@ -20,7 +20,6 @@ from .coverage import ObservationModel, coverage_curves
 from .environment import FORMAT_VERSION, GeodesicMetric, euclidean, load_scene, save_scene, write_json
 from .errors import (
     EmptySequence,
-    InstructionCountMismatch,
     IvlnError,
     MissingEpisode,
     PolicyTimeout,
@@ -110,25 +109,11 @@ def cmd_gen_episodes(args) -> int:
     return 0
 
 
-def _infer_duplicates(episodes) -> int:
-    counts: dict[str, int] = {}
-    for ep in episodes:
-        counts[ep.path_id] = counts.get(ep.path_id, 0) + 1
-    distinct = set(counts.values())
-    if len(distinct) != 1:
-        raise InstructionCountMismatch(
-            f"paths carry differing episode counts {sorted(distinct)}; "
-            "tour expansion needs a uniform count"
-        )
-    return distinct.pop()
-
-
 def cmd_gen_tours(args) -> int:
     cfg = _config_from_args(args, ("seed", "solver"))
     scene = load_scene(args.scene)
     episodes = load_episodes(args.episodes)
-    duplicates = _infer_duplicates(episodes)
-    tours = build_tours(episodes, scene, duplicates, cfg.seed, solver=cfg.solver)
+    tours = build_tours(episodes, scene, cfg.seed, solver=cfg.solver)
     save_tours(tours, episodes, args.out)
     print(_stats_block(compute_tour_stats(tours)))
     return 0

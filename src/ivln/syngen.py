@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import (
-    GridWorld,
-    NavGraph,
-    Point3,
-    Scene,
-    shortest_path,
-)
+from .environment import GridWorld, NavGraph, Point3, Scene
 from .errors import SamplingExhausted, SpecInfeasible
 from .tourgen import Episode
 
@@ -260,10 +254,8 @@ def generate_episodes(scene: Scene, spec: EpisodeSpec, id_prefix: str = "ep") ->
     episodes: list[Episode] = []
     if scene.grid is not None:
         locations = [(int(ix), int(iy)) for iy, ix in np.argwhere(scene.grid.navigable)]
-        to_point = scene.grid.cell_center
     else:
         locations = sorted(scene.graph.nodes)
-        to_point = lambda nid: scene.graph.nodes[nid]
 
     attempts = 0
     budget = spec.count * 300
@@ -281,7 +273,7 @@ def generate_episodes(scene: Scene, spec: EpisodeSpec, id_prefix: str = "ep") ->
         d = scene.nav.distance(goal, start)
         if not (spec.length_range[0] <= d <= spec.length_range[1]):
             continue
-        path = shortest_path(scene, to_point(start), to_point(goal))
+        path = [scene.location_point(loc) for loc in scene.nav.route(start, goal)]
         idx = len(episodes) // spec.instructions_per_path
         path_id = f"{id_prefix}p{idx:04d}"
         heading = _bearing(path[0], path[1]) if len(path) > 1 else 0.0

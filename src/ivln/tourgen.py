@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,10 +60,12 @@ class Episode:
 
 @dataclass
 class PathGroup:
-    """Paths of one scene that are pairwise reachable."""
+    """Paths of one scene that are pairwise reachable, with their slice of
+    the scene's endpoint matrix (``connectivity_matrix``)."""
 
     scene_id: str
     path_ids: list[str]
+    cost: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass
@@ -134,17 +136,18 @@ def load_episodes(path) -> list[Episode]:
     return episodes
 
 
+def _episodes_by_path(episodes: list[Episode]) -> dict[str, list[Episode]]:
+    """Episodes grouped by path_id, paths in first-appearance order."""
+    by_path: dict[str, list[Episode]] = {}
+    for ep in episodes:
+        by_path.setdefault(ep.path_id, []).append(ep)
+    return by_path
+
+
 def episodes_to_records(episodes: list[Episode]) -> list[dict]:
     """Group per-instruction episodes back into on-disk records."""
-    by_path: dict[str, list[Episode]] = {}
-    order: list[str] = []
-    for ep in episodes:
-        if ep.path_id not in by_path:
-            order.append(ep.path_id)
-        by_path.setdefault(ep.path_id, []).append(ep)
     records = []
-    for path_id in order:
-        group = by_path[path_id]
+    for path_id, group in _episodes_by_path(episodes).items():
         first = group[0]
         base = first.episode_id.rsplit("_", 1)[0] if len(group) > 1 else first.episode_id
         records.append(
@@ -171,13 +174,7 @@ def save_episodes(episodes: list[Episode], path) -> None:
 
 def unique_paths(episodes: list[Episode]) -> list[Episode]:
     """One representative episode per path_id, in first-appearance order."""
-    seen = set()
-    reps = []
-    for ep in episodes:
-        if ep.path_id not in seen:
-            seen.add(ep.path_id)
-            reps.append(ep)
-    return reps
+    return [group[0] for group in _episodes_by_path(episodes).values()]
 
 
 def partition_paths(episodes: list[Episode], scene: Scene) -> list[PathGroup]:
@@ -186,7 +183,8 @@ def partition_paths(episodes: list[Episode], scene: Scene) -> list[PathGroup]:
     Two paths are connected when the travel cost from one's end to the
     other's start is finite; finiteness is symmetric in an undirected
     scene, so connected components of that relation give the grouping.
-    Groups and their members keep first-appearance order.
+    Groups and their members keep first-appearance order.  The scene's
+    endpoint matrix is built once; each group carries its slice.
     """
     reps = unique_paths(episodes)
     if not reps:
@@ -208,10 +206,13 @@ def partition_paths(episodes: list[Episode], scene: Scene) -> list[PathGroup]:
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
 
-    members: dict[int, list[str]] = {}
-    for i, ep in enumerate(reps):
-        members.setdefault(find(i), []).append(ep.path_id)
-    return [PathGroup(scene_id=reps[0].scene_id, path_ids=members[root]) for root in sorted(members)]
+    members: dict[int, list[int]] = {}
+    for i in range(n):
+        members.setdefault(find(i), []).append(i)
+    return [
+        PathGroup(reps[0].scene_id, [reps[i].path_id for i in idx], cost[np.ix_(idx, idx)])
+        for idx in (members[root] for root in sorted(members))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -421,24 +422,20 @@ def held_karp_exact(cost: np.ndarray) -> tuple[list[int], float]:
     return order, float(best_cost)
 
 
-def order_paths(group: PathGroup, episodes: list[Episode], scene: Scene, solver: str = "nn+3opt") -> list[str]:
-    """Order a group's paths to minimize inter-path travel.
+def order_paths(group: PathGroup, solver: str = "nn+3opt") -> list[str]:
+    """Order a group's paths to minimize inter-path travel over
+    ``group.cost``.
 
     ``solver`` selects the ordering routine: "nn" (greedy construction
     only), "nn+3opt" (greedy plus local search, the default), or "exact"
     (subset dynamic programming, small groups only).
     """
-    reps = {ep.path_id: ep for ep in unique_paths(episodes)}
-    chosen = [reps[pid] for pid in group.path_ids]
-    if not chosen:
-        return []
-    cost = connectivity_matrix(scene, [(ep.start, ep.goal) for ep in chosen])
     if solver == "exact":
-        order, _ = held_karp_exact(cost)
+        order, _ = held_karp_exact(group.cost)
     elif solver == "nn":
-        order = solve_atsp(cost, improve=False)
+        order = solve_atsp(group.cost, improve=False)
     elif solver == "nn+3opt":
-        order = solve_atsp(cost)
+        order = solve_atsp(group.cost)
     else:
         raise ValueError(f"unknown solver {solver!r}")
     return [group.path_ids[i] for i in order]
@@ -465,9 +462,7 @@ def expand_instruction_tours(
     """
     if duplicates < 1:
         raise ValueError("duplicates must be at least 1")
-    by_path: dict[str, list[Episode]] = {}
-    for ep in episodes:
-        by_path.setdefault(ep.path_id, []).append(ep)
+    by_path = _episodes_by_path(episodes)
     for pid in ordered_paths:
         have = len(by_path.get(pid, []))
         if have != duplicates:
@@ -494,23 +489,23 @@ def expand_instruction_tours(
     return tours
 
 
-def build_tours(
-    episodes: list[Episode],
-    scene: Scene,
-    duplicates: int,
-    seed: int,
-    solver: str = "nn+3opt",
-) -> list[Tour]:
-    """Full pipeline for one scene: partition, order, expand."""
-    groups = partition_paths(episodes, scene)
+def build_tours(episodes: list[Episode], scene: Scene, seed: int, solver: str = "nn+3opt") -> list[Tour]:
+    """Full pipeline for one scene: partition, order, expand.
+
+    Every path must carry the same number of episodes, which sets the
+    number of tours per group; raises InstructionCountMismatch otherwise,
+    and for an empty episode list.
+    """
+    counts = sorted({len(group) for group in _episodes_by_path(episodes).values()})
+    if len(counts) != 1:
+        raise InstructionCountMismatch(
+            f"paths carry differing episode counts {counts}; tour expansion needs a uniform count"
+        )
     tours = []
-    for gi, group in enumerate(groups):
-        ordered = order_paths(group, episodes, scene, solver=solver)
-        path_ids = set(group.path_ids)
-        group_eps = [ep for ep in episodes if ep.path_id in path_ids]
+    for gi, group in enumerate(partition_paths(episodes, scene)):
         tours.extend(
             expand_instruction_tours(
-                ordered, group_eps, duplicates, seed + gi, tour_prefix=f"{scene.scene_id}-g{gi}-"
+                order_paths(group, solver), episodes, counts[0], seed + gi, tour_prefix=f"{scene.scene_id}-g{gi}-"
             )
         )
     return tours

@@ -258,7 +258,7 @@ def synth():
     """One mid-size synthetic world with a 3-instruction episode set."""
     scene, graph_scene = generate_scene(FloorplanSpec(rooms=4, seed=7))
     episodes = generate_episodes(scene, EpisodeSpec(count=10, instructions_per_path=3, seed=7))
-    tours = build_tours(episodes, scene, 3, seed=7)
+    tours = build_tours(episodes, scene, seed=7)
     return {
         "scene": scene,
         "graph_scene": graph_scene,

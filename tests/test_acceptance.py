@@ -222,7 +222,7 @@ def test_criterion_06_partitioning_and_exact_cover():
         episodes = generate_episodes(
             scene, EpisodeSpec(count=5, instructions_per_path=duplicates, seed=4)
         )
-        tours = build_tours(episodes, scene, duplicates, seed=4)
+        tours = build_tours(episodes, scene, seed=4)
         assert len(tours) == duplicates
         counts = Counter(eid for t in tours for eid in t.episode_ids)
         assert set(counts.values()) == {1}
@@ -259,7 +259,7 @@ def test_criterion_07_correction_and_budget_invariants(synth, tmp_path):
 def test_criterion_08_noise_degrades_the_score_monotonically():
     scene, _ = generate_scene(FloorplanSpec(rooms=3, seed=11))
     episodes = generate_episodes(scene, EpisodeSpec(count=8, seed=11))
-    tours = build_tours(episodes, scene, 1, seed=11)
+    tours = build_tours(episodes, scene, seed=11)
     by_id = {ep.episode_id: ep for ep in episodes}
     means = []
     for p in (0.0, 0.1, 0.3, 0.5):
@@ -377,7 +377,7 @@ def test_criterion_11_r2r_train_corpus(tmp_path):
         scene = load_scene(scene_file)
         episodes = load_episodes(out / "episodes" / scene_file.name)
         by_id = {ep.episode_id: ep for ep in episodes}
-        tours = build_tours(episodes, scene, 3, seed=0, solver="nn")
+        tours = build_tours(episodes, scene, seed=0, solver="nn")
         all_tours.extend(tours)
         curve = coverage_curves(
             tours, by_id, scene, ObservationModel(radius=3.0, occlusion=False)

@@ -396,7 +396,7 @@ def seeded_episodes(kind: str, p_error: float, seed: int):
     scene = grid if kind == "grid" else graph
     episodes = generate_episodes(scene, EpisodeSpec(count=4, length_range=(3.0, 12.0), seed=seed))
     by_id = {ep.episode_id: ep for ep in episodes}
-    tours = build_tours(episodes, scene, 1, seed=seed)
+    tours = build_tours(episodes, scene, seed=seed)
     traces, _ = run_tours(scene, tours, by_id, NoisyOraclePolicy(scene, by_id, p_error, seed=seed))
     return scene, [ep for trace in traces for ep in trace.episodes]
 

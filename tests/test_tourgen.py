@@ -176,7 +176,7 @@ def test_build_tours_covers_sealed_groups(split_world):
                     instruction="x",
                 )
             )
-    tours = build_tours(episodes, scene, 2, seed=3)
+    tours = build_tours(episodes, scene, seed=3)
     # 2 groups x 2 instruction duplicates
     assert len(tours) == 4
     used = Counter(eid for t in tours for eid in t.episode_ids)
@@ -245,7 +245,7 @@ def test_graph_scene_tours(synth):
     graph_scene = synth["graph_scene"]
     spec = EpisodeSpec(count=5, instructions_per_path=2, seed=21, length_range=(2.0, 12.0))
     episodes = generate_episodes(graph_scene, spec, id_prefix="gep")
-    tours = build_tours(episodes, graph_scene, 2, seed=21)
+    tours = build_tours(episodes, graph_scene, seed=21)
     used = Counter(eid for t in tours for eid in t.episode_ids)
     assert set(used.values()) == {1}
     assert len(used) == len(episodes)
