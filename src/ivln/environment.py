@@ -596,8 +596,10 @@ def read_json_lines(path) -> Iterator[tuple[int, object]]:
 
 
 def require_fields(record: dict, names, where: str) -> None:
-    """Raise ValueError naming ``where`` and the first of ``names`` that
-    ``record`` lacks."""
+    """Raise ValueError naming ``where`` when ``record`` is not a JSON
+    object, or naming it and the first of ``names`` that ``record`` lacks."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: expected a JSON object")
     for name in names:
         if name not in record:
             raise ValueError(f"{where}: missing field {name!r}")

@@ -47,6 +47,7 @@ from .environment import (
     encode_bitmask,
     encode_bytes,
     read_json,
+    require_fields,
     write_json,
 )
 from .errors import DimensionMismatch
@@ -299,7 +300,11 @@ def decode_bytes_f32(data: str, shape) -> np.ndarray:
     return decode_items(data, np.float32, shape[0] * shape[1]).reshape(shape).astype(np.float64)
 
 
-def map_from_dict(payload: dict) -> SemanticOccMap:
+def map_from_dict(payload: dict, where: str = "map") -> SemanticOccMap:
+    """Inverse of ``map_to_dict``; raises ValueError naming ``where`` and
+    the field for a missing field."""
+    require_fields(payload, ("height", "width", "resolution", "origin", "mode", "occupancy", "semantic", "observed",
+                             "top_z"), where)
     shape = (payload["height"], payload["width"])
     return SemanticOccMap(
         resolution=payload["resolution"],
@@ -319,7 +324,7 @@ def save_map(occ_map: SemanticOccMap, path) -> None:
 
 
 def load_map(path) -> SemanticOccMap:
-    return map_from_dict(read_json(path))
+    return map_from_dict(read_json(path), str(path))
 
 
 # ---------------------------------------------------------------------------

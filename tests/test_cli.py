@@ -373,6 +373,20 @@ def test_mixed_instruction_counts_rejected(pipeline, tmp_path, capsys):
     assert "uniform" in capsys.readouterr().err
 
 
+def test_gen_tours_names_differing_instruction_counts_and_writes_nothing(pipeline, tmp_path, capsys):
+    def add_an_instruction(data):
+        record = data["episodes"][0]
+        record["instructions"].append("walk on")
+        record["instruction_ids"].append(f"{record['instruction_ids'][-1]}x")
+        return data
+
+    edited = edited_episodes(pipeline, tmp_path, add_an_instruction)
+    out = tmp_path / "t.json"
+    assert run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", edited, "--out", out) == 3
+    assert "differing episode counts [2, 3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_instruction_ids_that_do_not_match_the_instructions_are_bad_input(pipeline, tmp_path, capsys):
     data = json.loads(pipeline["episodes"].read_text())
     record = data["episodes"][0]
@@ -611,15 +625,24 @@ def test_scene_payload_that_does_not_fit_is_bad_input(pipeline, tmp_path, capsys
 
 
 @pytest.mark.parametrize("case, message", [
-    ("list", ": missing field 'type'"),
+    ("list", ": expected a JSON object"),
     ("no type", ": missing field 'type'"),
     ("mesh", ": unknown scene type 'mesh'"),
     ("grid without resolution", ": missing field 'resolution'"),
     ("graph without edges", ": missing field 'edges'"),
     ("truncated", " line 1: Expecting value (column 10)"),
-], ids=["list", "no type", "mesh", "grid without resolution", "graph without edges", "truncated"])
+    ("number", ": expected a JSON object"),
+    ("string", ": expected a JSON object"),
+    ("tour file number", ": expected a JSON object"),
+    ("episode record", " episode record 0: expected a JSON object"),
+    ("tour record", " tour record 0: expected a JSON object"),
+    ("trace line", " line 2: expected a JSON object"),
+], ids=["list", "no type", "mesh", "grid without resolution", "graph without edges", "truncated", "number",
+        "string", "tour file number", "episode record", "tour record", "trace line"])
 def test_a_malformed_scene_file_is_bad_input_and_named(pipeline, tmp_path, capsys, case, message):
+    # the scene cases run gen-episodes; the last four are other files whose records are not objects
     grid, graph = (json.loads(pipeline[key].read_text()) for key in ("scene", "graph"))
+    first_trace = pipeline["traces"].read_text().splitlines()[0]
     text = {
         "list": "[]",
         "no type": json.dumps({k: v for k, v in grid.items() if k != "type"}),
@@ -627,11 +650,25 @@ def test_a_malformed_scene_file_is_bad_input_and_named(pipeline, tmp_path, capsy
         "grid without resolution": json.dumps({k: v for k, v in grid.items() if k != "resolution"}),
         "graph without edges": json.dumps({k: v for k, v in graph.items() if k != "edges"}),
         "truncated": '{"type": ',
+        "number": "5",
+        "string": '"grid type"',
+        "tour file number": "5",
+        "episode record": '{"episodes": [5]}',
+        "tour record": '{"tours": [5]}',
+        "trace line": f"{first_trace}\n5\n",
     }[case]
-    bad = tmp_path / "scene.json"
+    bad = tmp_path / "input.json"
     bad.write_text(text)
-    assert run_cli("gen-episodes", "--scene", bad, "--out", tmp_path / "e.json") == 2
+    out = tmp_path / "out.json"
+    argv = {
+        "tour file number": ("stats", "--tours", bad),
+        "tour record": ("stats", "--tours", bad),
+        "episode record": ("gen-tours", "--scene", pipeline["scene"], "--episodes", bad, "--out", out),
+        "trace line": ("eval", "--traces", bad, "--episodes", pipeline["episodes"], "--out", out),
+    }.get(case, ("gen-episodes", "--scene", bad, "--out", out))
+    assert run_cli(*argv) == 2
     assert f"error: {bad}{message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_scene_with_a_nan_token_is_bad_input(pipeline, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -402,6 +403,15 @@ def test_map_loader_rejects_payloads_that_do_not_fit(tmp_path, key, item_size, d
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         load_map(path)
+
+
+def test_a_map_file_without_a_field_is_named(tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text('{"format_version": "1"}')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing field 'height'$"):
+        load_map(path)
+    with pytest.raises(ValueError, match="^map: expected a JSON object$"):
+        map_from_dict([])
 
 
 # -- synthetic views ----------------------------------------------------------

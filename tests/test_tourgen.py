@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from ivln import tourgen
 from ivln.environment import connectivity_matrix
 from ivln.errors import EmptySequence, InstructionCountMismatch, MissingEpisode
 from ivln.syngen import EpisodeSpec, FloorplanSpec, generate_episodes, generate_scene
@@ -182,6 +183,33 @@ def test_build_tours_covers_sealed_groups(split_world):
     used = Counter(eid for t in tours for eid in t.episode_ids)
     assert set(used.values()) == {1}
     assert len(used) == len(episodes)
+
+
+@pytest.mark.parametrize("world", ["split", "graph"])
+def test_build_tours_builds_one_endpoint_matrix(split_world, synth, monkeypatch, world):
+    if world == "split":
+        scene, left, right = split_world
+        episodes = left + right
+    else:
+        scene = synth["graph_scene"]
+        spec = EpisodeSpec(count=5, instructions_per_path=2, seed=21, length_range=(2.0, 12.0))
+        episodes = generate_episodes(scene, spec, id_prefix="gep")
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return connectivity_matrix(*args)
+
+    monkeypatch.setattr(tourgen, "connectivity_matrix", counting)
+    build_tours(episodes, scene, seed=0)
+    assert len(calls) == 1
+    groups = partition_paths(episodes, scene)
+    assert len(groups) == (2 if world == "split" else 1)
+    reps = {e.path_id: e for e in unique_paths(episodes)}
+    for group in groups:
+        # bitwise what a connectivity_matrix over the group's paths gives
+        alone = connectivity_matrix(scene, [(reps[p].start, reps[p].goal) for p in group.path_ids])
+        assert group.cost.tobytes() == alone.tobytes()
 
 
 def test_stats_single_tour():
