@@ -209,10 +209,8 @@ def partition_paths(episodes: list[Episode], scene: Scene) -> list[PathGroup]:
     members: dict[int, list[int]] = {}
     for i in range(n):
         members.setdefault(find(i), []).append(i)
-    return [
-        PathGroup(reps[0].scene_id, [reps[i].path_id for i in idx], cost[np.ix_(idx, idx)])
-        for idx in (members[root] for root in sorted(members))
-    ]
+    groups = [members[root] for root in sorted(members)]
+    return [PathGroup(reps[0].scene_id, [reps[i].path_id for i in idx], cost[np.ix_(idx, idx)]) for idx in groups]
 
 
 # ---------------------------------------------------------------------------
