@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Minimal external agent for `ivln run --policy ext:...`.
 
-Speaks the line-delimited JSON protocol on stdin/stdout: acks reset,
-episode, and passive observation messages; on active observations walks
-forward a fixed number of steps per episode and then stops.  On graph
-scenes it stops immediately since it has no view of the adjacency.
+Speaks the line-delimited JSON protocol on stdin/stdout: acks reset and
+episode messages; on active observations walks forward a fixed number of
+steps per episode and then stops.  On graph scenes it stops immediately
+since it has no view of the adjacency.
 
-It acks protocol version 2 in its reset ack, the one version the
-harness speaks; map crops arrive as compact label and occupancy grids,
-which read_crop decodes with the standard library alone.
+It acks protocol version 3 in its reset ack, so passive (oracle-phase)
+observations arrive without a crop and it sends no reply to them.  Map
+crops arrive on active observations as compact label and occupancy
+grids, which read_crop decodes with the standard library alone.
 
 Useful as a template for wiring in a real policy: replace decide()
 and keep the message loop.
@@ -19,7 +20,7 @@ import base64
 import json
 import sys
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 def read_crop(crop):
@@ -70,13 +71,11 @@ def main() -> None:
             steps_left = args.forward_steps
             reply = {"type": "ack"}
         elif kind == "observe":
-            crop = read_crop(msg.get("crop"))
             if msg.get("passive"):
-                reply = {"type": "ack"}
-            else:
-                reply = decide(msg, crop, steps_left)
-                if reply.get("action") == "forward":
-                    steps_left -= 1
+                continue
+            reply = decide(msg, read_crop(msg.get("crop")), steps_left)
+            if reply.get("action") == "forward":
+                steps_left -= 1
         else:
             reply = {"type": "ack"}
         sys.stdout.write(json.dumps(reply, sort_keys=True, separators=(",", ":")) + "\n")

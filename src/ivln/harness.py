@@ -17,7 +17,10 @@ are therefore always cell centers or node positions.
 
 External policies speak line-delimited JSON over a subprocess pipe or a
 TCP socket.  Active observations are answered with an act message,
-everything else with an ack, each within the per-step deadline.
+resets and episode starts with an ack.  Passive observations are acked
+under protocol version 2; under version 3 they carry no crop and get no
+reply, so an agent's fault shows at the next message that needs one or
+at the next send.  Every send and every reply has the per-step deadline.
 """
 
 from __future__ import annotations
@@ -76,9 +79,10 @@ MAX_RANGE = 10.0
 # poses a walk folds in one ``sense``; small batches keep memory flat
 SENSE_CHUNK = 8
 
-# the wire protocol version the harness speaks: crops travel as compact
-# label and occupancy grids
-PROTOCOL_VERSION = 2
+# the newest wire protocol version, the one a reset names; the harness
+# also speaks version 2.  Both carry crops as compact label and occupancy
+# grids; under version 3 a passive observation has no crop and no ack
+PROTOCOL_VERSION = 3
 
 # how much of an external agent's stderr a protocol error quotes
 _STDERR_TAIL_BYTES = 2048
@@ -103,7 +107,8 @@ class Observation:
 
     ``layers`` is the egocentric crop's label and occupancy grids
     (``mapper.crop_layers``), cut from the map at this step, or None
-    without a map or ``Policy.reads_crops``.  The one-hot ``crop`` is made
+    without a map or ``Policy.reads_crops`` (for a passive observation,
+    ``Policy.reads_passive_crops``).  The one-hot ``crop`` is made
     from them on first read, so a reader that never reads it makes none.
     """
 
@@ -221,9 +226,11 @@ class _WaypointCursor:
 
 class Policy:
     """Base policy; subclasses override act, the rest are optional hooks.
-    Observations carry a map crop only if ``reads_crops`` (False on the built-in ones)."""
+    Observations carry a map crop only if ``reads_crops`` (False on the built-in ones),
+    and passive ones only if ``reads_passive_crops`` too, read after ``reset``."""
 
     reads_crops = True
+    reads_passive_crops = True
 
     def reset(self, tour_id: str) -> None:
         pass
@@ -317,8 +324,11 @@ class _Walk:
     "known" map is the ground truth and never changes.  The live rollout
     and the replay both drive a walk, so their maps agree.
 
-    A map is sensed only for a crop reader or a caller that keeps it, in
-    batches of ``SENSE_CHUNK`` queued poses and before it is handed out.
+    A map is sensed only for a crop reader or a caller that keeps it.
+    Poses queue up and fold, ``SENSE_CHUNK`` at a time, when the map is
+    handed out: in a crop, or as the kept map.  A kept map also folds
+    every ``SENSE_CHUNK`` poses as the walk goes, which keeps its memory
+    flat; an episodic clear drops the queued poses nobody read.
     """
 
     def __init__(self, scene: Scene, cfg: Config, reads_crops: bool = False, keep_map: bool = True):
@@ -332,6 +342,8 @@ class _Walk:
         elif cfg.map_mode != "none":
             self._map = SemanticOccMap.for_grid(scene.grid, cfg.map_mode)
         self.reads_crops = reads_crops
+        self.reads_passive_crops = reads_crops
+        self.keep_map = keep_map
         self._senses = cfg.map_mode in ("episodic", "iterative") and (reads_crops or keep_map)
         self._pending: list[Pose] = []
         self.intrinsics = CameraIntrinsics.from_hfov(FRAME_WIDTH, FRAME_HEIGHT, HFOV_DEG)
@@ -348,9 +360,9 @@ class _Walk:
         return self._map
 
     def _fold(self) -> None:
-        if self._pending:
-            sense(self._map, self.scene.grid, self._pending, self.intrinsics, MAX_RANGE)
-            self._pending = []
+        for i in range(0, len(self._pending), SENSE_CHUNK):
+            sense(self._map, self.scene.grid, self._pending[i:i + SENSE_CHUNK], self.intrinsics, MAX_RANGE)
+        self._pending = []
 
     def begin(self, episode: Episode) -> Point3:
         """Start an episode: the first at its snapped start, later ones where
@@ -373,12 +385,13 @@ class _Walk:
             return
         pos = self.position
         self._pending.append(Pose(Point3(pos.x, pos.y, self.scene.grid.floor_z + CAMERA_HEIGHT), self.state.heading))
-        if len(self._pending) == SENSE_CHUNK:
+        if self.keep_map and len(self._pending) == SENSE_CHUNK:
             self._fold()
 
     def observation(self, episode: Episode, index: int, steps_remaining: int, phase: str) -> Observation:
         pose = Pose(self.position, self.state.heading)
-        occ_map = self.occ_map if self.reads_crops else None
+        reads = self.reads_crops if phase == "agent" else self.reads_passive_crops
+        occ_map = self.occ_map if reads else None
         layers = None if occ_map is None else crop_layers(occ_map, pose, self.cfg.crop_size)
         return Observation(episode.episode_id, index, episode.instruction, pose, self.state.location,
                            steps_remaining, phase, layers)
@@ -421,7 +434,7 @@ def run_tour(
     On policy failure after the reset, wherever it happens in the tour,
     the exception carries the partial trace in its ``partial_trace``
     attribute: the finished episodes, the agent phase in progress and
-    the oracle segments logged so far.  Raises ValueError on an invalid
+    the oracle segments finished so far.  Raises ValueError on an invalid
     ``cfg`` before any step.
     """
     if cfg is None:
@@ -436,6 +449,8 @@ def run_tour(
     geo = GeodesicMetric(scene)
     budget = cfg.budget(scene)
     policy.reset(tour.tour_id)
+    # an external agent's acked protocol version decides this
+    walk.reads_passive_crops = walk.reads_crops and getattr(policy, "reads_passive_crops", True)
 
     episode_traces: list[EpisodeTrace] = []
     try:
@@ -570,9 +585,10 @@ def observation_message(obs: Observation) -> dict:
 
 class _LineTransport:
     """The framing both transports share: one ``json_line`` per message
-    each way.  A transport supplies ``send``, ``_read`` (the bytes that
-    arrive within a timeout, b"" for none, raising on a closed peer) and
-    ``_release``."""
+    each way.  A transport supplies ``send`` (raising PolicyTimeout when
+    the peer takes in too little within the timeout), ``_read`` (the
+    bytes that arrive within a timeout, b"" for none, raising on a closed
+    peer) and ``_release``."""
 
     _buf = b""
 
@@ -586,10 +602,10 @@ class _LineTransport:
         line, self._buf = self._buf.split(b"\n", 1)
         return _parse_message(line)
 
-    def close(self) -> None:
+    def close(self, timeout: float) -> None:
         try:
-            self.send({"type": "close"})
-        except ProtocolViolation:
+            self.send({"type": "close"}, timeout)
+        except (PolicyTimeout, ProtocolViolation):
             pass
         self._release()
 
@@ -618,6 +634,10 @@ class SubprocessTransport(_LineTransport):
             raise
         self._sel = selectors.DefaultSelector()
         self._sel.register(self.proc.stdout, selectors.EVENT_READ)
+        # a write never blocks: send waits for room in the pipe until its deadline
+        os.set_blocking(self.proc.stdin.fileno(), False)
+        self._writable = selectors.DefaultSelector()
+        self._writable.register(self.proc.stdin, selectors.EVENT_WRITE)
 
     def _closed(self, what: str) -> ProtocolViolation:
         """The error for a child that closed its input or output."""
@@ -633,10 +653,18 @@ class SubprocessTransport(_LineTransport):
         state = "still running" if status is None else f"exit status {status}"
         return ProtocolViolation(f"agent process closed its {what} ({state}); stderr tail: {tail!r}")
 
-    def send(self, message: dict) -> None:
+    def send(self, message: dict, timeout: float) -> None:
+        data = memoryview(json_line(message).encode())
+        deadline = time.monotonic() + timeout
         try:
-            self.proc.stdin.write(json_line(message).encode())
-            self.proc.stdin.flush()
+            while True:
+                # a full pipe takes part of the data, or none (None)
+                data = data[self.proc.stdin.write(data) or 0:]
+                if not data:
+                    return
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not self._writable.select(remaining):
+                    raise PolicyTimeout(f"agent did not read the message within {timeout} s")
         except (BrokenPipeError, ValueError):
             raise self._closed("input") from None
 
@@ -662,6 +690,7 @@ class SubprocessTransport(_LineTransport):
             self.proc.kill()
             self.proc.wait()
         self._sel.close()
+        self._writable.close()
         self.proc.stdout.close()
         self._stderr.close()
 
@@ -672,9 +701,12 @@ class SocketTransport(_LineTransport):
     def __init__(self, host: str, port: int, connect_timeout: float = 10.0):
         self.sock = socket.create_connection((host, port), timeout=connect_timeout)
 
-    def send(self, message: dict) -> None:
+    def send(self, message: dict, timeout: float) -> None:
+        self.sock.settimeout(timeout)
         try:
             self.sock.sendall(json_line(message).encode())
+        except TimeoutError:
+            raise PolicyTimeout(f"agent did not read the message within {timeout} s") from None
         except OSError as exc:
             raise ProtocolViolation(f"agent connection failed: {exc}") from None
 
@@ -711,12 +743,24 @@ class ExternalPolicy(Policy):
     """Bridges the harness to an agent behind a transport.
 
     Each tour's reset names ``PROTOCOL_VERSION``, and the agent's ack
-    must carry the same ``"protocol_version"``.
+    carries the version it speaks for the tour, 2 or 3.  A version-2
+    agent acks every passive observation, which carries a crop; a
+    version-3 agent gets passive observations without one and sends no
+    reply.  Every send and every reply is bounded by ``timeout``.
     """
+
+    version = None  # the protocol version acked at the last reset
 
     def __init__(self, transport, timeout: float = 10.0):
         self.transport = transport
         self.timeout = timeout
+
+    @property
+    def reads_passive_crops(self) -> bool:
+        return self.version == 2
+
+    def _send(self, message: dict) -> None:
+        self.transport.send(message, self.timeout)
 
     def _expect_ack(self) -> dict:
         reply = self.transport.recv(self.timeout)
@@ -725,21 +769,21 @@ class ExternalPolicy(Policy):
         return reply
 
     def reset(self, tour_id):
-        self.transport.send({"type": "reset", "tour_id": tour_id, "protocol_version": PROTOCOL_VERSION})
+        self._send({"type": "reset", "tour_id": tour_id, "protocol_version": PROTOCOL_VERSION})
         version = self._expect_ack().get("protocol_version")
-        if type(version) is not int or version != PROTOCOL_VERSION:
+        if type(version) is not int or version not in (2, 3):
             raise ProtocolViolation(
-                f"agent acked protocol_version {version!r}; the harness speaks version {PROTOCOL_VERSION}"
+                f"agent acked protocol_version {version!r}; the harness speaks versions 2 and 3"
+                " (ack protocol_version 2 or 3)"
             )
+        self.version = version
 
     def begin_episode(self, episode_id, instruction):
-        self.transport.send(
-            {"type": "episode", "episode_id": episode_id, "instruction": instruction}
-        )
+        self._send({"type": "episode", "episode_id": episode_id, "instruction": instruction})
         self._expect_ack()
 
     def act(self, obs):
-        self.transport.send(observation_message(obs))
+        self._send(observation_message(obs))
         reply = self.transport.recv(self.timeout)
         if reply.get("type") != "act":
             raise ProtocolViolation(f"expected act, got {reply.get('type')!r}")
@@ -754,11 +798,12 @@ class ExternalPolicy(Policy):
         return AgentAction(kind)
 
     def observe(self, obs):
-        self.transport.send(observation_message(obs))
-        self._expect_ack()
+        self._send(observation_message(obs))
+        if self.version == 2:
+            self._expect_ack()
 
     def close(self):
-        self.transport.close()
+        self.transport.close(self.timeout)
 
 
 def make_policy(spec: str, scene: Scene, episodes_by_id: dict, cfg: Config) -> Policy:

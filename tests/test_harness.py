@@ -39,6 +39,7 @@ from ivln.mapper import (
     crop_layers,
     crop_to_compact,
     known_map,
+    map_to_dict,
     save_map,
 )
 from ivln.metrics import TourTrace, ndtw, write_traces
@@ -589,13 +590,22 @@ def test_random_policy_returns_legal_actions(open_room):
 # -- wire protocol ------------------------------------------------------------
 
 
+V2_ACK = {"type": "ack", "protocol_version": 2}
+V3_ACK = {"type": "ack", "protocol_version": 3}
+
+
 class WireServer:
     """Single-connection scripted agent on a local TCP port; it answers
-    reset with ``reset_ack``, the version-2 ack unless given."""
+    reset with ``reset_ack``, the version-2 ack unless given, and acks
+    passive observations if ``acks_passive``, by default under version 2
+    alone.  ``hang_up(msg)`` makes it close the connection after reading
+    ``msg``."""
 
-    def __init__(self, act, reset_ack=None):
+    def __init__(self, act, reset_ack=None, acks_passive=None, hang_up=lambda msg: False):
         self.act = act
-        self.reset_ack = reset_ack or {"type": "ack", "protocol_version": 2}
+        self.reset_ack = reset_ack or V2_ACK
+        self.acks_passive = self.reset_ack.get("protocol_version") == 2 if acks_passive is None else acks_passive
+        self.hang_up = hang_up
         self.messages = []
         self.sock = socket.socket()
         self.sock.bind(("127.0.0.1", 0))
@@ -617,8 +627,10 @@ class WireServer:
                     line, buf = buf.split(b"\n", 1)
                     msg = json.loads(line)
                     self.messages.append(msg)
-                    if msg["type"] == "close":
+                    if msg["type"] == "close" or self.hang_up(msg):
                         return
+                    if msg["type"] == "observe" and msg["passive"] and not self.acks_passive:
+                        continue
                     if msg["type"] == "observe" and not msg["passive"]:
                         reply = self.act(msg)
                     elif msg["type"] == "reset":
@@ -630,11 +642,11 @@ class WireServer:
                     conn.sendall(reply)
 
 
-def run_with_server(scene, tour, by_id, act, timeout=2.0, reset_ack=None, cfg=None):
+def run_with_server(scene, tour, by_id, act, timeout=2.0, reset_ack=None, cfg=None, keep_map=True):
     server = WireServer(act, reset_ack)
     policy = ExternalPolicy(SocketTransport("127.0.0.1", server.port), timeout=timeout)
     try:
-        return server, run_tour(scene, tour, by_id, policy, cfg)
+        return server, run_tour(scene, tour, by_id, policy, cfg, keep_map)
     finally:
         policy.close()
         server.thread.join(timeout=2.0)
@@ -694,7 +706,7 @@ def test_version_2_agent_gets_the_compact_crop_and_no_one_hot_is_made(synth, mon
     scene, tour, by_id = map_tour(synth)
     cfg = Config(map_mode=mode, max_steps=15)
     server, (trace, _) = run_with_server(scene, tour, by_id, three_steps_then_stop, cfg=cfg)
-    assert server.messages[0] == {"type": "reset", "tour_id": "t-wire", "protocol_version": 2}
+    assert server.messages[0] == {"type": "reset", "tour_id": "t-wire", "protocol_version": 3}
     assert one_hots == []
     observes = [m for m in server.messages if m["type"] == "observe"]
     assert len(observes) == len(at_the_time) > 10
@@ -707,7 +719,7 @@ def test_version_2_agent_gets_the_compact_crop_and_no_one_hot_is_made(synth, mon
     assert [et.actions for et in trace.episodes] == [["forward"] * 3 + ["stop"]] * 2
 
 
-@pytest.mark.parametrize("version", ["plain", 1, 3, "2", 0, None, True, 2.0])
+@pytest.mark.parametrize("version", ["plain", 1, 4, "2", 0, None, True, 2.0])
 def test_unknown_protocol_version_is_refused(open_room, version):
     tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]))
     # "plain" is an ack without the field, which reads as None
@@ -722,8 +734,174 @@ def test_unknown_protocol_version_is_refused(open_room, version):
         policy.close()
         server.thread.join(timeout=2.0)
     message = str(exc_info.value)
-    assert f"protocol_version {shown!r}" in message and message.endswith("speaks version 2")
+    assert f"protocol_version {shown!r}" in message and "the harness speaks versions 2 and 3" in message
     assert [m["type"] for m in server.messages] == ["reset", "close"]
+
+
+def observes(messages, passive):
+    return [m for m in messages if m["type"] == "observe" and m["passive"] == passive]
+
+
+@pytest.mark.parametrize("mode", ["episodic", "iterative"])
+def test_a_version_3_run_equals_a_version_2_run(synth, tmp_path, mode):
+    scene, tour, by_id = map_tour(synth)
+    cfg = Config(map_mode=mode, max_steps=15)
+    runs = []
+    for ack in (V2_ACK, V3_ACK):
+        server, (trace, occ_map) = run_with_server(scene, tour, by_id, three_steps_then_stop, reset_ack=ack, cfg=cfg)
+        out = tmp_path / f"v{ack['protocol_version']}.jsonl"
+        write_traces([trace], out)
+        runs.append((server.messages, out.read_bytes(), json.dumps(map_to_dict(occ_map))))
+    (v2_messages, v2_trace, v2_map), (v3_messages, v3_trace, v3_map) = runs
+    assert v3_trace == v2_trace and v3_map == v2_map
+    assert observes(v3_messages, False) == observes(v2_messages, False)
+    passive = observes(v3_messages, True)
+    assert passive and all(m["crop"] is None for m in passive)
+    assert all(m["crop"] is not None for m in observes(v2_messages, True))
+
+
+def walk_positions(episode_trace, with_segments=True):
+    """The cell positions an episode's walk took, in order: its start, its
+    agent steps and, ``with_segments``, the oracle's."""
+    points = list(episode_trace.agent_path)
+    if with_segments:
+        points += [pt for seg in episode_trace.segments for pt in seg.points]
+    return [(pt.x, pt.y) for pt in points]
+
+
+@pytest.mark.parametrize("mode", ["episodic", "iterative"])
+def test_a_version_3_crop_reader_senses_only_what_its_crops_include(synth, monkeypatch, mode):
+    calls = count_calls(monkeypatch, harness, "sense")
+    scene, tour, by_id = map_tour(synth)
+    cfg = Config(map_mode=mode, max_steps=15)
+    _, (trace, kept) = run_with_server(scene, tour, by_id, three_steps_then_stop, reset_ack=V3_ACK, cfg=cfg,
+                                       keep_map=False)
+    assert kept is None and oracle_segments(trace)
+    sensed = [(pose.position.x, pose.position.y) for call in calls for pose in call[2]]
+    *earlier, last = trace.episodes
+    # the oracle's poses after an episode's last active observation are read
+    # by the next episode's first crop, or by no crop at all
+    carried = mode == "iterative"
+    assert sensed == [pos for et in earlier for pos in walk_positions(et, carried)] + walk_positions(last, False)
+    # a crop reader's every step folds its one new pose; a carried phase folds in slices
+    assert max(len(call[2]) for call in calls) == (harness.SENSE_CHUNK if carried else 1)
+
+
+def test_a_kept_map_folds_as_the_walk_goes(synth, monkeypatch):
+    moves = count_calls(monkeypatch, harness, "apply_action")
+    batches = []  # (moves made so far, poses sensed)
+    sense = harness.sense
+
+    def recording(occ_map, grid, poses, *rest):
+        batches.append((len(moves), len(poses)))
+        return sense(occ_map, grid, poses, *rest)
+
+    monkeypatch.setattr(harness, "sense", recording)
+    scene, tour, by_id = map_tour(synth)
+    _, (trace, kept) = run_with_server(scene, tour, by_id, three_steps_then_stop, reset_ack=V3_ACK,
+                                       cfg=Config(map_mode="iterative", max_steps=15))
+    assert kept is not None and oracle_segments(trace)
+    # every pose is sensed once, at most SENSE_CHUNK moves after it was taken
+    assert sum(size for _, size in batches) == sum(len(walk_positions(et)) for et in trace.episodes)
+    assert all(size <= harness.SENSE_CHUNK for _, size in batches)
+    made = [0] + [at for at, _ in batches]
+    assert made[-1] == len(moves) and max(b - a for a, b in zip(made, made[1:])) <= harness.SENSE_CHUNK
+
+
+def stop(msg):
+    return {"type": "act", "action": "stop"}
+
+
+def three_episode_tour():
+    """A stopping agent gets a goal correction in every episode and a
+    transit after the second."""
+    return tour_of(ep("e0", [(2, 2), (6, 2)]), ep("e1", [(6, 2), (6, 5)]), ep("e2", [(2, 5), (4, 5)]))
+
+
+def test_a_version_3_peer_that_acks_a_passive_observation_fails_at_the_next_act(open_room):
+    tour, by_id = three_episode_tour()
+    server = WireServer(stop, V3_ACK, acks_passive=True)
+    policy = ExternalPolicy(SocketTransport("127.0.0.1", server.port), timeout=2.0)
+    try:
+        with pytest.raises(ProtocolViolation, match="expected act, got 'ack'") as exc_info:
+            run_tour(open_room, tour, by_id, policy)
+    finally:
+        policy.close()
+        server.thread.join(timeout=2.0)
+    finished, current = exc_info.value.partial_trace.episodes
+    assert finished.actions == ["stop"] and [s.kind for s in finished.segments] == ["oracle_goal"]
+    assert current.episode_id == "e1" and current.actions == []
+
+
+def test_a_version_3_peer_that_dies_in_a_goal_correction_keeps_the_trace_so_far(open_room):
+    tour, by_id = three_episode_tour()
+    reference, _ = run_tour(open_room, tour, by_id, StopPolicy())
+    correction, transit = reference.episodes[1].segments
+    assert (correction.kind, transit.kind) == ("oracle_goal", "oracle_transit")
+    passives = []
+
+    def dies_at_the_corrections_last_step(msg):
+        if msg["type"] == "observe" and msg["passive"] and msg["episode_index"] == 1:
+            passives.append(msg)
+        return len(passives) == len(correction.points)
+
+    server = WireServer(stop, V3_ACK, hang_up=dies_at_the_corrections_last_step)
+    policy = ExternalPolicy(SocketTransport("127.0.0.1", server.port), timeout=2.0)
+    try:
+        # the harness reads nothing during the oracle phases, so it sees the
+        # dead peer at a later send or at the next episode's ack
+        with pytest.raises(ProtocolViolation) as exc_info:
+            run_tours(open_room, [tour], by_id, policy)
+    finally:
+        policy.close()
+        server.thread.join(timeout=2.0)
+    (partial,) = exc_info.value.partial_traces
+    finished, dying, *rest = partial.episodes
+    assert finished == reference.episodes[0]
+    assert dying.actions == ["stop"] and dying.segments[0] == correction
+    assert len(rest) <= 1 and all(et.actions == [] for et in rest)
+
+
+# It reads the reset, answers it and every later message that needs a
+# reply, one stop per episode, and then reads nothing more.
+STOPS_READING = """
+import sys, time
+sys.stdin.readline()
+sys.stdout.write('{"type":"ack","protocol_version":3}\\n' + '{"type":"ack"}\\n{"type":"act","action":"stop"}\\n' * 200)
+sys.stdout.flush()
+time.sleep(30)
+"""
+
+
+def test_a_send_to_an_agent_that_stops_reading_fails_at_the_step_deadline(open_room, tmp_path):
+    # passive observations between far corners outgrow any pipe buffer
+    corners = [(1, 1), (8, 6)]
+    tour, by_id = tour_of(*(ep(f"e{i}", [corners[i % 2], corners[1 - i % 2]]) for i in range(200)))
+    script = tmp_path / "stops_reading.py"
+    script.write_text(STOPS_READING)
+    policy = ExternalPolicy(SubprocessTransport(f"{sys.executable} {script}"), timeout=1.0)
+    start = time.monotonic()
+    try:
+        with pytest.raises(PolicyTimeout, match="did not read the message within 1.0 s") as exc_info:
+            run_tour(open_room, tour, by_id, policy)
+        assert time.monotonic() - start < 4.0
+    finally:
+        policy.close()
+    assert len(exc_info.value.partial_trace.episodes) > 10
+
+
+def test_a_socket_send_to_a_peer_that_stops_reading_fails_at_the_deadline():
+    listener = socket.create_server(("127.0.0.1", 0))
+    transport = SocketTransport("127.0.0.1", listener.getsockname()[1])
+    conn, _ = listener.accept()
+    try:
+        with pytest.raises(PolicyTimeout, match="did not read the message within 0.2 s"):
+            for _ in range(64):
+                transport.send({"type": "pad", "pad": "x" * (1 << 20)}, 0.2)
+    finally:
+        transport.close(0.1)
+        conn.close()
+        listener.close()
 
 
 class FailingStopPolicy(StopPolicy):
@@ -904,23 +1082,23 @@ def scripted_transport(kind, tmp_path):
 def test_transport_contract(kind, tmp_path):
     transport, closed, thread = scripted_transport(kind, tmp_path)
     try:
-        transport.send({"type": "script", "chunks": ['{"type": "ack", ', '"n": 1}\n']})
+        transport.send({"type": "script", "chunks": ['{"type": "ack", ', '"n": 1}\n']}, 5.0)
         assert transport.recv(5.0) == {"type": "ack", "n": 1}
 
-        transport.send({"type": "script", "chunks": ['{"type":"ack","n":2}\n{"type":"ack","n":3}\n']})
+        transport.send({"type": "script", "chunks": ['{"type":"ack","n":2}\n{"type":"ack","n":3}\n']}, 5.0)
         assert [transport.recv(5.0)["n"] for _ in range(2)] == [2, 3]
 
-        transport.send({"type": "script", "chunks": []})
+        transport.send({"type": "script", "chunks": []}, 5.0)
         start = time.monotonic()
         with pytest.raises(PolicyTimeout, match="no reply within 0.3 s"):
             transport.recv(0.3)
         assert time.monotonic() - start >= 0.3
 
-        transport.send({"type": "script", "hang_up": True})
+        transport.send({"type": "script", "hang_up": True}, 5.0)
         with pytest.raises(ProtocolViolation, match=closed):
             transport.recv(5.0)
     finally:
-        transport.close()
+        transport.close(5.0)
     if thread is not None:
         thread.join(timeout=5.0)
         assert not thread.is_alive()
@@ -956,11 +1134,14 @@ def test_subprocess_agent_round_trip_under_a_map(open_room):
     check_trace_invariants(trace, 2)
     for et in trace.episodes:
         assert et.actions == ["forward", "forward", "stop"]
-    observes = [data for data in pipe.writes if json.loads(data)["type"] == "observe"]
-    assert len(observes) > 6
-    for data in observes:
-        assert len(data) < 16 * 1024
-        assert json.loads(data)["crop"]["size"] == 64
+    observes = [(len(data), json.loads(data)) for data in pipe.writes if json.loads(data)["type"] == "observe"]
+    active = [(size, msg) for size, msg in observes if not msg["passive"]]
+    assert len(active) == 6 and len(observes) > len(active)
+    for size, msg in active:
+        assert size < 16 * 1024
+        assert msg["crop"]["size"] == 64
+    # the template speaks version 3: passive observations carry no crop
+    assert all(msg["crop"] is None for _, msg in observes if msg["passive"])
 
 
 def load_template_agent():
