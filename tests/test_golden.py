@@ -1,8 +1,9 @@
 """Golden artifact hashes: the pipeline's bytes at fixed seeds.
 
 Drives ``ivln.cli.main`` in-process through the ``scripts/run_demo.py``
-chain plus a geodesic eval and an episodic-map run and replay on a grid
-scene, and through episodes, tours, a noisy rollout and a geodesic eval
+chain plus a geodesic eval, an episodic-map run and replay and an
+episodic-map run of the template agent (``scripts/example_agent.py``) on
+a grid scene, and through episodes, tours, a noisy rollout and a geodesic eval
 on its graph twin, then compares the sha256 of every artifact with ``tests/golden/sha256.json``.  A refactor that keeps
 behaviour keeps these bytes; a change that means to alter them
 regenerates the table with ``python tests/test_golden.py``
@@ -13,6 +14,7 @@ be in the canonical form ``ivln.environment.json_line`` writes.
 
 import hashlib
 import json
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +28,7 @@ from ivln.environment import json_line
 
 SEEDS = (3, 7)
 TABLE = Path(__file__).resolve().parent / "golden" / "sha256.json"
+AGENT = Path(__file__).resolve().parents[1] / "scripts" / "example_agent.py"
 
 
 def _cli(*argv) -> None:
@@ -35,8 +38,8 @@ def _cli(*argv) -> None:
 
 
 def run_chain(out: Path, seed: int) -> None:
-    """The run_demo.py grid chain, an episodic-map run and replay, and the
-    graph-twin pipeline."""
+    """The run_demo.py grid chain, an episodic-map run and replay, the
+    template agent's episodic-map run, and the graph-twin pipeline."""
     scene, graph = out / "scene.json", out / "graph.json"
     episodes, tours, traces = out / "episodes.json", out / "tours.json", out / "traces.jsonl"
     _cli("gen-env", "--rooms", 3, "--seed", seed, "--out", scene, "--graph-out", graph)
@@ -61,6 +64,9 @@ def run_chain(out: Path, seed: int) -> None:
          "--map-out", out / "map_episodic.json", "--out", episodic_traces)
     _cli("build-map", "--scene", scene, "--traces", episodic_traces, "--episodes", episodes,
          "--mode", "episodic", "--out", out / "map_episodic_replayed.json")
+    _cli("run", "--scene", scene, "--tours", tours, "--episodes", episodes,
+         "--policy", f"ext:{shlex.join([sys.executable, str(AGENT)])}", "--map", "episodic",
+         "--map-out", out / "map_agent.json", "--out", out / "traces_agent.jsonl")
 
     g_episodes, g_tours = out / "graph_episodes.json", out / "graph_tours.json"
     g_traces = out / "graph_traces.jsonl"
@@ -105,7 +111,7 @@ def test_artifacts_match_golden_hashes(chain):
 def test_json_artifacts_are_canonical_lines(chain):
     root, _ = chain
     artifacts = sorted((root / "seed3").glob("*.json*"))
-    assert len(artifacts) == 19
+    assert len(artifacts) == 21
     for path in artifacts:
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines(keepends=True) if path.suffix == ".jsonl" else [text]
