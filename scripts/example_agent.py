@@ -6,10 +6,11 @@ episode messages; on active observations walks forward a fixed number of
 steps per episode and then stops.  On graph scenes it stops immediately
 since it has no view of the adjacency.
 
-It acks protocol version 3 in its reset ack, so passive (oracle-phase)
-observations arrive without a crop and it sends no reply to them.  Map
-crops arrive on active observations as compact label and occupancy
-grids, which read_crop decodes with the standard library alone.
+It acks protocol version 3 in its reset ack, the one version the
+harness speaks.  Passive (oracle-phase) observations arrive without a
+crop and get no reply.  Map crops arrive on active observations as
+compact label and occupancy grids, which read_crop decodes with the
+standard library alone.
 
 Useful as a template for wiring in a real policy: replace decide()
 and keep the message loop.

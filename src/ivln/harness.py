@@ -17,10 +17,10 @@ are therefore always cell centers or node positions.
 
 External policies speak line-delimited JSON over a subprocess pipe or a
 TCP socket.  Active observations are answered with an act message,
-resets and episode starts with an ack.  Passive observations are acked
-under protocol version 2; under version 3 they carry no crop and get no
-reply, so an agent's fault shows at the next message that needs one or
-at the next send.  Every send and every reply has the per-step deadline.
+resets and episode starts with an ack.  Passive observations carry no
+crop and get no reply, so an agent's fault shows at the next message
+that needs one or at the next send.  Every send and every reply has the
+per-step deadline.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ MAX_RANGE = 10.0
 # poses a walk folds in one ``sense``; small batches keep memory flat
 SENSE_CHUNK = 8
 
-# the newest wire protocol version, the one a reset names; the harness
-# also speaks version 2.  Both carry crops as compact label and occupancy
-# grids; under version 3 a passive observation has no crop and no ack
+# the wire protocol version a reset names and its ack must carry: crops
+# travel as compact label and occupancy grids, and a passive observation
+# has no crop and no ack
 PROTOCOL_VERSION = 3
 
 # how much of an external agent's stderr a protocol error quotes
@@ -107,9 +107,10 @@ class Observation:
 
     ``layers`` is the egocentric crop's label and occupancy grids
     (``mapper.crop_layers``), cut from the map at this step, or None
-    without a map or ``Policy.reads_crops`` (for a passive observation,
-    ``Policy.reads_passive_crops``).  The one-hot ``crop`` is made
-    from them on first read, so a reader that never reads it makes none.
+    without a map or ``Policy.reads_crops``, and on a passive observation
+    (the map keeps what the oracle drives past for the next active crop).
+    The one-hot ``crop`` is made from them on first read, so a reader
+    that never reads it makes none.
     """
 
     episode_id: str
@@ -226,11 +227,10 @@ class _WaypointCursor:
 
 class Policy:
     """Base policy; subclasses override act, the rest are optional hooks.
-    Observations carry a map crop only if ``reads_crops`` (False on the built-in ones),
-    and passive ones only if ``reads_passive_crops`` too, read after ``reset``."""
+    Active observations carry a map crop only if ``reads_crops`` (False
+    on the built-in ones); passive ones never do."""
 
     reads_crops = True
-    reads_passive_crops = True
 
     def reset(self, tour_id: str) -> None:
         pass
@@ -342,7 +342,6 @@ class _Walk:
         elif cfg.map_mode != "none":
             self._map = SemanticOccMap.for_grid(scene.grid, cfg.map_mode)
         self.reads_crops = reads_crops
-        self.reads_passive_crops = reads_crops
         self.keep_map = keep_map
         self._senses = cfg.map_mode in ("episodic", "iterative") and (reads_crops or keep_map)
         self._pending: list[Pose] = []
@@ -390,27 +389,28 @@ class _Walk:
 
     def observation(self, episode: Episode, index: int, steps_remaining: int, phase: str) -> Observation:
         pose = Pose(self.position, self.state.heading)
-        reads = self.reads_crops if phase == "agent" else self.reads_passive_crops
-        occ_map = self.occ_map if reads else None
+        occ_map = self.occ_map if self.reads_crops and phase == "agent" else None
         layers = None if occ_map is None else crop_layers(occ_map, pose, self.cfg.crop_size)
         return Observation(episode.episode_id, index, episode.instruction, pose, self.state.location,
                            steps_remaining, phase, layers)
 
 
-def _oracle_drive(walk: _Walk, target, kind: str, policy: Policy, episode: Episode, index: int):
-    """Drive to a snapped location; returns the segment of logged motion.
-    The policy observes passively after every step.
+def _oracle_drive(walk: _Walk, target, kind: str, policy: Policy, episode: Episode, index: int,
+                  segments: list[OracleSegment]) -> None:
+    """Drive to a snapped location, appending a segment to ``segments`` that
+    logs each step as it is taken; the policy observes passively after it.
 
     Raises RuntimeError when the step guard trips: oracle steps always
     make progress, so that is a bug, and stopping short would start the
     next episode from the wrong location.
     """
     segment = OracleSegment(kind, [], [])
+    segments.append(segment)
     guard = 64 * (DEFAULT_MAX_STEPS_CONTINUOUS + 64)
     while len(segment.actions) < guard:
         action = _step_toward(walk.scene, walk.state, target)
         if action is None:
-            return segment
+            return
         segment.points.append(walk.move(action))
         segment.actions.append(action.label())
         policy.observe(walk.observation(episode, index, 0, "oracle"))
@@ -434,8 +434,8 @@ def run_tour(
     On policy failure after the reset, wherever it happens in the tour,
     the exception carries the partial trace in its ``partial_trace``
     attribute: the finished episodes, the agent phase in progress and
-    the oracle segments finished so far.  Raises ValueError on an invalid
-    ``cfg`` before any step.
+    the oracle segments so far, the one in progress up to its last step.
+    Raises ValueError on an invalid ``cfg`` before any step.
     """
     if cfg is None:
         cfg = Config()
@@ -449,8 +449,6 @@ def run_tour(
     geo = GeodesicMetric(scene)
     budget = cfg.budget(scene)
     policy.reset(tour.tour_id)
-    # an external agent's acked protocol version decides this
-    walk.reads_passive_crops = walk.reads_crops and getattr(policy, "reads_passive_crops", True)
 
     episode_traces: list[EpisodeTrace] = []
     try:
@@ -476,11 +474,11 @@ def run_tour(
             goal = episode.path[-1]
             if geo(goal, walk.position) > cfg.oracle_correction_radius:
                 target = scene.snap_point(goal)
-                logged.segments.append(_oracle_drive(walk, target, ORACLE_GOAL, policy, episode, index))
+                _oracle_drive(walk, target, ORACLE_GOAL, policy, episode, index, logged.segments)
             if index + 1 < len(episodes):
                 nxt = scene.snap_point(episodes[index + 1].path[0])
                 if walk.state.location != nxt:
-                    logged.segments.append(_oracle_drive(walk, nxt, ORACLE_TRANSIT, policy, episode, index))
+                    _oracle_drive(walk, nxt, ORACLE_TRANSIT, policy, episode, index, logged.segments)
     except (PolicyTimeout, ProtocolViolation) as exc:
         exc.partial_trace = TourTrace(tour_id=tour.tour_id, episodes=episode_traces)
         raise
@@ -743,21 +741,13 @@ class ExternalPolicy(Policy):
     """Bridges the harness to an agent behind a transport.
 
     Each tour's reset names ``PROTOCOL_VERSION``, and the agent's ack
-    carries the version it speaks for the tour, 2 or 3.  A version-2
-    agent acks every passive observation, which carries a crop; a
-    version-3 agent gets passive observations without one and sends no
-    reply.  Every send and every reply is bounded by ``timeout``.
+    must carry it.  Passive observations get no reply.  Every send and
+    every reply is bounded by ``timeout``.
     """
-
-    version = None  # the protocol version acked at the last reset
 
     def __init__(self, transport, timeout: float = 10.0):
         self.transport = transport
         self.timeout = timeout
-
-    @property
-    def reads_passive_crops(self) -> bool:
-        return self.version == 2
 
     def _send(self, message: dict) -> None:
         self.transport.send(message, self.timeout)
@@ -771,12 +761,9 @@ class ExternalPolicy(Policy):
     def reset(self, tour_id):
         self._send({"type": "reset", "tour_id": tour_id, "protocol_version": PROTOCOL_VERSION})
         version = self._expect_ack().get("protocol_version")
-        if type(version) is not int or version not in (2, 3):
+        if type(version) is not int or version != PROTOCOL_VERSION:
             raise ProtocolViolation(
-                f"agent acked protocol_version {version!r}; the harness speaks versions 2 and 3"
-                " (ack protocol_version 2 or 3)"
-            )
-        self.version = version
+                f"agent acked protocol_version {version!r}; the harness speaks version {PROTOCOL_VERSION}")
 
     def begin_episode(self, episode_id, instruction):
         self._send({"type": "episode", "episode_id": episode_id, "instruction": instruction})
@@ -799,8 +786,6 @@ class ExternalPolicy(Policy):
 
     def observe(self, obs):
         self._send(observation_message(obs))
-        if self.version == 2:
-            self._expect_ack()
 
     def close(self):
         self.transport.close(self.timeout)

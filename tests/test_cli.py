@@ -452,7 +452,7 @@ def test_failing_external_agent_flushes_partial(pipeline, tmp_path, capsys):
     agent.write_text(
         "import json, sys\n"
         "for count, line in enumerate(sys.stdin, start=1):\n"
-        "    sys.stdout.write(json.dumps({'type': 'ack', 'protocol_version': 2}) + '\\n')\n"
+        "    sys.stdout.write(json.dumps({'type': 'ack', 'protocol_version': 3}) + '\\n')\n"
         "    sys.stdout.flush()\n"
         "    if count >= 2:\n"
         "        sys.exit(1)\n"
@@ -495,7 +495,7 @@ def test_an_agent_that_acks_reset_plainly_is_refused(pipeline, tmp_path, capsys)
                    "--policy", f"ext:{sys.executable} {agent}", "--out", traces)
     err = capsys.readouterr().err
     assert code == 1
-    assert "protocol_version None" in err and "version 2" in err
+    assert "protocol_version None" in err and "version 3" in err
     assert traces.read_text() == ""
 
 

@@ -480,14 +480,16 @@ def test_crops_read_after_the_tour_are_the_crops_at_observation_time(synth, monk
     assert oracle_segments(trace) and len(policy.kept) == len(at_the_time) > 20
     assert {obs.phase for obs in policy.kept} == {"agent", "oracle"}
     assert crops == []  # nothing was cropped while the tour ran
-    for obs, want in zip(policy.kept, at_the_time):
+    assert all(obs.layers is None for obs in policy.kept if obs.phase != "agent")
+    active = [(obs, want) for obs, want in zip(policy.kept, at_the_time) if obs.phase == "agent"]
+    for obs, want in active:
         assert obs.crop.dtype == want.dtype and obs.crop.tobytes() == want.tobytes()
-    assert len(crops) == len(policy.kept)
-    for obs in policy.kept:
+    assert len(crops) == len(active)
+    for obs, _ in active:
         assert obs.crop is obs.crop  # a later read returns the first crop
-    assert len(crops) == len(policy.kept)
+    assert len(crops) == len(active)
     # the map changed along the tour, so equal crops are not a given
-    assert len({want.tobytes() for want in at_the_time}) > len(at_the_time) // 2
+    assert len({want.tobytes() for _, want in active}) > len(active) // 2
 
 
 def test_only_declared_crop_readers_are_handed_crops(synth):
@@ -590,21 +592,19 @@ def test_random_policy_returns_legal_actions(open_room):
 # -- wire protocol ------------------------------------------------------------
 
 
-V2_ACK = {"type": "ack", "protocol_version": 2}
 V3_ACK = {"type": "ack", "protocol_version": 3}
 
 
 class WireServer:
     """Single-connection scripted agent on a local TCP port; it answers
-    reset with ``reset_ack``, the version-2 ack unless given, and acks
-    passive observations if ``acks_passive``, by default under version 2
-    alone.  ``hang_up(msg)`` makes it close the connection after reading
-    ``msg``."""
+    reset with ``reset_ack`` and acks passive observations only if
+    ``acks_passive``.  ``hang_up(msg)`` makes it close the connection
+    after reading ``msg``."""
 
-    def __init__(self, act, reset_ack=None, acks_passive=None, hang_up=lambda msg: False):
+    def __init__(self, act, reset_ack=V3_ACK, acks_passive=False, hang_up=lambda msg: False):
         self.act = act
-        self.reset_ack = reset_ack or V2_ACK
-        self.acks_passive = self.reset_ack.get("protocol_version") == 2 if acks_passive is None else acks_passive
+        self.reset_ack = reset_ack
+        self.acks_passive = acks_passive
         self.hang_up = hang_up
         self.messages = []
         self.sock = socket.socket()
@@ -642,8 +642,8 @@ class WireServer:
                     conn.sendall(reply)
 
 
-def run_with_server(scene, tour, by_id, act, timeout=2.0, reset_ack=None, cfg=None, keep_map=True):
-    server = WireServer(act, reset_ack)
+def run_with_server(scene, tour, by_id, act, timeout=2.0, cfg=None, keep_map=True):
+    server = WireServer(act)
     policy = ExternalPolicy(SocketTransport("127.0.0.1", server.port), timeout=timeout)
     try:
         return server, run_tour(scene, tour, by_id, policy, cfg, keep_map)
@@ -700,7 +700,7 @@ def three_steps_then_stop(msg):
 
 
 @pytest.mark.parametrize("mode", ["episodic", "iterative"])
-def test_version_2_agent_gets_the_compact_crop_and_no_one_hot_is_made(synth, monkeypatch, mode):
+def test_an_agent_gets_compact_active_crops_and_no_one_hot_is_made(synth, monkeypatch, mode):
     at_the_time = record_crops(monkeypatch)
     one_hots = count_calls(monkeypatch, harness, "one_hot")
     scene, tour, by_id = map_tour(synth)
@@ -710,16 +710,18 @@ def test_version_2_agent_gets_the_compact_crop_and_no_one_hot_is_made(synth, mon
     assert one_hots == []
     observes = [m for m in server.messages if m["type"] == "observe"]
     assert len(observes) == len(at_the_time) > 10
-    assert any(m["passive"] for m in observes) and not all(m["passive"] for m in observes)
-    for msg, want in zip(observes, at_the_time):
+    active = [(msg, want) for msg, want in zip(observes, at_the_time) if not msg["passive"]]
+    assert 0 < len(active) < len(observes)
+    for msg, want in active:
         assert sorted(msg["crop"]) == ["labels", "occupied", "size"] and msg["crop"]["size"] == 64
         back = crop_from_compact(msg["crop"])
         assert back.dtype == np.float32 and back.tobytes() == want.tobytes()
-    assert len({want.tobytes() for want in at_the_time}) > 1
+    assert all(msg["crop"] is None for msg in observes if msg["passive"])
+    assert len({want.tobytes() for _, want in active}) > 1
     assert [et.actions for et in trace.episodes] == [["forward"] * 3 + ["stop"]] * 2
 
 
-@pytest.mark.parametrize("version", ["plain", 1, 4, "2", 0, None, True, 2.0])
+@pytest.mark.parametrize("version", ["plain", 1, 2, 4, "3", 0, None, True, 2.0, 3.0])
 def test_unknown_protocol_version_is_refused(open_room, version):
     tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]))
     # "plain" is an ack without the field, which reads as None
@@ -734,30 +736,45 @@ def test_unknown_protocol_version_is_refused(open_room, version):
         policy.close()
         server.thread.join(timeout=2.0)
     message = str(exc_info.value)
-    assert f"protocol_version {shown!r}" in message and "the harness speaks versions 2 and 3" in message
+    assert f"protocol_version {shown!r}" in message and "the harness speaks version 3" in message
     assert [m["type"] for m in server.messages] == ["reset", "close"]
 
 
-def observes(messages, passive):
-    return [m for m in messages if m["type"] == "observe" and m["passive"] == passive]
+class ScriptedReader(harness.Policy):
+    """An in-process crop reader that answers each observation's wire
+    message with ``act``, keeping every observation it is shown."""
+
+    reads_crops = True
+
+    def __init__(self, act):
+        self.script = act
+        self.seen = []
+
+    def act(self, obs):
+        self.seen.append(obs)
+        return AgentAction(self.script(observation_message(obs))["action"])
+
+    def observe(self, obs):
+        self.seen.append(obs)
 
 
 @pytest.mark.parametrize("mode", ["episodic", "iterative"])
-def test_a_version_3_run_equals_a_version_2_run(synth, tmp_path, mode):
+def test_a_wire_agent_equals_an_in_process_crop_reader(synth, tmp_path, mode):
     scene, tour, by_id = map_tour(synth)
     cfg = Config(map_mode=mode, max_steps=15)
+    server, wire = run_with_server(scene, tour, by_id, three_steps_then_stop, cfg=cfg)
+    reader = ScriptedReader(three_steps_then_stop)
     runs = []
-    for ack in (V2_ACK, V3_ACK):
-        server, (trace, occ_map) = run_with_server(scene, tour, by_id, three_steps_then_stop, reset_ack=ack, cfg=cfg)
-        out = tmp_path / f"v{ack['protocol_version']}.jsonl"
+    for trace, occ_map in (wire, run_tour(scene, tour, by_id, reader, cfg)):
+        out = tmp_path / f"run{len(runs)}.jsonl"
         write_traces([trace], out)
-        runs.append((server.messages, out.read_bytes(), json.dumps(map_to_dict(occ_map))))
-    (v2_messages, v2_trace, v2_map), (v3_messages, v3_trace, v3_map) = runs
-    assert v3_trace == v2_trace and v3_map == v2_map
-    assert observes(v3_messages, False) == observes(v2_messages, False)
-    passive = observes(v3_messages, True)
-    assert passive and all(m["crop"] is None for m in passive)
-    assert all(m["crop"] is not None for m in observes(v2_messages, True))
+        runs.append((out.read_bytes(), json.dumps(map_to_dict(occ_map))))
+    assert runs[0] == runs[1] and oracle_segments(wire[0])
+    observes = [m for m in server.messages if m["type"] == "observe"]
+    assert [m["passive"] for m in observes] == [obs.phase != "agent" for obs in reader.seen]
+    active = [(m, obs) for m, obs in zip(observes, reader.seen) if obs.phase == "agent"]
+    assert active and all(crop_from_compact(m["crop"]).tobytes() == obs.crop.tobytes() for m, obs in active)
+    assert all(obs.layers is None for obs in reader.seen if obs.phase != "agent")
 
 
 def walk_positions(episode_trace, with_segments=True):
@@ -774,8 +791,7 @@ def test_a_version_3_crop_reader_senses_only_what_its_crops_include(synth, monke
     calls = count_calls(monkeypatch, harness, "sense")
     scene, tour, by_id = map_tour(synth)
     cfg = Config(map_mode=mode, max_steps=15)
-    _, (trace, kept) = run_with_server(scene, tour, by_id, three_steps_then_stop, reset_ack=V3_ACK, cfg=cfg,
-                                       keep_map=False)
+    _, (trace, kept) = run_with_server(scene, tour, by_id, three_steps_then_stop, cfg=cfg, keep_map=False)
     assert kept is None and oracle_segments(trace)
     sensed = [(pose.position.x, pose.position.y) for call in calls for pose in call[2]]
     *earlier, last = trace.episodes
@@ -798,7 +814,7 @@ def test_a_kept_map_folds_as_the_walk_goes(synth, monkeypatch):
 
     monkeypatch.setattr(harness, "sense", recording)
     scene, tour, by_id = map_tour(synth)
-    _, (trace, kept) = run_with_server(scene, tour, by_id, three_steps_then_stop, reset_ack=V3_ACK,
+    _, (trace, kept) = run_with_server(scene, tour, by_id, three_steps_then_stop,
                                        cfg=Config(map_mode="iterative", max_steps=15))
     assert kept is not None and oracle_segments(trace)
     # every pose is sensed once, at most SENSE_CHUNK moves after it was taken
@@ -820,7 +836,7 @@ def three_episode_tour():
 
 def test_a_version_3_peer_that_acks_a_passive_observation_fails_at_the_next_act(open_room):
     tour, by_id = three_episode_tour()
-    server = WireServer(stop, V3_ACK, acks_passive=True)
+    server = WireServer(stop, acks_passive=True)
     policy = ExternalPolicy(SocketTransport("127.0.0.1", server.port), timeout=2.0)
     try:
         with pytest.raises(ProtocolViolation, match="expected act, got 'ack'") as exc_info:
@@ -833,33 +849,65 @@ def test_a_version_3_peer_that_acks_a_passive_observation_fails_at_the_next_act(
     assert current.episode_id == "e1" and current.actions == []
 
 
+def hang_up_in_a_correction(scene, tour, by_id, steps):
+    """Run ``tour`` against a peer that hangs up after reading ``steps``
+    passive observations of episode 1, and let the harness go on only once
+    the peer is gone; returns the partial tour trace."""
+
+    read = []
+
+    def hang_up(msg):
+        if msg["type"] == "observe" and msg["passive"] and msg["episode_index"] == 1:
+            read.append(msg)
+        return len(read) == steps
+
+    server = WireServer(stop, hang_up=hang_up)
+
+    class WaitsForTheHangUp(ExternalPolicy):
+        sent = 0
+
+        def observe(self, obs):
+            super().observe(obs)
+            self.sent += obs.episode_index_in_tour == 1
+            if self.sent == steps:
+                server.thread.join(timeout=2.0)
+
+    policy = WaitsForTheHangUp(SocketTransport("127.0.0.1", server.port), timeout=2.0)
+    try:
+        # the harness reads nothing during the oracle phases, so it sees the
+        # dead peer at a later send or at the next episode's ack
+        with pytest.raises(ProtocolViolation) as exc_info:
+            run_tours(scene, [tour], by_id, policy)
+    finally:
+        policy.close()
+        server.thread.join(timeout=2.0)
+    (partial,) = exc_info.value.partial_traces
+    return partial
+
+
 def test_a_version_3_peer_that_dies_in_a_goal_correction_keeps_the_trace_so_far(open_room):
     tour, by_id = three_episode_tour()
     reference, _ = run_tour(open_room, tour, by_id, StopPolicy())
     correction, transit = reference.episodes[1].segments
     assert (correction.kind, transit.kind) == ("oracle_goal", "oracle_transit")
-    passives = []
-
-    def dies_at_the_corrections_last_step(msg):
-        if msg["type"] == "observe" and msg["passive"] and msg["episode_index"] == 1:
-            passives.append(msg)
-        return len(passives) == len(correction.points)
-
-    server = WireServer(stop, V3_ACK, hang_up=dies_at_the_corrections_last_step)
-    policy = ExternalPolicy(SocketTransport("127.0.0.1", server.port), timeout=2.0)
-    try:
-        # the harness reads nothing during the oracle phases, so it sees the
-        # dead peer at a later send or at the next episode's ack
-        with pytest.raises(ProtocolViolation) as exc_info:
-            run_tours(open_room, [tour], by_id, policy)
-    finally:
-        policy.close()
-        server.thread.join(timeout=2.0)
-    (partial,) = exc_info.value.partial_traces
+    partial = hang_up_in_a_correction(open_room, tour, by_id, len(correction.points))
     finished, dying, *rest = partial.episodes
     assert finished == reference.episodes[0]
     assert dying.actions == ["stop"] and dying.segments[0] == correction
     assert len(rest) <= 1 and all(et.actions == [] for et in rest)
+
+
+def test_a_peer_that_hangs_up_midway_through_a_correction_keeps_the_steps_driven(open_room):
+    tour, by_id = three_episode_tour()
+    reference, _ = run_tour(open_room, tour, by_id, StopPolicy())
+    correction = reference.episodes[1].segments[0]
+    assert correction.kind == "oracle_goal" and len(correction.points) > 2
+    partial = hang_up_in_a_correction(open_room, tour, by_id, 2)
+    segment = partial.episodes[1].segments[0]
+    driven = len(segment.points)
+    assert segment.kind == "oracle_goal" and 0 < driven == len(segment.actions) < len(correction.points)
+    assert (segment.points, segment.actions) == (correction.points[:driven], correction.actions[:driven])
+    replay_tour(open_room, partial, by_id, Config(map_mode="iterative"))
 
 
 # It reads the reset, answers it and every later message that needs a
@@ -932,7 +980,9 @@ def test_failure_in_a_goal_correction_keeps_the_finished_episode(open_room):
     assert partial.tour_id == "t0"
     assert [e.episode_id for e in partial.episodes] == ["e0"]
     assert partial.episodes[0].stop_called and partial.episodes[0].actions == ["stop"]
-    assert oracle_segments(partial) == []
+    # the correction is logged as it runs: it holds the one step driven
+    (segment,) = oracle_segments(partial)
+    assert segment.kind == "oracle_goal" and len(segment.points) == len(segment.actions) == 1
 
 
 def test_failure_at_an_episode_start_keeps_the_tour_so_far(open_room):
@@ -1140,7 +1190,7 @@ def test_subprocess_agent_round_trip_under_a_map(open_room):
     for size, msg in active:
         assert size < 16 * 1024
         assert msg["crop"]["size"] == 64
-    # the template speaks version 3: passive observations carry no crop
+    # passive observations carry no crop
     assert all(msg["crop"] is None for _, msg in observes if msg["passive"])
 
 
