@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
 
 from .config import SOLVERS, Config, resolve_config
@@ -146,15 +147,18 @@ def cmd_run(args) -> int:
 
 
 def _check_complete(tours, traces):
+    """Each traced tour must be in the tour file and trace its episodes,
+    in order; the error names the tour and the first episode that differs."""
+    listed = {tour.tour_id: tour.episode_ids for tour in tours}
     traced = {t.tour_id: [ep.episode_id for ep in t.episodes] for t in traces}
-    gaps = []
-    for tour in tours:
-        have = traced.get(tour.tour_id, [])
-        for eid in tour.episode_ids:
-            if eid not in have:
-                gaps.append(f"{tour.tour_id}:{eid}")
-    if gaps:
-        raise MissingEpisode("trace is missing episodes: " + ", ".join(gaps))
+    for tid in traced:
+        if tid not in listed:
+            raise MissingEpisode(f"trace holds tour {tid}, which the tour file lacks")
+    for tid, want in listed.items():
+        for i, (got, eid) in enumerate(itertools.zip_longest(traced.get(tid, []), want)):
+            if got != eid:
+                raise MissingEpisode(f"trace of tour {tid} differs from the tour file at episode {i}: "
+                                     f"traced {got or 'nothing'}, listed {eid or 'nothing'}")
 
 
 def cmd_eval(args) -> int:

@@ -16,9 +16,10 @@ query costs the ball out to its farthest target, not the whole scene.
 A distance is read off the source's field (``NavIndex.settle``); a route
 to ``b`` is walked down ``b``'s field (``NavIndex.route``), so the
 oracle's steps toward a target and its distance-to-goal checks share one
-field.  The fields live as long as the scene and are the package's only
-distance cache.  The index is built from the scene as it is at the first
-query, so a scene must not be mutated after it.
+field.  Moves and oracle steps share the index's one adjacency
+(``NavIndex.adjacent``).  The fields live as long as the scene and are
+the package's only distance cache.  The index is built from the scene as
+it is at the first query, so a scene must not be mutated after it.
 
 The index also caches ``Scene.snap_point`` by exact query point, misses
 included, so each distinct point is snapped once per scene.
@@ -169,7 +170,8 @@ class NavGraph:
 
 @dataclass
 class GridWorld:
-    """Planar occupancy grid with per-cell semantic labels.
+    """Planar occupancy grid with per-cell semantic labels; geometry
+    only: which cells are one step apart is ``NavIndex.adjacent``'s call.
 
     ``navigable`` and ``semantic`` have shape ``(height, width)`` and are
     indexed ``[iy, ix]``.  Cell centers sit at
@@ -206,13 +208,6 @@ class GridWorld:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.ceiling_z <= self.floor_z:
             raise ValueError("ceiling_z must exceed floor_z")
-
-    def in_bounds(self, cell: Cell) -> bool:
-        ix, iy = cell
-        return 0 <= ix < self.width and 0 <= iy < self.height
-
-    def is_navigable(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and bool(self.navigable[cell[1], cell[0]])
 
     def cell_index(self, point: Sequence[float]) -> Cell:
         """Cell whose center is nearest the point (may be out of bounds)."""
@@ -252,24 +247,6 @@ class GridWorld:
             if d <= radius and (best is None or d < best[0] - 1e-12):
                 best = (d, (ix, iy))
         return None if best is None else best[1]
-
-    def neighbors(self, cell: Cell) -> Iterator[tuple[Cell, float]]:
-        """Navigable 8-neighbors with step costs.
-
-        Diagonal steps are allowed only when both flanking orthogonal
-        cells are navigable, so paths cannot cut corners.
-        """
-        ix, iy = cell
-        for dx, dy in _NEIGHBORS_8:
-            nxt = (ix + dx, iy + dy)
-            if not self.is_navigable(nxt):
-                continue
-            if dx != 0 and dy != 0:
-                if not (self.is_navigable((ix + dx, iy)) and self.is_navigable((ix, iy + dy))):
-                    continue
-                yield nxt, self.resolution * _SQRT2
-            else:
-                yield nxt, self.resolution
 
 
 @dataclass
@@ -325,8 +302,10 @@ class Scene:
 
 
 def _grid_neighbor_lists(grid: GridWorld, ids: list[int]) -> list[list]:
-    """``GridWorld.neighbors`` of every navigable cell as flat ``[id,
-    weight, id, weight, ...]`` lists, with one shifted gather per offset.
+    """The 8-neighbors of every navigable cell as flat ``[id, weight,
+    id, weight, ...]`` lists, with one shifted gather per offset.  A
+    diagonal step is listed only when both orthogonal cells beside it
+    are navigable, so no step cuts a corner.
 
     ``ids`` numbers the navigable cells by ``(ix, iy)``; the lists share
     its int objects and one float per step length.
@@ -354,9 +333,10 @@ class NavIndex:
     Ids number the navigable locations in their own order (cells by
     ``(ix, iy)``, graph nodes by id), so heap ties break exactly as they
     would on the locations.  Each location's neighbors are one flat
-    ``[id, weight, id, weight, ...]`` list in expansion order (the order
-    of ``GridWorld.neighbors`` on grids, sorted adjacency on graphs) that
-    shares its int and float objects with the other lists.
+    ``[id, weight, id, weight, ...]`` list in expansion order (the
+    ``_NEIGHBORS_8`` offsets on grids, sorted adjacency on graphs) that
+    shares its int and float objects with the other lists: the scene's
+    one adjacency, which moves and oracle steps share (``adjacent``).
 
     ``_fields`` is the one distance cache: one Dijkstra per source that
     pauses between pops once the ids asked about are settled and resumes
@@ -423,10 +403,21 @@ class NavIndex:
             path.append(u)
         return tuple(self.locations[i] for i in path)
 
+    def adjacent(self, a, b) -> bool:
+        """Whether ``b`` is in location ``a``'s neighbor list; False for a
+        ``b`` that is no location (a wall or an off-grid cell)."""
+        v = self.id_of.get(b)
+        return v is not None and v in self.neighbors[self.id_of[a]][0::2]
+
     def next_location(self, a, b):
         """The location after ``a`` on ``route(a, b)``, for ``a`` other
         than ``b``, or None when no route exists; only that one step is
-        walked."""
+        walked.  On grids a neighbor ``b`` opens no field: the direct
+        step is the only shortest route (res or sqrt(2) res, against at
+        least 2 res round).  Graphs keep the field walk, where a node
+        collinear with an edge can tie with it."""
+        if self._grid is not None and self.adjacent(a, b):
+            return b
         u = self.id_of[a]
         dist = self.settle(self.id_of[b], (u,))
         return None if dist[u] == math.inf else self.locations[self._next(u, dist)]

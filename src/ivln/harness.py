@@ -12,8 +12,9 @@ reads.
 Motion is quantized to the scene: on grids a forward step moves one
 cell toward the nearest of the eight compass directions to the agent's
 heading (a blocked step is a no-op), turns rotate in fixed increments;
-on graphs the agent hops between adjacent nodes.  Positions in traces
-are therefore always cell centers or node positions.
+on graphs the agent hops between adjacent nodes.  Moves and oracle steps
+share one adjacency, ``NavIndex.adjacent``.  Positions in traces are
+therefore always cell centers or node positions.
 
 External policies speak line-delimited JSON over a subprocess pipe or a
 TCP socket.  Active observations are answered with an act message,
@@ -155,7 +156,7 @@ def apply_action(scene: Scene, state: AgentState, action: AgentAction, cfg: Conf
     if scene.is_discrete:
         if action.kind != GOTO:
             raise ProtocolViolation(f"graph scenes accept goto or stop, got {action.kind}")
-        if action.node not in scene.graph.adjacency[state.location]:
+        if not scene.nav.adjacent(state.location, action.node):
             raise ProtocolViolation(
                 f"goto target {action.node} is not adjacent to {state.location}"
             )
@@ -172,7 +173,7 @@ def apply_action(scene: Scene, state: AgentState, action: AgentAction, cfg: Conf
         raise ProtocolViolation(f"grid scenes accept move/turn/stop, got {action.kind}")
     dx, dy = heading_to_dir8(state.heading)
     target = (state.location[0] + dx, state.location[1] + dy)
-    if any(cell == target for cell, _ in scene.grid.neighbors(state.location)):
+    if scene.nav.adjacent(state.location, target):
         return AgentState(target, state.heading)
     return state
 
@@ -824,5 +825,7 @@ def make_policy(spec: str, scene: Scene, episodes_by_id: dict, cfg: Config) -> P
             port = int(port)
         except ValueError:
             raise ValueError(f"policy spec {spec!r} is not tcp:<host>:<port>") from None
+        if not 0 < port < 65536:  # the socket layer would wrap it onto another port
+            raise ValueError(f"policy spec {spec!r} has a port outside 1..65535")
         return ExternalPolicy(SocketTransport(host, port), timeout=cfg.step_timeout)
     raise ValueError(f"unknown policy spec {spec!r}")

@@ -59,6 +59,30 @@ def scene_from_ascii(rows, scene_id="ascii", **kwargs):
     return Scene(scene_id=scene_id, grid=grid_from_ascii(rows, **kwargs))
 
 
+def is_open(grid, cell) -> bool:
+    """Whether ``cell`` is on the grid and navigable."""
+    ix, iy = cell
+    return 0 <= ix < grid.width and 0 <= iy < grid.height and bool(grid.navigable[iy, ix])
+
+
+def grid_neighbors(grid, cell):
+    """Navigable 8-neighbors of ``cell`` with step costs, in the offsets'
+    lexicographic order; a diagonal step needs both orthogonal cells
+    beside it open, so no step cuts a corner.  The per-cell reference
+    for ``NavIndex``'s grid neighbor lists."""
+    ix, iy = cell
+    for dx, dy in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+        nxt = (ix + dx, iy + dy)
+        if not is_open(grid, nxt):
+            continue
+        if dx != 0 and dy != 0:
+            if not (is_open(grid, (ix + dx, iy)) and is_open(grid, (ix, iy + dy))):
+                continue
+            yield nxt, grid.resolution * math.sqrt(2.0)
+        else:
+            yield nxt, grid.resolution
+
+
 def geodesic_pairwise(metric, ref, query):
     """The full geodesic cost matrix of ``metric`` over ``ref`` x ``query``,
     one ``metric(p, q)`` per cell: the per-cell loop that the pruned cost

@@ -415,14 +415,24 @@ def test_build_map_rejects_a_misspelled_trace_phase(pipeline, tmp_path, capsys):
 
 def test_eval_reports_missing_episodes(pipeline, tmp_path, capsys):
     tours = json.loads(pipeline["tours"].read_text())
+    first_tour = tours["tours"][0]["tour_id"]
     donor = tours["tours"][1]["episodes"][0]["episode_id"]
-    tours["tours"][0]["episodes"].append({"episode_id": donor})
-    edited = tmp_path / "tours.json"
-    edited.write_text(json.dumps(tours))
-    code = run_cli("eval", "--traces", pipeline["traces"], "--episodes", pipeline["episodes"],
-                   "--tours", edited, "--out", tmp_path / "r.json")
-    assert code == 3
-    assert donor in capsys.readouterr().err
+    grown = json.loads(pipeline["tours"].read_text())
+    grown["tours"][0]["episodes"].append({"episode_id": donor})
+    records = pipeline["traces"].read_text().splitlines(keepends=True)
+    cases = [  # tour file, trace lines, the episode or tour the error names
+        (grown, records, donor),  # a listed episode the trace lacks
+        (tours, records[:1] + records, json.loads(records[0])["episode_id"]),  # a repeated record
+        (dict(tours, tours=tours["tours"][1:]), records, first_tour),  # a tour the tour file lacks
+    ]
+    for i, (tour_file, lines, named) in enumerate(cases):
+        (tmp_path / f"tours{i}.json").write_text(json.dumps(tour_file))
+        (tmp_path / f"traces{i}.jsonl").write_text("".join(lines))
+        code = run_cli("eval", "--traces", tmp_path / f"traces{i}.jsonl", "--episodes", pipeline["episodes"],
+                       "--tours", tmp_path / f"tours{i}.json", "--out", tmp_path / "r.json")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert first_tour in err and named in err
 
 
 def test_coverage_csv(pipeline, tmp_path, capsys):
@@ -524,6 +534,8 @@ MALFORMED_POLICY_SPECS = [
     ("tcp:localhost", "is not tcp:<host>:<port>"),
     ("tcp:localhost:port", "is not tcp:<host>:<port>"),
     ("tcp:a:1:2", "is not tcp:<host>:<port>"),
+    ("tcp:localhost:70000", "has a port outside 1..65535"),
+    ("tcp:localhost:0", "has a port outside 1..65535"),
     ("noisy:abc", "is not noisy:<probability>"),
     ("ext:", "names no command"),
     ('ext:"foo', "is not ext:<command>: No closing quotation"),

@@ -11,7 +11,7 @@ from ivln.environment import Point3, Scene
 from ivln.errors import MissingEpisode
 from ivln.tourgen import Episode, Tour
 
-from conftest import grid_from_ascii, scene_from_ascii
+from conftest import grid_from_ascii, is_open, scene_from_ascii
 
 
 def P(ix, iy, res=0.25):
@@ -72,7 +72,7 @@ def per_cell_scan(grid, source, model):
         for ix in range(max(0, sx - reach), min(grid.width, sx + reach + 1)):
             if (ix - sx) ** 2 + (iy - sy) ** 2 > r_cells * r_cells + 1e-9:
                 continue
-            if model.occlusion and not all(grid.is_navigable(c) for c in _bresenham(source, (ix, iy))):
+            if model.occlusion and not all(is_open(grid, c) for c in _bresenham(source, (ix, iy))):
                 continue
             out.add((ix, iy))
     return out

@@ -33,7 +33,7 @@ from ivln.errors import Disconnected, SnapFailure
 from ivln.metrics import _geodesic_costs
 from ivln.syngen import FloorplanSpec, generate_scene
 
-from conftest import astar_route, geodesic_pairwise, grid_from_ascii, scene_from_ascii
+from conftest import astar_route, geodesic_pairwise, grid_from_ascii, grid_neighbors, is_open, scene_from_ascii
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,7 +68,7 @@ def scan_dijkstra(grid: GridWorld, start):
                 if nxt not in dist:
                     continue
                 if dx != 0 and dy != 0:
-                    if not (grid.is_navigable((ix + dx, iy)) and grid.is_navigable((ix, iy + dy))):
+                    if not (is_open(grid, (ix + dx, iy)) and is_open(grid, (ix, iy + dy))):
                         continue
                     step = grid.resolution * SQRT2
                 else:
@@ -401,7 +401,7 @@ def test_snap_cache_keeps_misses_and_tie_rule():
 def step_lengths(scene, location) -> dict:
     """Neighbors of a location with their step lengths, from the scene itself."""
     if scene.grid is not None:
-        return dict(scene.grid.neighbors(location))
+        return dict(grid_neighbors(scene.grid, location))
     graph = scene.graph
     return {nxt: graph.edge_weight(location, nxt) for nxt in graph.adjacency[location]}
 
@@ -456,7 +456,7 @@ def test_next_location_is_the_routes_first_step(case):
         assert scene.nav.next_location(a, b) == (None if route is None else route[1])
     if scene.grid is not None:  # on graphs, collinear nodes can tie with the direct edge
         for a, _ in pairs:
-            for b, _ in scene.grid.neighbors(a):
+            for b, _ in grid_neighbors(scene.grid, a):
                 assert scene.nav.next_location(a, b) == b
 
 
@@ -505,12 +505,19 @@ def test_grid_neighbor_lists_equal_the_per_cell_loop(synth):
         grids.append(GridWorld(resolution=0.3, origin=(0.0, 0.0, 0.0), width=w, height=h,
                                navigable=rng.random((h, w)) < 0.7, semantic=np.zeros((h, w), np.uint8),
                                floor_z=0.0, ceiling_z=2.0))
+    seen = set()
     for grid in grids:
         nav = NavIndex(Scene(scene_id="g", grid=grid))
         assert nav.locations == sorted((int(ix), int(iy)) for iy, ix in np.argwhere(grid.navigable))
-        want = [[x for nxt, w in grid.neighbors(cell) for x in (nav.id_of[nxt], w)] for cell in nav.locations]
+        want = [[x for nxt, w in grid_neighbors(grid, cell) for x in (nav.id_of[nxt], w)] for cell in nav.locations]
         assert nav.neighbors == want
         assert all(type(x) is type(y) for got, row in zip(nav.neighbors, want) for x, y in zip(got, row))
+        for cell in nav.locations:  # all 8 offsets: steps, walls, cut corners, off-grid cells
+            near = {nxt for nxt, _ in grid_neighbors(grid, cell)}
+            for other in [(cell[0] + dx, cell[1] + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]:
+                assert nav.adjacent(cell, other) == (other in near)
+                seen.add((other in near, is_open(grid, other)))
+    assert seen == {(True, True), (False, True), (False, False)}  # a cut corner is (False, True)
 
 
 def settled(nav, location, ids) -> np.ndarray:

@@ -45,7 +45,7 @@ from ivln.mapper import (
 from ivln.metrics import TourTrace, ndtw, write_traces
 from ivln.tourgen import Episode, Tour
 
-from conftest import check_trace_invariants, oracle_segments, scene_from_ascii
+from conftest import check_trace_invariants, grid_neighbors, is_open, oracle_segments, scene_from_ascii
 
 
 AGENT_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "example_agent.py"
@@ -145,14 +145,14 @@ def test_forward_lands_on_a_grid_neighbor_or_stays_put(synth):
     cut_corners = 0
     for iy, ix in np.argwhere(grid.navigable):
         cell = (int(ix), int(iy))
-        neighbors = {nxt for nxt, _ in grid.neighbors(cell)}
+        neighbors = {nxt for nxt, _ in grid_neighbors(grid, cell)}
         for k in range(8):
             heading = k * math.pi / 4.0
             dx, dy = harness.heading_to_dir8(heading)
             target = (cell[0] + dx, cell[1] + dy)
             moved = apply_action(scene, AgentState(cell, heading), AgentAction("forward"), cfg)
             assert moved.location == (target if target in neighbors else cell)
-            cut_corners += grid.is_navigable(target) and target not in neighbors
+            cut_corners += is_open(grid, target) and target not in neighbors
     assert cut_corners > 0  # the corner rule is exercised, not only walls
 
 
@@ -556,15 +556,18 @@ def test_observation_message_with_a_given_or_a_deferred_crop(open_room):
 
 
 def test_rollout_opens_one_field_per_drive_target_or_goal(synth, monkeypatch):
+    # one field per drive target asked from beyond a step, or checked goal;
     # a fresh Scene, so no earlier test has opened a field on it
     scene = Scene(scene_id=synth["scene"].scene_id, grid=synth["scene"].grid)
     by_id = synth["by_id"]
-    targets = set()
+    targets, far = set(), set()
     step_toward = harness._step_toward
 
     def recording(scene_, state, target):
         if state.location != target:
             targets.add(target)
+            if not scene_.nav.adjacent(state.location, target):
+                far.add(target)
         return step_toward(scene_, state, target)
 
     monkeypatch.setattr(harness, "_step_toward", recording)
@@ -574,10 +577,12 @@ def test_rollout_opens_one_field_per_drive_target_or_goal(synth, monkeypatch):
     traces, _ = run_tours(scene, synth["tours"], by_id, policy, Config(map_mode="iterative", seed=5))
     ends = [(scene.snap_point(by_id[et.episode_id].path[-1]), scene.snap_point(et.agent_path[-1]))
             for trace in traces for et in trace.episodes]
-    # a goal check off the goal reads the field of the correction's drive
-    goals = {goal for goal, end in ends if goal != end}
-    assert goals and goals <= targets
-    assert set(scene.nav._fields) == {scene.nav.id_of[loc] for loc in targets}
+    # every goal is checked off its own field, which a correction's drive then reads
+    goals = {goal for goal, _ in ends}
+    corrected = {goal for goal, end in ends if goal != end}
+    assert corrected and corrected <= targets
+    assert set(scene.nav._fields) == {scene.nav.id_of[loc] for loc in far | goals}
+    assert targets - far - goals  # a target only ever one step away opens no field
     # each drive step walks one step of its route, never the whole route
     assert routes == [] and len(steps) > 5 * len(scene.nav._fields)
 
