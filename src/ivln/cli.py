@@ -73,6 +73,16 @@ def _max_steps(raw: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expected a step count or none, got {raw!r}") from None
 
 
+def _check_scene(scene, episodes_path, episodes, tours_path=None, tours=()) -> None:
+    """Raise ValueError naming the file, the record and both ids for the
+    first episode, then tour, that belongs to a scene other than ``scene``."""
+    named = [(episodes_path, f"episode {ep.episode_id}", ep.scene_id) for ep in episodes]
+    named += [(tours_path, f"tour {tour.tour_id}", tour.scene_id) for tour in tours]
+    for path, record, scene_id in named:
+        if scene_id != scene.scene_id:
+            raise ValueError(f"{path}: {record} belongs to scene {scene_id!r}, not to {scene.scene_id!r}")
+
+
 def cmd_gen_env(args) -> int:
     spec = FloorplanSpec(
         rooms=args.rooms,
@@ -96,13 +106,13 @@ def cmd_gen_env(args) -> int:
 
 
 def cmd_gen_episodes(args) -> int:
-    scene = load_scene(args.scene)
     spec = EpisodeSpec(
         count=args.count,
         length_range=(args.min_length, args.max_length),
         instructions_per_path=args.n,
         seed=args.seed,
     )
+    scene = load_scene(args.scene)
     episodes = generate_episodes(scene, spec)
     save_episodes(episodes, args.out)
     paths = len(unique_paths(episodes))
@@ -114,6 +124,7 @@ def cmd_gen_tours(args) -> int:
     cfg = _config_from_args(args, ("seed", "solver"))
     scene = load_scene(args.scene)
     episodes = load_episodes(args.episodes)
+    _check_scene(scene, args.episodes, episodes)
     tours = build_tours(episodes, scene, cfg.seed, solver=cfg.solver)
     save_tours(tours, episodes, args.out)
     print(_stats_block(compute_tour_stats(tours)))
@@ -127,6 +138,7 @@ def cmd_run(args) -> int:
     scene = load_scene(args.scene)
     episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
     tours = load_tours(args.tours)
+    _check_scene(scene, args.episodes, episodes_by_id.values(), args.tours, tours)
     if not tours:
         raise EmptySequence(f"no tours in {args.tours}")
     policy = make_policy(cfg.policy, scene, episodes_by_id, cfg)
@@ -167,9 +179,12 @@ def cmd_eval(args) -> int:
         raise ValueError("--geodesic needs --scene")
     scene = load_scene(args.scene) if args.scene else None
     episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
+    tours = load_tours(args.tours) if args.tours else []
+    if scene is not None:
+        _check_scene(scene, args.episodes, episodes_by_id.values(), args.tours, tours)
     traces = read_traces(args.traces, episodes_by_id)
     if args.tours:
-        _check_complete(load_tours(args.tours), traces)
+        _check_complete(tours, traces)
     dist = GeodesicMetric(scene) if cfg.geodesic else euclidean
     report = build_report(
         traces,
@@ -199,6 +214,7 @@ def cmd_coverage(args) -> int:
     scene = load_scene(args.scene)
     episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
     tours = load_tours(args.tours)
+    _check_scene(scene, args.episodes, episodes_by_id.values(), args.tours, tours)
     model = ObservationModel(radius=cfg.radius, occlusion=cfg.occlusion)
     curve = coverage_curves(tours, episodes_by_id, scene, model)
     curve.save_csv(args.out)
@@ -221,6 +237,7 @@ def cmd_build_map(args) -> int:
     cfg = dataclasses.replace(_config_from_args(args, ()), map_mode=args.mode)
     scene = load_scene(args.scene)
     episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
+    _check_scene(scene, args.episodes, episodes_by_id.values())
     traces = read_traces(args.traces, episodes_by_id)
     if not traces:
         raise MissingEpisode(f"no tour traces in {args.traces}")

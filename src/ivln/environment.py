@@ -18,8 +18,11 @@ to ``b`` is walked down ``b``'s field (``NavIndex.route``), so the
 oracle's steps toward a target and its distance-to-goal checks share one
 field.  Moves and oracle steps share the index's one adjacency
 (``NavIndex.adjacent``).  The fields live as long as the scene and are
-the package's only distance cache.  The index is built from the scene as
-it is at the first query, so a scene must not be mutated after it.
+the package's only distance cache.  The endpoint matrix
+(``connectivity_matrix``) comes from one many-source numpy pass instead
+(``NavIndex.settle_many``): the fields' bits, none of their memory.  The
+index is built from the scene as it is at the first query, so a scene
+must not be mutated after it.
 
 The index also caches ``Scene.snap_point`` by exact query point, misses
 included, so each distinct point is snapped once per scene.
@@ -301,30 +304,50 @@ class Scene:
 # shortest-path search
 
 
-def _grid_neighbor_lists(grid: GridWorld, ids: list[int]) -> list[list]:
-    """The 8-neighbors of every navigable cell as flat ``[id, weight,
-    id, weight, ...]`` lists, with one shifted gather per offset.  A
-    diagonal step is listed only when both orthogonal cells beside it
-    are navigable, so no step cuts a corner.
+def _grid_adjacency(grid: GridWorld, ids: list[int]) -> tuple[list[list], np.ndarray, np.ndarray]:
+    """The 8-neighbors of every navigable cell, with one shifted gather
+    per offset, in two layouts: flat ``[id, weight, id, weight, ...]``
+    lists, and padded ``(n, 8)`` id and step arrays with one column per
+    offset (the id itself and inf where there is no step).  A diagonal
+    step is listed only when both orthogonal cells beside it are
+    navigable, so no step cuts a corner.
 
     ``ids`` numbers the navigable cells by ``(ix, iy)``; the lists share
     its int objects and one float per step length.
     """
     open_ = np.zeros((grid.width + 2, grid.height + 2), dtype=bool)  # [ix + 1, iy + 1]
     open_[1:-1, 1:-1] = grid.navigable.T
-    number = np.zeros(open_.shape, dtype=np.intp)
+    number = np.zeros(open_.shape, dtype=np.int32)
     number[open_] = np.arange(len(ids))
     xs, ys = np.nonzero(open_)  # in id order
     straight, diagonal = grid.resolution, grid.resolution * _SQRT2
+    steps = [diagonal if dx and dy else straight for dx, dy in _NEIGHBORS_8]
+    nbr = np.full((len(ids), len(_NEIGHBORS_8)), -1, dtype=np.int32)
     out: list[list] = [[] for _ in ids]
-    for dx, dy in _NEIGHBORS_8:  # each list fills in offset order
+    for k, (dx, dy) in enumerate(_NEIGHBORS_8):  # each list fills in offset order
         ok = open_[xs + dx, ys + dy]
         if dx and dy:  # no corner cutting
             ok &= open_[xs + dx, ys] & open_[xs, ys + dy]
-        step = diagonal if dx and dy else straight
-        for i, j in zip(np.flatnonzero(ok).tolist(), number[xs[ok] + dx, ys[ok] + dy].tolist()):
+        at = np.flatnonzero(ok)
+        nbr[at, k] = to = number[xs[at] + dx, ys[at] + dy]
+        step = steps[k]
+        for i, j in zip(at.tolist(), to.tolist()):
             out[i] += (ids[j], step)
-    return out
+    pad = nbr < 0
+    nbr[pad] = np.nonzero(pad)[0]
+    return out, nbr, np.where(pad, math.inf, steps)
+
+
+def _padded(neighbors: list[list]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat neighbor lists as padded ``(n, max degree)`` id and step
+    arrays, in list order (the id itself and inf where a list is shorter)."""
+    degree = max(map(len, neighbors), default=0) // 2
+    nbr = np.repeat(np.arange(len(neighbors), dtype=np.int32)[:, None], degree, axis=1)
+    steps = np.full(nbr.shape, math.inf)
+    for i, adj in enumerate(neighbors):
+        nbr[i, : len(adj) // 2] = adj[0::2]
+        steps[i, : len(adj) // 2] = adj[1::2]
+    return nbr, steps
 
 
 class NavIndex:
@@ -337,6 +360,9 @@ class NavIndex:
     ``_NEIGHBORS_8`` offsets on grids, sorted adjacency on graphs) that
     shares its int and float objects with the other lists: the scene's
     one adjacency, which moves and oracle steps share (``adjacent``).
+    ``_nbr`` and ``_steps`` hold the same adjacency padded to ``(n, max
+    degree)`` arrays in list order, each missing step an infinite loop
+    to the id itself, for ``settle_many``.
 
     ``_fields`` is the one distance cache: one Dijkstra per source that
     pauses between pops once the ids asked about are settled and resumes
@@ -347,6 +373,15 @@ class NavIndex:
     its tie rule picks the first neighbor in list order.  Graphs have no
     zero-length edges (``NavGraph`` rejects them), so every step of that
     walk lowers the distance.
+
+    The heap pops ids in (distance, id) order: steps are longer than
+    zero, so no pop is followed by a smaller key.  A settled id's float
+    is therefore the fold of its neighbors' candidates in that order
+    under the rule ``nd < dist[v] - 1e-12``, a rule that keeps the first
+    of two candidates within 1e-12 of each other.  ``settle_many``
+    replays that fold: it closes a window of ids at a time, no member of
+    which can lower another, and folds each target's candidates in pop
+    order, so it returns the very floats the heap does.
     """
 
     def __init__(self, scene: Scene):
@@ -359,11 +394,12 @@ class NavIndex:
                 for loc in self.locations
             ]
             self._points = [graph.nodes[loc] for loc in self.locations]
+            self._nbr, self._steps = _padded(self.neighbors)
         else:
             grid = scene.grid
             self.locations = [tuple(cell) for cell in np.argwhere(grid.navigable.T).tolist()]
             self.id_of = {loc: i for i, loc in enumerate(self.locations)}
-            self.neighbors = _grid_neighbor_lists(grid, list(self.id_of.values()))
+            self.neighbors, self._nbr, self._steps = _grid_adjacency(grid, list(self.id_of.values()))
             self._points = None
         self._grid = scene.grid
         # per source id: (dist, frontier, closed) of a Dijkstra paused between pops
@@ -468,6 +504,75 @@ class NavIndex:
         self._fields[source] = (dist, array("d", [x for entry in heap for x in entry]), closed)
         return dist
 
+    def settle_many(self, sources, ids, skip_diagonal: bool = False) -> np.ndarray:
+        """Row i is bitwise ``settle(sources[i], ids)[ids]``, for all the
+        sources at once in numpy; with ``skip_diagonal`` entry (i, i) is 0
+        and is not searched for.  Each distinct source is searched once,
+        until the ids its rows ask about are closed or nothing is left;
+        no field is opened.
+
+        A round closes every open (source, id) below the smallest open
+        distance plus the shortest step (less 1e-6 of it, for rounding):
+        a step from a member lands above that window, so each member is
+        final.  It then folds each target's candidates in pop order under
+        the heap's rule (see the class docstring); a plain minimum, or
+        another order, differs where two sums nearly tie.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        n = len(self.locations)
+        row_of = {}  # distinct source -> its row of the search
+        which = np.array([row_of.setdefault(s, len(row_of)) for s in sources], dtype=np.intp)
+        asked = which[:, None] * n + ids  # flat (row, id) index of each entry
+        if skip_diagonal:
+            asked = asked[~np.eye(*asked.shape, dtype=bool)]
+        pending = asked.ravel()  # the asked (row, id) entries not yet final
+        rows = np.flatnonzero(np.bincount(pending // n, minlength=len(row_of)))
+        front = rows * n + np.array(list(row_of), dtype=np.intp)[rows]
+        dist = np.full(len(row_of) * n, math.inf)
+        dist[front] = 0.0
+        window = np.min(self._steps, initial=math.inf) * (1 - 1e-6)
+        while front.size:
+            d = dist[front]
+            top = d.min() + window
+            inside = d < top
+            members, d = front[inside], d[inside]
+            front = front[~inside]
+            pending = pending[dist[pending] >= top]
+            order = np.lexsort((members, d))  # pop order: distance, then id
+            members, d = members[order], d[order]
+            u = members % n
+            targets = self._nbr[u].astype(np.intp)
+            targets += (members - u)[:, None]
+            cands = self._steps[u]
+            cands += d[:, None]
+            # a distance only falls, so what the rule refuses now it refuses for good:
+            # every closed target, and every padding step (inf)
+            keep = cands < dist[targets] - 1e-12
+            targets, cands = targets[keep], cands[keep]
+            order = np.argsort(targets, kind="stable")  # by target, each in pop order
+            targets, cands = targets[order], cands[order]
+            first = np.ones(targets.size, dtype=bool)
+            first[1:] = targets[1:] != targets[:-1]
+            head, c = targets[first], cands[first]
+            front = np.concatenate((front, head[dist[head] == math.inf]))
+            dist[head] = c  # each target's first candidate passed the rule above
+            # a later candidate the rule refuses against the first, it refuses against what follows
+            later = cands < c[np.cumsum(first) - 1] - 1e-12
+            targets, cands = targets[later], cands[later]
+            while targets.size:  # the first candidate left for each target, then the next
+                first = np.ones(targets.size, dtype=bool)
+                first[1:] = targets[1:] != targets[:-1]
+                head, c = targets[first], cands[first]
+                better = c < dist[head] - 1e-12
+                dist[head[better]] = c[better]
+                targets, cands = targets[~first], cands[~first]
+            # a search stops once it has closed every id it was asked about
+            front = front[np.bincount(pending // n, minlength=len(row_of))[front // n] > 0]
+        out = dist.reshape(len(row_of), n)[which[:, None], ids]
+        if skip_diagonal:
+            np.fill_diagonal(out, 0.0)
+        return out
+
     def distance(self, a, b) -> float:
         """Geodesic distance between two locations, inf when unreachable."""
         target = self.id_of[b]
@@ -505,8 +610,11 @@ def connectivity_matrix(scene: Scene, endpoints: Sequence[tuple[Sequence[float],
     the geodesic distance from end of path i to start of path j, inf when
     unreachable.  The diagonal is 0.  Snap failures carry the offending
     endpoint index.
+
+    All rows come from one ``NavIndex.settle_many`` pass over the
+    distinct path ends, bitwise what one heap field per end gives; the
+    diagonal is not searched for, so one path searches nothing.
     """
-    n = len(endpoints)
     starts = []
     ends = []
     for i, (start, end) in enumerate(endpoints):
@@ -516,12 +624,7 @@ def connectivity_matrix(scene: Scene, endpoints: Sequence[tuple[Sequence[float],
         except SnapFailure as exc:
             raise SnapFailure(exc.point, exc.radius, index=i) from None
     nav = scene.nav
-    start_ids = [nav.id_of[s] for s in starts]
-    out = np.zeros((n, n))
-    for i in range(n):
-        out[i, :] = np.frombuffer(nav.settle(nav.id_of[ends[i]], start_ids))[start_ids]
-        out[i, i] = 0.0
-    return out
+    return nav.settle_many([nav.id_of[e] for e in ends], [nav.id_of[s] for s in starts], skip_diagonal=True)
 
 
 class GeodesicMetric:

@@ -74,6 +74,8 @@ class EpisodeSpec:
     def __post_init__(self):
         if not all(map(math.isfinite, self.length_range)):
             raise ValueError(f"length_range must be finite, got {self.length_range}")
+        if not 0 <= self.length_range[0] <= self.length_range[1]:
+            raise ValueError(f"length_range must hold 0 <= min <= max, got {self.length_range}")
         if self.count < 1 or self.instructions_per_path < 1:
             raise SpecInfeasible("episode and instruction counts must be at least 1")
 

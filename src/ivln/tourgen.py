@@ -368,10 +368,6 @@ def solve_atsp(cost: np.ndarray, improve: bool = True) -> list[int]:
     return best_cycle[at + 1 :] + best_cycle[:at]
 
 
-def open_path_cost(cost: np.ndarray, order: list[int]) -> float:
-    return float(sum(cost[order[i], order[i + 1]] for i in range(len(order) - 1)))
-
-
 def held_karp_exact(cost: np.ndarray) -> tuple[list[int], float]:
     """Exact open-path order by dynamic programming over subsets.
 

@@ -220,6 +220,12 @@ def synthesize_views(grid: GridWorld, pose: Pose, intrinsics: CameraIntrinsics,
     )
 
 
+def open_path_cost(cost: np.ndarray, order: list[int]) -> float:
+    """Sum of ``cost`` over consecutive pairs of ``order``: an open path
+    has no closing leg."""
+    return float(sum(cost[order[i], order[i + 1]] for i in range(len(order) - 1)))
+
+
 def oracle_segments(trace):
     """A tour trace's oracle segments in the order they ran."""
     return [seg for et in trace.episodes for seg in et.segments]

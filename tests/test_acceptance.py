@@ -48,13 +48,12 @@ from ivln.tourgen import (
     compute_tour_stats,
     held_karp_exact,
     load_episodes,
-    open_path_cost,
     partition_paths,
     solve_atsp,
     unique_paths,
 )
 
-from conftest import check_trace_invariants
+from conftest import check_trace_invariants, open_path_cost
 from test_metrics import masked_tour_dtw
 
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivln.errors import Disconnected, SizeLimit
-from ivln.tourgen import held_karp_exact, open_path_cost, solve_atsp
+from ivln.tourgen import held_karp_exact, solve_atsp
+
+from conftest import open_path_cost
 
 
 def brute_force_open_path(cost):

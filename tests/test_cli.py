@@ -346,17 +346,63 @@ OUT_OF_RANGE_FLAGS = [
     ("gen-env", "--door-width", "nan", "door_width must be positive and finite, got nan"),
     ("gen-episodes", "--min-length", "nan", "length_range must be finite, got (nan, 15.0)"),
     ("gen-episodes", "--max-length", "inf", "length_range must be finite, got (5.0, inf)"),
+    ("gen-episodes", "--max-length", "3", "length_range must hold 0 <= min <= max, got (5.0, 3.0)"),
+    ("gen-episodes", "--min-length", "-1", "length_range must hold 0 <= min <= max, got (-1.0, 15.0)"),
 ]
 
 
 @pytest.mark.parametrize("command, flag, value, message", OUT_OF_RANGE_FLAGS,
-                         ids=[flag[2:] for _, flag, _, _ in OUT_OF_RANGE_FLAGS])
+                         ids=[flag[2:] if value in ("nan", "inf", "0") else f"{flag[2:]}={value}"
+                              for _, flag, value, _ in OUT_OF_RANGE_FLAGS])
 def test_generator_flag_out_of_range_is_bad_input_naming_the_setting(
         pipeline, tmp_path, capsys, command, flag, value, message):
     scene = ("--scene", pipeline["scene"]) if command == "gen-episodes" else ()
     out = tmp_path / "out.json"
     assert run_cli(command, *scene, flag, value, "--out", out) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="session")
+def other_scene(tmp_path_factory):
+    """A scene whose id, syn-8, no pipeline file carries."""
+    path = tmp_path_factory.mktemp("other") / "scene.json"
+    assert run_cli("gen-env", "--rooms", 3, "--seed", 8, "--out", path) == 0
+    return path
+
+
+SCENE_COMMANDS = [  # command, the pipeline files it reads, its other flags
+    ("gen-tours", ("episodes",), ()),
+    ("run", ("episodes", "tours"), ("--policy", "oracle")),
+    ("eval", ("episodes", "tours", "traces"), ("--geodesic",)),
+    ("coverage", ("episodes", "tours"), ()),
+    ("build-map", ("episodes", "traces"), ()),
+]
+
+
+@pytest.mark.parametrize("command, inputs, flags", SCENE_COMMANDS, ids=[command for command, _, _ in SCENE_COMMANDS])
+def test_a_command_refuses_episodes_of_another_scene(pipeline, other_scene, tmp_path, capsys, command, inputs, flags):
+    out = tmp_path / "out"
+    files = [x for name in inputs for x in (f"--{name}", pipeline[name])]
+    assert run_cli(command, "--scene", other_scene, *files, *flags, "--out", out) == 2
+    first = load_episodes(pipeline["episodes"])[0].episode_id
+    assert (f"error: {pipeline['episodes']}: episode {first} belongs to scene 'syn-7', not to 'syn-8'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "coverage"])
+def test_a_command_refuses_a_tour_of_another_scene(pipeline, tmp_path, capsys, command):
+    data = json.loads(pipeline["tours"].read_text())
+    data["tours"][-1]["scene_id"] = "syn-8"
+    tours = tmp_path / "tours.json"
+    tours.write_text(json.dumps(data))
+    flags = ("--policy", "oracle") if command == "run" else ()
+    out = tmp_path / "out"
+    assert run_cli(command, "--scene", pipeline["scene"], "--episodes", pipeline["episodes"],
+                   "--tours", tours, *flags, "--out", out) == 2
+    tour_id = data["tours"][-1]["tour_id"]
+    assert f"error: {tours}: tour {tour_id} belongs to scene 'syn-8', not to 'syn-7'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -526,14 +527,21 @@ def settled(nav, location, ids) -> np.ndarray:
     return np.frombuffer(nav.settle(nav.id_of[location], ids))[ids]
 
 
-@pytest.mark.parametrize("kind", ["synth_grid", "split_grid", "synth_graph", "square_and_pair"])
+SEARCH_KINDS = ["synth_grid", "split_grid", "synth_graph", "square_and_pair"]
+
+
+def search_scene(kind, synth) -> Scene:
+    return {
+        "synth_grid": lambda: synth["scene"],
+        "split_grid": split_grid_scene,
+        "synth_graph": lambda: synth["graph_scene"],
+        "square_and_pair": square_and_pair_scene,
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", SEARCH_KINDS)
 def test_resumed_distances_equal_one_full_run(kind, synth):
-    scene = {
-        "synth_grid": synth["scene"],
-        "split_grid": split_grid_scene(),
-        "synth_graph": synth["graph_scene"],
-        "square_and_pair": square_and_pair_scene(),
-    }[kind]
+    scene = search_scene(kind, synth)
     whole, paused = NavIndex(scene), NavIndex(scene)
     every = list(range(len(whole.locations)))
     rng = np.random.default_rng(12)
@@ -550,8 +558,83 @@ def test_resumed_distances_equal_one_full_run(kind, synth):
     for source in sources:
         assert (got[source] == full[source]).all()
         assert got[source].tobytes() == full[source].tobytes()
+    bulk = NavIndex(scene).settle_many([whole.id_of[source] for source in sources], every)
+    assert bulk.tobytes() == np.array([full[source] for source in sources]).tobytes()
     if kind in ("split_grid", "square_and_pair"):
         assert any(np.isinf(row).any() for row in full.values())
+
+
+def assert_rows_are_settle(scene, sources, ids, skip_diagonal=False) -> None:
+    """Check ``settle_many``'s rows bytewise against one heap field per
+    row on a fresh index (0 on the diagonal with ``skip_diagonal``)."""
+    got = NavIndex(scene).settle_many(sources, ids, skip_diagonal)
+    reference = NavIndex(scene)
+    want = np.array([np.frombuffer(reference.settle(s, ids))[ids] for s in sources]).reshape(got.shape)
+    if skip_diagonal:
+        np.fill_diagonal(want, 0.0)
+    assert got.shape == (len(sources), len(ids))
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def sealed_grids(draw):
+    """A random walled grid at one of four resolutions; walls, and at
+    times a wall across it, seal pockets off, so some ids are inf."""
+    h, w = draw(st.integers(1, 14)), draw(st.integers(2, 14))
+    navigable = np.ones((h, w), dtype=bool)
+    for iy, ix in draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)), max_size=h * w // 3)):
+        navigable[iy, ix] = False
+    if draw(st.booleans()):
+        navigable[:, draw(st.integers(0, w - 1))] = False
+    navigable[0, 0] = navigable[-1, -1] = True
+    resolution = draw(st.sampled_from([0.1, 0.25, 1 / 3, 0.7]))
+    return Scene(scene_id="sealed", grid=GridWorld(
+        resolution=resolution, origin=(0.3, -1.7, 0.0), width=w, height=h, navigable=navigable,
+        semantic=np.zeros((h, w), np.uint8), floor_z=0.0, ceiling_z=2.0))
+
+
+@given(sealed_grids(), st.data())
+@settings(max_examples=120)
+def test_settle_many_equals_settle_on_random_walled_grids(scene, data):
+    every = list(range(len(scene.nav.locations)))
+    sources = data.draw(st.lists(st.sampled_from(every), min_size=1, max_size=6))
+    assert_rows_are_settle(scene, sources, every)
+
+
+def lattice_graph(rng) -> Scene:
+    """A random graph on a lattice, its edges up to two lattice steps
+    long: many sums of edge lengths nearly tie."""
+    spots = sorted({(int(x), int(y)) for x, y in rng.integers(0, 6, size=(int(rng.integers(2, 31)), 2))})
+    scale = [0.1, 0.25, 1 / 3, 0.7][int(rng.integers(4))]
+    nodes = {f"n{i:02d}": (x * scale, y * scale, 1.0) for i, (x, y) in enumerate(spots)}
+    edges = [(f"n{i:02d}", f"n{j:02d}") for i, j in itertools.combinations(range(len(spots)), 2)
+             if max(abs(spots[i][0] - spots[j][0]), abs(spots[i][1] - spots[j][1])) <= 2 and rng.random() < 0.7]
+    return Scene(scene_id="lattice", graph=NavGraph(nodes=nodes, edges=edges))
+
+
+def test_settle_many_equals_settle_on_random_graphs():
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        scene = lattice_graph(rng)
+        every = list(range(len(scene.nav.locations)))
+        assert_rows_are_settle(scene, every, every)
+
+
+@pytest.mark.parametrize("kind", SEARCH_KINDS)
+def test_settle_many_partial_ids_repeated_sources_and_the_diagonal(kind, synth):
+    scene = search_scene(kind, synth)
+    n = len(scene.nav.locations)
+    rng = np.random.default_rng(3)
+    ids = [int(i) for i in rng.choice(n, size=min(5, n), replace=False)]
+    sources = [ids[0], int(rng.integers(n)), ids[0], ids[-1]]  # repeated, and among the ids
+    assert_rows_are_settle(scene, sources, ids)
+    assert_rows_are_settle(scene, sources, ids[::-1] + ids[:2])  # repeated ids
+    assert_rows_are_settle(scene, ids, ids, skip_diagonal=True)
+    assert_rows_are_settle(scene, ids[:1], ids[:1], skip_diagonal=True)
+    assert NavIndex(scene).settle_many([], ids).shape == (0, len(ids))
+    nav = NavIndex(scene)
+    nav.settle_many(sources, ids)
+    assert nav._fields == {}  # no heap field is opened
 
 
 @pytest.mark.parametrize("kind", ["scene", "graph_scene"])
