@@ -15,6 +15,7 @@ long ordered sequences an agent can follow in one continuous session:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import statistics
@@ -263,54 +264,22 @@ def _apply_exchange(cycle, i, j, k):
     return cycle[: i + 1] + cycle[j + 1 : k + 1] + cycle[i + 1 : j + 1] + cycle[k + 1 :]
 
 
-def _or_opt_pass(cost: list[list[float]], cycle: list[int]) -> tuple[list[int], bool]:
-    """Relocate segments of length 1..3; first strict improvement wins."""
-    m = len(cycle)
-    for seg_len in (1, 2, 3):
-        if seg_len >= m - 1:
-            break
-        for start in range(m):
-            seg = [cycle[(start + t) % m] for t in range(seg_len)]
-            rest = [cycle[(start + seg_len + t) % m] for t in range(m - seg_len)]
-            before = cost[rest[-1]][seg[0]] + cost[seg[-1]][rest[0]]
-            base_edge = cost[rest[-1]][rest[0]]
-            for pos in range(len(rest) - 1):
-                delta = (
-                    cost[rest[pos]][seg[0]]
-                    + cost[seg[-1]][rest[pos + 1]]
-                    - cost[rest[pos]][rest[pos + 1]]
-                    + base_edge
-                    - before
-                )
-                if delta < -1e-9:
-                    new_cycle = rest[: pos + 1] + seg + rest[pos + 1 :]
-                    return new_cycle, True
-    return cycle, False
-
-
-def _three_opt_pass(cost: list[list[float]], cycle: list[int]) -> tuple[list[int], bool]:
-    m = len(cycle)
-    for i in range(m - 2):
-        for j in range(i + 1, m - 1):
-            for k in range(j + 1, m):
-                if _segment_cost_delta(cost, cycle, i, j, k) < -1e-9:
-                    return _apply_exchange(cycle, i, j, k), True
-    return cycle, False
-
-
 _MULTISTART_LIMIT = 12
 _KICKS_PER_START = 6
 
 
 def _improve_cycle(full: list[list[float]], cycle: list[int]) -> list[int]:
+    """Apply the first improving segment exchange, scanning cut triples
+    ``i < j < k``, until none improves.  Moving any segment to another gap
+    cuts three cycle edges and swaps two of the pieces, so it is one of
+    these exchanges, and the result is a relocation optimum too."""
     while True:
-        cycle, moved = _or_opt_pass(full, cycle)
-        if moved:
-            continue
-        cycle, moved = _three_opt_pass(full, cycle)
-        if not moved:
-            break
-    return cycle
+        for i, j, k in itertools.combinations(range(len(cycle)), 3):
+            if _segment_cost_delta(full, cycle, i, j, k) < -1e-9:
+                cycle = _apply_exchange(cycle, i, j, k)
+                break
+        else:
+            return cycle
 
 
 def _double_bridge(cycle: list[int], rng: random.Random) -> list[int]:
@@ -324,7 +293,7 @@ def solve_atsp(cost: np.ndarray, improve: bool = True) -> list[int]:
 
     Returns a permutation of range(n) minimizing the sum of ``cost`` over
     consecutive pairs (no closing leg).  Nearest neighbor seeds the
-    order; orientation-preserving 3-opt exchanges plus segment relocation
+    order; orientation-preserving segment exchanges (a relocation is one)
     then run to a local optimum.  Reversal moves are never used because
     the costs are asymmetric.  Small instances restart from every city
     and escape local optima with seeded double-bridge perturbations,

@@ -226,6 +226,29 @@ def open_path_cost(cost: np.ndarray, order: list[int]) -> float:
     return float(sum(cost[order[i], order[i + 1]] for i in range(len(order) - 1)))
 
 
+def relocation_deltas(cost: list[list[float]], cycle: list[int]):
+    """Cost change of every move of 1-3 consecutive cities of ``cycle`` into
+    another gap of the rest, orientation kept: the or-opt neighbourhood
+    (Or, 1976), which the solver's segment exchanges cover."""
+    m = len(cycle)
+    for seg_len in (1, 2, 3):
+        if seg_len >= m - 1:
+            break
+        for start in range(m):
+            seg = [cycle[(start + t) % m] for t in range(seg_len)]
+            rest = [cycle[(start + seg_len + t) % m] for t in range(m - seg_len)]
+            before = cost[rest[-1]][seg[0]] + cost[seg[-1]][rest[0]]
+            base_edge = cost[rest[-1]][rest[0]]
+            for pos in range(len(rest) - 1):
+                yield (
+                    cost[rest[pos]][seg[0]]
+                    + cost[seg[-1]][rest[pos + 1]]
+                    - cost[rest[pos]][rest[pos + 1]]
+                    + base_edge
+                    - before
+                )
+
+
 def oracle_segments(trace):
     """A tour trace's oracle segments in the order they ran."""
     return [seg for et in trace.episodes for seg in et.segments]

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivln.errors import Disconnected, SizeLimit
-from ivln.tourgen import held_karp_exact, solve_atsp
+from ivln.tourgen import _improve_cycle, _nearest_neighbor_cycle, _with_dummy, held_karp_exact, solve_atsp
 
-from conftest import open_path_cost
+from conftest import open_path_cost, relocation_deltas
 
 
 def brute_force_open_path(cost):
@@ -60,6 +60,25 @@ def test_heuristic_finds_optimum_on_small_instances():
         if open_path_cost(cost, solve_atsp(cost)) == pytest.approx(best, abs=1e-9):
             hits += 1
     assert hits >= 38  # near-exhaustive on 6 cities
+
+
+def closed_cycle_cost(cost, cycle):
+    return sum(cost[cycle[i - 1]][cycle[i]] for i in range(len(cycle)))
+
+
+@given(st.integers(0, 10_000), st.integers(3, 30))
+@settings(max_examples=40)
+def test_local_search_ends_at_a_relocation_and_exchange_optimum(seed, n):
+    # the relocation deltas are the reference: every relocation must be one
+    # of the segment exchanges the search scans, so none may still improve
+    full = _with_dummy(random_instance(seed, n))
+    cycle = _improve_cycle(full, _nearest_neighbor_cycle(full, n))
+    assert sorted(cycle) == list(range(n + 1))
+    assert min(relocation_deltas(full, cycle)) >= -1e-9
+    held = closed_cycle_cost(full, cycle)
+    for i, j, k in itertools.combinations(range(n + 1), 3):
+        exchanged = cycle[: i + 1] + cycle[j + 1 : k + 1] + cycle[i + 1 : j + 1] + cycle[k + 1 :]
+        assert closed_cycle_cost(full, exchanged) - held >= -1e-9, (i, j, k)
 
 
 def test_solver_is_deterministic():
