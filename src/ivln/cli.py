@@ -125,6 +125,8 @@ def cmd_gen_tours(args) -> int:
     scene = load_scene(args.scene)
     episodes = load_episodes(args.episodes)
     _check_scene(scene, args.episodes, episodes)
+    if not episodes:
+        raise EmptySequence(f"no episodes in {args.episodes}")
     tours = build_tours(episodes, scene, cfg.seed, solver=cfg.solver)
     save_tours(tours, episodes, args.out)
     print(_stats_block(compute_tour_stats(tours)))
@@ -215,6 +217,8 @@ def cmd_coverage(args) -> int:
     episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
     tours = load_tours(args.tours)
     _check_scene(scene, args.episodes, episodes_by_id.values(), args.tours, tours)
+    if not tours:
+        raise EmptySequence(f"no tours in {args.tours}")
     model = ObservationModel(radius=cfg.radius, occlusion=cfg.occlusion)
     curve = coverage_curves(tours, episodes_by_id, scene, model)
     curve.save_csv(args.out)

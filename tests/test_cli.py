@@ -146,14 +146,22 @@ def test_run_checks_the_map_out_flag_before_running(pipeline, tmp_path, capsys):
     assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "map.json").exists()
 
 
-def test_run_rejects_a_tour_file_without_tours(pipeline, tmp_path, capsys):
+EMPTY_INPUTS = [  # command, the pipeline files it reads, the one emptied
+    ("run", ("episodes", "tours"), "tours"),
+    ("coverage", ("episodes", "tours"), "tours"),
+    ("gen-tours", ("episodes",), "episodes"),
+]
+
+
+@pytest.mark.parametrize("command, inputs, emptied", EMPTY_INPUTS, ids=[command for command, _, _ in EMPTY_INPUTS])
+def test_a_command_refuses_a_file_without_records(pipeline, tmp_path, capsys, command, inputs, emptied):
     empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"format_version": "1", "tours": []}))
-    code = run_cli("run", "--scene", pipeline["scene"], "--tours", empty, "--episodes", pipeline["episodes"],
-                   "--map", "iterative", "--map-out", tmp_path / "map.json", "--out", tmp_path / "t.jsonl")
-    assert code == 3
-    assert f"no tours in {empty}" in capsys.readouterr().err
-    assert not (tmp_path / "t.jsonl").exists()
+    empty.write_text(json.dumps({"format_version": "1", emptied: []}))
+    files = [x for name in inputs for x in (f"--{name}", empty if name == emptied else pipeline[name])]
+    flags = ("--map", "iterative", "--map-out", tmp_path / "map.json") if command == "run" else ()
+    assert run_cli(command, "--scene", pipeline["scene"], *files, *flags, "--out", tmp_path / "out") == 3
+    assert f"no {emptied} in {empty}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.json"]
 
 
 @pytest.fixture
