@@ -13,12 +13,13 @@ same on both scene kinds.  One kernel answers both questions: a
 resumable Dijkstra per source id, which settles ids only until every id
 asked about is settled and keeps its heap for the next question, so a
 query costs the ball out to its farthest target, not the whole scene.
-A distance is read off the source's field (``NavIndex.settle``); a route
-to ``b`` is walked down ``b``'s field (``NavIndex.route``), so the
-oracle's steps toward a target and its distance-to-goal checks share one
-field.  Moves and oracle steps share the index's one adjacency
-(``NavIndex.adjacent``).  The fields live as long as the scene and are
-the package's only distance cache.  The endpoint matrix
+A distance is read off the source's field (``NavIndex.settle``); a step
+toward ``b`` is read off ``b``'s field (``NavIndex.next_location``), and a
+route is that step repeated (``NavIndex.route``), so the oracle's steps
+toward a target and its distance-to-goal checks share one field.  Moves
+and oracle steps share the index's one adjacency (``NavIndex.adjacent``).
+The fields live as long as the scene and are the package's only distance
+cache.  The endpoint matrix
 (``connectivity_matrix``) comes from one many-source numpy pass instead
 (``NavIndex.settle_many``): the fields' bits, none of their memory.  The
 index is built from the scene as it is at the first query, so a scene
@@ -369,10 +370,10 @@ class NavIndex:
     on a later question.  It settles ids in the same order whether it
     pauses or not, so every distance read is bitwise the one a search to
     exhaustion gives.  Routes are read off the target's field with no
-    parent array (``route``, or one step of it with ``next_location``);
-    its tie rule picks the first neighbor in list order.  Graphs have no
-    zero-length edges (``NavGraph`` rejects them), so every step of that
-    walk lowers the distance.
+    parent array: ``next_location`` takes one step, to the first
+    neighbor in list order that stays on a shortest route, and ``route``
+    repeats it.  Graphs have no zero-length edges (``NavGraph`` rejects
+    them), so every step lowers the distance.
 
     The heap pops ids in (distance, id) order: steps are longer than
     zero, so no pop is followed by a smaller key.  A settled id's float
@@ -420,24 +421,15 @@ class NavIndex:
 
     def route(self, a, b) -> tuple | None:
         """Shortest route from location ``a`` to ``b`` as a tuple of
-        locations, or None when no route exists.
-
-        ``b``'s field is settled out to ``a``; then each step goes to the
-        first neighbor, in ``neighbors`` order, whose distance plus the
-        step is bitwise the current distance.  The neighbor that set a
-        settled id's distance passes that test, and steps are symmetric,
-        so the walk is a shortest route; among equal-length routes it
-        takes the one this tie rule gives.
-        """
-        u, goal = self.id_of[a], self.id_of[b]
-        dist = self.settle(goal, (u,))
-        if dist[u] == math.inf:
-            return None
-        path = [u]
-        while u != goal:
-            u = self._next(u, dist)
-            path.append(u)
-        return tuple(self.locations[i] for i in path)
+        locations, or None when no route exists: ``next_location``
+        repeated until it reaches ``b``."""
+        path = [a]
+        while a != b:
+            a = self.next_location(a, b)
+            if a is None:
+                return None
+            path.append(a)
+        return tuple(path)
 
     def adjacent(self, a, b) -> bool:
         """Whether ``b`` is in location ``a``'s neighbor list; False for a
@@ -446,24 +438,24 @@ class NavIndex:
         return v is not None and v in self.neighbors[self.id_of[a]][0::2]
 
     def next_location(self, a, b):
-        """The location after ``a`` on ``route(a, b)``, for ``a`` other
-        than ``b``, or None when no route exists; only that one step is
-        walked.  On grids a neighbor ``b`` opens no field: the direct
-        step is the only shortest route (res or sqrt(2) res, against at
-        least 2 res round).  Graphs keep the field walk, where a node
-        collinear with an edge can tie with it."""
+        """The location after ``a`` (not ``b``) on the route to ``b`` the
+        tie rule picks, or None when no route exists: the first neighbor,
+        in ``neighbors`` order, whose distance on ``b``'s field (settled
+        out to ``a``) plus the step is bitwise ``a``'s.  The neighbor that
+        set a settled id's distance passes, an unsettled one cannot, and
+        steps are symmetric, so every step stays on a shortest route.  On
+        grids a neighbor ``b`` opens no field: the direct step is the only
+        shortest route (res or sqrt(2) res, against at least 2 res round).
+        Graphs keep the field walk, where a node collinear with an edge
+        can tie with it."""
         if self._grid is not None and self.adjacent(a, b):
             return b
         u = self.id_of[a]
         dist = self.settle(self.id_of[b], (u,))
-        return None if dist[u] == math.inf else self.locations[self._next(u, dist)]
-
-    def _next(self, u: int, dist: array) -> int:
-        """The walk's one step from id ``u`` down ``dist``: the first
-        neighbor, in list order, whose distance plus the step is bitwise
-        ``dist[u]``."""
+        if dist[u] == math.inf:
+            return None
         adj, here = self.neighbors[u], dist[u]
-        return next(adj[k] for k in range(0, len(adj), 2) if dist[adj[k]] + adj[k + 1] == here)
+        return self.locations[next(adj[k] for k in range(0, len(adj), 2) if dist[adj[k]] + adj[k + 1] == here)]
 
     def settle(self, source: int, ids) -> array:
         """Distances out of location id ``source`` by location id, exact

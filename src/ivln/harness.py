@@ -27,6 +27,7 @@ per-step deadline.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -150,9 +151,8 @@ def legal_actions(scene: Scene, state: AgentState) -> list[AgentAction]:
 
 
 def apply_action(scene: Scene, state: AgentState, action: AgentAction, cfg: Config) -> AgentState:
-    """Next state under the motion model; blocked moves leave it unchanged."""
-    if action.kind == STOP:
-        return state
+    """Next state under the motion model; blocked moves leave it unchanged.
+    A stop is no move: the rollout ends the phase before it gets here."""
     if scene.is_discrete:
         if action.kind != GOTO:
             raise ProtocolViolation(f"graph scenes accept goto or stop, got {action.kind}")
@@ -182,14 +182,6 @@ def apply_action(scene: Scene, state: AgentState, action: AgentAction, cfg: Conf
 # waypoint control (the oracle and its noisy variant)
 
 
-def _dedup(seq):
-    out = []
-    for item in seq:
-        if not out or out[-1] != item:
-            out.append(item)
-    return out
-
-
 def _step_toward(scene: Scene, state: AgentState, target) -> AgentAction | None:
     """One action moving the agent toward a snapped location; None if there.
 
@@ -215,7 +207,7 @@ class _WaypointCursor:
     """Tracks progress along a snapped reference path."""
 
     def __init__(self, scene: Scene, points):
-        self.targets = _dedup([scene.snap_point(p) for p in points])
+        self.targets = [target for target, _ in itertools.groupby(map(scene.snap_point, points))]
         self.index = 0
 
     def next_target(self, location):

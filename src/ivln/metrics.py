@@ -109,11 +109,7 @@ def _cost_matrix(ref, query, dist: PointMetric) -> np.ndarray:
         return _euclidean_matrix(np.asarray(ref), np.asarray(query))
     if isinstance(dist, GeodesicMetric):
         return _geodesic_costs(ref, query, dist)
-    out = np.empty((len(ref), len(query)))
-    for i, p in enumerate(ref):
-        for j, s in enumerate(query):
-            out[i, j] = dist(p, s)
-    return out
+    raise TypeError(f"the alignment metric must be euclidean or a GeodesicMetric, got {dist!r}")
 
 
 def _euclidean_matrix(r: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -203,7 +199,8 @@ def _accumulate(costs: np.ndarray) -> float:
 
 
 def dtw(reference, query, dist: PointMetric = euclidean) -> float:
-    """Dynamic time warping cost between two point sequences."""
+    """Dynamic time warping cost between two point sequences; ``dist`` is
+    ``euclidean`` or a ``GeodesicMetric`` (TypeError for any other)."""
     if len(reference) == 0 or len(query) == 0:
         raise EmptySequence("dtw needs non-empty sequences")
     return _accumulate(_cost_matrix(reference, query, dist))

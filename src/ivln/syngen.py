@@ -14,6 +14,7 @@ tour partitioning stage has to cope with.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -114,23 +115,12 @@ def generate_scene(spec: FloorplanSpec, scene_id: str | None = None) -> tuple[Sc
     navigable = np.ones((height, width), dtype=bool)
     semantic = np.full((height, width), LABEL_FLOOR, dtype=np.uint8)
 
-    def set_wall(iy, ix):
-        navigable[iy, ix] = False
-        semantic[iy, ix] = LABEL_WALL
-
     # wall indices: outer ring plus one wall after every room span
-    v_walls = [0]
-    for span in col_spans:
-        v_walls.append(v_walls[-1] + span + 1)
-    h_walls = [0]
-    for span in row_spans:
-        h_walls.append(h_walls[-1] + span + 1)
-    for ix in v_walls:
-        for iy in range(height):
-            set_wall(iy, ix)
-    for iy in h_walls:
-        for ix in range(width):
-            set_wall(iy, ix)
+    v_walls = list(itertools.accumulate((span + 1 for span in col_spans), initial=0))
+    h_walls = list(itertools.accumulate((span + 1 for span in row_spans), initial=0))
+    navigable[:, v_walls] = False
+    navigable[h_walls, :] = False
+    semantic[~navigable] = LABEL_WALL
 
     x_bands = [(v_walls[i] + 1, v_walls[i + 1] - 1) for i in range(rooms_x)]
     y_bands = [(h_walls[i] + 1, h_walls[i + 1] - 1) for i in range(rooms_y)]
@@ -197,8 +187,6 @@ def _place_furniture(grid, x_bands, y_bands, spec, rng) -> list[tuple[int, int]]
             attempts = 0
             while placed < spec.furniture_per_room and attempts < 50:
                 attempts += 1
-                if x1 - x0 < 4 or y1 - y0 < 4:
-                    break
                 ix = rng.randint(x0 + 2, x1 - 2)
                 iy = rng.randint(y0 + 2, y1 - 2)
                 if (ix, iy) == (cx, cy):

@@ -181,37 +181,30 @@ def unique_paths(episodes: list[Episode]) -> list[Episode]:
 def partition_paths(episodes: list[Episode], scene: Scene) -> list[PathGroup]:
     """Group a scene's unique paths into mutually reachable sets.
 
-    Two paths are connected when the travel cost from one's end to the
-    other's start is finite; finiteness is symmetric in an undirected
-    scene, so connected components of that relation give the grouping.
-    Groups and their members keep first-appearance order.  The scene's
-    endpoint matrix is built once; each group carries its slice.
+    When every path's start reaches its own end, "the end of i reaches
+    the start of j" is an equivalence (the scene is undirected), so row
+    i of the scene's endpoint matrix is finite exactly on i's group: the
+    groups are the distinct finite rows, in first-appearance order, each
+    with its slice of the matrix.  Rows that do not form such blocks mean
+    some path's start and end are not connected: raises Disconnected
+    naming a path and one whose start its end reaches but whose row differs.
     """
     reps = unique_paths(episodes)
     if not reps:
         return []
     cost = connectivity_matrix(scene, [(ep.start, ep.goal) for ep in reps])
-    n = len(reps)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if math.isfinite(cost[i, j]) or math.isfinite(cost[j, i]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    members: dict[int, list[int]] = {}
-    for i in range(n):
-        members.setdefault(find(i), []).append(i)
-    groups = [members[root] for root in sorted(members)]
-    return [PathGroup(reps[0].scene_id, [reps[i].path_id for i in idx], cost[np.ix_(idx, idx)]) for idx in groups]
+    finite = np.isfinite(cost)
+    rows: dict[bytes, list[int]] = {}
+    for i, row in enumerate(finite):
+        rows.setdefault(row.tobytes(), []).append(i)
+    for idx in rows.values():
+        reached = np.flatnonzero(finite[idx[0]]).tolist()  # idx (the diagonal is 0), and more if rows differ
+        if reached != idx:
+            i, j = idx[0], min(set(reached) - set(idx))
+            raise Disconnected(f"the end of path {reps[i].path_id} reaches the start of path {reps[j].path_id}, but "
+                               f"their rows differ: some path's ends are not connected in {scene.scene_id}")
+    return [PathGroup(reps[0].scene_id, [reps[i].path_id for i in idx], cost[np.ix_(idx, idx)])
+            for idx in rows.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +450,10 @@ def build_tours(episodes: list[Episode], scene: Scene, seed: int, solver: str = 
 
     Every path must carry the same number of episodes, which sets the
     number of tours per group; raises InstructionCountMismatch otherwise,
-    and for an empty episode list.
+    and EmptySequence for an empty episode list.
     """
+    if not episodes:
+        raise EmptySequence(f"no episodes to build tours from in {scene.scene_id}")
     counts = sorted({len(group) for group in _episodes_by_path(episodes).values()})
     if len(counts) != 1:
         raise InstructionCountMismatch(

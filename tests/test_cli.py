@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import ivln
-from ivln import harness
+from ivln import harness, tourgen
 from ivln.cli import main
+from ivln.coverage import ObservationModel, coverage_curves
 from ivln.environment import load_scene, save_scene
 from ivln.metrics import read_traces
-from ivln.tourgen import Tour, load_episodes, save_episodes, save_tours
+from ivln.tourgen import Tour, held_karp_exact, load_episodes, load_tours, partition_paths, save_episodes, save_tours
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -341,6 +342,43 @@ def test_max_steps_none_flag_restores_the_default_budget(pipeline, tmp_path):
     assert by_flag.read_bytes() == pipeline["traces"].read_bytes()
 
 
+def test_max_steps_flag_caps_each_agent_phase(pipeline, tmp_path):
+    out = tmp_path / "capped.jsonl"
+    assert run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
+                   "--episodes", pipeline["episodes"], "--policy", "oracle", "--max-steps", 5, "--out", out) == 0
+    by_id = {ep.episode_id: ep for ep in load_episodes(pipeline["episodes"])}
+    capped = [ep for t in read_traces(out, by_id) for ep in t.episodes]
+    full = [ep for t in read_traces(pipeline["traces"], by_id) for ep in t.episodes]
+    assert max(len(ep.actions) for ep in full) > 5
+    for got, want in zip(capped, full, strict=True):
+        # the oracle's phase, cut after 5 actions when it ran longer
+        assert got.actions == want.actions[:5]
+        assert got.stop_called == (len(want.actions) <= 5)
+
+
+def test_gen_tours_solver_exact_writes_the_exact_order(pipeline, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(cost):
+        calls.append(cost.shape[0])
+        return held_karp_exact(cost)
+
+    monkeypatch.setattr(tourgen, "held_karp_exact", counted)
+    out = tmp_path / "tours.json"
+    assert run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", pipeline["episodes"],
+                   "--solver", "exact", "--out", out) == 0
+    scene, episodes = load_scene(pipeline["scene"]), load_episodes(pipeline["episodes"])
+    groups = partition_paths(episodes, scene)
+    assert calls == [len(group.path_ids) for group in groups]
+    path_of = {ep.episode_id: ep.path_id for ep in episodes}
+    tours = load_tours(out)
+    assert len(tours) == 2 * len(groups)  # two instructions per path
+    for tour in tours:
+        group = groups[int(tour.tour_id.split("-g")[1].split("-")[0])]
+        order, _ = held_karp_exact(group.cost)
+        assert [path_of[eid] for eid in tour.episode_ids] == [group.path_ids[i] for i in order]
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     assert run_cli("gen-env", "--rooms", 0, "--out", tmp_path / "s.json") == 3
     assert "error:" in capsys.readouterr().err
@@ -501,6 +539,22 @@ def test_coverage_csv(pipeline, tmp_path, capsys):
     assert float(last[2]) == 100.0
 
 
+def test_coverage_occlusion_flag_writes_the_curve_of_its_model(pipeline, tmp_path):
+    # the pipeline's scene has walls between its rooms, so the curves differ
+    scene = load_scene(pipeline["scene"])
+    by_id = {ep.episode_id: ep for ep in load_episodes(pipeline["episodes"])}
+    tours = load_tours(pipeline["tours"])
+    written = {}
+    for flag in ("on", "off"):
+        out, want = tmp_path / f"{flag}.csv", tmp_path / f"{flag}_want.csv"
+        assert run_cli("coverage", "--tours", pipeline["tours"], "--episodes", pipeline["episodes"],
+                       "--scene", pipeline["scene"], "--occlusion", flag, "--out", out) == 0
+        coverage_curves(tours, by_id, scene, ObservationModel(occlusion=flag == "on")).save_csv(want)
+        written[flag] = out.read_bytes()
+        assert written[flag] == want.read_bytes()
+    assert written["on"] != written["off"]
+
+
 def test_stats_block(pipeline, tmp_path, capsys):
     out = tmp_path / "stats.json"
     assert run_cli("stats", "--tours", pipeline["tours"], "--out", out) == 0
@@ -655,6 +709,15 @@ def test_build_map_replays_to_identical_snapshot(pipeline, tmp_path):
                    "--episodes", pipeline["episodes"], "--mode", "iterative",
                    "--out", replayed) == 0
     assert replayed.read_bytes() == live.read_bytes()
+
+
+def test_build_map_on_an_empty_trace_file_writes_no_map(pipeline, tmp_path, capsys):
+    empty, out = tmp_path / "empty.jsonl", tmp_path / "map.json"
+    empty.write_text("")
+    assert run_cli("build-map", "--scene", pipeline["scene"], "--traces", empty,
+                   "--episodes", pipeline["episodes"], "--out", out) == 3
+    assert f"no tour traces in {empty}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_map_rollout_makes_no_crop_when_no_policy_reads_one(pipeline, tmp_path, monkeypatch):

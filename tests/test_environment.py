@@ -484,6 +484,16 @@ def test_route_memo_equals_fresh_search(make_scene):
     assert unreachable > 0
 
 
+def test_a_route_to_a_grid_neighbor_opens_no_field(open_room):
+    nav = NavIndex(open_room)
+    assert nav.route((2, 2), (3, 3)) == ((2, 2), (3, 3))
+    assert nav.route((2, 2), (2, 1)) == ((2, 2), (2, 1))
+    assert nav.route((2, 2), (2, 2)) == ((2, 2),)
+    assert nav._fields == {}
+    assert nav.route((2, 2), (5, 2)) == ((2, 2), (3, 2), (4, 2), (5, 2))
+    assert list(nav._fields) == [nav.id_of[(5, 2)]]
+
+
 def test_route_takes_the_first_neighbor_on_a_shortest_route(open_room):
     # (1, 1) -> (8, 6) is 2 straight steps and 5 diagonals: 21 routes of
     # equal length.  Neighbors are listed by (dx, dy) offset, (0, 1) before

@@ -13,7 +13,7 @@ import pytest
 from ivln.config import Config
 from ivln.environment import NavIndex, Point3, Pose, Scene
 from ivln import harness
-from ivln.errors import Disconnected, PolicyTimeout, ProtocolViolation
+from ivln.errors import Disconnected, MissingEpisode, PolicyTimeout, ProtocolViolation
 from ivln.harness import (
     AgentAction,
     AgentState,
@@ -343,6 +343,31 @@ def test_run_tour_builds_iterative_map(open_room):
     assert occ_map is not None
     assert occ_map.observed.any()
     assert occ_map.occupancy.any()
+
+
+class ResetRecorder(StopPolicy):
+    def __init__(self):
+        self.resets = []
+
+    def reset(self, tour_id):
+        self.resets.append(tour_id)
+
+
+def test_run_tour_refuses_a_tour_naming_an_unknown_episode_before_any_step(open_room):
+    tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]))
+    policy = ResetRecorder()
+    with pytest.raises(MissingEpisode, match="tour t0 references unknown episode 'ghost'"):
+        run_tour(open_room, Tour("t0", "open-room", ["e0", "ghost"]), by_id, policy)
+    assert policy.resets == []
+
+
+def test_replay_tour_refuses_map_mode_none_and_an_episode_missing_from_the_set(open_room):
+    tour, by_id = tour_of(ep("e0", [(2, 2), (6, 2)]))
+    trace, _ = run_tour(open_room, tour, by_id, OraclePolicy(open_room, by_id))
+    with pytest.raises(ValueError, match="replay needs a map mode"):
+        replay_tour(open_room, trace, by_id, Config(map_mode="none"))
+    with pytest.raises(MissingEpisode, match="trace episode e0 not in episode set"):
+        replay_tour(open_room, trace, {}, Config(map_mode="iterative"))
 
 
 def noisy_mapped_tour(synth, mode):

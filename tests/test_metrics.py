@@ -355,6 +355,14 @@ def geodesic_tour():
     return scene, TourTrace("t", [e0, e1])
 
 
+def test_a_metric_other_than_euclidean_or_geodesic_is_refused():
+    ref, query = [(0, 0, 0), (1, 0, 0)], [(0, 1, 0)]
+    with pytest.raises(TypeError, match="euclidean or a GeodesicMetric"):
+        _cost_matrix(ref, query, lambda a, b: math.dist(a, b))
+    with pytest.raises(TypeError, match="euclidean or a GeodesicMetric"):
+        dtw(ref, query, math.dist)
+
+
 def test_masked_tour_dtw_matches_block_sum_under_geodesic_metric():
     scene, across = geodesic_tour()
     dist = GeodesicMetric(scene)

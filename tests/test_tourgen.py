@@ -6,7 +6,7 @@ import pytest
 
 from ivln import tourgen
 from ivln.environment import connectivity_matrix
-from ivln.errors import EmptySequence, InstructionCountMismatch, MissingEpisode
+from ivln.errors import Disconnected, EmptySequence, InstructionCountMismatch, MissingEpisode
 from ivln.syngen import EpisodeSpec, FloorplanSpec, generate_episodes, generate_scene
 from ivln.tourgen import (
     Episode,
@@ -119,6 +119,26 @@ def test_partition_single_component(split_world):
     groups = partition_paths(left, scene)
     assert len(groups) == 1
     assert set(groups[0].path_ids) == {"L0", "L1"}
+
+
+@pytest.mark.parametrize("room", ["left", "right"])
+def test_a_path_across_the_sealed_wall_is_refused_not_merged(split_world, room):
+    # X0 starts in the left room and ends in the right one: the rows of the
+    # paths in X0's start room differ from X0's, though X0 reaches them
+    scene, left, right = split_world
+    g = scene.grid
+    across = ep("X0", [g.cell_center((1, 2)), g.cell_center((7, 2))])
+    others = left if room == "left" else right
+    with pytest.raises(Disconnected, match=r"the end of path \w+ reaches the start of path \w+, but their rows differ"):
+        partition_paths(others + [across], scene)
+    with pytest.raises(Disconnected):
+        build_tours(left + right + [across], scene, seed=0)
+
+
+def test_build_tours_refuses_an_empty_episode_list(split_world):
+    scene, _, _ = split_world
+    with pytest.raises(EmptySequence, match="no episodes to build tours from in split"):
+        build_tours([], scene, seed=0)
 
 
 def test_unique_paths_first_appearance():
