@@ -8,22 +8,24 @@ questions: geodesic distance between two points, the shortest path
 between them, and a pairwise connectivity matrix over path endpoints.
 
 Every query runs on the scene's ``NavIndex``, built on first use: integer
-ids for the navigable locations and a flat neighbor list per id, the
-same on both scene kinds.  One kernel answers both questions: a
-resumable Dijkstra per source id, which settles ids only until every id
-asked about is settled and keeps its heap for the next question, so a
-query costs the ball out to its farthest target, not the whole scene.
-A distance is read off the source's field (``NavIndex.settle``); a step
-toward ``b`` is read off ``b``'s field (``NavIndex.next_location``), and a
-route is that step repeated (``NavIndex.route``), so the oracle's steps
-toward a target and its distance-to-goal checks share one field.  Moves
-and oracle steps share the index's one adjacency (``NavIndex.adjacent``).
-The fields live as long as the scene and are the package's only distance
-cache.  The endpoint matrix
-(``connectivity_matrix``) comes from one many-source numpy pass instead
-(``NavIndex.settle_many``): the fields' bits, none of their memory.  The
-index is built from the scene as it is at the first query, so a scene
-must not be mutated after it.
+ids for the navigable locations and one padded neighbor array per id,
+the same on both scene kinds.  One kernel answers every question: rounds
+of a Dijkstra in numpy (``NavIndex._rounds``), each of which closes a
+window of ids at once, run until every id asked about is final.  A
+source's field (its distance row, the ids it has left open and the
+distance below which it is final) pauses there and resumes on the next
+question, so a query costs the ball out to its farthest target, not the
+whole scene, and a question inside that ball is a lookup.  A distance is read off the
+source's field (``NavIndex.settle``); a step toward ``b`` is read off
+``b``'s field (``NavIndex.next_location``), and a route is that step
+repeated (``NavIndex.route``), so the oracle's steps toward a target and
+its distance-to-goal checks share one field.  Moves and oracle steps
+share the index's one adjacency (``NavIndex.adjacent``).  The fields
+live as long as the scene and are the package's only distance cache.
+The endpoint matrix (``connectivity_matrix``) runs the same rounds for
+every path end at once (``NavIndex.settle_many``) and opens no field.
+The index is built from the scene as it is at the first query, so a
+scene must not be mutated after it.
 
 The index also caches ``Scene.snap_point`` by exact query point, misses
 included, so each distinct point is snapped once per scene.
@@ -41,10 +43,8 @@ from __future__ import annotations
 
 import base64
 import functools
-import heapq
 import json
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -59,9 +59,9 @@ GRID_SNAP_RADIUS = 1.0
 
 _SQRT2 = math.sqrt(2.0)
 
-# (dx, dy) offsets in lexicographic order: the order of every neighbor
-# list, so it fixes both the Dijkstra expansions (heap ties fall back to
-# cell order) and which of several equal-length routes a walk takes.
+# (dx, dy) offsets in lexicographic order: the column order of every
+# grid neighbor row, so it fixes which of several equal-length routes a
+# walk takes.
 _NEIGHBORS_8 = (
     (-1, -1), (-1, 0), (-1, 1),
     (0, -1), (0, 1),
@@ -305,84 +305,58 @@ class Scene:
 # shortest-path search
 
 
-def _grid_adjacency(grid: GridWorld, ids: list[int]) -> tuple[list[list], np.ndarray, np.ndarray]:
-    """The 8-neighbors of every navigable cell, with one shifted gather
-    per offset, in two layouts: flat ``[id, weight, id, weight, ...]``
-    lists, and padded ``(n, 8)`` id and step arrays with one column per
-    offset (the id itself and inf where there is no step).  A diagonal
-    step is listed only when both orthogonal cells beside it are
-    navigable, so no step cuts a corner.
-
-    ``ids`` numbers the navigable cells by ``(ix, iy)``; the lists share
-    its int objects and one float per step length.
-    """
+def _grid_adjacency(grid: GridWorld) -> tuple[np.ndarray, np.ndarray]:
+    """The 8-neighbors of every navigable cell (numbered by ``(ix, iy)``)
+    as padded ``(n, 8)`` id and step arrays, one column per offset, each
+    filled by one shifted gather: the id itself and inf where there is no
+    step.  A diagonal step is kept only when both orthogonal cells beside
+    it are navigable, so no step cuts a corner."""
     open_ = np.zeros((grid.width + 2, grid.height + 2), dtype=bool)  # [ix + 1, iy + 1]
     open_[1:-1, 1:-1] = grid.navigable.T
     number = np.zeros(open_.shape, dtype=np.int32)
-    number[open_] = np.arange(len(ids))
     xs, ys = np.nonzero(open_)  # in id order
-    straight, diagonal = grid.resolution, grid.resolution * _SQRT2
-    steps = [diagonal if dx and dy else straight for dx, dy in _NEIGHBORS_8]
-    nbr = np.full((len(ids), len(_NEIGHBORS_8)), -1, dtype=np.int32)
-    out: list[list] = [[] for _ in ids]
-    for k, (dx, dy) in enumerate(_NEIGHBORS_8):  # each list fills in offset order
+    number[xs, ys] = np.arange(len(xs))
+    nbr = np.repeat(np.arange(len(xs), dtype=np.int32)[:, None], len(_NEIGHBORS_8), axis=1)
+    steps = np.full(nbr.shape, math.inf)
+    for k, (dx, dy) in enumerate(_NEIGHBORS_8):
         ok = open_[xs + dx, ys + dy]
         if dx and dy:  # no corner cutting
             ok &= open_[xs + dx, ys] & open_[xs, ys + dy]
-        at = np.flatnonzero(ok)
-        nbr[at, k] = to = number[xs[at] + dx, ys[at] + dy]
-        step = steps[k]
-        for i, j in zip(at.tolist(), to.tolist()):
-            out[i] += (ids[j], step)
-    pad = nbr < 0
-    nbr[pad] = np.nonzero(pad)[0]
-    return out, nbr, np.where(pad, math.inf, steps)
-
-
-def _padded(neighbors: list[list]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat neighbor lists as padded ``(n, max degree)`` id and step
-    arrays, in list order (the id itself and inf where a list is shorter)."""
-    degree = max(map(len, neighbors), default=0) // 2
-    nbr = np.repeat(np.arange(len(neighbors), dtype=np.int32)[:, None], degree, axis=1)
-    steps = np.full(nbr.shape, math.inf)
-    for i, adj in enumerate(neighbors):
-        nbr[i, : len(adj) // 2] = adj[0::2]
-        steps[i, : len(adj) // 2] = adj[1::2]
+        nbr[ok, k] = number[xs[ok] + dx, ys[ok] + dy]
+        steps[ok, k] = grid.resolution * _SQRT2 if dx and dy else grid.resolution
     return nbr, steps
 
 
 class NavIndex:
-    """Location ids, neighbor lists and the distance caches of a scene.
+    """Location ids, the adjacency and the distance cache of a scene.
 
     Ids number the navigable locations in their own order (cells by
-    ``(ix, iy)``, graph nodes by id), so heap ties break exactly as they
-    would on the locations.  Each location's neighbors are one flat
-    ``[id, weight, id, weight, ...]`` list in expansion order (the
-    ``_NEIGHBORS_8`` offsets on grids, sorted adjacency on graphs) that
-    shares its int and float objects with the other lists: the scene's
-    one adjacency, which moves and oracle steps share (``adjacent``).
-    ``_nbr`` and ``_steps`` hold the same adjacency padded to ``(n, max
-    degree)`` arrays in list order, each missing step an infinite loop
-    to the id itself, for ``settle_many``.
+    ``(ix, iy)``, graph nodes by id).  Row u of ``_nbr`` and ``_steps``
+    holds u's neighbors and step lengths in expansion order (the
+    ``_NEIGHBORS_8`` offsets on grids, sorted adjacency on graphs),
+    padded to the largest degree with u itself at an infinite step: the
+    scene's one adjacency, which moves and oracle steps share
+    (``adjacent``).
 
-    ``_fields`` is the one distance cache: one Dijkstra per source that
-    pauses between pops once the ids asked about are settled and resumes
-    on a later question.  It settles ids in the same order whether it
-    pauses or not, so every distance read is bitwise the one a search to
-    exhaustion gives.  Routes are read off the target's field with no
+    ``_fields`` is the one distance cache: per source id, a distance row,
+    the ids it has left open and the top below which its distances are
+    final, paused once the ids asked about are final and resumed on a
+    later question.  Routes are read off the target's field with no
     parent array: ``next_location`` takes one step, to the first
-    neighbor in list order that stays on a shortest route, and ``route``
-    repeats it.  Graphs have no zero-length edges (``NavGraph`` rejects
-    them), so every step lowers the distance.
+    neighbor in column order that stays on a shortest route, and
+    ``route`` repeats it.  Graphs have no zero-length edges (``NavGraph``
+    rejects them), so every step lowers the distance.
 
-    The heap pops ids in (distance, id) order: steps are longer than
-    zero, so no pop is followed by a smaller key.  A settled id's float
-    is therefore the fold of its neighbors' candidates in that order
-    under the rule ``nd < dist[v] - 1e-12``, a rule that keeps the first
-    of two candidates within 1e-12 of each other.  ``settle_many``
-    replays that fold: it closes a window of ids at a time, no member of
-    which can lower another, and folds each target's candidates in pop
-    order, so it returns the very floats the heap does.
+    Every float is the one a heap Dijkstra gives.  The heap pops ids in
+    (distance, id) order: steps are longer than zero, so no pop is
+    followed by a smaller key.  A popped id's float is therefore the
+    fold of its neighbors' candidates in that order under the rule
+    ``nd < dist[v] - 1e-12``, a rule that keeps the first of two
+    candidates within 1e-12 of each other.  ``_rounds`` replays that
+    fold: it closes a window of ids at a time, no member of which can
+    lower another, and folds each target's candidates in pop order, so
+    any run of windows, paused anywhere between them, gives the heap's
+    floats.
     """
 
     def __init__(self, scene: Scene):
@@ -390,21 +364,25 @@ class NavIndex:
             graph = scene.graph
             self.locations = sorted(graph.nodes)
             self.id_of = {loc: i for i, loc in enumerate(self.locations)}
-            self.neighbors = [
-                [x for nxt in graph.adjacency[loc] for x in (self.id_of[nxt], graph.edge_weight(loc, nxt))]
-                for loc in self.locations
-            ]
+            n, degree = len(self.locations), max(map(len, graph.adjacency.values()), default=0)
+            self._nbr = np.repeat(np.arange(n, dtype=np.int32)[:, None], degree, axis=1)
+            self._steps = np.full(self._nbr.shape, math.inf)
+            for u, loc in enumerate(self.locations):
+                adj = graph.adjacency[loc]
+                self._nbr[u, : len(adj)] = [self.id_of[nxt] for nxt in adj]
+                self._steps[u, : len(adj)] = [graph.edge_weight(loc, nxt) for nxt in adj]
             self._points = [graph.nodes[loc] for loc in self.locations]
-            self._nbr, self._steps = _padded(self.neighbors)
         else:
             grid = scene.grid
             self.locations = [tuple(cell) for cell in np.argwhere(grid.navigable.T).tolist()]
             self.id_of = {loc: i for i, loc in enumerate(self.locations)}
-            self.neighbors, self._nbr, self._steps = _grid_adjacency(grid, list(self.id_of.values()))
+            self._nbr, self._steps = _grid_adjacency(grid)
             self._points = None
         self._grid = scene.grid
-        # per source id: (dist, frontier, closed) of a Dijkstra paused between pops
-        self._fields: dict[int, tuple[array, array, bytearray]] = {}
+        # the rounds' window: the shortest step, less 1e-6 of it for rounding
+        self._window = np.min(self._steps, initial=math.inf) * (1 - 1e-6)
+        # per source id: (dist, front, top) of a search paused between rounds
+        self._fields: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         # Scene.snap_point's results by exact query point; None marks a miss
         self.snaps: dict[Point3, object] = {}
 
@@ -432,104 +410,91 @@ class NavIndex:
         return tuple(path)
 
     def adjacent(self, a, b) -> bool:
-        """Whether ``b`` is in location ``a``'s neighbor list; False for a
+        """Whether ``b`` is in location ``a``'s neighbor row; False for a
         ``b`` that is no location (a wall or an off-grid cell)."""
-        v = self.id_of.get(b)
-        return v is not None and v in self.neighbors[self.id_of[a]][0::2]
+        u, v = self.id_of[a], self.id_of.get(b)
+        return v is not None and v != u and v in self._nbr[u].tolist()
 
     def next_location(self, a, b):
         """The location after ``a`` (not ``b``) on the route to ``b`` the
         tie rule picks, or None when no route exists: the first neighbor,
-        in ``neighbors`` order, whose distance on ``b``'s field (settled
-        out to ``a``) plus the step is bitwise ``a``'s.  The neighbor that
-        set a settled id's distance passes, an unsettled one cannot, and
-        steps are symmetric, so every step stays on a shortest route.  On
-        grids a neighbor ``b`` opens no field: the direct step is the only
-        shortest route (res or sqrt(2) res, against at least 2 res round).
-        Graphs keep the field walk, where a node collinear with an edge
-        can tie with it."""
+        in column order, whose distance on ``b``'s field (final out to
+        ``a``) plus the step is bitwise ``a``'s.  The neighbor that set
+        ``a``'s distance passes; one that is not final yet lies at least
+        as far from ``b`` as ``a`` does and cannot, nor can the padding
+        (an infinite step); steps are symmetric, so every step stays on a
+        shortest route.  On grids a neighbor ``b`` opens no field: the
+        direct step is the only shortest route (res or sqrt(2) res,
+        against at least 2 res round).  Graphs keep the field walk, where
+        a node collinear with an edge can tie with it."""
         if self._grid is not None and self.adjacent(a, b):
             return b
         u = self.id_of[a]
         dist = self.settle(self.id_of[b], (u,))
         if dist[u] == math.inf:
             return None
-        adj, here = self.neighbors[u], dist[u]
-        return self.locations[next(adj[k] for k in range(0, len(adj), 2) if dist[adj[k]] + adj[k + 1] == here)]
+        nbr = self._nbr[u]
+        return self.locations[nbr[np.argmax(dist[nbr] + self._steps[u] == dist[u])]]
 
-    def settle(self, source: int, ids) -> array:
-        """Distances out of location id ``source`` by location id, exact
-        at least at every id in ``ids``: its Dijkstra runs on until each
-        of them is closed or nothing is left to pop, then pauses until a
-        later call.  The array is the field itself: read it, never write.
-
-        Between calls the heap is kept as flat ``key, id, key, id, ...``
-        doubles (ids are exact in a double): 16 bytes an entry, where its
-        tuples take about 100.
-        """
-        state = self._fields.get(source)
-        if state is None:
-            n = len(self.locations)
-            dist = array("d", [math.inf]) * n
+    def settle(self, source: int, ids) -> np.ndarray:
+        """Distances out of location id ``source`` by location id, final
+        at least at every id in ``ids``: its field runs ``_rounds`` until
+        each of them is final or nothing is left open, then pauses until
+        a later call.  The row is the field itself: read it, never write.
+        A question whose ids all lie below the field's top is a lookup."""
+        field = self._fields.get(source)
+        if field is None:
+            dist = np.full(len(self.locations), math.inf)
             dist[source] = 0.0
-            state = self._fields[source] = (dist, array("d", (0.0, source)), bytearray(n))
-        dist, frontier, closed = state
-        if not frontier or all(closed[target] for target in ids):
-            return dist
-        heap = list(zip(frontier[0::2], map(int, frontier[1::2])))
-        neighbors = self.neighbors
-        pop, push = heapq.heappop, heapq.heappush
-        for target in ids:
-            while heap and not closed[target]:
-                _, u = pop(heap)
-                if closed[u]:
-                    continue
-                closed[u] = 1
-                base = dist[u]
-                adj = neighbors[u]
-                for k in range(0, len(adj), 2):
-                    v = adj[k]
-                    nd = base + adj[k + 1]
-                    if nd < dist[v] - 1e-12:
-                        dist[v] = nd
-                        push(heap, (nd, v))
-        self._fields[source] = (dist, array("d", [x for entry in heap for x in entry]), closed)
+            field = (dist, np.array([source], dtype=np.intp), 0.0)
+        dist, front, top = field
+        if not all(dist[i] < top for i in ids):
+            self._fields[source] = (dist, *self._rounds(dist, front, np.asarray(ids, dtype=np.intp)))
         return dist
 
-    def settle_many(self, sources, ids, skip_diagonal: bool = False) -> np.ndarray:
+    def settle_many(self, sources, ids) -> np.ndarray:
         """Row i is bitwise ``settle(sources[i], ids)[ids]``, for all the
-        sources at once in numpy; with ``skip_diagonal`` entry (i, i) is 0
-        and is not searched for.  Each distinct source is searched once,
-        until the ids its rows ask about are closed or nothing is left;
-        no field is opened.
-
-        A round closes every open (source, id) below the smallest open
-        distance plus the shortest step (less 1e-6 of it, for rounding):
-        a step from a member lands above that window, so each member is
-        final.  It then folds each target's candidates in pop order under
-        the heap's rule (see the class docstring); a plain minimum, or
-        another order, differs where two sums nearly tie.
-        """
+        sources at once: each distinct source is one row of the same
+        ``_rounds``, searched until the ids its rows ask about are final
+        or nothing is left open.  No field is opened."""
         ids = np.asarray(ids, dtype=np.intp)
         n = len(self.locations)
         row_of = {}  # distinct source -> its row of the search
         which = np.array([row_of.setdefault(s, len(row_of)) for s in sources], dtype=np.intp)
-        asked = which[:, None] * n + ids  # flat (row, id) index of each entry
-        if skip_diagonal:
-            asked = asked[~np.eye(*asked.shape, dtype=bool)]
-        pending = asked.ravel()  # the asked (row, id) entries not yet final
-        rows = np.flatnonzero(np.bincount(pending // n, minlength=len(row_of)))
-        front = rows * n + np.array(list(row_of), dtype=np.intp)[rows]
+        front = np.arange(len(row_of)) * n + np.array(list(row_of), dtype=np.intp)
         dist = np.full(len(row_of) * n, math.inf)
         dist[front] = 0.0
-        window = np.min(self._steps, initial=math.inf) * (1 - 1e-6)
+        self._rounds(dist, front, (which[:, None] * n + ids).ravel())
+        return dist.reshape(len(row_of), n)[which[:, None], ids]
+
+    def _rounds(self, dist: np.ndarray, front: np.ndarray, pending: np.ndarray) -> tuple[np.ndarray, float]:
+        """Search the rows of ``dist`` (one row of n ids per source, flat)
+        out of their open entries ``front`` until each flat entry in
+        ``pending`` is final or nothing is left open; return the entries
+        still open and the top below which every distance is final.
+
+        A round's window holds every open entry below the smallest open
+        distance plus ``_window``: a step from a member lands above it, so
+        each member is final.  A row stops before it relaxes anything once
+        every entry asked of it lies below that top, its members still
+        open; a later call recomputes that same round.  Otherwise the
+        round relaxes its members and folds each target's candidates in
+        pop order under the heap's rule (see the class docstring); a plain
+        minimum, or another order, differs where two sums nearly tie.
+        """
+        n = len(self.locations)
         while front.size:
             d = dist[front]
-            top = d.min() + window
+            top = d.min() + self._window
+            pending = pending[dist[pending] >= top]
+            if not pending.size:
+                return front, top
+            if dist.size > n:  # a row whose asked entries are all final stops
+                live = np.bincount(pending // n, minlength=dist.size // n)[front // n] > 0
+                front, d = front[live], d[live]
             inside = d < top
             members, d = front[inside], d[inside]
             front = front[~inside]
-            pending = pending[dist[pending] >= top]
             order = np.lexsort((members, d))  # pop order: distance, then id
             members, d = members[order], d[order]
             u = members % n
@@ -538,7 +503,7 @@ class NavIndex:
             cands = self._steps[u]
             cands += d[:, None]
             # a distance only falls, so what the rule refuses now it refuses for good:
-            # every closed target, and every padding step (inf)
+            # every final target, and every padding step (inf)
             keep = cands < dist[targets] - 1e-12
             targets, cands = targets[keep], cands[keep]
             order = np.argsort(targets, kind="stable")  # by target, each in pop order
@@ -558,17 +523,12 @@ class NavIndex:
                 better = c < dist[head] - 1e-12
                 dist[head[better]] = c[better]
                 targets, cands = targets[~first], cands[~first]
-            # a search stops once it has closed every id it was asked about
-            front = front[np.bincount(pending // n, minlength=len(row_of))[front // n] > 0]
-        out = dist.reshape(len(row_of), n)[which[:, None], ids]
-        if skip_diagonal:
-            np.fill_diagonal(out, 0.0)
-        return out
+        return front, math.inf
 
     def distance(self, a, b) -> float:
         """Geodesic distance between two locations, inf when unreachable."""
         target = self.id_of[b]
-        return self.settle(self.id_of[a], (target,))[target]
+        return float(self.settle(self.id_of[a], (target,))[target])
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +561,11 @@ def connectivity_matrix(scene: Scene, endpoints: Sequence[tuple[Sequence[float],
     ``endpoints[i]`` is the (start, end) pair of path i; entry (i, j) is
     the geodesic distance from end of path i to start of path j, inf when
     unreachable.  The diagonal is 0.  Snap failures carry the offending
-    endpoint index.
+    endpoint index; a path whose end does not reach its own start raises
+    Disconnected carrying its index.
 
     All rows come from one ``NavIndex.settle_many`` pass over the
-    distinct path ends, bitwise what one heap field per end gives; the
-    diagonal is not searched for, so one path searches nothing.
+    distinct path ends, bitwise what one field per end gives.
     """
     starts = []
     ends = []
@@ -616,7 +576,12 @@ def connectivity_matrix(scene: Scene, endpoints: Sequence[tuple[Sequence[float],
         except SnapFailure as exc:
             raise SnapFailure(exc.point, exc.radius, index=i) from None
     nav = scene.nav
-    return nav.settle_many([nav.id_of[e] for e in ends], [nav.id_of[s] for s in starts], skip_diagonal=True)
+    cost = nav.settle_many([nav.id_of[e] for e in ends], [nav.id_of[s] for s in starts])
+    stuck = np.flatnonzero(np.isinf(np.diagonal(cost))).tolist()
+    if stuck:
+        raise Disconnected(f"the end of path {stuck[0]} does not reach its start in {scene.scene_id}", index=stuck[0])
+    np.fill_diagonal(cost, 0.0)
+    return cost
 
 
 class GeodesicMetric:
@@ -624,8 +589,8 @@ class GeodesicMetric:
 
     Useful as the cell metric of alignment scores and for repeated
     distance-to-goal queries: each distinct point is snapped once per
-    scene, and each distinct snapped source owns one resumable Dijkstra
-    that settles only out to the farthest point asked about so far;
+    scene, and each distinct snapped source owns one resumable field
+    that is searched only out to the farthest point asked about so far;
     nearer queries are lookups.  ``dtw`` builds its cost matrices over
     a ``GeodesicMetric`` itself (``metrics._geodesic_costs``).
     """

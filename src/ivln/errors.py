@@ -21,6 +21,10 @@ class SnapFailure(IvlnError):
 class Disconnected(IvlnError):
     """Two locations lie in different connected components of the scene."""
 
+    def __init__(self, message, index=None):
+        self.index = index
+        super().__init__(message)
+
 
 class EmptySequence(IvlnError):
     """An operation that needs at least one element was given none."""

@@ -155,7 +155,7 @@ def apply_action(scene: Scene, state: AgentState, action: AgentAction, cfg: Conf
     A stop is no move: the rollout ends the phase before it gets here."""
     if scene.is_discrete:
         if action.kind != GOTO:
-            raise ProtocolViolation(f"graph scenes accept goto or stop, got {action.kind}")
+            raise ProtocolViolation(f"graph scenes accept {GOTO}, got {action.kind}")
         if not scene.nav.adjacent(state.location, action.node):
             raise ProtocolViolation(
                 f"goto target {action.node} is not adjacent to {state.location}"
@@ -170,7 +170,7 @@ def apply_action(scene: Scene, state: AgentState, action: AgentAction, cfg: Conf
     if action.kind == TURN_RIGHT:
         return AgentState(state.location, state.heading - turn)
     if action.kind != FORWARD:
-        raise ProtocolViolation(f"grid scenes accept move/turn/stop, got {action.kind}")
+        raise ProtocolViolation(f"grid scenes accept {FORWARD}, {TURN_LEFT} or {TURN_RIGHT}, got {action.kind}")
     dx, dy = heading_to_dir8(state.heading)
     target = (state.location[0] + dx, state.location[1] + dy)
     if scene.nav.adjacent(state.location, target):

@@ -144,7 +144,7 @@ def _geodesic_costs(ref, query, metric: GeodesicMetric) -> np.ndarray:
     columns = np.asarray(ids)
     out = np.empty(keep.shape)
     for i, (source, row) in enumerate(zip(sources, keep.tolist())):  # one query per row
-        out[i] = np.frombuffer(nav.settle(source, list(itertools.compress(ids, row)))).take(columns)
+        out[i] = nav.settle(source, list(itertools.compress(ids, row))).take(columns)
     out[~keep] = math.inf  # the ids not kept may not be settled yet
     return out
 

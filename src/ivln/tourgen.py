@@ -181,28 +181,25 @@ def unique_paths(episodes: list[Episode]) -> list[Episode]:
 def partition_paths(episodes: list[Episode], scene: Scene) -> list[PathGroup]:
     """Group a scene's unique paths into mutually reachable sets.
 
-    When every path's start reaches its own end, "the end of i reaches
-    the start of j" is an equivalence (the scene is undirected), so row
-    i of the scene's endpoint matrix is finite exactly on i's group: the
-    groups are the distinct finite rows, in first-appearance order, each
-    with its slice of the matrix.  Rows that do not form such blocks mean
-    some path's start and end are not connected: raises Disconnected
-    naming a path and one whose start its end reaches but whose row differs.
+    ``connectivity_matrix`` raises Disconnected, here naming the path,
+    when some path's end does not reach its own start.  Once every path's
+    ends are connected, "the end of i reaches the start of j" is an
+    equivalence (the scene is undirected), so row i of the scene's
+    endpoint matrix is finite exactly on i's group: the groups are the
+    distinct finite rows, in first-appearance order, each with its slice
+    of the matrix.
     """
     reps = unique_paths(episodes)
     if not reps:
         return []
-    cost = connectivity_matrix(scene, [(ep.start, ep.goal) for ep in reps])
-    finite = np.isfinite(cost)
+    try:
+        cost = connectivity_matrix(scene, [(ep.start, ep.goal) for ep in reps])
+    except Disconnected as exc:
+        raise Disconnected(f"the end of path {reps[exc.index].path_id} does not reach its start in {scene.scene_id}",
+                           index=exc.index) from None
     rows: dict[bytes, list[int]] = {}
-    for i, row in enumerate(finite):
+    for i, row in enumerate(np.isfinite(cost)):
         rows.setdefault(row.tobytes(), []).append(i)
-    for idx in rows.values():
-        reached = np.flatnonzero(finite[idx[0]]).tolist()  # idx (the diagonal is 0), and more if rows differ
-        if reached != idx:
-            i, j = idx[0], min(set(reached) - set(idx))
-            raise Disconnected(f"the end of path {reps[i].path_id} reaches the start of path {reps[j].path_id}, but "
-                               f"their rows differ: some path's ends are not connected in {scene.scene_id}")
     return [PathGroup(reps[0].scene_id, [reps[i].path_id for i in idx], cost[np.ix_(idx, idx)])
             for idx in rows.values()]
 

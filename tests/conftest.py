@@ -69,7 +69,7 @@ def grid_neighbors(grid, cell):
     """Navigable 8-neighbors of ``cell`` with step costs, in the offsets'
     lexicographic order; a diagonal step needs both orthogonal cells
     beside it open, so no step cuts a corner.  The per-cell reference
-    for ``NavIndex``'s grid neighbor lists."""
+    for ``NavIndex``'s grid neighbor rows."""
     ix, iy = cell
     for dx, dy in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
         nxt = (ix + dx, iy + dy)
@@ -90,11 +90,48 @@ def geodesic_pairwise(metric, ref, query):
     return np.array([[metric(p, q) for q in query] for p in ref])
 
 
-def astar_route(scene, a, b):
-    """A* from location ``a`` to ``b`` over the scene's ``NavIndex``
-    (octile estimate on grids, Euclidean on graphs): ``(cost, locations)``,
-    or None when ``b`` is unreachable.  The reference for ``NavIndex.route``."""
+def neighbor_lists(scene):
+    """Each location id's ``[(id, step), ...]`` in expansion order, built
+    per location from the scene (``grid_neighbors`` on grids, sorted
+    adjacency on graphs): the flat reference for ``NavIndex``'s padded
+    neighbor rows."""
     nav = scene.nav
+    if scene.grid is None:
+        graph = scene.graph
+        return [[(nav.id_of[nxt], graph.edge_weight(loc, nxt)) for nxt in graph.adjacency[loc]]
+                for loc in nav.locations]
+    return [[(nav.id_of[nxt], step) for nxt, step in grid_neighbors(scene.grid, loc)] for loc in nav.locations]
+
+
+def heap_field(scene, source) -> np.ndarray:
+    """Distances out of location id ``source`` by location id: a heap
+    Dijkstra over ``neighbor_lists`` run to exhaustion, under the rule
+    ``nd < dist[v] - 1e-12``.  The reference every ``NavIndex`` field and
+    ``settle_many`` row must equal bitwise."""
+    neighbors = neighbor_lists(scene)
+    dist = [math.inf] * len(neighbors)
+    dist[source] = 0.0
+    closed = bytearray(len(neighbors))
+    heap = [(0.0, source)]
+    while heap:
+        _, u = heapq.heappop(heap)
+        if closed[u]:
+            continue
+        closed[u] = 1
+        for v, step in neighbors[u]:
+            nd = dist[u] + step
+            if nd < dist[v] - 1e-12:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return np.array(dist)
+
+
+def astar_route(scene, a, b):
+    """A* from location ``a`` to ``b`` over ``neighbor_lists`` (octile
+    estimate on grids, Euclidean on graphs): ``(cost, locations)``, or
+    None when ``b`` is unreachable.  The reference for ``NavIndex.route``."""
+    nav = scene.nav
+    neighbors = neighbor_lists(scene)
     source, goal = nav.id_of[a], nav.id_of[b]
     n = len(nav.locations)
     dist = [math.inf] * n
@@ -119,14 +156,19 @@ def astar_route(scene, a, b):
                 path.append(parent[path[-1]])
             return dist[u], [nav.locations[i] for i in reversed(path)]
         closed[u] = 1
-        adj = nav.neighbors[u]
-        for k in range(0, len(adj), 2):
-            v, nd = adj[k], dist[u] + adj[k + 1]
+        for v, step in neighbors[u]:
+            nd = dist[u] + step
             if nd < dist[v] - 1e-12:
                 dist[v] = nd
                 parent[v] = u
                 heapq.heappush(heap, (nd + estimate(v), v))
     return None
+
+
+def final_ids(nav) -> int:
+    """How many ids the open fields of ``nav`` hold final: those below
+    the top of the round each field paused in."""
+    return sum(int(np.count_nonzero(dist < top)) for dist, _, top in nav._fields.values())
 
 
 # The pixel path: render a depth and a semantic frame of a grid scene and

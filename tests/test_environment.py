@@ -34,7 +34,16 @@ from ivln.errors import Disconnected, SnapFailure
 from ivln.metrics import _geodesic_costs
 from ivln.syngen import FloorplanSpec, generate_scene
 
-from conftest import astar_route, geodesic_pairwise, grid_from_ascii, grid_neighbors, is_open, scene_from_ascii
+from conftest import (
+    astar_route,
+    final_ids,
+    geodesic_pairwise,
+    grid_from_ascii,
+    grid_neighbors,
+    heap_field,
+    is_open,
+    scene_from_ascii,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -516,25 +525,33 @@ def test_grid_neighbor_lists_equal_the_per_cell_loop(synth):
         grids.append(GridWorld(resolution=0.3, origin=(0.0, 0.0, 0.0), width=w, height=h,
                                navigable=rng.random((h, w)) < 0.7, semantic=np.zeros((h, w), np.uint8),
                                floor_z=0.0, ceiling_z=2.0))
+    offsets = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
     seen = set()
     for grid in grids:
         nav = NavIndex(Scene(scene_id="g", grid=grid))
         assert nav.locations == sorted((int(ix), int(iy)) for iy, ix in np.argwhere(grid.navigable))
-        want = [[x for nxt, w in grid_neighbors(grid, cell) for x in (nav.id_of[nxt], w)] for cell in nav.locations]
-        assert nav.neighbors == want
-        assert all(type(x) is type(y) for got, row in zip(nav.neighbors, want) for x, y in zip(got, row))
+        # one column per offset: the neighbor and its step, or the id itself and inf
+        want_nbr = [[u] * len(offsets) for u in range(len(nav.locations))]
+        want_steps = [[math.inf] * len(offsets) for _ in nav.locations]
+        for u, cell in enumerate(nav.locations):
+            for nxt, step in grid_neighbors(grid, cell):
+                k = offsets.index((nxt[0] - cell[0], nxt[1] - cell[1]))
+                want_nbr[u][k], want_steps[u][k] = nav.id_of[nxt], step
+        assert nav._nbr.tolist() == want_nbr
+        assert nav._steps.tobytes() == np.array(want_steps).reshape(nav._steps.shape).tobytes()
         for cell in nav.locations:  # all 8 offsets: steps, walls, cut corners, off-grid cells
             near = {nxt for nxt, _ in grid_neighbors(grid, cell)}
-            for other in [(cell[0] + dx, cell[1] + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]:
+            for other in [(cell[0] + dx, cell[1] + dy) for dx, dy in offsets]:
                 assert nav.adjacent(cell, other) == (other in near)
                 seen.add((other in near, is_open(grid, other)))
+            assert not nav.adjacent(cell, cell)  # the padding holds the id itself
     assert seen == {(True, True), (False, True), (False, False)}  # a cut corner is (False, True)
 
 
 def settled(nav, location, ids) -> np.ndarray:
     """Distances from ``location`` to each location id in ``ids``, read
     off its field."""
-    return np.frombuffer(nav.settle(nav.id_of[location], ids))[ids]
+    return nav.settle(nav.id_of[location], ids)[ids]
 
 
 SEARCH_KINDS = ["synth_grid", "split_grid", "synth_graph", "square_and_pair"]
@@ -566,22 +583,18 @@ def test_resumed_distances_equal_one_full_run(kind, synth):
         for i in orders[source][len(every) // 5:]:
             got[source][i] = paused.distance(source, paused.locations[i])
     for source in sources:
-        assert (got[source] == full[source]).all()
-        assert got[source].tobytes() == full[source].tobytes()
+        assert got[source].tobytes() == full[source].tobytes() == heap_field(scene, whole.id_of[source]).tobytes()
     bulk = NavIndex(scene).settle_many([whole.id_of[source] for source in sources], every)
     assert bulk.tobytes() == np.array([full[source] for source in sources]).tobytes()
     if kind in ("split_grid", "square_and_pair"):
         assert any(np.isinf(row).any() for row in full.values())
 
 
-def assert_rows_are_settle(scene, sources, ids, skip_diagonal=False) -> None:
+def assert_rows_are_the_heap(scene, sources, ids) -> None:
     """Check ``settle_many``'s rows bytewise against one heap field per
-    row on a fresh index (0 on the diagonal with ``skip_diagonal``)."""
-    got = NavIndex(scene).settle_many(sources, ids, skip_diagonal)
-    reference = NavIndex(scene)
-    want = np.array([np.frombuffer(reference.settle(s, ids))[ids] for s in sources]).reshape(got.shape)
-    if skip_diagonal:
-        np.fill_diagonal(want, 0.0)
+    row (``heap_field``)."""
+    got = NavIndex(scene).settle_many(sources, ids)
+    want = np.array([heap_field(scene, s)[ids] for s in sources]).reshape(got.shape)
     assert got.shape == (len(sources), len(ids))
     assert got.tobytes() == want.tobytes()
 
@@ -608,7 +621,7 @@ def sealed_grids(draw):
 def test_settle_many_equals_settle_on_random_walled_grids(scene, data):
     every = list(range(len(scene.nav.locations)))
     sources = data.draw(st.lists(st.sampled_from(every), min_size=1, max_size=6))
-    assert_rows_are_settle(scene, sources, every)
+    assert_rows_are_the_heap(scene, sources, every)
 
 
 def lattice_graph(rng) -> Scene:
@@ -627,7 +640,20 @@ def test_settle_many_equals_settle_on_random_graphs():
     for _ in range(100):
         scene = lattice_graph(rng)
         every = list(range(len(scene.nav.locations)))
-        assert_rows_are_settle(scene, every, every)
+        assert_rows_are_the_heap(scene, every, every)
+
+
+@given(st.one_of(sealed_grids(), st.integers(0, 2**32 - 1).map(lambda seed: lattice_graph(np.random.default_rng(seed)))),
+       st.data())
+@settings(max_examples=150)
+def test_fields_resumed_over_random_batches_equal_the_heap(scene, data):
+    # questions to a few sources, interleaved: each a batch of ids in random
+    # order, repeats and unreachable ids included, each answered off a field
+    # paused by the questions before it
+    nav = NavIndex(scene)
+    every = st.sampled_from(range(len(nav.locations)))
+    for source, batch in data.draw(st.lists(st.tuples(every, st.lists(every, max_size=8)), min_size=1, max_size=12)):
+        assert nav.settle(source, batch)[batch].tobytes() == heap_field(scene, source)[batch].tobytes()
 
 
 @pytest.mark.parametrize("kind", SEARCH_KINDS)
@@ -637,14 +663,14 @@ def test_settle_many_partial_ids_repeated_sources_and_the_diagonal(kind, synth):
     rng = np.random.default_rng(3)
     ids = [int(i) for i in rng.choice(n, size=min(5, n), replace=False)]
     sources = [ids[0], int(rng.integers(n)), ids[0], ids[-1]]  # repeated, and among the ids
-    assert_rows_are_settle(scene, sources, ids)
-    assert_rows_are_settle(scene, sources, ids[::-1] + ids[:2])  # repeated ids
-    assert_rows_are_settle(scene, ids, ids, skip_diagonal=True)
-    assert_rows_are_settle(scene, ids[:1], ids[:1], skip_diagonal=True)
+    assert_rows_are_the_heap(scene, sources, ids)
+    assert_rows_are_the_heap(scene, sources, ids[::-1] + ids[:2])  # repeated ids
+    assert_rows_are_the_heap(scene, ids, ids)  # the diagonal, 0
+    assert_rows_are_the_heap(scene, ids[:1], ids[:1])
     assert NavIndex(scene).settle_many([], ids).shape == (0, len(ids))
     nav = NavIndex(scene)
     nav.settle_many(sources, ids)
-    assert nav._fields == {}  # no heap field is opened
+    assert nav._fields == {}  # no field is opened
 
 
 @pytest.mark.parametrize("kind", ["scene", "graph_scene"])
@@ -656,11 +682,11 @@ def test_nav_points_are_the_location_points(kind, synth):
 
 def test_a_near_query_settles_part_of_the_scene(synth):
     nav = NavIndex(synth["scene"])
-    source = nav.locations[len(nav.locations) // 2]
-    near, step = nav.neighbors[nav.id_of[source]][:2]
-    assert nav.settle(nav.id_of[source], [near])[near] == step
-    closed = nav._fields[nav.id_of[source]][2]
-    assert 0 < sum(closed) < len(nav.locations) // 10
+    source = nav.id_of[nav.locations[len(nav.locations) // 2]]
+    k = int(np.argmax(nav._steps[source] < math.inf))  # its first neighbor
+    near, step = nav._nbr[source, k], nav._steps[source, k]
+    assert nav.settle(source, [near])[near] == step
+    assert 0 < final_ids(nav) < len(nav.locations) // 10
 
 
 @given(st.floats(-100.0, 100.0, allow_nan=False))

@@ -139,6 +139,14 @@ def test_apply_action_forward_and_blocked(open_room):
     assert blocked.location == (1, 2)
 
 
+@pytest.mark.parametrize("kind", ["grid", "graph"])
+def test_apply_action_refuses_stop_naming_only_what_it_accepts(kind, open_room, square_graph):
+    scene, location = (open_room, (2, 2)) if kind == "grid" else (square_graph, "a")
+    accepts = "forward, left or right" if kind == "grid" else "goto"
+    with pytest.raises(ProtocolViolation, match=f"^{kind} scenes accept {accepts}, got stop$"):
+        apply_action(scene, AgentState(location, 0.0), AgentAction("stop"), Config())
+
+
 def test_forward_lands_on_a_grid_neighbor_or_stays_put(synth):
     scene, cfg = synth["scene"], Config()
     grid = scene.grid

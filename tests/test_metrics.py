@@ -36,7 +36,7 @@ from ivln.metrics import (
     write_traces,
 )
 
-from conftest import geodesic_pairwise, scene_from_ascii
+from conftest import final_ids, geodesic_pairwise, scene_from_ascii
 
 
 def masked_tour_dtw(trace: TourTrace, dist=euclidean) -> float:
@@ -492,10 +492,6 @@ def test_geodesic_dtw_snap_failure_names_the_per_cell_loops_point(bad_ref, bad_q
     assert pruned.value.point == per_cell.value.point
 
 
-def settled_ids(scene) -> int:
-    return sum(sum(closed) for _, _, closed in scene.nav._fields.values())
-
-
 def test_pruned_geodesic_dtw_settles_under_half_of_the_full_matrix():
     scene, episodes = seeded_episodes("grid", 0.05, 7)
     # two fresh scenes on the rollout's grid: no field is settled yet
@@ -503,7 +499,7 @@ def test_pruned_geodesic_dtw_settles_under_half_of_the_full_matrix():
     for ep in episodes:
         dtw(ep.reference_path, ep.agent_path, GeodesicMetric(pruned))
         geodesic_pairwise(GeodesicMetric(full), ep.reference_path, ep.agent_path)
-    assert 0 < settled_ids(pruned) < settled_ids(full) / 2
+    assert 0 < final_ids(pruned.nav) < final_ids(full.nav) / 2
 
 
 @given(st.lists(tours, min_size=1, max_size=3))

@@ -123,16 +123,34 @@ def test_partition_single_component(split_world):
 
 @pytest.mark.parametrize("room", ["left", "right"])
 def test_a_path_across_the_sealed_wall_is_refused_not_merged(split_world, room):
-    # X0 starts in the left room and ends in the right one: the rows of the
-    # paths in X0's start room differ from X0's, though X0 reaches them
+    # X0 starts in the left room and ends in the right one: its own end
+    # does not reach its start, whichever room's paths come with it
     scene, left, right = split_world
     g = scene.grid
     across = ep("X0", [g.cell_center((1, 2)), g.cell_center((7, 2))])
     others = left if room == "left" else right
-    with pytest.raises(Disconnected, match=r"the end of path \w+ reaches the start of path \w+, but their rows differ"):
+    with pytest.raises(Disconnected, match=r"the end of path X0 does not reach its start in split"):
         partition_paths(others + [across], scene)
     with pytest.raises(Disconnected):
         build_tours(left + right + [across], scene, seed=0)
+
+
+def test_a_path_whose_ends_are_disconnected_is_refused_alone_or_paired(split_world):
+    # alone its matrix is [[0]] once the diagonal is set; paired with a path
+    # that crosses back, both rows are finite everywhere: each forms a block
+    scene, _, _ = split_world
+    g = scene.grid
+    there = ep("X0", [g.cell_center((1, 2)), g.cell_center((7, 2))])
+    back = ep("Y0", [g.cell_center((7, 1)), g.cell_center((1, 1))])
+    for episodes, path in (([there], "X0"), ([back, there], "Y0")):
+        with pytest.raises(Disconnected, match=f"the end of path {path} does not reach its start") as info:
+            partition_paths(episodes, scene)
+        assert info.value.index == 0
+        with pytest.raises(Disconnected):
+            build_tours(episodes, scene, seed=0)
+    with pytest.raises(Disconnected, match="the end of path 1 does not reach its start in split") as info:
+        connectivity_matrix(scene, [(back.start, back.start), (there.start, there.goal)])
+    assert info.value.index == 1
 
 
 def test_build_tours_refuses_an_empty_episode_list(split_world):
