@@ -16,7 +16,7 @@ import dataclasses
 import itertools
 import sys
 
-from .config import SOLVERS, Config, resolve_config
+from .config import Config, resolve_config
 from .coverage import ObservationModel, coverage_curves
 from .environment import FORMAT_VERSION, GeodesicMetric, euclidean, load_scene, save_scene, write_json
 from .errors import (
@@ -31,6 +31,7 @@ from .mapper import MAP_MODES, save_map
 from .metrics import build_report, read_traces, write_traces
 from .syngen import EpisodeSpec, FloorplanSpec, generate_episodes, generate_scene
 from .tourgen import (
+    SOLVERS,
     build_tours,
     compute_tour_stats,
     load_episodes,
@@ -185,6 +186,8 @@ def cmd_eval(args) -> int:
     if scene is not None:
         _check_scene(scene, args.episodes, episodes_by_id.values(), args.tours, tours)
     traces = read_traces(args.traces, episodes_by_id)
+    if not traces:
+        raise EmptySequence(f"no tour traces in {args.traces}")
     if args.tours:
         _check_complete(tours, traces)
     dist = GeodesicMetric(scene) if cfg.geodesic else euclidean
@@ -230,6 +233,8 @@ def cmd_coverage(args) -> int:
 
 def cmd_stats(args) -> int:
     tours = load_tours(args.tours)
+    if not tours:
+        raise EmptySequence(f"no tours in {args.tours}")
     stats = compute_tour_stats(tours)
     print(_stats_block(stats))
     if args.out:
@@ -244,7 +249,7 @@ def cmd_build_map(args) -> int:
     _check_scene(scene, args.episodes, episodes_by_id.values())
     traces = read_traces(args.traces, episodes_by_id)
     if not traces:
-        raise MissingEpisode(f"no tour traces in {args.traces}")
+        raise EmptySequence(f"no tour traces in {args.traces}")
     for i, trace in enumerate(traces):
         occ_map = replay_tour(scene, trace, episodes_by_id, cfg, keep_map=i == len(traces) - 1)
     save_map(occ_map, args.out)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .mapper import MAP_MODES
 from .metrics import DEFAULT_DTH, DEFAULT_SUCCESS_RADIUS
+from .tourgen import SOLVERS
 
-SOLVERS = ("nn", "nn+3opt", "exact")
 # agent steps per episode when max_steps is None
 DEFAULT_MAX_STEPS_CONTINUOUS = 500
 DEFAULT_MAX_STEPS_DISCRETE = 15

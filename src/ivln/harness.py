@@ -286,8 +286,9 @@ class OraclePolicy(Policy):
 class NoisyOraclePolicy(OraclePolicy):
     """Oracle that errs: with probability p_error a uniform legal action
     (including stop) replaces the intended one.  The oracle replans from
-    whatever state the error leaves, so small error rates degrade paths
-    gracefully instead of derailing them."""
+    whatever state the error leaves, but a random stop ends the episode
+    where it stands, so success falls fast with path length: with 4-20 m
+    paths on 36-room scenes, p_error = 0.2 reaches SR 0.097."""
 
     def __init__(self, scene, episodes_by_id, p_error: float, seed: int = 0):
         if not 0.0 <= p_error <= 1.0:

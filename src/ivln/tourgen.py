@@ -7,7 +7,8 @@ long ordered sequences an agent can follow in one continuous session:
 1. partition the unique paths of a scene into groups that are mutually
    reachable (unreachable pairs can never appear in the same tour);
 2. order each group to minimize total travel, treating every path as an
-   atomic city whose entry is its start and exit is its end;
+   atomic city whose entry is its start and exit is its end (exactly, in
+   groups of up to 12 paths);
 3. expand the ordered paths into one tour per instruction annotation,
    sampling instructions without replacement so every episode appears in
    exactly one tour.
@@ -254,10 +255,6 @@ def _apply_exchange(cycle, i, j, k):
     return cycle[: i + 1] + cycle[j + 1 : k + 1] + cycle[i + 1 : j + 1] + cycle[k + 1 :]
 
 
-_MULTISTART_LIMIT = 12
-_KICKS_PER_START = 6
-
-
 def _improve_cycle(full: list[list[float]], cycle: list[int]) -> list[int]:
     """Apply the first improving segment exchange, scanning cut triples
     ``i < j < k``, until none improves.  Moving any segment to another gap
@@ -272,65 +269,46 @@ def _improve_cycle(full: list[list[float]], cycle: list[int]) -> list[int]:
             return cycle
 
 
-def _double_bridge(cycle: list[int], rng: random.Random) -> list[int]:
-    # position 0 stays fixed so the cut points are a strict 3-sample
-    a, b, c = sorted(rng.sample(range(1, len(cycle)), 3))
-    return cycle[:a] + cycle[b:c] + cycle[a:b] + cycle[c:]
+_SOLVE_EXACT_LIMIT = 12
 
 
 def solve_atsp(cost: np.ndarray, improve: bool = True) -> list[int]:
     """Order cities of an asymmetric open-path problem.
 
     Returns a permutation of range(n) minimizing the sum of ``cost`` over
-    consecutive pairs (no closing leg).  Nearest neighbor seeds the
-    order; orientation-preserving segment exchanges (a relocation is one)
-    then run to a local optimum.  Reversal moves are never used because
-    the costs are asymmetric.  Small instances restart from every city
-    and escape local optima with seeded double-bridge perturbations,
-    keeping the cheapest result.  Deterministic: fixed scan order, fixed
-    perturbation seeds, only strict improvements accepted.  Raises
-    Disconnected when every ordering found has infinite cost.
+    consecutive pairs (no closing leg).  With ``improve``, up to 12
+    cities this is ``held_karp_exact``'s order.  Otherwise nearest
+    neighbor from the dummy city builds the order, and ``improve`` runs
+    orientation-preserving segment exchanges (a relocation is one) to a
+    local optimum; reversals are never used because the costs are
+    asymmetric.  Raises Disconnected when the order found has infinite
+    cost.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[0]
     if cost.shape != (n, n):
         raise ValueError("cost matrix must be square")
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
+    if improve and n <= _SOLVE_EXACT_LIMIT:
+        return held_karp_exact(cost)[0]
     full = _with_dummy(cost)
-    dummy = n
-    starts = list(range(n + 1)) if improve and n <= _MULTISTART_LIMIT else [dummy]
-    best_cycle: list[int] | None = None
-    best_cost = math.inf
-    for start in starts:
-        cycle = _nearest_neighbor_cycle(full, start)
-        if improve:
-            cycle = _improve_cycle(full, cycle)
-            rng = random.Random(7919 * start + 17)
-            held = _cycle_cost(full, cycle)
-            # a double bridge needs three distinct interior cut points
-            kicks = _KICKS_PER_START if 3 <= n <= _MULTISTART_LIMIT else 0
-            for _ in range(kicks):
-                cand = _improve_cycle(full, _double_bridge(cycle, rng))
-                cand_cost = _cycle_cost(full, cand)
-                if cand_cost < held - 1e-12:
-                    cycle, held = cand, cand_cost
-        total = _cycle_cost(full, cycle)
-        if total < best_cost - 1e-12:
-            best_cost = total
-            best_cycle = cycle
-    if best_cycle is None:
+    cycle = _nearest_neighbor_cycle(full, n)
+    if improve:
+        cycle = _improve_cycle(full, cycle)
+    if _cycle_cost(full, cycle) == math.inf:
         raise Disconnected("every ordering found has infinite cost")
-    at = best_cycle.index(dummy)
-    return best_cycle[at + 1 :] + best_cycle[:at]
+    at = cycle.index(n)
+    return cycle[at + 1 :] + cycle[:at]
 
 
 def held_karp_exact(cost: np.ndarray) -> tuple[list[int], float]:
     """Exact open-path order by dynamic programming over subsets.
 
-    O(2^n n^2) time and memory; refuses instances beyond
+    ``dp[mask, last]``, the cheapest path through ``mask`` ending at
+    ``last``, fills layer by layer over the size of ``mask``.  A state
+    folds its candidates in ascending ``last``, keeping one only when it
+    is cheaper by more than 1e-12, and the path ends at the cheapest
+    city, the smallest among equal costs.  O(2^n n^2) time and O(2^n n)
+    memory; refuses instances beyond
     ``ATSP_EXACT_LIMIT`` cities.  Raises Disconnected when every ordering
     has infinite cost.
     """
@@ -340,57 +318,52 @@ def held_karp_exact(cost: np.ndarray) -> tuple[list[int], float]:
         return [], 0.0
     if n > ATSP_EXACT_LIMIT:
         raise SizeLimit(f"exact ordering supports at most {ATSP_EXACT_LIMIT} cities, got {n}")
-    if n == 1:
-        return [0], 0.0
-    # dp[(mask, last)] = cheapest path visiting mask, ending at last
-    dp = {(1 << i, i): 0.0 for i in range(n)}
-    parent: dict[tuple[int, int], int] = {}
-    for mask in range(1, 1 << n):
+    bits = 1 << np.arange(n)
+    dp = np.full((1 << n, n), math.inf)
+    dp[bits, np.arange(n)] = 0.0
+    parent = np.zeros((1 << n, n), dtype=np.int8)
+    members = (np.arange(1 << n)[:, None] & bits) != 0
+    sizes = members.sum(axis=1)
+    for size in range(2, n + 1):
+        # every state (mask, nxt) of this layer, reached from mask without nxt
+        mask, nxt = np.nonzero(members & (sizes == size)[:, None])
+        src = mask ^ bits[nxt]
+        best = np.full(len(mask), math.inf)
+        prev = np.zeros(len(mask), dtype=np.int8)
         for last in range(n):
-            if not mask & (1 << last):
-                continue
-            base = dp.get((mask, last))
-            if base is None:
-                continue
-            for nxt in range(n):
-                if mask & (1 << nxt):
-                    continue
-                key = (mask | (1 << nxt), nxt)
-                cand = base + cost[last, nxt]
-                if cand < dp.get(key, math.inf) - 1e-12:
-                    dp[key] = cand
-                    parent[key] = last
-    # a state that no finite path reaches has no entry
-    full = (1 << n) - 1
-    best_cost, best_last = min((dp.get((full, last), math.inf), last) for last in range(n))
-    if best_cost == math.inf:
+            cand = dp[src, last] + cost[last, nxt]
+            better = cand < best - 1e-12
+            best[better] = cand[better]
+            prev[better] = last
+        dp[mask, nxt] = best
+        parent[mask, nxt] = prev
+    order = [int(np.argmin(dp[-1]))]
+    total = float(dp[-1, order[0]])
+    if total == math.inf:
         raise Disconnected("every ordering has infinite cost")
-    order = [best_last]
-    mask = full
+    mask = (1 << n) - 1
     while len(order) < n:
-        prev = parent[(mask, order[-1])]
-        mask &= ~(1 << order[-1])
-        order.append(prev)
+        order.append(int(parent[mask, order[-1]]))
+        mask ^= 1 << order[-2]
     order.reverse()
-    return order, float(best_cost)
+    return order, total
+
+
+SOLVERS = ("nn", "nn+3opt", "exact")
 
 
 def order_paths(group: PathGroup, solver: str = "nn+3opt") -> list[str]:
     """Order a group's paths to minimize inter-path travel over
     ``group.cost``.
 
-    ``solver`` selects the ordering routine: "nn" (greedy construction
-    only), "nn+3opt" (greedy plus local search, the default), or "exact"
-    (subset dynamic programming, small groups only).
+    ``solver`` is one of ``SOLVERS``: "nn" (greedy construction only),
+    "nn+3opt" (the default: the exact order up to 12 paths, greedy plus
+    local search beyond) or "exact" (subset dynamic programming, up to
+    ``ATSP_EXACT_LIMIT`` paths).
     """
-    if solver == "exact":
-        order, _ = held_karp_exact(group.cost)
-    elif solver == "nn":
-        order = solve_atsp(group.cost, improve=False)
-    elif solver == "nn+3opt":
-        order = solve_atsp(group.cost)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
+    order = held_karp_exact(group.cost)[0] if solver == "exact" else solve_atsp(group.cost, solver == "nn+3opt")
     return [group.path_ids[i] for i in order]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from ivln.environment import GridWorld, NavGraph, Point3, Pose, Scene
-from ivln.errors import DimensionMismatch
+from ivln.errors import DimensionMismatch, Disconnected
 from ivln.mapper import _WALL_PUSH, CameraIntrinsics, _cameras, _columns, _lift
 from ivln.syngen import EpisodeSpec, FloorplanSpec, generate_episodes, generate_scene
 from ivln.tourgen import build_tours
@@ -266,6 +266,48 @@ def open_path_cost(cost: np.ndarray, order: list[int]) -> float:
     """Sum of ``cost`` over consecutive pairs of ``order``: an open path
     has no closing leg."""
     return float(sum(cost[order[i], order[i + 1]] for i in range(len(order) - 1)))
+
+
+def held_karp_reference(cost: np.ndarray) -> tuple[list[int], float]:
+    """The subset dynamic program over a dict of (mask, last) states, mask
+    by mask: a candidate replaces a state's cost only when it is lower by
+    more than 1e-12, and the final city is the cheapest, the smallest
+    among equal costs.  The reference for ``tourgen.held_karp_exact``;
+    raises Disconnected when every ordering has infinite cost."""
+    n = cost.shape[0]
+    if n == 0:
+        return [], 0.0
+    # dp[(mask, last)] = cheapest path visiting mask, ending at last
+    dp = {(1 << i, i): 0.0 for i in range(n)}
+    parent: dict[tuple[int, int], int] = {}
+    for mask in range(1, 1 << n):
+        for last in range(n):
+            if not mask & (1 << last):
+                continue
+            base = dp.get((mask, last))
+            if base is None:
+                continue
+            for nxt in range(n):
+                if mask & (1 << nxt):
+                    continue
+                key = (mask | (1 << nxt), nxt)
+                cand = base + cost[last, nxt]
+                if cand < dp.get(key, math.inf) - 1e-12:
+                    dp[key] = cand
+                    parent[key] = last
+    # a state that no finite path reaches has no entry
+    full = (1 << n) - 1
+    best_cost, best_last = min((dp.get((full, last), math.inf), last) for last in range(n))
+    if best_cost == math.inf:
+        raise Disconnected("every ordering has infinite cost")
+    order = [best_last]
+    mask = full
+    while len(order) < n:
+        prev = parent[(mask, order[-1])]
+        mask &= ~(1 << order[-1])
+        order.append(prev)
+    order.reverse()
+    return order, float(best_cost)
 
 
 def relocation_deltas(cost: list[list[float]], cycle: list[int]):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ivln.errors import Disconnected, SizeLimit
 from ivln.tourgen import _improve_cycle, _nearest_neighbor_cycle, _with_dummy, held_karp_exact, solve_atsp
 
-from conftest import open_path_cost, relocation_deltas
+from conftest import held_karp_reference, open_path_cost, relocation_deltas
 
 
 def brute_force_open_path(cost):
@@ -40,6 +40,57 @@ def test_held_karp_matches_brute_force(seed, n):
     _, best = brute_force_open_path(cost)
     assert total == pytest.approx(best, abs=1e-9)
     assert open_path_cost(cost, order) == pytest.approx(total, abs=1e-9)
+
+
+@st.composite
+def cost_matrices(draw):
+    """A random asymmetric matrix of 1-11 cities: uniform, rounded to 0.1
+    so that equal path costs abound, or with about a third of its arcs
+    infinite."""
+    n = draw(st.integers(1, 11))
+    kind = draw(st.sampled_from(["uniform", "rounded", "partly-inf"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cost = rng.uniform(0.1, 10.0, (n, n))
+    if kind == "rounded":
+        cost = np.round(cost / 5.0, 1)
+    elif kind == "partly-inf":
+        cost[rng.random((n, n)) < 0.35] = math.inf
+    np.fill_diagonal(cost, 0.0)
+    return cost
+
+
+@given(cost_matrices())
+@settings(max_examples=150)
+def test_held_karp_is_bitwise_the_reference_dynamic_program(cost):
+    try:
+        want = held_karp_reference(cost)
+    except Disconnected:
+        with pytest.raises(Disconnected):
+            held_karp_exact(cost)
+        return
+    order, total = held_karp_exact(cost)
+    assert (order, total) == want
+    assert type(total) is float
+
+
+def cut_at_dummy(cycle, n):
+    at = cycle.index(n)
+    return cycle[at + 1 :] + cycle[:at]
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_solve_atsp_is_exact_up_to_12_cities_and_local_search_beyond(n):
+    for seed in range(4):
+        cost = random_instance(seed, n)
+        if seed % 2:
+            cost = np.round(cost / 5.0, 1)
+        full = _with_dummy(cost)
+        greedy = _nearest_neighbor_cycle(full, n)
+        if n <= 12:
+            assert solve_atsp(cost) == held_karp_exact(cost)[0]
+        else:
+            assert solve_atsp(cost) == cut_at_dummy(_improve_cycle(full, greedy), n)
+        assert solve_atsp(cost, improve=False) == cut_at_dummy(greedy, n)
 
 
 @given(st.integers(0, 10_000), st.integers(2, 7))

@@ -147,21 +147,25 @@ def test_run_checks_the_map_out_flag_before_running(pipeline, tmp_path, capsys):
     assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "map.json").exists()
 
 
-EMPTY_INPUTS = [  # command, the pipeline files it reads, the one emptied
-    ("run", ("episodes", "tours"), "tours"),
-    ("coverage", ("episodes", "tours"), "tours"),
-    ("gen-tours", ("episodes",), "episodes"),
+EMPTY_INPUTS = [  # command, the pipeline files it reads, the one emptied, its other flags
+    ("run", ("scene", "episodes", "tours"), "tours", ("--map", "iterative", "--map-out", "map.json")),
+    ("coverage", ("scene", "episodes", "tours"), "tours", ()),
+    ("gen-tours", ("scene", "episodes"), "episodes", ()),
+    ("eval", ("scene", "episodes", "tours", "traces"), "traces", ("--csv", "out.csv")),
+    ("stats", ("tours",), "tours", ()),
 ]
 
 
-@pytest.mark.parametrize("command, inputs, emptied", EMPTY_INPUTS, ids=[command for command, _, _ in EMPTY_INPUTS])
-def test_a_command_refuses_a_file_without_records(pipeline, tmp_path, capsys, command, inputs, emptied):
+@pytest.mark.parametrize("command, inputs, emptied, flags", EMPTY_INPUTS, ids=[entry[0] for entry in EMPTY_INPUTS])
+def test_a_command_refuses_a_file_without_records(pipeline, tmp_path, capsys, command, inputs, emptied, flags):
     empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"format_version": "1", emptied: []}))
+    # a trace file is JSON lines, one tour per line
+    empty.write_text("" if emptied == "traces" else json.dumps({"format_version": "1", emptied: []}))
     files = [x for name in inputs for x in (f"--{name}", empty if name == emptied else pipeline[name])]
-    flags = ("--map", "iterative", "--map-out", tmp_path / "map.json") if command == "run" else ()
-    assert run_cli(command, "--scene", pipeline["scene"], *files, *flags, "--out", tmp_path / "out") == 3
-    assert f"no {emptied} in {empty}" in capsys.readouterr().err
+    flags = [tmp_path / flag if "." in flag else flag for flag in flags]  # output files go beside the input
+    assert run_cli(command, *files, *flags, "--out", tmp_path / "out") == 3
+    what = "tour traces" if emptied == "traces" else emptied
+    assert f"no {what} in {empty}" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["empty.json"]
 
 
