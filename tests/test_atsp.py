@@ -44,9 +44,9 @@ def test_held_karp_matches_brute_force(seed, n):
 
 @st.composite
 def cost_matrices(draw):
-    """A random asymmetric matrix of 1-11 cities: uniform, rounded to 0.1
-    so that equal path costs abound, or with about a third of its arcs
-    infinite."""
+    """A random asymmetric matrix of 1-11 cities: uniform on 0.1-10,
+    rounded to 0.1 on 0-2 so that equal path costs abound, or with about
+    a third of its arcs infinite."""
     n = draw(st.integers(1, 11))
     kind = draw(st.sampled_from(["uniform", "rounded", "partly-inf"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
