@@ -8,7 +8,6 @@ score and analyze the resulting traces.
 """
 
 from .environment import (
-    GeodesicMetric,
     GridWorld,
     NavGraph,
     Point3,

@@ -18,7 +18,7 @@ import sys
 
 from .config import Config, resolve_config
 from .coverage import ObservationModel, coverage_curves
-from .environment import FORMAT_VERSION, GeodesicMetric, euclidean, load_scene, save_scene, write_json
+from .environment import FORMAT_VERSION, load_scene, save_scene, write_json
 from .errors import (
     EmptySequence,
     IvlnError,
@@ -190,13 +190,12 @@ def cmd_eval(args) -> int:
         raise EmptySequence(f"no tour traces in {args.traces}")
     if args.tours:
         _check_complete(tours, traces)
-    dist = GeodesicMetric(scene) if cfg.geodesic else euclidean
     report = build_report(
         traces,
         scene=scene,
         success_radius=cfg.success_radius,
         d_th=cfg.d_th,
-        dist=dist,
+        geodesic=cfg.geodesic,
         config=cfg.to_dict(),
     )
     report.save_json(args.out)

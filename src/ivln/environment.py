@@ -538,10 +538,17 @@ class NavIndex:
 def geodesic_distance(scene: Scene, a: Sequence[float], b: Sequence[float]) -> float:
     """Length of the shortest navigable route between two points.
 
-    Both points are snapped first; unreachable pairs give ``math.inf``.
+    Both points are snapped first (each distinct point once per scene);
+    two points on one location are 0.0 apart without opening a field,
+    and otherwise the answer is read from the source's resumable field
+    (``NavIndex.distance``).  Unreachable pairs give ``math.inf``.
     Raises SnapFailure when a point has no navigable location in range.
     """
-    return GeodesicMetric(scene)(a, b)
+    la = scene.snap_point(a)
+    lb = scene.snap_point(b)
+    if la == lb:
+        return 0.0
+    return scene.nav.distance(la, lb)
 
 
 def shortest_path(scene: Scene, a: Sequence[float], b: Sequence[float]) -> list[Point3]:
@@ -582,28 +589,6 @@ def connectivity_matrix(scene: Scene, endpoints: Sequence[tuple[Sequence[float],
         raise Disconnected(f"the end of path {stuck[0]} does not reach its start in {scene.scene_id}", index=stuck[0])
     np.fill_diagonal(cost, 0.0)
     return cost
-
-
-class GeodesicMetric:
-    """Callable geodesic point metric over a scene's ``NavIndex``.
-
-    Useful as the cell metric of alignment scores and for repeated
-    distance-to-goal queries: each distinct point is snapped once per
-    scene, and each distinct snapped source owns one resumable field
-    that is searched only out to the farthest point asked about so far;
-    nearer queries are lookups.  ``dtw`` builds its cost matrices over
-    a ``GeodesicMetric`` itself (``metrics._geodesic_costs``).
-    """
-
-    def __init__(self, scene: Scene):
-        self.scene = scene
-
-    def __call__(self, a: Sequence[float], b: Sequence[float]) -> float:
-        la = self.scene.snap_point(a)
-        lb = self.scene.snap_point(b)
-        if la == lb:
-            return 0.0
-        return self.scene.nav.distance(la, lb)
 
 
 # ---------------------------------------------------------------------------

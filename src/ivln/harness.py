@@ -43,14 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_MAX_STEPS_CONTINUOUS, Config
-from .environment import (
-    GeodesicMetric,
-    Point3,
-    Pose,
-    Scene,
-    json_line,
-    normalize_heading,
-)
+from .environment import Point3, Pose, Scene, geodesic_distance, json_line, normalize_heading
 from .errors import Disconnected, MissingEpisode, PolicyTimeout, ProtocolViolation, UnsupportedScene
 from .mapper import (
     CameraIntrinsics,
@@ -440,7 +433,6 @@ def run_tour(
         raise MissingEpisode(f"tour {tour.tour_id} references unknown episode {exc}") from None
 
     walk = _Walk(scene, cfg, getattr(policy, "reads_crops", True), keep_map)
-    geo = GeodesicMetric(scene)
     budget = cfg.budget(scene)
     policy.reset(tour.tour_id)
 
@@ -466,7 +458,7 @@ def run_tour(
                 logged.agent_path.append(walk.move(action))
 
             goal = episode.path[-1]
-            if geo(goal, walk.position) > cfg.oracle_correction_radius:
+            if geodesic_distance(scene, goal, walk.position) > cfg.oracle_correction_radius:
                 target = scene.snap_point(goal)
                 _oracle_drive(walk, target, ORACLE_GOAL, policy, episode, index, logged.segments)
             if index + 1 < len(episodes):

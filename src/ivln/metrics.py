@@ -17,8 +17,9 @@ Tour scores aggregate over trajectory splits weighted by episode count:
 
 Scores are reported on a 0..100 scale, one decimal, via ``scale_score``.
 
-Under a ``GeodesicMetric`` the cost matrix is filled only where the
-optimal warp can pass (``_geodesic_costs``).  The Euclidean distance
+The point metric is Euclidean without a scene and geodesic over the
+scene's ``NavIndex`` with one.  A geodesic cost matrix is filled only
+where the optimal warp can pass (``_geodesic_costs``).  The Euclidean distance
 between the snapped locations' points (``NavIndex.points``), shrunk by
 1e-9, is a lower bound LB on every geodesic cell: grid steps have octile
 lengths and graph edges are weighted by their 3D Euclidean length.  With
@@ -40,20 +41,18 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .environment import (
-    FORMAT_VERSION, GeodesicMetric, Point3, Scene, as_point, euclidean, json_line, read_json_lines, require_fields,
-    write_json,
+    FORMAT_VERSION, Point3, Scene, as_point, euclidean, geodesic_distance, json_line, read_json_lines,
+    require_fields, write_json,
 )
 from .errors import EmptySequence
 
 DEFAULT_DTH = 3.0
 DEFAULT_SUCCESS_RADIUS = 3.0
-
-PointMetric = Callable[[Sequence[float], Sequence[float]], float]
 
 # the kinds of oracle segment, which are also their trace phases
 ORACLE_GOAL, ORACLE_TRANSIT = ORACLE_PHASES = ("oracle_goal", "oracle_transit")
@@ -102,14 +101,12 @@ class TourTrace:
     episodes: list[EpisodeTrace]
 
 
-def _cost_matrix(ref, query, dist: PointMetric) -> np.ndarray:
+def _cost_matrix(ref, query, scene: Scene | None) -> np.ndarray:
     ref = [as_point(p) for p in ref]
     query = [as_point(p) for p in query]
-    if dist is euclidean:
+    if scene is None:
         return _euclidean_matrix(np.asarray(ref), np.asarray(query))
-    if isinstance(dist, GeodesicMetric):
-        return _geodesic_costs(ref, query, dist)
-    raise TypeError(f"the alignment metric must be euclidean or a GeodesicMetric, got {dist!r}")
+    return _geodesic_costs(ref, query, scene)
 
 
 def _euclidean_matrix(r: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -117,17 +114,17 @@ def _euclidean_matrix(r: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _geodesic_costs(ref, query, metric: GeodesicMetric) -> np.ndarray:
+def _geodesic_costs(ref, query, scene: Scene) -> np.ndarray:
     """The geodesic cost matrix on every cell the optimal warp can pass
     through, inf on the others; the warp cost over it is bitwise the one
     over the full matrix (the module docstring says why).
 
     Points are snapped in the order a per-cell loop over
-    ``metric(ref[i], query[j])`` meets them (``ref[0]``, the queries, the
+    ``geodesic_distance(scene, ref[i], query[j])`` meets them (``ref[0]``, the queries, the
     rest of ``ref``), so a SnapFailure names the same point; a kept cell
     is bitwise that loop's value (a point is exactly 0.0 from itself).
     """
-    scene, nav = metric.scene, metric.scene.nav
+    nav = scene.nav
     sources = [nav.id_of[scene.snap_point(p)] for p in ref[:1]]
     ids = [nav.id_of[scene.snap_point(q)] for q in query]
     sources += [nav.id_of[scene.snap_point(p)] for p in ref[1:]]
@@ -198,17 +195,18 @@ def _accumulate(costs: np.ndarray) -> float:
     return _warp(costs)[-1][-1]
 
 
-def dtw(reference, query, dist: PointMetric = euclidean) -> float:
-    """Dynamic time warping cost between two point sequences; ``dist`` is
-    ``euclidean`` or a ``GeodesicMetric`` (TypeError for any other)."""
+def dtw(reference, query, scene: Scene | None = None) -> float:
+    """Dynamic time warping cost between two point sequences: over
+    Euclidean distance without a scene, over geodesic distance in
+    ``scene`` with one."""
     if len(reference) == 0 or len(query) == 0:
         raise EmptySequence("dtw needs non-empty sequences")
-    return _accumulate(_cost_matrix(reference, query, dist))
+    return _accumulate(_cost_matrix(reference, query, scene))
 
 
-def ndtw(reference, query, d_th: float = DEFAULT_DTH, dist: PointMetric = euclidean) -> float:
+def ndtw(reference, query, d_th: float = DEFAULT_DTH, scene: Scene | None = None) -> float:
     """Normalized alignment score in (0, 1]; 1 iff the warp cost is 0."""
-    return _normalized(dtw(reference, query, dist), len(reference), d_th)
+    return _normalized(dtw(reference, query, scene), len(reference), d_th)
 
 
 def _normalized(cost: float, reference_length: int, d_th: float) -> float:
@@ -217,14 +215,14 @@ def _normalized(cost: float, reference_length: int, d_th: float) -> float:
     return math.exp(-cost / (reference_length * d_th))
 
 
-def tour_dtw(trace: TourTrace, dist: PointMetric = euclidean) -> float:
+def tour_dtw(trace: TourTrace, scene: Scene | None = None) -> float:
     """Warp cost over a tour with cross-episode matching forbidden.
 
     With infinite cost on every cross-episode cell, the optimal warp
     decomposes into independent per-episode alignments, so the tour cost
     is the sum of per-episode dtw costs.
     """
-    return _tour_sum(trace, [dtw(ep.reference_path, ep.agent_path, dist) for ep in trace.episodes])
+    return _tour_sum(trace, [dtw(ep.reference_path, ep.agent_path, scene) for ep in trace.episodes])
 
 
 def _tour_sum(trace: TourTrace, costs: list[float]) -> float:
@@ -234,9 +232,9 @@ def _tour_sum(trace: TourTrace, costs: list[float]) -> float:
     return float(sum(costs))
 
 
-def tour_ndtw(trace: TourTrace, d_th: float = DEFAULT_DTH, dist: PointMetric = euclidean) -> float:
+def tour_ndtw(trace: TourTrace, d_th: float = DEFAULT_DTH, scene: Scene | None = None) -> float:
     """Normalized tour alignment; |R| is the total reference length."""
-    return _normalized(tour_dtw(trace, dist), sum(len(ep.reference_path) for ep in trace.episodes), d_th)
+    return _normalized(tour_dtw(trace, scene), sum(len(ep.reference_path) for ep in trace.episodes), d_th)
 
 
 def aggregate_t_ndtw(scored_tours: Sequence[tuple[TourTrace, float]]) -> float:
@@ -280,32 +278,38 @@ def episodic_metrics(
     scene: Scene | None = None,
     success_radius: float = DEFAULT_SUCCESS_RADIUS,
     d_th: float = DEFAULT_DTH,
-    dist: PointMetric = euclidean,
-    goal_metric: PointMetric | None = None,
+    geodesic: bool = False,
 ) -> EpisodeMetrics:
     """Standard single-episode metrics.
 
     Goal-relative quantities (NE, oracle success, the SPL shortest-path
     length) use geodesic distance when a scene is given, straight-line
-    distance otherwise.  ``dist`` is the alignment point metric and stays
-    Euclidean unless explicitly overridden.
+    distance otherwise.  The alignment is geodesic only with
+    ``geodesic``, which needs a scene (ValueError without one).
     """
-    if goal_metric is None:
-        goal_metric = GeodesicMetric(scene) if scene is not None else euclidean
-    return _episode_metrics(trace, dtw(trace.reference_path, trace.agent_path, dist),
-                            success_radius, d_th, goal_metric)
+    return _episode_metrics(trace, dtw(trace.reference_path, trace.agent_path, _aligned(scene, geodesic)),
+                            success_radius, d_th, scene)
+
+
+def _aligned(scene: Scene | None, geodesic: bool) -> Scene | None:
+    """The scene ``dtw`` aligns over: ``scene`` with ``geodesic``, else None."""
+    if geodesic and scene is None:
+        raise ValueError("geodesic alignment needs a scene")
+    return scene if geodesic else None
 
 
 def _episode_metrics(trace: EpisodeTrace, cost: float, success_radius: float, d_th: float,
-                     goal_metric: PointMetric) -> EpisodeMetrics:
-    """``episodic_metrics`` given the episode's dtw cost."""
+                     scene: Scene | None) -> EpisodeMetrics:
+    """``episodic_metrics`` given the episode's dtw cost; goal distances
+    are geodesic in ``scene``, Euclidean without one."""
     goal = trace.reference_path[-1]
+    to_goal = euclidean if scene is None else lambda a, b: geodesic_distance(scene, a, b)
     tl = path_length(trace.agent_path)
-    ne = goal_metric(goal, trace.final_position)
-    nearest = min(goal_metric(goal, p) for p in trace.agent_path)
+    ne = to_goal(goal, trace.final_position)
+    nearest = min(to_goal(goal, p) for p in trace.agent_path)
     os_ = 1.0 if nearest <= success_radius else 0.0
     sr = 1.0 if ne <= success_radius else 0.0
-    optimal = goal_metric(goal, trace.reference_path[0])
+    optimal = to_goal(goal, trace.reference_path[0])
     if optimal <= 0.0:
         spl = sr
     else:
@@ -422,19 +426,20 @@ def build_report(
     scene: Scene | None = None,
     success_radius: float = DEFAULT_SUCCESS_RADIUS,
     d_th: float = DEFAULT_DTH,
-    dist: PointMetric = euclidean,
+    geodesic: bool = False,
     config: dict | None = None,
 ) -> MetricReport:
-    """Score traces at episode, tour, and corpus level."""
-    goal_metric = GeodesicMetric(scene) if scene is not None else euclidean
+    """Score traces at episode, tour, and corpus level: goal distances
+    and alignment as in ``episodic_metrics``."""
+    aligned = _aligned(scene, geodesic)
     per_episode = []
     per_tour = []
     scored = []
     for trace in traces:
         # each episode's dtw feeds both its nDTW and the tour's sum
-        costs = [dtw(ep.reference_path, ep.agent_path, dist) for ep in trace.episodes]
+        costs = [dtw(ep.reference_path, ep.agent_path, aligned) for ep in trace.episodes]
         for ep, cost in zip(trace.episodes, costs):
-            m = _episode_metrics(ep, cost, success_radius, d_th, goal_metric)
+            m = _episode_metrics(ep, cost, success_radius, d_th, scene)
             per_episode.append(
                 {
                     "tour_id": trace.tour_id,

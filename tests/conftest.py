@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ivln.environment import GridWorld, NavGraph, Point3, Pose, Scene
+from ivln.environment import GridWorld, NavGraph, Point3, Pose, Scene, geodesic_distance
 from ivln.errors import DimensionMismatch, Disconnected
 from ivln.mapper import _WALL_PUSH, CameraIntrinsics, _cameras, _columns, _lift
 from ivln.syngen import EpisodeSpec, FloorplanSpec, generate_episodes, generate_scene
@@ -83,11 +83,11 @@ def grid_neighbors(grid, cell):
             yield nxt, grid.resolution
 
 
-def geodesic_pairwise(metric, ref, query):
-    """The full geodesic cost matrix of ``metric`` over ``ref`` x ``query``,
-    one ``metric(p, q)`` per cell: the per-cell loop that the pruned cost
-    matrices ``dtw`` builds are compared against."""
-    return np.array([[metric(p, q) for q in query] for p in ref])
+def geodesic_pairwise(scene, ref, query):
+    """The full geodesic cost matrix in ``scene`` over ``ref`` x ``query``,
+    one ``geodesic_distance`` per cell: the per-cell loop that the pruned
+    cost matrices ``dtw`` builds are compared against."""
+    return np.array([[geodesic_distance(scene, p, q) for q in query] for p in ref])
 
 
 def neighbor_lists(scene):

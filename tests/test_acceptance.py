@@ -21,7 +21,7 @@ import pytest
 
 from ivln.config import Config
 from ivln.coverage import ObservationModel, coverage_curves
-from ivln.environment import GeodesicMetric, Pose, Point3, geodesic_distance, load_scene
+from ivln.environment import Pose, Point3, geodesic_distance, load_scene
 from ivln.harness import NoisyOraclePolicy, OraclePolicy, run_tour, run_tours
 from ivln.mapper import (
     BAND_MARGIN,
@@ -232,7 +232,6 @@ def test_criterion_06_partitioning_and_exact_cover():
 def test_criterion_07_correction_and_budget_invariants(synth, tmp_path):
     scene, by_id = synth["scene"], synth["by_id"]
     tour = synth["tours"][0]
-    geo = GeodesicMetric(scene)
     budget = Config().budget(scene)
     for seed in range(50):
         policy = NoisyOraclePolicy(scene, by_id, p_error=0.3, seed=seed)
@@ -241,7 +240,7 @@ def test_criterion_07_correction_and_budget_invariants(synth, tmp_path):
         corrected = {et.episode_id for et in trace.episodes for s in et.segments if s.kind == "oracle_goal"}
         for et in trace.episodes:
             assert len(et.actions) <= budget
-            gap = geo(by_id[et.episode_id].path[-1], et.agent_path[-1])
+            gap = geodesic_distance(scene, by_id[et.episode_id].path[-1], et.agent_path[-1])
             assert (et.episode_id in corrected) == (gap > 0.5), (seed, et.episode_id)
     for seed in (0, 17, 41):
         blobs = []

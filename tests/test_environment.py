@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ivln.environment import (
     GRID_SNAP_RADIUS,
-    GeodesicMetric,
     GridWorld,
     NavGraph,
     NavIndex,
@@ -313,35 +312,39 @@ def test_connectivity_matrix_snap_failure_carries_index(open_room):
 
 
 def test_geodesic_metric_matches_direct(open_room):
-    metric = GeodesicMetric(open_room)
-    grid = open_room.grid
+    # a fresh scene on the room's grid, so no field is open yet
+    scene = Scene(scene_id="open-room", grid=open_room.grid)
+    grid, nav = scene.grid, scene.nav
+    p = grid.cell_center((3, 5))
+    assert geodesic_distance(scene, p, p) == 0.0
+    assert nav._fields == {}  # one location: no field is opened
     cells = [(1, 1), (4, 2), (8, 6), (3, 5)]
     for a in cells:
+        heap = heap_field(scene, nav.id_of[a])
         for b in cells:
-            pa, pb = grid.cell_center(a), grid.cell_center(b)
-            assert metric(pa, pb) == pytest.approx(
-                geodesic_distance(open_room, pa, pb), abs=1e-9
-            )
-    # cached second pass stays identical
-    assert metric(grid.cell_center(cells[0]), grid.cell_center(cells[2])) == pytest.approx(
-        geodesic_distance(open_room, grid.cell_center(cells[0]), grid.cell_center(cells[2]))
-    )
+            got = geodesic_distance(scene, grid.cell_center(a), grid.cell_center(b))
+            assert np.float64(got).tobytes() == heap[nav.id_of[b]].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["grid", "graph"])
 def test_geodesic_distance_is_the_metrics_value(kind):
-    # GeodesicMetric snaps both points and reads the same resumable field;
-    # checked on every graph pair and 300 grid pairs of a 9-room floorplan
+    # bitwise the heap field's entry, on every graph pair and 300 grid
+    # pairs (12 sources x 25 targets) of a 9-room floorplan
     grid_scene, graph_scene = generate_scene(FloorplanSpec(rooms=9, seed=3))
     scene = grid_scene if kind == "grid" else graph_scene
-    points = [scene.location_point(loc) for loc in scene.nav.locations]
+    nav = scene.nav
+    ids = range(len(nav.locations))
     if kind == "grid":
-        pairs = np.random.default_rng(3).integers(len(points), size=(300, 2)).tolist()
+        rng = np.random.default_rng(3)
+        pairs = {int(a): rng.integers(len(ids), size=25).tolist() for a in rng.choice(len(ids), 12, replace=False)}
     else:
-        pairs = [(i, j) for i in range(len(points)) for j in range(len(points))]
-    metric = GeodesicMetric(scene)
-    for i, j in pairs:
-        assert geodesic_distance(scene, points[i], points[j]) == metric(points[i], points[j])
+        pairs = {a: list(ids) for a in ids}
+    for a, targets in pairs.items():
+        heap = heap_field(scene, a)
+        for b in targets:
+            got = geodesic_distance(scene, scene.location_point(nav.locations[a]),
+                                    scene.location_point(nav.locations[b]))
+            assert np.float64(got).tobytes() == heap[b].tobytes()
 
 
 def split_grid_scene():
@@ -374,8 +377,8 @@ def pairwise_cases():
 
 @pytest.mark.parametrize("make_scene, ref, query", pairwise_cases())
 def test_geodesic_pairwise_equals_per_cell_loop(make_scene, ref, query):
-    expected = geodesic_pairwise(GeodesicMetric(make_scene()), ref, query)
-    got = _geodesic_costs(ref, query, GeodesicMetric(make_scene()))
+    expected = geodesic_pairwise(make_scene(), ref, query)
+    got = _geodesic_costs(ref, query, make_scene())
     assert np.isinf(expected).any() and (expected == 0.0).any()
     assert got.dtype == expected.dtype and got.shape == expected.shape
     # bitwise the loop on every kept cell; a pruned cell is inf
@@ -392,9 +395,9 @@ def test_geodesic_pairwise_snap_failure_names_the_loops_point(bad_ref, bad_query
     for j in bad_query:
         query[j] = Point3(0.0, 60.0 + j, 0.0)
     with pytest.raises(SnapFailure) as per_cell:
-        geodesic_pairwise(GeodesicMetric(split_grid_scene()), ref, query)
+        geodesic_pairwise(split_grid_scene(), ref, query)
     with pytest.raises(SnapFailure) as pairwise:
-        _geodesic_costs(ref, query, GeodesicMetric(split_grid_scene()))
+        _geodesic_costs(ref, query, split_grid_scene())
     assert pairwise.value.point == per_cell.value.point
 
 

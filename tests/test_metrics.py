@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivln.environment import GeodesicMetric, GridWorld, NavGraph, Point3, Scene, as_point, euclidean
+from ivln.environment import GridWorld, NavGraph, Point3, Scene, as_point, geodesic_distance
 from ivln import metrics
 from ivln.errors import EmptySequence, SnapFailure
 from ivln.harness import NoisyOraclePolicy, run_tours
@@ -39,7 +39,7 @@ from ivln.metrics import (
 from conftest import final_ids, geodesic_pairwise, scene_from_ascii
 
 
-def masked_tour_dtw(trace: TourTrace, dist=euclidean) -> float:
+def masked_tour_dtw(trace: TourTrace, scene=None) -> float:
     """The same alignment as ``tour_dtw`` over one concatenated cost matrix.
 
     Builds the full |R| x |Q| matrix with inf outside the block diagonal
@@ -56,7 +56,7 @@ def masked_tour_dtw(trace: TourTrace, dist=euclidean) -> float:
     for ep in trace.episodes:
         i1 = i0 + len(ep.reference_path)
         j1 = j0 + len(ep.agent_path)
-        costs[i0:i1, j0:j1] = _cost_matrix(ep.reference_path, ep.agent_path, dist)
+        costs[i0:i1, j0:j1] = _cost_matrix(ep.reference_path, ep.agent_path, scene)
         i0, j0 = i1, j1
     return _accumulate(costs)
 
@@ -328,8 +328,6 @@ def test_spl_degenerate_start_on_goal():
 def test_episodic_metrics_geodesic_goal_distance():
     # u-shaped corridor: the two arm tops are 2 m apart in a straight
     # line but the walk goes down, across, and back up
-    from ivln.environment import geodesic_distance
-
     scene = scene_from_ascii(["...", ".#.", ".#."], resolution=1.0)
     grid = scene.grid
     start = grid.cell_center((0, 2))
@@ -355,22 +353,13 @@ def geodesic_tour():
     return scene, TourTrace("t", [e0, e1])
 
 
-def test_a_metric_other_than_euclidean_or_geodesic_is_refused():
-    ref, query = [(0, 0, 0), (1, 0, 0)], [(0, 1, 0)]
-    with pytest.raises(TypeError, match="euclidean or a GeodesicMetric"):
-        _cost_matrix(ref, query, lambda a, b: math.dist(a, b))
-    with pytest.raises(TypeError, match="euclidean or a GeodesicMetric"):
-        dtw(ref, query, math.dist)
-
-
 def test_masked_tour_dtw_matches_block_sum_under_geodesic_metric():
     scene, across = geodesic_tour()
-    dist = GeodesicMetric(scene)
-    assert masked_tour_dtw(across, dist) == tour_dtw(across, dist) == math.inf
+    assert masked_tour_dtw(across, scene) == tour_dtw(across, scene) == math.inf
     _, trace = geodesic_tour()
     trace.episodes[1].agent_path[-1] = scene.grid.cell_center((3, 0))
-    assert masked_tour_dtw(trace, dist) == pytest.approx(tour_dtw(trace, dist), rel=1e-12)
-    assert 0.0 < tour_dtw(trace, dist) < math.inf
+    assert masked_tour_dtw(trace, scene) == pytest.approx(tour_dtw(trace, scene), rel=1e-12)
+    assert 0.0 < tour_dtw(trace, scene) < math.inf
 
 
 def test_geodesic_report_snaps_each_distinct_point_once(monkeypatch):
@@ -385,7 +374,7 @@ def test_geodesic_report_snaps_each_distinct_point_once(monkeypatch):
         return snap(self, point, *args, **kwargs)
 
     monkeypatch.setattr(GridWorld, "snap", counted)
-    build_report([trace], scene, dist=GeodesicMetric(scene))
+    build_report([trace], scene, geodesic=True)
     assert set(calls) == set(points)
     assert max(calls.values()) == 1
 
@@ -393,9 +382,9 @@ def test_geodesic_report_snaps_each_distinct_point_once(monkeypatch):
 # -- pruned geodesic cost matrices ------------------------------------------
 
 
-def full_geodesic_dtw(ref, query, metric) -> float:
+def full_geodesic_dtw(ref, query, scene) -> float:
     """``dtw`` over the whole geodesic cost matrix: the unpruned reference."""
-    return _accumulate(geodesic_pairwise(metric, ref, query))
+    return _accumulate(geodesic_pairwise(scene, ref, query))
 
 
 def seeded_episodes(kind: str, p_error: float, seed: int):
@@ -414,30 +403,28 @@ def seeded_episodes(kind: str, p_error: float, seed: int):
 @pytest.mark.parametrize("seed", [3, 7])
 def test_pruned_geodesic_dtw_equals_the_full_matrix(kind, p_error, seed):
     scene, episodes = seeded_episodes(kind, p_error, seed)
-    metric = GeodesicMetric(scene)
     pruned = 0
     for ep in episodes:
         ref, query = ep.reference_path, ep.agent_path
-        assert dtw(ref, query, metric) == full_geodesic_dtw(ref, query, GeodesicMetric(scene))
-        pruned += int(np.isinf(_geodesic_costs(ref, query, metric)).sum())
+        assert dtw(ref, query, scene) == full_geodesic_dtw(ref, query, scene)
+        pruned += int(np.isinf(_geodesic_costs(ref, query, scene)).sum())
     if kind == "grid":
         assert pruned > 0  # the check above is not vacuous
 
 
 def test_pruned_geodesic_dtw_on_a_split_grid_keeps_every_cell_when_the_bound_warp_is_cut():
     scene, across = geodesic_tour()
-    metric = GeodesicMetric(scene)
     for ep in across.episodes:  # the second ends across the wall: an inf cost
         ref, query = ep.reference_path, ep.agent_path
-        assert dtw(ref, query, metric) == full_geodesic_dtw(ref, query, metric)
+        assert dtw(ref, query, scene) == full_geodesic_dtw(ref, query, scene)
     c = scene.grid.cell_center
     # the bound's own optimal warp is the diagonal, whose middle cell pairs
     # (3, 1) with (5, 1) across the wall; the optimal geodesic warp goes round
     ref, query = [c((0, 1)), c((3, 1)), c((7, 1))], [c((0, 1)), c((5, 1)), c((7, 1))]
-    costs = _geodesic_costs(ref, query, metric)
+    costs = _geodesic_costs(ref, query, scene)
     assert math.isinf(costs[1, 1]) and np.isfinite(costs[[0, 1, 2, 2], [0, 0, 1, 2]]).all()
-    assert costs.tobytes() == geodesic_pairwise(metric, ref, query).tobytes()
-    assert 0.0 < dtw(ref, query, metric) == full_geodesic_dtw(ref, query, metric) < math.inf
+    assert costs.tobytes() == geodesic_pairwise(scene, ref, query).tobytes()
+    assert 0.0 < dtw(ref, query, scene) == full_geodesic_dtw(ref, query, scene) < math.inf
 
 
 # a walled grid with a sealed pocket (the right column) and a graph with a
@@ -471,8 +458,8 @@ def located_points(kind):
 @settings(max_examples=120)
 def test_pruned_geodesic_dtw_equals_the_full_matrix_on_random_paths(case):
     kind, ref, query = case
-    got = dtw(ref, query, GeodesicMetric(property_scene(kind)))
-    assert got == full_geodesic_dtw(ref, query, GeodesicMetric(property_scene(kind)))
+    got = dtw(ref, query, property_scene(kind))
+    assert got == full_geodesic_dtw(ref, query, property_scene(kind))
 
 
 @pytest.mark.parametrize("bad_ref, bad_query", [((0,), ()), ((), (1,)), ((1,), (0,)), ((0,), (1,)), ((2,), ())])
@@ -484,11 +471,11 @@ def test_geodesic_dtw_snap_failure_names_the_per_cell_loops_point(bad_ref, bad_q
         ref[i] = Point3(50.0 + i, 0.0, 0.0)
     for j in bad_query:
         query[j] = Point3(0.0, 60.0 + j, 0.0)
-    loop = GeodesicMetric(geodesic_tour()[0])
+    loop = geodesic_tour()[0]
     with pytest.raises(SnapFailure) as per_cell:
-        [[loop(p, q) for q in query] for p in ref]
+        [[geodesic_distance(loop, p, q) for q in query] for p in ref]
     with pytest.raises(SnapFailure) as pruned:
-        dtw(ref, query, GeodesicMetric(scene))
+        dtw(ref, query, scene)
     assert pruned.value.point == per_cell.value.point
 
 
@@ -497,8 +484,8 @@ def test_pruned_geodesic_dtw_settles_under_half_of_the_full_matrix():
     # two fresh scenes on the rollout's grid: no field is settled yet
     pruned, full = (Scene(scene_id=scene.scene_id, grid=scene.grid) for _ in range(2))
     for ep in episodes:
-        dtw(ep.reference_path, ep.agent_path, GeodesicMetric(pruned))
-        geodesic_pairwise(GeodesicMetric(full), ep.reference_path, ep.agent_path)
+        dtw(ep.reference_path, ep.agent_path, pruned)
+        geodesic_pairwise(full, ep.reference_path, ep.agent_path)
     assert 0 < final_ids(pruned.nav) < final_ids(full.nav) / 2
 
 
