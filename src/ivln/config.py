@@ -48,6 +48,9 @@ class Config:
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.turn_deg >= 45:
+            raise ValueError(f"turn_deg must be below 45, got {self.turn_deg!r}: a forward step takes the nearest of "
+                             "8 compass directions, and a turn that overshoots that 45-degree sector turns back forever")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
         if self.map_mode != "none" and self.map_mode not in MAP_MODES:

@@ -122,7 +122,8 @@ def _geodesic_costs(ref, query, scene: Scene) -> np.ndarray:
     Points are snapped in the order a per-cell loop over
     ``geodesic_distance(scene, ref[i], query[j])`` meets them (``ref[0]``, the queries, the
     rest of ``ref``), so a SnapFailure names the same point; a kept cell
-    is bitwise that loop's value (a point is exactly 0.0 from itself).
+    is bitwise that loop's value.  A location is exactly 0.0 from itself,
+    so a question about a row's own source alone opens no field.
     """
     nav = scene.nav
     sources = [nav.id_of[scene.snap_point(p)] for p in ref[:1]]
@@ -133,15 +134,17 @@ def _geodesic_costs(ref, query, scene: Scene) -> np.ndarray:
     through = np.array(forward) + np.array(_warp(bound[::-1, ::-1]))[::-1, ::-1] - bound
     upper = 0.0  # U: one query per run of the bound warp's cells in a row
     for i, run in itertools.groupby(_backtrack(forward), key=operator.itemgetter(0)):
-        want = [ids[j] for _, j in run]
-        dist = nav.settle(sources[i], want)
-        for target in want:
-            upper += dist[target]
+        want = [ids[j] for _, j in run if ids[j] != sources[i]]  # adding 0.0 leaves U as it is
+        if want:
+            dist = nav.settle(sources[i], want)
+            for target in want:
+                upper += dist[target]
     keep = through <= upper * (1 + 1e-9)
     columns = np.asarray(ids)
     out = np.empty(keep.shape)
     for i, (source, row) in enumerate(zip(sources, keep.tolist())):  # one query per row
-        out[i] = nav.settle(source, list(itertools.compress(ids, row))).take(columns)
+        want = [t for t in itertools.compress(ids, row) if t != source]
+        out[i] = nav.settle(source, want).take(columns) if want else np.where(columns == source, 0.0, math.inf)
     out[~keep] = math.inf  # the ids not kept may not be settled yet
     return out
 

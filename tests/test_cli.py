@@ -829,6 +829,16 @@ def test_build_map_replays_at_the_configured_turn(pipeline, tmp_path, monkeypatc
     assert re.search(r"episode \S+.* step \d+: replay is at", capsys.readouterr().err)
 
 
+def test_run_refuses_a_turn_of_45_degrees_or_more_before_any_step(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "turn60.cfg"
+    cfg.write_text("turn_deg = 60\n")
+    traces = tmp_path / "turn60.jsonl"
+    assert run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
+                   "--episodes", pipeline["episodes"], "--policy", "oracle", "--config", cfg, "--out", traces) == 2
+    assert "turn_deg must be below 45, got 60.0" in capsys.readouterr().err
+    assert not traces.exists()
+
+
 def test_config_file_and_flag_precedence(pipeline, tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# tour build settings\nseed = 5\nsolver = nn\n")

@@ -105,6 +105,15 @@ def test_oracle_follower_opposite_heading_turns_right(open_room):
     assert acts[0] == "right"
 
 
+@pytest.mark.parametrize("heading", [0.0, math.pi / 8])
+def test_oracle_follower_reaches_every_compass_neighbor_at_a_44_degree_turn(open_room, heading):
+    # a turn below 45 degrees cannot overshoot a 45-degree sector both ways
+    for cell in [(5, 3), (5, 4), (4, 4), (3, 4), (3, 3), (3, 2), (4, 2), (5, 2)]:
+        tour, by_id = tour_of(ep("e", [(4, 3), cell], heading=heading))
+        trace, _ = run_tour(open_room, tour, by_id, OraclePolicy(open_room, by_id), Config(turn_deg=44.0))
+        assert trace.episodes[0].stop_called and trace.episodes[0].agent_path[-1] == P(*cell)
+
+
 def test_oracle_follower_on_graph(square_graph):
     episode = Episode(
         episode_id="g",

@@ -353,6 +353,14 @@ def geodesic_tour():
     return scene, TourTrace("t", [e0, e1])
 
 
+def test_geodesic_alignment_without_a_scene_is_refused():
+    trace = EpisodeTrace("e", [(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (0, 1, 0)])
+    with pytest.raises(ValueError, match="geodesic alignment needs a scene"):
+        episodic_metrics(trace, None, geodesic=True)
+    with pytest.raises(ValueError, match="geodesic alignment needs a scene"):
+        build_report([TourTrace("t", [trace])], None, geodesic=True)
+
+
 def test_masked_tour_dtw_matches_block_sum_under_geodesic_metric():
     scene, across = geodesic_tour()
     assert masked_tour_dtw(across, scene) == tour_dtw(across, scene) == math.inf
@@ -425,6 +433,19 @@ def test_pruned_geodesic_dtw_on_a_split_grid_keeps_every_cell_when_the_bound_war
     assert math.isinf(costs[1, 1]) and np.isfinite(costs[[0, 1, 2, 2], [0, 0, 1, 2]]).all()
     assert costs.tobytes() == geodesic_pairwise(scene, ref, query).tobytes()
     assert 0.0 < dtw(ref, query, scene) == full_geodesic_dtw(ref, query, scene) < math.inf
+
+
+def test_a_row_that_asks_only_about_its_own_source_opens_no_field():
+    c = scene_from_ascii(["....#...", "....#..."]).grid.cell_center
+    line = [c((0, 0)), c((1, 0)), c((2, 0)), c((3, 0))]
+    for query, opened in [(line, []), (line + [c((3, 1))], [(3, 0)])]:
+        scene = scene_from_ascii(["....#...", "....#..."])
+        costs = _geodesic_costs(line, query, scene)
+        assert sorted(scene.nav._fields) == [scene.nav.id_of[cell] for cell in opened]
+        # the diagonal is kept and 0.0; a kept cell is bitwise the per-cell loop's
+        assert np.diagonal(costs).tolist() == [0.0] * len(line)
+        expected = geodesic_pairwise(scene_from_ascii(["....#...", "....#..."]), line, query)
+        assert np.where(np.isposinf(costs), expected, costs).tobytes() == expected.tobytes()
 
 
 # a walled grid with a sealed pocket (the right column) and a graph with a
