@@ -17,12 +17,12 @@ Tour scores aggregate over trajectory splits weighted by episode count:
 
 Scores are reported on a 0..100 scale, one decimal, via ``scale_score``.
 
-The point metric is Euclidean without a scene and geodesic over the
-scene's ``NavIndex`` with one.  A geodesic cost matrix is filled only
-where the optimal warp can pass (``_geodesic_costs``).  The Euclidean distance
-between the snapped locations' points (``NavIndex.points``), shrunk by
-1e-9, is a lower bound LB on every geodesic cell: grid steps have octile
-lengths and graph edges are weighted by their 3D Euclidean length.  With
+The point metric is Euclidean without a scene and geodesic in the
+scene with one.  A geodesic cost matrix is filled only where the optimal
+warp can pass (``_geodesic_costs``).  The Euclidean distance between the
+snapped locations' points (``NavIndex.points``), shrunk by 1e-9, is a
+lower bound LB on every geodesic cell: grid steps have octile lengths
+and graph edges are weighted by their 3D Euclidean length.  With
 F and B the forward and backward accumulated LB, ``F + B - LB`` bounds
 from below the cost of every warp through a cell, and U, the geodesic
 cost along LB's own optimal warp, bounds the optimal cost from above.
@@ -120,9 +120,9 @@ def _geodesic_costs(ref, query, scene: Scene) -> np.ndarray:
     over the full matrix (the module docstring says why).
 
     Points are snapped in the order a per-cell loop over
-    ``geodesic_distance(scene, ref[i], query[j])`` meets them (``ref[0]``, the queries, the
-    rest of ``ref``), so a SnapFailure names the same point; a kept cell
-    is bitwise that loop's value.  A location is exactly 0.0 from itself,
+    ``geodesic_distance(scene, ref[i], query[j])`` meets them
+    (``ref[0]``, the queries, the rest of ``ref``), so a SnapFailure
+    names the same point; a kept cell is bitwise that loop's value.  A location is exactly 0.0 from itself,
     so a question about a row's own source alone opens no field.
     """
     nav = scene.nav

@@ -92,13 +92,6 @@ def test_validation_rejects_bad_values():
             cfg.validate()
 
 
-@pytest.mark.parametrize("value", [45.0, 60.0, 90.0, 360.0])
-def test_a_turn_of_45_degrees_or_more_is_refused(value):
-    with pytest.raises(ValueError, match=f"^turn_deg must be below 45, got {value!r}: a forward step"):
-        Config(turn_deg=value).validate()
-    Config(turn_deg=44.99).validate()
-
-
 @pytest.mark.parametrize(
     "field", ["d_th", "success_radius", "oracle_correction_radius", "radius", "turn_deg", "step_timeout"]
 )
