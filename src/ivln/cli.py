@@ -31,7 +31,6 @@ from .mapper import MAP_MODES, save_map
 from .metrics import build_report, read_traces, write_traces
 from .syngen import EpisodeSpec, FloorplanSpec, generate_episodes, generate_scene
 from .tourgen import (
-    SOLVERS,
     build_tours,
     compute_tour_stats,
     load_episodes,
@@ -122,13 +121,13 @@ def cmd_gen_episodes(args) -> int:
 
 
 def cmd_gen_tours(args) -> int:
-    cfg = _config_from_args(args, ("seed", "solver"))
+    cfg = _config_from_args(args, ("seed",))
     scene = load_scene(args.scene)
     episodes = load_episodes(args.episodes)
     _check_scene(scene, args.episodes, episodes)
     if not episodes:
         raise EmptySequence(f"no episodes in {args.episodes}")
-    tours = build_tours(episodes, scene, cfg.seed, solver=cfg.solver)
+    tours = build_tours(episodes, scene, cfg.seed)
     save_tours(tours, episodes, args.out)
     print(_stats_block(compute_tour_stats(tours)))
     return 0
@@ -291,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--solver", choices=SOLVERS)
     p.add_argument("--seed", type=int)
     _add_config_flag(p)
     p.set_defaults(func=cmd_gen_tours)

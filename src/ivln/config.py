@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .mapper import MAP_MODES
 from .metrics import DEFAULT_DTH, DEFAULT_SUCCESS_RADIUS
-from .tourgen import SOLVERS
 
 # agent steps per episode when max_steps is None
 DEFAULT_MAX_STEPS_CONTINUOUS = 500
@@ -33,7 +32,6 @@ class Config:
     success_radius: float = DEFAULT_SUCCESS_RADIUS
     oracle_correction_radius: float = 0.5
     geodesic: bool = False
-    solver: str = "nn+3opt"
     map_mode: str = "none"
     policy: str = "oracle"
     max_steps: int | None = None
@@ -51,8 +49,6 @@ class Config:
         if self.turn_deg >= 45:
             raise ValueError(f"turn_deg must be below 45, got {self.turn_deg!r}: a forward step takes the nearest of "
                              "8 compass directions, and a turn that overshoots that 45-degree sector turns back forever")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
         if self.map_mode != "none" and self.map_mode not in MAP_MODES:
             raise ValueError(f"unknown map mode {self.map_mode!r}, expected none or one of {MAP_MODES}")
         if self.max_steps is not None and self.max_steps < 1:

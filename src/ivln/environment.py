@@ -113,10 +113,6 @@ class Pose:
         object.__setattr__(self, "position", as_point(self.position))
         object.__setattr__(self, "heading", normalize_heading(self.heading))
 
-    @property
-    def forward(self) -> tuple[float, float]:
-        return (math.cos(self.heading), math.sin(self.heading))
-
 
 @dataclass
 class NavGraph:

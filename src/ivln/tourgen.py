@@ -30,7 +30,7 @@ from .environment import (
 )
 from .errors import Disconnected, EmptySequence, InstructionCountMismatch, MissingEpisode, SizeLimit
 
-ATSP_EXACT_LIMIT = 15
+ATSP_EXACT_LIMIT = 12
 
 
 @dataclass
@@ -109,12 +109,14 @@ def load_episodes(path) -> list[Episode]:
     ``<episode_id>_<k-1>``; a record with one keeps its ``episode_id``.
     Raises ValueError naming the file, the record's index and the field
     for a missing field, TypeError or ValueError for a field of the wrong
-    form, and ValueError when a record's ``instruction_ids`` and
-    ``instructions`` differ in number.
+    form, ValueError when a record's ``instruction_ids`` and
+    ``instructions`` differ in number, and ValueError naming both records
+    when an episode id repeats one of an earlier record.
     """
     payload = read_json(path)
     require_fields(payload, ("episodes",), str(path))
     episodes = []
+    record_of: dict[str, int] = {}
     for index, record in enumerate(payload["episodes"]):
         require_fields(record, _EPISODE_FIELDS, f"{path} episode record {index}")
         instructions, ids = record["instructions"], record["instruction_ids"]
@@ -124,9 +126,13 @@ def load_episodes(path) -> list[Episode]:
                 f"for {len(instructions)} instructions"
             )
         for k, (text, instruction_id) in enumerate(zip(instructions, ids)):
+            episode_id = f"{record['episode_id']}_{k}" if len(ids) > 1 else str(record["episode_id"])
+            earlier = record_of.setdefault(episode_id, index)
+            if earlier != index:
+                raise ValueError(f"{path} episode record {index}: episode id {episode_id} repeats record {earlier}")
             episodes.append(
                 Episode(
-                    episode_id=f"{record['episode_id']}_{k}" if len(ids) > 1 else str(record["episode_id"]),
+                    episode_id=episode_id,
                     path_id=str(record["path_id"]),
                     scene_id=str(record["scan"]),
                     path=record["path"],
@@ -269,31 +275,26 @@ def _improve_cycle(full: list[list[float]], cycle: list[int]) -> list[int]:
             return cycle
 
 
-_SOLVE_EXACT_LIMIT = 12
-
-
-def solve_atsp(cost: np.ndarray, improve: bool = True) -> list[int]:
+def solve_atsp(cost: np.ndarray) -> list[int]:
     """Order cities of an asymmetric open-path problem.
 
     Returns a permutation of range(n) minimizing the sum of ``cost`` over
-    consecutive pairs (no closing leg).  With ``improve``, up to 12
-    cities this is ``held_karp_exact``'s order.  Otherwise nearest
-    neighbor from the dummy city builds the order, and ``improve`` runs
-    orientation-preserving segment exchanges (a relocation is one) to a
-    local optimum; reversals are never used because the costs are
-    asymmetric.  Raises Disconnected when the order found has infinite
-    cost.
+    consecutive pairs (no closing leg).  Up to ``ATSP_EXACT_LIMIT``
+    cities this is ``held_karp_exact``'s order.  Beyond, nearest
+    neighbor from the dummy city builds the order and
+    orientation-preserving segment exchanges (a relocation is one) take
+    it to a local optimum; reversals are never used because the costs
+    are asymmetric.  Raises Disconnected when the order found has
+    infinite cost.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[0]
     if cost.shape != (n, n):
         raise ValueError("cost matrix must be square")
-    if improve and n <= _SOLVE_EXACT_LIMIT:
+    if n <= ATSP_EXACT_LIMIT:
         return held_karp_exact(cost)[0]
     full = _with_dummy(cost)
-    cycle = _nearest_neighbor_cycle(full, n)
-    if improve:
-        cycle = _improve_cycle(full, cycle)
+    cycle = _improve_cycle(full, _nearest_neighbor_cycle(full, n))
     if _cycle_cost(full, cycle) == math.inf:
         raise Disconnected("every ordering found has infinite cost")
     at = cycle.index(n)
@@ -308,9 +309,8 @@ def held_karp_exact(cost: np.ndarray) -> tuple[list[int], float]:
     folds its candidates in ascending ``last``, keeping one only when it
     is cheaper by more than 1e-12, and the path ends at the cheapest
     city, the smallest among equal costs.  O(2^n n^2) time and O(2^n n)
-    memory; refuses instances beyond
-    ``ATSP_EXACT_LIMIT`` cities.  Raises Disconnected when every ordering
-    has infinite cost.
+    memory; raises SizeLimit beyond ``ATSP_EXACT_LIMIT`` cities, and
+    Disconnected when every ordering has infinite cost.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[0]
@@ -349,22 +349,10 @@ def held_karp_exact(cost: np.ndarray) -> tuple[list[int], float]:
     return order, total
 
 
-SOLVERS = ("nn", "nn+3opt", "exact")
-
-
-def order_paths(group: PathGroup, solver: str = "nn+3opt") -> list[str]:
+def order_paths(group: PathGroup) -> list[str]:
     """Order a group's paths to minimize inter-path travel over
-    ``group.cost``.
-
-    ``solver`` is one of ``SOLVERS``: "nn" (greedy construction only),
-    "nn+3opt" (the default: the exact order up to 12 paths, greedy plus
-    local search beyond) or "exact" (subset dynamic programming, up to
-    ``ATSP_EXACT_LIMIT`` paths).
-    """
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
-    order = held_karp_exact(group.cost)[0] if solver == "exact" else solve_atsp(group.cost, solver == "nn+3opt")
-    return [group.path_ids[i] for i in order]
+    ``group.cost`` (``solve_atsp``)."""
+    return [group.path_ids[i] for i in solve_atsp(group.cost)]
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +403,9 @@ def expand_instruction_tours(
     return tours
 
 
-def build_tours(episodes: list[Episode], scene: Scene, seed: int, solver: str = "nn+3opt") -> list[Tour]:
-    """Full pipeline for one scene: partition, order, expand.
+def build_tours(episodes: list[Episode], scene: Scene, seed: int) -> list[Tour]:
+    """Full pipeline for one scene: partition, order (``order_paths``),
+    expand.
 
     Every path must carry the same number of episodes, which sets the
     number of tours per group; raises InstructionCountMismatch otherwise,
@@ -433,7 +422,7 @@ def build_tours(episodes: list[Episode], scene: Scene, seed: int, solver: str = 
     for gi, group in enumerate(partition_paths(episodes, scene)):
         tours.extend(
             expand_instruction_tours(
-                order_paths(group, solver), episodes, counts[0], seed + gi, tour_prefix=f"{scene.scene_id}-g{gi}-"
+                order_paths(group), episodes, counts[0], seed + gi, tour_prefix=f"{scene.scene_id}-g{gi}-"
             )
         )
     return tours
@@ -479,14 +468,23 @@ def save_tours(tours: list[Tour], episodes: list[Episode], path) -> None:
 def load_tours(path) -> list[Tour]:
     """Read a tour file as ``save_tours`` writes it; raises ValueError
     naming the file, the record's index and the field for a missing
-    field."""
+    field, and naming the earlier record or entry for a tour id that
+    repeats or an episode listed twice in one tour."""
     payload = read_json(path)
     require_fields(payload, ("tours",), str(path))
     tours = []
+    record_of: dict[str, int] = {}
     for index, rec in enumerate(payload["tours"]):
         where = f"{path} tour record {index}"
         require_fields(rec, ("tour_id", "scene_id", "episodes"), where)
-        for entry in rec["episodes"]:
+        earlier = record_of.setdefault(rec["tour_id"], index)
+        if earlier != index:
+            raise ValueError(f"{where}: tour id {rec['tour_id']} repeats record {earlier}")
+        entry_of: dict[str, int] = {}
+        for k, entry in enumerate(rec["episodes"]):
             require_fields(entry, ("episode_id",), f"{where} episode entry")
-        tours.append(Tour(rec["tour_id"], rec["scene_id"], [entry["episode_id"] for entry in rec["episodes"]]))
+            earlier = entry_of.setdefault(entry["episode_id"], k)
+            if earlier != k:
+                raise ValueError(f"{where} episode entry {k}: episode {entry['episode_id']} repeats entry {earlier}")
+        tours.append(Tour(rec["tour_id"], rec["scene_id"], list(entry_of)))
     return tours

@@ -375,7 +375,7 @@ def test_criterion_11_r2r_train_corpus(tmp_path):
         scene = load_scene(scene_file)
         episodes = load_episodes(out / "episodes" / scene_file.name)
         by_id = {ep.episode_id: ep for ep in episodes}
-        tours = build_tours(episodes, scene, seed=0, solver="nn")
+        tours = build_tours(episodes, scene, seed=0)
         all_tours.extend(tours)
         curve = coverage_curves(
             tours, by_id, scene, ObservationModel(radius=3.0, occlusion=False)

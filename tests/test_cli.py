@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 import ivln
-from ivln import harness, tourgen
+from ivln import harness
 from ivln.cli import main
 from ivln.coverage import ObservationModel, coverage_curves
 from ivln.environment import load_scene, save_scene
 from ivln.metrics import read_traces
-from ivln.tourgen import Tour, held_karp_exact, load_episodes, load_tours, partition_paths, save_episodes, save_tours
+from ivln.tourgen import Tour, load_episodes, load_tours, save_episodes, save_tours
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -360,29 +360,6 @@ def test_max_steps_flag_caps_each_agent_phase(pipeline, tmp_path):
         assert got.stop_called == (len(want.actions) <= 5)
 
 
-def test_gen_tours_solver_exact_writes_the_exact_order(pipeline, tmp_path, monkeypatch):
-    calls = []
-
-    def counted(cost):
-        calls.append(cost.shape[0])
-        return held_karp_exact(cost)
-
-    monkeypatch.setattr(tourgen, "held_karp_exact", counted)
-    out = tmp_path / "tours.json"
-    assert run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", pipeline["episodes"],
-                   "--solver", "exact", "--out", out) == 0
-    scene, episodes = load_scene(pipeline["scene"]), load_episodes(pipeline["episodes"])
-    groups = partition_paths(episodes, scene)
-    assert calls == [len(group.path_ids) for group in groups]
-    path_of = {ep.episode_id: ep.path_id for ep in episodes}
-    tours = load_tours(out)
-    assert len(tours) == 2 * len(groups)  # two instructions per path
-    for tour in tours:
-        group = groups[int(tour.tour_id.split("-g")[1].split("-")[0])]
-        order, _ = held_karp_exact(group.cost)
-        assert [path_of[eid] for eid in tour.episode_ids] == [group.path_ids[i] for i in order]
-
-
 def test_infeasible_exit_code(tmp_path, capsys):
     assert run_cli("gen-env", "--rooms", 0, "--out", tmp_path / "s.json") == 3
     assert "error:" in capsys.readouterr().err
@@ -529,6 +506,44 @@ def test_eval_reports_missing_episodes(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 3
         assert first_tour in err and named in err
+
+
+def test_an_episode_id_repeated_across_records_is_bad_input(pipeline, tmp_path, capsys):
+    payload = json.loads(pipeline["episodes"].read_text())
+    records = payload["episodes"]
+    records[1]["episode_id"] = records[0]["episode_id"]
+    episodes, tours = tmp_path / "episodes.json", tmp_path / "tours.json"
+    episodes.write_text(json.dumps(payload))
+    assert run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", episodes, "--out", tours) == 2
+    assert f"{episodes} episode record 1: episode id {records[0]['episode_id']}_0 repeats record 0" in capsys.readouterr().err
+    assert not tours.exists()
+
+
+def test_a_repeated_tour_id_is_bad_input(pipeline, tmp_path, capsys):
+    payload = json.loads(pipeline["tours"].read_text())
+    first = payload["tours"][0]["tour_id"]
+    payload["tours"][1]["tour_id"] = first
+    tours, traces = tmp_path / "tours.json", tmp_path / "traces.jsonl"
+    tours.write_text(json.dumps(payload))
+    assert run_cli("run", "--scene", pipeline["scene"], "--tours", tours, "--episodes", pipeline["episodes"],
+                   "--policy", "oracle", "--out", traces) == 2
+    assert f"{tours} tour record 1: tour id {first} repeats record 0" in capsys.readouterr().err
+    assert not traces.exists()
+
+
+def test_an_episode_listed_twice_in_one_tour_is_bad_input(pipeline, tmp_path, capsys):
+    payload = json.loads(pipeline["tours"].read_text())
+    entries = payload["tours"][0]["episodes"]
+    entries.append(entries[0])
+    tours = tmp_path / "tours.json"
+    tours.write_text(json.dumps(payload))
+    named = f"{tours} tour record 0 episode entry {len(entries) - 1}: episode {entries[0]['episode_id']} repeats entry 0"
+    assert run_cli("run", "--scene", pipeline["scene"], "--tours", tours, "--episodes", pipeline["episodes"],
+                   "--policy", "oracle", "--out", tmp_path / "traces.jsonl") == 2
+    assert named in capsys.readouterr().err
+    assert run_cli("eval", "--traces", pipeline["traces"], "--episodes", pipeline["episodes"],
+                   "--tours", tours, "--out", tmp_path / "r.json") == 2
+    assert named in capsys.readouterr().err
 
 
 def test_coverage_csv(pipeline, tmp_path, capsys):
@@ -841,11 +856,11 @@ def test_run_refuses_a_turn_of_45_degrees_or_more_before_any_step(pipeline, tmp_
 
 def test_config_file_and_flag_precedence(pipeline, tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# tour build settings\nseed = 5\nsolver = nn\n")
+    cfg.write_text("# tour build settings\nseed = 5\n")
     by_flag = tmp_path / "by_flag.json"
     by_file = tmp_path / "by_file.json"
     assert run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", pipeline["episodes"],
-                   "--seed", 5, "--solver", "nn", "--out", by_flag) == 0
+                   "--seed", 5, "--out", by_flag) == 0
     assert run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", pipeline["episodes"],
                    "--config", cfg, "--out", by_file) == 0
     assert by_file.read_bytes() == by_flag.read_bytes()
@@ -854,7 +869,7 @@ def test_config_file_and_flag_precedence(pipeline, tmp_path, monkeypatch):
     by_env_flag = tmp_path / "by_env_flag.json"
     baseline = tmp_path / "baseline.json"
     assert run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", pipeline["episodes"],
-                   "--seed", 0, "--solver", "nn+3opt", "--out", by_env_flag) == 0
+                   "--seed", 0, "--out", by_env_flag) == 0
     monkeypatch.delenv("IVLN_CONFIG")
     assert run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", pipeline["episodes"],
                    "--seed", 0, "--out", baseline) == 0

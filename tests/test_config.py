@@ -12,7 +12,6 @@ def test_defaults_are_valid():
     cfg.validate()
     d = cfg.to_dict()
     assert d["d_th"] == 3.0
-    assert d["solver"] == "nn+3opt"
     assert d["occlusion"] is True
 
 
@@ -79,7 +78,6 @@ def test_validation_rejects_bad_values():
         ("d_th", 0.0),
         ("success_radius", -1.0),
         ("oracle_correction_radius", 0.0),
-        ("solver", "quantum"),
         ("map_mode", "hologram"),
         ("max_steps", 0),
         ("turn_deg", -15.0),

@@ -119,7 +119,7 @@ def test_converted_corpus_supports_tours_and_coverage(mini_dataset):
     scene = load_scene(mini_dataset / "scenes" / "scanA.json")
     episodes = load_episodes(mini_dataset / "episodes" / "scanA.json")
     by_id = {ep.episode_id: ep for ep in episodes}
-    tours = build_tours(episodes, scene, seed=0, solver="nn")
+    tours = build_tours(episodes, scene, seed=0)
     assert len(tours) == 3
     assert sorted(eid for t in tours for eid in t.episode_ids) == sorted(by_id)
     curve = coverage_curves(tours, by_id, scene, ObservationModel(radius=3.0, occlusion=False))

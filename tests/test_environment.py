@@ -14,7 +14,6 @@ from ivln.environment import (
     NavGraph,
     NavIndex,
     Point3,
-    Pose,
     Scene,
     as_point,
     connectivity_matrix,
@@ -698,13 +697,6 @@ def test_normalize_heading_range(h):
     assert 0.0 <= out < 2.0 * math.pi
     assert math.isclose(math.cos(out), math.cos(h), abs_tol=1e-9)
     assert math.isclose(math.sin(out), math.sin(h), abs_tol=1e-9)
-
-
-def test_pose_forward():
-    pose = Pose(Point3(0, 0, 0), math.pi / 2)
-    fx, fy = pose.forward
-    assert fx == pytest.approx(0.0, abs=1e-12)
-    assert fy == pytest.approx(1.0)
 
 
 def test_cell_center_cell_index_round_trip(open_room):
