@@ -84,12 +84,11 @@ def test_solve_atsp_is_exact_up_to_12_cities_and_local_search_beyond(n):
         cost = random_instance(seed, n)
         if seed % 2:
             cost = np.round(cost / 5.0, 1)
-        full = _with_dummy(cost)
-        greedy = _nearest_neighbor_cycle(full, n)
         if n <= 12:
             assert solve_atsp(cost) == held_karp_exact(cost)[0]
         else:
-            assert solve_atsp(cost) == cut_at_dummy(_improve_cycle(full, greedy), n)
+            full = _with_dummy(cost)
+            assert solve_atsp(cost) == cut_at_dummy(_improve_cycle(full, _nearest_neighbor_cycle(full, n)), n)
 
 
 @given(st.integers(0, 10_000), st.integers(2, 7))
