@@ -1,10 +1,11 @@
 """Golden artifact hashes: the pipeline's bytes at fixed seeds.
 
 Drives ``ivln.cli.main`` in-process through the ``scripts/run_demo.py``
-chain plus a geodesic eval, an episodic-map run and replay and an
-episodic-map run of the template agent (``scripts/example_agent.py``) on
-a grid scene, and through episodes, tours, a noisy rollout and a geodesic eval
-on its graph twin, then compares the sha256 of every artifact with ``tests/golden/sha256.json``.  A refactor that keeps
+chain plus a geodesic eval, an episodic-map run and replay, an
+episodic-map run of the template agent (``scripts/example_agent.py``) and
+a 16-path tour, which the local search orders, on a grid scene, and
+through episodes, tours, a noisy rollout and a geodesic eval on its graph
+twin, then compares the sha256 of every artifact with ``tests/golden/sha256.json``.  A refactor that keeps
 behaviour keeps these bytes; a change that means to alter them
 regenerates the table with ``python tests/test_golden.py``
 (which prints the entries it adds, removes and changes) and says which
@@ -39,7 +40,8 @@ def _cli(*argv) -> None:
 
 def run_chain(out: Path, seed: int) -> None:
     """The run_demo.py grid chain, an episodic-map run and replay, the
-    template agent's episodic-map run, and the graph-twin pipeline."""
+    template agent's episodic-map run, a tour over more paths than the
+    exact ordering takes, and the graph-twin pipeline."""
     scene, graph = out / "scene.json", out / "graph.json"
     episodes, tours, traces = out / "episodes.json", out / "tours.json", out / "traces.jsonl"
     _cli("gen-env", "--rooms", 3, "--seed", seed, "--out", scene, "--graph-out", graph)
@@ -67,6 +69,10 @@ def run_chain(out: Path, seed: int) -> None:
     _cli("run", "--scene", scene, "--tours", tours, "--episodes", episodes,
          "--policy", f"ext:{shlex.join([sys.executable, str(AGENT)])}", "--map", "episodic",
          "--map-out", out / "map_agent.json", "--out", out / "traces_agent.jsonl")
+    _cli("gen-episodes", "--scene", scene, "--count", 16, "--n", 1,
+         "--min-length", 4, "--max-length", 12, "--seed", seed, "--out", out / "episodes_16.json")
+    _cli("gen-tours", "--scene", scene, "--episodes", out / "episodes_16.json", "--seed", seed,
+         "--out", out / "tours_16.json")
 
     g_episodes, g_tours = out / "graph_episodes.json", out / "graph_tours.json"
     g_traces = out / "graph_traces.jsonl"
@@ -111,7 +117,7 @@ def test_artifacts_match_golden_hashes(chain):
 def test_json_artifacts_are_canonical_lines(chain):
     root, _ = chain
     artifacts = sorted((root / "seed3").glob("*.json*"))
-    assert len(artifacts) == 21
+    assert len(artifacts) == 23
     for path in artifacts:
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines(keepends=True) if path.suffix == ".jsonl" else [text]
