@@ -16,7 +16,6 @@ long ordered sequences an agent can follow in one continuous session:
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import statistics
@@ -218,61 +217,63 @@ def partition_paths(episodes: list[Episode], scene: Scene) -> list[PathGroup]:
 # cost(i -> j) = geodesic(end_i, start_j), no return leg.  Adding a dummy
 # city with zero-cost arcs to and from every real city turns the open
 # path into a closed tour; cutting the cycle at the dummy recovers the
-# path.  The search reads costs from nested lists of Python floats, which
-# index far faster than numpy scalars and give the same doubles.
+# path.  The local search scans the cut triples i < j < k in numpy, one
+# i at a time, and computes each triple's delta with the same additions
+# in the same order as a scalar loop would, so the first improving
+# exchange it finds is bitwise the loop's.
 
 
-def _with_dummy(cost: np.ndarray) -> list[list[float]]:
+def _with_dummy(cost: np.ndarray) -> np.ndarray:
     n = cost.shape[0]
     out = np.zeros((n + 1, n + 1))
     out[:n, :n] = cost
-    return out.tolist()
+    return out
 
 
-def _cycle_cost(cost: list[list[float]], cycle: list[int]) -> float:
-    return float(sum(cost[cycle[i]][cycle[(i + 1) % len(cycle)]] for i in range(len(cycle))))
-
-
-def _nearest_neighbor_cycle(cost: list[list[float]], start: int) -> list[int]:
-    m = len(cost)
+def _nearest_neighbor_cycle(cost: np.ndarray, start: int) -> list[int]:
+    """Greedy cycle from ``start``: the cheapest unvisited city next, the
+    smallest among equal costs (``argmin`` keeps the first)."""
+    unvisited = np.ones(len(cost), dtype=bool)
     cycle = [start]
-    unvisited = set(range(m)) - {start}
-    while unvisited:
-        cur = cycle[-1]
-        best = min(unvisited, key=lambda j: (cost[cur][j], j))
-        cycle.append(best)
-        unvisited.remove(best)
+    for _ in range(len(cost) - 1):
+        unvisited[cycle[-1]] = False
+        left = np.flatnonzero(unvisited)
+        cycle.append(int(left[np.argmin(cost[cycle[-1], left])]))
     return cycle
 
 
-def _segment_cost_delta(cost, cycle, i, j, k):
-    """Gain of reconnecting A|B|C|D as A C B D (orientation preserved)."""
-    m = len(cycle)
-    a_end = cycle[i]
-    b_start, b_end = cycle[i + 1], cycle[j]
-    c_start, c_end = cycle[j + 1], cycle[k]
-    d_start = cycle[(k + 1) % m]
-    removed = cost[a_end][b_start] + cost[b_end][c_start] + cost[c_end][d_start]
-    added = cost[a_end][c_start] + cost[c_end][b_start] + cost[b_end][d_start]
-    return added - removed
-
-
 def _apply_exchange(cycle, i, j, k):
+    """Reconnect A|B|C|D, cut after positions i, j and k, as A C B D."""
     return cycle[: i + 1] + cycle[j + 1 : k + 1] + cycle[i + 1 : j + 1] + cycle[k + 1 :]
 
 
-def _improve_cycle(full: list[list[float]], cycle: list[int]) -> list[int]:
+def _improve_cycle(full: np.ndarray, cycle: list[int]) -> list[int]:
     """Apply the first improving segment exchange, scanning cut triples
-    ``i < j < k``, until none improves.  Moving any segment to another gap
-    cuts three cycle edges and swaps two of the pieces, so it is one of
-    these exchanges, and the result is a relocation optimum too."""
-    while True:
-        for i, j, k in itertools.combinations(range(len(cycle)), 3):
-            if _segment_cost_delta(full, cycle, i, j, k) < -1e-9:
-                cycle = _apply_exchange(cycle, i, j, k)
-                break
-        else:
-            return cycle
+    ``i < j < k`` in ``itertools.combinations`` order, until none
+    improves.  Moving any segment to another gap cuts three cycle edges
+    and swaps two of the pieces, so it is one of these exchanges, and
+    the result is a relocation optimum too.
+
+    The ``(j, k)`` pairs with ``j > i`` are a suffix of ``triu_indices``,
+    so each ``i`` scans one slice; arcs of infinite cost make ``inf -
+    inf`` deltas, which are nan and never improve."""
+    m = len(cycle)
+    js, ks = np.triu_indices(m, 1)
+    firsts = np.searchsorted(js, np.arange(m - 2), side="right")
+    with np.errstate(invalid="ignore"):
+        while True:
+            cyc = np.array(cycle + cycle[:1])
+            for i, first in enumerate(firsts):
+                j, k = js[first:], ks[first:]
+                a, b1, bj, c1, ck, d = cyc[i], cyc[i + 1], cyc[j], cyc[j + 1], cyc[k], cyc[k + 1]
+                removed = full[a, b1] + full[bj, c1] + full[ck, d]
+                added = full[a, c1] + full[ck, b1] + full[bj, d]
+                hits = np.flatnonzero(added - removed < -1e-9)
+                if hits.size:
+                    cycle = _apply_exchange(cycle, i, int(j[hits[0]]), int(k[hits[0]]))
+                    break
+            else:
+                return cycle
 
 
 def solve_atsp(cost: np.ndarray) -> list[int]:
@@ -295,7 +296,7 @@ def solve_atsp(cost: np.ndarray) -> list[int]:
         return held_karp_exact(cost)[0]
     full = _with_dummy(cost)
     cycle = _improve_cycle(full, _nearest_neighbor_cycle(full, n))
-    if _cycle_cost(full, cycle) == math.inf:
+    if full[cycle, np.roll(cycle, -1)].sum() == math.inf:
         raise Disconnected("every ordering found has infinite cost")
     at = cycle.index(n)
     return cycle[at + 1 :] + cycle[:at]

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -310,7 +311,7 @@ def held_karp_reference(cost: np.ndarray) -> tuple[list[int], float]:
     return order, float(best_cost)
 
 
-def relocation_deltas(cost: list[list[float]], cycle: list[int]):
+def relocation_deltas(cost, cycle: list[int]):
     """Cost change of every move of 1-3 consecutive cities of ``cycle`` into
     another gap of the rest, orientation kept: the or-opt neighbourhood
     (Or, 1976), which the solver's segment exchanges cover."""
@@ -331,6 +332,49 @@ def relocation_deltas(cost: list[list[float]], cycle: list[int]):
                     + base_edge
                     - before
                 )
+
+
+def segment_cost_delta(cost: list[list[float]], cycle: list[int], i: int, j: int, k: int) -> float:
+    """Gain of reconnecting A|B|C|D, cut after positions i, j and k of
+    ``cycle``, as A C B D (orientation preserved)."""
+    m = len(cycle)
+    a_end = cycle[i]
+    b_start, b_end = cycle[i + 1], cycle[j]
+    c_start, c_end = cycle[j + 1], cycle[k]
+    d_start = cycle[(k + 1) % m]
+    removed = cost[a_end][b_start] + cost[b_end][c_start] + cost[c_end][d_start]
+    added = cost[a_end][c_start] + cost[c_end][b_start] + cost[b_end][d_start]
+    return added - removed
+
+
+def nearest_neighbor_reference(cost, start: int) -> list[int]:
+    """Greedy cycle from ``start`` over the cheapest unvisited city, the
+    smallest among equal costs.  The reference for
+    ``tourgen._nearest_neighbor_cycle``."""
+    cycle = [start]
+    unvisited = set(range(len(cost))) - {start}
+    while unvisited:
+        cur = cycle[-1]
+        best = min(unvisited, key=lambda j: (cost[cur][j], j))
+        cycle.append(best)
+        unvisited.remove(best)
+    return cycle
+
+
+def improve_cycle_reference(full, cycle: list[int]) -> list[int]:
+    """The scalar local search over nested lists of Python floats: take
+    the first cut triple ``i < j < k`` (``itertools.combinations`` order)
+    whose segment exchange gains more than 1e-9, apply it, and rescan from
+    (0, 1, 2) until none does.  The reference for
+    ``tourgen._improve_cycle``."""
+    cost = np.asarray(full).tolist()
+    while True:
+        for i, j, k in itertools.combinations(range(len(cycle)), 3):
+            if segment_cost_delta(cost, cycle, i, j, k) < -1e-9:
+                cycle = cycle[: i + 1] + cycle[j + 1 : k + 1] + cycle[i + 1 : j + 1] + cycle[k + 1 :]
+                break
+        else:
+            return cycle
 
 
 def oracle_segments(trace):

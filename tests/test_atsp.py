@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from ivln.errors import Disconnected, SizeLimit
 from ivln.tourgen import _improve_cycle, _nearest_neighbor_cycle, _with_dummy, held_karp_exact, solve_atsp
 
-from conftest import held_karp_reference, open_path_cost, relocation_deltas
+from conftest import (
+    held_karp_reference, improve_cycle_reference, nearest_neighbor_reference, open_path_cost, relocation_deltas,
+)
 
 
 def brute_force_open_path(cost):
@@ -128,6 +130,42 @@ def test_local_search_ends_at_a_relocation_and_exchange_optimum(seed, n):
     for i, j, k in itertools.combinations(range(n + 1), 3):
         exchanged = cycle[: i + 1] + cycle[j + 1 : k + 1] + cycle[i + 1 : j + 1] + cycle[k + 1 :]
         assert closed_cycle_cost(full, exchanged) - held >= -1e-9, (i, j, k)
+
+
+@st.composite
+def search_instances(draw):
+    """A random asymmetric matrix of 13-60 cities, more than the exact
+    order takes: uniform on 0.1-10, rounded to 0.1 on 0-2 so that equal
+    costs and equal deltas occur, or with about 5% of its arcs infinite."""
+    n = draw(st.integers(13, 60))
+    kind = draw(st.sampled_from(["uniform", "rounded", "partly-inf"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cost = rng.uniform(0.1, 10.0, (n, n))
+    if kind == "rounded":
+        cost = np.round(cost / 5.0, 1)
+    elif kind == "partly-inf":
+        cost[rng.random((n, n)) < 0.05] = math.inf
+    np.fill_diagonal(cost, 0.0)
+    return cost
+
+
+def assert_search_is_the_scalar_scan(cost):
+    n = len(cost)
+    full = _with_dummy(cost)
+    start = _nearest_neighbor_cycle(full, n)
+    assert start == nearest_neighbor_reference(full.tolist(), n)
+    assert _improve_cycle(full, start) == improve_cycle_reference(full, start)
+
+
+@given(search_instances())
+@settings(max_examples=30)
+def test_local_search_is_bitwise_the_scalar_scan(cost):
+    assert_search_is_the_scalar_scan(cost)
+
+
+def test_local_search_is_the_scalar_scan_at_101_cities():
+    # 100 paths and the dummy, the longest tour of the paper's IR2R
+    assert_search_is_the_scalar_scan(np.round(random_instance(5, 100) / 5.0, 1))
 
 
 def test_solver_is_deterministic():
