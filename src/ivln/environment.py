@@ -81,7 +81,9 @@ class Point3(NamedTuple):
 
 def as_point(value) -> Point3:
     """Coerce a 3-sequence of numbers (or Point3) to Point3; raises
-    TypeError for text, which ``float`` would otherwise parse."""
+    TypeError for text, which ``float`` would otherwise parse, and
+    ValueError for a coordinate that is infinite, nan or beyond the float
+    range."""
     if isinstance(value, Point3):
         return value
     if isinstance(value, _TEXT):
@@ -89,7 +91,13 @@ def as_point(value) -> Point3:
     x, y, z = value
     if isinstance(x, _TEXT) or isinstance(y, _TEXT) or isinstance(z, _TEXT):
         raise TypeError(f"a point is three numbers, not {value!r}")
-    return Point3(float(x), float(y), float(z))
+    try:
+        point = Point3(float(x), float(y), float(z))
+    except OverflowError:  # an integer beyond the float range
+        point = Point3(math.inf, math.inf, math.inf)
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"a point is three finite numbers, not {value!r}")
+    return point
 
 
 def euclidean(a: Sequence[float], b: Sequence[float]) -> float:
@@ -123,10 +131,10 @@ class NavGraph:
     adjacency: dict[str, list[str]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.nodes = {str(k): as_point(v) for k, v in self.nodes.items()}
         for node, position in self.nodes.items():
             if not all(map(math.isfinite, position)):
                 raise ValueError(f"node {node} position {tuple(position)} is not finite")
+        self.nodes = {str(k): as_point(v) for k, v in self.nodes.items()}
         seen = set()
         normalized = []
         for a, b in self.edges:
@@ -189,7 +197,6 @@ class GridWorld:
     ceiling_z: float
 
     def __post_init__(self):
-        self.origin = as_point(self.origin)
         self.navigable = np.asarray(self.navigable, dtype=bool)
         self.semantic = np.asarray(self.semantic, dtype=np.uint8)
         if self.navigable.shape != (self.height, self.width):
@@ -201,11 +208,11 @@ class GridWorld:
             raise ValueError("semantic and navigable shapes differ")
         if not 0 < self.resolution < math.inf:  # NaN fails too
             raise ValueError(f"resolution must be positive and finite, got {self.resolution!r}")
-        o = self.origin
-        for name, value in (("origin.x", o.x), ("origin.y", o.y), ("origin.z", o.z),
+        for name, value in (*zip(("origin.x", "origin.y", "origin.z"), self.origin),
                             ("floor_z", self.floor_z), ("ceiling_z", self.ceiling_z)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        self.origin = as_point(self.origin)
         if self.ceiling_z <= self.floor_z:
             raise ValueError("ceiling_z must exceed floor_z")
 

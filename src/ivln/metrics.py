@@ -365,19 +365,29 @@ def read_traces(path, episodes_by_id: dict) -> list[TourTrace]:
     field, of a record whose phase is neither ``agent`` nor an oracle
     phase, of an agent record whose episode the set lacks, and of an
     oracle record that does not follow an agent record of its own tour
-    and episode.
+    and episode, and naming both lines of a second agent record of one
+    tour and episode.  A point that ``as_point`` refuses raises its error
+    with the line prefixed.
     """
     tours: dict[str, TourTrace] = {}  # in order of first appearance
+    line_of: dict[tuple, int] = {}  # the line of each tour's agent record of an episode
     owner = None  # the tour id and trace of the latest agent record
     for number, rec in read_json_lines(path):
         where = f"{path} line {number}"
         require_fields(rec, ("tour_id", "episode_id", "phase", "points", "actions"), where)
         tid, eid, phase = rec["tour_id"], rec["episode_id"], rec["phase"]
+        try:
+            points = [as_point(p) for p in rec["points"]]
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"{where}: {exc}") from None
         if phase == "agent":
             require_fields(rec, ("stop_called",), where)
             if eid not in episodes_by_id:
                 raise ValueError(f"{where}: episode {eid} is not in the episode set")
-            ep = EpisodeTrace(eid, rec["points"], episodes_by_id[eid].path, rec["stop_called"], rec["actions"])
+            earlier = line_of.setdefault((tid, eid), number)
+            if earlier != number:
+                raise ValueError(f"{where}: agent record of tour {tid} episode {eid} repeats line {earlier}")
+            ep = EpisodeTrace(eid, points, episodes_by_id[eid].path, rec["stop_called"], rec["actions"])
             tours.setdefault(tid, TourTrace(tid, [])).episodes.append(ep)
             owner = tid, ep
         elif phase in ORACLE_PHASES:
@@ -386,7 +396,7 @@ def read_traces(path, episodes_by_id: dict) -> list[TourTrace]:
                     f"{where}: {phase} record of tour {tid} episode {eid} "
                     "does not follow that episode's agent record"
                 )
-            owner[1].segments.append(OracleSegment(phase, rec["points"], rec["actions"]))
+            owner[1].segments.append(OracleSegment(phase, points, rec["actions"]))
         else:
             raise ValueError(f"{where}: unknown trace phase {phase!r}")
     return list(tours.values())

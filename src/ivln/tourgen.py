@@ -108,9 +108,10 @@ def load_episodes(path) -> list[Episode]:
     ``<episode_id>_<k-1>``; a record with one keeps its ``episode_id``.
     Raises ValueError naming the file, the record's index and the field
     for a missing field, TypeError or ValueError for a field of the wrong
-    form, ValueError when a record's ``instruction_ids`` and
-    ``instructions`` differ in number, and ValueError naming both records
-    when an episode id repeats one of an earlier record.
+    form (a path point's naming the record), ValueError when a record's
+    ``instruction_ids`` and ``instructions`` differ in number, and
+    ValueError naming both records when an episode id repeats one of an
+    earlier record.
     """
     payload = read_json(path)
     require_fields(payload, ("episodes",), str(path))
@@ -124,6 +125,10 @@ def load_episodes(path) -> list[Episode]:
                 f"episode {record['episode_id']}: {len(ids)} instruction_ids "
                 f"for {len(instructions)} instructions"
             )
+        try:
+            points = [as_point(p) for p in record["path"]]
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"{path} episode record {index}: {exc}") from None
         for k, (text, instruction_id) in enumerate(zip(instructions, ids)):
             episode_id = f"{record['episode_id']}_{k}" if len(ids) > 1 else str(record["episode_id"])
             earlier = record_of.setdefault(episode_id, index)
@@ -134,7 +139,7 @@ def load_episodes(path) -> list[Episode]:
                     episode_id=episode_id,
                     path_id=str(record["path_id"]),
                     scene_id=str(record["scan"]),
-                    path=record["path"],
+                    path=points,
                     start_heading=float(record["heading"]),
                     instruction_id=str(instruction_id),
                     instruction=str(text),

@@ -495,7 +495,6 @@ def test_eval_reports_missing_episodes(pipeline, tmp_path, capsys):
     records = pipeline["traces"].read_text().splitlines(keepends=True)
     cases = [  # tour file, trace lines, the episode or tour the error names
         (grown, records, donor),  # a listed episode the trace lacks
-        (tours, records[:1] + records, json.loads(records[0])["episode_id"]),  # a repeated record
         (dict(tours, tours=tours["tours"][1:]), records, first_tour),  # a tour the tour file lacks
     ]
     for i, (tour_file, lines, named) in enumerate(cases):
@@ -506,6 +505,48 @@ def test_eval_reports_missing_episodes(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 3
         assert first_tour in err and named in err
+
+
+def eval_flags(pipeline, kind):
+    return {"alone": [], "tours": ["--tours", pipeline["tours"]], "scene": ["--scene", pipeline["scene"]],
+            "geodesic": ["--scene", pipeline["scene"], "--geodesic"]}[kind]
+
+
+@pytest.mark.parametrize("kind", ["alone", "scene", "tours"])
+def test_eval_refuses_a_repeated_agent_record(pipeline, tmp_path, capsys, kind):
+    records = pipeline["traces"].read_text().splitlines(keepends=True)
+    first = json.loads(records[0])
+    twice = tmp_path / "twice.jsonl"
+    twice.write_text("".join(records[:1] + records))
+    assert run_cli("eval", "--traces", twice, "--episodes", pipeline["episodes"], *eval_flags(pipeline, kind),
+                   "--out", tmp_path / "r.json") == 2
+    named = f"{twice} line 2: agent record of tour {first['tour_id']} episode {first['episode_id']} repeats line 1"
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("kind", ["alone", "scene", "geodesic"])
+def test_eval_refuses_a_non_finite_agent_point(pipeline, tmp_path, capsys, value, kind):
+    records = pipeline["traces"].read_text().splitlines(keepends=True)
+    first = json.loads(records[0])
+    first["points"][-1][0] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join([json.dumps(first) + "\n"] + records[1:]))
+    assert run_cli("eval", "--traces", bad, "--episodes", pipeline["episodes"], *eval_flags(pipeline, kind),
+                   "--out", tmp_path / "r.json") == 2
+    assert f"{bad} line 1: a point is three finite numbers" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_non_finite_episode_path_point_is_bad_input(pipeline, tmp_path, capsys):
+    payload = json.loads(pipeline["episodes"].read_text())
+    payload["episodes"][1]["path"][1][0] = math.inf
+    episodes, tours = tmp_path / "episodes.json", tmp_path / "tours.json"
+    episodes.write_text(json.dumps(payload))
+    assert run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", episodes, "--out", tours) == 2
+    assert f"{episodes} episode record 1: a point is three finite numbers" in capsys.readouterr().err
+    assert not tours.exists()
 
 
 def test_an_episode_id_repeated_across_records_is_bad_input(pipeline, tmp_path, capsys):

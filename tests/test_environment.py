@@ -762,6 +762,13 @@ def test_as_point_accepts_only_numbers(value):
         as_point(value)
 
 
+@pytest.mark.parametrize("value", [(math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0), (0.0, 0.0, math.nan), (0, 10**400, 0)],
+                         ids=["inf", "-inf", "nan", "beyond-float"])
+def test_as_point_accepts_only_finite_numbers(value):
+    with pytest.raises(ValueError, match="a point is three finite numbers"):
+        as_point(value)
+
+
 def test_scene_requires_exactly_one_kind(open_room, square_graph):
     with pytest.raises(ValueError):
         Scene(scene_id="x")
