@@ -260,7 +260,8 @@ def _improve_cycle(full: np.ndarray, cycle: list[int]) -> list[int]:
     the result is a relocation optimum too.
 
     The ``(j, k)`` pairs with ``j > i`` are a suffix of ``triu_indices``,
-    so each ``i`` scans one slice; arcs of infinite cost make ``inf -
+    so each ``i`` scans one slice, and the three arcs that do not touch
+    ``i`` are gathered once per scan.  Arcs of infinite cost make ``inf -
     inf`` deltas, which are nan and never improve."""
     m = len(cycle)
     js, ks = np.triu_indices(m, 1)
@@ -268,14 +269,15 @@ def _improve_cycle(full: np.ndarray, cycle: list[int]) -> list[int]:
     with np.errstate(invalid="ignore"):
         while True:
             cyc = np.array(cycle + cycle[:1])
-            for i, first in enumerate(firsts):
-                j, k = js[first:], ks[first:]
-                a, b1, bj, c1, ck, d = cyc[i], cyc[i + 1], cyc[j], cyc[j + 1], cyc[k], cyc[k + 1]
-                removed = full[a, b1] + full[bj, c1] + full[ck, d]
-                added = full[a, c1] + full[ck, b1] + full[bj, d]
+            bj, c1, ck, d = cyc[js], cyc[js + 1], cyc[ks], cyc[ks + 1]
+            bc, cd, bd = full[bj, c1], full[ck, d], full[bj, d]
+            for i, f in enumerate(firsts):
+                a, b1 = cyc[i], cyc[i + 1]
+                removed = full[a, b1] + bc[f:] + cd[f:]
+                added = full[a, c1[f:]] + full[ck[f:], b1] + bd[f:]
                 hits = np.flatnonzero(added - removed < -1e-9)
                 if hits.size:
-                    cycle = _apply_exchange(cycle, i, int(j[hits[0]]), int(k[hits[0]]))
+                    cycle = _apply_exchange(cycle, i, int(js[f + hits[0]]), int(ks[f + hits[0]]))
                     break
             else:
                 return cycle
