@@ -15,17 +15,18 @@ window of ids at once, run until every id asked about is final.  A
 source's field (its distance row, the ids it has left open and the
 distance below which it is final) pauses there and resumes on the next
 question, so a query costs the ball out to its farthest target, not the
-whole scene, and a question inside that ball is a lookup.  A distance is read off the
-source's field (``NavIndex.settle``); a step toward ``b`` is read off
-``b``'s field (``NavIndex.next_location``), and a route is that step
-repeated (``NavIndex.route``), so the oracle's steps toward a target and
-its distance-to-goal checks share one field.  Moves and oracle steps
-share the index's one adjacency (``NavIndex.adjacent``).  The fields
-live as long as the scene and are the package's only distance cache.
-The endpoint matrix (``connectivity_matrix``) runs the same rounds for
-every path end at once (``NavIndex.settle_many``) and opens no field.
-The index is built from the scene as it is at the first query, so a
-scene must not be mutated after it.
+whole scene, and a question inside that ball is a lookup.  Every
+question goes through one entry point, ``NavIndex.settle``: it runs the
+sources a batch of questions leaves open as the rows of one set of
+rounds and stores each row back as its source's field.  A step toward
+``b`` is read off ``b``'s field (``NavIndex.next_location``), and a
+route is that step repeated (``NavIndex.route``), so the oracle's steps
+toward a target and its distance-to-goal checks share one field.  Moves
+and oracle steps share the index's one adjacency (``NavIndex.adjacent``).
+The fields live as long as the scene and are the package's only
+distance cache; the endpoint matrix (``connectivity_matrix``) is one
+batch over the path ends.  The index is built from the scene as it is
+at the first query, so a scene must not be mutated after it.
 
 The index also caches ``Scene.snap_point`` by exact query point, misses
 included, so each distinct point is snapped once per scene.
@@ -45,6 +46,7 @@ import base64
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -132,7 +134,7 @@ class NavGraph:
 
     def __post_init__(self):
         for node, position in self.nodes.items():
-            if not all(map(math.isfinite, position)):
+            if not all(abs(x) <= sys.float_info.max for x in position):  # an int beyond the float range fails too
                 raise ValueError(f"node {node} position {tuple(position)} is not finite")
         self.nodes = {str(k): as_point(v) for k, v in self.nodes.items()}
         seen = set()
@@ -206,11 +208,11 @@ class GridWorld:
             )
         if self.semantic.shape != self.navigable.shape:
             raise ValueError("semantic and navigable shapes differ")
-        if not 0 < self.resolution < math.inf:  # NaN fails too
+        if not 0 < self.resolution <= sys.float_info.max:  # NaN and an int beyond the float range fail too
             raise ValueError(f"resolution must be positive and finite, got {self.resolution!r}")
         for name, value in (*zip(("origin.x", "origin.y", "origin.z"), self.origin),
                             ("floor_z", self.floor_z), ("ceiling_z", self.ceiling_z)):
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         self.origin = as_point(self.origin)
         if self.ceiling_z <= self.floor_z:
@@ -263,7 +265,6 @@ class Scene:
     scene_id: str
     graph: NavGraph | None = None
     grid: GridWorld | None = None
-    _nav: NavIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.graph is None) == (self.grid is None):
@@ -273,12 +274,10 @@ class Scene:
     def is_discrete(self) -> bool:
         return self.graph is not None
 
-    @property
+    @functools.cached_property
     def nav(self) -> NavIndex:
         """The scene's location index and distance cache, built on first use."""
-        if self._nav is None:
-            self._nav = NavIndex(self)
-        return self._nav
+        return NavIndex(self)
 
     def snap_point(self, point: Sequence[float]):
         """Snap to a node id (graph) or cell (grid); raises SnapFailure.
@@ -339,7 +338,8 @@ class NavIndex:
     ``_NEIGHBORS_8`` offsets on grids, sorted adjacency on graphs),
     padded to the largest degree with u itself at an infinite step: the
     scene's one adjacency, which moves and oracle steps share
-    (``adjacent``).
+    (``adjacent``).  Row u of ``points`` is u's world position, as
+    ``Scene.location_point`` gives it.
 
     ``_fields`` is the one distance cache: per source id, a distance row,
     the ids it has left open and the top below which its distances are
@@ -374,13 +374,15 @@ class NavIndex:
                 adj = graph.adjacency[loc]
                 self._nbr[u, : len(adj)] = [self.id_of[nxt] for nxt in adj]
                 self._steps[u, : len(adj)] = [graph.edge_weight(loc, nxt) for nxt in adj]
-            self._points = [graph.nodes[loc] for loc in self.locations]
+            self.points = np.array([graph.nodes[loc] for loc in self.locations])
         else:
-            grid = scene.grid
-            self.locations = [tuple(cell) for cell in np.argwhere(grid.navigable.T).tolist()]
+            grid, cells = scene.grid, np.argwhere(scene.grid.navigable.T)
+            self.locations = [tuple(cell) for cell in cells.tolist()]
             self.id_of = {loc: i for i, loc in enumerate(self.locations)}
             self._nbr, self._steps = _grid_adjacency(grid)
-            self._points = None
+            self.points = np.column_stack((grid.origin.x + cells[:, 0] * grid.resolution,  # cell_center's arithmetic
+                                           grid.origin.y + cells[:, 1] * grid.resolution,
+                                           np.full(len(cells), grid.floor_z)))
         self._grid = scene.grid
         # the rounds' window: the shortest step, less 1e-6 of it for rounding
         self._window = np.min(self._steps, initial=math.inf) * (1 - 1e-6)
@@ -388,17 +390,6 @@ class NavIndex:
         self._fields: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         # Scene.snap_point's results by exact query point; None marks a miss
         self.snaps: dict[Point3, object] = {}
-
-    @functools.cached_property
-    def points(self) -> np.ndarray:
-        """Row i is the world position of location id i, as
-        ``Scene.location_point`` gives it; built on first use."""
-        if self._grid is None:
-            return np.array(self._points)
-        grid, cells = self._grid, np.array(self.locations)
-        return np.column_stack((grid.origin.x + cells[:, 0] * grid.resolution,  # cell_center's arithmetic
-                                grid.origin.y + cells[:, 1] * grid.resolution,
-                                np.full(len(cells), grid.floor_z)))
 
     def route(self, a, b) -> tuple | None:
         """Shortest route from location ``a`` to ``b`` as a tuple of
@@ -433,48 +424,51 @@ class NavIndex:
         if self._grid is not None and self.adjacent(a, b):
             return b
         u = self.id_of[a]
-        dist = self.settle(self.id_of[b], (u,))
+        dist = self.settle([(self.id_of[b], (u,))])[0]
         if dist[u] == math.inf:
             return None
         nbr = self._nbr[u]
         return self.locations[nbr[np.argmax(dist[nbr] + self._steps[u] == dist[u])]]
 
-    def settle(self, source: int, ids) -> np.ndarray:
-        """Distances out of location id ``source`` by location id, final
-        at least at every id in ``ids``: its field runs ``_rounds`` until
-        each of them is final or nothing is left open, then pauses until
-        a later call.  The row is the field itself: read it, never write.
-        A question whose ids all lie below the field's top is a lookup."""
-        field = self._fields.get(source)
-        if field is None:
-            dist = np.full(len(self.locations), math.inf)
-            dist[source] = 0.0
-            field = (dist, np.array([source], dtype=np.intp), 0.0)
-        dist, front, top = field
-        if not all(dist[i] < top for i in ids):
-            self._fields[source] = (dist, *self._rounds(dist, front, np.asarray(ids, dtype=np.intp)))
-        return dist
+    def settle(self, asks) -> list[np.ndarray]:
+        """One distance row per ``(source, ids)`` ask: the field of location
+        id ``source``, final at least at every id in ``ids``; read it, never
+        write it.  An ask whose ids lie below its field's top is a lookup.
+        The other sources run as the rows of one ``_rounds``, each stored
+        back as its source's field: its own open entries, and its smallest
+        open distance plus ``_window`` as its top.  A lone resumed field
+        runs in place; a larger block copies the resumed fields in and back
+        and its new rows out, so only an all-new block outlives the call."""
+        fields, n = self._fields, len(self.locations)
+        asked: dict[int, list] = {}  # the sources to search, in order of first ask -> the ids asked of each
+        for source, ids in asks:
+            field = fields.get(source)
+            if field is None or not all(field[0][i] < field[2] for i in ids):
+                asked.setdefault(source, []).extend(ids)
+        if asked:
+            old = [fields.get(source, (None, np.array([source], dtype=np.intp))) for source in asked]
+            copied = len(old) > 1 and any(field[0] is not None for field in old)
+            block = old[0][0][None] if len(old) == 1 and old[0][0] is not None else np.full((len(old), n), math.inf)
+            for r, (dist, *_) in enumerate(old):
+                if copied and dist is not None:
+                    block[r] = dist
+            block[np.arange(len(old)), list(asked)] = 0.0  # a resumed row holds it already
+            front = np.sort(self._rounds(  # sorted, the open entries of each row follow the row before's
+                block.reshape(-1), np.concatenate([r * n + field[1] for r, field in enumerate(old)]),
+                np.concatenate([r * n + np.asarray(ids, dtype=np.intp) for r, ids in enumerate(asked.values())])))
+            fronts = np.split(front % n, np.searchsorted(front, np.arange(1, len(old)) * n))
+            for source, (dist, *_), row, front in zip(asked, old, block, fronts):
+                if dist is None:
+                    dist = row.copy() if copied else row
+                elif copied:
+                    dist[:] = row
+                fields[source] = (dist, front, dist[front].min() + self._window if front.size else math.inf)
+        return [fields[source][0] for source, _ in asks]
 
-    def settle_many(self, sources, ids) -> np.ndarray:
-        """Row i is bitwise ``settle(sources[i], ids)[ids]``, for all the
-        sources at once: each distinct source is one row of the same
-        ``_rounds``, searched until the ids its rows ask about are final
-        or nothing is left open.  No field is opened."""
-        ids = np.asarray(ids, dtype=np.intp)
-        n = len(self.locations)
-        row_of = {}  # distinct source -> its row of the search
-        which = np.array([row_of.setdefault(s, len(row_of)) for s in sources], dtype=np.intp)
-        front = np.arange(len(row_of)) * n + np.array(list(row_of), dtype=np.intp)
-        dist = np.full(len(row_of) * n, math.inf)
-        dist[front] = 0.0
-        self._rounds(dist, front, (which[:, None] * n + ids).ravel())
-        return dist.reshape(len(row_of), n)[which[:, None], ids]
-
-    def _rounds(self, dist: np.ndarray, front: np.ndarray, pending: np.ndarray) -> tuple[np.ndarray, float]:
+    def _rounds(self, dist: np.ndarray, front: np.ndarray, pending: np.ndarray) -> np.ndarray:
         """Search the rows of ``dist`` (one row of n ids per source, flat)
         out of their open entries ``front`` until each flat entry in
-        ``pending`` is final or nothing is left open; return the entries
-        still open and the top below which every distance is final.
+        ``pending`` is final or nothing is left open; return those still open.
 
         A round's window holds every open entry below the smallest open
         distance plus ``_window``: a step from a member lands above it, so
@@ -486,14 +480,16 @@ class NavIndex:
         minimum, or another order, differs where two sums nearly tie.
         """
         n = len(self.locations)
+        stopped = []  # the open entries of the rows that stopped
         while front.size:
             d = dist[front]
             top = d.min() + self._window
             pending = pending[dist[pending] >= top]
             if not pending.size:
-                return front, top
+                break
             if dist.size > n:  # a row whose asked entries are all final stops
                 live = np.bincount(pending // n, minlength=dist.size // n)[front // n] > 0
+                stopped.append(front[~live])
                 front, d = front[live], d[live]
             inside = d < top
             members, d = front[inside], d[inside]
@@ -526,12 +522,12 @@ class NavIndex:
                 better = c < dist[head] - 1e-12
                 dist[head[better]] = c[better]
                 targets, cands = targets[~first], cands[~first]
-        return front, math.inf
+        return np.concatenate((*stopped, front))
 
     def distance(self, a, b) -> float:
         """Geodesic distance between two locations, inf when unreachable."""
         target = self.id_of[b]
-        return float(self.settle(self.id_of[a], (target,))[target])
+        return float(self.settle([(self.id_of[a], (target,))])[0][target])
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +570,8 @@ def connectivity_matrix(scene: Scene, endpoints: Sequence[tuple[Sequence[float],
     endpoint index; a path whose end does not reach its own start raises
     Disconnected carrying its index.
 
-    All rows come from one ``NavIndex.settle_many`` pass over the
-    distinct path ends, bitwise what one field per end gives.
+    All rows come from one ``NavIndex.settle`` batch over the path ends,
+    whose fields stay open like any other.
     """
     starts = []
     ends = []
@@ -586,7 +582,9 @@ def connectivity_matrix(scene: Scene, endpoints: Sequence[tuple[Sequence[float],
         except SnapFailure as exc:
             raise SnapFailure(exc.point, exc.radius, index=i) from None
     nav = scene.nav
-    cost = nav.settle_many([nav.id_of[e] for e in ends], [nav.id_of[s] for s in starts])
+    starts = [nav.id_of[s] for s in starts]
+    rows = nav.settle([(nav.id_of[e], starts) for e in ends])  # a repeated end is one row of the batch
+    cost = np.array([row[starts] for row in rows]).reshape(len(ends), len(starts))
     stuck = np.flatnonzero(np.isinf(np.diagonal(cost))).tolist()
     if stuck:
         raise Disconnected(f"the end of path {stuck[0]} does not reach its start in {scene.scene_id}", index=stuck[0])

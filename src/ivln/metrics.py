@@ -122,8 +122,10 @@ def _geodesic_costs(ref, query, scene: Scene) -> np.ndarray:
     Points are snapped in the order a per-cell loop over
     ``geodesic_distance(scene, ref[i], query[j])`` meets them
     (``ref[0]``, the queries, the rest of ``ref``), so a SnapFailure
-    names the same point; a kept cell is bitwise that loop's value.  A location is exactly 0.0 from itself,
-    so a question about a row's own source alone opens no field.
+    names the same point; a kept cell is bitwise that loop's value.  One
+    ``NavIndex.settle`` batch answers U, and one the kept rows.  A location
+    is exactly 0.0 from itself, so a row that asks only about its own
+    source opens no field.
     """
     nav = scene.nav
     sources = [nav.id_of[scene.snap_point(p)] for p in ref[:1]]
@@ -132,19 +134,19 @@ def _geodesic_costs(ref, query, scene: Scene) -> np.ndarray:
     bound = _euclidean_matrix(nav.points.take(sources, 0), nav.points.take(ids, 0)) * (1 - 1e-9)
     forward = _warp(bound)
     through = np.array(forward) + np.array(_warp(bound[::-1, ::-1]))[::-1, ::-1] - bound
-    upper = 0.0  # U: one query per run of the bound warp's cells in a row
-    for i, run in itertools.groupby(_backtrack(forward), key=operator.itemgetter(0)):
-        want = [ids[j] for _, j in run if ids[j] != sources[i]]  # adding 0.0 leaves U as it is
-        if want:
-            dist = nav.settle(sources[i], want)
-            for target in want:
-                upper += dist[target]
+    asks = [(sources[i], [ids[j] for _, j in run if ids[j] != sources[i]])  # adding 0.0 leaves U as it is
+            for i, run in itertools.groupby(_backtrack(forward), key=operator.itemgetter(0))]
+    asks = [ask for ask in asks if ask[1]]
+    upper = 0.0  # U: one ask per run of the bound warp's cells in a row, all in one batch
+    for (_, want), dist in zip(asks, nav.settle(asks)):
+        for target in want:
+            upper += dist[target]
     keep = through <= upper * (1 + 1e-9)
     columns = np.asarray(ids)
-    out = np.empty(keep.shape)
-    for i, (source, row) in enumerate(zip(sources, keep.tolist())):  # one query per row
-        want = [t for t in itertools.compress(ids, row) if t != source]
-        out[i] = nav.settle(source, want).take(columns) if want else np.where(columns == source, 0.0, math.inf)
+    wants = [[t for t in itertools.compress(ids, row) if t != source] for source, row in zip(sources, keep.tolist())]
+    rows = iter(nav.settle([(source, want) for source, want in zip(sources, wants) if want]))  # one ask per row
+    out = np.array([next(rows).take(columns) if want else np.where(columns == source, 0.0, math.inf)
+                    for source, want in zip(sources, wants)])
     out[~keep] = math.inf  # the ids not kept may not be settled yet
     return out
 

@@ -107,8 +107,8 @@ def neighbor_lists(scene):
 def heap_field(scene, source) -> np.ndarray:
     """Distances out of location id ``source`` by location id: a heap
     Dijkstra over ``neighbor_lists`` run to exhaustion, under the rule
-    ``nd < dist[v] - 1e-12``.  The reference every ``NavIndex`` field and
-    ``settle_many`` row must equal bitwise."""
+    ``nd < dist[v] - 1e-12``.  The reference every ``NavIndex`` field,
+    batched or alone, must equal bitwise below its top."""
     neighbors = neighbor_lists(scene)
     dist = [math.inf] * len(neighbors)
     dist[source] = 0.0

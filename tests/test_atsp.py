@@ -136,13 +136,18 @@ def test_local_search_ends_at_a_relocation_and_exchange_optimum(seed, n):
 def search_instances(draw):
     """A random asymmetric matrix of 13-60 cities, more than the exact
     order takes: uniform on 0.1-10, rounded to 0.1 on 0-2 so that equal
-    costs and equal deltas occur, or with about 5% of its arcs infinite."""
+    costs and equal deltas occur, the same lifted by 1e9, or with about 5%
+    of its arcs infinite."""
     n = draw(st.integers(13, 60))
-    kind = draw(st.sampled_from(["uniform", "rounded", "partly-inf"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "rounded", "lifted", "partly-inf"]))
+    return instance(kind, draw(st.integers(0, 2**32 - 1)), n)
+
+
+def instance(kind, seed, n):
+    rng = np.random.default_rng(seed)
     cost = rng.uniform(0.1, 10.0, (n, n))
-    if kind == "rounded":
-        cost = np.round(cost / 5.0, 1)
+    if kind in ("rounded", "lifted"):
+        cost = np.round(cost / 5.0, 1) + (1e9 if kind == "lifted" else 0.0)
     elif kind == "partly-inf":
         cost[rng.random((n, n)) < 0.05] = math.inf
     np.fill_diagonal(cost, 0.0)
@@ -161,6 +166,13 @@ def assert_search_is_the_scalar_scan(cost):
 @settings(max_examples=30)
 def test_local_search_is_bitwise_the_scalar_scan(cost):
     assert_search_is_the_scalar_scan(cost)
+
+
+def test_local_search_adds_each_delta_in_the_scalar_order():
+    # near 1e9 one ulp of a three-arc sum (about 5e-7) is far above the 1e-9
+    # gain rule, so a delta summed in another grouping, such as
+    # C[a, b1] + (C[bj, c1] + C[ck, d]), takes another exchange here
+    assert_search_is_the_scalar_scan(instance("lifted", 22, 19))
 
 
 def test_local_search_is_the_scalar_scan_at_101_cities():

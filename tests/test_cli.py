@@ -861,6 +861,24 @@ def test_a_scene_with_a_nan_token_is_bad_input(pipeline, tmp_path, capsys):
     assert not traces.exists()
 
 
+@pytest.mark.parametrize("case, name", [("node", "node "), ("floor_z", "floor_z"), ("resolution", "resolution")])
+def test_a_scene_number_beyond_the_float_range_is_bad_input_and_named(pipeline, tmp_path, capsys, case, name):
+    key = "graph" if case == "node" else "scene"
+    payload = json.loads(pipeline[key].read_text())
+    if case == "node":
+        name += min(payload["nodes"])
+        payload["nodes"][min(payload["nodes"])][0] = 10**400
+    else:
+        payload[case] = 10**400
+    bad = tmp_path / "scene.json"
+    bad.write_text(json.dumps(payload))  # an integer literal that float() cannot hold
+    out = tmp_path / "e.json"
+    assert run_cli("gen-episodes", "--scene", bad, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{name} " in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_build_map_replays_at_the_configured_turn(pipeline, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "turn30.cfg"
     cfg.write_text("turn_deg = 30\n")

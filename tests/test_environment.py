@@ -553,7 +553,7 @@ def test_grid_neighbor_lists_equal_the_per_cell_loop(synth):
 def settled(nav, location, ids) -> np.ndarray:
     """Distances from ``location`` to each location id in ``ids``, read
     off its field."""
-    return nav.settle(nav.id_of[location], ids)[ids]
+    return nav.settle([(nav.id_of[location], ids)])[0][ids]
 
 
 SEARCH_KINDS = ["synth_grid", "split_grid", "synth_graph", "square_and_pair"]
@@ -586,19 +586,42 @@ def test_resumed_distances_equal_one_full_run(kind, synth):
             got[source][i] = paused.distance(source, paused.locations[i])
     for source in sources:
         assert got[source].tobytes() == full[source].tobytes() == heap_field(scene, whole.id_of[source]).tobytes()
-    bulk = NavIndex(scene).settle_many([whole.id_of[source] for source in sources], every)
-    assert bulk.tobytes() == np.array([full[source] for source in sources]).tobytes()
+    bulk = NavIndex(scene).settle([(whole.id_of[source], every) for source in sources])
+    assert np.array(bulk).tobytes() == np.array([full[source] for source in sources]).tobytes()
     if kind in ("split_grid", "square_and_pair"):
         assert any(np.isinf(row).any() for row in full.values())
 
 
+def assert_fields_are_the_heap(scene, nav, heaps) -> None:
+    """Check every field of ``nav`` bytewise against the heap field of its
+    source (``heaps``, filled on demand) at every id below its top, and
+    check that every id it reached and left out of its front lies below
+    that top: the front holds every open id, each once."""
+    for source, (dist, front, top) in nav._fields.items():
+        if source not in heaps:
+            heaps[source] = heap_field(scene, source)
+        final = dist < top
+        assert dist[final].tobytes() == heaps[source][final].tobytes()
+        closed = np.isfinite(dist)
+        assert closed[front].all() and len(set(front.tolist())) == front.size
+        closed[front] = False
+        assert final[closed].all()
+
+
 def assert_rows_are_the_heap(scene, sources, ids) -> None:
-    """Check ``settle_many``'s rows bytewise against one heap field per
-    row (``heap_field``)."""
-    got = NavIndex(scene).settle_many(sources, ids)
-    want = np.array([heap_field(scene, s)[ids] for s in sources]).reshape(got.shape)
-    assert got.shape == (len(sources), len(ids))
-    assert got.tobytes() == want.tobytes()
+    """Ask one ``settle`` batch ``(source, ids)`` for every source, and
+    check its rows bytewise against one heap field per source
+    (``heap_field``) at ``ids``; check that the batch stored every row as
+    its source's field, equal to the heap below its top."""
+    nav = NavIndex(scene)
+    rows = nav.settle([(s, ids) for s in sources])
+    heaps = {s: heap_field(scene, s) for s in sources}
+    assert len(rows) == len(sources)
+    for s, row in zip(sources, rows):
+        assert row[ids].tobytes() == heaps[s][ids].tobytes()
+        assert row is nav._fields[s][0]
+    assert nav._fields.keys() == set(sources)
+    assert_fields_are_the_heap(scene, nav, heaps)
 
 
 @st.composite
@@ -621,9 +644,11 @@ def sealed_grids(draw):
 @given(sealed_grids(), st.data())
 @settings(max_examples=120)
 def test_settle_many_equals_settle_on_random_walled_grids(scene, data):
+    # one batch of asks to many sources, each row run out or stopped part-way
     every = list(range(len(scene.nav.locations)))
     sources = data.draw(st.lists(st.sampled_from(every), min_size=1, max_size=6))
     assert_rows_are_the_heap(scene, sources, every)
+    assert_rows_are_the_heap(scene, sources, data.draw(st.lists(st.sampled_from(every), max_size=6)))
 
 
 def lattice_graph(rng) -> Scene:
@@ -649,13 +674,20 @@ def test_settle_many_equals_settle_on_random_graphs():
        st.data())
 @settings(max_examples=150)
 def test_fields_resumed_over_random_batches_equal_the_heap(scene, data):
-    # questions to a few sources, interleaved: each a batch of ids in random
-    # order, repeats and unreachable ids included, each answered off a field
-    # paused by the questions before it
+    # batched and single asks to a few sources, interleaved: each ask a list
+    # of ids in random order, repeats and unreachable ids included, answered
+    # off fields the asks before it opened and paused; a batch mixes new,
+    # resumed and repeated sources
     nav = NavIndex(scene)
     every = st.sampled_from(range(len(nav.locations)))
-    for source, batch in data.draw(st.lists(st.tuples(every, st.lists(every, max_size=8)), min_size=1, max_size=12)):
-        assert nav.settle(source, batch)[batch].tobytes() == heap_field(scene, source)[batch].tobytes()
+    ask = st.tuples(st.sampled_from(data.draw(st.lists(every, min_size=1, max_size=4))), st.lists(every, max_size=8))
+    heaps = {}
+    for asks in data.draw(st.lists(st.lists(ask, min_size=1, max_size=4), min_size=1, max_size=12)):
+        for (source, ids), row in zip(asks, nav.settle(asks), strict=True):
+            if source not in heaps:
+                heaps[source] = heap_field(scene, source)
+            assert row[ids].tobytes() == heaps[source][ids].tobytes()
+        assert_fields_are_the_heap(scene, nav, heaps)
 
 
 @pytest.mark.parametrize("kind", SEARCH_KINDS)
@@ -669,10 +701,18 @@ def test_settle_many_partial_ids_repeated_sources_and_the_diagonal(kind, synth):
     assert_rows_are_the_heap(scene, sources, ids[::-1] + ids[:2])  # repeated ids
     assert_rows_are_the_heap(scene, ids, ids)  # the diagonal, 0
     assert_rows_are_the_heap(scene, ids[:1], ids[:1])
-    assert NavIndex(scene).settle_many([], ids).shape == (0, len(ids))
     nav = NavIndex(scene)
-    nav.settle_many(sources, ids)
-    assert nav._fields == {}  # no field is opened
+    assert nav.settle([]) == [] and nav._fields == {}  # an empty batch
+    # an all-new block's rows stay its views
+    first = nav.settle([(ids[0], ids[:2]), (ids[-1], ids[:2])])
+    assert first[0].base is first[1].base is not None
+    # a lone resumed field runs in place
+    assert nav.settle([(ids[0], range(n))])[0] is first[0] is nav._fields[ids[0]][0]
+    # a mixed block writes a resumed row back into its own array and copies a new row out
+    mixed = nav.settle([(ids[-1], range(n)), (ids[1], ids)])
+    assert mixed[0] is first[1] is nav._fields[ids[-1]][0]
+    assert mixed[1].base is None and mixed[1] is nav._fields[ids[1]][0]
+    assert_fields_are_the_heap(scene, nav, {})
 
 
 @pytest.mark.parametrize("kind", ["scene", "graph_scene"])
@@ -687,7 +727,7 @@ def test_a_near_query_settles_part_of_the_scene(synth):
     source = nav.id_of[nav.locations[len(nav.locations) // 2]]
     k = int(np.argmax(nav._steps[source] < math.inf))  # its first neighbor
     near, step = nav._nbr[source, k], nav._steps[source, k]
-    assert nav.settle(source, [near])[near] == step
+    assert nav.settle([(source, [near])])[0][near] == step
     assert 0 < final_ids(nav) < len(nav.locations) // 10
 
 

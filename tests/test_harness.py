@@ -663,30 +663,36 @@ class WireServer:
 
     def _serve(self):
         conn, _ = self.sock.accept()
-        buf = b""
         with conn, self.sock:
-            while True:
-                chunk = conn.recv(65536)
-                if not chunk:
+            try:
+                self._answer(conn)
+            except (ConnectionResetError, BrokenPipeError):
+                return  # the harness hung up before a reply: the session is over
+
+    def _answer(self, conn):
+        buf = b""
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                return
+            buf += chunk
+            while b"\n" in buf:
+                line, buf = buf.split(b"\n", 1)
+                msg = json.loads(line)
+                self.messages.append(msg)
+                if msg["type"] == "close" or self.hang_up(msg):
                     return
-                buf += chunk
-                while b"\n" in buf:
-                    line, buf = buf.split(b"\n", 1)
-                    msg = json.loads(line)
-                    self.messages.append(msg)
-                    if msg["type"] == "close" or self.hang_up(msg):
-                        return
-                    if msg["type"] == "observe" and msg["passive"] and not self.acks_passive:
-                        continue
-                    if msg["type"] == "observe" and not msg["passive"]:
-                        reply = self.act(msg)
-                    elif msg["type"] == "reset":
-                        reply = self.reset_ack
-                    else:
-                        reply = {"type": "ack"}
-                    if isinstance(reply, dict):
-                        reply = json.dumps(reply).encode() + b"\n"
-                    conn.sendall(reply)
+                if msg["type"] == "observe" and msg["passive"] and not self.acks_passive:
+                    continue
+                if msg["type"] == "observe" and not msg["passive"]:
+                    reply = self.act(msg)
+                elif msg["type"] == "reset":
+                    reply = self.reset_ack
+                else:
+                    reply = {"type": "ack"}
+                if isinstance(reply, dict):
+                    reply = json.dumps(reply).encode() + b"\n"
+                conn.sendall(reply)
 
 
 def run_with_server(scene, tour, by_id, act, timeout=2.0, cfg=None, keep_map=True):
