@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import FORMAT_VERSION, GridWorld, Scene, as_point, euclidean, shortest_path, write_json
-from .errors import MissingEpisode
+from .errors import MissingEpisode, SnapFailure
 from .tourgen import Episode, Tour
 
 
@@ -170,6 +170,23 @@ def _pct(part: np.ndarray, whole: np.ndarray) -> float:
     return 100.0 * np.count_nonzero(part & whole) / total if total else 0.0
 
 
+def _settle_transits(scene: Scene, eps: list[Episode]) -> None:
+    """Settle a tour's transit fields (each next start's field, asked at
+    the previous end) in one ``NavIndex.settle`` batch, so the routes
+    walked after it only read them.  Equal and grid-neighbor ends open
+    no field; a pair that fails to snap is left to ``shortest_path``,
+    which raises it in tour order."""
+    nav, asks = scene.nav, []
+    for a, b in zip(eps, eps[1:]):
+        try:
+            end, start = scene.snap_point(a.path[-1]), scene.snap_point(b.path[0])
+        except SnapFailure:
+            continue
+        if end != start and not (scene.grid is not None and nav.adjacent(end, start)):
+            asks.append((nav.id_of[start], (nav.id_of[end],)))
+    nav.settle(asks)
+
+
 def coverage_curves(
     tours: list[Tour],
     episodes_by_id: dict[str, Episode],
@@ -196,6 +213,7 @@ def coverage_curves(
             raise MissingEpisode(f"tour {tour.tour_id} references unknown episode {exc}") from None
         cov = [vis.from_path(ep.path) for ep in eps]
         region = vis.from_path(point for ep in eps for point in ep.path)
+        _settle_transits(scene, eps)
         seen = [vis.from_path([])]  # seen[k]: the cells seen before episode k + 1
         for k, ep in enumerate(eps):
             transit = shortest_path(scene, ep.path[-1], eps[k + 1].path[0]) if k + 1 < len(eps) else []

@@ -82,6 +82,9 @@ PROTOCOL_VERSION = 3
 # how much of an external agent's stderr a protocol error quotes
 _STDERR_TAIL_BYTES = 2048
 
+# how long a closed external agent has to exit before it is killed
+_RELEASE_TIMEOUT = 2.0
+
 # compass directions for heading quantization; index k covers the 45
 # degree sector centered at k * 45 degrees
 _DIR8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
@@ -668,8 +671,14 @@ class SubprocessTransport(_LineTransport):
             self.proc.stdin.close()
         except OSError:
             pass
+        # the child's exit closes its output: wait for that EOF on the
+        # selector, which wakes at once, where wait() alone sleep-polls
+        deadline = time.monotonic() + _RELEASE_TIMEOUT
+        while (remaining := deadline - time.monotonic()) > 0 and self._sel.select(remaining):
+            if not os.read(self.proc.stdout.fileno(), 65536):
+                break
         try:
-            self.proc.wait(timeout=2.0)
+            self.proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()

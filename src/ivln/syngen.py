@@ -232,6 +232,23 @@ def _bearing(a: Point3, b: Point3) -> float:
     return math.atan2(b.y - a.y, b.x - a.x) % (2 * math.pi)
 
 
+def _draw_ahead(scene: Scene, rng: random.Random, locations: list, count: int, max_length: float) -> list[tuple]:
+    """``count`` attempts' (start, goal, geodesic distance), drawn as one
+    at a time would draw them.  A pair on one location, or further apart
+    in a straight line than ``max_length``, gets inf unsearched: steps and
+    edges are Euclidean lengths, so no route is shorter than the straight
+    line.  The other distances are one ``NavIndex.settle`` batch."""
+    nav = scene.nav
+    pairs = [(rng.choice(locations), rng.choice(locations)) for _ in range(count)]
+    ids = np.array([(nav.id_of[start], nav.id_of[goal]) for start, goal in pairs])
+    near = np.linalg.norm(nav.points[ids[:, 0]] - nav.points[ids[:, 1]], axis=1) <= max_length * (1 + 1e-9)
+    asked = np.flatnonzero(near & (ids[:, 0] != ids[:, 1]))
+    starts, goals = ids[asked].T.tolist()
+    d = np.full(count, math.inf)
+    d[asked] = [row[s] for s, row in zip(starts, nav.settle([(g, (s,)) for s, g in zip(starts, goals)]))]
+    return [(start, goal, dist) for (start, goal), dist in zip(pairs, d.tolist())]
+
+
 def generate_episodes(scene: Scene, spec: EpisodeSpec, id_prefix: str = "ep") -> list[Episode]:
     """Sample reference paths and templated instructions.
 
@@ -239,28 +256,34 @@ def generate_episodes(scene: Scene, spec: EpisodeSpec, id_prefix: str = "ep") ->
     when their geodesic separation lies within the length range, and
     joined by the shortest path.  Each sampled path yields
     ``instructions_per_path`` episodes sharing that path.
+
+    No draw depends on a distance, so attempts are drawn ahead in blocks
+    of twice the paths still wanted, at most the attempts left of the
+    budget (``_draw_ahead``), and taken in draw order: the episodes and
+    the attempt count are those of one search per attempt.
     """
     rng = random.Random(spec.seed)
     episodes: list[Episode] = []
     if scene.grid is not None:
-        locations = [(int(ix), int(iy)) for iy, ix in np.argwhere(scene.grid.navigable)]
+        iys, ixs = np.nonzero(scene.grid.navigable)  # row-major
+        locations = list(zip(ixs.tolist(), iys.tolist()))
     else:
         locations = sorted(scene.graph.nodes)
 
     attempts = 0
     budget = spec.count * 300
+    ahead: list[tuple] = []  # the attempts drawn ahead, the next one last
     while len(episodes) < spec.count * spec.instructions_per_path:
         if attempts >= budget:
             raise SamplingExhausted(
                 f"sampled {len(episodes)} episodes in {attempts} attempts, "
                 f"wanted {spec.count * spec.instructions_per_path}"
             )
+        if not ahead:
+            wanted = spec.count - len(episodes) // spec.instructions_per_path
+            ahead = _draw_ahead(scene, rng, locations, min(2 * wanted, budget - attempts), spec.length_range[1])[::-1]
         attempts += 1
-        start = rng.choice(locations)
-        goal = rng.choice(locations)
-        if start == goal:
-            continue
-        d = scene.nav.distance(goal, start)
+        start, goal, d = ahead.pop()
         if not (spec.length_range[0] <= d <= spec.length_range[1]):
             continue
         path = [scene.location_point(loc) for loc in scene.nav.route(start, goal)]

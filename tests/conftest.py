@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from ivln.environment import GridWorld, NavGraph, Point3, Pose, Scene, geodesic_distance
-from ivln.errors import DimensionMismatch, Disconnected
+from ivln.errors import DimensionMismatch, Disconnected, SamplingExhausted
 from ivln.mapper import _WALL_PUSH, CameraIntrinsics, _cameras, _columns, _lift
-from ivln.syngen import EpisodeSpec, FloorplanSpec, generate_episodes, generate_scene
-from ivln.tourgen import build_tours
+from ivln.syngen import _TEMPLATES, EpisodeSpec, FloorplanSpec, _bearing, generate_episodes, generate_scene
+from ivln.tourgen import Episode, build_tours
 
 settings.register_profile(
     "suite",
@@ -164,6 +165,55 @@ def astar_route(scene, a, b):
                 parent[v] = u
                 heapq.heappush(heap, (nd + estimate(v), v))
     return None
+
+
+def sample_episodes_reference(scene, spec, id_prefix="ep"):
+    """One attempt at a time: draw a start and a goal, search the goal's
+    field out to the start, and keep the pair when its distance lies in
+    the length range, until the episodes are in or the budget of 300
+    attempts per path is spent.  The reference for
+    ``syngen.generate_episodes``."""
+    rng = random.Random(spec.seed)
+    episodes = []
+    if scene.grid is not None:
+        locations = [(int(ix), int(iy)) for iy, ix in np.argwhere(scene.grid.navigable)]
+    else:
+        locations = sorted(scene.graph.nodes)
+    attempts = 0
+    budget = spec.count * 300
+    while len(episodes) < spec.count * spec.instructions_per_path:
+        if attempts >= budget:
+            raise SamplingExhausted(
+                f"sampled {len(episodes)} episodes in {attempts} attempts, "
+                f"wanted {spec.count * spec.instructions_per_path}"
+            )
+        attempts += 1
+        start = rng.choice(locations)
+        goal = rng.choice(locations)
+        if start == goal:
+            continue
+        d = scene.nav.distance(goal, start)
+        if not (spec.length_range[0] <= d <= spec.length_range[1]):
+            continue
+        path = [scene.location_point(loc) for loc in scene.nav.route(start, goal)]
+        idx = len(episodes) // spec.instructions_per_path
+        path_id = f"{id_prefix}p{idx:04d}"
+        heading = _bearing(path[0], path[1]) if len(path) > 1 else 0.0
+        for k in range(spec.instructions_per_path):
+            template = _TEMPLATES[k % len(_TEMPLATES)]
+            text = template.format(length=d, gx=path[-1].x, gy=path[-1].y)
+            episodes.append(
+                Episode(
+                    episode_id=f"{id_prefix}{idx:04d}_{k}",
+                    path_id=path_id,
+                    scene_id=scene.scene_id,
+                    path=path,
+                    start_heading=heading,
+                    instruction_id=f"{path_id}_{k}",
+                    instruction=text,
+                )
+            )
+    return episodes
 
 
 def final_ids(nav) -> int:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivln import coverage
 from ivln.coverage import CoverageCurve, ObservationModel, _bresenham, coverage_curves, observed_cells
-from ivln.environment import Point3, Scene
-from ivln.errors import MissingEpisode
+from ivln.environment import NavIndex, Point3, Scene
+from ivln.errors import Disconnected, MissingEpisode
 from ivln.tourgen import Episode, Tour
 
 from conftest import grid_from_ascii, is_open, scene_from_ascii
@@ -245,3 +246,64 @@ def test_curves_deterministic(synth):
     a = coverage_curves(tours, synth["by_id"], synth["scene"], model)
     b = coverage_curves(tours, synth["by_id"], synth["scene"], model)
     assert a.to_dict() == b.to_dict()
+
+
+# a left and a middle room joined by a door at (6, 2); the right room is sealed
+TWO_ROOMS_AND_A_SEALED_ONE = [
+    "#################",
+    "#.....#.....#...#",
+    "#...........#...#",
+    "#.....#.....#...#",
+    "#################",
+]
+TRANSIT_EPISODES = {
+    eid: ep(eid, cells)
+    for eid, cells in {
+        "e0": [(1, 1), (4, 1)],
+        "e1": [(4, 1), (8, 3)],  # starts where e0 ends
+        "e2": [(9, 2), (10, 1)],  # starts a diagonal step from e1's end
+        "e3": [(2, 3), (1, 2)],  # through the door from e2's end
+        "e4": [(1, 3), (3, 3)],  # starts a straight step from e3's end
+        "e5": [(14, 1), (15, 3)],  # in the sealed room
+    }.items()
+}
+
+
+def curves_both_ways(monkeypatch, tours):
+    """The curves (or the error) of ``coverage_curves`` with its transit
+    batch and with each transit routed on its own, each on a fresh scene,
+    the sources of the fields each left open and its count of searches."""
+    rounds = NavIndex._rounds
+    searches = []
+    monkeypatch.setattr(NavIndex, "_rounds", lambda nav, *args: searches.append(1) or rounds(nav, *args))
+    results = []
+    for batched in (True, False):
+        if not batched:
+            monkeypatch.setattr(coverage, "_settle_transits", lambda scene, eps: None)
+        scene = scene_from_ascii(TWO_ROOMS_AND_A_SEALED_ONE)
+        searches.clear()
+        try:
+            got = coverage_curves(tours, TRANSIT_EPISODES, scene, ObservationModel(radius=1.0)).to_dict()
+        except Disconnected as exc:
+            got = (type(exc), str(exc))
+        results.append((got, sorted(scene.nav._fields), len(searches)))
+    return results
+
+
+def test_batched_transits_equal_per_transit_routing(monkeypatch):
+    tours = [Tour("t0", "ascii", ["e0", "e1", "e2", "e3", "e4"]), Tour("t1", "ascii", ["e4", "e0", "e2"])]
+    (batched, batched_fields, batched_searches), (alone, alone_fields, alone_searches) = curves_both_ways(
+        monkeypatch, tours)
+    assert batched == alone
+    assert (batched_searches, alone_searches) == (2, 3)  # one search per tour, against one per field
+    # shared and adjoining ends open no field: only the transits into e3, e0 and e2 of t1 do
+    scene = scene_from_ascii(TWO_ROOMS_AND_A_SEALED_ONE)
+    assert batched_fields == alone_fields == sorted(scene.nav.id_of[c] for c in [(2, 3), (1, 1), (9, 2)])
+
+
+def test_an_unroutable_transit_raises_as_when_routed_alone(monkeypatch):
+    tours = [Tour("t0", "ascii", ["e0", "e1"]), Tour("t1", "ascii", ["e0", "e3", "e5", "e2"])]
+    (batched, *_), (alone, *_) = curves_both_ways(monkeypatch, tours)
+    assert batched == alone
+    kind, message = batched
+    assert kind is Disconnected and message.startswith(f"no route between {tuple(P(1, 2))} and {tuple(P(14, 1))} ")

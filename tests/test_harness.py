@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import signal
 import socket
 import sys
 import threading
@@ -1205,6 +1206,27 @@ def test_transport_contract(kind, tmp_path):
     if thread is not None:
         thread.join(timeout=5.0)
         assert not thread.is_alive()
+    else:
+        assert transport.proc.returncode == 0  # reaped, not killed
+
+
+# It reads every message, the close included, to EOF and stays alive.
+IGNORES_CLOSE = """
+import sys, time
+sys.stdin.read()
+time.sleep(30)
+"""
+
+
+def test_closing_an_agent_that_ignores_close_kills_it_at_the_deadline(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_RELEASE_TIMEOUT", 0.3)
+    script = tmp_path / "ignores_close.py"
+    script.write_text(IGNORES_CLOSE)
+    transport = SubprocessTransport(f"{sys.executable} {script}")
+    start = time.monotonic()
+    transport.close(1.0)
+    assert 0.3 <= time.monotonic() - start < 2.0
+    assert transport.proc.returncode == -signal.SIGKILL
 
 
 class CountingPipe:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivln.environment import NavIndex, geodesic_distance, scene_to_dict
 from ivln.errors import SamplingExhausted, SpecInfeasible
@@ -15,6 +17,8 @@ from ivln.syngen import (
     generate_episodes,
     generate_scene,
 )
+
+from conftest import sample_episodes_reference
 
 
 def flood_components(navigable):
@@ -189,3 +193,43 @@ def test_each_reference_path_reads_the_field_its_length_check_opened(monkeypatch
     monkeypatch.setattr(NavIndex, "route", checked_route)
     episodes = generate_episodes(scene, EpisodeSpec(count=6, instructions_per_path=1, seed=4))
     assert len(opened) == len(episodes) and all(opened)
+
+
+def twin(kind, rooms, seed):
+    """A fresh scene (no field open) of one side of a generated floorplan."""
+    return generate_scene(FloorplanSpec(rooms=rooms, seed=seed))[kind == "graph"]
+
+
+# On this 16-room floorplan the straight line refuses about 65%, 10% and
+# none of the drawn pairs for these length ranges, on either side.
+@pytest.mark.parametrize("length_range", [(5.0, 7.0), (4.0, 14.0), (0.0, 1000.0)])
+@pytest.mark.parametrize("kind", ["grid", "graph"])
+def test_sampling_equals_one_search_per_attempt(kind, length_range):
+    spec = EpisodeSpec(count=8, length_range=length_range, instructions_per_path=2, seed=3)
+    episodes = generate_episodes(twin(kind, 16, 11), spec)
+    assert len(episodes) == 16
+    assert episodes == sample_episodes_reference(twin(kind, 16, 11), spec)
+
+
+@pytest.mark.parametrize("kind, rooms, length_range", [("grid", 4, (11.5, 11.7)), ("graph", 16, (26.0, 30.0))])
+def test_exhausted_sampling_reports_the_attempts_of_one_search_per_attempt(kind, rooms, length_range):
+    spec = EpisodeSpec(count=3, length_range=length_range, instructions_per_path=2, seed=3)
+    with pytest.raises(SamplingExhausted) as reference:
+        sample_episodes_reference(twin(kind, rooms, 11), spec)
+    with pytest.raises(SamplingExhausted) as batched:
+        generate_episodes(twin(kind, rooms, 11), spec)
+    assert str(batched.value) == str(reference.value)
+    # some paths were accepted before the budget ran out
+    assert not str(batched.value).startswith("sampled 0 ")
+
+
+@given(st.integers(1, 9), st.floats(0.0, 0.5), st.integers(0, 10_000))
+@settings(max_examples=20, derandomize=True)
+def test_no_route_is_shorter_than_the_straight_line(rooms, sealed, seed):
+    # the premise of the sampler's straight-line refusal
+    for scene in generate_scene(FloorplanSpec(rooms=rooms, sealed_door_probability=sealed, seed=seed)):
+        nav = scene.nav
+        rng = np.random.default_rng(seed)
+        for a, b in rng.integers(len(nav.locations), size=(6, 2)).tolist():
+            pa, pb = (scene.location_point(nav.locations[i]) for i in (a, b))
+            assert geodesic_distance(scene, pa, pb) >= math.dist(pa, pb) * (1 - 1e-9)
