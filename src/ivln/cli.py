@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import sys
 
@@ -259,6 +260,7 @@ def _add_config_flag(sub):
     sub.add_argument("--config", help="key=value config file (default: $IVLN_CONFIG)")
 
 
+@functools.cache  # one per process: building it costs about as much as a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ivln", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)

@@ -11,12 +11,14 @@ Coverage is a boolean mask over grid cells (``iy * width + ix``) or
 graph nodes (``NavIndex`` ids).  Occlusion applies on grids only: a cell
 is hidden when a cell strictly between it and the source on their
 Bresenham line is off the grid or not navigable; the two end cells are
-never tested.  Graphs carry no geometry to occlude with.
+never tested.  Graphs carry no geometry to occlude with.  A path's mask
+is a union over its points, so a tour's region is its episodes' union.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,12 +102,31 @@ def _bresenham(a, b):
     return cells
 
 
+@functools.cache
+def _stencil(r_cells: float) -> tuple[np.ndarray, ...]:
+    """Reach, the disc's offsets ``dx, dy`` and their lines' cells ``lx, ly, filler``, ``[step, offset]``."""
+    reach = math.ceil(r_cells)
+    span = range(-reach, reach + 1)
+    offsets = [(dx, dy) for dy in span for dx in span if dx * dx + dy * dy <= r_cells * r_cells + 1e-9]
+    lines = [_bresenham((0, 0), offset) for offset in offsets]
+    length = max(map(len, lines))
+    cells = np.array([line + [(0, 0)] * (length - len(line)) for line in lines], dtype=int)
+    stencil = tuple(map(np.ascontiguousarray, (*np.array(offsets).T, *cells.reshape(len(lines), length, 2).T,
+                                               np.arange(length)[:, None] >= [len(line) for line in lines])))
+    for array in stencil:
+        array.setflags(write=False)
+    return (reach, *stencil)
+
+
 class _Visibility:
     """Memoized per-source visible indices under one observation model.
 
-    A Bresenham line depends only on ``target - source``, so on grids one
-    stencil, built once, holds the disc's offsets and each one's interior
-    cells; a source's visible cells are one gather plus ``.all(axis=1)``.
+    A Bresenham line depends only on ``target - source``, so one
+    ``_stencil`` per radius in cells serves every grid source; a source is
+    keyed by its flat index in the navigability padded by reach (one
+    farther off sees nothing).  A call's new sources go a bounded block at
+    a time: one ``take`` at each key plus each line cell's offset, then
+    ``| filler`` (the filled-out steps, which read clear) and ``.all``.
     """
 
     def __init__(self, scene: Scene, model: ObservationModel):
@@ -114,45 +135,45 @@ class _Visibility:
         self._memo: dict = {}
         grid = scene.grid
         self.size = len(scene.nav.locations) if grid is None else grid.width * grid.height
+        self._block = 1
         if grid is None:
             return
-        reach = math.ceil(model.radius / grid.resolution)
-        r_cells = model.radius / grid.resolution
-        span = range(-reach, reach + 1)
-        offsets = [(dx, dy) for dy in span for dx in span if dx * dx + dy * dy <= r_cells * r_cells + 1e-9]
-        self._dx, self._dy = np.array(offsets).T
-        lines = [_bresenham((0, 0), offset) for offset in offsets]
-        length = max(map(len, lines))
-        # lines are filled out to one length with source entries that read clear
-        self._filler = np.arange(length) >= np.array([len(line) for line in lines])[:, None]
-        cells = np.array([line + [(0, 0)] * (length - len(line)) for line in lines], dtype=int)
-        self._lx, self._ly = cells.reshape(len(lines), length, 2).transpose(2, 0, 1) + reach
+        self._reach, self._dx, self._dy, lx, ly, self._filler = _stencil(model.radius / grid.resolution)
         # a kept line ends on the grid, so its interior is within reach of it
-        self._padded = np.pad(grid.navigable, reach)
+        self._padded = np.pad(grid.navigable, self._reach)
+        self._lines = ly * self._padded.shape[1] + lx
+        self._block = max(1, 2**17 // (self._lines.size + self._dx.size))  # about 1 MB of int64 per block
 
     def from_path(self, points) -> np.ndarray:
         """Mask of the cells (or graph nodes) visible from any of the points."""
-        out = np.zeros(self.size, dtype=bool)
-        grid = self.scene.grid
-        for point in map(as_point, points):
-            key = point if grid is None else grid.cell_index(point)
-            if key not in self._memo:
-                self._memo[key] = self._graph_visible(point) if grid is None else self._grid_visible(*key)
-            out[self._memo[key]] = True
+        out, grid, memo = np.zeros(self.size, dtype=bool), self.scene.grid, self._memo
+        keys = [as_point(point) for point in points]
+        if grid is not None:  # cell_index's arithmetic, then the padded grid's flat index
+            cells = np.floor((np.reshape(keys, (-1, 3))[:, :2] - grid.origin[:2]) / grid.resolution + 0.5) + self._reach
+            cells = cells[(cells >= 0).all(axis=1) & (cells < self._padded.shape[::-1]).all(axis=1)]
+            keys = (cells.astype(np.intp) @ (1, self._padded.shape[1])).tolist()
+        keys = list(dict.fromkeys(keys))  # the distinct sources, in order of first appearance
+        new = [key for key in keys if key not in memo]
+        visible = self._graph_visible if grid is None else self._grid_visible
+        for i in range(0, len(new), self._block):
+            memo.update(zip(new[i : i + self._block], visible(new[i : i + self._block])))
+        for key in keys:
+            out[memo[key]] = True
         return out
 
-    def _graph_visible(self, point) -> np.ndarray:
-        nodes, radius = self.scene.graph.nodes, self.model.radius
-        return np.flatnonzero([euclidean(nodes[nid], point) <= radius for nid in self.scene.nav.locations])
+    def _graph_visible(self, points) -> list[np.ndarray]:
+        nodes, radius, ids = self.scene.graph.nodes, self.model.radius, self.scene.nav.locations
+        return [np.flatnonzero([euclidean(nodes[nid], point) <= radius for nid in ids]) for point in points]
 
-    def _grid_visible(self, sx: int, sy: int) -> np.ndarray:
-        grid = self.scene.grid
-        tx, ty = sx + self._dx, sy + self._dy
-        kept = np.flatnonzero((tx >= 0) & (tx < grid.width) & (ty >= 0) & (ty < grid.height))
+    def _grid_visible(self, keys) -> list[np.ndarray]:
+        grid, reach, keys = self.scene.grid, self._reach, np.array(keys)
+        sy, sx = np.divmod(keys, self._padded.shape[1])
+        tx, ty = (sx - reach)[:, None] + self._dx, (sy - reach)[:, None] + self._dy
+        kept = (tx >= 0) & (tx < grid.width) & (ty >= 0) & (ty < grid.height)
         if self.model.occlusion:
-            clear = self._padded[sy + self._ly[kept], sx + self._lx[kept]] | self._filler[kept]
-            kept = kept[clear.all(axis=1)]
-        return ty[kept] * grid.width + tx[kept]
+            # .all reduces whole rows of steps; a clipped index lies on a line not kept
+            kept &= (self._padded.take(keys[:, None, None] + self._lines, mode="clip") | self._filler).all(axis=1)
+        return [row[mask] for row, mask in zip(ty * grid.width + tx, kept)]
 
 
 def observed_cells(path, scene: Scene | GridWorld, model: ObservationModel) -> set:
@@ -211,10 +232,10 @@ def coverage_curves(
             eps = [episodes_by_id[eid] for eid in tour.episode_ids]
         except KeyError as exc:
             raise MissingEpisode(f"tour {tour.tour_id} references unknown episode {exc}") from None
-        cov = [vis.from_path(ep.path) for ep in eps]
-        region = vis.from_path(point for ep in eps for point in ep.path)
-        _settle_transits(scene, eps)
         seen = [vis.from_path([])]  # seen[k]: the cells seen before episode k + 1
+        cov = [vis.from_path(ep.path) for ep in eps]
+        region = np.logical_or.reduce(seen + cov)  # from_path is a union over points
+        _settle_transits(scene, eps)
         for k, ep in enumerate(eps):
             transit = shortest_path(scene, ep.path[-1], eps[k + 1].path[0]) if k + 1 < len(eps) else []
             seen.append(seen[-1] | cov[k] | vis.from_path(transit))

@@ -242,6 +242,11 @@ class GridWorld:
         """
         point = as_point(point)
         cx, cy = self.cell_index(point)
+        if 0 <= cx < self.width and 0 <= cy < self.height and self.navigable[cy, cx]:
+            d = math.hypot(point.x - (self.origin.x + cx * self.resolution),
+                           point.y - (self.origin.y + cy * self.resolution))
+            if d <= radius and d < self.resolution / 2 - 1e-12:  # any other center is over 1e-12 farther
+                return (cx, cy)
         reach = math.ceil(radius / self.resolution) + 1
         y0, x0 = max(0, cy - reach), max(0, cx - reach)
         y1, x1 = max(y0, min(self.height, cy + reach + 1)), max(x0, min(self.width, cx + reach + 1))

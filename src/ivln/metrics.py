@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .environment import (
-    FORMAT_VERSION, Point3, Scene, as_point, euclidean, geodesic_distance, json_line, read_json_lines,
+    FORMAT_VERSION, Point3, Scene, as_point, euclidean, json_line, read_json_lines,
     require_fields, write_json,
 )
 from .errors import EmptySequence
@@ -308,13 +308,15 @@ def _episode_metrics(trace: EpisodeTrace, cost: float, success_radius: float, d_
     """``episodic_metrics`` given the episode's dtw cost; goal distances
     are geodesic in ``scene``, Euclidean without one."""
     goal = trace.reference_path[-1]
-    to_goal = euclidean if scene is None else lambda a, b: geodesic_distance(scene, a, b)
+    points = [trace.final_position, *trace.agent_path, trace.reference_path[0]]
+    if scene is None:
+        ne, *agent, optimal = (euclidean(goal, p) for p in points)
+    else:  # one row of the goal's field, snapped in the per-point order
+        source, *ids = (scene.nav.id_of[scene.snap_point(p)] for p in [goal, *points])
+        ne, *agent, optimal = scene.nav.settle([(source, ids)])[0][ids].tolist()
     tl = path_length(trace.agent_path)
-    ne = to_goal(goal, trace.final_position)
-    nearest = min(to_goal(goal, p) for p in trace.agent_path)
-    os_ = 1.0 if nearest <= success_radius else 0.0
+    os_ = 1.0 if min(agent) <= success_radius else 0.0
     sr = 1.0 if ne <= success_radius else 0.0
-    optimal = to_goal(goal, trace.reference_path[0])
     if optimal <= 0.0:
         spl = sr
     else:

@@ -31,6 +31,7 @@ LABEL_DOOR = 3
 FURNITURE_LABELS = tuple(range(4, 14))  # ten furniture classes, labels 4..13
 
 MIN_ROOM_SPAN = 5  # interior cells per room axis, below this a layout is rejected
+_BLOCK_ATTEMPTS = 128  # at most as many new fields per draw-ahead block, one array of as many rows
 
 
 @dataclass
@@ -258,9 +259,10 @@ def generate_episodes(scene: Scene, spec: EpisodeSpec, id_prefix: str = "ep") ->
     ``instructions_per_path`` episodes sharing that path.
 
     No draw depends on a distance, so attempts are drawn ahead in blocks
-    of twice the paths still wanted, at most the attempts left of the
-    budget (``_draw_ahead``), and taken in draw order: the episodes and
-    the attempt count are those of one search per attempt.
+    of twice the paths still wanted, doubled after a block with no path,
+    at most ``_BLOCK_ATTEMPTS`` and the attempts left (``_draw_ahead``),
+    and taken in draw order: the episodes and the attempt count are those
+    of one search per attempt.
     """
     rng = random.Random(spec.seed)
     episodes: list[Episode] = []
@@ -270,7 +272,7 @@ def generate_episodes(scene: Scene, spec: EpisodeSpec, id_prefix: str = "ep") ->
     else:
         locations = sorted(scene.graph.nodes)
 
-    attempts = 0
+    attempts, scale, drawn_at = 0, 1, None  # the block's growth, and the episodes held at its last draw
     budget = spec.count * 300
     ahead: list[tuple] = []  # the attempts drawn ahead, the next one last
     while len(episodes) < spec.count * spec.instructions_per_path:
@@ -280,8 +282,10 @@ def generate_episodes(scene: Scene, spec: EpisodeSpec, id_prefix: str = "ep") ->
                 f"wanted {spec.count * spec.instructions_per_path}"
             )
         if not ahead:
+            scale, drawn_at = 2 * scale if len(episodes) == drawn_at else 1, len(episodes)
             wanted = spec.count - len(episodes) // spec.instructions_per_path
-            ahead = _draw_ahead(scene, rng, locations, min(2 * wanted, budget - attempts), spec.length_range[1])[::-1]
+            count = min(2 * wanted * scale, _BLOCK_ATTEMPTS, budget - attempts)
+            ahead = _draw_ahead(scene, rng, locations, count, spec.length_range[1])[::-1]
         attempts += 1
         start, goal, d = ahead.pop()
         if not (spec.length_range[0] <= d <= spec.length_range[1]):

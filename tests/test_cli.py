@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ivln
-from ivln import harness
+from ivln import cli, harness
 from ivln.cli import main
 from ivln.coverage import ObservationModel, coverage_curves
 from ivln.environment import load_scene, save_scene
@@ -359,6 +359,21 @@ def test_max_steps_flag_caps_each_agent_phase(pipeline, tmp_path):
         assert got.actions == want.actions[:5]
         assert got.stop_called == (len(want.actions) <= 5)
 
+
+
+def test_one_parser_reads_each_call_as_a_fresh_one(pipeline, tmp_path, monkeypatch):
+    parsed = []
+    config_from_args = cli._config_from_args
+    monkeypatch.setattr(cli, "_config_from_args", lambda args, keys: parsed.append(args) or config_from_args(args, keys))
+    run = ["run", "--scene", pipeline["scene"], "--tours", pipeline["tours"], "--episodes", pipeline["episodes"],
+           "--policy", "oracle", "--out", tmp_path / "traces.jsonl"]
+    assert run_cli(*run, "--max-steps", 5) == 0
+    assert run_cli("stats", "--tours", pipeline["tours"]) == 0
+    assert run_cli(*run) == 0  # --max-steps defaults to SUPPRESS: absent, not the first call's 5
+    assert cli.build_parser() is cli.build_parser()
+    assert parsed[0].max_steps == 5 and not hasattr(parsed[1], "max_steps")
+    assert vars(parsed[1]) == vars(cli.build_parser.__wrapped__().parse_args([str(a) for a in run]))
+    assert (tmp_path / "traces.jsonl").read_bytes() == pipeline["traces"].read_bytes()
 
 def test_infeasible_exit_code(tmp_path, capsys):
     assert run_cli("gen-env", "--rooms", 0, "--out", tmp_path / "s.json") == 3

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ivln import coverage
 from ivln.coverage import CoverageCurve, ObservationModel, _bresenham, coverage_curves, observed_cells
-from ivln.environment import NavIndex, Point3, Scene
+from ivln.environment import NavIndex, Point3, Scene, shortest_path
 from ivln.errors import Disconnected, MissingEpisode
 from ivln.tourgen import Episode, Tour
 
@@ -110,6 +110,26 @@ def test_stencil_matches_per_cell_scan(seed, occlusion):
     path = [grid.cell_center(source) for source in sources]
     assert observed_cells(path, grid, model) == set().union(*(per_cell_scan(grid, s, model) for s in sources))
 
+
+
+def test_a_path_of_more_sources_than_one_block_sees_their_union(monkeypatch):
+    rng = np.random.default_rng(7)
+    h, w = 12, 14
+    rows = ["".join("." if rng.random() > 0.3 else "#" for _ in range(w)) for _ in range(h)]
+    grid = grid_from_ascii(rows)
+    model = ObservationModel(radius=1.5)
+    reach = math.ceil(model.radius / grid.resolution)
+    blocks = []
+    grid_visible = coverage._Visibility._grid_visible
+    monkeypatch.setattr(coverage._Visibility, "_grid_visible", lambda vis, keys: blocks.append(len(keys))
+                        or grid_visible(vis, keys))
+    # every cell, a ring just off the grid, and cells farther off than reach
+    sources = [(ix, iy) for iy in range(-1, h + 1) for ix in range(-1, w + 1)]
+    sources += [(-reach - 1, 0), (w + reach, h // 2), (w // 2, -reach - 5)]
+    path = [grid.cell_center(source) for source in sources + sources[::3]]  # each third source twice
+    got = observed_cells(path, grid, model)
+    assert len(blocks) > 1 and blocks[0] < (h + 2) * (w + 2)
+    assert got == set().union(*(per_cell_scan(grid, s, model) for s in sources))
 
 def test_wall_occludes_cells_behind_it():
     grid = grid_from_ascii(["....#...."])
@@ -216,6 +236,59 @@ def test_region_pct_is_monotone(synth):
         assert pcts[-1] == pytest.approx(100.0)
     assert {r["n_tours"] for r in curve.records} == {2}
 
+
+
+def reference_curves(tours, by_id, scene, model):
+    """Each tour's records from per-source ``per_cell_scan`` sets: the
+    region is every point's set, an episode's coverage its own points'."""
+    grid = scene.grid
+
+    def seen_from(points):
+        return set().union(*(per_cell_scan(grid, grid.cell_index(p), model) for p in points))
+
+    per_tour = []
+    for tour in tours:
+        eps = [by_id[eid] for eid in tour.episode_ids]
+        region = seen_from(p for e in eps for p in e.path)
+        cov = [seen_from(e.path) for e in eps]
+        seen, records = set(), []
+        for k in range(len(eps) + 1):
+            records.append({
+                "episode_index": k + 1,
+                "upcoming_episode_pct": 100.0 * len(seen & cov[k]) / len(cov[k]) if k < len(eps) else None,
+                "tour_region_pct": 100.0 * len(seen & region) / len(region),
+            })
+            if k < len(eps):
+                transit = shortest_path(scene, eps[k].path[-1], eps[k + 1].path[0]) if k + 1 < len(eps) else []
+                seen |= cov[k] | seen_from(transit)
+        per_tour.append({"tour_id": tour.tour_id, "records": records})
+    return per_tour
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_curves_equal_curves_from_per_cell_scans(seed, occlusion):
+    rng = np.random.default_rng(seed)
+    h, w = (int(n) for n in rng.integers(4, 12, size=2))
+    rows = ["".join("." if rng.random() > 0.25 else "#" for _ in range(w)) for _ in range(h)]
+    scene = scene_from_ascii(rows)
+    nav = scene.nav
+    if not nav.locations:
+        return
+    # episodes in the component of one location, so every transit has a route
+    dist = nav.settle([(0, range(len(nav.locations)))])[0]
+    cells = [nav.locations[i] for i in np.flatnonzero(dist < math.inf)]
+
+    def episode(eid):
+        ends = [cells[i] for i in rng.integers(len(cells), size=2)]
+        inner = [(x + u, y + v) for (x, y), (u, v) in zip(rng.integers(-1, max(w, h) + 1, size=(3, 2)),
+                                                          rng.uniform(-0.5, 0.5, size=(3, 2)))]
+        return ep(eid, [ends[0], *inner, ends[1]])
+
+    by_id = {f"e{k}": episode(f"e{k}") for k in range(6)}
+    tours = [Tour("t0", "ascii", ["e0", "e1", "e2", "e3"]), Tour("t1", "ascii", ["e4", "e5", "e0"])]
+    model = ObservationModel(radius=float(rng.uniform(0.2, 1.2)), occlusion=occlusion)
+    assert coverage_curves(tours, by_id, scene, model).per_tour == reference_curves(tours, by_id, scene, model)
 
 def test_unknown_episode_raises(open_room):
     with pytest.raises(MissingEpisode):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -239,6 +240,35 @@ def test_grid_snap_equals_the_window_scan(grid, radius, data):
     for x, y in data.draw(st.lists(st.one_of(lattice, corner, anywhere, on_radius), min_size=1, max_size=25)):
         assert grid.snap((x, y, 0.0), radius) == scan_snap(grid, (x, y, 0.0), radius), (x, y)
 
+
+
+def every_cell_snap(grid: GridWorld, point, radius):
+    """The scan's rule over every cell of the grid in ``(iy, ix)`` order."""
+    best = None
+    for iy in range(grid.height):
+        for ix in range(grid.width):
+            center = grid.cell_center((ix, iy))
+            d = math.hypot(point[0] - center.x, point[1] - center.y)
+            if grid.navigable[iy, ix] and d <= radius and (best is None or d < best[0] - 1e-12):
+                best = (d, (ix, iy))
+    return None if best is None else best[1]
+
+
+@given(random_grids(), st.sampled_from([(0.0, 0.0), (-1.3, 2.7)]),
+       st.sampled_from([GRID_SNAP_RADIUS, 0.25, 0.125, 0.1]), st.data())
+@settings(max_examples=100)
+def test_grid_snap_near_a_center_equals_every_cell_scan(grid, origin, radius, data):
+    # centers, half-cell boundaries (where the early return must not
+    # fire), points within 1e-12 of them, and cells off the grid
+    grid = dataclasses.replace(grid, origin=(*origin, 0.0))
+    half = grid.resolution / 2
+    offset = st.sampled_from([0.0, 1e-13, -1e-13, 0.1, half, -half, half - 1e-12, -half + 1e-12,
+                              half - 2e-12, half - 5e-13, -half + 5e-13, half + 1e-13])
+    near_center = st.builds(lambda ix, iy, dx, dy: (grid.cell_center((ix, iy)).x + dx,
+                                                    grid.cell_center((ix, iy)).y + dy),
+                            st.integers(-2, grid.width + 1), st.integers(-2, grid.height + 1), offset, offset)
+    for x, y in data.draw(st.lists(near_center, min_size=1, max_size=25)):
+        assert grid.snap((x, y, 0.0), radius) == every_cell_snap(grid, (x, y), radius), (x, y)
 
 def test_graph_snap_tie_prefers_smallest_id():
     graph = NavGraph(

@@ -340,6 +340,33 @@ def test_episodic_metrics_geodesic_goal_distance():
     assert geo.ne > plain.ne
 
 
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40)
+def test_goal_distances_are_the_per_point_geodesic_distances(seed):
+    # the right room is sealed off: its points are infinitely far from a goal on the left
+    rows = ["....#...", "..#.#...", "....#..."]
+    rng = np.random.default_rng(seed)
+    c = scene_from_ascii(rows).grid.cell_center
+    cells = [(ix, iy) for iy in range(3) for ix in range(8) if rows[iy][ix] == "."]
+    goal = c(cells[rng.integers(6)])
+    jitter = lambda cell: tuple(np.add(c(cell), (*rng.uniform(-0.12, 0.12, size=2), 0.0)))  # noqa: E731
+    agent = [jitter(cells[i]) for i in rng.integers(len(cells), size=int(rng.integers(1, 8)))]
+    agent.insert(int(rng.integers(len(agent) + 1)), goal)  # a point on the goal's cell: 0.0
+    agent.insert(int(rng.integers(len(agent) + 1)), c((6, 1)))  # a point it cannot reach: inf
+    trace = EpisodeTrace("e", agent, [jitter(cells[rng.integers(len(cells))]), goal])
+    radius = float(rng.uniform(0.0, 1.0))
+    got = episodic_metrics(trace, scene_from_ascii(rows), success_radius=radius)
+
+    scene = scene_from_ascii(rows)
+    ne = geodesic_distance(scene, goal, trace.final_position)
+    nearest = min(geodesic_distance(scene, goal, p) for p in trace.agent_path)
+    optimal = geodesic_distance(scene, goal, trace.reference_path[0])
+    sr = 1.0 if ne <= radius else 0.0
+    assert (got.ne, got.os_, got.sr) == (ne, 1.0 if nearest <= radius else 0.0, sr)
+    spl = sr if optimal <= 0.0 else sr * optimal / max(optimal, got.tl)  # nan for an unreachable start
+    assert np.array_equal([got.spl], [spl], equal_nan=True)
+
 def geodesic_tour():
     """Two episodes on a wall-split grid, with revisited and tied points."""
     scene = scene_from_ascii(["....#...", "....#...", "....#..."])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivln import syngen
 from ivln.environment import NavIndex, geodesic_distance, scene_to_dict
 from ivln.errors import SamplingExhausted, SpecInfeasible
 from ivln.syngen import (
@@ -222,6 +223,18 @@ def test_exhausted_sampling_reports_the_attempts_of_one_search_per_attempt(kind,
     # some paths were accepted before the budget ran out
     assert not str(batched.value).startswith("sampled 0 ")
 
+
+
+def test_blocks_grow_while_no_path_is_found_up_to_a_bound(monkeypatch):
+    draw_ahead, blocks = syngen._draw_ahead, []
+    monkeypatch.setattr(syngen, "_draw_ahead", lambda *args: blocks.append(draw_ahead(*args)) or blocks[-1])
+    spec = EpisodeSpec(count=3, length_range=(12.0, 12.5), instructions_per_path=2, seed=3)
+    with pytest.raises(SamplingExhausted, match="^sampled 0 episodes in 900 attempts"):
+        generate_episodes(twin("grid", 4, 9), spec)
+    sizes = [len(block) for block in blocks]
+    assert sum(sizes) == 900
+    assert sizes[:6] == [6, 12, 24, 48, 96, syngen._BLOCK_ATTEMPTS]  # twice the paths wanted, then doubled
+    assert max(sizes) == syngen._BLOCK_ATTEMPTS
 
 @given(st.integers(1, 9), st.floats(0.0, 0.5), st.integers(0, 10_000))
 @settings(max_examples=20, derandomize=True)
