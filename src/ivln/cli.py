@@ -58,9 +58,10 @@ def _stats_block(stats) -> str:
     return head + "\n" + row
 
 
-def _config_from_args(args, keys) -> Config:
-    # a flag left out is either absent from args or None
-    overrides = {key: getattr(args, key) for key in keys if hasattr(args, key)}
+def _config(args) -> Config:
+    """Every Config field the subcommand has a flag for, over the config
+    file, over the defaults; a flag left out is either absent from args or None."""
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(Config) if hasattr(args, f.name)}
     return resolve_config(getattr(args, "config", None), overrides)
 
 
@@ -74,14 +75,45 @@ def _max_steps(raw: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expected a step count or none, got {raw!r}") from None
 
 
-def _check_scene(scene, episodes_path, episodes, tours_path=None, tours=()) -> None:
-    """Raise ValueError naming the file, the record and both ids for the
-    first episode, then tour, that belongs to a scene other than ``scene``."""
-    named = [(episodes_path, f"episode {ep.episode_id}", ep.scene_id) for ep in episodes]
-    named += [(tours_path, f"tour {tour.tour_id}", tour.scene_id) for tour in tours]
-    for path, record, scene_id in named:
-        if scene_id != scene.scene_id:
-            raise ValueError(f"{path}: {record} belongs to scene {scene_id!r}, not to {scene.scene_id!r}")
+def _inputs(args) -> argparse.Namespace:
+    """The files the subcommand names, read in the order scene, episodes
+    (by id), tours, traces, each checked once: a file of episodes, tours or
+    traces holds some, episodes and tours belong to the scene, and traces
+    follow the tour file (``_check_complete``)."""
+    scene = load_scene(args.scene) if getattr(args, "scene", None) else None
+    got = argparse.Namespace(scene=scene, episodes={}, tours=[], traces=[])
+    for name, load in (("episodes", load_episodes), ("tours", load_tours),
+                       ("traces", lambda path: read_traces(path, got.episodes))):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        records = load(path)
+        if not records:
+            raise EmptySequence(f"no {'tour traces' if name == 'traces' else name} in {path}")
+        if scene is not None and name != "traces":
+            for rec in records:
+                if rec.scene_id != scene.scene_id:
+                    record = f"episode {rec.episode_id}" if name == "episodes" else f"tour {rec.tour_id}"
+                    raise ValueError(f"{path}: {record} belongs to scene {rec.scene_id!r}, not to {scene.scene_id!r}")
+        setattr(got, name, {ep.episode_id: ep for ep in records} if name == "episodes" else records)
+    if got.tours and got.traces:
+        _check_complete(got.tours, got.traces)
+    return got
+
+
+def _check_complete(tours, traces):
+    """Each traced tour must be in the tour file and trace its episodes,
+    in order; the error names the tour and the first episode that differs."""
+    listed = {tour.tour_id: tour.episode_ids for tour in tours}
+    traced = {t.tour_id: [ep.episode_id for ep in t.episodes] for t in traces}
+    for tid in traced:
+        if tid not in listed:
+            raise MissingEpisode(f"trace holds tour {tid}, which the tour file lacks")
+    for tid, want in listed.items():
+        for i, (got, eid) in enumerate(itertools.zip_longest(traced.get(tid, []), want)):
+            if got != eid:
+                raise MissingEpisode(f"trace of tour {tid} differs from the tour file at episode {i}: "
+                                     f"traced {got or 'nothing'}, listed {eid or 'nothing'}")
 
 
 def cmd_gen_env(args) -> int:
@@ -113,7 +145,7 @@ def cmd_gen_episodes(args) -> int:
         instructions_per_path=args.n,
         seed=args.seed,
     )
-    scene = load_scene(args.scene)
+    scene = _inputs(args).scene
     episodes = generate_episodes(scene, spec)
     save_episodes(episodes, args.out)
     paths = len(unique_paths(episodes))
@@ -122,31 +154,23 @@ def cmd_gen_episodes(args) -> int:
 
 
 def cmd_gen_tours(args) -> int:
-    cfg = _config_from_args(args, ("seed",))
-    scene = load_scene(args.scene)
-    episodes = load_episodes(args.episodes)
-    _check_scene(scene, args.episodes, episodes)
-    if not episodes:
-        raise EmptySequence(f"no episodes in {args.episodes}")
-    tours = build_tours(episodes, scene, cfg.seed)
+    cfg = _config(args)
+    got = _inputs(args)
+    episodes = list(got.episodes.values())
+    tours = build_tours(episodes, got.scene, cfg.seed)
     save_tours(tours, episodes, args.out)
     print(_stats_block(compute_tour_stats(tours)))
     return 0
 
 
 def cmd_run(args) -> int:
-    cfg = _config_from_args(args, ("seed", "policy", "map_mode", "max_steps", "step_timeout"))
+    cfg = _config(args)
     if args.map_out and cfg.map_mode == "none":
         raise ValueError("--map-out needs --map episodic|iterative|known")
-    scene = load_scene(args.scene)
-    episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
-    tours = load_tours(args.tours)
-    _check_scene(scene, args.episodes, episodes_by_id.values(), args.tours, tours)
-    if not tours:
-        raise EmptySequence(f"no tours in {args.tours}")
-    policy = make_policy(cfg.policy, scene, episodes_by_id, cfg)
+    got = _inputs(args)
+    policy = make_policy(cfg.policy, got.scene, got.episodes, cfg)
     try:
-        traces, occ_map = run_tours(scene, tours, episodes_by_id, policy, cfg, keep_map=bool(args.map_out))
+        traces, occ_map = run_tours(got.scene, got.tours, got.episodes, policy, cfg, keep_map=bool(args.map_out))
     except (PolicyTimeout, ProtocolViolation) as exc:
         write_traces(exc.partial_traces, args.out)
         print(f"error: policy failed: {exc}", file=sys.stderr)
@@ -161,38 +185,14 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _check_complete(tours, traces):
-    """Each traced tour must be in the tour file and trace its episodes,
-    in order; the error names the tour and the first episode that differs."""
-    listed = {tour.tour_id: tour.episode_ids for tour in tours}
-    traced = {t.tour_id: [ep.episode_id for ep in t.episodes] for t in traces}
-    for tid in traced:
-        if tid not in listed:
-            raise MissingEpisode(f"trace holds tour {tid}, which the tour file lacks")
-    for tid, want in listed.items():
-        for i, (got, eid) in enumerate(itertools.zip_longest(traced.get(tid, []), want)):
-            if got != eid:
-                raise MissingEpisode(f"trace of tour {tid} differs from the tour file at episode {i}: "
-                                     f"traced {got or 'nothing'}, listed {eid or 'nothing'}")
-
-
 def cmd_eval(args) -> int:
-    cfg = _config_from_args(args, ("d_th", "success_radius", "geodesic"))
+    cfg = _config(args)
     if cfg.geodesic and not args.scene:
         raise ValueError("--geodesic needs --scene")
-    scene = load_scene(args.scene) if args.scene else None
-    episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
-    tours = load_tours(args.tours) if args.tours else []
-    if scene is not None:
-        _check_scene(scene, args.episodes, episodes_by_id.values(), args.tours, tours)
-    traces = read_traces(args.traces, episodes_by_id)
-    if not traces:
-        raise EmptySequence(f"no tour traces in {args.traces}")
-    if args.tours:
-        _check_complete(tours, traces)
+    got = _inputs(args)
     report = build_report(
-        traces,
-        scene=scene,
+        got.traces,
+        scene=got.scene,
         success_radius=cfg.success_radius,
         d_th=cfg.d_th,
         geodesic=cfg.geodesic,
@@ -212,17 +212,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    cfg = _config_from_args(args, ("radius",))
-    if args.occlusion is not None:
-        cfg.occlusion = args.occlusion == "on"
-    scene = load_scene(args.scene)
-    episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
-    tours = load_tours(args.tours)
-    _check_scene(scene, args.episodes, episodes_by_id.values(), args.tours, tours)
-    if not tours:
-        raise EmptySequence(f"no tours in {args.tours}")
+    cfg = _config(args)
+    got = _inputs(args)
     model = ObservationModel(radius=cfg.radius, occlusion=cfg.occlusion)
-    curve = coverage_curves(tours, episodes_by_id, scene, model)
+    curve = coverage_curves(got.tours, got.episodes, got.scene, model)
     curve.save_csv(args.out)
     if args.json:
         curve.save_json(args.json)
@@ -231,10 +224,7 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    tours = load_tours(args.tours)
-    if not tours:
-        raise EmptySequence(f"no tours in {args.tours}")
-    stats = compute_tour_stats(tours)
+    stats = compute_tour_stats(_inputs(args).tours)
     print(_stats_block(stats))
     if args.out:
         write_json(args.out, {"format_version": FORMAT_VERSION, **dataclasses.asdict(stats)})
@@ -242,18 +232,20 @@ def cmd_stats(args) -> int:
 
 
 def cmd_build_map(args) -> int:
-    cfg = dataclasses.replace(_config_from_args(args, ()), map_mode=args.mode)
-    scene = load_scene(args.scene)
-    episodes_by_id = {ep.episode_id: ep for ep in load_episodes(args.episodes)}
-    _check_scene(scene, args.episodes, episodes_by_id.values())
-    traces = read_traces(args.traces, episodes_by_id)
-    if not traces:
-        raise EmptySequence(f"no tour traces in {args.traces}")
-    for i, trace in enumerate(traces):
-        occ_map = replay_tour(scene, trace, episodes_by_id, cfg, keep_map=i == len(traces) - 1)
+    cfg = _config(args)
+    got = _inputs(args)
+    for i, trace in enumerate(got.traces):
+        occ_map = replay_tour(got.scene, trace, got.episodes, cfg, keep_map=i == len(got.traces) - 1)
     save_map(occ_map, args.out)
-    print(f"map snapshot ({args.mode}) -> {args.out}")
+    print(f"map snapshot ({cfg.map_mode}) -> {args.out}")
     return 0
+
+
+class _OnOff(argparse.Action):
+    """An ``on``/``off`` choice stored as a bool."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values == "on")
 
 
 def _add_config_flag(sub):
@@ -330,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--radius", type=float)
-    p.add_argument("--occlusion", choices=["on", "off"])
+    p.add_argument("--occlusion", choices=["on", "off"], action=_OnOff)
     p.add_argument("--out", required=True)
     p.add_argument("--json", help="also write per-tour detail")
     _add_config_flag(p)
@@ -345,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--traces", required=True)
     p.add_argument("--episodes", required=True)
-    p.add_argument("--mode", choices=MAP_MODES, default="iterative")
+    p.add_argument("--mode", choices=MAP_MODES, default="iterative", dest="map_mode")
     p.add_argument("--out", required=True)
     _add_config_flag(p)
     p.set_defaults(func=cmd_build_map)

@@ -363,8 +363,8 @@ def test_max_steps_flag_caps_each_agent_phase(pipeline, tmp_path):
 
 def test_one_parser_reads_each_call_as_a_fresh_one(pipeline, tmp_path, monkeypatch):
     parsed = []
-    config_from_args = cli._config_from_args
-    monkeypatch.setattr(cli, "_config_from_args", lambda args, keys: parsed.append(args) or config_from_args(args, keys))
+    config = cli._config
+    monkeypatch.setattr(cli, "_config", lambda args: parsed.append(args) or config(args))
     run = ["run", "--scene", pipeline["scene"], "--tours", pipeline["tours"], "--episodes", pipeline["episodes"],
            "--policy", "oracle", "--out", tmp_path / "traces.jsonl"]
     assert run_cli(*run, "--max-steps", 5) == 0
