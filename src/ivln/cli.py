@@ -5,6 +5,10 @@ synthetic inputs, gen-tours orders them into tours, run executes a
 policy over the tours, eval scores the traces, coverage and stats emit
 plot-ready CSV, and build-map replays a trace into a map snapshot.
 
+Every subcommand reads its files through one path, ``_inputs``, which
+cross-checks them and names the file of any input error, and its
+settings through one, ``_config``.
+
 Exit codes: 0 success, 1 policy failure during run (partial traces are
 flushed first), 2 unreadable or invalid input, 3 infeasible request.
 """
@@ -15,6 +19,7 @@ import argparse
 import dataclasses
 import functools
 import itertools
+import math
 import sys
 
 from .config import Config, resolve_config
@@ -79,22 +84,29 @@ def _inputs(args) -> argparse.Namespace:
     """The files the subcommand names, read in the order scene, episodes
     (by id), tours, traces, each checked once: a file of episodes, tours or
     traces holds some, episodes and tours belong to the scene, and traces
-    follow the tour file (``_check_complete``)."""
-    scene = load_scene(args.scene) if getattr(args, "scene", None) else None
-    got = argparse.Namespace(scene=scene, episodes={}, tours=[], traces=[])
-    for name, load in (("episodes", load_episodes), ("tours", load_tours),
+    follow the tour file (``_check_complete``).  A KeyError, TypeError or
+    ValueError raised in reading a file comes out as a ValueError that
+    starts with the file's path."""
+    got = argparse.Namespace(scene=None, episodes={}, tours=[], traces=[])
+    for name, load in (("scene", load_scene), ("episodes", load_episodes), ("tours", load_tours),
                        ("traces", lambda path: read_traces(path, got.episodes))):
         path = getattr(args, name, None)
         if path is None:
             continue
-        records = load(path)
+        try:
+            records = load(path)
+        except (KeyError, TypeError, ValueError) as exc:
+            if str(exc).startswith(str(path)):
+                raise
+            raise ValueError(f"{path}: {exc}") from None
         if not records:
             raise EmptySequence(f"no {'tour traces' if name == 'traces' else name} in {path}")
-        if scene is not None and name != "traces":
+        if got.scene is not None and name != "traces":
             for rec in records:
-                if rec.scene_id != scene.scene_id:
+                if rec.scene_id != got.scene.scene_id:
                     record = f"episode {rec.episode_id}" if name == "episodes" else f"tour {rec.tour_id}"
-                    raise ValueError(f"{path}: {record} belongs to scene {rec.scene_id!r}, not to {scene.scene_id!r}")
+                    raise ValueError(f"{path}: {record} belongs to scene {rec.scene_id!r}, "
+                                     f"not to {got.scene.scene_id!r}")
         setattr(got, name, {ep.episode_id: ep for ep in records} if name == "episodes" else records)
     if got.tours and got.traces:
         _check_complete(got.tours, got.traces)
@@ -198,6 +210,12 @@ def cmd_eval(args) -> int:
         geodesic=cfg.geodesic,
         config=cfg.to_dict(),
     )
+    if got.scene is not None:  # a goal out of reach makes a row's SPL NaN or its NE infinite
+        for row in report.per_episode:
+            cause = ("the reference start" if math.isnan(row["spl"]) else
+                     "the final position" if math.isinf(row["ne"]) else None)
+            if cause:
+                raise ValueError(f"tour {row['tour_id']} episode {row['episode_id']}: {cause} does not reach the goal")
     report.save_json(args.out)
     if args.csv:
         report.save_csv(args.csv)

@@ -249,7 +249,9 @@ class GridWorld:
                 return (cx, cy)
         reach = math.ceil(radius / self.resolution) + 1
         y0, x0 = max(0, cy - reach), max(0, cx - reach)
-        y1, x1 = max(y0, min(self.height, cy + reach + 1)), max(x0, min(self.width, cx + reach + 1))
+        y1, x1 = min(self.height, cy + reach + 1), min(self.width, cx + reach + 1)
+        if y0 >= y1 or x0 >= x1:  # the window misses the grid: no index arithmetic on a far-off cell
+            return None
         iys, ixs = np.nonzero(self.navigable[y0:y1, x0:x1])  # row-major: (iy, ix) order
         iys += y0
         ixs += x0
@@ -605,13 +607,16 @@ def connectivity_matrix(scene: Scene, endpoints: Sequence[tuple[Sequence[float],
 
 
 def json_line(record) -> str:
-    """``record`` in canonical form, newline included."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    """``record`` in canonical form, newline included; raises ValueError
+    for NaN or an infinity, which standard JSON cannot hold."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def write_json(path, payload) -> None:
+    """Write ``payload`` as one line; a payload ``json_line`` refuses leaves no file."""
+    text = json_line(payload)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_line(payload))
+        fh.write(text)
 
 
 def read_json(path):
@@ -645,6 +650,16 @@ def require_fields(record: dict, names, where: str) -> None:
     for name in names:
         if name not in record:
             raise ValueError(f"{where}: missing field {name!r}")
+
+
+def require_ids(record, names, where: str) -> None:
+    """Raise ValueError naming ``where`` and the field for the first of
+    ``names`` whose value in ``record`` (a dict, or a list and its indices)
+    is not an id: a string or an integer, and not a bool."""
+    for name in names:
+        value = record[name]
+        if isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise ValueError(f"{where}: field {name!r} must be a string or an integer, got {value!r}")
 
 
 def encode_bitmask(mask: np.ndarray) -> str:
@@ -706,11 +721,13 @@ def scene_to_dict(scene: Scene) -> dict:
 
 def scene_from_dict(payload: dict, where: str = "scene") -> Scene:
     """Inverse of ``scene_to_dict``; raises ValueError naming ``where`` and
-    the field for a missing field or an unknown scene type."""
+    the field for a missing field, a ``scene_id`` that is not an id
+    (``require_ids``) or an unknown scene type."""
     require_fields(payload, ("type",), where)
     kind = payload["type"]
     if kind == "graph":
         require_fields(payload, ("scene_id", "nodes", "edges"), where)
+        require_ids(payload, ("scene_id",), where)
         graph = NavGraph(
             nodes={k: tuple(v) for k, v in payload["nodes"].items()},
             edges=[tuple(e) for e in payload["edges"]],
@@ -719,6 +736,7 @@ def scene_from_dict(payload: dict, where: str = "scene") -> Scene:
     if kind == "grid":
         require_fields(payload, ("scene_id", "resolution", "origin", "width", "height", "navigable", "semantic",
                                  "floor_z", "ceiling_z"), where)
+        require_ids(payload, ("scene_id",), where)
         shape = (payload["height"], payload["width"])
         grid = GridWorld(
             resolution=payload["resolution"],

@@ -47,7 +47,7 @@ import numpy as np
 
 from .environment import (
     FORMAT_VERSION, Point3, Scene, as_point, euclidean, json_line, read_json_lines,
-    require_fields, write_json,
+    require_fields, require_ids, write_json,
 )
 from .errors import EmptySequence
 
@@ -366,7 +366,8 @@ def read_traces(path, episodes_by_id: dict) -> list[TourTrace]:
     Each agent record takes its reference path from ``episodes_by_id``,
     and each oracle record joins the segments of the agent record it
     follows.  Raises ValueError naming the line of a record that lacks a
-    field, of a record whose phase is neither ``agent`` nor an oracle
+    field or whose ``tour_id`` or ``episode_id`` is not a string or an
+    integer, of a record whose phase is neither ``agent`` nor an oracle
     phase, of an agent record whose episode the set lacks, and of an
     oracle record that does not follow an agent record of its own tour
     and episode, and naming both lines of a second agent record of one
@@ -379,6 +380,7 @@ def read_traces(path, episodes_by_id: dict) -> list[TourTrace]:
     for number, rec in read_json_lines(path):
         where = f"{path} line {number}"
         require_fields(rec, ("tour_id", "episode_id", "phase", "points", "actions"), where)
+        require_ids(rec, ("tour_id", "episode_id"), where)
         tid, eid, phase = rec["tour_id"], rec["episode_id"], rec["phase"]
         try:
             points = [as_point(p) for p in rec["points"]]

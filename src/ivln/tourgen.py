@@ -25,7 +25,7 @@ import numpy as np
 
 from .environment import (
     FORMAT_VERSION, Point3, Scene, as_point, connectivity_matrix, normalize_heading, read_json, require_fields,
-    write_json,
+    require_ids, write_json,
 )
 from .errors import Disconnected, EmptySequence, InstructionCountMismatch, MissingEpisode, SizeLimit
 
@@ -107,19 +107,24 @@ def load_episodes(path) -> list[Episode]:
     k > 1 instructions becomes episodes ``<episode_id>_0`` ..
     ``<episode_id>_<k-1>``; a record with one keeps its ``episode_id``.
     Raises ValueError naming the file, the record's index and the field
-    for a missing field, TypeError or ValueError for a field of the wrong
-    form (a path point's naming the record), ValueError when a record's
-    ``instruction_ids`` and ``instructions`` differ in number, and
-    ValueError naming both records when an episode id repeats one of an
-    earlier record.
+    for a missing field or for an id (``episode_id``, ``path_id``,
+    ``scan``, each instruction id) that is not a string or an integer
+    (``require_ids``; an integer becomes its text), TypeError or
+    ValueError for a field of the wrong form (a path point's naming the
+    record), ValueError when a record's ``instruction_ids`` and
+    ``instructions`` differ in number, and ValueError naming both records
+    when an episode id repeats one of an earlier record.
     """
     payload = read_json(path)
     require_fields(payload, ("episodes",), str(path))
     episodes = []
     record_of: dict[str, int] = {}
     for index, record in enumerate(payload["episodes"]):
-        require_fields(record, _EPISODE_FIELDS, f"{path} episode record {index}")
+        where = f"{path} episode record {index}"
+        require_fields(record, _EPISODE_FIELDS, where)
+        require_ids(record, ("episode_id", "path_id", "scan"), where)
         instructions, ids = record["instructions"], record["instruction_ids"]
+        require_ids(ids, range(len(ids)), f"{where} instruction_ids")
         if len(ids) != len(instructions):
             raise ValueError(
                 f"episode {record['episode_id']}: {len(ids)} instruction_ids "
@@ -128,12 +133,12 @@ def load_episodes(path) -> list[Episode]:
         try:
             points = [as_point(p) for p in record["path"]]
         except (TypeError, ValueError) as exc:
-            raise type(exc)(f"{path} episode record {index}: {exc}") from None
+            raise type(exc)(f"{where}: {exc}") from None
         for k, (text, instruction_id) in enumerate(zip(instructions, ids)):
             episode_id = f"{record['episode_id']}_{k}" if len(ids) > 1 else str(record["episode_id"])
             earlier = record_of.setdefault(episode_id, index)
             if earlier != index:
-                raise ValueError(f"{path} episode record {index}: episode id {episode_id} repeats record {earlier}")
+                raise ValueError(f"{where}: episode id {episode_id} repeats record {earlier}")
             episodes.append(
                 Episode(
                     episode_id=episode_id,
@@ -476,8 +481,10 @@ def save_tours(tours: list[Tour], episodes: list[Episode], path) -> None:
 def load_tours(path) -> list[Tour]:
     """Read a tour file as ``save_tours`` writes it; raises ValueError
     naming the file, the record's index and the field for a missing
-    field, and naming the earlier record or entry for a tour id that
-    repeats or an episode listed twice in one tour."""
+    field or an id (``tour_id``, ``scene_id``, an entry's ``episode_id``)
+    that is not a string or an integer, and naming the earlier record or
+    entry for a tour id that repeats or an episode listed twice in one
+    tour."""
     payload = read_json(path)
     require_fields(payload, ("tours",), str(path))
     tours = []
@@ -485,12 +492,14 @@ def load_tours(path) -> list[Tour]:
     for index, rec in enumerate(payload["tours"]):
         where = f"{path} tour record {index}"
         require_fields(rec, ("tour_id", "scene_id", "episodes"), where)
+        require_ids(rec, ("tour_id", "scene_id"), where)
         earlier = record_of.setdefault(rec["tour_id"], index)
         if earlier != index:
             raise ValueError(f"{where}: tour id {rec['tour_id']} repeats record {earlier}")
         entry_of: dict[str, int] = {}
         for k, entry in enumerate(rec["episodes"]):
             require_fields(entry, ("episode_id",), f"{where} episode entry")
+            require_ids(entry, ("episode_id",), f"{where} episode entry {k}")
             earlier = entry_of.setdefault(entry["episode_id"], k)
             if earlier != k:
                 raise ValueError(f"{where} episode entry {k}: episode {entry['episode_id']} repeats entry {earlier}")

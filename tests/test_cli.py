@@ -14,8 +14,10 @@ from ivln import cli, harness
 from ivln.cli import main
 from ivln.coverage import ObservationModel, coverage_curves
 from ivln.environment import load_scene, save_scene
-from ivln.metrics import read_traces
-from ivln.tourgen import Tour, load_episodes, load_tours, save_episodes, save_tours
+from ivln.metrics import EpisodeTrace, TourTrace, read_traces, write_traces
+from ivln.tourgen import Episode, Tour, load_episodes, load_tours, save_episodes, save_tours
+
+from conftest import scene_from_ascii
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -522,6 +524,24 @@ def test_eval_reports_missing_episodes(pipeline, tmp_path, capsys):
         assert first_tour in err and named in err
 
 
+@pytest.mark.parametrize("start, final, cause", [
+    ((6, 1), (1, 1), "the reference start"),  # SPL would be NaN
+    ((1, 1), (6, 1), "the final position"),  # NE would be infinite
+])
+def test_eval_refuses_an_episode_whose_goal_is_out_of_reach(tmp_path, capsys, start, final, cause):
+    scene = scene_from_ascii(["....#...", "....#...", "....#..."], scene_id="sealed")  # the right room is sealed
+    c = scene.grid.cell_center
+    reference = [c(start), c((2, 1)), c((0, 1))]
+    files = {name: tmp_path / name for name in ("scene.json", "episodes.json", "traces.jsonl", "r.json")}
+    save_scene(scene, files["scene.json"])
+    save_episodes([Episode("e", "p", "sealed", reference, 0.0, "i", "go left")], files["episodes.json"])
+    write_traces([TourTrace("t", [EpisodeTrace("e", [c(start), c(final)], reference)])], files["traces.jsonl"])
+    assert run_cli("eval", "--traces", files["traces.jsonl"], "--episodes", files["episodes.json"],
+                   "--scene", files["scene.json"], "--out", files["r.json"]) == 2
+    assert f"error: tour t episode e: {cause} does not reach the goal" in capsys.readouterr().err
+    assert not files["r.json"].exists()
+
+
 def eval_flags(pipeline, kind):
     return {"alone": [], "tours": ["--tours", pipeline["tours"]], "scene": ["--scene", pipeline["scene"]],
             "geodesic": ["--scene", pipeline["scene"], "--geodesic"]}[kind]
@@ -564,6 +584,20 @@ def test_a_non_finite_episode_path_point_is_bad_input(pipeline, tmp_path, capsys
     assert not tours.exists()
 
 
+def test_a_far_off_episode_path_point_fails_to_snap(pipeline, tmp_path, capsys):
+    def far_point(data):
+        data["episodes"][0]["path"][1][0] = 10**30
+        return data
+
+    far = edited_episodes(pipeline, tmp_path, far_point)
+    out = tmp_path / "r.json"
+    assert run_cli("eval", "--traces", pipeline["traces"], "--episodes", far, "--scene", pipeline["scene"],
+                   "--geodesic", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "error: no navigable location within" in err and "(1e+30, " in err
+    assert not out.exists()
+
+
 def test_an_episode_id_repeated_across_records_is_bad_input(pipeline, tmp_path, capsys):
     payload = json.loads(pipeline["episodes"].read_text())
     records = payload["episodes"]
@@ -585,6 +619,38 @@ def test_a_repeated_tour_id_is_bad_input(pipeline, tmp_path, capsys):
                    "--policy", "oracle", "--out", traces) == 2
     assert f"{tours} tour record 1: tour id {first} repeats record 0" in capsys.readouterr().err
     assert not traces.exists()
+
+
+def test_a_non_finite_tour_id_is_bad_input_and_writes_no_trace(pipeline, tmp_path, capsys):
+    payload = json.loads(pipeline["tours"].read_text())
+    payload["tours"][0]["tour_id"] = math.inf
+    tours, traces = tmp_path / "tours.json", tmp_path / "traces.jsonl"
+    tours.write_text(json.dumps(payload))  # the bare Infinity token that json.load accepts
+    assert run_cli("run", "--scene", pipeline["scene"], "--tours", tours, "--episodes", pipeline["episodes"],
+                   "--policy", "oracle", "--out", traces) == 2
+    assert f"{tours} tour record 0: field 'tour_id' must be a string or an integer, got inf" in capsys.readouterr().err
+    assert not traces.exists()
+
+
+def test_a_nan_scene_id_is_bad_input(pipeline, tmp_path, capsys):
+    payload = json.loads(pipeline["scene"].read_text())
+    payload["scene_id"] = math.nan
+    scene, out = tmp_path / "scene.json", tmp_path / "episodes.json"
+    scene.write_text(json.dumps(payload))
+    assert run_cli("gen-episodes", "--scene", scene, "--out", out) == 2
+    assert f"{scene}: field 'scene_id' must be a string or an integer, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [{}, True, 2.5], ids=["object", "bool", "float"])
+def test_a_tour_entry_episode_id_that_is_not_an_id_is_named(pipeline, tmp_path, capsys, value):
+    payload = json.loads(pipeline["tours"].read_text())
+    payload["tours"][0]["episodes"][1]["episode_id"] = value
+    tours = tmp_path / "tours.json"
+    tours.write_text(json.dumps(payload))
+    assert run_cli("stats", "--tours", tours) == 2
+    assert (f"{tours} tour record 0 episode entry 1: field 'episode_id' must be a string or an integer, got {value!r}"
+            in capsys.readouterr().err)
 
 
 def test_an_episode_listed_twice_in_one_tour_is_bad_input(pipeline, tmp_path, capsys):
@@ -773,6 +839,17 @@ def test_a_missing_trace_field_is_named_with_its_file_and_line(pipeline, tmp_pat
     assert f"error: {edited} line {index + 1}: missing field {field!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("tour_id", True), ("episode_id", None)])
+def test_a_trace_id_that_is_not_an_id_is_named_with_its_line(pipeline, tmp_path, capsys, field, value):
+    records = [json.loads(line) for line in pipeline["traces"].read_text().splitlines()]
+    records[1][field] = value
+    edited = tmp_path / "traces.jsonl"
+    edited.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert run_cli("eval", "--traces", edited, "--episodes", pipeline["episodes"], "--out", tmp_path / "r.json") == 2
+    assert (f"error: {edited} line 2: field {field!r} must be a string or an integer, got {value!r}"
+            in capsys.readouterr().err)
+
+
 def test_build_map_replays_to_identical_snapshot(pipeline, tmp_path):
     live = tmp_path / "live.json"
     traces = tmp_path / "mapped.jsonl"
@@ -829,8 +906,10 @@ def test_scene_payload_that_does_not_fit_is_bad_input(pipeline, tmp_path, capsys
     ("episode record", " episode record 0: expected a JSON object"),
     ("tour record", " tour record 0: expected a JSON object"),
     ("trace line", " line 2: expected a JSON object"),
+    ("floor_z list", ": bad operand type for abs(): 'list'"),
+    ("semantic", ": Invalid base64-encoded string"),
 ], ids=["list", "no type", "mesh", "grid without resolution", "graph without edges", "truncated", "number",
-        "string", "tour file number", "episode record", "tour record", "trace line"])
+        "string", "tour file number", "episode record", "tour record", "trace line", "floor_z list", "semantic"])
 def test_a_malformed_scene_file_is_bad_input_and_named(pipeline, tmp_path, capsys, case, message):
     # the scene cases run gen-episodes; the last four are other files whose records are not objects
     grid, graph = (json.loads(pipeline[key].read_text()) for key in ("scene", "graph"))
@@ -848,6 +927,8 @@ def test_a_malformed_scene_file_is_bad_input_and_named(pipeline, tmp_path, capsy
         "episode record": '{"episodes": [5]}',
         "tour record": '{"tours": [5]}',
         "trace line": f"{first_trace}\n5\n",
+        "floor_z list": json.dumps({**grid, "floor_z": []}),
+        "semantic": json.dumps({**grid, "semantic": "x"}),
     }[case]
     bad = tmp_path / "input.json"
     bad.write_text(text)

@@ -28,6 +28,7 @@ from ivln.environment import (
     scene_from_dict,
     scene_to_dict,
     shortest_path,
+    write_json,
 )
 from ivln.errors import Disconnected, SnapFailure
 from ivln.metrics import _geodesic_costs
@@ -269,6 +270,21 @@ def test_grid_snap_near_a_center_equals_every_cell_scan(grid, origin, radius, da
                             st.integers(-2, grid.width + 1), st.integers(-2, grid.height + 1), offset, offset)
     for x, y in data.draw(st.lists(near_center, min_size=1, max_size=25)):
         assert grid.snap((x, y, 0.0), radius) == every_cell_snap(grid, (x, y), radius), (x, y)
+
+def test_grid_snap_of_a_far_off_point_is_none():
+    # far enough off that the window's first index does not fit an index array
+    grid = scene_from_ascii(["..", ".."]).grid
+    for point in [(1e30, 0.0, 0.0), (0.0, 1e30, 0.0), (-1e30, 0.0, 0.0), (10**30, 10**30, 0), (1e18, 0.0, 0.0)]:
+        assert grid.snap(point) is None, point
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_a_non_finite_number_and_leaves_no_file(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"points": [[0.0, value, 0.0]]})
+    assert not path.exists()
+
 
 def test_graph_snap_tie_prefers_smallest_id():
     graph = NavGraph(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -282,6 +283,30 @@ def test_episode_io_round_trip(tmp_path, synth):
     payload = json.loads(out.read_text())
     rec = payload["episodes"][0]
     assert isinstance(rec["instructions"], list) and len(rec["instructions"]) == 3
+
+
+INTEGER_IDS = {"episode_id": 7, "path_id": 3, "scan": 5, "path": [[0.0, 0.0, 0.0]], "heading": 0.0,
+               "instructions": ["go", "stop"], "instruction_ids": [11, 12]}
+
+
+def test_integer_ids_load_as_text(tmp_path):
+    path = tmp_path / "episodes.json"
+    path.write_text(json.dumps({"episodes": [INTEGER_IDS]}))
+    back = load_episodes(path)
+    assert [(ep.episode_id, ep.path_id, ep.scene_id, ep.instruction_id) for ep in back] == [
+        ("7_0", "3", "5", "11"), ("7_1", "3", "5", "12")]
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("scan", True, ": field 'scan'"), ("path_id", None, ": field 'path_id'"),
+    ("episode_id", 1.0, ": field 'episode_id'"), ("instruction_ids", [11, [12]], " instruction_ids: field 1"),
+])
+def test_an_episode_id_that_is_not_a_string_or_an_integer_is_named(tmp_path, field, value, named):
+    path = tmp_path / "episodes.json"
+    path.write_text(json.dumps({"episodes": [{**INTEGER_IDS, field: value}]}))
+    message = f"{path} episode record 0{named} must be a string or an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_episodes(path)
 
 
 def test_tour_io_round_trip(tmp_path, synth):
