@@ -64,8 +64,8 @@ def _stats_block(stats) -> str:
 
 
 def _config(args) -> Config:
-    """Every Config field the subcommand has a flag for, over the config
-    file, over the defaults; a flag left out is either absent from args or None."""
+    """Each Config field the subcommand has a flag for: the flag over the config
+    file over the default, where a flag left out is absent from args or None."""
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(Config) if hasattr(args, f.name)}
     return resolve_config(getattr(args, "config", None), overrides)
 
@@ -101,7 +101,7 @@ def _inputs(args) -> argparse.Namespace:
             raise ValueError(f"{path}: {exc}") from None
         if not records:
             raise EmptySequence(f"no {'tour traces' if name == 'traces' else name} in {path}")
-        if got.scene is not None and name != "traces":
+        if got.scene is not None and name in ("episodes", "tours"):
             for rec in records:
                 if rec.scene_id != got.scene.scene_id:
                     record = f"episode {rec.episode_id}" if name == "episodes" else f"tour {rec.tour_id}"

@@ -902,14 +902,14 @@ def test_scene_payload_that_does_not_fit_is_bad_input(pipeline, tmp_path, capsys
     ("truncated", " line 1: Expecting value (column 10)"),
     ("number", ": expected a JSON object"),
     ("string", ": expected a JSON object"),
+    ("floor_z list", ": bad operand type for abs(): 'list'"),
+    ("semantic", ": Invalid base64-encoded string"),
     ("tour file number", ": expected a JSON object"),
     ("episode record", " episode record 0: expected a JSON object"),
     ("tour record", " tour record 0: expected a JSON object"),
     ("trace line", " line 2: expected a JSON object"),
-    ("floor_z list", ": bad operand type for abs(): 'list'"),
-    ("semantic", ": Invalid base64-encoded string"),
 ], ids=["list", "no type", "mesh", "grid without resolution", "graph without edges", "truncated", "number",
-        "string", "tour file number", "episode record", "tour record", "trace line", "floor_z list", "semantic"])
+        "string", "floor_z list", "semantic", "tour file number", "episode record", "tour record", "trace line"])
 def test_a_malformed_scene_file_is_bad_input_and_named(pipeline, tmp_path, capsys, case, message):
     # the scene cases run gen-episodes; the last four are other files whose records are not objects
     grid, graph = (json.loads(pipeline[key].read_text()) for key in ("scene", "graph"))
@@ -923,12 +923,12 @@ def test_a_malformed_scene_file_is_bad_input_and_named(pipeline, tmp_path, capsy
         "truncated": '{"type": ',
         "number": "5",
         "string": '"grid type"',
+        "floor_z list": json.dumps({**grid, "floor_z": []}),
+        "semantic": json.dumps({**grid, "semantic": "x"}),
         "tour file number": "5",
         "episode record": '{"episodes": [5]}',
         "tour record": '{"tours": [5]}',
         "trace line": f"{first_trace}\n5\n",
-        "floor_z list": json.dumps({**grid, "floor_z": []}),
-        "semantic": json.dumps({**grid, "semantic": "x"}),
     }[case]
     bad = tmp_path / "input.json"
     bad.write_text(text)
