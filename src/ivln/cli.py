@@ -10,7 +10,8 @@ cross-checks them and names the file of any input error, and its
 settings through one, ``_config``.
 
 Exit codes: 0 success, 1 policy failure during run (partial traces are
-flushed first), 2 unreadable or invalid input, 3 infeasible request.
+flushed first), 2 bad input (OSError or ValueError only), 3 infeasible
+request (IvlnError); any other exception escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .tourgen import (
     unique_paths,
 )
 
-# json.JSONDecodeError is a ValueError
-_PARSE_ERRORS = (OSError, KeyError, ValueError, TypeError)
+# bad input: a file that cannot be read, or a value that is not of its form
+_PARSE_ERRORS = (OSError, ValueError)
 
 
 def _stats_block(stats) -> str:
@@ -84,9 +85,8 @@ def _inputs(args) -> argparse.Namespace:
     """The files the subcommand names, read in the order scene, episodes
     (by id), tours, traces, each checked once: a file of episodes, tours or
     traces holds some, episodes and tours belong to the scene, and traces
-    follow the tour file (``_check_complete``).  A KeyError, TypeError or
-    ValueError raised in reading a file comes out as a ValueError that
-    starts with the file's path."""
+    follow the tour file (``_check_complete``).  A ValueError raised in
+    reading a file starts with the file's path."""
     got = argparse.Namespace(scene=None, episodes={}, tours=[], traces=[])
     for name, load in (("scene", load_scene), ("episodes", load_episodes), ("tours", load_tours),
                        ("traces", lambda path: read_traces(path, got.episodes))):
@@ -95,7 +95,7 @@ def _inputs(args) -> argparse.Namespace:
             continue
         try:
             records = load(path)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             if str(exc).startswith(str(path)):
                 raise
             raise ValueError(f"{path}: {exc}") from None

@@ -73,6 +73,8 @@ _NEIGHBORS_8 = (
 Cell = tuple[int, int]
 
 _TEXT = (str, bytes)
+_REAL = (int, float)
+_FLOAT_MAX = sys.float_info.max
 
 
 class Point3(NamedTuple):
@@ -642,24 +644,73 @@ def read_json_lines(path) -> Iterator[tuple[int, object]]:
                 yield number, record
 
 
-def require_fields(record: dict, names, where: str) -> None:
-    """Raise ValueError naming ``where`` when ``record`` is not a JSON
-    object, or naming it and the first of ``names`` that ``record`` lacks."""
-    if not isinstance(record, dict):
+# input records: a reader checks each through ``read_fields`` against a
+# schema of field name -> kind, a function of the JSON value that returns
+# it checked (an id as its text, a number as a float, a point as a Point3)
+# or raises ValueError saying what the value must be
+
+
+def _kind(what, types, test=None, convert=None):
+    """A value of one of ``types`` that passes ``test``, as ``convert`` makes it."""
+    def read(value):
+        if type(value) in types and (test is None or test(value)):
+            return value if convert is None else convert(value)
+        raise ValueError(f"must be {what}, got {value!r}")
+    read.types = types if test is None and convert is None else None  # for ``list_of``: a one-pass check
+    return read
+
+
+TEXT = _kind("text", (str,))
+BOOL = _kind("true or false", (bool,))
+OBJECT = _kind("an object", (dict,))
+ID = _kind("a string or an integer", (str, int), convert=str)
+INT = _kind("a non-negative integer", (int,), lambda value: value >= 0)
+NUMBER = _kind("a finite number", _REAL, lambda value: abs(value) <= _FLOAT_MAX, float)
+
+
+def POINT(value) -> Point3:
+    if type(value) is list and len(value) == 3:
+        x, y, z = value  # NaN and an int beyond the float range fail the bound
+        if type(x) in _REAL and type(y) in _REAL and type(z) in _REAL and \
+                abs(x) <= _FLOAT_MAX and abs(y) <= _FLOAT_MAX and abs(z) <= _FLOAT_MAX:
+            return Point3(float(x), float(y), float(z))
+    raise ValueError(f"must be three finite numbers, got {value!r}")
+
+
+def list_of(kind, empty=True):
+    """The kind of a list of values of ``kind``, which may be empty or not."""
+    def read(value) -> list:
+        if type(value) is not list or not (value or empty):
+            raise ValueError(f"must be a {'' if empty else 'non-empty '}list, got {value!r}")
+        if getattr(kind, "types", None) and set(map(type, value)) <= set(kind.types):
+            return value
+        items = []
+        for index, item in enumerate(value):
+            try:
+                items.append(kind(item))
+            except ValueError as exc:
+                raise ValueError(f"item {index} {exc}") from None
+        return items
+    return read
+
+
+POINTS = list_of(POINT, empty=False)
+
+
+def read_fields(record, schema: dict, where: str) -> list:
+    """``record``'s values of the fields in ``schema``, in its order, each
+    checked by its kind; a ValueError names ``where`` and the field."""
+    if type(record) is not dict:
         raise ValueError(f"{where}: expected a JSON object")
-    for name in names:
+    values = []
+    for name, kind in schema.items():
         if name not in record:
             raise ValueError(f"{where}: missing field {name!r}")
-
-
-def require_ids(record, names, where: str) -> None:
-    """Raise ValueError naming ``where`` and the field for the first of
-    ``names`` whose value in ``record`` (a dict, or a list and its indices)
-    is not an id: a string or an integer, and not a bool."""
-    for name in names:
-        value = record[name]
-        if isinstance(value, bool) or not isinstance(value, (str, int)):
-            raise ValueError(f"{where}: field {name!r} must be a string or an integer, got {value!r}")
+        try:
+            values.append(kind(record[name]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: field {name!r} {exc}") from None
+    return values
 
 
 def encode_bitmask(mask: np.ndarray) -> str:
@@ -719,37 +770,29 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+_SCENE_TYPE = _kind("graph or grid", (str,), lambda value: value in ("graph", "grid"))
+_GRAPH_FIELDS = {"scene_id": ID, "nodes": OBJECT, "edges": list_of(list_of(ID))}
+_GRID_FIELDS = {"scene_id": ID, "resolution": NUMBER, "origin": POINT, "width": INT, "height": INT,
+                "navigable": TEXT, "semantic": TEXT, "floor_z": NUMBER, "ceiling_z": NUMBER}
+
+
 def scene_from_dict(payload: dict, where: str = "scene") -> Scene:
-    """Inverse of ``scene_to_dict``; raises ValueError naming ``where`` and
-    the field for a missing field, a ``scene_id`` that is not an id
-    (``require_ids``) or an unknown scene type."""
-    require_fields(payload, ("type",), where)
-    kind = payload["type"]
+    """Inverse of ``scene_to_dict``; each ValueError it raises starts with ``where``."""
+    kind, = read_fields(payload, {"type": _SCENE_TYPE}, where)
     if kind == "graph":
-        require_fields(payload, ("scene_id", "nodes", "edges"), where)
-        require_ids(payload, ("scene_id",), where)
-        graph = NavGraph(
-            nodes={k: tuple(v) for k, v in payload["nodes"].items()},
-            edges=[tuple(e) for e in payload["edges"]],
-        )
-        return Scene(scene_id=payload["scene_id"], graph=graph)
-    if kind == "grid":
-        require_fields(payload, ("scene_id", "resolution", "origin", "width", "height", "navigable", "semantic",
-                                 "floor_z", "ceiling_z"), where)
-        require_ids(payload, ("scene_id",), where)
-        shape = (payload["height"], payload["width"])
-        grid = GridWorld(
-            resolution=payload["resolution"],
-            origin=tuple(payload["origin"]),
-            width=payload["width"],
-            height=payload["height"],
-            navigable=decode_bitmask(payload["navigable"], shape),
-            semantic=decode_bytes(payload["semantic"], shape),
-            floor_z=payload["floor_z"],
-            ceiling_z=payload["ceiling_z"],
-        )
-        return Scene(scene_id=payload["scene_id"], grid=grid)
-    raise ValueError(f"{where}: unknown scene type {kind!r}")
+        scene_id, nodes, edges = read_fields(payload, _GRAPH_FIELDS, where)
+        nodes = dict(zip(nodes, read_fields(nodes, dict.fromkeys(nodes, POINT), f"{where} nodes")))
+    else:
+        scene_id, resolution, origin, width, height, navigable, semantic, floor_z, ceiling_z = read_fields(
+            payload, _GRID_FIELDS, where)
+    try:
+        if kind == "graph":
+            return Scene(scene_id, graph=NavGraph(nodes, edges))
+        shape = (height, width)
+        return Scene(scene_id, grid=GridWorld(resolution, origin, width, height, decode_bitmask(navigable, shape),
+                                              decode_bytes(semantic, shape), floor_z, ceiling_z))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def save_scene(scene: Scene, path) -> None:

@@ -37,6 +37,10 @@ import numpy as np
 
 from .environment import (
     FORMAT_VERSION,
+    INT,
+    NUMBER,
+    POINT,
+    TEXT,
     GridWorld,
     Point3,
     Pose,
@@ -46,8 +50,8 @@ from .environment import (
     decode_items,
     encode_bitmask,
     encode_bytes,
+    read_fields,
     read_json,
-    require_fields,
     write_json,
 )
 from .errors import DimensionMismatch
@@ -300,23 +304,22 @@ def decode_bytes_f32(data: str, shape) -> np.ndarray:
     return decode_items(data, np.float32, shape[0] * shape[1]).reshape(shape).astype(np.float64)
 
 
+_MAP_FIELDS = {"height": INT, "width": INT, "resolution": NUMBER, "origin": POINT, "mode": TEXT,
+               "occupancy": TEXT, "semantic": TEXT, "observed": TEXT, "top_z": TEXT}
+
+
 def map_from_dict(payload: dict, where: str = "map") -> SemanticOccMap:
-    """Inverse of ``map_to_dict``; raises ValueError naming ``where`` and
-    the field for a missing field."""
-    require_fields(payload, ("height", "width", "resolution", "origin", "mode", "occupancy", "semantic", "observed",
-                             "top_z"), where)
-    shape = (payload["height"], payload["width"])
-    return SemanticOccMap(
-        resolution=payload["resolution"],
-        origin=tuple(payload["origin"]),
-        width=payload["width"],
-        height=payload["height"],
-        mode=payload["mode"],
-        occupancy=decode_bitmask(payload["occupancy"], shape).astype(np.uint8),
-        semantic=decode_bytes(payload["semantic"], shape),
-        observed=decode_bitmask(payload["observed"], shape),
-        top_z=decode_bytes_f32(payload["top_z"], shape),
-    )
+    """Inverse of ``map_to_dict``; each ValueError it raises starts with ``where``."""
+    height, width, resolution, origin, mode, occupancy, semantic, observed, top_z = read_fields(
+        payload, _MAP_FIELDS, where)
+    shape = (height, width)
+    try:
+        return SemanticOccMap(resolution, origin, width, height, mode,
+                              occupancy=decode_bitmask(occupancy, shape).astype(np.uint8),
+                              semantic=decode_bytes(semantic, shape), observed=decode_bitmask(observed, shape),
+                              top_z=decode_bytes_f32(top_z, shape))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def save_map(occ_map: SemanticOccMap, path) -> None:

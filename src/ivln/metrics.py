@@ -46,8 +46,8 @@ from typing import Sequence
 import numpy as np
 
 from .environment import (
-    FORMAT_VERSION, Point3, Scene, as_point, euclidean, json_line, read_json_lines,
-    require_fields, require_ids, write_json,
+    BOOL, FORMAT_VERSION, ID, POINT, POINTS, TEXT, Point3, Scene, as_point, euclidean, json_line, list_of,
+    read_fields, read_json_lines, write_json,
 )
 from .errors import EmptySequence
 
@@ -360,49 +360,38 @@ def write_traces(traces: Sequence[TourTrace], path) -> None:
                     fh.write(json_line(_trace_record(trace.tour_id, ep.episode_id, seg.kind, seg.points, seg.actions)))
 
 
-def read_traces(path, episodes_by_id: dict) -> list[TourTrace]:
-    """Read tour traces as ``write_traces`` writes them.
+_TRACE_FIELDS = {"tour_id": ID, "episode_id": ID, "phase": TEXT, "actions": list_of(TEXT)}
+_AGENT_FIELDS = {"points": POINTS, "stop_called": BOOL}
+_ORACLE_FIELDS = {"points": list_of(POINT)}
 
-    Each agent record takes its reference path from ``episodes_by_id``,
-    and each oracle record joins the segments of the agent record it
-    follows.  Raises ValueError naming the line of a record that lacks a
-    field or whose ``tour_id`` or ``episode_id`` is not a string or an
-    integer, of a record whose phase is neither ``agent`` nor an oracle
-    phase, of an agent record whose episode the set lacks, and of an
-    oracle record that does not follow an agent record of its own tour
-    and episode, and naming both lines of a second agent record of one
-    tour and episode.  A point that ``as_point`` refuses raises its error
-    with the line prefixed.
-    """
+
+def read_traces(path, episodes_by_id: dict) -> list[TourTrace]:
+    """Read tour traces as ``write_traces`` writes them: each agent record
+    takes its reference path from ``episodes_by_id``, and each oracle
+    record joins the segments of the agent record it follows.  Each
+    ValueError it raises names the file and line."""
     tours: dict[str, TourTrace] = {}  # in order of first appearance
     line_of: dict[tuple, int] = {}  # the line of each tour's agent record of an episode
     owner = None  # the tour id and trace of the latest agent record
     for number, rec in read_json_lines(path):
         where = f"{path} line {number}"
-        require_fields(rec, ("tour_id", "episode_id", "phase", "points", "actions"), where)
-        require_ids(rec, ("tour_id", "episode_id"), where)
-        tid, eid, phase = rec["tour_id"], rec["episode_id"], rec["phase"]
-        try:
-            points = [as_point(p) for p in rec["points"]]
-        except (TypeError, ValueError) as exc:
-            raise type(exc)(f"{where}: {exc}") from None
+        tid, eid, phase, actions = read_fields(rec, _TRACE_FIELDS, where)
         if phase == "agent":
-            require_fields(rec, ("stop_called",), where)
+            points, stop_called = read_fields(rec, _AGENT_FIELDS, where)
             if eid not in episodes_by_id:
                 raise ValueError(f"{where}: episode {eid} is not in the episode set")
             earlier = line_of.setdefault((tid, eid), number)
             if earlier != number:
                 raise ValueError(f"{where}: agent record of tour {tid} episode {eid} repeats line {earlier}")
-            ep = EpisodeTrace(eid, points, episodes_by_id[eid].path, rec["stop_called"], rec["actions"])
+            ep = EpisodeTrace(eid, points, episodes_by_id[eid].path, stop_called, actions)
             tours.setdefault(tid, TourTrace(tid, [])).episodes.append(ep)
             owner = tid, ep
         elif phase in ORACLE_PHASES:
+            points, = read_fields(rec, _ORACLE_FIELDS, where)
             if owner is None or owner[0] != tid or owner[1].episode_id != eid:
-                raise ValueError(
-                    f"{where}: {phase} record of tour {tid} episode {eid} "
-                    "does not follow that episode's agent record"
-                )
-            owner[1].segments.append(OracleSegment(phase, points, rec["actions"]))
+                raise ValueError(f"{where}: {phase} record of tour {tid} episode {eid} "
+                                 "does not follow that episode's agent record")
+            owner[1].segments.append(OracleSegment(phase, points, actions))
         else:
             raise ValueError(f"{where}: unknown trace phase {phase!r}")
     return list(tours.values())

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environment import (
-    FORMAT_VERSION, Point3, Scene, as_point, connectivity_matrix, normalize_heading, read_json, require_fields,
-    require_ids, write_json,
+    FORMAT_VERSION, ID, NUMBER, OBJECT, POINTS, TEXT, Point3, Scene, as_point, connectivity_matrix, list_of,
+    normalize_heading, read_fields, read_json, write_json,
 )
 from .errors import Disconnected, EmptySequence, InstructionCountMismatch, MissingEpisode, SizeLimit
 
@@ -94,62 +94,30 @@ class TourStats:
 # episode I/O
 
 
-_EPISODE_FIELDS = ("episode_id", "path_id", "scan", "path", "heading", "instructions", "instruction_ids")
+_EPISODE_FIELDS = {"episode_id": ID, "path_id": ID, "scan": ID, "path": POINTS, "heading": NUMBER,
+                   "instructions": list_of(TEXT), "instruction_ids": list_of(ID)}
 
 
 def load_episodes(path) -> list[Episode]:
     """Read an episode file as ``save_episodes`` writes it, one Episode per
-    instruction.
-
-    The payload is ``{"episodes": [...]}``, and every record carries
-    ``episode_id``, ``path_id``, ``scan``, ``path`` (coordinates),
-    ``heading``, ``instructions`` and ``instruction_ids``.  A record with
-    k > 1 instructions becomes episodes ``<episode_id>_0`` ..
-    ``<episode_id>_<k-1>``; a record with one keeps its ``episode_id``.
-    Raises ValueError naming the file, the record's index and the field
-    for a missing field or for an id (``episode_id``, ``path_id``,
-    ``scan``, each instruction id) that is not a string or an integer
-    (``require_ids``; an integer becomes its text), TypeError or
-    ValueError for a field of the wrong form (a path point's naming the
-    record), ValueError when a record's ``instruction_ids`` and
-    ``instructions`` differ in number, and ValueError naming both records
-    when an episode id repeats one of an earlier record.
-    """
-    payload = read_json(path)
-    require_fields(payload, ("episodes",), str(path))
+    instruction: a record with k > 1 instructions becomes episodes
+    ``<episode_id>_0`` .. ``<episode_id>_<k-1>``, and a record with one
+    keeps its ``episode_id``.  Each ValueError it raises names the file
+    and record."""
+    records, = read_fields(read_json(path), {"episodes": list_of(OBJECT)}, str(path))
     episodes = []
     record_of: dict[str, int] = {}
-    for index, record in enumerate(payload["episodes"]):
+    for index, record in enumerate(records):
         where = f"{path} episode record {index}"
-        require_fields(record, _EPISODE_FIELDS, where)
-        require_ids(record, ("episode_id", "path_id", "scan"), where)
-        instructions, ids = record["instructions"], record["instruction_ids"]
-        require_ids(ids, range(len(ids)), f"{where} instruction_ids")
+        base_id, path_id, scene_id, points, heading, instructions, ids = read_fields(record, _EPISODE_FIELDS, where)
         if len(ids) != len(instructions):
-            raise ValueError(
-                f"episode {record['episode_id']}: {len(ids)} instruction_ids "
-                f"for {len(instructions)} instructions"
-            )
-        try:
-            points = [as_point(p) for p in record["path"]]
-        except (TypeError, ValueError) as exc:
-            raise type(exc)(f"{where}: {exc}") from None
+            raise ValueError(f"{where}: {len(ids)} instruction_ids for {len(instructions)} instructions")
         for k, (text, instruction_id) in enumerate(zip(instructions, ids)):
-            episode_id = f"{record['episode_id']}_{k}" if len(ids) > 1 else str(record["episode_id"])
+            episode_id = f"{base_id}_{k}" if len(ids) > 1 else base_id
             earlier = record_of.setdefault(episode_id, index)
             if earlier != index:
                 raise ValueError(f"{where}: episode id {episode_id} repeats record {earlier}")
-            episodes.append(
-                Episode(
-                    episode_id=episode_id,
-                    path_id=str(record["path_id"]),
-                    scene_id=str(record["scan"]),
-                    path=points,
-                    start_heading=float(record["heading"]),
-                    instruction_id=str(instruction_id),
-                    instruction=str(text),
-                )
-            )
+            episodes.append(Episode(episode_id, path_id, scene_id, points, heading, instruction_id, text))
     return episodes
 
 
@@ -478,30 +446,26 @@ def save_tours(tours: list[Tour], episodes: list[Episode], path) -> None:
     write_json(path, {"format_version": FORMAT_VERSION, "tours": records})
 
 
+_TOUR_FIELDS = {"tour_id": ID, "scene_id": ID, "episodes": list_of(OBJECT)}
+
+
 def load_tours(path) -> list[Tour]:
-    """Read a tour file as ``save_tours`` writes it; raises ValueError
-    naming the file, the record's index and the field for a missing
-    field or an id (``tour_id``, ``scene_id``, an entry's ``episode_id``)
-    that is not a string or an integer, and naming the earlier record or
-    entry for a tour id that repeats or an episode listed twice in one
-    tour."""
-    payload = read_json(path)
-    require_fields(payload, ("tours",), str(path))
+    """Read a tour file as ``save_tours`` writes it; each ValueError it
+    raises names the file and record."""
+    records, = read_fields(read_json(path), {"tours": list_of(OBJECT)}, str(path))
     tours = []
     record_of: dict[str, int] = {}
-    for index, rec in enumerate(payload["tours"]):
+    for index, rec in enumerate(records):
         where = f"{path} tour record {index}"
-        require_fields(rec, ("tour_id", "scene_id", "episodes"), where)
-        require_ids(rec, ("tour_id", "scene_id"), where)
-        earlier = record_of.setdefault(rec["tour_id"], index)
+        tour_id, scene_id, entries = read_fields(rec, _TOUR_FIELDS, where)
+        earlier = record_of.setdefault(tour_id, index)
         if earlier != index:
-            raise ValueError(f"{where}: tour id {rec['tour_id']} repeats record {earlier}")
+            raise ValueError(f"{where}: tour id {tour_id} repeats record {earlier}")
         entry_of: dict[str, int] = {}
-        for k, entry in enumerate(rec["episodes"]):
-            require_fields(entry, ("episode_id",), f"{where} episode entry")
-            require_ids(entry, ("episode_id",), f"{where} episode entry {k}")
-            earlier = entry_of.setdefault(entry["episode_id"], k)
+        for k, entry in enumerate(entries):
+            episode_id, = read_fields(entry, {"episode_id": ID}, f"{where} episode entry {k}")
+            earlier = entry_of.setdefault(episode_id, k)
             if earlier != k:
-                raise ValueError(f"{where} episode entry {k}: episode {entry['episode_id']} repeats entry {earlier}")
-        tours.append(Tour(rec["tour_id"], rec["scene_id"], list(entry_of)))
+                raise ValueError(f"{where} episode entry {k}: episode {episode_id} repeats entry {earlier}")
+        tours.append(Tour(tour_id, scene_id, list(entry_of)))
     return tours

@@ -474,7 +474,7 @@ def test_instruction_ids_that_do_not_match_the_instructions_are_bad_input(pipeli
     code = run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", short,
                    "--out", tmp_path / "t.json")
     assert code == 2
-    assert f"episode {record['episode_id']}: 1 instruction_ids for 2 instructions" in capsys.readouterr().err
+    assert f"{short} episode record 0: 1 instruction_ids for 2 instructions" in capsys.readouterr().err
 
 
 def misspell_an_oracle_phase(traces, out) -> int:
@@ -570,7 +570,8 @@ def test_eval_refuses_a_non_finite_agent_point(pipeline, tmp_path, capsys, value
     bad.write_text("".join([json.dumps(first) + "\n"] + records[1:]))
     assert run_cli("eval", "--traces", bad, "--episodes", pipeline["episodes"], *eval_flags(pipeline, kind),
                    "--out", tmp_path / "r.json") == 2
-    assert f"{bad} line 1: a point is three finite numbers" in capsys.readouterr().err
+    last = len(first["points"]) - 1
+    assert f"{bad} line 1: field 'points' item {last} must be three finite numbers" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -580,7 +581,7 @@ def test_a_non_finite_episode_path_point_is_bad_input(pipeline, tmp_path, capsys
     episodes, tours = tmp_path / "episodes.json", tmp_path / "tours.json"
     episodes.write_text(json.dumps(payload))
     assert run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", episodes, "--out", tours) == 2
-    assert f"{episodes} episode record 1: a point is three finite numbers" in capsys.readouterr().err
+    assert f"{episodes} episode record 1: field 'path' item 1 must be three finite numbers" in capsys.readouterr().err
     assert not tours.exists()
 
 
@@ -814,7 +815,7 @@ def test_a_file_without_its_record_list_is_named(pipeline, tmp_path, capsys, key
 @pytest.mark.parametrize("keys, field, where", [
     ((1,), "scene_id", "tour record 1"),
     ((0,), "episodes", "tour record 0"),
-    ((0, "episodes", 1), "episode_id", "tour record 0 episode entry"),
+    ((0, "episodes", 1), "episode_id", "tour record 0 episode entry 1"),
 ], ids=["scene_id", "episodes", "episode_id"])
 def test_a_missing_tour_field_is_named_with_its_file_and_record(pipeline, tmp_path, capsys, keys, field, where):
     data = json.loads(pipeline["tours"].read_text())
@@ -848,6 +849,66 @@ def test_a_trace_id_that_is_not_an_id_is_named_with_its_line(pipeline, tmp_path,
     assert run_cli("eval", "--traces", edited, "--episodes", pipeline["episodes"], "--out", tmp_path / "r.json") == 2
     assert (f"error: {edited} line 2: field {field!r} must be a string or an integer, got {value!r}"
             in capsys.readouterr().err)
+
+
+def test_a_scene_with_an_integer_id_runs_the_pipeline(pipeline, tmp_path):
+    payload = json.loads(pipeline["scene"].read_text())
+    payload["scene_id"] = 5
+    files = {name: tmp_path / name for name in ("scene.json", "episodes.json", "tours.json", "traces.jsonl")}
+    files["scene.json"].write_text(json.dumps(payload))
+    scene, episodes, tours, traces = files.values()
+    assert run_cli("gen-episodes", "--scene", scene, "--count", 4, "--seed", 7, "--out", episodes) == 0
+    assert {record["scan"] for record in json.loads(episodes.read_text())["episodes"]} == {"5"}
+    assert run_cli("gen-tours", "--scene", scene, "--episodes", episodes, "--out", tours) == 0
+    assert run_cli("run", "--scene", scene, "--tours", tours, "--episodes", episodes, "--policy", "oracle",
+                   "--out", traces) == 0
+    assert run_cli("eval", "--scene", scene, "--tours", tours, "--episodes", episodes, "--traces", traces,
+                   "--out", tmp_path / "report.json") == 0
+
+
+def test_integer_tour_and_trace_ids_match_the_episodes_of_that_text(pipeline, tmp_path):
+    def one_instruction_and_an_integer_id(data):
+        for index, record in enumerate(data["episodes"]):
+            record.update(episode_id=index, instructions=record["instructions"][:1],
+                          instruction_ids=record["instruction_ids"][:1])
+        return data
+
+    episodes = edited_episodes(pipeline, tmp_path, one_instruction_and_an_integer_id)
+    tours, traces = tmp_path / "tours.json", tmp_path / "traces.jsonl"
+    assert run_cli("gen-tours", "--scene", pipeline["scene"], "--episodes", episodes, "--out", tours) == 0
+    assert run_cli("run", "--scene", pipeline["scene"], "--tours", tours, "--episodes", episodes,
+                   "--policy", "oracle", "--out", traces) == 0
+    # the same tours and traces with every tour, entry and trace id an integer
+    payload = json.loads(tours.read_text())
+    number = {tour["tour_id"]: k for k, tour in enumerate(payload["tours"])}
+    for tour in payload["tours"]:
+        tour["tour_id"] = number[tour["tour_id"]]
+        for entry in tour["episodes"]:
+            entry["episode_id"] = int(entry["episode_id"])
+    records = [json.loads(line) for line in traces.read_text().splitlines()]
+    for record in records:
+        record.update(tour_id=number[record["tour_id"]], episode_id=int(record["episode_id"]))
+    int_tours, int_traces = tmp_path / "int_tours.json", tmp_path / "int_traces.jsonl"
+    int_tours.write_text(json.dumps(payload))
+    int_traces.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+    assert [t.episode_ids for t in load_tours(int_tours)] == [t.episode_ids for t in load_tours(tours)]
+    by_id = {ep.episode_id: ep for ep in load_episodes(episodes)}
+    assert ([[e.episode_id for e in t.episodes] for t in read_traces(int_traces, by_id)]
+            == [[e.episode_id for e in t.episodes] for t in read_traces(traces, by_id)])
+    assert run_cli("eval", "--tours", int_tours, "--episodes", episodes, "--traces", int_traces,
+                   "--out", tmp_path / "report.json") == 0
+
+
+def test_a_key_error_inside_a_stage_escapes_main(pipeline, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "build_report", broken)
+    with pytest.raises(KeyError, match="a bug, not bad input"):
+        run_cli("eval", "--traces", pipeline["traces"], "--episodes", pipeline["episodes"],
+                "--out", tmp_path / "r.json")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_build_map_replays_to_identical_snapshot(pipeline, tmp_path):
@@ -893,52 +954,89 @@ def test_scene_payload_that_does_not_fit_is_bad_input(pipeline, tmp_path, capsys
     assert "expected" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case, message", [
-    ("list", ": expected a JSON object"),
-    ("no type", ": missing field 'type'"),
-    ("mesh", ": unknown scene type 'mesh'"),
-    ("grid without resolution", ": missing field 'resolution'"),
-    ("graph without edges", ": missing field 'edges'"),
-    ("truncated", " line 1: Expecting value (column 10)"),
-    ("number", ": expected a JSON object"),
-    ("string", ": expected a JSON object"),
-    ("floor_z list", ": bad operand type for abs(): 'list'"),
-    ("semantic", ": Invalid base64-encoded string"),
-    ("tour file number", ": expected a JSON object"),
-    ("episode record", " episode record 0: expected a JSON object"),
-    ("tour record", " tour record 0: expected a JSON object"),
-    ("trace line", " line 2: expected a JSON object"),
-], ids=["list", "no type", "mesh", "grid without resolution", "graph without edges", "truncated", "number",
-        "string", "floor_z list", "semantic", "tour file number", "episode record", "tour record", "trace line"])
-def test_a_malformed_scene_file_is_bad_input_and_named(pipeline, tmp_path, capsys, case, message):
-    # the scene cases run gen-episodes; the last four are other files whose records are not objects
-    grid, graph = (json.loads(pipeline[key].read_text()) for key in ("scene", "graph"))
-    first_trace = pipeline["traces"].read_text().splitlines()[0]
-    text = {
-        "list": "[]",
-        "no type": json.dumps({k: v for k, v in grid.items() if k != "type"}),
-        "mesh": json.dumps({**grid, "type": "mesh"}),
-        "grid without resolution": json.dumps({k: v for k, v in grid.items() if k != "resolution"}),
-        "graph without edges": json.dumps({k: v for k, v in graph.items() if k != "edges"}),
-        "truncated": '{"type": ',
-        "number": "5",
-        "string": '"grid type"',
-        "floor_z list": json.dumps({**grid, "floor_z": []}),
-        "semantic": json.dumps({**grid, "semantic": "x"}),
-        "tour file number": "5",
-        "episode record": '{"episodes": [5]}',
-        "tour record": '{"tours": [5]}',
-        "trace line": f"{first_trace}\n5\n",
-    }[case]
+def edited(key, edit):
+    """The text of the pipeline's ``key`` file with ``edit`` applied to its
+    payload, or for the traces to the first record, an agent record."""
+    def text(pipeline):
+        lines = pipeline[key].read_text().splitlines(keepends=True)
+        payload = json.loads(lines[0])
+        edit(payload)
+        return json.dumps(payload) + "\n" + "".join(lines[1:])
+    return text
+
+
+def edited_episode(**fields):
+    return edited("episodes", lambda payload: payload["episodes"][0].update(fields))
+
+
+def edited_trace(**fields):
+    return edited("traces", lambda record: record.update(fields))
+
+
+MALFORMED_INPUTS = [  # case, the input the file stands for, its text, the error after the file's path
+    ("list", "scene", lambda pipeline: "[]", ": expected a JSON object"),
+    ("no type", "scene", edited("scene", lambda payload: payload.pop("type")), ": missing field 'type'"),
+    ("mesh", "scene", edited("scene", lambda payload: payload.update(type="mesh")),
+     ": field 'type' must be graph or grid, got 'mesh'"),
+    ("grid without resolution", "scene", edited("scene", lambda payload: payload.pop("resolution")),
+     ": missing field 'resolution'"),
+    ("graph without edges", "scene", edited("graph", lambda payload: payload.pop("edges")), ": missing field 'edges'"),
+    ("truncated", "scene", lambda pipeline: '{"type": ', " line 1: Expecting value (column 10)"),
+    ("number", "scene", lambda pipeline: "5", ": expected a JSON object"),
+    ("string", "scene", lambda pipeline: '"grid type"', ": expected a JSON object"),
+    ("floor_z list", "scene", edited("scene", lambda payload: payload.update(floor_z=[])),
+     ": field 'floor_z' must be a finite number, got []"),
+    ("semantic", "scene", edited("scene", lambda payload: payload.update(semantic="x")),
+     ": Invalid base64-encoded string"),
+    ("graph nodes list", "scene", edited("graph", lambda payload: payload.update(nodes=[])),
+     ": field 'nodes' must be an object, got []"),
+    ("graph edges object", "scene", edited("graph", lambda payload: payload.update(edges={})),
+     ": field 'edges' must be a list, got {}"),
+    ("float width", "scene", edited("scene", lambda payload: payload.update(width=35.0)),
+     ": field 'width' must be a non-negative integer, got 35.0"),
+    ("bool resolution", "scene", edited("scene", lambda payload: payload.update(resolution=True)),
+     ": field 'resolution' must be a finite number, got True"),
+    ("two-number origin", "scene", edited("scene", lambda payload: payload.update(origin=[0.0, 0.0])),
+     ": field 'origin' must be three finite numbers, got [0.0, 0.0]"),
+    ("tour file number", "tours", lambda pipeline: "5", ": expected a JSON object"),
+    ("episode record", "episodes", lambda pipeline: '{"episodes": [5]}', ": field 'episodes' item 0 must be an object, got 5"),
+    ("tour record", "tours", lambda pipeline: '{"tours": [5]}', ": field 'tours' item 0 must be an object, got 5"),
+    ("trace line", "traces", lambda pipeline: pipeline["traces"].read_text().splitlines()[0] + "\n5\n",
+     " line 2: expected a JSON object"),
+    ("text heading", "episodes", edited_episode(heading="1"),
+     " episode record 0: field 'heading' must be a finite number, got '1'"),
+    ("bool heading", "episodes", edited_episode(heading=True),
+     " episode record 0: field 'heading' must be a finite number, got True"),
+    ("text instructions", "episodes", edited_episode(instructions="ab"),
+     " episode record 0: field 'instructions' must be a list, got 'ab'"),
+    ("object instructions", "episodes", edited_episode(instructions={"0": "go"}),
+     " episode record 0: field 'instructions' must be a list, got {'0': 'go'}"),
+    ("number instruction", "episodes", edited_episode(instructions=["go", 5]),
+     " episode record 0: field 'instructions' item 1 must be text, got 5"),
+    ("empty path", "episodes", edited_episode(path=[]),
+     " episode record 0: field 'path' must be a non-empty list, got []"),
+    ("text stop_called", "traces", edited_trace(stop_called="yes"),
+     " line 1: field 'stop_called' must be true or false, got 'yes'"),
+    ("text actions", "traces", edited_trace(actions="forward"), " line 1: field 'actions' must be a list, got 'forward'"),
+    ("number actions", "traces", edited_trace(actions=5), " line 1: field 'actions' must be a list, got 5"),
+    ("number action", "traces", edited_trace(actions=[1]), " line 1: field 'actions' item 0 must be text, got 1"),
+    ("empty agent points", "traces", edited_trace(points=[]),
+     " line 1: field 'points' must be a non-empty list, got []"),
+]
+
+
+@pytest.mark.parametrize("case, kind, text, message", MALFORMED_INPUTS, ids=[row[0] for row in MALFORMED_INPUTS])
+def test_a_malformed_scene_file_is_bad_input_and_named(pipeline, tmp_path, capsys, case, kind, text, message):
+    # a scene runs gen-episodes, and episodes, tours and traces the first command that reads them
     bad = tmp_path / "input.json"
-    bad.write_text(text)
+    bad.write_text(text(pipeline))
     out = tmp_path / "out.json"
     argv = {
-        "tour file number": ("stats", "--tours", bad),
-        "tour record": ("stats", "--tours", bad),
-        "episode record": ("gen-tours", "--scene", pipeline["scene"], "--episodes", bad, "--out", out),
-        "trace line": ("eval", "--traces", bad, "--episodes", pipeline["episodes"], "--out", out),
-    }.get(case, ("gen-episodes", "--scene", bad, "--out", out))
+        "scene": ("gen-episodes", "--scene", bad, "--out", out),
+        "episodes": ("gen-tours", "--scene", pipeline["scene"], "--episodes", bad, "--out", out),
+        "tours": ("stats", "--tours", bad),
+        "traces": ("eval", "--traces", bad, "--episodes", pipeline["episodes"], "--out", out),
+    }[kind]
     assert run_cli(*argv) == 2
     assert f"error: {bad}{message}" in capsys.readouterr().err
     assert not out.exists()
@@ -953,7 +1051,7 @@ def test_a_scene_with_a_nan_token_is_bad_input(pipeline, tmp_path, capsys):
     traces = tmp_path / "t.jsonl"
     assert run_cli("run", "--scene", bad, "--tours", pipeline["tours"], "--episodes", pipeline["episodes"],
                    "--out", traces) == 2
-    assert "floor_z must be finite, got nan" in capsys.readouterr().err
+    assert f"{bad}: field 'floor_z' must be a finite number, got nan" in capsys.readouterr().err
     assert not traces.exists()
 
 
@@ -962,9 +1060,10 @@ def test_a_scene_number_beyond_the_float_range_is_bad_input_and_named(pipeline, 
     key = "graph" if case == "node" else "scene"
     payload = json.loads(pipeline[key].read_text())
     if case == "node":
-        name += min(payload["nodes"])
+        name = f"nodes: field {min(payload['nodes'])!r}"
         payload["nodes"][min(payload["nodes"])][0] = 10**400
     else:
+        name = f"field {name!r}"
         payload[case] = 10**400
     bad = tmp_path / "scene.json"
     bad.write_text(json.dumps(payload))  # an integer literal that float() cannot hold

@@ -299,7 +299,7 @@ def test_integer_ids_load_as_text(tmp_path):
 
 @pytest.mark.parametrize("field, value, named", [
     ("scan", True, ": field 'scan'"), ("path_id", None, ": field 'path_id'"),
-    ("episode_id", 1.0, ": field 'episode_id'"), ("instruction_ids", [11, [12]], " instruction_ids: field 1"),
+    ("episode_id", 1.0, ": field 'episode_id'"), ("instruction_ids", [11, [12]], ": field 'instruction_ids' item 1"),
 ])
 def test_an_episode_id_that_is_not_a_string_or_an_integer_is_named(tmp_path, field, value, named):
     path = tmp_path / "episodes.json"
