@@ -93,12 +93,7 @@ def _inputs(args) -> argparse.Namespace:
         path = getattr(args, name, None)
         if path is None:
             continue
-        try:
-            records = load(path)
-        except ValueError as exc:
-            if str(exc).startswith(str(path)):
-                raise
-            raise ValueError(f"{path}: {exc}") from None
+        records = load(path)
         if not records:
             raise EmptySequence(f"no {'tour traces' if name == 'traces' else name} in {path}")
         if got.scene is not None and name in ("episodes", "tours"):

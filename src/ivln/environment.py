@@ -180,6 +180,12 @@ class NavGraph:
         return None if best is None else best[1]
 
 
+def check_resolution(resolution) -> None:
+    """Raise ValueError unless ``resolution`` is positive and finite."""
+    if not 0 < resolution <= sys.float_info.max:  # NaN and an int beyond the float range fail too
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
+
+
 @dataclass
 class GridWorld:
     """Planar occupancy grid with per-cell semantic labels; geometry
@@ -210,8 +216,7 @@ class GridWorld:
             )
         if self.semantic.shape != self.navigable.shape:
             raise ValueError("semantic and navigable shapes differ")
-        if not 0 < self.resolution <= sys.float_info.max:  # NaN and an int beyond the float range fail too
-            raise ValueError(f"resolution must be positive and finite, got {self.resolution!r}")
+        check_resolution(self.resolution)
         for name, value in (*zip(("origin.x", "origin.y", "origin.z"), self.origin),
                             ("floor_z", self.floor_z), ("ceiling_z", self.ceiling_z)):
             if not abs(value) <= sys.float_info.max:
@@ -623,25 +628,31 @@ def write_json(path, payload) -> None:
 
 def read_json(path):
     """The JSON document in ``path``; raises ValueError naming the file,
-    line and column where it is not JSON."""
+    line and column where it is not JSON, or the file when it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path} line {exc.lineno}: {exc.msg} (column {exc.colno})") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def read_json_lines(path) -> Iterator[tuple[int, object]]:
     """``(line number, record)`` for each non-blank line of a JSON-lines
-    file; raises ValueError naming the line that is not JSON."""
+    file; raises ValueError naming the line that is not JSON, or the file
+    when it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path} line {number}: {exc.msg} (column {exc.colno})") from None
-                yield number, record
+        try:
+            for number, line in enumerate(fh, start=1):
+                if line.strip():
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"{path} line {number}: {exc.msg} (column {exc.colno})") from None
+                    yield number, record
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # input records: a reader checks each through ``read_fields`` against a
@@ -771,7 +782,9 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 _SCENE_TYPE = _kind("graph or grid", (str,), lambda value: value in ("graph", "grid"))
-_GRAPH_FIELDS = {"scene_id": ID, "nodes": OBJECT, "edges": list_of(list_of(ID))}
+_EDGE = _kind("a pair of ids", (list,), lambda value: len(value) == 2 and {type(v) for v in value} <= {str, int},
+              lambda value: [str(v) for v in value])
+_GRAPH_FIELDS = {"scene_id": ID, "nodes": OBJECT, "edges": list_of(_EDGE)}
 _GRID_FIELDS = {"scene_id": ID, "resolution": NUMBER, "origin": POINT, "width": INT, "height": INT,
                 "navigable": TEXT, "semantic": TEXT, "floor_z": NUMBER, "ceiling_z": NUMBER}
 

@@ -47,6 +47,7 @@ from .environment import Point3, Pose, Scene, geodesic_distance, json_line, norm
 from .errors import Disconnected, MissingEpisode, PolicyTimeout, ProtocolViolation, UnsupportedScene
 from .mapper import (
     CameraIntrinsics,
+    RayTable,
     SemanticOccMap,
     crop_layers,
     crop_to_compact,
@@ -336,6 +337,7 @@ class _Walk:
         self._senses = cfg.map_mode in ("episodic", "iterative") and (reads_crops or keep_map)
         self._pending: list[Pose] = []
         self.intrinsics = CameraIntrinsics.from_hfov(FRAME_WIDTH, FRAME_HEIGHT, HFOV_DEG)
+        self._rays = RayTable(scene.grid, self.intrinsics, MAX_RANGE) if self._senses else None
         self.state: AgentState | None = None
 
     @property
@@ -350,7 +352,8 @@ class _Walk:
 
     def _fold(self) -> None:
         for i in range(0, len(self._pending), SENSE_CHUNK):
-            sense(self._map, self.scene.grid, self._pending[i:i + SENSE_CHUNK], self.intrinsics, MAX_RANGE)
+            sense(self._map, self.scene.grid, self._pending[i:i + SENSE_CHUNK], self.intrinsics, MAX_RANGE,
+                  self._rays)
         self._pending = []
 
     def begin(self, episode: Episode) -> Point3:

@@ -12,9 +12,11 @@ z up, heading measured counterclockwise from +x; see the environment
 module for grid indexing conventions.
 
 Every map is sensed as footprints (``sense``): per pose, one point per
-wall column, at its top in-band z, folded in by ``integrate``, and the
-cells the floor and ceiling pixels mark observed.  The tests keep the
-pixel path, which renders a depth and a semantic frame per pose and
+wall column, at its top in-band z found at one row, folded in by
+``integrate``, and the cells the floor and ceiling pixels mark observed.
+The rays march through a ``RayTable``, which keeps each camera
+geometry's crossing pattern for the walk that owns it.  The tests keep
+the pixel path, which renders a depth and a semantic frame per pose and
 lifts every pixel, in ``tests/conftest.py`` as the reference the
 footprint matches bit for bit.
 
@@ -45,6 +47,7 @@ from .environment import (
     Point3,
     Pose,
     as_point,
+    check_resolution,
     decode_bitmask,
     decode_bytes,
     decode_items,
@@ -114,6 +117,7 @@ class SemanticOccMap:
     def __post_init__(self):
         if self.mode not in MAP_MODES:
             raise ValueError(f"unknown map mode {self.mode!r}")
+        check_resolution(self.resolution)
         self.origin = as_point(self.origin)
         shape = (self.height, self.width)
         if self.occupancy is None:
@@ -342,72 +346,195 @@ def load_map(path) -> SemanticOccMap:
 # of exactly on the shared cell boundary
 _WALL_PUSH = 1e-4
 
+# crossings per axis of the short march pass; at about 60% of the poses of
+# a noisy tour through a 9-room scene, every ray stops within them
+_SHORT_CROSSINGS = 24
 
-def _columns(grid: GridWorld, cam: np.ndarray, intrinsics: CameraIntrinsics, max_range: float) -> tuple:
-    """March one ray per image column of each ``_cameras`` row, all in one
-    ``_march_columns`` call, and resolve each pixel's surface.
 
-    Returns (s_wall, wall_label, wall_hit, s_plane, plane_hit), each with
-    a leading axis over the cameras: per column its wall distance and
-    label; per pixel whether it sees a wall; per row the distance to the
-    floor or ceiling plane; per pixel whether it sees that plane.
+class RayTable:
+    """One camera's ray march (Amanatides & Woo 1987) through one grid up
+    to ``max_range``.  A ray's crossing times, their merge order and the
+    cells it crosses, as offsets from its origin cell, depend only on the
+    heading's cosine and sine and on the origin's offsets ``(c +- 0.5) - o``
+    from its cell's edges: not on which cell it is.  Per such geometry,
+    the table keeps its rays' merge order over the short pass and the flat
+    offsets of the cells they cross in the grid, padded with off-grid cells.
     """
-    W, H = intrinsics.width, intrinsics.height
-    k = (np.arange(W) - intrinsics.cx) / intrinsics.fx
-    right = cam[:, None, 4:2:-1] * (1.0, -1.0)  # (sin, -cos)
-    dirs = cam[:, None, 3:] + k[:, None] * right  # (P, W, 2); forward component 1
-    s_wall, wall_label = (a.reshape(len(cam), W) for a in _march_columns(
-        grid, np.repeat(cam[:, :2], W, axis=0), dirs.reshape(-1, 2), max_range))
 
-    slope = -(np.arange(H) - intrinsics.cy) / intrinsics.fy  # dz per unit forward distance
+    def __init__(self, grid: GridWorld, intrinsics: CameraIntrinsics, max_range: float):
+        self.grid, self.intrinsics, self.max_range = grid, intrinsics, max_range
+        self._slopes = (np.arange(intrinsics.width) - intrinsics.cx) / intrinsics.fx
+        # crossings per axis for any ray: its axis components are at most hypot(1, slope)
+        reach = max_range * math.hypot(1.0, np.abs(self._slopes).max()) / grid.resolution
+        self.full = max(int(reach) + 3, _SHORT_CROSSINGS)
+        self._pad = self.full + 2  # the full pass from 2 cells off the grid stays in the padding
+        self._pitch = grid.width + 2 * self._pad
+        self._free = np.pad(grid.navigable, self._pad).ravel()
+        self._label = np.pad(grid.semantic.astype(np.int16), self._pad, constant_values=-1).ravel()  # -1 off it
+        self._offset_type = np.int16 if _SHORT_CROSSINGS * (self._pitch + 1) < 2 ** 15 else np.int32
+        self._entries: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+    def march(self, cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per ``_cameras`` row and image column, the forward distance to the
+        first non-navigable cell (inf for none within max_range) and its
+        label.  The rays take the short pass with their geometry's merge
+        order and cell offsets; those it leaves unsettled, the full pass."""
+        grid, W = self.grid, self.intrinsics.width
+        right = cam[:, None, 4:2:-1] * (1.0, -1.0)  # (sin, -cos)
+        dirs = (cam[:, None, 3:] + self._slopes[:, None] * right).reshape(-1, 2)  # forward component 1
+        o = (cam[:, :2] - (grid.origin.x, grid.origin.y)) / grid.resolution
+        c = np.floor(o + 0.5)
+        keys = [row.tobytes() for row in np.concatenate([cam[:, 3:], c + 0.5 - o, c - 0.5 - o], axis=1)]
+
+        def patterns(t):  # the short pass's merge order and cell offsets, by each pose's geometry
+            order, offsets = np.empty(t.shape, dtype=np.uint8), np.empty(t.shape, dtype=self._offset_type)
+            for i, key in enumerate(keys):
+                rays = slice(i * W, (i + 1) * W)
+                entry = self._entries.get(key)
+                if entry is None:
+                    merged, cells = _pattern(t[rays], dirs[rays], _SHORT_CROSSINGS, self._pitch)
+                    entry = self._entries[key] = merged.astype(np.uint8), cells.astype(self._offset_type)
+                order[rays], offsets[rays] = entry
+            return order, offsets
+
+        origins = np.repeat(cam[:, :2], W, axis=0)
+        s_wall, label, found = self.march_rays(origins, dirs, _SHORT_CROSSINGS, patterns)
+        if not found.all():
+            redo = ~found
+            s_wall[redo], label[redo], found[redo] = self.march_rays(origins[redo], dirs[redo], self.full)
+        if not found.all():
+            raise RuntimeError("ray march ran out of boundary crossings")
+        return s_wall.reshape(-1, W), label.reshape(-1, W)
+
+    def march_rays(self, origins: np.ndarray, dirs: np.ndarray, k: int, patterns=None) -> tuple:
+        """Per ray from world (x, y) ``origins``, over its first k crossings
+        per axis (k at most ``full``): the forward distance to the first
+        non-navigable cell (inf off the grid or beyond max_range), its label,
+        and whether every crossing up to it was on hand (if not, the other
+        two are void).  An axis's crossings are running sums of the first and
+        the cell pitch, a stepping loop's additions in its order; ``patterns``
+        gives their merge order and cell offsets, by default ``_pattern``'s."""
+        grid, res = self.grid, self.grid.resolution
+        o = (origins - (grid.origin.x, grid.origin.y)) / res
+        c = np.floor(o + 0.5)  # the origin cells; a cell spans [c - 0.5, c + 0.5] in cell units
+        with np.errstate(divide="ignore", invalid="ignore"):
+            first = np.where(dirs != 0, (c + np.where(dirs > 0, 0.5, -0.5) - o) * res / dirs, np.inf)
+            seq = np.repeat(np.where(dirs != 0, res / np.abs(dirs), np.inf)[:, :, None], k, axis=2)
+        seq[:, :, 0] = first
+        t = np.add.accumulate(seq, axis=2).reshape(len(dirs), 2 * k)  # x crossings, then y
+        order, offsets = _pattern(t, dirs, k, self._pitch) if patterns is None else patterns(t)
+        # from 2 cells off the grid, as from farther, the first crossing is off it
+        x, y = (np.clip(c, -2, (grid.width + 1, grid.height + 1)) + self._pad).T
+        crossed = (y * self._pitch + x).astype(np.intp)[:, None] + offsets
+        free = self._free[crossed]
+        rows = np.arange(len(t))
+        end = free.argmin(axis=1)
+        t_end = np.where(free[rows, end], np.inf, t[rows, order[rows, end]])
+        # crossings up to either axis's last are on hand; past max_range, the first settles
+        on_hand = np.minimum(t[:, k - 1], t[:, -1])
+        found = (t_end <= on_hand) | (on_hand > self.max_range)
+        label = np.where(t_end <= self.max_range, self._label[crossed[rows, end]], -1)
+        return np.where(label >= 0, t_end, np.inf), np.maximum(label, 0).astype(np.uint8), found
+
+
+def _pattern(t: np.ndarray, dirs: np.ndarray, k: int, pitch: int) -> tuple[np.ndarray, np.ndarray]:
+    """The merge order of crossing times ``t``, x first on ties, and the
+    flat offset, in a grid ``pitch`` cells wide, of the cell each enters."""
+    order = np.argsort(t, axis=1, kind="stable")
+    # x crossings up to each merged one; the merge keeps each axis in order
+    nx = np.where(order < k, order + 1, np.arange(k, 3 * k) - order)
+    step = np.where(dirs > 0, 1, -1)
+    return order, step[:, 1:] * (np.arange(1, 2 * k + 1) - nx) * pitch + step[:, :1] * nx
+
+
+def _columns(table: RayTable, cam: np.ndarray) -> tuple:
+    """March one ray per image column of each ``_cameras`` row, all in one
+    ``table.march``, and resolve each pixel's surface: (s_wall, wall_label,
+    wall_hit, s_plane, plane_hit), each over the cameras, then per column
+    its wall distance and label, per pixel whether it sees a wall, per row
+    the distance to the floor or ceiling plane, per pixel whether it sees
+    that plane."""
+    grid, intrinsics = table.grid, table.intrinsics
+    s_wall, wall_label = table.march(cam)
+    slope = -(np.arange(intrinsics.height) - intrinsics.cy) / intrinsics.fy  # dz per unit forward distance
     z0 = cam[:, 2, None, None]
-    sw = s_wall[:, None, :]
     sl = slope[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        z_at_wall = z0 + sl * sw  # no finite z for a column without a wall
+        z_at_wall = z0 + sl * s_wall[:, None, :]  # no finite z for a column without a wall
         # the floor below the horizon, the ceiling above, neither on it
         s_plane = np.where(sl < 0, grid.floor_z - z0, grid.ceiling_z - z0) / sl  # (P, H, 1)
     wall_hit = (z_at_wall >= grid.floor_z) & (z_at_wall <= grid.ceiling_z)
-    plane_hit = ~wall_hit & np.isfinite(s_plane) & (s_plane <= max_range)
+    plane_hit = ~wall_hit & np.isfinite(s_plane) & (s_plane <= table.max_range)
     return s_wall, wall_label, wall_hit, s_plane, plane_hit
 
 
+def _wall_tops(cam, intrinsics: CameraIntrinsics, u, dv, wall, lo: float, hi: float) -> tuple:
+    """Each wall column's world x and y, its top in-band z (-inf for none)
+    and the last of its rows at that z, by ``_lift``'s arithmetic; ``cam``
+    unpacks to the columns' ``_cameras`` values, ``u`` and ``dv`` are
+    their image columns and depths and ``wall`` (columns, rows) their wall
+    pixels.  z falls row by row and the wall rows form one run, so the
+    in-band wall rows do too.  The top is at the first of them, the first
+    row neither before the wall nor at z >= hi, walked to from where the
+    pinhole model puts z = hi."""
+    H = intrinsics.height
+    n = np.arange(len(u))
+    start = wall.argmax(axis=1)
+    row = np.clip(np.floor(intrinsics.cy + (cam[2] - hi) * intrinsics.fy / dv) + 1, start, H - 1).astype(np.intp)
+    while True:
+        rows = np.clip(row + np.arange(-1, 2)[:, None], 0, H - 1)
+        wx, wy, wz = _lift(cam, intrinsics, u, rows, dv)
+        before = (rows < start) | (wz >= hi)
+        up, down = (row > 0) & ~before[0], (row < H - 1) & before[1]
+        if not (up | down).any():
+            break
+        row = row - up + down
+    top = np.where(~before[1] & wall[n, row] & (wz[1] > lo), wz[1], -np.inf)
+    nxt, z_next = rows[2], wz[2]
+    while (tie := (nxt > row) & wall[n, nxt] & (z_next == top)).any():  # on past rows at the top z
+        row = np.where(tie, nxt, row)
+        nxt = np.minimum(row + 1, H - 1)
+        z_next = _lift(cam, intrinsics, u, nxt, dv)[2]
+    return wx, wy, top, row
+
+
 def sense(occ_map: SemanticOccMap, grid: GridWorld, poses, intrinsics: CameraIntrinsics,
-          max_range: float = 10.0) -> None:
+          max_range: float = 10.0, table: RayTable | None = None) -> None:
     """Fold the views of a grid scene from a sequence of poses into the map.
 
     Leaves the map exactly as the pixel path in ``tests/conftest.py``
     does, which renders each pose's depth and semantic frames and folds
     in every pixel's point with ``integrate``, pose by pose (with the
     grid's floor and ceiling); but folds the views' footprints, all in one
-    batch, instead of their pixels.  All wall
-    pixels of a column share one depth, so they land in one cell: the
-    column gives one point, at its highest in-band z (or -inf for none),
-    with its label.  Floor and ceiling pixels lie outside the band and
-    only mark their cells observed.  Raises RuntimeError, before folding
-    any pose, if one of them lies inside the band, which the footprint
-    does not fold.
+    batch.  All wall pixels of a column share one depth, so they land in
+    one cell: the column gives one point, at its highest in-band z (or
+    -inf for none), with its label.  Floor and ceiling pixels lie outside
+    the band and only mark their cells observed.  Raises RuntimeError,
+    before folding any pose, if one of them lies inside the band, which
+    the footprint does not fold.
 
     Folded in turn, a cell takes the label of the earliest pose to reach
     its top z, that pose's last point there in pixel order (row, column);
-    one ``integrate``, whose last point at a top wins, takes them latest pose first.
+    one ``integrate``, whose last point at a top wins, takes them latest
+    pose first.  The rays march through ``table``, a ``RayTable`` of this
+    grid, camera and range, or else a new one.
     """
+    if table is None:
+        table = RayTable(grid, intrinsics, max_range)
+    elif table.grid is not grid or table.intrinsics != intrinsics or table.max_range != max_range:
+        raise ValueError("the ray table is for another grid, camera or range")
     cam = _cameras(poses)
-    H = intrinsics.height
-    s_wall, wall_label, wall_hit, s_plane, plane_hit = _columns(grid, cam, intrinsics, max_range)
+    s_wall, wall_label, wall_hit, s_plane, plane_hit = _columns(table, cam)
     lo, hi = grid.floor_z + BAND_MARGIN, grid.ceiling_z - BAND_MARGIN
     # the push outweighs any rounding below 0, so every wall pixel has a
     # positive depth and the tests' pixel path lifts it
     pose, cols = np.nonzero(wall_hit.any(axis=1))
-    wx, wy, wz = _lift(cam.T[:, pose], intrinsics, cols, np.arange(H)[:, None], s_wall[pose, cols] + _WALL_PUSH)
-    z = np.where(wall_hit[pose, :, cols].T & (wz > lo) & (wz < hi), wz, -np.inf)
-    top = z.max(axis=0, initial=-np.inf)
+    wx, wy, top, row = _wall_tops(cam.T[:, pose], intrinsics, cols, s_wall[pose, cols] + _WALL_PUSH,
+                                  wall_hit[pose, :, cols], lo, hi)
     # integrate sorts in-band points by z, stably in pixel order (v, u), so
     # a tie goes to the last pixel: the column's last row at its top z
-    row = H - 1 - (z[::-1] == top).argmax(axis=0)
     order = np.lexsort((cols, row, -pose))
-    # floor and ceiling pixels, one point each as the tests' pixel path
-    # lifts them
+    # floor and ceiling pixels, one point each, lifted as the tests' pixel path lifts them
     p_idx, v_idx, u_idx = np.nonzero(plane_hit & (s_plane > 0))
     px, py, pz = _lift(cam.T[:, p_idx], intrinsics, u_idx, v_idx, s_plane[p_idx, v_idx, 0])
     if ((pz > lo) & (pz < hi)).any():
@@ -418,71 +545,3 @@ def sense(occ_map: SemanticOccMap, grid: GridWorld, poses, intrinsics: CameraInt
     labels = np.zeros(len(points), dtype=np.uint8)
     labels[:len(order)] = wall_label[pose, cols][order]
     integrate(occ_map, points, labels, grid.floor_z, grid.ceiling_z)
-
-
-# crossings per axis of the first march; at about 60% of the poses of a
-# noisy tour through a 9-room scene, every ray stops within them
-_SHORT_CROSSINGS = 24
-
-
-def _march_columns(grid: GridWorld, origins: np.ndarray, dirs: np.ndarray,
-                   max_range: float) -> tuple[np.ndarray, np.ndarray]:
-    """2D grid traversal (Amanatides & Woo 1987) for a bundle of rays, ray i
-    from world (x, y) ``origins[i]``.
-
-    Returns per-ray forward distance to the first non-navigable cell
-    (inf for none within max_range) and that cell's label; the origin
-    cell is never tested.  Rays are first marched over a few crossings
-    per axis; those whose stop lies beyond them are marched again over
-    all the crossings max_range can need.
-    """
-    k = int(max_range * np.abs(dirs).max(initial=0.0) / grid.resolution) + 3  # edge rays are long
-    s_wall, label, found = _march(grid, origins, dirs, max_range, min(k, _SHORT_CROSSINGS))
-    if k > _SHORT_CROSSINGS and not found.all():
-        redo = ~found
-        s_wall[redo], label[redo], found[redo] = _march(grid, origins[redo], dirs[redo], max_range, k)
-    if not found.all():
-        raise RuntimeError("ray march ran out of boundary crossings")
-    return s_wall, label
-
-
-def _march(grid: GridWorld, origins: np.ndarray, dirs: np.ndarray, max_range: float,
-           k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_march_columns`` over the first k boundary crossings per axis.
-
-    Returns the distances and labels, and which rays found their stop
-    with every crossing up to it on hand; the others' results are void.
-    The traversal is built in closed form: each axis's crossings are
-    running sums of the first crossing and the cell pitch (the additions
-    a stepping loop makes, in its order), a stable sort merges the two
-    axes with x first on ties, and running sums of the steps give the
-    cells crossed into.
-    """
-    res = grid.resolution
-    o = (origins - (grid.origin.x, grid.origin.y)) / res
-    c = np.floor(o + 0.5)  # the origin cells; a cell spans [c - 0.5, c + 0.5] in cell units
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first = np.where(dirs != 0, (c + np.where(dirs > 0, 0.5, -0.5) - o) * res / dirs, np.inf)
-        seq = np.repeat(np.where(dirs != 0, res / np.abs(dirs), np.inf)[:, :, None], k, axis=2)
-    seq[:, :, 0] = first
-    t_both = np.add.accumulate(seq, axis=2).reshape(len(dirs), 2 * k)  # x crossings, then y
-    step = np.where(dirs > 0, 1, -1)
-    order = np.argsort(t_both, axis=1, kind="stable")
-    # x crossings up to each merged one; the merge keeps each axis in order
-    nx = np.where(order < k, order + 1, np.arange(k, 3 * k) - order)
-    cx = c[:, :1].astype(int) + step[:, :1] * nx
-    cy = c[:, 1:].astype(int) + step[:, 1:] * (np.arange(1, 2 * k + 1) - nx)
-    # as unsigned, a cell left of or below the grid lies beyond it
-    inside = (cx.view(np.uint64) < grid.width) & (cy.view(np.uint64) < grid.height)
-    cell = np.where(inside, cy * grid.width + cx, 0)
-    # the merged order is sorted, so the crossings within range come first
-    in_range = (t_both <= max_range).sum(axis=1)
-    free = inside & grid.navigable.ravel()[cell] & (np.arange(2 * k) < in_range[:, None])
-    rows = np.arange(len(dirs))
-    end = free.argmin(axis=1)
-    t_end = t_both[rows, order[rows, end]]
-    # every crossing up to the stop must be on hand, or cells were skipped
-    found = ~free[rows, end] & (t_end <= np.minimum(t_both[:, k - 1], t_both[:, -1]))
-    hit = (end < in_range) & inside[rows, end]
-    label = np.where(hit, grid.semantic.ravel()[cell[rows, end]], 0).astype(np.uint8)
-    return np.where(hit, t_end, np.inf), label, found

@@ -10,9 +10,9 @@ from hypothesis import HealthCheck, settings
 
 from ivln.environment import GridWorld, NavGraph, Point3, Pose, Scene, geodesic_distance
 from ivln.errors import DimensionMismatch, Disconnected, SamplingExhausted
-from ivln.mapper import _WALL_PUSH, CameraIntrinsics, _cameras, _columns, _lift
+from ivln.mapper import _WALL_PUSH, CameraIntrinsics, RayTable, _cameras, _columns, _lift
 from ivln.syngen import _TEMPLATES, EpisodeSpec, FloorplanSpec, _bearing, generate_episodes, generate_scene
-from ivln.tourgen import Episode, build_tours
+from ivln.tourgen import Episode, Tour, build_tours
 
 settings.register_profile(
     "suite",
@@ -283,7 +283,7 @@ def synthesize_views(grid: GridWorld, pose: Pose, intrinsics: CameraIntrinsics,
     W, H = intrinsics.width, intrinsics.height
     cam = _cameras([pose])
     s_wall, wall_label, wall_hit, s_plane, plane_hit = (
-        a[0] for a in _columns(grid, cam, intrinsics, max_range))
+        a[0] for a in _columns(RayTable(grid, intrinsics, max_range), cam))
     # each column's ray direction (forward component 1), as _columns marches it
     k = (np.arange(W) - intrinsics.cx) / intrinsics.fx
     _, _, _, cos_h, sin_h = cam[0]
@@ -497,3 +497,12 @@ def synth():
         "by_id": {ep.episode_id: ep for ep in episodes},
         "tours": tours,
     }
+
+
+@pytest.fixture(scope="session")
+def split_tours(synth):
+    """Three tours of ``synth`` over disjoint sets of its paths, unlike its
+    own tours, which each walk all ten: what one tour's map or ray table
+    held, leaked into the next, shows in the next's map."""
+    scene_id, ids = synth["scene"].scene_id, synth["tours"][0].episode_ids
+    return [Tour(f"t-split{i}", scene_id, ids[a:b]) for i, (a, b) in enumerate([(0, 3), (3, 6), (6, 10)])]

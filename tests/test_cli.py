@@ -992,6 +992,8 @@ MALFORMED_INPUTS = [  # case, the input the file stands for, its text, the error
      ": field 'nodes' must be an object, got []"),
     ("graph edges object", "scene", edited("graph", lambda payload: payload.update(edges={})),
      ": field 'edges' must be a list, got {}"),
+    ("three-id graph edge", "scene", edited("graph", lambda payload: payload["edges"].insert(1, ["d0", "r0", "r1"])),
+     ": field 'edges' item 1 must be a pair of ids, got ['d0', 'r0', 'r1']"),
     ("float width", "scene", edited("scene", lambda payload: payload.update(width=35.0)),
      ": field 'width' must be a non-negative integer, got 35.0"),
     ("bool resolution", "scene", edited("scene", lambda payload: payload.update(resolution=True)),
@@ -1040,6 +1042,14 @@ def test_a_malformed_scene_file_is_bad_input_and_named(pipeline, tmp_path, capsy
     assert run_cli(*argv) == 2
     assert f"error: {bad}{message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_scene_file_that_is_not_utf8_is_bad_input_named_once(pipeline, tmp_path, capsys):
+    bad = tmp_path / "scene.json"
+    bad.write_bytes(b'{"type": "grid", "scene_id": "caf\xe9"}')
+    assert run_cli("gen-episodes", "--scene", bad, "--out", tmp_path / "e.json") == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: 'utf-8' codec can't decode byte 0xe9" in err and err.count(str(bad)) == 1
 
 
 def test_a_scene_with_a_nan_token_is_bad_input(pipeline, tmp_path, capsys):

@@ -25,6 +25,7 @@ from ivln.environment import (
     geodesic_distance,
     load_scene,
     normalize_heading,
+    read_json_lines,
     scene_from_dict,
     scene_to_dict,
     shortest_path,
@@ -907,6 +908,14 @@ def test_scene_loader_rejects_payloads_that_do_not_fit(tmp_path, key, rows):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         load_scene(path)
+
+
+@pytest.mark.parametrize("read", [load_scene, lambda path: list(read_json_lines(path))], ids=["json", "json-lines"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, read):
+    path = tmp_path / "scene.json"
+    path.write_bytes(b'{"type": "grid", "scene_id": "caf\xe9"}\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xe9"):
+        read(path)
 
 
 def test_decoders_take_exact_payloads_only():

@@ -421,7 +421,7 @@ def map_bytes(occ_map, path):
     return path.read_bytes()
 
 
-def test_map_lifetimes_across_episodes_and_tours(synth, tmp_path):
+def test_map_lifetimes_across_episodes_and_tours(synth, split_tours, tmp_path):
     scene, by_id = synth["scene"], synth["by_id"]
     trace, episodic, cfg = noisy_mapped_tour(synth, "episodic")
     _, iterative, _ = noisy_mapped_tour(synth, "iterative")
@@ -433,14 +433,38 @@ def test_map_lifetimes_across_episodes_and_tours(synth, tmp_path):
     # an iterative map keeps what the earlier episodes sensed
     assert iterative.observed.sum() > replayed.observed.sum()
     # every tour starts with a fresh map: the oracle carries no state across
-    # tours, and the short second tour sees less than the first
-    short = Tour("t-short", scene.scene_id, synth["tours"][1].episode_ids[:2])
-    tours, cfg = [synth["tours"][0], short], Config(map_mode="iterative")
-    both, second, first = (
-        map_bytes(run_tours(scene, run, by_id, OraclePolicy(scene, by_id), cfg)[1], tmp_path / f"tours{i}.json")
-        for i, run in enumerate((tours, tours[1:], tours[:1]))
-    )
-    assert both == second != first
+    # tours, and each tour sees cells the next does not, so a leak would show
+    cfg = Config(map_mode="iterative")
+    for earlier, last in zip(split_tours, split_tours[1:]):
+        maps = [run_tours(scene, run, by_id, OraclePolicy(scene, by_id), cfg)[1] for run in ([earlier, last], [last])]
+        assert map_bytes(maps[0], tmp_path / "both.json") == map_bytes(maps[1], tmp_path / "last.json")
+        alone = run_tours(scene, [earlier], by_id, OraclePolicy(scene, by_id), cfg)[1]
+        assert (alone.observed & ~maps[1].observed).any()
+
+
+@pytest.mark.parametrize("mode", ["episodic", "iterative"])
+def test_one_ray_table_across_tours_senses_as_throwaway_tables(synth, split_tours, monkeypatch, tmp_path, mode):
+    # one table shared by every walk of the tours, against a new table for
+    # every sensed batch; a crop reader folds one pose at a time, a kept
+    # map SENSE_CHUNK poses
+    scene, by_id = synth["scene"], synth["by_id"]
+    cfg = Config(map_mode=mode, max_steps=20)
+    shared = harness.RayTable(scene.grid, harness.CameraIntrinsics.from_hfov(
+        harness.FRAME_WIDTH, harness.FRAME_HEIGHT, harness.HFOV_DEG), harness.MAX_RANGE)
+
+    def sensed(table):
+        monkeypatch.setattr(harness, "RayTable", lambda *args: table)
+        maps, crops = [], []
+        for i, tour in enumerate(split_tours):
+            policy = KeepingPolicy(scene, by_id, p_error=0.4, seed=11)
+            maps.append(map_bytes(run_tour(scene, tour, by_id, policy, cfg)[1], tmp_path / f"{i}.json"))
+            crops += [obs.crop.tobytes() for obs in policy.kept if obs.layers is not None]
+        return maps, crops
+
+    reused = sensed(shared)
+    assert len(shared._entries) > 1
+    assert reused == sensed(None)
+    assert len(reused[1]) > 100
 
 
 def _move_point(points, i):

@@ -30,7 +30,7 @@ from ivln.mapper import (
 )
 
 from ivln import mapper
-from ivln.mapper import _SHORT_CROSSINGS, _march, _march_columns
+from ivln.mapper import _SHORT_CROSSINGS, RayTable, _cameras, _lift, _wall_tops
 from ivln.syngen import FloorplanSpec, generate_scene
 
 from conftest import DepthFrame, SemanticFrame, grid_from_ascii, synthesize_views, unproject
@@ -405,6 +405,23 @@ def test_map_loader_rejects_payloads_that_do_not_fit(tmp_path, key, item_size, d
         load_map(path)
 
 
+@pytest.mark.parametrize("value, message", [
+    (0, "resolution must be positive and finite, got 0.0"),
+    (-1, "resolution must be positive and finite, got -1.0"),
+    (10 ** 400, "field 'resolution' must be a finite number, got 1000"),
+], ids=["zero", "negative", "huge"])
+def test_a_map_file_whose_resolution_is_not_positive_and_finite_is_named(tmp_path, value, message):
+    path = tmp_path / "map.json"
+    save_map(fresh_map(size=4), path)
+    payload = json.loads(path.read_text())
+    payload["resolution"] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        load_map(path)
+    with pytest.raises(ValueError, match="resolution must be positive and finite, got nan"):
+        SemanticOccMap(resolution=math.nan, origin=(0, 0, 0), width=4, height=4, mode="iterative")
+
+
 def test_a_map_file_without_a_field_is_named(tmp_path):
     path = tmp_path / "map.json"
     path.write_text('{"format_version": "1"}')
@@ -501,10 +518,14 @@ def cell_units(n):
 
 @st.composite
 def walks(draw):
-    width, height = draw(st.integers(2, 12)), draw(st.integers(1, 8))
-    cells = draw(st.text(".....#4567", min_size=width * height, max_size=width * height))
+    # rooms, and open floors up to 40 cells wide, where rays need the full pass
+    width, height = draw(st.integers(2, 12) | st.integers(30, 40)), draw(st.integers(1, 8))
+    alphabet = draw(st.sampled_from([".....#4567", "."]))
+    cells = draw(st.text(alphabet, min_size=width * height, max_size=width * height))
     grid = grid_from_ascii([cells[i * width:(i + 1) * width] for i in range(height)])
-    heading = st.one_of(st.floats(-7.0, 7.0), st.integers(-8, 8).map(lambda k: k * math.pi / 4))
+    heading = st.one_of(st.floats(-7.0, 7.0), st.integers(-8, 8).map(lambda k: k * math.pi / 4),
+                        st.builds(drifted, st.floats(0.0, 2 * math.pi),
+                                  st.lists(st.sampled_from([-1, 1]), max_size=60)))
     poses = draw(st.lists(st.tuples(cell_units(width), cell_units(height), heading, st.booleans()),
                           min_size=1, max_size=8))
     return grid, poses, draw(st.sampled_from([10.0, 1.3]))
@@ -659,8 +680,8 @@ def test_footprint_refuses_a_known_map():
 def march_loop(grid, position, dirs, max_range):
     """The stepping form of the 2D grid traversal (Amanatides & Woo 1987),
     one pass over the active rays per boundary crossing; the loop that
-    ``_march_columns`` replaced, kept as the reference it must match bit
-    for bit."""
+    the closed-form march (``RayTable``) replaced, kept as the reference
+    it must match bit for bit."""
     n = dirs.shape[0]
     res = grid.resolution
     ox = (position.x - grid.origin.x) / res
@@ -737,14 +758,31 @@ def origins_of(position, dirs):
     return np.broadcast_to([position.x, position.y], dirs.shape)
 
 
-def assert_march_matches_loop(grid, position, dirs, max_range):
+def loop(grid, position, dirs, max_range):
     with np.errstate(invalid="ignore"):  # 0/0 for an axis ray from a cell edge, as before
-        want = march_loop(grid, position, dirs, max_range)
-    got = _march_columns(grid, origins_of(position, dirs), dirs, max_range)
+        return march_loop(grid, position, dirs, max_range)
+
+
+def assert_same_march(got, want, *where):
     assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
-    assert np.array_equal(got[0], want[0]), (position, max_range)
-    assert np.array_equal(got[1], want[1]), (position, max_range)
-    return want
+    assert np.array_equal(got[0], want[0]), where
+    assert np.array_equal(got[1], want[1]), where
+
+
+def assert_march_matches_loop(table, position, heading):
+    """The table's march of the camera at ``position`` facing ``heading``,
+    and the full pass of ``GRAZING_DIRS`` from there, each bitwise the
+    loop's; returns the loop's distances and labels, camera rays first."""
+    pose = Pose(position, heading)
+    grid, max_range = table.grid, table.max_range
+    want = loop(grid, position, camera_dirs(pose.heading), max_range)
+    s_wall, label = table.march(_cameras([pose]))
+    assert_same_march((s_wall[0], label[0]), want, position, heading, max_range)
+    *got, found = table.march_rays(origins_of(position, GRAZING_DIRS), GRAZING_DIRS, table.full)
+    grazing = loop(grid, position, GRAZING_DIRS, max_range)
+    assert found.all()
+    assert_same_march(got, grazing, position, max_range)
+    return np.concatenate([want[0], grazing[0]]), np.concatenate([want[1], grazing[1]])
 
 
 @pytest.fixture(scope="module")
@@ -755,6 +793,7 @@ def generated_grid():
 
 def test_march_matches_the_loop_on_seeded_poses(generated_grid):
     grid = generated_grid
+    table = RayTable(grid, INTR, 10.0)
     rng = np.random.default_rng(12)
     cells = np.argwhere(grid.navigable)
     hits = 0
@@ -766,8 +805,7 @@ def test_march_matches_the_loop_on_seeded_poses(generated_grid):
                      grid.origin.y + (iy + offset[1]) * grid.resolution, 1.25)
         heading = [rng.uniform(0, 2 * math.pi), math.radians(15 * rng.integers(24)),
                    math.pi / 2 * rng.integers(4)][i % 3]
-        dirs = np.concatenate([camera_dirs(heading), GRAZING_DIRS])
-        s_wall, _ = assert_march_matches_loop(grid, pos, dirs, 10.0)
+        s_wall, _ = assert_march_matches_loop(table, pos, heading)
         hits += int(np.isfinite(s_wall).sum())
     assert hits > 0
 
@@ -775,13 +813,13 @@ def test_march_matches_the_loop_on_seeded_poses(generated_grid):
 def test_march_matches_the_loop_at_the_grid_edge():
     # navigable border cells: rays leave the grid instead of hitting walls
     grid = grid_from_ascii(["......", "..#...", "......", "...4..", "......"])
+    table = RayTable(grid, INTR, 10.0)
     escaped = 0
     for ix, iy in [(0, 0), (5, 0), (0, 4), (5, 4), (2, 0), (0, 2), (5, 2)]:
         for dx, dy in [(0.0, 0.0), (-0.5, 0.0), (0.5, 0.5), (0.0, -0.5)]:
             pos = Point3((ix + dx) * 0.25, (iy + dy) * 0.25, 1.25)
             for heading in [0.0, math.pi / 4, math.pi / 2, 2.0, math.pi, 4.0, 3 * math.pi / 2]:
-                dirs = np.concatenate([camera_dirs(heading), GRAZING_DIRS])
-                s_wall, _ = assert_march_matches_loop(grid, pos, dirs, 10.0)
+                s_wall, _ = assert_march_matches_loop(table, pos, heading)
                 escaped += int(np.isinf(s_wall).sum())
     assert escaped > 0
 
@@ -789,18 +827,17 @@ def test_march_matches_the_loop_at_the_grid_edge():
 def test_march_matches_the_loop_when_the_range_ends_on_a_crossing():
     grid = grid_from_ascii(["#......#", "#......#", "#..5...#", "#......#"])
     pos = Point3(1 * 0.25, 1 * 0.25, 1.25)
-    dirs = np.concatenate([camera_dirs(0.3), GRAZING_DIRS])
-    s_wall, _ = assert_march_matches_loop(grid, pos, dirs, 10.0)
+    s_wall, _ = assert_march_matches_loop(RayTable(grid, INTR, 10.0), pos, 0.3)
     # cut the range exactly at each wall distance: the wall is still seen
     # at that range and lost just below it
     for cut in np.unique(s_wall[np.isfinite(s_wall)]):
-        at, _ = assert_march_matches_loop(grid, pos, dirs, float(cut))
+        at, _ = assert_march_matches_loop(RayTable(grid, INTR, float(cut)), pos, 0.3)
         assert np.isfinite(at).any()
-        below, _ = assert_march_matches_loop(grid, pos, dirs, float(np.nextafter(cut, 0.0)))
+        below, _ = assert_march_matches_loop(RayTable(grid, INTR, float(np.nextafter(cut, 0.0))), pos, 0.3)
         assert np.isinf(below[s_wall == cut]).all()
     # and exactly on boundary crossings that are not walls
     for cut in (0.125, 0.375, 0.625, 0.25 * math.sqrt(2)):
-        assert_march_matches_loop(grid, pos, dirs, cut)
+        assert_march_matches_loop(RayTable(grid, INTR, cut), pos, 0.3)
 
 
 # a corridor 80 cells (20 m) long: down it a ray meets the near end wall
@@ -811,56 +848,172 @@ CORRIDOR = grid_from_ascii(["#" * 80, "#" + "." * 78 + "#", "#" * 80])
 
 def test_short_then_full_march_is_the_full_pass_and_the_loop():
     pos = Point3(30 * 0.25, 0.25, 1.25)
+    table = RayTable(CORRIDOR, INTR, 10.0)
     for heading in (0.0, math.pi, 0.01, math.pi - 0.02, math.pi / 2, 2.5):
         dirs = np.concatenate([camera_dirs(heading), GRAZING_DIRS])
-        k = int(10.0 * np.abs(dirs).max() / 0.25) + 3
-        _, _, short_found = _march(CORRIDOR, origins_of(pos, dirs), dirs, 10.0, _SHORT_CROSSINGS)
-        s_full, label_full, full_found = _march(CORRIDOR, origins_of(pos, dirs), dirs, 10.0, k)
+        *_, short_found = table.march_rays(origins_of(pos, dirs), dirs, _SHORT_CROSSINGS)
+        *full, full_found = table.march_rays(origins_of(pos, dirs), dirs, table.full)
         assert full_found.all()
-        s_wall, label = assert_march_matches_loop(CORRIDOR, pos, dirs, 10.0)
-        assert np.array_equal(s_wall, s_full) and np.array_equal(label, label_full)
+        assert_same_march(full, assert_march_matches_loop(table, pos, heading))
         if heading in (0.0, math.pi):
             assert not short_found.all()  # some rays need the full pass
     # down the corridor toward +x the far wall lies beyond max_range
-    s_wall, _ = assert_march_matches_loop(CORRIDOR, pos, np.array([[1.0, 0.0], [-1.0, 0.0]]), 10.0)
+    s_wall, _ = loop(CORRIDOR, pos, np.array([[1.0, 0.0], [-1.0, 0.0]]), 10.0)
     assert np.isinf(s_wall[0]) and s_wall[1] == pytest.approx(29.5 * 0.25)
 
 
 def test_one_march_of_many_origins_is_each_origin_alone(generated_grid):
     # cell centers and edges, a long corridor and an edge-of-grid room,
-    # each ray bundle from its own origin, all marched together
+    # each camera and each ray bundle from its own origin, all marched
+    # together, through one table and through a table each
     rng = np.random.default_rng(31)
     for grid in (generated_grid, CORRIDOR, grid_from_ascii(["......", "..#...", "......", "...4.."])):
+        table = RayTable(grid, INTR, 10.0)
         cells = np.argwhere(grid.navigable)
-        origins, dirs = [], []
+        poses, origins = [], []
         for i in range(12):
             iy, ix = cells[rng.integers(len(cells))]
             offset = rng.choice([-0.5, 0.0, 0.3, 0.5], size=2) if i % 3 == 0 else (0.0, 0.0)
             pos = Point3(grid.origin.x + (ix + offset[0]) * grid.resolution,
                          grid.origin.y + (iy + offset[1]) * grid.resolution, 1.25)
-            bundle = np.concatenate([camera_dirs(rng.uniform(0, 2 * math.pi)), GRAZING_DIRS])
-            origins.append(origins_of(pos, bundle))
-            dirs.append(bundle)
-            assert_march_matches_loop(grid, pos, bundle, 10.0)
-        k = int(10.0 * max(np.abs(d).max() for d in dirs) / grid.resolution) + 3
-        together = _march_columns(grid, np.concatenate(origins), np.concatenate(dirs), 10.0)
-        alone = [_march_columns(grid, o, d, 10.0) for o, d in zip(origins, dirs)]
-        for got, want in zip(together, zip(*alone)):
-            assert np.array_equal(got, np.concatenate(want))
-        for crossings in (_SHORT_CROSSINGS, k):
-            s_wall, label, found = _march(grid, np.concatenate(origins), np.concatenate(dirs), 10.0, crossings)
-            each = [_march(grid, o, d, 10.0, crossings) for o, d in zip(origins, dirs)]
+            poses.append(Pose(pos, rng.uniform(0, 2 * math.pi)))
+            origins.append(origins_of(pos, GRAZING_DIRS))
+            assert_march_matches_loop(table, pos, poses[-1].heading)
+        together = table.march(_cameras(poses))
+        for alone in ([table.march(_cameras([p])) for p in poses],
+                      [RayTable(grid, INTR, 10.0).march(_cameras([p])) for p in poses]):
+            assert_same_march(together, [np.concatenate(a) for a in zip(*alone)])
+        dirs = np.concatenate([GRAZING_DIRS] * len(origins))
+        for crossings in (_SHORT_CROSSINGS, table.full):
+            s_wall, label, found = table.march_rays(np.concatenate(origins), dirs, crossings)
+            each = [table.march_rays(o, GRAZING_DIRS, crossings) for o in origins]
             assert np.array_equal(found, np.concatenate([f for *_, f in each]))
             assert np.array_equal(s_wall[found], np.concatenate([s[f] for s, _, f in each]))
             assert np.array_equal(label[found], np.concatenate([lab[f] for _, lab, f in each]))
         assert found.all()
 
 
-def test_march_raises_when_the_full_pass_runs_out_of_crossings(monkeypatch):
-    pos = Point3(30 * 0.25, 0.25, 1.25)
-    dirs = camera_dirs(math.pi)
-    _march_columns(CORRIDOR, origins_of(pos, dirs), dirs, 10.0)
-    real = mapper._march
-    monkeypatch.setattr(mapper, "_march", lambda grid, p, d, r, k: real(grid, p, d, r, min(k, 8)))
+def test_march_raises_when_the_full_pass_runs_out_of_crossings():
+    table = RayTable(CORRIDOR, INTR, 10.0)
+    cam = _cameras([Pose(Point3(30 * 0.25, 0.25, 1.25), math.pi)])
+    table.march(cam)
+    table.full = _SHORT_CROSSINGS  # down the corridor, rays need more
     with pytest.raises(RuntimeError, match="ran out of boundary crossings"):
-        _march_columns(CORRIDOR, origins_of(pos, dirs), dirs, 10.0)
+        table.march(cam)
+
+
+def drifted(start, turns):
+    """The heading after a walk's 15-degree turns, left (1) or right (-1),
+    summed one at a time as the walk sums them."""
+    for turn in turns:
+        start += turn * math.radians(15)
+    return start
+
+
+@st.composite
+def table_marches(draw):
+    # rooms, and long open rows where rays need the full pass; the border
+    # cells may be navigable, so rays leave the grid
+    width, height = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    alphabet = draw(st.sampled_from([".....#4567", "...........#", "."]))
+    cells = draw(st.text(alphabet, min_size=width * height, max_size=width * height))
+    grid = grid_from_ascii([cells[i * width:(i + 1) * width] for i in range(height)])
+    heading = st.one_of(st.floats(-7.0, 7.0), st.integers(-8, 8).map(lambda k: k * math.pi / 4),
+                        st.builds(drifted, st.floats(0.0, 2 * math.pi) | st.just(0.0),
+                                  st.lists(st.sampled_from([-1, 1]), max_size=60)))
+    poses = draw(st.lists(st.tuples(cell_units(width), cell_units(height), heading), min_size=1, max_size=8))
+    # 1.3 m and 0.6 m need fewer crossings than the short pass has
+    return grid, poses, draw(st.sampled_from([10.0, 1.3, 0.6]))
+
+
+@given(table_marches())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_table_march_is_the_loop(march):
+    # all poses in one march, then each alone through the filled table
+    grid, walked, max_range = march
+    table = RayTable(grid, INTR, max_range)
+    poses = [Pose(Point3(x * 0.25, y * 0.25, 1.25), heading) for x, y, heading in walked]
+    want = [loop(grid, pose.position, camera_dirs(pose.heading), max_range) for pose in poses]
+    assert_same_march(table.march(_cameras(poses)), [np.stack(w) for w in zip(*want)], walked)
+    for pose, w in zip(poses, want):
+        s_wall, label = table.march(_cameras([pose]))
+        assert_same_march((s_wall[0], label[0]), w, pose)
+
+
+def test_sense_refuses_a_table_of_another_grid_camera_or_range():
+    grid = grid_from_ascii(["#..#"])
+    pose = Pose(Point3(0.25, 0.0, 1.25), 0.0)
+    for table in (RayTable(grid_from_ascii(["#..#"]), INTR, 10.0), RayTable(grid, center_intrinsics(), 10.0),
+                  RayTable(grid, INTR, 5.0)):
+        with pytest.raises(ValueError, match="another grid, camera or range"):
+            sense(SemanticOccMap.for_grid(grid, "iterative"), grid, [pose], INTR, 10.0, table)
+
+
+# -- wall tops ----------------------------------------------------------------
+
+
+def wall_tops_all_rows(cam, intrinsics, u, dv, wall, lo, hi):
+    """Every row of each wall column lifted, then its top in-band z and the
+    last row at that z taken: how ``sense`` found them before
+    ``_wall_tops``, kept as its reference.  A column without an in-band
+    wall row gives -inf, at row H - 1."""
+    H = intrinsics.height
+    wx, wy, wz = _lift(cam, intrinsics, u, np.arange(H)[:, None], dv)
+    z = np.where(wall.T & (wz > lo) & (wz < hi), wz, -np.inf)
+    top = z.max(axis=0, initial=-np.inf)
+    return wx, wy, top, H - 1 - (z[::-1] == top).argmax(axis=0)
+
+
+def assert_wall_tops_match(cam, u, dv, wall, lo, hi):
+    """``_wall_tops`` bitwise the all-rows lift; the row of a column
+    without an in-band wall row orders only out-of-band points, so it is
+    free.  Returns the reference."""
+    got = _wall_tops(cam, INTR, u, dv, wall, lo, hi)
+    want = wall_tops_all_rows(cam, INTR, u, dv, wall, lo, hi)
+    for name, a, b in zip(("x", "y", "top"), got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    seen = np.isfinite(want[2])
+    assert np.array_equal(got[3][seen], want[3][seen])
+    return want
+
+
+@st.composite
+def wall_columns(draw):
+    # heights near 0, and so far up that z rounds alike across rows
+    base = draw(st.sampled_from([0.0, 1e3, 2.0 ** 45, 2.0 ** 60]))
+    n = draw(st.integers(1, 12))
+    heading = draw(st.floats(0.0, 2 * math.pi))
+    pz = base + draw(st.floats(-3.0, 3.0))
+    cam = np.array([[1.0, -2.0, pz, math.cos(heading), math.sin(heading)]] * n).T
+    u = np.array(draw(st.lists(st.integers(0, 63), min_size=n, max_size=n)))
+    depth = st.one_of(st.floats(0.0, 12.0), st.floats(0.0, 1e-3))
+    dv = np.array(draw(st.lists(depth, min_size=n, max_size=n))) + 1e-4
+    wall = np.zeros((n, INTR.height), dtype=bool)
+    for i in range(n):  # one run of wall rows, as z_at_wall's bounds give
+        first, last = sorted(draw(st.lists(st.integers(0, INTR.height - 1), min_size=2, max_size=2)))
+        wall[i, first:last + 1] = True
+    # the band's bounds anywhere, or near the z of some row of the first
+    # column, where z's rounding may move the row that crosses them
+    near = st.builds(lambda row, frac: pz - (row + frac - INTR.cy) * dv[0] / INTR.fy,
+                     st.integers(-2, INTR.height + 1), st.floats(-1.0, 1.0))
+    lo, hi = sorted(draw(st.lists(near | st.floats(-5.0, 5.0).map(lambda h: base + h), min_size=2, max_size=2)))
+    return cam, u, dv, wall, lo, hi
+
+
+@given(wall_columns())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_one_row_wall_top_is_the_all_rows_lift(columns):
+    assert_wall_tops_match(*columns)
+
+
+def test_one_row_wall_top_steps_on_over_tied_rows():
+    # 2**60 m up, z rounds to 2**60 in every row of a 1 m deep column: all
+    # rows of its wall run tie, and the top goes to the run's last row
+    H = INTR.height
+    cam = np.array([[0.0, 0.0, 2.0 ** 60, 1.0, 0.0]] * 2).T
+    wall = np.zeros((2, H), dtype=bool)
+    wall[0, 3:40] = True
+    wall[1] = True
+    *_, top, row = assert_wall_tops_match(cam, np.array([5, 60]), np.array([1.0, 1.0]), wall,
+                                          2.0 ** 60 - 4096, 2.0 ** 60 + 4096)
+    assert list(top) == [2.0 ** 60] * 2 and list(row) == [39, H - 1]
