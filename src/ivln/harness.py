@@ -72,8 +72,9 @@ FRAME_HEIGHT = 48
 HFOV_DEG = 90.0
 MAX_RANGE = 10.0
 
-# poses a walk folds in one ``sense``; small batches keep memory flat
-SENSE_CHUNK = 8
+# poses a walk folds in one ``sense``: enough to spread its fixed cost
+# of some 300 numpy operations, few enough that one batch stays near 2 MB
+SENSE_CHUNK = 32
 
 # the wire protocol version a reset names and its ack must carry: crops
 # travel as compact label and occupancy grids, and a passive observation
@@ -318,8 +319,9 @@ class _Walk:
     A map is sensed only for a crop reader or a caller that keeps it.
     Poses queue up and fold, ``SENSE_CHUNK`` at a time, when the map is
     handed out: in a crop, or as the kept map.  A kept map also folds
-    every ``SENSE_CHUNK`` poses as the walk goes, which keeps its memory
-    flat; an episodic clear drops the queued poses nobody read.
+    every ``SENSE_CHUNK`` poses as the walk goes, so no fold holds more
+    than one batch's arrays; an episodic clear drops the queued poses
+    nobody read.
     """
 
     def __init__(self, scene: Scene, cfg: Config, reads_crops: bool = False, keep_map: bool = True):

@@ -13,7 +13,8 @@ module for grid indexing conventions.
 
 Every map is sensed as footprints (``sense``): per pose, one point per
 wall column, at its top in-band z found at one row, folded in by
-``integrate``, and the cells the floor and ceiling pixels mark observed.
+``integrate``; ``sense`` itself marks observed the cells of the floor
+and ceiling pixels, whose depth and z it takes once per row.
 The rays march through a ``RayTable``, which keeps each camera
 geometry's crossing pattern for the walk that owns it.  The tests keep
 the pixel path, which renders a depth and a semantic frame per pose and
@@ -64,6 +65,9 @@ CROP_CHANNELS = LABEL_COUNT + 1  # one-hot labels plus an occupancy channel
 BAND_MARGIN = 0.1
 
 MAP_MODES = ("episodic", "iterative", "known")
+
+# each map layer's dtype and value before anything is observed
+_EMPTY = {"occupancy": np.uint8(0), "semantic": np.uint8(0), "observed": False, "top_z": -np.inf}
 
 
 @dataclass(frozen=True)
@@ -120,17 +124,10 @@ class SemanticOccMap:
         check_resolution(self.resolution)
         self.origin = as_point(self.origin)
         shape = (self.height, self.width)
-        if self.occupancy is None:
-            self.occupancy = np.zeros(shape, dtype=np.uint8)
-        if self.semantic is None:
-            self.semantic = np.zeros(shape, dtype=np.uint8)
-        if self.observed is None:
-            self.observed = np.zeros(shape, dtype=bool)
-        if self.top_z is None:
-            self.top_z = np.full(shape, -np.inf, dtype=np.float64)
-        for name in ("occupancy", "semantic", "observed", "top_z"):
-            arr = getattr(self, name)
-            if arr.shape != shape:
+        for name, empty in _EMPTY.items():
+            if getattr(self, name) is None:
+                setattr(self, name, np.full(shape, empty))
+            if (arr := getattr(self, name)).shape != shape:
                 raise DimensionMismatch(f"{name} shape {arr.shape} != {shape}")
 
     @classmethod
@@ -144,10 +141,8 @@ class SemanticOccMap:
         )
 
     def clear(self) -> None:
-        self.occupancy[:] = 0
-        self.semantic[:] = 0
-        self.observed[:] = False
-        self.top_z[:] = -np.inf
+        for name, empty in _EMPTY.items():
+            getattr(self, name)[:] = empty
 
     def cell_index(self, x, y):
         ix = np.floor((x - self.origin.x) / self.resolution + 0.5).astype(int)
@@ -421,11 +416,11 @@ class RayTable:
             first = np.where(dirs != 0, (c + np.where(dirs > 0, 0.5, -0.5) - o) * res / dirs, np.inf)
             seq = np.repeat(np.where(dirs != 0, res / np.abs(dirs), np.inf)[:, :, None], k, axis=2)
         seq[:, :, 0] = first
-        t = np.add.accumulate(seq, axis=2).reshape(len(dirs), 2 * k)  # x crossings, then y
+        t = np.add.accumulate(seq, axis=2, out=seq).reshape(len(dirs), 2 * k)  # x crossings, then y
         order, offsets = _pattern(t, dirs, k, self._pitch) if patterns is None else patterns(t)
         # from 2 cells off the grid, as from farther, the first crossing is off it
         x, y = (np.clip(c, -2, (grid.width + 1, grid.height + 1)) + self._pad).T
-        crossed = (y * self._pitch + x).astype(np.intp)[:, None] + offsets
+        crossed = np.add((y * self._pitch + x).astype(np.int32)[:, None], offsets, dtype=np.int32)
         free = self._free[crossed]
         rows = np.arange(len(t))
         end = free.argmin(axis=1)
@@ -508,10 +503,10 @@ def sense(occ_map: SemanticOccMap, grid: GridWorld, poses, intrinsics: CameraInt
     grid's floor and ceiling); but folds the views' footprints, all in one
     batch.  All wall pixels of a column share one depth, so they land in
     one cell: the column gives one point, at its highest in-band z (or
-    -inf for none), with its label.  Floor and ceiling pixels lie outside
-    the band and only mark their cells observed.  Raises RuntimeError,
-    before folding any pose, if one of them lies inside the band, which
-    the footprint does not fold.
+    -inf for none), with its label, and one ``integrate`` takes these.
+    Floor and ceiling pixels lie outside the band; ``sense`` only marks
+    their cells observed.  Raises RuntimeError, before folding any pose,
+    if one of them lies inside the band, which the footprint does not fold.
 
     Folded in turn, a cell takes the label of the earliest pose to reach
     its top z, that pose's last point there in pixel order (row, column);
@@ -534,14 +529,18 @@ def sense(occ_map: SemanticOccMap, grid: GridWorld, poses, intrinsics: CameraInt
     # integrate sorts in-band points by z, stably in pixel order (v, u), so
     # a tie goes to the last pixel: the column's last row at its top z
     order = np.lexsort((cols, row, -pose))
-    # floor and ceiling pixels, one point each, lifted as the tests' pixel path lifts them
-    p_idx, v_idx, u_idx = np.nonzero(plane_hit & (s_plane > 0))
-    px, py, pz = _lift(cam.T[:, p_idx], intrinsics, u_idx, v_idx, s_plane[p_idx, v_idx, 0])
-    if ((pz > lo) & (pz < hi)).any():
+    # a floor or ceiling row's pixels share one depth and one z, so the band
+    # check and _lift's row terms are taken once per row
+    p_row, v_row = np.nonzero(plane_hit.any(axis=2) & (s_plane[:, :, 0] > 0))
+    (px, py, pz, cos_h, sin_h), dv = cam.T[:, p_row], s_plane[p_row, v_row, 0]
+    z = pz - (v_row - intrinsics.cy) * dv / intrinsics.fy
+    if ((z > lo) & (z < hi)).any():
         raise RuntimeError("a floor or ceiling point lies inside the band")
-    # outside the band, the floor and ceiling points only mark their cells observed
-    points = np.stack([np.concatenate([wx[order], px]), np.concatenate([wy[order], py]),
-                       np.concatenate([top[order], pz])], axis=1)
-    labels = np.zeros(len(points), dtype=np.uint8)
-    labels[:len(order)] = wall_label[pose, cols][order]
-    integrate(occ_map, points, labels, grid.floor_z, grid.ceiling_z)
+    # raises for a known map before any cell is marked
+    integrate(occ_map, np.stack([wx[order], wy[order], top[order]], axis=1), wall_label[pose, cols][order],
+              grid.floor_z, grid.ceiling_z)
+    r, u = np.nonzero(plane_hit[p_row, v_row])
+    x_cam = (u - intrinsics.cx) * dv[r] / intrinsics.fx
+    ix, iy = occ_map.cell_index((px + dv * cos_h)[r] + x_cam * sin_h[r], (py + dv * sin_h)[r] + x_cam * -cos_h[r])
+    inside = (ix >= 0) & (ix < occ_map.width) & (iy >= 0) & (iy < occ_map.height)
+    np.put(occ_map.observed, (iy * occ_map.width + ix)[inside], True)

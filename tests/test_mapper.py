@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from ivln.mapper import (
     sense,
 )
 
-from ivln import mapper
+from ivln import harness, mapper
 from ivln.mapper import _SHORT_CROSSINGS, RayTable, _cameras, _lift, _wall_tops
 from ivln.syngen import FloorplanSpec, generate_scene
 
@@ -575,24 +576,67 @@ def test_footprint_fold_is_the_pixel_path(walk):
         assert_same_map(fold_in_chunks(grid, poses, clears, chunk, max_range), want, chunk)
 
 
-def test_batches_of_every_size_fold_as_one_pose_at_a_time(generated_grid):
-    grid = generated_grid
-    rng = np.random.default_rng(21)
+def seeded_poses(grid, count, seed, heights=(1.25,)):
+    """``count`` poses on navigable cells, a quarter of them on cell edges,
+    half at any heading and half on the compass, cycling through ``heights``."""
+    rng = np.random.default_rng(seed)
     cells = np.argwhere(grid.navigable)
     poses = []
-    for i in range(24):
+    for i in range(count):
         iy, ix = cells[rng.integers(len(cells))]
-        # cell centers and cell edges, at any heading and on the compass
         offset = rng.choice([-0.5, 0.0, 0.5], size=2) if i % 4 == 0 else (0.0, 0.0)
         heading = rng.uniform(0, 2 * math.pi) if i % 2 else math.pi / 4 * rng.integers(8)
-        poses.append(Pose(Point3((ix + offset[0]) * grid.resolution, (iy + offset[1]) * grid.resolution, 1.25),
-                          heading))
-    clears = [i in (7, 13) for i in range(len(poses))]
+        poses.append(Pose(Point3((ix + offset[0]) * grid.resolution, (iy + offset[1]) * grid.resolution,
+                                 heights[i % len(heights)]), heading))
+    return poses
+
+
+def test_batches_of_every_size_fold_as_one_pose_at_a_time(generated_grid):
+    # enough poses for two walk-sized batches and a rest, with clears
+    # inside the first and the second batch
+    grid, chunk = generated_grid, harness.SENSE_CHUNK
+    poses = seeded_poses(grid, 2 * chunk + 1, 21)
+    clears = [i in (7, 13, chunk + 5) for i in range(len(poses))]
     for max_range in (10.0, 1.3):
         want = fold_in_chunks(grid, poses, clears, 1, max_range)
         assert want.occupancy.sum() > 10
-        for chunk in range(2, len(poses) + 1):
-            assert_same_map(fold_in_chunks(grid, poses, clears, chunk, max_range), want, chunk, max_range)
+        for size in (*range(2, 9), chunk - 1, chunk, chunk + 1, 2 * chunk):
+            assert_same_map(fold_in_chunks(grid, poses, clears, size, max_range), want, size, max_range)
+
+
+def test_one_batch_of_mixed_camera_heights_is_the_pixel_path(generated_grid):
+    # a floor or ceiling row's depth, z and offsets hang on its pose's
+    # height, so poses at three heights interleave in one batch
+    grid = generated_grid
+    poses = seeded_poses(grid, 12, 5, heights=(0.6, 1.25, 2.0))
+    want = SemanticOccMap.for_grid(grid, "iterative")
+    for pose in poses:
+        pixel_path(want, grid, pose, 10.0)
+    got = SemanticOccMap.for_grid(grid, "iterative")
+    sense(got, grid, poses, INTR)
+    assert want.observed.sum() > want.occupancy.sum() > 10
+    assert_same_map(got, want)
+
+
+def test_a_walk_sized_batch_stays_under_its_memory_bound(synth):
+    # the first SENSE_CHUNK poses along synth's first tour, each facing
+    # the next point, sensed with a fresh ray table as a walk's first fold.
+    # Traced at 1.94 MB (numpy 2.4, x86-64), nearly all of it the short
+    # march pass, so the 2.3 MB bound leaves 19% headroom
+    grid, by_id = synth["scene"].grid, synth["by_id"]
+    points = [p for eid in synth["tours"][0].episode_ids for p in by_id[eid].path]
+    poses = [Pose(Point3(a.x, a.y, grid.floor_z + harness.CAMERA_HEIGHT), math.atan2(b.y - a.y, b.x - a.x))
+             for a, b in zip(points, points[1:]) if a != b][:harness.SENSE_CHUNK]
+    assert len(poses) == harness.SENSE_CHUNK
+    occ_map, table = SemanticOccMap.for_grid(grid, "iterative"), RayTable(grid, INTR, harness.MAX_RANGE)
+    tracemalloc.start()
+    try:
+        sense(occ_map, grid, poses, INTR, harness.MAX_RANGE, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert occ_map.occupancy.any()
+    assert peak < 2.3e6, peak
 
 
 def test_a_tie_between_poses_goes_to_the_earlier_pose():
@@ -669,9 +713,15 @@ def test_footprint_refuses_a_floor_point_inside_the_band(monkeypatch):
 
 
 def test_footprint_refuses_a_known_map():
-    grid = grid_from_ascii(["#..#"])
-    with pytest.raises(ValueError, match="immutable"):
-        sense(known_map(grid), grid, [Pose(Point3(0.25, 0.0, 1.25), 0.0)], INTR)
+    # the ground truth, and a known map with nothing observed, where a
+    # floor cell marked before the refusal would show
+    grid = grid_from_ascii(["#" + "." * 14 + "#"] * 3)
+    for known in (known_map(grid), SemanticOccMap.for_grid(grid, "known")):
+        before = {name: getattr(known, name).copy() for name in MAP_ARRAYS}
+        with pytest.raises(ValueError, match="immutable"):
+            sense(known, grid, [Pose(Point3(0.25, 0.25, 1.25), 0.0)], INTR)
+        for name in MAP_ARRAYS:
+            assert np.array_equal(getattr(known, name), before[name]), name
 
 
 # -- ray march ----------------------------------------------------------------
