@@ -73,7 +73,7 @@ HFOV_DEG = 90.0
 MAX_RANGE = 10.0
 
 # poses a walk folds in one ``sense``: enough to spread its fixed cost
-# of some 300 numpy operations, few enough that one batch stays near 2 MB
+# per call over many poses, few enough that one batch stays near 2 MB
 SENSE_CHUNK = 32
 
 # the wire protocol version a reset names and its ack must carry: crops

@@ -703,13 +703,16 @@ def test_footprint_breaks_a_tie_as_integrate_does():
 
 def test_footprint_refuses_a_floor_point_inside_the_band(monkeypatch):
     # a band that takes in the floor: the pixel path folds floor points as
-    # occupied, which the footprint cannot express, so it raises
+    # occupied, which the footprint cannot express, so it raises before
+    # it marks a cell, though floor pixels land on the grid
     monkeypatch.setattr(mapper, "BAND_MARGIN", -0.05)
-    grid = grid_from_ascii(["#......#"])
-    pose = Pose(Point3(0.25, 0.0, 1.25), 0.0)
+    grid = grid_from_ascii(["#" + "." * 14 + "#"] * 3)
+    pose = Pose(Point3(0.25, 0.25, 1.25), 0.0)
     pixel_path(SemanticOccMap.for_grid(grid, "iterative"), grid, pose, 10.0)
+    occ_map = SemanticOccMap.for_grid(grid, "iterative")
     with pytest.raises(RuntimeError, match="inside the band"):
-        sense(SemanticOccMap.for_grid(grid, "iterative"), grid, [pose], INTR, 10.0)
+        sense(occ_map, grid, [pose], INTR, 10.0)
+    assert_same_map(occ_map, SemanticOccMap.for_grid(grid, "iterative"))
 
 
 def test_footprint_refuses_a_known_map():
