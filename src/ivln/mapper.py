@@ -532,7 +532,8 @@ def sense(occ_map: SemanticOccMap, grid: GridWorld, poses, intrinsics: CameraInt
     # a floor or ceiling row's pixels share one depth and one z, so the band
     # check and _lift's row terms are taken once per row
     p_row, v_row = np.nonzero(plane_hit.any(axis=2) & (s_plane[:, :, 0] > 0))
-    (px, py, pz, cos_h, sin_h), dv = cam.T[:, p_row], s_plane[p_row, v_row, 0]
+    px, py, pz, cos_h, sin_h = cam.T[:, p_row]
+    dv = s_plane[p_row, v_row, 0]
     z = pz - (v_row - intrinsics.cy) * dv / intrinsics.fy
     if ((z > lo) & (z < hi)).any():
         raise RuntimeError("a floor or ceiling point lies inside the band")
