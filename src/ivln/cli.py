@@ -23,7 +23,7 @@ import itertools
 import math
 import sys
 
-from .config import Config, resolve_config
+from .config import Config, read_value, resolve_config
 from .coverage import ObservationModel, coverage_curves
 from .environment import FORMAT_VERSION, load_scene, save_scene, write_json
 from .errors import (
@@ -69,16 +69,6 @@ def _config(args) -> Config:
     file over the default, where a flag left out is absent from args or None."""
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(Config) if hasattr(args, f.name)}
     return resolve_config(getattr(args, "config", None), overrides)
-
-
-def _max_steps(raw: str) -> int | None:
-    """``--max-steps`` value: a step count, or none for the per-kind default."""
-    if raw.strip().lower() in ("none", "null"):
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a step count or none, got {raw!r}") from None
 
 
 def _inputs(args) -> argparse.Namespace:
@@ -254,21 +244,26 @@ def cmd_build_map(args) -> int:
     return 0
 
 
-class _OnOff(argparse.Action):
-    """An ``on``/``off`` choice stored as a bool."""
+def _setting(sub, flag, dest=None, **kwargs):
+    """A flag that sets Config field ``dest`` (by default the flag's name),
+    reading its value as a config line does (``read_value``)."""
+    dest = dest or flag[2:].replace("-", "_")
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values == "on")
+    def read(raw):
+        try:
+            return read_value(dest, raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-def _add_config_flag(sub):
-    sub.add_argument("--config", help="key=value config file (default: $IVLN_CONFIG)")
+    sub.add_argument(flag, dest=dest, type=read, **kwargs)
 
 
 @functools.cache  # one per process: building it costs about as much as a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ivln", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
+    configured = argparse.ArgumentParser(add_help=False)  # the parent of each subcommand with settings
+    configured.add_argument("--config", help="key=value config file (default: $IVLN_CONFIG)")
 
     p = subs.add_parser("gen-env", help="generate a synthetic scene")
     p.add_argument("--rooms", type=int, default=4)
@@ -293,52 +288,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_episodes)
 
-    p = subs.add_parser("gen-tours", help="partition, order, and expand into tours")
+    p = subs.add_parser("gen-tours", parents=[configured], help="partition, order, and expand into tours")
     p.add_argument("--episodes", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    _add_config_flag(p)
+    _setting(p, "--seed")
     p.set_defaults(func=cmd_gen_tours)
 
-    p = subs.add_parser("run", help="execute a policy over tours")
+    p = subs.add_parser("run", parents=[configured], help="execute a policy over tours")
     p.add_argument("--scene", required=True)
     p.add_argument("--tours", required=True)
     p.add_argument("--episodes", required=True)
-    p.add_argument("--policy", help="oracle | noisy:<p> | random | stop | ext:<cmd> | tcp:<host>:<port>")
-    p.add_argument("--map", choices=("none", *MAP_MODES), dest="map_mode")
+    _setting(p, "--policy", help="oracle | noisy:<p> | random | stop | ext:<cmd> | tcp:<host>:<port>")
+    _setting(p, "--map", "map_mode", choices=("none", *MAP_MODES))
     p.add_argument("--map-out", help="write the final tour's map snapshot")
-    p.add_argument("--max-steps", type=_max_steps, dest="max_steps", default=argparse.SUPPRESS,
-                   help="agent steps per episode; none for the per-kind default")
-    p.add_argument("--step-timeout", type=float, dest="step_timeout")
-    p.add_argument("--seed", type=int)
+    _setting(p, "--max-steps", default=argparse.SUPPRESS, help="agent steps per episode; none for the per-kind default")
+    _setting(p, "--step-timeout")
+    _setting(p, "--seed")
     p.add_argument("--out", required=True)
-    _add_config_flag(p)
     p.set_defaults(func=cmd_run)
 
-    p = subs.add_parser("eval", help="score a trace file")
+    p = subs.add_parser("eval", parents=[configured], help="score a trace file")
     p.add_argument("--traces", required=True)
     p.add_argument("--tours")
     p.add_argument("--episodes", required=True, help="the episode file, which gives each trace its reference path")
     p.add_argument("--scene")
-    p.add_argument("--d-th", type=float, dest="d_th")
-    p.add_argument("--success-radius", type=float, dest="success_radius")
+    _setting(p, "--d-th")
+    _setting(p, "--success-radius")
     p.add_argument("--geodesic", action="store_const", const=True, default=None,
                    help="geodesic point metric for the alignment score")
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="also write per-episode rows")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_eval)
 
-    p = subs.add_parser("coverage", help="oracle-observation coverage curves")
+    p = subs.add_parser("coverage", parents=[configured], help="oracle-observation coverage curves")
     p.add_argument("--tours", required=True)
     p.add_argument("--episodes", required=True)
     p.add_argument("--scene", required=True)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--occlusion", choices=["on", "off"], action=_OnOff)
+    _setting(p, "--radius")
+    _setting(p, "--occlusion", help="on or off, or any boolean word a config line takes")
     p.add_argument("--out", required=True)
     p.add_argument("--json", help="also write per-tour detail")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_coverage)
 
     p = subs.add_parser("stats", help="tour corpus statistics")
@@ -346,13 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_stats)
 
-    p = subs.add_parser("build-map", help="replay a trace into a map snapshot")
+    p = subs.add_parser("build-map", parents=[configured], help="replay a trace into a map snapshot")
     p.add_argument("--scene", required=True)
     p.add_argument("--traces", required=True)
     p.add_argument("--episodes", required=True)
-    p.add_argument("--mode", choices=MAP_MODES, default="iterative", dest="map_mode")
+    _setting(p, "--mode", "map_mode", choices=MAP_MODES, default="iterative")
     p.add_argument("--out", required=True)
-    _add_config_flag(p)
     p.set_defaults(func=cmd_build_map)
 
     return parser

@@ -66,9 +66,14 @@ class Config:
         return dataclasses.asdict(self)
 
 
-def _coerce(name: str, default, raw: str):
-    """Parse ``raw`` as the type of the key's default; only a None default
-    (max_steps, an int) accepts none/null."""
+_FIELDS = {f.name: f for f in dataclasses.fields(Config)}
+
+
+def read_value(name: str, raw: str):
+    """Config field ``name`` as a config line or a flag writes it, ``raw``,
+    parsed as the type of its default; only a None default (max_steps, an
+    int) accepts none/null."""
+    default = _FIELDS[name].default
     raw = raw.strip()
     if default is None and raw.lower() in ("none", "null"):
         return None
@@ -88,21 +93,26 @@ def _coerce(name: str, default, raw: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Read key=value lines; '#' starts a comment, blank lines are skipped."""
-    fields = {f.name: f for f in dataclasses.fields(Config)}
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in fields:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _coerce(key, fields[key].default, raw)
+    """Read key=value lines; '#' starts a comment, blank lines are skipped.
+    Each ValueError starts with ``path:line``, and a key is set once."""
+    out, set_on = {}, {}
+    with open(path, "rb") as fh:
+        for lineno, data in enumerate(fh, start=1):
+            try:
+                line = data.decode("utf-8").split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, eq, raw = line.partition("=")
+                key = key.strip()
+                if not eq:
+                    raise ValueError(f"expected key=value, got {line!r}")
+                if key not in _FIELDS:
+                    raise ValueError(f"unknown config key {key!r}")
+                if key in set_on:
+                    raise ValueError(f"config key {key} is set again, first on line {set_on[key]}")
+                out[key], set_on[key] = read_value(key, raw), lineno
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -112,13 +122,12 @@ def resolve_config(config_file: str | None = None, overrides: dict | None = None
     A None override is dropped, except for a key whose default is None
     (max_steps), where it restores that default over the file's value.
     """
-    defaults = {f.name: f.default for f in dataclasses.fields(Config)}
     values = {}
     path = config_file or os.environ.get("IVLN_CONFIG")
     if path:
         values.update(parse_config_file(path))
     for key, val in (overrides or {}).items():
-        if val is not None or (key in defaults and defaults[key] is None):
+        if val is not None or (key in _FIELDS and _FIELDS[key].default is None):
             values[key] = val
     cfg = Config(**values)
     cfg.validate()

@@ -661,7 +661,7 @@ def read_json_lines(path) -> Iterator[tuple[int, object]]:
 # or raises ValueError saying what the value must be
 
 
-def _kind(what, types, test=None, convert=None):
+def kind(what, types, test=None, convert=None):
     """A value of one of ``types`` that passes ``test``, as ``convert`` makes it."""
     def read(value):
         if type(value) in types and (test is None or test(value)):
@@ -671,12 +671,12 @@ def _kind(what, types, test=None, convert=None):
     return read
 
 
-TEXT = _kind("text", (str,))
-BOOL = _kind("true or false", (bool,))
-OBJECT = _kind("an object", (dict,))
-ID = _kind("a string or an integer", (str, int), convert=str)
-INT = _kind("a non-negative integer", (int,), lambda value: value >= 0)
-NUMBER = _kind("a finite number", _REAL, lambda value: abs(value) <= _FLOAT_MAX, float)
+TEXT = kind("text", (str,))
+BOOL = kind("true or false", (bool,))
+OBJECT = kind("an object", (dict,))
+ID = kind("a string or an integer", (str, int), convert=str)
+INT = kind("a non-negative integer", (int,), lambda value: value >= 0)
+NUMBER = kind("a finite number", _REAL, lambda value: abs(value) <= _FLOAT_MAX, float)
 
 
 def POINT(value) -> Point3:
@@ -781,9 +781,9 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-_SCENE_TYPE = _kind("graph or grid", (str,), lambda value: value in ("graph", "grid"))
-_EDGE = _kind("a pair of ids", (list,), lambda value: len(value) == 2 and {type(v) for v in value} <= {str, int},
-              lambda value: [str(v) for v in value])
+_SCENE_TYPE = kind("graph or grid", (str,), lambda value: value in ("graph", "grid"))
+_EDGE = kind("a pair of ids", (list,), lambda value: len(value) == 2 and {type(v) for v in value} <= {str, int},
+             lambda value: [str(v) for v in value])
 _GRAPH_FIELDS = {"scene_id": ID, "nodes": OBJECT, "edges": list_of(_EDGE)}
 _GRID_FIELDS = {"scene_id": ID, "resolution": NUMBER, "origin": POINT, "width": INT, "height": INT,
                 "navigable": TEXT, "semantic": TEXT, "floor_z": NUMBER, "ceiling_z": NUMBER}

@@ -16,12 +16,12 @@ on graphs the agent hops between adjacent nodes.  Moves and oracle steps
 share one adjacency, ``NavIndex.adjacent``.  Positions in traces are
 therefore always cell centers or node positions.
 
-External policies speak line-delimited JSON over a subprocess pipe or a
-TCP socket.  Active observations are answered with an act message,
-resets and episode starts with an ack.  Passive observations carry no
-crop and get no reply, so an agent's fault shows at the next message
-that needs one or at the next send.  Every send and every reply has the
-per-step deadline.
+External policies speak line-delimited JSON over a pipe or a socket.
+Active observations are answered with an act, resets and episode starts
+with an ack, each read through ``read_fields``: a reply of any shape
+fits or raises ProtocolViolation.  Passive observations get no reply,
+so an agent's fault there shows at the next reply or send.  Every send
+and every reply has the per-step deadline.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_MAX_STEPS_CONTINUOUS, Config
-from .environment import Point3, Pose, Scene, geodesic_distance, json_line, normalize_heading
+from .environment import TEXT, Point3, Pose, Scene, geodesic_distance, json_line, kind, normalize_heading, read_fields
 from .errors import Disconnected, MissingEpisode, PolicyTimeout, ProtocolViolation, UnsupportedScene
 from .mapper import (
     CameraIntrinsics,
@@ -584,7 +584,7 @@ class _LineTransport:
 
     _buf = b""
 
-    def recv(self, timeout: float) -> dict:
+    def recv(self, timeout: float):
         deadline = time.monotonic() + timeout
         while b"\n" not in self._buf:
             remaining = deadline - time.monotonic()
@@ -592,7 +592,10 @@ class _LineTransport:
                 raise PolicyTimeout(f"no reply within {timeout} s")
             self._buf += self._read(remaining)
         line, self._buf = self._buf.split(b"\n", 1)
-        return _parse_message(line)
+        try:
+            return json.loads(line)
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+            raise ProtocolViolation(f"bad JSON from agent: {exc}") from None
 
     def close(self, timeout: float) -> None:
         try:
@@ -724,17 +727,30 @@ class SocketTransport(_LineTransport):
         self.sock.close()
 
 
-def _parse_message(line: bytes) -> dict:
+def _is(want, refusal: str):
+    """The kind of a field that must be ``want``, worded ``refusal`` (``{!r}`` the value) when not."""
+    def read(value):
+        if type(value) is type(want) and value == want:
+            return value
+        raise ValueError(refusal.format(value))
+    return read
+
+
+# the agent's replies, each read by ``_read`` through one of these schemas
+_ACK = {"type": _is("ack", "expected ack, got {!r}")}
+_RESET_ACK = {**_ACK, "protocol_version": _is(
+    PROTOCOL_VERSION, f"says protocol_version {{!r}}; the harness speaks version {PROTOCOL_VERSION}")}
+_ACT = {"type": _is("act", "expected act, got {!r}"),
+        "action": kind("an action name", (str,), {FORWARD, TURN_LEFT, TURN_RIGHT, STOP, GOTO}.__contains__)}
+
+
+def _read(reply, schema: dict) -> list:
+    """``reply``'s values of the fields in ``schema``, a field left out read as
+    null; any other shape or value raises ProtocolViolation naming the field."""
     try:
-        message = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolViolation(f"bad JSON from agent: {exc}") from None
-    if not isinstance(message, dict) or "type" not in message:
-        raise ProtocolViolation(f"agent messages must be objects with a type: {line[:200]!r}")
-    return message
-
-
-_ACTION_NAMES = {FORWARD, TURN_LEFT, TURN_RIGHT, STOP, GOTO}
+        return read_fields({**dict.fromkeys(schema), **reply} if type(reply) is dict else reply, schema, "agent reply")
+    except ValueError as exc:
+        raise ProtocolViolation(str(exc)) from None
 
 
 class ExternalPolicy(Policy):
@@ -752,37 +768,19 @@ class ExternalPolicy(Policy):
     def _send(self, message: dict) -> None:
         self.transport.send(message, self.timeout)
 
-    def _expect_ack(self) -> dict:
-        reply = self.transport.recv(self.timeout)
-        if reply.get("type") != "ack":
-            raise ProtocolViolation(f"expected ack, got {reply.get('type')!r}")
-        return reply
-
     def reset(self, tour_id):
         self._send({"type": "reset", "tour_id": tour_id, "protocol_version": PROTOCOL_VERSION})
-        version = self._expect_ack().get("protocol_version")
-        if type(version) is not int or version != PROTOCOL_VERSION:
-            raise ProtocolViolation(
-                f"agent acked protocol_version {version!r}; the harness speaks version {PROTOCOL_VERSION}")
+        _read(self.transport.recv(self.timeout), _RESET_ACK)
 
     def begin_episode(self, episode_id, instruction):
         self._send({"type": "episode", "episode_id": episode_id, "instruction": instruction})
-        self._expect_ack()
+        _read(self.transport.recv(self.timeout), _ACK)
 
     def act(self, obs):
         self._send(observation_message(obs))
         reply = self.transport.recv(self.timeout)
-        if reply.get("type") != "act":
-            raise ProtocolViolation(f"expected act, got {reply.get('type')!r}")
-        kind = reply.get("action")
-        if kind not in _ACTION_NAMES:
-            raise ProtocolViolation(f"unknown action {kind!r}")
-        if kind == GOTO:
-            node = reply.get("node")
-            if not isinstance(node, str):
-                raise ProtocolViolation("goto actions need a node id")
-            return AgentAction(GOTO, node=node)
-        return AgentAction(kind)
+        _, action = _read(reply, _ACT)
+        return AgentAction(action, *_read(reply, {"node": TEXT})) if action == GOTO else AgentAction(action)
 
     def observe(self, obs):
         self._send(observation_message(obs))

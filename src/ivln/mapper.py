@@ -54,6 +54,7 @@ from .environment import (
     decode_items,
     encode_bitmask,
     encode_bytes,
+    kind,
     read_fields,
     read_json,
     write_json,
@@ -263,15 +264,16 @@ def crop_to_compact(labels: np.ndarray, occupied: np.ndarray) -> dict:
     return {"size": labels.shape[0], "labels": encode_bytes(labels), "occupied": encode_bitmask(occupied)}
 
 
+_CROP_FIELDS = {"size": kind("a positive integer", (int,), lambda value: value >= 1), "labels": TEXT, "occupied": TEXT}
+
+
 def crop_from_compact(payload: dict) -> np.ndarray:
     """Inverse of ``crop_to_compact``: the exact float32 crop of
-    ``crop_egocentric``; raises ValueError when a payload does not fit
-    its size."""
-    size = payload["size"]
-    if type(size) is not int or size < 1:
-        raise ValueError(f"crop size must be a positive integer, got {size!r}")
+    ``crop_egocentric``; raises ValueError for a payload of any other
+    shape, or one that does not fit its size."""
+    size, labels, occupied = read_fields(payload, _CROP_FIELDS, "crop")
     shape = (size, size)
-    return one_hot(decode_bytes(payload["labels"], shape), decode_bitmask(payload["occupied"], shape))
+    return one_hot(decode_bytes(labels, shape), decode_bitmask(occupied, shape))
 
 
 # ---------------------------------------------------------------------------

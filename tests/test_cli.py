@@ -759,6 +759,31 @@ def test_an_agent_that_acks_reset_plainly_is_refused(pipeline, tmp_path, capsys)
     assert traces.read_text() == ""
 
 
+def test_an_agent_whose_action_is_not_a_name_fails_with_its_trace_flushed(pipeline, tmp_path, capsys):
+    agent = tmp_path / "list_action.py"
+    agent.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    message = json.loads(line)\n"
+        "    if message['type'] in ('reset', 'episode'):\n"
+        "        reply = {'type': 'ack', 'protocol_version': 3}\n"
+        "    elif message['type'] == 'observe' and not message['passive']:\n"
+        "        reply = {'type': 'act', 'action': ['forward']}\n"
+        "    else:\n"
+        "        continue\n"
+        "    print(json.dumps(reply), flush=True)\n"
+    )
+    traces = tmp_path / "refused.jsonl"
+    code = run_cli("run", "--scene", pipeline["scene"], "--tours", pipeline["tours"],
+                   "--episodes", pipeline["episodes"],
+                   "--policy", f"ext:{sys.executable} {agent}", "--out", traces)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "field 'action' must be an action name, got ['forward']" in err
+    (partial,) = read_traces(traces, {ep.episode_id: ep for ep in load_episodes(pipeline["episodes"])})
+    assert len(partial.episodes) == 1 and partial.episodes[0].actions == []
+
+
 @pytest.mark.parametrize("command, flag", [("eval", "--d-th"), ("eval", "--success-radius"),
                                            ("run", "--step-timeout"), ("coverage", "--radius")])
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -1174,6 +1199,49 @@ def test_config_file_int_key_rejects_a_boolean(pipeline, tmp_path, capsys):
     assert code == 2
     assert "config key seed: cannot parse 'true'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_file_that_sets_a_key_twice_is_bad_input_naming_both_lines(pipeline, tmp_path, capsys):
+    code, out = run_with_config(pipeline, tmp_path, "seed = 1\nseed = 2\n")
+    assert code == 2
+    assert f"{tmp_path / 'run.cfg'}:2: config key seed is set again, first on line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each Config setting's flag: the subcommand, the flag, the inputs it needs
+SETTING_FLAGS = [
+    ("gen-tours", "--seed", ("--scene", "--episodes")),
+    *[("run", flag, ("--scene", "--tours", "--episodes"))
+      for flag in ("--policy", "--map", "--max-steps", "--step-timeout", "--seed")],
+    ("eval", "--d-th", ("--traces", "--episodes")),
+    ("eval", "--success-radius", ("--traces", "--episodes")),
+    ("coverage", "--radius", ("--scene", "--tours", "--episodes")),
+    ("coverage", "--occlusion", ("--scene", "--tours", "--episodes")),
+]
+
+
+@pytest.mark.parametrize("command, flag, inputs", SETTING_FLAGS, ids=[f"{c} {f}" for c, f, _ in SETTING_FLAGS])
+def test_a_flag_reads_the_words_a_config_line_reads(tmp_path, monkeypatch, capsys, command, flag, inputs):
+    monkeypatch.delenv("IVLN_CONFIG", raising=False)
+    field = {"--map": "map_mode"}.get(flag, flag[2:].replace("-", "_"))
+    cfg = tmp_path / "one.cfg"
+
+    def resolved(*argv):
+        """The Config the command line resolves to, or None when it is refused."""
+        args = [command, *(x for name in inputs for x in (name, "unread")), "--out", "unwritten", *argv]
+        try:
+            return cli._config(cli.build_parser().parse_args(args))
+        except (SystemExit, ValueError):
+            return None
+
+    taken = 0
+    for word in ("on", "off", "yes", "none", "null", "3", "2.5", "lots", ""):
+        cfg.write_text(f"{field} = {word}\n")
+        by_flag = resolved(flag, word)
+        assert by_flag == resolved("--config", str(cfg)), f"{flag} {word!r}"
+        taken += by_flag is not None
+    assert taken
+    capsys.readouterr()
 
 
 def test_console_script_entry_point(pipeline):

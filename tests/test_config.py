@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -39,19 +40,15 @@ def test_parse_file_types_and_comments(tmp_path):
 
 
 def test_parse_file_errors_carry_location(tmp_path):
+    # every refusal starts with the file and the line; a key is set once
     path = tmp_path / "bad.cfg"
-    path.write_text("seed = 1\nmystery = 4\n")
-    with pytest.raises(ValueError, match=r"bad\.cfg:2.*mystery"):
-        parse_config_file(str(path))
-    path.write_text("just some words\n")
-    with pytest.raises(ValueError, match="key=value"):
-        parse_config_file(str(path))
-    path.write_text("seed = lots\n")
-    with pytest.raises(ValueError, match="cannot parse"):
-        parse_config_file(str(path))
-    path.write_text("geodesic = maybe\n")
-    with pytest.raises(ValueError, match="boolean"):
-        parse_config_file(str(path))
+    for text, line, what in [("seed = 1\nmystery = 4\n", 2, "mystery"), ("\n# words\njust some words\n", 3, "key=value"),
+                             ("seed = lots\n", 1, "cannot parse"), ("d_th = 2\ngeodesic = maybe\n", 2, "boolean"),
+                             ("seed = 1\npolicy = \xe9\n", 2, "can't decode"),
+                             ("seed = 1\nd_th = 2.5\nseed = 2\n", 3, "config key seed is set again, first on line 1$")]:
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: .*{what}"):
+            parse_config_file(str(path))
 
 
 def test_resolution_order(tmp_path, monkeypatch):

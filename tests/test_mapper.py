@@ -354,6 +354,17 @@ def test_compact_crop_size_must_be_a_positive_integer(size):
         crop_from_compact(payload)
 
 
+@pytest.mark.parametrize("change", ["no size", "labels not text", "a list", "size a boolean"])
+def test_a_compact_crop_of_another_shape_is_refused_with_a_value_error(change):
+    payload = crop_to_compact(*crop_layers(fresh_map(size=6), Pose(Point3(0.5, 0.5, 0), 0.0), size=16))
+    payload = {"no size": {k: v for k, v in payload.items() if k != "size"},
+               "labels not text": {**payload, "labels": 7},
+               "a list": list(payload.values()),
+               "size a boolean": {**payload, "size": True}}[change]
+    with pytest.raises(ValueError, match="^crop: "):
+        crop_from_compact(payload)
+
+
 # -- snapshots ----------------------------------------------------------------
 
 
